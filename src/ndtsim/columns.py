@@ -100,7 +100,7 @@ class ColumnSet:
         if isinstance(raw, str):
             return raw
         raw = int(raw)
-        if spec.ftype is not None and spec.ftype.code == TC_DECIMAL:
+        if spec.ftype.code == TC_DECIMAL:
             return PyDecimal(raw).scaleb(-spec.ftype.scale)
         return raw
 
@@ -121,6 +121,33 @@ def _empty_arrays(specs):
             data[spec.name] = np.zeros(0, dtype=f"<i{width}")
         validity[spec.name] = np.zeros(0, dtype=bool) if spec.nullable else None
     return data, validity
+
+
+def column_buffers(column_set: ColumnSet) -> dict:
+    """Encode a column set into device buffers, {(name, kind): bytes}.
+
+    The inverse of ``decode_segment``: values, then offsets (varchar, only
+    when there are rows), then validity (nullable) per column, after the
+    identity column.
+    """
+    out = {(VID_COLUMN, KIND_VALUES): column_set.vids.astype("<u8").tobytes()}
+    for spec in column_set.specs:
+        name = spec.name
+        if name == VID_COLUMN:
+            continue
+        col = column_set.data[name]
+        if spec.ftype.code == TC_VARCHAR:
+            encoded = [s.encode("utf-8") for s in col]
+            out[(name, KIND_VALUES)] = b"".join(encoded)
+            if column_set.n_rows:
+                ends = np.cumsum([0] + [len(e) for e in encoded])
+                out[(name, KIND_OFFSETS)] = ends.astype("<u4").tobytes()
+        else:
+            out[(name, KIND_VALUES)] = col.astype(f"<i{value_width(spec.ftype)}").tobytes()
+        if spec.nullable:
+            bits = column_set.validity[name].astype(np.uint8)
+            out[(name, KIND_VALIDITY)] = np.packbits(bits, bitorder="little").tobytes()
+    return out
 
 
 def decode_segment(specs, buffers: dict, rows: int):
@@ -218,9 +245,7 @@ def _specs_compatible(a: ColumnSet, b: ColumnSet):
     for sa, sb in zip(a.specs, b.specs):
         if sa.name != sb.name or sa.nullable != sb.nullable:
             raise SchemaMismatch(f"column {sa.name!r} vs {sb.name!r}")
-        if (sa.ftype is None) != (sb.ftype is None):
-            raise SchemaMismatch(f"column {sa.name!r} type mismatch")
-        if sa.ftype is not None and sa.ftype != sb.ftype:
+        if sa.ftype != sb.ftype:
             raise SchemaMismatch(f"column {sa.name!r}: {sa.ftype} vs {sb.ftype}")
 
 

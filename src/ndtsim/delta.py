@@ -1,41 +1,37 @@
-"""Incremental refresh of on-device materializations.
+"""Incremental refresh of on-device materializations, and its read side.
 
 A materialization remembers, per tuple, which record version produced its
-current row.  A refresh at a newer snapshot walks the frozen tuple map
-once, re-running the in-situ visibility check; rows whose visible version
-is unchanged cost nothing beyond that probe, while changed tuples are
-transformed and appended as new segments.  Superseded rows are never
-rewritten — a positional visibility bitmap masks them out — so existing
-column bytes stay immutable until an explicit compaction rewrites the
-whole materialization.
+current row.  A refresh at a newer snapshot is the engine's one invocation
+pipeline (walk -> transform -> append) run against the existing handle:
+the walk re-runs the in-situ visibility check for every tuple of the
+frozen map and charges an identity-index probe for each; tuples whose
+visible version is unchanged cost nothing more, while changed tuples are
+dealt round-robin over the PEs, transformed and appended as a new run.
+Superseded rows are never rewritten -- a positional visibility bitmap
+masks them out -- so existing column bytes stay immutable until an
+explicit compaction rewrites the whole materialization.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .columns import KIND_OFFSETS, KIND_VALIDITY, KIND_VALUES, VID_COLUMN, ColumnSet, assemble
+from .columns import ColumnSet, assemble, column_buffers
 from .device import REGION_NVM, modeled_time
 from .engine import (
     Fragment,
+    FragmentWriter,
     MaterializationHandle,
     NdtInvocation,
-    PeJob,
     Segment,
-    _charge_handle_meta,
-    _expose_segments,
-    _final_flush,
-    _TICK,
-    MaterializeSink,
-    bitmap_set,
+    bitmap_set_range,
     bitmap_words,
-    partition_round_robin,
-    pe_visibility_check,
-    plan_scratchpad,
-    run_jobs,
-    transform_record,
+    expose_segments,
+    freed_on_failure,
+    materialize_into,
     write_bitmap_pages,
 )
 from .errors import StaleHandle
@@ -82,16 +78,6 @@ def masked_view(handle: MaterializationHandle) -> ColumnSet:
     return full.mask(visibility_bits(handle))
 
 
-def _delta_job_gen(job: PeJob, inv: NdtInvocation, device, sink):
-    """Transform-only job: items carry pre-resolved record locations."""
-    for vid, (packed_rid, region, rec_off, rec_len) in job.vid_items:
-        record = device.pe_read_record(job.pe, region, rec_off, rec_len)
-        yield from transform_record(job, inv, device, sink, vid, packed_rid, record)
-        yield _TICK
-    yield from _final_flush(job, inv, device, sink)
-    job.done = True
-
-
 def delta_transform(handle: MaterializationHandle, inv: NdtInvocation,
                     grantor=None) -> MaterializationHandle:
     """Refresh the materialization to the invocation's snapshot.
@@ -99,83 +85,19 @@ def delta_transform(handle: MaterializationHandle, inv: NdtInvocation,
     Change detection compares the version now visible for each tuple with
     the version the handle materialized; equality means zero transformation
     work.  Changed tuples get their old position masked out and the new row
-    appended; deleted tuples are only masked out.
+    appended; deleted tuples are only masked out.  A refresh that is
+    rejected or fails returns the invocation's pages to the pool.
     """
-    _require_live(handle)
-    device = handle.device
-    new_snap = inv.descriptor
-    if new_snap.caller <= handle.snapshot.caller:
-        raise ValueError(
-            f"refresh snapshot {new_snap.caller} not newer than handle at {handle.snapshot.caller}"
-        )
-    if tuple(inv.projection) != tuple(handle.projection):
-        raise ValueError("refresh projection must match the materialization")
-
-    # Phase 1: one visibility walk per tuple in the frozen map.
-    changed = []          # (vid, resolved location of the new visible version)
-    removed = []
-    partitions = partition_round_robin(list(inv.vid_view.items()), inv.pe_count)
-    for pe, items in enumerate(partitions):
-        for vid, packed in items:
-            hit = pe_visibility_check(device, pe, vid, packed, new_snap, inv.l2p_view)
-            device.ledger.device_internal_bytes_read += 8
-            device.ledger.pe_op(pe, "index_probe")
-            old_rid = handle.vid_rids.get(vid)
-            if hit is None:
-                if old_rid is not None:
-                    removed.append(vid)
-            elif hit[0] != old_rid:
-                changed.append((vid, hit))
-
-    # Phase 2: transform and append only the changed tuples.
-    layout = plan_scratchpad(inv.schema, inv.projection, device.cfg.scratchpad_bytes)
-    jobs = [PeJob(pe, items, layout)
-            for pe, items in enumerate(partition_round_robin(changed, inv.pe_count))]
-    for j, idx in enumerate(inv.result_pages):
-        jobs[j % inv.pe_count].page_queue.append(idx)
-    sink = MaterializeSink(device, inv.result_region)
-    run_jobs(jobs, inv, device, sink, grantor, gen_factory=_delta_job_gen)
-    new_segments = sink.segments(jobs, run=handle.run_count)
-
-    leftovers = []
-    for job in jobs:
-        leftovers.extend((inv.result_region, idx) for idx in job.page_queue)
-        job.page_queue.clear()
-    if leftovers:
-        device.free_pages(inv.owner, leftovers)
-    # Appended pages join the materialization's allocation.
-    device.adopt_pages(inv.owner, handle.owner)
-
-    appended_rows = sum(job.rows for job in jobs)
-    new_total = handle.total_positions + appended_rows
-    bitmap = handle.visibility
-    grow = bitmap_words(new_total) * 8 - len(bitmap)
-    if grow > 0:
-        bitmap.extend(b"\x00" * grow)
-
-    for vid in removed:
-        bitmap_set(bitmap, handle.vid_index.pop(vid), False)
-        handle.vid_rids.pop(vid, None)
-    position = handle.total_positions
-    for job in jobs:
-        for vid, rid in zip(job.vid_out, job.rid_out):
-            old_pos = handle.vid_index.get(vid)
-            if old_pos is not None:
-                bitmap_set(bitmap, old_pos, False)
-            bitmap_set(bitmap, position, True)
-            handle.vid_index[vid] = position
-            handle.vid_rids[vid] = rid
-            position += 1
-
-    handle.segments.extend(new_segments)
-    handle.total_positions = new_total
-    handle.snapshot = new_snap
-    handle.run_count += 1
-    handle.column_bytes += sum(f.nbytes for s in new_segments for f in s.frags.values())
-    write_bitmap_pages(handle)
-    _expose_segments(device, new_segments)
-    _charge_handle_meta(device, new_segments)
-    return handle
+    with freed_on_failure(handle.device, inv.owner):
+        _require_live(handle)
+        if inv.descriptor.caller <= handle.snapshot.caller:
+            raise ValueError(
+                f"refresh snapshot {inv.descriptor.caller} not newer than handle "
+                f"at {handle.snapshot.caller}"
+            )
+        if tuple(inv.projection) != tuple(handle.projection):
+            raise ValueError("refresh projection must match the materialization")
+    return materialize_into(handle, inv, grantor)
 
 
 @dataclass(frozen=True)
@@ -221,53 +143,26 @@ def compact(handle: MaterializationHandle) -> MaterializationHandle:
     current = full_column_set(handle, requester="COORD").mask(visibility_bits(handle))
     new_owner = f"{handle.owner}+c"
 
-    buffers = {}
-    buffers[(VID_COLUMN, KIND_VALUES)] = current.vids.astype("<u8").tobytes()
-    for spec in handle.specs:
-        name = spec.name
-        if name == VID_COLUMN:
-            continue
-        col = current.data[name]
-        if isinstance(col, list):
-            payload = bytearray()
-            offsets = bytearray(np.uint32(0).tobytes())
-            for s in col:
-                payload.extend(s.encode("utf-8"))
-                offsets.extend(np.uint32(len(payload)).tobytes())
-            if current.n_rows:
-                buffers[(name, KIND_VALUES)] = bytes(payload)
-                buffers[(name, KIND_OFFSETS)] = bytes(offsets)
-        else:
-            buffers[(name, KIND_VALUES)] = col.tobytes()
-        if spec.nullable:
-            bits = current.validity[name]
-            buffers[(name, KIND_VALIDITY)] = np.packbits(
-                bits.astype(np.uint8), bitorder="little").tobytes()
-
     frags = {}
-    for key, data in buffers.items():
-        pages = device.allocate_pages(REGION_NVM, max(1, -(-len(data) // PAGE_SIZE)), new_owner) \
-            if data else []
-        pos = 0
-        for idx in pages:
-            take = min(PAGE_SIZE, len(data) - pos)
-            device.write(REGION_NVM, idx * PAGE_SIZE, data[pos:pos + take], "COORD")
-            pos += take
-        frags[key] = Fragment(REGION_NVM, tuple(pages), len(data))
+    for key, data in column_buffers(current).items():
+        writer = FragmentWriter(REGION_NVM)
+        if data:
+            pages = device.allocate_pages(REGION_NVM, writer.pages_needed(len(data)), new_owner)
+            writer.append(device, "COORD", data, deque(pages))
+        frags[key] = writer.fragment()
 
     device.free_pages(handle.owner)
     handle.owner = new_owner
     handle.segments = [Segment(handle.run_count, 0, current.n_rows, frags)] if current.n_rows else []
     handle.vid_index = {int(v): i for i, v in enumerate(current.vids)}
     handle.total_positions = current.n_rows
-    handle.visibility = bytearray(b"\xff" * (bitmap_words(current.n_rows) * 8))
-    for pos in range(current.n_rows, bitmap_words(current.n_rows) * 64):
-        bitmap_set(handle.visibility, pos, False)
+    handle.visibility = bytearray(bitmap_words(current.n_rows) * 8)
+    bitmap_set_range(handle.visibility, 0, current.n_rows)
     handle.bitmap_pages = []
     handle.column_bytes = sum(f.nbytes for f in frags.values())
     handle.run_count += 1
     write_bitmap_pages(handle)
-    _expose_segments(device, handle.segments)
+    expose_segments(device, handle.segments)
     return handle
 
 

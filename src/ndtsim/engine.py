@@ -2,11 +2,28 @@
 
 An invocation carries a frozen snapshot (map views plus visibility
 descriptor), the table schema and projection, and its pre-allocated result
-space.  Work is split round-robin over the processing elements; each PE
-walks its share of tuple entries, performs the in-situ visibility check,
-loads the visible record into its scratchpad and rearranges it into
-per-attribute value/validity/offset partitions, flushing them to result
-pages (materialization) or rotating stream buffers as they fill.
+space.  Every invocation -- a first materialization, a stream, or the
+refresh of an existing materialization -- runs one pipeline:
+
+1. **Walk.**  The tuple map is split round-robin over the processing
+   elements (entry i goes to PE i mod n).  Each PE walks its share in
+   order, runs the in-situ visibility check, and compares the visible
+   version with the one the target handle already holds.  A first
+   materialization or a stream targets an empty handle, so every visible
+   tuple counts as changed; a refresh also charges an 8-byte index probe
+   per tuple and collects the tuples that are no longer visible.
+2. **Transform.**  The changed tuples are loaded into the scratchpads and
+   rearranged into per-attribute value/validity/offset partitions, which
+   are flushed to result pages (materialization) or rotating stream
+   buffers as they fill.  On a first run a changed tuple stays on the PE
+   that walked it; on a refresh the changed list, in PE-major walk order,
+   is dealt round-robin again.
+3. **Append** (materializing sinks only).  Unused result pages are freed,
+   the rest join the handle, removed and superseded positions are masked
+   out, and the appended rows become the handle's newest run.
+
+Steps 1 and 2 run inside one failure guard: when either raises, every
+page the invocation owns goes back to the pool.
 
 PE jobs run as generators driven round-robin at tuple granularity by a
 deterministic coordinator; a job that runs out of result pages yields a
@@ -24,8 +41,8 @@ from __future__ import annotations
 
 import struct
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .columns import (
     KIND_OFFSETS,
@@ -34,7 +51,6 @@ from .columns import (
     VID_COLUMN,
     assemble,
     result_specs,
-    value_width,
 )
 from .device import Device, REGION_DDR, REGION_NVM
 from .errors import (
@@ -50,7 +66,6 @@ from .layout import (
     PAGE_SIZE,
     RID_NONE,
     Schema,
-    TC_INT32,
     TC_TIMESTAMP,
     TC_VARCHAR,
     pg_timestamp_to_unix_epoch,
@@ -130,7 +145,6 @@ class NdtInvocation:
     vid_view: dict                # frozen vid -> packed rid
     l2p_view: dict                # frozen page_lid -> (region, index)
     initial_pages: int = 0
-    prior_handle: object = None
     proj_plan: tuple = field(default=())
 
     def __post_init__(self):
@@ -154,13 +168,13 @@ class NdtInvocation:
 class PeJob:
     """Mutable state of one PE's partitioned job."""
 
-    __slots__ = ("pe", "vid_items", "caps", "parts", "bit_counts", "cum",
-                 "offsets_started", "vid_out", "rid_out", "rows", "page_queue",
-                 "flushes", "done")
+    __slots__ = ("pe", "vid_items", "changed", "caps", "parts", "bit_counts", "cum",
+                 "offsets_started", "vid_out", "rid_out", "rows", "page_queue")
 
     def __init__(self, pe: int, vid_items, layout: ScratchpadLayout):
         self.pe = pe
-        self.vid_items = vid_items                  # [(vid, packed rid), ...]
+        self.vid_items = vid_items                  # [(vid, packed rid), ...] to walk
+        self.changed = []                           # [(vid, visible hit), ...] to transform
         self.caps = layout.partitions
         self.parts = {key: bytearray() for key in layout.partitions}
         self.bit_counts = {}                        # attr -> bits appended
@@ -170,8 +184,6 @@ class PeJob:
         self.rid_out = []
         self.rows = 0
         self.page_queue = deque()
-        self.flushes = 0
-        self.done = False
 
 
 def partition_round_robin(items, pe_count: int) -> list:
@@ -244,7 +256,6 @@ def flush_partition(job: PeJob, device: Device, sink, key):
         return
     data = bytes(buf)
     del buf[:]
-    job.flushes += 1
     device.ledger.pe_op(job.pe, "flush")
     yield from sink.emit(job, key, data)
 
@@ -256,7 +267,6 @@ def _emit(job: PeJob, device: Device, sink, key, data):
         yield from flush_partition(job, device, sink, key)
     if len(data) > cap:
         # element larger than the partition: spill it directly
-        job.flushes += 1
         device.ledger.pe_op(job.pe, "flush")
         yield from sink.emit(job, key, bytes(data))
     else:
@@ -329,7 +339,6 @@ def _final_flush(job: PeJob, inv: NdtInvocation, device: Device, sink):
             yield from flush_partition(job, device, sink, (name, KIND_OFFSETS))
     if job.vid_out:
         data = struct.pack(f"<{len(job.vid_out)}Q", *job.vid_out)
-        job.flushes += 1
         device.ledger.pe_op(job.pe, "flush")
         yield from sink.emit(job, (VID_COLUMN, KIND_VALUES), data)
 
@@ -343,18 +352,43 @@ class PageRequest:
     count: int
 
 
-def _job_gen(job: PeJob, inv: NdtInvocation, device: Device, sink):
+INDEX_PROBE_BYTES = 8               # handle identity-index lookup per walked tuple
+
+
+def walk(jobs, inv: NdtInvocation, device: Device, held: dict, probe: bool):
+    """Step 1: visibility walk of every tuple, PE by PE in scheduled order.
+
+    ``held`` maps vid -> packed rid of the row the target handle holds.
+    A visible version that differs from it goes into the walking job's
+    ``changed`` list; a held tuple with nothing visible is returned as
+    removed.  ``probe`` charges the identity-index lookup.
+    """
     snap = inv.descriptor
     l2p = inv.l2p_view
-    for vid, packed in job.vid_items:
-        hit = pe_visibility_check(device, job.pe, vid, packed, snap, l2p)
-        if hit is not None:
-            packed_rid, region, rec_off, rec_len = hit
-            record = device.pe_read_record(job.pe, region, rec_off, rec_len)
-            yield from transform_record(job, inv, device, sink, vid, packed_rid, record)
+    removed = []
+    for job in jobs:
+        pe = job.pe
+        for vid, packed in job.vid_items:
+            hit = pe_visibility_check(device, pe, vid, packed, snap, l2p)
+            if probe:
+                device.ledger.device_internal_bytes_read += INDEX_PROBE_BYTES
+                device.ledger.pe_op(pe, "index_probe")
+            old_rid = held.get(vid)
+            if hit is None:
+                if old_rid is not None:
+                    removed.append(vid)
+            elif hit[0] != old_rid:
+                job.changed.append((vid, hit))
+    return removed
+
+
+def _job_gen(job: PeJob, inv: NdtInvocation, device: Device, sink):
+    """Step 2 for one PE: load and transform its changed tuples, then flush."""
+    for vid, (packed_rid, region, rec_off, rec_len) in job.changed:
+        record = device.pe_read_record(job.pe, region, rec_off, rec_len)
+        yield from transform_record(job, inv, device, sink, vid, packed_rid, record)
         yield _TICK
     yield from _final_flush(job, inv, device, sink)
-    job.done = True
 
 
 def suspend_for_space(job: PeJob, inv: NdtInvocation, device: Device, grantor,
@@ -371,33 +405,57 @@ def suspend_for_space(job: PeJob, inv: NdtInvocation, device: Device, grantor,
     job.page_queue.extend(pages)
 
 
-def run_jobs(jobs, inv: NdtInvocation, device: Device, sink, grantor=None,
-             gen_factory=None):
+def run_jobs(jobs, inv: NdtInvocation, device: Device, sink, grantor=None):
     """Drive PE jobs round-robin at tuple granularity, deterministically.
 
     On a page request the requesting job is suspended, the grant obtained,
-    and the job resumed before the rotation continues; denial fails the
-    invocation cleanly with its pages returned to the pool.
+    and the job resumed before the rotation continues; a denial raises
+    ``HostDenied``.
     """
-    factory = gen_factory or _job_gen
-    gens = {job.pe: factory(job, inv, device, sink) for job in jobs}
+    gens = {job.pe: _job_gen(job, inv, device, sink) for job in jobs}
     active = deque(jobs)
+    while active:
+        job = active.popleft()
+        gen = gens[job.pe]
+        while True:
+            try:
+                signal = next(gen)
+            except StopIteration:
+                break
+            if signal is _TICK:
+                active.append(job)
+                break
+            suspend_for_space(job, inv, device, grantor, signal.count)
+
+
+@contextmanager
+def freed_on_failure(device: Device, owner: str):
+    """Return every page ``owner`` holds to the pool if the body raises."""
     try:
-        while active:
-            job = active.popleft()
-            gen = gens[job.pe]
-            while True:
-                try:
-                    signal = next(gen)
-                except StopIteration:
-                    break
-                if signal is _TICK:
-                    active.append(job)
-                    break
-                suspend_for_space(job, inv, device, grantor, signal.count)
+        yield
     except BaseException:
-        device.free_pages(inv.owner)
+        device.free_pages(owner)
         raise
+
+
+def walk_and_transform(inv: NdtInvocation, device: Device, sink, grantor=None,
+                       handle=None):
+    """Steps 1 and 2 into ``sink``; returns (jobs, removed vids).
+
+    ``handle`` is the materialization being refreshed; without one, or
+    when it holds no rows yet, every visible tuple is changed, no index
+    probe is charged and each changed tuple stays on the PE that walked
+    it.  Callers return the invocation's pages to the pool if it raises.
+    """
+    jobs = schedule(inv, device)
+    refresh = handle is not None and handle.total_positions > 0
+    removed = walk(jobs, inv, device, handle.vid_rids if handle else {}, probe=refresh)
+    if refresh:
+        changed = [item for job in jobs for item in job.changed]
+        for job, items in zip(jobs, partition_round_robin(changed, inv.pe_count)):
+            job.changed = items
+    run_jobs(jobs, inv, device, sink, grantor)
+    return jobs, removed
 
 
 # -- result sinks ---------------------------------------------------------------
@@ -603,7 +661,8 @@ class MaterializationHandle:
 
     Fragment addresses/sizes and the row counts are what the host pulls;
     the identity index and visibility bitmap live beside the fragments on
-    the device and are only ever shipped if a consumer reads them.
+    the device and are only ever shipped if a consumer reads them.  A new
+    handle is empty; every run of the pipeline appends to it.
     """
 
     owner: str
@@ -612,14 +671,14 @@ class MaterializationHandle:
     projection: tuple
     specs: tuple
     snapshot: SnapshotDescriptor
-    segments: list
-    vid_index: dict               # vid -> global row position
-    vid_rids: dict                # vid -> packed rid the current row came from
-    visibility: bytearray         # little-endian u64 words, 1 = row current
-    total_positions: int
-    bitmap_pages: list
-    column_bytes: int
-    run_count: int = 1
+    segments: list = field(default_factory=list)
+    vid_index: dict = field(default_factory=dict)   # vid -> global row position
+    vid_rids: dict = field(default_factory=dict)    # vid -> packed rid of the current row
+    visibility: bytearray = field(default_factory=bytearray)  # LE u64 words, 1 = current
+    total_positions: int = 0
+    bitmap_pages: list = field(default_factory=list)
+    column_bytes: int = 0
+    run_count: int = 0
     freed: bool = False
 
     @property
@@ -632,7 +691,7 @@ class MaterializationHandle:
 
     @property
     def visible_rows(self) -> int:
-        return sum(int(w).bit_count() for w in _iter_words(self.visibility))
+        return int.from_bytes(self.visibility, "little").bit_count()
 
     def fragment_sizes(self) -> dict:
         sizes: dict = {}
@@ -642,23 +701,18 @@ class MaterializationHandle:
         return sizes
 
 
-def _iter_words(bitmap: bytearray):
-    for i in range(0, len(bitmap), 8):
-        yield int.from_bytes(bitmap[i:i + 8], "little")
+def bitmap_clear(bitmap: bytearray, pos: int):
+    """Mark one position outdated (LSB-first within little-endian words)."""
+    bitmap[pos // 8] &= ~(1 << (pos & 7))
 
 
-def bitmap_set(bitmap: bytearray, pos: int, value: bool):
-    word, bit = divmod(pos, 64)
-    byte = word * 8 + bit // 8
-    if value:
-        bitmap[byte] |= 1 << (bit & 7)
-    else:
-        bitmap[byte] &= ~(1 << (bit & 7))
-
-
-def bitmap_get(bitmap: bytearray, pos: int) -> bool:
-    word, bit = divmod(pos, 64)
-    return bool(bitmap[word * 8 + bit // 8] >> (bit & 7) & 1)
+def bitmap_set_range(bitmap: bytearray, start: int, stop: int):
+    """Set positions [start, stop) current in one read-modify-write."""
+    if stop <= start:
+        return
+    lo, hi = start // 8, -(-stop // 8)
+    mask = ((1 << (stop - start)) - 1) << (start - lo * 8)
+    bitmap[lo:hi] = (int.from_bytes(bitmap[lo:hi], "little") | mask).to_bytes(hi - lo, "little")
 
 
 def bitmap_words(rows: int) -> int:
@@ -683,14 +737,7 @@ HANDLE_META_FRAGMENT_BYTES = 16     # address + size per fragment
 HANDLE_META_FIXED_BYTES = 32
 
 
-def _charge_handle_meta(device: Device, segments):
-    n_frags = sum(len(seg.frags) for seg in segments)
-    device.ledger.device_to_host_bytes += (
-        HANDLE_META_FIXED_BYTES + HANDLE_META_FRAGMENT_BYTES * n_frags
-    )
-
-
-def _expose_segments(device: Device, segments):
+def expose_segments(device: Device, segments):
     pages = []
     for seg in segments:
         for frag in seg.frags.values():
@@ -698,63 +745,81 @@ def _expose_segments(device: Device, segments):
     device.expose_to_host(pages)
 
 
-def materialize_results(inv: NdtInvocation, device: Device, grantor=None) -> MaterializationHandle:
-    """Run a materializing invocation to completion and build its handle."""
-    jobs = schedule(inv, device)
-    sink = MaterializeSink(device, inv.result_region)
-    run_jobs(jobs, inv, device, sink, grantor)
-    segments = sink.segments(jobs, run=0)
+def append_run(handle: MaterializationHandle, inv: NdtInvocation, jobs, sink,
+               removed):
+    """Step 3: make the transformed rows the handle's newest run.
 
-    # Unused pre-allocated space is marked free.
-    leftovers = []
-    for job in jobs:
-        leftovers.extend((inv.result_region, idx) for idx in job.page_queue)
-        job.page_queue.clear()
+    Unused result pages are freed and the rest join the handle's
+    allocation.  Removed tuples and the old rows of changed tuples are
+    masked out; the appended positions, which are contiguous, are marked
+    current at once.  The bitmap is persisted, the new fragments exposed
+    and the handle metadata charged as host-bound bytes.
+    """
+    device = handle.device
+    segments = sink.segments(jobs, run=handle.run_count)
+    leftovers = [(inv.result_region, idx) for job in jobs for idx in job.page_queue]
     if leftovers:
         device.free_pages(inv.owner, leftovers)
+    device.adopt_pages(inv.owner, handle.owner)
 
-    vid_index: dict = {}
-    vid_rids: dict = {}
-    position = 0
+    start = handle.total_positions
+    total = start + sum(job.rows for job in jobs)
+    bitmap = handle.visibility
+    bitmap.extend(bytes(bitmap_words(total) * 8 - len(bitmap)))
+    for vid in removed:
+        bitmap_clear(bitmap, handle.vid_index.pop(vid))
+        del handle.vid_rids[vid]
+    position = start
     for job in jobs:
         for vid, rid in zip(job.vid_out, job.rid_out):
-            vid_index[vid] = position
-            vid_rids[vid] = rid
+            old_pos = handle.vid_index.get(vid)
+            if old_pos is not None:
+                bitmap_clear(bitmap, old_pos)
+            handle.vid_index[vid] = position
+            handle.vid_rids[vid] = rid
             position += 1
-    total = position
-    visibility = bytearray(b"\xff" * (bitmap_words(total) * 8))
-    # mask tail bits beyond the last row
-    for pos in range(total, bitmap_words(total) * 64):
-        bitmap_set(visibility, pos, False)
+    bitmap_set_range(bitmap, start, total)
 
-    handle = MaterializationHandle(
-        owner=inv.owner,
-        device=device,
-        schema=inv.schema,
-        projection=inv.projection,
-        specs=inv.specs,
-        snapshot=inv.descriptor,
-        segments=segments,
-        vid_index=vid_index,
-        vid_rids=vid_rids,
-        visibility=visibility,
-        total_positions=total,
-        bitmap_pages=[],
-        column_bytes=sum(f.nbytes for s in segments for f in s.frags.values()),
-    )
+    handle.segments.extend(segments)
+    handle.total_positions = total
+    handle.snapshot = inv.descriptor
+    handle.run_count += 1
+    handle.column_bytes += sum(f.nbytes for s in segments for f in s.frags.values())
     write_bitmap_pages(handle)
-    _expose_segments(device, segments)
-    _charge_handle_meta(device, segments)
+    expose_segments(device, segments)
+    n_frags = sum(len(seg.frags) for seg in segments)
+    device.ledger.device_to_host_bytes += (
+        HANDLE_META_FIXED_BYTES + HANDLE_META_FRAGMENT_BYTES * n_frags
+    )
     return handle
+
+
+def materialize_into(handle: MaterializationHandle, inv: NdtInvocation,
+                     grantor=None) -> MaterializationHandle:
+    """Run a materializing invocation and append its changed rows to ``handle``."""
+    device = handle.device
+    sink = MaterializeSink(device, inv.result_region)
+    with freed_on_failure(device, inv.owner):
+        jobs, removed = walk_and_transform(inv, device, sink, grantor, handle)
+    return append_run(handle, inv, jobs, sink, removed)
+
+
+def materialize_results(inv: NdtInvocation, device: Device, grantor=None) -> MaterializationHandle:
+    """Run a materializing invocation to completion: append to an empty handle."""
+    handle = MaterializationHandle(owner=inv.owner, device=device, schema=inv.schema,
+                                   projection=inv.projection, specs=inv.specs,
+                                   snapshot=inv.descriptor)
+    return materialize_into(handle, inv, grantor)
 
 
 def stream_results(inv: NdtInvocation, device: Device, consumer=None, grantor=None) -> list:
     """Run a streaming invocation; returns the pulled batches in order."""
-    jobs = schedule(inv, device)
-    sink = StreamSink(device, inv, consumer)
-    run_jobs(jobs, inv, device, sink, grantor)
-    sink.finish()
-    device.free_pages(inv.owner)
+    try:
+        sink = StreamSink(device, inv, consumer)
+        walk_and_transform(inv, device, sink, grantor)
+        sink.finish()
+    finally:
+        device.free_pages(inv.owner)
     return sink.batches
 
 

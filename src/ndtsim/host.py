@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import random
 import string
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from decimal import Decimal as PyDecimal
 
@@ -33,13 +34,12 @@ from .layout import (
     Schema,
     TimestampPg,
     VarChar,
-    decimal_to_scaled,
     pg_timestamp_to_unix_epoch,
     record_field_slices,
     POSTGRES_EPOCH_OFFSET_SECONDS,
     MICROS_PER_SECOND,
 )
-from .mvcc import MvccStore, SnapshotDescriptor, TOMBSTONE, oracle_visible_version
+from .mvcc import MvccStore, SnapshotDescriptor, oracle_visible_version
 from .shared_state import HostSharedState
 
 
@@ -64,6 +64,11 @@ def unix_seconds(year: int, month: int = 1, day: int = 1) -> int:
 def pg_micros(year: int, month: int = 1, day: int = 1) -> int:
     """Timestamp value (microseconds since 2000-01-01) for a calendar date."""
     return (unix_seconds(year, month, day) - POSTGRES_EPOCH_OFFSET_SECONDS) * MICROS_PER_SECOND
+
+
+# Delivery dates spread across 1995..2014, so both pre- and post-2000
+# timestamp encodings occur.
+DELIVERY_RANGE = (pg_micros(1995), pg_micros(2015))
 
 
 @dataclass(frozen=True)
@@ -183,13 +188,8 @@ class HostSystem:
             "".join(rng.choices(string.ascii_lowercase, k=dist_len)),
         )
 
-    _DELIVERY_RANGE = None
-
     def _random_delivery(self, rng: random.Random) -> int:
-        # spread across 1995..2014 so both pre- and post-2000 encodings occur
-        if HostSystem._DELIVERY_RANGE is None:
-            HostSystem._DELIVERY_RANGE = (pg_micros(1995), pg_micros(2015))
-        return rng.randrange(*HostSystem._DELIVERY_RANGE)
+        return rng.randrange(*DELIVERY_RANGE)
 
     def load_orderlines(self, n_rows: int, seed: int = 1, null_delivery_rate: float = 0.08,
                         batch: int = 1000) -> dict:
@@ -273,7 +273,6 @@ class HostSystem:
             stream_pages=stream_pages,
             vid_view=vid_view,
             l2p_view=l2p_view,
-            prior_handle=prior_handle,
         )
 
     def grant_space(self, inv: NdtInvocation, count: int) -> list:
@@ -290,24 +289,42 @@ class HostSystem:
     def transform_snapshot(self, projection=None, mode: str = MODE_MATERIALIZE,
                            pe_count: int = None, estimate_scale: float = 1.0,
                            consumer=None):
-        """Begin a reader transaction, run one transformation, commit."""
+        """Begin a reader transaction, run one transformation, commit.
+
+        On failure the reader transaction is aborted before the error
+        propagates.
+        """
         caller = self.store.begin_tx()
-        inv = self.prepare_invocation(caller, projection, mode, pe_count,
-                                      estimate_scale=estimate_scale)
-        result = run_invocation(inv, self.device, grantor=self.grant_space,
-                                consumer=consumer)
+        with self._aborted_on_failure(caller):
+            inv = self.prepare_invocation(caller, projection, mode, pe_count,
+                                          estimate_scale=estimate_scale)
+            result = run_invocation(inv, self.device, grantor=self.grant_space,
+                                    consumer=consumer)
         self.store.commit_tx(caller)
         return inv, result
 
     def delta_refresh(self, handle, pe_count: int = None, estimate_scale: float = 1.0):
-        """Refresh a materialization to the current committed state."""
+        """Refresh a materialization to the current committed state.
+
+        On failure the reader transaction is aborted before the error
+        propagates.
+        """
         caller = self.store.begin_tx()
-        inv = self.prepare_invocation(caller, handle.projection, MODE_MATERIALIZE,
-                                      pe_count or handle.device.cfg.pe_count,
-                                      estimate_scale=estimate_scale, prior_handle=handle)
-        updated = delta_transform(handle, inv, grantor=self.grant_space)
+        with self._aborted_on_failure(caller):
+            inv = self.prepare_invocation(caller, handle.projection, MODE_MATERIALIZE,
+                                          pe_count or handle.device.cfg.pe_count,
+                                          estimate_scale=estimate_scale, prior_handle=handle)
+            updated = delta_transform(handle, inv, grantor=self.grant_space)
         self.store.commit_tx(caller)
         return inv, updated
+
+    @contextmanager
+    def _aborted_on_failure(self, caller: int):
+        try:
+            yield
+        except BaseException:
+            self.store.abort_tx(caller)
+            raise
 
     def merge_to_cold(self):
         """Propagate anything pending, then relocate delta pages to cold NVM."""

@@ -13,7 +13,7 @@ half-updated chain.  A single logical writer is assumed for mutation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .errors import AlreadyFinished, StaleWrite, UnknownTx
 from .layout import RecordHeader, RecordID, Schema, encode_record
@@ -211,10 +211,3 @@ class MvccStore:
             out.append(node.rid)
             node = node.pred
         return out
-
-    def gc_old_versions(self):
-        """Hook for asynchronous garbage collection of superseded versions.
-
-        Space reclamation is scheduled out-of-band in the modeled system;
-        nothing to do here.
-        """

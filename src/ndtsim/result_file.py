@@ -1,8 +1,7 @@
 """On-disk columnar result files ("NDTC" format).
 
 Single-copy, 64-byte-aligned little-endian layout so third-party tools can
-map buffers directly; format.md at the repository root is the normative
-byte-level description and must match this module exactly.
+map buffers directly:
 
     0   magic   "NDTC"
     4   version u32 (currently 1)
@@ -32,11 +31,13 @@ import struct
 import numpy as np
 
 from .columns import (
+    KIND_OFFSETS,
+    KIND_VALIDITY,
     KIND_VALUES,
     VID_COLUMN,
     ColumnSet,
     ColumnSpec,
-    canonical_compare,  # noqa: F401  (re-exported: comparison lives with the format)
+    column_buffers,
     value_width,
 )
 from .errors import BadMagic, CorruptDescriptor, UnsupportedVersion
@@ -90,31 +91,6 @@ def _type_from_tag(tag: int, p1: int, p2: int):
     raise CorruptDescriptor(f"unknown type tag {tag}")
 
 
-def _column_buffers(column_set: ColumnSet, spec: ColumnSpec):
-    """(values, validity, offsets) byte images for one column."""
-    name = spec.name
-    rows = column_set.n_rows
-    if name == VID_COLUMN:
-        return column_set.vids.astype("<u8").tobytes(), b"", b""
-    data = column_set.data[name]
-    if isinstance(data, list):
-        payload = bytearray()
-        offsets = np.zeros(rows + 1, dtype="<u4") if rows else np.zeros(0, dtype="<u4")
-        for i, s in enumerate(data):
-            payload.extend(s.encode("utf-8"))
-            offsets[i + 1] = len(payload)
-        values = bytes(payload)
-        offsets_bytes = offsets.tobytes()
-    else:
-        values = data.astype(f"<i{value_width(spec.ftype)}").tobytes()
-        offsets_bytes = b""
-    validity = column_set.validity.get(name)
-    validity_bytes = b""
-    if spec.nullable and rows:
-        validity_bytes = np.packbits(validity.astype(np.uint8), bitorder="little").tobytes()
-    return values, validity_bytes, offsets_bytes
-
-
 def write_file(path, column_set: ColumnSet, visibility: np.ndarray = None,
                snapshot_ts: int = 0) -> None:
     """Serialize a column set (all positions) plus its visibility bitmap.
@@ -152,10 +128,13 @@ def write_file(path, column_set: ColumnSet, visibility: np.ndarray = None,
         cursor = off + len(data)
         return off, len(data)
 
+    buffers = column_buffers(column_set)
     descriptors = []
     for spec in specs:
-        values, validity, offsets = _column_buffers(column_set, spec)
-        descriptors.append(place(values) + place(validity) + place(offsets))
+        name = spec.name
+        descriptors.append(place(buffers.get((name, KIND_VALUES), b""))
+                           + place(buffers.get((name, KIND_VALIDITY), b""))
+                           + place(buffers.get((name, KIND_OFFSETS), b"")))
 
     if rows:
         vis_bytes = np.packbits(visibility.astype(np.uint8), bitorder="little").tobytes()
@@ -225,6 +204,8 @@ def read_file(path):
         vis_off, vis_len = _VIS.unpack_from(raw, pos)
     except struct.error as exc:
         raise CorruptDescriptor(f"descriptor table truncated: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CorruptDescriptor(f"attribute name is not UTF-8: {exc}") from exc
 
     if not specs or specs[0].name != VID_COLUMN:
         raise CorruptDescriptor("first column must be the row identity")
@@ -260,9 +241,12 @@ def read_file(path):
                 monotone = not np.any(np.diff(offsets.astype(np.int64)) < 0)
                 if offsets[0] != 0 or offsets[-1] != len(values) or not monotone:
                     raise CorruptDescriptor(f"{spec.name}: offsets not monotone over payload")
-                data[spec.name] = [
-                    values[offsets[i]:offsets[i + 1]].decode("utf-8") for i in range(rows)
-                ]
+                try:
+                    data[spec.name] = [
+                        values[offsets[i]:offsets[i + 1]].decode("utf-8") for i in range(rows)
+                    ]
+                except UnicodeDecodeError as exc:
+                    raise CorruptDescriptor(f"{spec.name}: value is not UTF-8: {exc}") from exc
         else:
             width = value_width(spec.ftype)
             if len(values) != rows * width:

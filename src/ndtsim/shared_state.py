@@ -18,6 +18,7 @@ import struct
 from dataclasses import dataclass
 from typing import Optional
 
+from .device import REGION_DDR, REGION_NVM  # noqa: F401  (device-side l2p regions)
 from .errors import DanglingReference, DeviceUnavailable
 from .layout import (
     PAGE_SIZE,
@@ -29,8 +30,6 @@ from .layout import (
 )
 
 REGION_HOST = "HOST"
-REGION_DDR = "DDR"
-REGION_NVM = "NVM"
 
 DEFAULT_CAPACITY_BYTES = 512 * 1024
 

@@ -1,0 +1,115 @@
+"""A failed invocation returns its pages to the pool and aborts its reader."""
+
+import pytest
+
+from ndtsim.delta import delta_transform, free_handle
+from ndtsim.engine import MODE_STREAM
+from ndtsim.errors import DanglingReference, HostDenied, PoolExhausted, StaleHandle
+from ndtsim.host import HostSystem, WorkloadConfig
+
+
+def _loaded(rows=200):
+    system = HostSystem()
+    system.load_orderlines(rows, seed=31)
+    system.merge_to_cold()
+    _, handle = system.transform_snapshot()
+    return system, handle
+
+
+def _prepare(system, handle, projection=None):
+    caller = system.store.begin_tx()
+    return system.prepare_invocation(caller, projection or handle.projection,
+                                     prior_handle=handle)
+
+
+def _refresh_freed(system, handle):
+    inv = _prepare(system, handle)
+    free_handle(handle)
+    return inv, StaleHandle
+
+
+def _refresh_other_projection(system, handle):
+    return _prepare(system, handle, ("ol_quantity",)), ValueError
+
+
+def _refresh_older_snapshot(system, handle):
+    older = _prepare(system, handle)
+    newer = _prepare(system, handle)
+    delta_transform(handle, newer, grantor=system.grant_space)
+    return older, ValueError
+
+
+def _refresh_dangling(system, handle):
+    inv = _prepare(system, handle)
+    inv.l2p_view.clear()
+    return inv, DanglingReference
+
+
+@pytest.mark.parametrize("setup", [_refresh_freed, _refresh_other_projection,
+                                   _refresh_older_snapshot, _refresh_dangling])
+def test_rejected_refresh_frees_invocation_pages(setup):
+    system, handle = _loaded()
+    inv, error = setup(system, handle)
+    assert system.device.owner_pages(inv.owner)
+    with pytest.raises(error):
+        delta_transform(handle, inv, grantor=system.grant_space)
+    assert system.device.owner_pages(inv.owner) == set()
+
+
+def _deny(inv, count):
+    raise PoolExhausted("denied")
+
+
+def _drop_l2p(system):
+    freeze = system.device.freeze_views
+    system.device.freeze_views = lambda: (freeze()[0], {})
+
+
+def _host_denied_transform(system, handle):
+    system.grant_space = _deny
+    system.transform_snapshot(estimate_scale=0.01)
+
+
+def _dangling_stream(system, handle):
+    _drop_l2p(system)
+    system.transform_snapshot(mode=MODE_STREAM)
+
+
+def _host_denied_refresh(system, handle):
+    system.run_oltp(WorkloadConfig(seed=3, tx_count=20))
+    system.grant_space = _deny
+    system.delta_refresh(handle, estimate_scale=0.01)
+
+
+def _stale_refresh(system, handle):
+    free_handle(handle)
+    system.delta_refresh(handle)
+
+
+def _dangling_refresh(system, handle):
+    _drop_l2p(system)
+    system.delta_refresh(handle)
+
+
+@pytest.mark.parametrize("call, error", [
+    (_host_denied_transform, HostDenied),
+    (_dangling_stream, DanglingReference),
+    (_host_denied_refresh, HostDenied),
+    (_stale_refresh, StaleHandle),
+    (_dangling_refresh, DanglingReference),
+])
+def test_failed_host_call_frees_pages_and_aborts_reader(call, error):
+    system, handle = _loaded()
+    invs = []
+    prepare = system.prepare_invocation
+
+    def spy(*args, **kwargs):
+        invs.append(prepare(*args, **kwargs))
+        return invs[-1]
+
+    system.prepare_invocation = spy
+    with pytest.raises(error):
+        call(system, handle)
+    inv = invs[-1]
+    assert system.device.owner_pages(inv.owner) == set()
+    assert system.store.in_flight == set()

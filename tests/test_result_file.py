@@ -1,0 +1,74 @@
+"""NDTC result files: pinned bytes, round trip, and typed errors on corruption."""
+
+import hashlib
+import random
+
+import numpy as np
+
+from ndtsim.columns import canonical_compare
+from ndtsim.delta import full_column_set, visibility_bits
+from ndtsim.engine import MODE_MATERIALIZE
+from ndtsim.errors import NdtError
+from ndtsim.host import HostSystem
+from ndtsim.result_file import read_file, write_file, write_handle
+
+
+def _refreshed_handle():
+    """A materialization with outdated positions, NULLs and varchars."""
+    system = HostSystem()
+    shadow = system.load_orderlines(120, seed=41)
+    system.merge_to_cold()
+    _, handle = system.transform_snapshot(mode=MODE_MATERIALIZE, pe_count=3)
+    t = system.store.begin_tx()
+    for vid in random.Random(42).sample(sorted(shadow), 20):
+        old = shadow[vid]
+        system.store.install_version(t, vid, old[:8] + ("",))
+    system.store.commit_tx(t)
+    system.delta_refresh(handle, pe_count=3)
+    return handle
+
+
+def test_write_handle_bytes_are_pinned(tmp_path):
+    handle = _refreshed_handle()
+    path = tmp_path / "handle.ndtc"
+    write_handle(path, handle)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == HANDLE_SHA256
+
+    column_set, bits = read_file(path)
+    assert canonical_compare(column_set, full_column_set(handle)).equal
+    assert np.array_equal(bits, visibility_bits(handle))
+    assert list(column_set.vids) == list(full_column_set(handle).vids)
+
+
+def test_empty_file_bytes_are_pinned(tmp_path):
+    handle = _refreshed_handle()
+    empty = full_column_set(handle).mask(np.zeros(handle.total_positions, dtype=bool))
+    path = tmp_path / "empty.ndtc"
+    write_file(path, empty, snapshot_ts=7)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == EMPTY_SHA256
+    column_set, bits = read_file(path)
+    assert column_set.n_rows == 0 and len(bits) == 0
+
+
+def test_corrupt_files_raise_only_typed_errors(tmp_path):
+    """Flip 1-4 bits in the header, schema and descriptor region, 3000 times:
+    every failure must be an NdtError, never a bare Python exception."""
+    path = tmp_path / "handle.ndtc"
+    write_handle(path, _refreshed_handle())
+    good = path.read_bytes()
+    rng = random.Random(2601)
+    failures = 0
+    for _ in range(3000):
+        raw = bytearray(good)
+        for _ in range(rng.randint(1, 4)):
+            raw[rng.randrange(600)] ^= 1 << rng.randrange(8)
+        path.write_bytes(raw)
+        try:
+            read_file(path)
+        except NdtError:
+            failures += 1
+    assert failures > 0
+
+
+HANDLE_SHA256 = "352d4a8faab533cdefd118d84d08a2a2c12b292c2e3556e6acd2bb97307fba33"
+EMPTY_SHA256 = "ca9dee13490cff6c0e46c913abd9b60c724b757b45cc3f3fd7aff96b1516c930"
