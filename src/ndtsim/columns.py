@@ -178,9 +178,12 @@ def decode_segment(specs, buffers: dict, rows: int):
                 payload = bytes(values)
                 if offsets[-1] != len(payload):
                     raise CorruptDescriptor(f"{name}: offsets end at {offsets[-1]}, payload {len(payload)}")
-                data[name] = [
-                    payload[offsets[i]:offsets[i + 1]].decode("utf-8") for i in range(rows)
-                ]
+                try:
+                    data[name] = [
+                        payload[offsets[i]:offsets[i + 1]].decode("utf-8") for i in range(rows)
+                    ]
+                except UnicodeDecodeError as exc:
+                    raise CorruptDescriptor(f"{name}: value is not UTF-8 ({exc})") from exc
         else:
             width = value_width(spec.ftype)
             arr = np.frombuffer(values, dtype=f"<i{width}")

@@ -88,16 +88,18 @@ def delta_transform(handle: MaterializationHandle, inv: NdtInvocation,
     appended; deleted tuples are only masked out.  A refresh that is
     rejected or fails returns the invocation's pages to the pool.
     """
-    with freed_on_failure(handle.device, inv.owner):
-        _require_live(handle)
-        if inv.descriptor.caller <= handle.snapshot.caller:
-            raise ValueError(
-                f"refresh snapshot {inv.descriptor.caller} not newer than handle "
-                f"at {handle.snapshot.caller}"
-            )
-        if tuple(inv.projection) != tuple(handle.projection):
-            raise ValueError("refresh projection must match the materialization")
-    return materialize_into(handle, inv, grantor)
+    device = handle.device
+    with device.invocation_in_flight():
+        with freed_on_failure(device, inv.owner):
+            _require_live(handle)
+            if inv.descriptor.caller <= handle.snapshot.caller:
+                raise ValueError(
+                    f"refresh snapshot {inv.descriptor.caller} not newer than handle "
+                    f"at {handle.snapshot.caller}"
+                )
+            if tuple(inv.projection) != tuple(handle.projection):
+                raise ValueError("refresh projection must match the materialization")
+        return materialize_into(handle, inv, grantor)
 
 
 @dataclass(frozen=True)

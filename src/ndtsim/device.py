@@ -21,16 +21,20 @@ Byte movement comes in two flavors:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     AccessDenied,
     CorruptRecord,
     InvalidConfig,
+    InvocationInFlight,
     OutOfRange,
     OutOfSpace,
 )
-from .layout import PAGE_SIZE, SLOT_ENTRY_SIZE
+from .layout import PAGE_SIZE, SLOT_ENTRY_SIZE, range_indexes
 
 GIB = 1024 ** 3
 
@@ -208,6 +212,7 @@ class Device:
         self.vid_map: dict = {}               # device mirror: vid -> packed rid
         self.l2p: dict = {}                   # device mirror: page_lid -> (region, idx)
         self.delta_pages: list = []           # lids resident in the DDR delta mirror
+        self._invocations = 0                 # invocations running now
 
     # -- page pool -----------------------------------------------------------
 
@@ -348,11 +353,41 @@ class Device:
             self.ledger.nvm_reads += 1
         return _PROBE.unpack_from(buf, record_offset + 8)
 
-    def pe_read_record(self, pe: int, region: str, offset: int, length: int) -> bytes:
-        data = self.read(region, offset, length, pe)
-        self.ledger.records_processed += 1
-        self.ledger.pe_op(pe, "record_load")
-        return data
+    def pe_read_records(self, pe: int, regions: np.ndarray, offsets: np.ndarray,
+                        lengths: np.ndarray):
+        """Load a PE's records in one batch; returns (u8 array, record starts).
+
+        Record k is ``regions[k]`` bytes [offsets[k], offsets[k] + lengths[k]);
+        in the returned copy it begins at ``starts[k]`` (``starts`` has one
+        more entry, the total).  Ranges are checked like ``read``, and the
+        ledger is charged what one ``read`` plus one record load per record
+        charges: the bytes, and one NVM access per NVM-resident record.
+        """
+        starts = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=starts[1:])
+        out = np.empty(starts[-1], dtype=np.uint8)
+        for region in np.unique(regions):
+            rows = np.flatnonzero(regions == region)
+            off, length = offsets[rows], lengths[rows]
+            buf = self._regions.get(region)
+            if buf is None:
+                raise OutOfRange(f"unknown region {region!r}")
+            bad = np.flatnonzero((off < 0) | (length < 0) | (off + length > len(buf)))
+            if len(bad):
+                first, size = int(off[bad[0]]), int(length[bad[0]])
+                raise OutOfRange(f"{region}[{first}:{first + size}] outside {len(buf)} bytes")
+            # a temporary view: no export of the region outlives the gather
+            out[range_indexes(starts[rows], length)] = \
+                np.frombuffer(buf, dtype=np.uint8)[range_indexes(off, length)]
+            if region == REGION_NVM:
+                self.ledger.nvm_reads += len(rows)
+        n = len(lengths)
+        if n:
+            self.ledger.device_internal_bytes_read += int(starts[-1])
+            self.ledger.records_processed += n
+            self.ledger.pe_op(pe, "read", n)
+            self.ledger.pe_op(pe, "record_load", n)
+        return out, starts
 
     # -- propagation & maintenance ---------------------------------------------
 
@@ -380,12 +415,24 @@ class Device:
         self.ledger.host_roundtrips += 1
         return placements
 
+    @contextmanager
+    def invocation_in_flight(self):
+        """Mark an invocation as running for the body's duration."""
+        self._invocations += 1
+        try:
+            yield
+        finally:
+            self._invocations -= 1
+
     def merge_delta_pages(self) -> dict:
         """Relocate all delta-mirror pages into cold NVM storage.
 
-        Must not run while an invocation is in flight (callers serialize);
-        logical page ids are stable, only physical placement changes.
+        Raises ``InvocationInFlight`` while an invocation runs: its frozen
+        page map still points at the delta pages.  Logical page ids are
+        stable, only physical placement changes.
         """
+        if self._invocations:
+            raise InvocationInFlight("delta pages cannot be merged while an invocation runs")
         relocations = {}
         ddr = self._regions[REGION_DDR]
         for lid in self.delta_pages:

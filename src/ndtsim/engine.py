@@ -12,12 +12,17 @@ refresh of an existing materialization -- runs one pipeline:
    materialization or a stream targets an empty handle, so every visible
    tuple counts as changed; a refresh also charges an 8-byte index probe
    per tuple and collects the tuples that are no longer visible.
-2. **Transform.**  The changed tuples are loaded into the scratchpads and
-   rearranged into per-attribute value/validity/offset partitions, which
-   are flushed to result pages (materialization) or rotating stream
-   buffers as they fill.  On a first run a changed tuple stays on the PE
-   that walked it; on a refresh the changed list, in PE-major walk order,
-   is dealt round-robin again.
+2. **Transform.**  Each PE transforms its changed tuples as one batch: it
+   loads all of their records in one device read, locates every field
+   with the batch locator of ``layout``, and extracts each projected
+   attribute into value/validity/offset columns (timestamps converted to
+   epoch seconds, NULLs as zeroed slots with a clear validity bit).  From
+   the scratchpad partition capacities it then plans where each partition
+   would flush: fixed-size elements at closed-form rows, varchar payloads
+   greedily (one that does not fit flushes the partition first, one larger
+   than the partition is then spilled on its own).  On a first run a
+   changed tuple stays on the PE that walked it; on a refresh the changed
+   list, in PE-major walk order, is dealt round-robin again.
 3. **Append** (materializing sinks only).  Unused result pages are freed,
    the rest join the handle, removed and superseded positions are masked
    out, and the appended rows become the handle's newest run.
@@ -25,11 +30,15 @@ refresh of an existing materialization -- runs one pipeline:
 Steps 1 and 2 run inside one failure guard: when either raises, every
 page the invocation owns goes back to the pool.
 
-PE jobs run as generators driven round-robin at tuple granularity by a
-deterministic coordinator; a job that runs out of result pages yields a
-page request, which the coordinator turns into a host round-trip before
-resuming it.  Output is therefore identical to any legal parallel
-execution of the same jobs.
+The flushes reach the sinks in the order of a deterministic coordinator
+that drives the PEs round-robin one tuple at a time: every flush is tagged
+(round = the row of its job during which it happens, PE, position within
+that row), a job's final flushes come in the round after its last row,
+and the merged tags are replayed in order.  A flush that runs out of
+result pages raises a page request, which the coordinator turns into a
+host round-trip before resuming it.  Page grants, fragment placement and
+stream-buffer rotation are therefore those of any legal parallel execution
+of the same jobs.
 
 Every result carries an implicit leading identity column (``__vid``,
 u64) so results can be compared canonically and materializations can be
@@ -39,10 +48,12 @@ in a scratchpad partition, and flushed once per PE at job end.
 
 from __future__ import annotations
 
-import struct
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import itemgetter
+
+import numpy as np
 
 from .columns import (
     KIND_OFFSETS,
@@ -68,8 +79,9 @@ from .layout import (
     Schema,
     TC_TIMESTAMP,
     TC_VARCHAR,
+    locate_fields,
     pg_timestamp_to_unix_epoch,
-    record_field_slices,
+    range_indexes,
 )
 from .mvcc import SnapshotDescriptor
 
@@ -77,10 +89,6 @@ RECORD_LOAD_BYTES = 8192      # scratchpad partition reserved for record loads
 
 MODE_MATERIALIZE = "materialize"
 MODE_STREAM = "stream"
-
-_U32 = struct.Struct("<I")
-_I64 = struct.Struct("<q")
-_U64 = struct.Struct("<Q")
 
 
 @dataclass(frozen=True)
@@ -98,13 +106,10 @@ class ScratchpadLayout:
 def plan_scratchpad(schema: Schema, projection, scratchpad_bytes: int) -> ScratchpadLayout:
     """Split the scratchpad: fixed record-load window, then an equal share
     per partition (value per attribute, validity per nullable, offsets per
-    varlen), each rounded down to a whole number of its element size."""
-    if not projection:
-        raise ValueError("projection must not be empty")
+    varlen), each rounded down to a whole number of its element size.  The
+    projection is one ``NdtInvocation`` has validated."""
     parts = []
     for name in projection:
-        if name not in schema.index_of:
-            raise MissingColumn(f"{name!r} not in schema {schema.table_name!r}")
         attr = schema.attribute(name)
         elem = 1 if attr.ftype.is_varlen else attr.ftype.width
         parts.append(((name, KIND_VALUES), elem))
@@ -168,18 +173,14 @@ class NdtInvocation:
 class PeJob:
     """Mutable state of one PE's partitioned job."""
 
-    __slots__ = ("pe", "vid_items", "changed", "caps", "parts", "bit_counts", "cum",
-                 "offsets_started", "vid_out", "rid_out", "rows", "page_queue")
+    __slots__ = ("pe", "vid_items", "changed", "caps", "vid_out", "rid_out", "rows",
+                 "page_queue")
 
     def __init__(self, pe: int, vid_items, layout: ScratchpadLayout):
         self.pe = pe
         self.vid_items = vid_items                  # [(vid, packed rid), ...] to walk
         self.changed = []                           # [(vid, visible hit), ...] to transform
-        self.caps = layout.partitions
-        self.parts = {key: bytearray() for key in layout.partitions}
-        self.bit_counts = {}                        # attr -> bits appended
-        self.cum = {}                               # attr -> cumulative payload bytes
-        self.offsets_started = set()
+        self.caps = layout.partitions               # (name, kind) -> partition bytes
         self.vid_out = []
         self.rid_out = []
         self.rows = 0
@@ -246,104 +247,113 @@ def pe_visibility_check(device: Device, pe: int, vid: int, packed_rid: int,
     return None
 
 
-# -- partition fills and flushes -----------------------------------------------
+# -- batch transform and flush plan ---------------------------------------------
+
+# Where a flush falls among one projected attribute's flushes within a row,
+# in the order the per-tuple coordinator performs them.
+_FLUSH_VALUES, _SPILL_VALUE, _FLUSH_OFFSETS, _FLUSH_VALIDITY = range(4)
+_FLUSHES_PER_ATTR = 4
 
 
-def flush_partition(job: PeJob, device: Device, sink, key):
-    """Spill one scratchpad partition to its destination; no-op when empty."""
-    buf = job.parts[key]
-    if not buf:
-        return
-    data = bytes(buf)
-    del buf[:]
+def _element_flushes(data: np.ndarray, width: int, cap: int, count: int, row_of,
+                     position: int):
+    """Flushes of a partition filled with ``count`` elements of ``width`` bytes.
+
+    A full partition (capacities are whole elements) is flushed just before
+    the next element enters, during row ``row_of(e)`` of element e.
+    Returns [(row, position, bytes)] and the bytes left for the final flush.
+    """
+    per = cap // width
+    mid = [(row_of(e), position, data[(e - per) * width:e * width])
+           for e in range(per, count, per)]
+    return mid, data[(count - 1) // per * per * width:count * width]
+
+
+def _payload_flushes(payload: np.ndarray, sizes: np.ndarray, cap: int):
+    """Flushes of a varchar value partition; ``sizes`` holds one payload per row.
+
+    Payloads enter whole; empty ones emit nothing.  One that does not fit
+    flushes the partition first, and one larger than the partition is then
+    spilled on its own.  Returns [(row, position, bytes)] and the bytes left
+    for the final flush.
+    """
+    rows = np.flatnonzero(sizes)
+    ends = np.concatenate(([0], np.cumsum(sizes[rows])))
+    out = []
+    i = 0
+    while i < len(rows):
+        if ends[i + 1] - ends[i] > cap:
+            out.append((rows[i], _SPILL_VALUE, payload[ends[i]:ends[i + 1]]))
+            i += 1
+            continue
+        j = int(np.searchsorted(ends, ends[i] + cap, side="right")) - 1   # [i, j) fit
+        if j >= len(rows):
+            break
+        out.append((rows[j], _FLUSH_VALUES, payload[ends[i]:ends[j]]))
+        i = j
+    return out, payload[ends[i]:ends[-1]]
+
+
+def flush_partition(job: PeJob, device: Device, sink, key, data: bytes):
+    """Spill one planned partition flush to its destination."""
     device.ledger.pe_op(job.pe, "flush")
     yield from sink.emit(job, key, data)
 
 
-def _emit(job: PeJob, device: Device, sink, key, data):
-    buf = job.parts[key]
-    cap = job.caps[key]
-    if len(buf) + len(data) > cap:
-        yield from flush_partition(job, device, sink, key)
-    if len(data) > cap:
-        # element larger than the partition: spill it directly
-        device.ledger.pe_op(job.pe, "flush")
-        yield from sink.emit(job, key, bytes(data))
-    else:
-        buf.extend(data)
+def transform_record(job: PeJob, inv: NdtInvocation, device: Device) -> list:
+    """Step 2 for one PE: batch-transform its changed tuples, plan its flushes.
 
-
-def _emit_bit(job: PeJob, device: Device, sink, name: str, valid: bool):
-    key = (name, KIND_VALIDITY)
-    buf = job.parts[key]
-    count = job.bit_counts.get(name, 0)
-    if count % 8 == 0:
-        if len(buf) + 1 > job.caps[key]:
-            yield from flush_partition(job, device, sink, key)
-        buf = job.parts[key]
-        buf.append(0)
-    if valid:
-        buf[-1] |= 1 << (count & 7)
-    job.bit_counts[name] = count + 1
-
-
-def transform_record(job: PeJob, inv: NdtInvocation, device: Device, sink,
-                     vid: int, packed_rid: int, record_bytes):
-    """Rearrange one loaded record into the per-attribute partitions.
-
-    Fixed-width attributes are copied byte-for-byte from their aligned
-    positions (timestamps converted to epoch seconds on the way); varchar
-    payloads are parsed out and their cumulative offsets appended; the
-    record header's null bitmap drives validity bits and zeroed value
-    slots for NULLs.
+    The records are loaded in one device read and every projected attribute
+    is extracted at once.  Returns the job's flushes as (round, PE,
+    position, key, bytes), where round is the row during which the flush
+    happens; the final flushes (values, validity, offsets per attribute,
+    then the identity column) come in the round after the last row.
     """
-    slices, _header = record_field_slices(inv.schema, record_bytes)
-    for attr_idx, name, ftype, code, nullable in inv.proj_plan:
-        slc = slices[attr_idx]
+    n = len(job.changed)
+    if n == 0:
+        return []
+    job.vid_out = [vid for vid, _hit in job.changed]
+    job.rid_out = [hit[0] for _vid, hit in job.changed]
+    job.rows = n
+    buf, starts = device.pe_read_records(
+        job.pe,
+        np.array([hit[1] for _vid, hit in job.changed]),
+        np.array([hit[2] for _vid, hit in job.changed], dtype=np.int64),
+        np.array([hit[3] for _vid, hit in job.changed], dtype=np.int64),
+    )
+    loc = locate_fields(inv.schema, buf, starts[:-1], np.diff(starts))
+    flushes, tails = [], []
+    for slot, (attr_idx, name, ftype, code, nullable) in enumerate(inv.proj_plan):
+        present = loc.present[:, attr_idx]
+        sizes = loc.length[:, attr_idx]
+        planned = {}                # kind -> (mid-run flushes, tail), in final-flush order
         if code == TC_VARCHAR:
-            if name not in job.offsets_started:
-                job.offsets_started.add(name)
-                job.cum[name] = 0
-                yield from _emit(job, device, sink, (name, KIND_OFFSETS), _U32.pack(0))
-            if slc is not None:
-                start, length = slc
-                if length:
-                    yield from _emit(job, device, sink, (name, KIND_VALUES),
-                                     record_bytes[start:start + length])
-                job.cum[name] += length
-            yield from _emit(job, device, sink, (name, KIND_OFFSETS), _U32.pack(job.cum[name]))
+            payload = buf[range_indexes(loc.start[:, attr_idx], sizes)]
+            planned[KIND_VALUES] = _payload_flushes(payload, sizes, job.caps[name, KIND_VALUES])
         else:
             width = ftype.width
-            if slc is None:
-                data = b"\x00" * width
-            elif code == TC_TIMESTAMP:
-                micros = _I64.unpack_from(record_bytes, slc[0])[0]
-                data = _I64.pack(pg_timestamp_to_unix_epoch(micros))
-            else:
-                start = slc[0]
-                data = bytes(record_bytes[start:start + width])
-            yield from _emit(job, device, sink, (name, KIND_VALUES), data)
+            raw = buf[loc.start[:, attr_idx, None] + np.arange(width)]
+            if code == TC_TIMESTAMP:
+                raw = pg_timestamp_to_unix_epoch(raw.view("<i8")).astype("<i8").view(np.uint8)
+            raw[~present] = 0
+            planned[KIND_VALUES] = _element_flushes(
+                raw.reshape(-1), width, job.caps[name, KIND_VALUES], n, lambda e: e, _FLUSH_VALUES)
         if nullable:
-            yield from _emit_bit(job, device, sink, name, slc is not None)
-    job.vid_out.append(vid)
-    job.rid_out.append(packed_rid)
-    job.rows += 1
-
-
-def _final_flush(job: PeJob, inv: NdtInvocation, device: Device, sink):
-    for _idx, name, ftype, code, nullable in inv.proj_plan:
-        yield from flush_partition(job, device, sink, (name, KIND_VALUES))
-        if nullable:
-            yield from flush_partition(job, device, sink, (name, KIND_VALIDITY))
+            bits = np.packbits(present, bitorder="little")
+            planned[KIND_VALIDITY] = _element_flushes(
+                bits, 1, job.caps[name, KIND_VALIDITY], len(bits), lambda e: 8 * e, _FLUSH_VALIDITY)
         if code == TC_VARCHAR:
-            yield from flush_partition(job, device, sink, (name, KIND_OFFSETS))
-    if job.vid_out:
-        data = struct.pack(f"<{len(job.vid_out)}Q", *job.vid_out)
-        device.ledger.pe_op(job.pe, "flush")
-        yield from sink.emit(job, (VID_COLUMN, KIND_VALUES), data)
-
-
-_TICK = object()
+            offsets = np.concatenate(([0], np.cumsum(sizes))).astype("<u4").view(np.uint8)
+            planned[KIND_OFFSETS] = _element_flushes(
+                offsets, 4, job.caps[name, KIND_OFFSETS], n + 1, lambda e: e - 1, _FLUSH_OFFSETS)
+        for kind, (mid, tail) in planned.items():
+            flushes.extend((row, job.pe, _FLUSHES_PER_ATTR * slot + position, (name, kind),
+                            data.tobytes()) for row, position, data in mid)
+            tails.append(((name, kind), tail))
+    tails.append(((VID_COLUMN, KIND_VALUES), np.array(job.vid_out, dtype="<u8").view(np.uint8)))
+    flushes.extend((n, job.pe, position, key, data.tobytes())
+                   for position, (key, data) in enumerate(tails) if len(data))
+    return flushes
 
 
 @dataclass(frozen=True)
@@ -382,15 +392,6 @@ def walk(jobs, inv: NdtInvocation, device: Device, held: dict, probe: bool):
     return removed
 
 
-def _job_gen(job: PeJob, inv: NdtInvocation, device: Device, sink):
-    """Step 2 for one PE: load and transform its changed tuples, then flush."""
-    for vid, (packed_rid, region, rec_off, rec_len) in job.changed:
-        record = device.pe_read_record(job.pe, region, rec_off, rec_len)
-        yield from transform_record(job, inv, device, sink, vid, packed_rid, record)
-        yield _TICK
-    yield from _final_flush(job, inv, device, sink)
-
-
 def suspend_for_space(job: PeJob, inv: NdtInvocation, device: Device, grantor,
                       count: int):
     """Host round-trip for more result pages; the job resumes afterwards."""
@@ -406,26 +407,19 @@ def suspend_for_space(job: PeJob, inv: NdtInvocation, device: Device, grantor,
 
 
 def run_jobs(jobs, inv: NdtInvocation, device: Device, sink, grantor=None):
-    """Drive PE jobs round-robin at tuple granularity, deterministically.
+    """Transform every job, then replay the flushes in coordinator order.
 
-    On a page request the requesting job is suspended, the grant obtained,
-    and the job resumed before the rotation continues; a denial raises
-    ``HostDenied``.
+    The order is that of PEs driven round-robin one tuple at a time
+    (round, then PE, then position within the row).  On a page request the
+    flushing job is suspended, the grant obtained, and the flush resumed;
+    a denial raises ``HostDenied``.
     """
-    gens = {job.pe: _job_gen(job, inv, device, sink) for job in jobs}
-    active = deque(jobs)
-    while active:
-        job = active.popleft()
-        gen = gens[job.pe]
-        while True:
-            try:
-                signal = next(gen)
-            except StopIteration:
-                break
-            if signal is _TICK:
-                active.append(job)
-                break
-            suspend_for_space(job, inv, device, grantor, signal.count)
+    flushes = [f for job in jobs for f in transform_record(job, inv, device)]
+    flushes.sort(key=itemgetter(0, 1, 2))
+    for _round, pe, _position, key, data in flushes:
+        job = jobs[pe]
+        for request in flush_partition(job, device, sink, key, data):
+            suspend_for_space(job, inv, device, grantor, request.count)
 
 
 @contextmanager
@@ -824,6 +818,7 @@ def stream_results(inv: NdtInvocation, device: Device, consumer=None, grantor=No
 
 
 def run_invocation(inv: NdtInvocation, device: Device, grantor=None, consumer=None):
-    if inv.result_mode == MODE_STREAM:
-        return stream_results(inv, device, consumer=consumer, grantor=grantor)
-    return materialize_results(inv, device, grantor=grantor)
+    with device.invocation_in_flight():
+        if inv.result_mode == MODE_STREAM:
+            return stream_results(inv, device, consumer=consumer, grantor=grantor)
+        return materialize_results(inv, device, grantor=grantor)

@@ -107,6 +107,10 @@ class StaleHandle(NdtError):
     """Materialization pages were freed; the handle is unusable."""
 
 
+class InvocationInFlight(NdtError):
+    """Maintenance that moves pages was attempted while an invocation runs."""
+
+
 # --- host engine / results ---------------------------------------------------
 
 class MissingColumn(NdtError):

@@ -8,6 +8,7 @@ and a row-store evaluator that scans version chains directly.
 
 from __future__ import annotations
 
+import logging
 import random
 import string
 from contextlib import contextmanager
@@ -41,6 +42,8 @@ from .layout import (
 )
 from .mvcc import MvccStore, SnapshotDescriptor, oracle_visible_version
 from .shared_state import HostSharedState
+
+log = logging.getLogger(__name__)
 
 
 def orderline_schema() -> Schema:
@@ -161,6 +164,7 @@ class HostSystem:
         self.store = MvccStore(self.schema, self.shared)
         self.estimator = estimator or default_estimator
         self.admin_ops = 0            # invocation preparation + space grants
+        self.estimator_fallbacks = 0  # estimates replaced by the row-width bound
         self._inv_seq = 0
         self._next_vid = 1
         self._next_order = 1
@@ -254,7 +258,9 @@ class HostSystem:
         else:
             try:
                 est_bytes = self.estimator(self.schema, projection, len(vid_view), prior_handle)
-            except Exception:
+            except (ArithmeticError, TypeError, ValueError) as exc:
+                self.estimator_fallbacks += 1
+                log.warning("result-size estimator failed (%r); using the row-width bound", exc)
                 est_bytes = len(vid_view) * estimated_row_bytes(self.schema, projection)
             pages = max(pe_count, -(-int(est_bytes * estimate_scale) // PAGE_SIZE))
             region = REGION_NVM

@@ -17,6 +17,13 @@ Record wire format (little-endian throughout):
         each a u16 byte length followed by the raw payload
 
 Tombstone records are header-only.
+
+``record_field_slices`` locates the fields of one record.  Its batch form,
+``locate_fields``, locates them for many records packed into one buffer:
+fixed-field offsets depend only on the null mask, so they are computed
+once per distinct mask and gathered; varlen positions follow from the u16
+length prefixes, one varlen attribute after another.  Both make the same
+bounds checks and raise the same ``CorruptRecord``.
 """
 
 from __future__ import annotations
@@ -25,6 +32,8 @@ import struct
 from dataclasses import dataclass, field
 from decimal import Decimal as PyDecimal
 from typing import NamedTuple, Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import (
     ArityMismatch,
@@ -345,6 +354,97 @@ def record_field_slices(schema: Schema, buf, offset: int = 0):
         slices[i] = (pos, length)
         pos += length
     return slices, header
+
+
+class FieldLocations(NamedTuple):
+    """Batch form of ``record_field_slices``: one row per record, one column
+    per attribute; NULL fields are absent with start and length 0."""
+
+    present: np.ndarray         # bool
+    start: np.ndarray           # int64 offset into the buffer (varlen: the payload)
+    length: np.ndarray          # int64 byte length
+
+
+def range_indexes(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Indexes of the ranges [starts[k], starts[k] + lengths[k]), concatenated.
+
+    Built as the running sum of steps (+1 inside a range, a jump between
+    ranges) in one array, so a gather needs no larger temporaries.
+    """
+    keep = lengths > 0
+    starts, lengths = starts[keep], lengths[keep]
+    steps = np.ones(int(lengths.sum()), dtype=np.int64)
+    if len(steps):
+        steps[0] = starts[0]
+        steps[np.cumsum(lengths[:-1])] = starts[1:] - (starts[:-1] + lengths[:-1]) + 1
+        np.cumsum(steps, out=steps)
+    return steps
+
+
+def locate_fields(schema: Schema, buf: np.ndarray, starts: np.ndarray,
+                  lengths: np.ndarray) -> FieldLocations:
+    """Batch field locator: record k is ``buf[starts[k]:starts[k] + lengths[k]]``.
+
+    Makes every check ``record_field_slices`` makes and raises the same
+    ``CorruptRecord``; tombstones carry no fields.
+    """
+    n, n_attrs = len(starts), schema.n_attrs
+    present = np.zeros((n, n_attrs), dtype=bool)
+    start = np.zeros((n, n_attrs), dtype=np.int64)
+    length = np.zeros((n, n_attrs), dtype=np.int64)
+    if n == 0:
+        return FieldLocations(present, start, length)
+    if (lengths < RECORD_HEADER_FIXED).any():
+        raise CorruptRecord("record shorter than its header")
+    live = buf[starts + RECORD_HEADER_FIXED - 1] & 1 == 0    # flags byte, bit 0
+    if (live & (lengths < schema.header_size)).any():
+        raise CorruptRecord("record shorter than its header")
+    # null bitmaps, all-NULL for tombstones
+    bitmaps = np.full((n, schema.null_bitmap_bytes), 0xFF, dtype=np.uint8)
+    rows = np.flatnonzero(live)
+    bitmaps[rows] = buf[starts[rows, None] + np.arange(RECORD_HEADER_FIXED, schema.header_size)]
+    present[:] = np.unpackbits(bitmaps, axis=1, bitorder="little")[:, :n_attrs] == 0
+    masks, group = np.unique(bitmaps.view(np.dtype((np.void, schema.null_bitmap_bytes))).ravel(),
+                             return_inverse=True)
+
+    # fixed-field offsets (relative to the record start) once per null mask
+    rel = np.zeros((len(masks), n_attrs), dtype=np.int64)
+    fixed_end = np.empty(len(masks), dtype=np.int64)
+    for g, mask in enumerate(masks):
+        null_mask = int.from_bytes(mask.tobytes(), "little")
+        pos = schema.header_size
+        for i, width, alignment, _code in schema.fixed_plan:
+            if not null_mask >> i & 1:
+                rel[g, i] = pos = _align_up(pos, alignment)
+                pos += width
+        fixed_end[g] = pos
+    pos = fixed_end[group]
+    short = np.flatnonzero(live & (lengths < pos))
+    if len(short):
+        k = short[0]
+        i = next(i for i, width, *_ in schema.fixed_plan
+                 if present[k, i] and rel[group[k], i] + width > lengths[k])
+        raise CorruptRecord(f"fixed field {i} runs past record end")
+    if schema.fixed_plan:
+        fixed = np.array([i for i, *_ in schema.fixed_plan])
+        widths = np.array([width for _i, width, *_ in schema.fixed_plan])
+        on = present[:, fixed]
+        start[:, fixed] = np.where(on, starts[:, None] + rel[group][:, fixed], 0)
+        length[:, fixed] = np.where(on, widths, 0)
+
+    for i in schema.varlen_plan:
+        rows = np.flatnonzero(present[:, i])
+        at, limit = pos[rows], lengths[rows]
+        if (at + 2 > limit).any():
+            raise CorruptRecord(f"varlen field {i} length prefix past record end")
+        prefix = starts[rows] + at
+        size = buf[prefix].astype(np.int64) | buf[prefix + 1].astype(np.int64) << 8
+        if (at + 2 + size > limit).any():
+            raise CorruptRecord(f"varlen field {i} payload past record end")
+        start[rows, i] = prefix + 2
+        length[rows, i] = size
+        pos[rows] = at + 2 + size
+    return FieldLocations(present, start, length)
 
 
 def _decode_at(schema: Schema, buf, attr_index: int, slc) -> Value:

@@ -1,7 +1,6 @@
 """Incremental refresh: equivalence, masking, append-only behavior, cost."""
 
 import random
-from decimal import Decimal as D
 
 import pytest
 
@@ -20,7 +19,6 @@ from ndtsim.engine import MODE_MATERIALIZE
 from ndtsim.errors import StaleHandle
 from ndtsim.host import HostSystem
 from ndtsim.mvcc import TOMBSTONE
-from conftest import random_orderline
 
 
 def _loaded_system(rows=400, seed=11):

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from ndtsim.device import (
-    Device,
     DeviceConfig,
     GIB,
     REGION_DDR,

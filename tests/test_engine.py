@@ -2,7 +2,6 @@
 
 import random
 import struct
-from decimal import Decimal as D
 
 import pytest
 
@@ -17,12 +16,10 @@ from ndtsim.engine import (
     partition_round_robin,
     pe_visibility_check,
     plan_scratchpad,
-    run_invocation,
     schedule,
     stream_results,
 )
 from ndtsim.errors import HostDenied, ScratchpadTooSmall, TooManyPEsRequested
-from ndtsim.host import HostSystem
 from ndtsim.layout import (
     PAGE_SIZE,
     POSTGRES_EPOCH_OFFSET_SECONDS,
@@ -33,7 +30,7 @@ from ndtsim.layout import (
     VarChar,
 )
 from ndtsim.mvcc import SnapshotDescriptor, TOMBSTONE
-from conftest import Harness, random_orderline
+from conftest import Harness
 
 
 # -- scheduling ------------------------------------------------------------------

@@ -4,7 +4,13 @@ import pytest
 
 from ndtsim.delta import delta_transform, free_handle
 from ndtsim.engine import MODE_STREAM
-from ndtsim.errors import DanglingReference, HostDenied, PoolExhausted, StaleHandle
+from ndtsim.errors import (
+    DanglingReference,
+    HostDenied,
+    InvocationInFlight,
+    PoolExhausted,
+    StaleHandle,
+)
 from ndtsim.host import HostSystem, WorkloadConfig
 
 
@@ -91,12 +97,18 @@ def _dangling_refresh(system, handle):
     system.delta_refresh(handle)
 
 
+def _merge_mid_stream(system, handle):
+    system.run_oltp(WorkloadConfig(seed=4, tx_count=20))     # new pages in the delta mirror
+    system.transform_snapshot(mode=MODE_STREAM, consumer=lambda batch: system.merge_to_cold())
+
+
 @pytest.mark.parametrize("call, error", [
     (_host_denied_transform, HostDenied),
     (_dangling_stream, DanglingReference),
     (_host_denied_refresh, HostDenied),
     (_stale_refresh, StaleHandle),
     (_dangling_refresh, DanglingReference),
+    (_merge_mid_stream, InvocationInFlight),
 ])
 def test_failed_host_call_frees_pages_and_aborts_reader(call, error):
     system, handle = _loaded()
@@ -113,3 +125,16 @@ def test_failed_host_call_frees_pages_and_aborts_reader(call, error):
     inv = invs[-1]
     assert system.device.owner_pages(inv.owner) == set()
     assert system.store.in_flight == set()
+
+
+def test_merge_is_refused_only_while_an_invocation_runs():
+    system, _handle = _loaded()
+    system.run_oltp(WorkloadConfig(seed=4, tx_count=20))
+    with system.device.invocation_in_flight():
+        with pytest.raises(InvocationInFlight):
+            system.merge_to_cold()
+    with pytest.raises(InvocationInFlight):
+        system.transform_snapshot(mode=MODE_STREAM,
+                                  consumer=lambda batch: system.merge_to_cold())
+    assert system.merge_to_cold()
+    assert system.device.delta_pages == []

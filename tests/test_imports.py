@@ -1,0 +1,73 @@
+"""No module of the package or its tests imports a name it never uses.
+
+An AST scan: every name an import statement binds must be read somewhere
+in the module (string annotations included).  Package ``__init__.py``
+files re-export names and are exempt, as are import lines marked
+``# noqa: F401``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted(
+    path for path in [*(ROOT / "src" / "ndtsim").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    if path.name != "__init__.py"
+)
+
+
+def _bound_names(node):
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    names = []
+    for alias in node.names:
+        if alias.asname:
+            names.append(alias.asname)
+        elif isinstance(node, ast.Import):
+            names.append(alias.name.partition(".")[0])
+        else:
+            names.append(alias.name)
+    return names
+
+
+def _used_names(tree) -> set:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:                                # a string annotation such as "Fragment"
+                expr = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+    return used
+
+
+def unused_imports(path: Path) -> list:
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = _used_names(tree)
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if any("# noqa: F401" in lines[i - 1] for i in range(node.lineno, node.end_lineno + 1)):
+            continue
+        unused.extend(f"line {node.lineno}: {name}"
+                      for name in _bound_names(node) if name not in used)
+    return unused
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []
+
+
+def test_scan_finds_an_unused_import(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import os\nimport sys  # noqa: F401\nfrom a import b as c\nprint(c)\n")
+    assert unused_imports(probe) == ["line 1: os"]

@@ -5,6 +5,7 @@ import struct
 from datetime import datetime, timezone
 from decimal import Decimal as D
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -21,6 +22,7 @@ from ndtsim.layout import (
     MAX_RECORD_SIZE,
     PAGE_SIZE,
     POSTGRES_EPOCH_OFFSET_SECONDS,
+    RECORD_HEADER_FIXED,
     Decimal,
     Int32,
     Int64,
@@ -34,6 +36,7 @@ from ndtsim.layout import (
     decode_header,
     decode_values,
     encode_record,
+    locate_fields,
     pack_rid,
     pg_timestamp_to_unix_epoch,
     record_field_slices,
@@ -155,6 +158,79 @@ def test_tombstone_is_header_only():
     assert len(rec) == schema.header_size
     hdr = decode_header(rec)
     assert hdr.tombstone and hdr.vid == 9 and hdr.create_ts == 3
+
+
+# -- batch field locator ------------------------------------------------------------
+
+_TWO_VARLEN = Schema("t", [
+    ("a", Int32(), True), ("s", VarChar(20), True), ("b", Int64(), True),
+    ("u", VarChar(8), False), ("c", TimestampPg(), False),
+])
+
+
+def _two_varlen_record(rng, vid):
+    if rng.random() < 0.1:
+        return encode_record(_TWO_VARLEN, RecordHeader(vid, 1, tombstone=True), None)
+    values = [rng.randint(-2**31, 2**31 - 1), "é" * rng.randint(0, 10),
+              rng.randint(-2**63, 2**63 - 1), "x" * rng.randint(0, 8),
+              rng.randint(-2**63, 2**63 - 1)]
+    for i in (0, 1, 2):                                 # the nullable attributes
+        if rng.random() < 0.3:
+            values[i] = None
+    return encode_record(_TWO_VARLEN, RecordHeader(vid, 1), values)
+
+
+def _packed(records, rng):
+    """Records in one u8 buffer with random gaps: (buffer, starts, lengths)."""
+    chunks, starts, pos = [], [], 0
+    for rec in records:
+        gap = bytes(rng.randrange(256) for _ in range(rng.randrange(4)))
+        chunks += [gap, rec]
+        starts.append(pos + len(gap))
+        pos += len(gap) + len(rec)
+    return (np.frombuffer(b"".join(chunks), dtype=np.uint8),
+            np.array(starts, dtype=np.int64), np.array([len(r) for r in records], dtype=np.int64))
+
+
+@pytest.mark.parametrize("schema, make", [
+    (orderline_schema(), lambda rng, vid: encode_record(
+        orderline_schema(), RecordHeader(vid, 1),
+        random_orderline(rng, vid, null_delivery=rng.random() < 0.3))),
+    (_TWO_VARLEN, _two_varlen_record),
+])
+def test_locate_fields_matches_record_field_slices(schema, make):
+    rng = random.Random(12)
+    records = [make(rng, vid) for vid in range(300)]
+    buf, starts, lengths = _packed(records, rng)
+    loc = locate_fields(schema, buf, starts, lengths)
+    for k, rec in enumerate(records):
+        slices, _ = record_field_slices(schema, rec)
+        got = [(int(loc.start[k, i] - starts[k]), int(loc.length[k, i]))
+               if loc.present[k, i] else None for i in range(schema.n_attrs)]
+        assert got == [tuple(s) if s else None for s in slices]
+
+
+def test_locate_fields_raises_where_record_field_slices_does():
+    rng = random.Random(14)
+    for vid in range(60):
+        rec = _two_varlen_record(rng, vid)
+        broken = bytearray(rec)
+        slices, _ = record_field_slices(_TWO_VARLEN, rec)
+        if slices[3] is not None and rng.random() < 0.5:     # enlarge the length prefix
+            struct.pack_into("<H", broken, slices[3][0] - 2, slices[3][1] + rng.randint(1, 9))
+        for length in range(RECORD_HEADER_FIXED, len(broken) + 1):
+            piece = bytes(broken[:length])
+            try:
+                record_field_slices(_TWO_VARLEN, piece)
+                expected = None
+            except CorruptRecord:
+                expected = CorruptRecord
+            batch = _packed([rec, piece], rng)
+            if expected is None:
+                locate_fields(_TWO_VARLEN, *batch)
+            else:
+                with pytest.raises(CorruptRecord):
+                    locate_fields(_TWO_VARLEN, *batch)
 
 
 @settings(max_examples=150, deadline=None)

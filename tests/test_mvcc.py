@@ -1,12 +1,10 @@
 """Transaction lifecycle, chain shape, abort rollback, and the visibility oracle."""
 
 import random
-from decimal import Decimal as D
 
 import pytest
 
 from ndtsim.errors import AlreadyFinished, StaleWrite, UnknownTx
-from ndtsim.host import HostSystem, orderline_schema
 from ndtsim.layout import decode_header
 from ndtsim.mvcc import SnapshotDescriptor, TOMBSTONE, oracle_visible_version
 from conftest import random_orderline

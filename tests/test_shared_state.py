@@ -4,10 +4,9 @@ import random
 
 import pytest
 
-from ndtsim.device import Device, DeviceConfig
 from ndtsim.errors import DeviceUnavailable
 from ndtsim.host import HostSystem
-from ndtsim.layout import PAGE_SIZE, decode_header
+from ndtsim.layout import PAGE_SIZE
 from ndtsim.mvcc import MvccStore
 from ndtsim.shared_state import HostSharedState, REGION_DDR, REGION_HOST
 from ndtsim.host import orderline_schema
