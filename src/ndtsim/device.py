@@ -16,11 +16,19 @@ Byte movement comes in two flavors:
   sizes of the movement model (8B map entry, 4B address resolution, 4B slot,
   4B header probe) regardless of how much metadata the emulator decodes to
   serve them.
+
+The navigation accessors serve a batch: one call stands for ``count``
+accesses by one PE and charges each of them (bytes, one operation, and for
+slot reads and header probes one NVM access per NVM-resident access).
+``pe_read_slot`` and ``pe_probe_header`` take arrays of positions in one
+region and return arrays.  They decode page metadata (the slot count in the
+page header) without a charge, bound every slot by it and raise
+``CorruptRecord`` for a slot or slot entry that is invalid.  Regions are
+named in arrays by their code, the index into ``REGIONS``.
 """
 
 from __future__ import annotations
 
-import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -34,15 +42,17 @@ from .errors import (
     OutOfRange,
     OutOfSpace,
 )
-from .layout import PAGE_SIZE, SLOT_ENTRY_SIZE, range_indexes
+from .layout import PAGE_HEADER_SIZE, PAGE_SIZE, SLOT_ENTRY_SIZE
 
 GIB = 1024 ** 3
 
 REGION_DDR = "DDR"
 REGION_NVM = "NVM"
+REGIONS = (REGION_DDR, REGION_NVM)      # region code -> region name
 
-_SLOT = struct.Struct("<HH")
-_PROBE = struct.Struct("<QQB")   # create_ts, pred, flags at record offset 8
+SLOT_COUNT_OFFSET = 8            # u16 slot count in the page header
+MAX_SLOTS = (PAGE_SIZE - PAGE_HEADER_SIZE) // SLOT_ENTRY_SIZE
+PROBE_BYTES = 25                 # record header through the flags byte
 
 # Modeled transfer sizes for in-situ navigation.
 VID_ENTRY_BYTES = 8
@@ -152,6 +162,17 @@ class TransferLedger:
 
     def counters(self) -> dict:
         return {name: getattr(self, name) for name in _COUNTERS}
+
+
+def _gather(buf, dtype: str, positions: np.ndarray) -> np.ndarray:
+    """The little-endian ``dtype`` words that start at byte ``positions`` of ``buf``.
+
+    The positions are checked by the caller.  The strided view of ``buf``
+    is dropped on return, so no export of the region outlives the gather.
+    """
+    size = np.dtype(dtype).itemsize
+    words = np.ndarray((max(len(buf) - size + 1, 0),), dtype=dtype, buffer=buf, strides=(1,))
+    return words[positions]
 
 
 def _transfer_ns(nbytes: int, gib_s: float) -> float:
@@ -324,70 +345,95 @@ class Device:
 
     # -- in-situ navigation accessors (modeled transfer sizes) -----------------
 
-    def pe_read_vid_entry(self, pe: int):
-        self.ledger.device_internal_bytes_read += VID_ENTRY_BYTES
-        self.ledger.pe_op(pe, "vid_entry")
+    def _check_ranges(self, region: str, offsets: np.ndarray, lengths):
+        """``_check_range`` for each of ``offsets`` with its length (or one for all)."""
+        buf = self._regions.get(region)
+        if buf is None:
+            raise OutOfRange(f"unknown region {region!r}")
+        lengths = np.broadcast_to(lengths, offsets.shape)
+        bad = np.flatnonzero((offsets < 0) | (lengths < 0) | (offsets + lengths > len(buf)))
+        if len(bad):
+            first, size = int(offsets[bad[0]]), int(lengths[bad[0]])
+            raise OutOfRange(f"{region}[{first}:{first + size}] outside {len(buf)} bytes")
+        return buf
 
-    def pe_read_l2p(self, pe: int):
-        self.ledger.device_internal_bytes_read += L2P_ENTRY_BYTES
-        self.ledger.pe_op(pe, "l2p")
-
-    def pe_read_slot(self, pe: int, region: str, page_base: int, slot: int):
-        """4B slot-entry read; returns (record offset, record length)."""
-        buf = self._check_range(region, page_base, PAGE_SIZE)
-        self.ledger.device_internal_bytes_read += SLOT_READ_BYTES
-        self.ledger.pe_op(pe, "slot")
+    def _charge_navigation(self, pe: int, op: str, nbytes: int, count: int, region=None):
+        self.ledger.device_internal_bytes_read += nbytes * count
+        self.ledger.pe_op(pe, op, count)
         if region == REGION_NVM:
-            self.ledger.nvm_reads += 1
-        off, length = _SLOT.unpack_from(buf, page_base + PAGE_SIZE - SLOT_ENTRY_SIZE * (slot + 1))
-        if off == 0 or off + length > PAGE_SIZE:
-            raise CorruptRecord(f"slot {slot} of page at {page_base} is invalid")
-        return off, length
+            self.ledger.nvm_reads += count
 
-    def pe_probe_header(self, pe: int, region: str, record_offset: int):
-        """Modeled 4B header probe; yields (create_ts, packed pred, flags)."""
-        buf = self._check_range(region, record_offset, 25)
-        self.ledger.device_internal_bytes_read += HEADER_PROBE_BYTES
-        self.ledger.pe_op(pe, "probe")
-        if region == REGION_NVM:
-            self.ledger.nvm_reads += 1
-        return _PROBE.unpack_from(buf, record_offset + 8)
+    def pe_read_vid_entry(self, pe: int, count: int):
+        self._charge_navigation(pe, "vid_entry", VID_ENTRY_BYTES, count)
+
+    def pe_read_l2p(self, pe: int, count: int):
+        self._charge_navigation(pe, "l2p", L2P_ENTRY_BYTES, count)
+
+    def pe_read_slot(self, pe: int, region: str, page_bases: np.ndarray, slots: np.ndarray):
+        """4B slot-entry reads; returns (record offsets, record lengths) in pages.
+
+        ``page_bases`` are int64 byte offsets of pages in ``region``; each
+        slot must lie below its page's slot count, and its entry in the page.
+        """
+        buf = self._check_ranges(region, page_bases, PAGE_SIZE)
+        self._charge_navigation(pe, "slot", SLOT_READ_BYTES, len(slots), region)
+        counts = _gather(buf, "<u2", page_bases + SLOT_COUNT_OFFSET)
+        bad = np.flatnonzero((slots >= counts) | (slots >= MAX_SLOTS))
+        if len(bad):
+            k = bad[0]
+            raise CorruptRecord(f"slot {slots[k]} of page at {page_bases[k]} is past its "
+                                f"{counts[k]} slots")
+        entries = _gather(buf, "<u4", page_bases + PAGE_SIZE - SLOT_ENTRY_SIZE * (slots + 1))
+        offsets = (entries & 0xFFFF).astype(np.int64)
+        lengths = (entries >> 16).astype(np.int64)
+        bad = np.flatnonzero((offsets == 0) | (offsets + lengths > PAGE_SIZE))
+        if len(bad):
+            k = bad[0]
+            raise CorruptRecord(f"slot {slots[k]} of page at {page_bases[k]} is invalid")
+        return offsets, lengths
+
+    def pe_probe_header(self, pe: int, region: str, record_offsets: np.ndarray):
+        """Modeled 4B header probes; yield (create_ts, packed pred, flags) arrays."""
+        buf = self._check_ranges(region, record_offsets, PROBE_BYTES)
+        self._charge_navigation(pe, "probe", HEADER_PROBE_BYTES, len(record_offsets), region)
+        return (_gather(buf, "<u8", record_offsets + 8),
+                _gather(buf, "<u8", record_offsets + 16),
+                _gather(buf, "u1", record_offsets + 24))
 
     def pe_read_records(self, pe: int, regions: np.ndarray, offsets: np.ndarray,
                         lengths: np.ndarray):
         """Load a PE's records in one batch; returns (u8 array, record starts).
 
-        Record k is ``regions[k]`` bytes [offsets[k], offsets[k] + lengths[k]);
-        in the returned copy it begins at ``starts[k]`` (``starts`` has one
-        more entry, the total).  Ranges are checked like ``read``, and the
-        ledger is charged what one ``read`` plus one record load per record
-        charges: the bytes, and one NVM access per NVM-resident record.
+        Record k is bytes [offsets[k], offsets[k] + lengths[k]) of region
+        ``REGIONS[regions[k]]``; in the returned copy it begins at
+        ``starts[k]`` (``starts`` has one more entry, the total).  Ranges
+        are checked like ``read``, and the ledger is charged what one
+        ``read`` plus one record load per record charges: the bytes, and one
+        NVM access per NVM-resident record.
         """
         starts = np.zeros(len(lengths) + 1, dtype=np.int64)
         np.cumsum(lengths, out=starts[1:])
-        out = np.empty(starts[-1], dtype=np.uint8)
-        for region in np.unique(regions):
-            rows = np.flatnonzero(regions == region)
-            off, length = offsets[rows], lengths[rows]
-            buf = self._regions.get(region)
-            if buf is None:
-                raise OutOfRange(f"unknown region {region!r}")
-            bad = np.flatnonzero((off < 0) | (length < 0) | (off + length > len(buf)))
-            if len(bad):
-                first, size = int(off[bad[0]]), int(length[bad[0]])
-                raise OutOfRange(f"{region}[{first}:{first + size}] outside {len(buf)} bytes")
-            # a temporary view: no export of the region outlives the gather
-            out[range_indexes(starts[rows], length)] = \
-                np.frombuffer(buf, dtype=np.uint8)[range_indexes(off, length)]
-            if region == REGION_NVM:
+        codes = np.unique(regions).tolist()
+        for code in codes:
+            rows = np.flatnonzero(regions == code)
+            self._check_ranges(REGIONS[code], offsets[rows], lengths[rows])
+            if REGIONS[code] == REGION_NVM:
                 self.ledger.nvm_reads += len(rows)
+        views = {code: memoryview(self._regions[REGIONS[code]]) for code in codes}
+        try:
+            # one slice per record; released views let a region grow again
+            data = b"".join([views[code][start:start + length] for code, start, length
+                             in zip(regions.tolist(), offsets.tolist(), lengths.tolist())])
+        finally:
+            for view in views.values():
+                view.release()
         n = len(lengths)
         if n:
             self.ledger.device_internal_bytes_read += int(starts[-1])
             self.ledger.records_processed += n
             self.ledger.pe_op(pe, "read", n)
             self.ledger.pe_op(pe, "record_load", n)
-        return out, starts
+        return np.frombuffer(data, dtype=np.uint8), starts
 
     # -- propagation & maintenance ---------------------------------------------
 

@@ -5,13 +5,19 @@ descriptor), the table schema and projection, and its pre-allocated result
 space.  Every invocation -- a first materialization, a stream, or the
 refresh of an existing materialization -- runs one pipeline:
 
-1. **Walk.**  The tuple map is split round-robin over the processing
-   elements (entry i goes to PE i mod n).  Each PE walks its share in
-   order, runs the in-situ visibility check, and compares the visible
-   version with the one the target handle already holds.  A first
-   materialization or a stream targets an empty handle, so every visible
-   tuple counts as changed; a refresh also charges an 8-byte index probe
-   per tuple and collects the tuples that are no longer visible.
+1. **Walk.**  The frozen tuple map becomes two arrays (vids and packed
+   chain heads), split over the processing elements (entry i goes to PE
+   i mod n).  Each PE walks its share as one frontier: every step resolves
+   the pages of all its unresolved tuples' current versions (a
+   ``searchsorted`` over the frozen page map, built once per invocation),
+   reads their slots and probes their headers, and moves the versions that
+   are not visible to their predecessors, until every tuple has a visible
+   version or nothing.  Each PE is charged exactly what walking its tuples
+   one by one would charge.  The visible versions are compared with the
+   ones the target handle already holds.  A first materialization or a
+   stream targets an empty handle, so every visible tuple counts as
+   changed; a refresh also charges an 8-byte index probe per tuple and
+   collects the tuples that are no longer visible.
 2. **Transform.**  Each PE transforms its changed tuples as one batch: it
    loads all of their records in one device read, locates every field
    with the batch locator of ``layout``, and extracts each projected
@@ -52,6 +58,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,7 +70,7 @@ from .columns import (
     assemble,
     result_specs,
 )
-from .device import Device, REGION_DDR, REGION_NVM
+from .device import Device, REGION_DDR, REGION_NVM, REGIONS
 from .errors import (
     CorruptRecord,
     DanglingReference,
@@ -170,81 +177,160 @@ class NdtInvocation:
         return result_specs(self.schema, self.projection)
 
 
+class ChangedRows(NamedTuple):
+    """Tuples to transform: identity, visible version and its record."""
+
+    vids: np.ndarray            # uint64
+    rids: np.ndarray            # uint64 packed rid of the visible version
+    regions: np.ndarray         # uint8 region code (index into ``REGIONS``)
+    offsets: np.ndarray         # int64 record byte offset in its region
+    lengths: np.ndarray         # int64 record length
+
+    def take(self, index) -> "ChangedRows":
+        return ChangedRows(*(column[index] for column in self))
+
+    @staticmethod
+    def concat(parts) -> "ChangedRows":
+        return ChangedRows(*map(np.concatenate, zip(*parts)))
+
+
 class PeJob:
     """Mutable state of one PE's partitioned job."""
 
-    __slots__ = ("pe", "vid_items", "changed", "caps", "vid_out", "rid_out", "rows",
-                 "page_queue")
+    __slots__ = ("pe", "vids", "heads", "changed", "caps", "page_queue")
 
-    def __init__(self, pe: int, vid_items, layout: ScratchpadLayout):
+    def __init__(self, pe: int, vids: np.ndarray, heads: np.ndarray, layout: ScratchpadLayout):
         self.pe = pe
-        self.vid_items = vid_items                  # [(vid, packed rid), ...] to walk
-        self.changed = []                           # [(vid, visible hit), ...] to transform
+        self.vids = vids                            # uint64 tuples to walk
+        self.heads = heads                          # uint64 packed chain heads
+        self.changed = None                         # ChangedRows to transform
         self.caps = layout.partitions               # (name, kind) -> partition bytes
-        self.vid_out = []
-        self.rid_out = []
-        self.rows = 0
         self.page_queue = deque()
 
-
-def partition_round_robin(items, pe_count: int) -> list:
-    """Entry i goes to PE i mod pe_count; returns one list per PE."""
-    out = [[] for _ in range(pe_count)]
-    for i, item in enumerate(items):
-        out[i % pe_count].append(item)
-    return out
+    @property
+    def rows(self) -> int:
+        return len(self.changed.vids)
 
 
 def schedule(inv: NdtInvocation, device: Device) -> list:
-    """Build PE jobs: map entries round-robin, result pages round-robin."""
+    """Build PE jobs: map entries i-mod-n, result pages round-robin."""
     if inv.pe_count > device.cfg.pe_count:
         raise TooManyPEsRequested(f"{inv.pe_count} PEs requested, device has {device.cfg.pe_count}")
     if inv.pe_count < 1:
         raise TooManyPEsRequested("need at least one PE")
     layout = plan_scratchpad(inv.schema, inv.projection, device.cfg.scratchpad_bytes)
-    partitions = partition_round_robin(list(inv.vid_view.items()), inv.pe_count)
-    jobs = [PeJob(pe, items, layout) for pe, items in enumerate(partitions)]
+    n, count = inv.pe_count, len(inv.vid_view)
+    vids = np.fromiter(inv.vid_view.keys(), dtype=np.uint64, count=count)
+    heads = np.fromiter(inv.vid_view.values(), dtype=np.uint64, count=count)
+    jobs = [PeJob(pe, vids[pe::n], heads[pe::n], layout) for pe in range(n)]
     for j, idx in enumerate(inv.result_pages):
-        jobs[j % inv.pe_count].page_queue.append(idx)
+        jobs[j % n].page_queue.append(idx)
     return jobs
 
 
-def pe_visibility_check(device: Device, pe: int, vid: int, packed_rid: int,
-                        snap: SnapshotDescriptor, l2p_view: dict):
-    """In-situ visibility: walk the chain new-to-old over raw page bytes.
+_UNRESOLVED = len(REGIONS)         # region code of a page the device cannot reach
+_REGION_CODES = {region: code for code, region in enumerate(REGIONS)}
+_NOTHING = np.uint64(RID_NONE)
 
-    Charges the modeled transfers (8B map entry, then 4B address
-    resolution + 4B slot + 4B header probe per visited version) and
-    returns the visible version's location, or None when nothing is
-    visible or the visible version is a delete marker.
+
+class PageTable(NamedTuple):
+    """A frozen l2p view as arrays: sorted page lids, region code, page index.
+
+    A last entry with lid ``RID_NONE`` (no page lid is that large) keeps
+    every search position inside the arrays.
     """
-    device.pe_read_vid_entry(pe)
-    caller = snap.caller
-    in_flight = snap.in_flight
-    packed = packed_rid
-    visits = 0
-    while packed != RID_NONE:
-        visits += 1
-        if visits > 1_000_000:
-            raise CorruptRecord(f"version chain for vid {vid} does not terminate")
-        page_lid = packed >> 16
-        slot = packed & 0xFFFF
-        device.pe_read_l2p(pe)
-        loc = l2p_view.get(page_lid)
-        if loc is None or loc[0] not in (REGION_DDR, REGION_NVM):
-            raise DanglingReference(
-                f"vid {vid}: page {page_lid} unresolvable on device (got {loc})"
-            )
-        region, idx = loc
-        base = idx * PAGE_SIZE
-        off, length = device.pe_read_slot(pe, region, base, slot)
-        create_ts, pred_packed, flags = device.pe_probe_header(pe, region, base + off)
-        if create_ts < caller and create_ts not in in_flight:
-            if flags & 1:
-                return None
-            return packed, region, base + off, length
-        packed = pred_packed
-    return None
+
+    lids: np.ndarray            # uint64, sorted
+    regions: np.ndarray         # uint8; ``_UNRESOLVED`` outside the device
+    pages: np.ndarray           # int64
+
+    @staticmethod
+    def of(l2p_view: dict) -> "PageTable":
+        n = len(l2p_view)
+        lids = np.fromiter(l2p_view.keys(), dtype=np.uint64, count=n)
+        regions = np.fromiter((_REGION_CODES.get(region, _UNRESOLVED)
+                               for region, _idx in l2p_view.values()), dtype=np.uint8, count=n)
+        pages = np.fromiter((idx for _region, idx in l2p_view.values()), dtype=np.int64, count=n)
+        order = np.argsort(lids)
+        return PageTable(np.append(lids[order], _NOTHING),
+                         np.append(regions[order], np.uint8(_UNRESOLVED)),
+                         np.append(pages[order], 0))
+
+    def resolve(self, lids: np.ndarray):
+        """(region codes, page indexes) of ``lids``; ``_UNRESOLVED`` where unmapped."""
+        at = np.searchsorted(self.lids, lids)
+        return np.where(self.lids[at] == lids, self.regions[at], _UNRESOLVED), self.pages[at]
+
+
+def pe_visibility_check(device: Device, pe: int, vids: np.ndarray, heads: np.ndarray,
+                        snap: SnapshotDescriptor, l2p: PageTable):
+    """In-situ visibility for one PE: walk its chains new-to-old over page bytes.
+
+    A frontier walk: each step takes every tuple not yet resolved, resolves
+    the pages of their current versions, reads the slots and probes the
+    headers, one region at a time.  A version is visible when its creator
+    precedes the caller and is not in flight.  A visible tombstone or the
+    end of a chain resolves to nothing; any other version moves on to its
+    ``pred``.  Creation timestamps must strictly decrease along a chain, so
+    a cycle fails within one lap.
+
+    Charges the modeled transfers (8B map entry per tuple, then 4B address
+    resolution + 4B slot + 4B header probe per visited version) and returns
+    (packed rid, region code, record offset, record length) arrays, one
+    entry per tuple; the rid is ``RID_NONE`` where nothing is visible.
+    """
+    n = len(vids)
+    rids = np.full(n, _NOTHING)
+    regions = np.zeros(n, dtype=np.uint8)
+    offsets = np.zeros(n, dtype=np.int64)
+    lengths = np.zeros(n, dtype=np.int64)
+    if n == 0:
+        return rids, regions, offsets, lengths
+    device.pe_read_vid_entry(pe, n)
+    caller = np.uint64(snap.caller)
+    in_flight = np.fromiter(snap.in_flight, dtype=np.uint64, count=len(snap.in_flight))
+    live = np.flatnonzero(heads != _NOTHING)            # tuple index of each frontier entry
+    packed = heads[live]
+    newer_ts = None                                     # create_ts each entry was reached from
+    while len(live):
+        m = len(live)
+        device.pe_read_l2p(pe, m)
+        region, page = l2p.resolve(packed >> np.uint64(16))
+        bad = np.flatnonzero(region == _UNRESOLVED)
+        if len(bad):
+            k = bad[0]
+            raise DanglingReference(f"vid {vids[live[k]]}: page {packed[k] >> np.uint64(16)} "
+                                    "unresolvable on device")
+        base = page * PAGE_SIZE
+        slot = (packed & np.uint64(0xFFFF)).astype(np.int64)
+        record = np.empty(m, dtype=np.int64)
+        length = np.empty(m, dtype=np.int64)
+        create_ts = np.empty(m, dtype=np.uint64)
+        pred = np.empty(m, dtype=np.uint64)
+        flags = np.empty(m, dtype=np.uint8)
+        for code, count in enumerate(np.bincount(region, minlength=len(REGIONS)).tolist()):
+            if not count:
+                continue
+            rows = slice(None) if count == m else np.flatnonzero(region == code)
+            off, length[rows] = device.pe_read_slot(pe, REGIONS[code], base[rows], slot[rows])
+            record[rows] = base[rows] + off
+            create_ts[rows], pred[rows], flags[rows] = device.pe_probe_header(
+                pe, REGIONS[code], record[rows])
+        if newer_ts is not None:
+            bad = np.flatnonzero(create_ts >= newer_ts)
+            if len(bad):
+                raise CorruptRecord(f"version chain for vid {vids[live[bad[0]]]} is not "
+                                    "ordered new-to-old")
+        visible = create_ts < caller
+        if len(in_flight):
+            visible &= ~np.isin(create_ts, in_flight)
+        hit = np.flatnonzero(visible & (flags & 1 == 0))
+        at = live[hit]
+        rids[at], regions[at], offsets[at], lengths[at] = \
+            packed[hit], region[hit], record[hit], length[hit]
+        more = ~visible & (pred != _NOTHING)
+        live, packed, newer_ts = live[more], pred[more], create_ts[more]
+    return rids, regions, offsets, lengths
 
 
 # -- batch transform and flush plan ---------------------------------------------
@@ -309,18 +395,11 @@ def transform_record(job: PeJob, inv: NdtInvocation, device: Device) -> list:
     happens; the final flushes (values, validity, offsets per attribute,
     then the identity column) come in the round after the last row.
     """
-    n = len(job.changed)
+    rows = job.changed
+    n = len(rows.vids)
     if n == 0:
         return []
-    job.vid_out = [vid for vid, _hit in job.changed]
-    job.rid_out = [hit[0] for _vid, hit in job.changed]
-    job.rows = n
-    buf, starts = device.pe_read_records(
-        job.pe,
-        np.array([hit[1] for _vid, hit in job.changed]),
-        np.array([hit[2] for _vid, hit in job.changed], dtype=np.int64),
-        np.array([hit[3] for _vid, hit in job.changed], dtype=np.int64),
-    )
+    buf, starts = device.pe_read_records(job.pe, rows.regions, rows.offsets, rows.lengths)
     loc = locate_fields(inv.schema, buf, starts[:-1], np.diff(starts))
     flushes, tails = [], []
     for slot, (attr_idx, name, ftype, code, nullable) in enumerate(inv.proj_plan):
@@ -350,7 +429,7 @@ def transform_record(job: PeJob, inv: NdtInvocation, device: Device) -> list:
             flushes.extend((row, job.pe, _FLUSHES_PER_ATTR * slot + position, (name, kind),
                             data.tobytes()) for row, position, data in mid)
             tails.append(((name, kind), tail))
-    tails.append(((VID_COLUMN, KIND_VALUES), np.array(job.vid_out, dtype="<u8").view(np.uint8)))
+    tails.append(((VID_COLUMN, KIND_VALUES), rows.vids.astype("<u8").view(np.uint8)))
     flushes.extend((n, job.pe, position, key, data.tobytes())
                    for position, (key, data) in enumerate(tails) if len(data))
     return flushes
@@ -369,26 +448,32 @@ def walk(jobs, inv: NdtInvocation, device: Device, held: dict, probe: bool):
     """Step 1: visibility walk of every tuple, PE by PE in scheduled order.
 
     ``held`` maps vid -> packed rid of the row the target handle holds.
-    A visible version that differs from it goes into the walking job's
-    ``changed`` list; a held tuple with nothing visible is returned as
-    removed.  ``probe`` charges the identity-index lookup.
+    Visible versions that differ from it become the walking job's
+    ``changed`` rows; held tuples with nothing visible are returned as
+    removed, in walk order.  ``probe`` charges the identity-index lookup.
     """
-    snap = inv.descriptor
-    l2p = inv.l2p_view
+    l2p = PageTable.of(inv.l2p_view)
+    if held:
+        # sorted held vids, and a last RID_NONE key that keeps every search in bounds
+        held_vids = np.fromiter(held.keys(), dtype=np.uint64, count=len(held))
+        order = np.argsort(held_vids)
+        held_vids = np.append(held_vids[order], _NOTHING)
+        held_rids = np.append(
+            np.fromiter(held.values(), dtype=np.uint64, count=len(held))[order], _NOTHING)
     removed = []
     for job in jobs:
-        pe = job.pe
-        for vid, packed in job.vid_items:
-            hit = pe_visibility_check(device, pe, vid, packed, snap, l2p)
-            if probe:
-                device.ledger.device_internal_bytes_read += INDEX_PROBE_BYTES
-                device.ledger.pe_op(pe, "index_probe")
-            old_rid = held.get(vid)
-            if hit is None:
-                if old_rid is not None:
-                    removed.append(vid)
-            elif hit[0] != old_rid:
-                job.changed.append((vid, hit))
+        found = ChangedRows(job.vids, *pe_visibility_check(
+            device, job.pe, job.vids, job.heads, inv.descriptor, l2p))
+        visible = found.rids != _NOTHING
+        if held:
+            at = np.searchsorted(held_vids, job.vids)
+            old = np.where(held_vids[at] == job.vids, held_rids[at], _NOTHING)
+            removed.extend(job.vids[~visible & (old != _NOTHING)].tolist())
+            visible &= found.rids != old
+        if probe and len(job.vids):
+            device.ledger.device_internal_bytes_read += INDEX_PROBE_BYTES * len(job.vids)
+            device.ledger.pe_op(job.pe, "index_probe", len(job.vids))
+        job.changed = found.take(visible)
     return removed
 
 
@@ -445,9 +530,9 @@ def walk_and_transform(inv: NdtInvocation, device: Device, sink, grantor=None,
     refresh = handle is not None and handle.total_positions > 0
     removed = walk(jobs, inv, device, handle.vid_rids if handle else {}, probe=refresh)
     if refresh:
-        changed = [item for job in jobs for item in job.changed]
-        for job, items in zip(jobs, partition_round_robin(changed, inv.pe_count)):
-            job.changed = items
+        changed = ChangedRows.concat(job.changed for job in jobs)
+        for job in jobs:
+            job.changed = changed.take(slice(job.pe, None, inv.pe_count))
     run_jobs(jobs, inv, device, sink, grantor)
     return jobs, removed
 
@@ -765,7 +850,7 @@ def append_run(handle: MaterializationHandle, inv: NdtInvocation, jobs, sink,
         del handle.vid_rids[vid]
     position = start
     for job in jobs:
-        for vid, rid in zip(job.vid_out, job.rid_out):
+        for vid, rid in zip(job.changed.vids.tolist(), job.changed.rids.tolist()):
             old_pos = handle.vid_index.get(vid)
             if old_pos is not None:
                 bitmap_clear(bitmap, old_pos)

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from ndtsim.device import (
@@ -13,7 +14,7 @@ from ndtsim.device import (
     ledger_csv_rows,
     modeled_time,
 )
-from ndtsim.errors import AccessDenied, InvalidConfig, OutOfRange, OutOfSpace
+from ndtsim.errors import AccessDenied, CorruptRecord, InvalidConfig, OutOfRange, OutOfSpace
 from ndtsim.layout import PAGE_SIZE
 
 
@@ -159,3 +160,42 @@ def test_csv_rows_shape():
         "device_internal_read", "device_internal_write", "device_to_host",
         "host_to_device", "nvm_access", "host_roundtrip", "pe_compute", "total"]
     assert all(len(r) == 4 for r in rows)
+
+
+def test_batch_accessors_charge_each_access_and_release_the_regions():
+    dev = configure(DeviceConfig())
+    bases = {}
+    for region in (REGION_DDR, REGION_NVM):
+        [idx] = dev.allocate_pages(region, 1, "x")
+        bases[region] = base = idx * PAGE_SIZE
+        # one record of 30 bytes at offset 12, in slot 0
+        dev.write(region, base + 8, (1).to_bytes(2, "little"), 0)
+        dev.write(region, base + PAGE_SIZE - 4, (12 | 30 << 16).to_bytes(4, "little"), 0)
+        dev.write(region, base + 12 + 8, (5).to_bytes(8, "little") + (7).to_bytes(8, "little")
+                  + b"\x01", 0)
+    before = dev.ledger.snapshot()
+    base = np.array([bases[REGION_NVM]] * 3)
+    offsets, lengths = dev.pe_read_slot(2, REGION_NVM, base, np.zeros(3, dtype=np.int64))
+    assert offsets.tolist() == [12] * 3 and lengths.tolist() == [30] * 3
+    ts, pred, flags = dev.pe_probe_header(2, REGION_NVM, base + offsets)
+    assert (ts.tolist(), pred.tolist(), flags.tolist()) == ([5] * 3, [7] * 3, [1] * 3)
+    dev.pe_read_vid_entry(2, 3)
+    dev.pe_read_l2p(2, 3)
+    delta = dev.ledger.delta_since(before)
+    assert delta["pe_ops"] == {2: {"slot": 3, "probe": 3, "vid_entry": 3, "l2p": 3}}
+    assert delta["device_internal_bytes_read"] == 3 * (4 + 4 + 8 + 4)
+    assert delta["nvm_reads"] == 6
+
+    data, starts = dev.pe_read_records(
+        0, np.array([0, 1]), np.array([bases[REGION_DDR] + 12, bases[REGION_NVM] + 12]),
+        np.array([30, 30]))
+    assert starts.tolist() == [0, 30, 60] and data[8] == data[38] == 5
+    with pytest.raises(CorruptRecord) as failure:
+        dev.pe_read_slot(0, REGION_DDR, np.array([bases[REGION_DDR]]), np.array([1]))
+    with pytest.raises(OutOfRange):
+        dev.pe_read_records(0, np.array([0]), np.array([bases[REGION_DDR]]),
+                            np.array([PAGE_SIZE + 1]))
+    # no view of a region outlives a call, even one that raised: both can grow
+    assert failure.value is not None
+    for region in (REGION_DDR, REGION_NVM):
+        dev.allocate_pages(region, 2, "grow")

@@ -3,6 +3,7 @@
 import random
 import struct
 
+import numpy as np
 import pytest
 
 from ndtsim.columns import KIND_OFFSETS, KIND_VALIDITY, KIND_VALUES, VID_COLUMN, canonical_compare
@@ -12,8 +13,8 @@ from ndtsim.engine import (
     MODE_MATERIALIZE,
     MODE_STREAM,
     columns_from_batches,
+    PageTable,
     materialize_results,
-    partition_round_robin,
     pe_visibility_check,
     plan_scratchpad,
     schedule,
@@ -23,6 +24,7 @@ from ndtsim.errors import HostDenied, ScratchpadTooSmall, TooManyPEsRequested
 from ndtsim.layout import (
     PAGE_SIZE,
     POSTGRES_EPOCH_OFFSET_SECONDS,
+    RID_NONE,
     Int32,
     Int64,
     Schema,
@@ -35,24 +37,22 @@ from conftest import Harness
 
 # -- scheduling ------------------------------------------------------------------
 
-def test_round_robin_partition_sizes():
-    sizes = [len(p) for p in partition_round_robin(list(range(10)), 4)]
-    assert sizes == [3, 3, 2, 2]
-    assert [len(p) for p in partition_round_robin(list(range(10)), 1)] == [10]
-    assert [len(p) for p in partition_round_robin([], 4)] == [0, 0, 0, 0]
-
-
 def test_schedule_distributes_vids_and_pages():
     h = Harness(Schema("t", [("a", Int32(), False)]))
     h.install_rows({vid: (vid,) for vid in range(10)})
     inv = h.prepare(pe_count=4, pages=10)
     jobs = schedule(inv, h.device)
-    assert [len(j.vid_items) for j in jobs] == [3, 3, 2, 2]
+    assert [len(j.vids) for j in jobs] == [3, 3, 2, 2]
     assert [len(j.page_queue) for j in jobs] == [3, 3, 2, 2]
-    # entry i lands on PE i mod 4, in enumeration order
-    flat = list(inv.vid_view)
+    # entry i lands on PE i mod 4, in enumeration order, with its chain head
+    flat = list(inv.vid_view.items())
     for pe, job in enumerate(jobs):
-        assert [vid for vid, _ in job.vid_items] == flat[pe::4]
+        assert job.vids.dtype == job.heads.dtype == np.uint64
+        assert list(zip(job.vids.tolist(), job.heads.tolist())) == flat[pe::4]
+    inv.pe_count = 1
+    assert [len(j.vids) for j in schedule(inv, h.device)] == [10]
+    empty = Harness(Schema("t", [("a", Int32(), False)])).prepare(pe_count=4, pages=0)
+    assert [len(j.vids) for j in schedule(empty, h.device)] == [0, 0, 0, 0]
 
 
 def test_schedule_rejects_excess_pes():
@@ -115,12 +115,19 @@ def _single_version_harness():
     return h
 
 
+def _visible(device, vids, vid_view, descriptor, l2p_view, pe=0):
+    """Batch walk of ``vids`` on one PE; the visible packed rid per vid, or None."""
+    vids = np.array(vids, dtype=np.uint64)
+    heads = np.array([vid_view[vid] for vid in vids.tolist()], dtype=np.uint64)
+    rids = pe_visibility_check(device, pe, vids, heads, descriptor, PageTable.of(l2p_view))[0]
+    return [None if rid == RID_NONE else rid for rid in rids.tolist()]
+
+
 def test_visibility_single_version_charges_paper_transfers():
     h = _single_version_harness()
     inv = h.prepare(pe_count=1, pages=1)
     before = h.device.ledger.device_internal_bytes_read
-    hit = pe_visibility_check(h.device, 0, 77, inv.vid_view[77],
-                              inv.descriptor, inv.l2p_view)
+    [hit] = _visible(h.device, [77], inv.vid_view, inv.descriptor, inv.l2p_view)
     assert hit is not None
     # 8B map entry + 4B address + 4B slot + 4B header probe
     assert h.device.ledger.device_internal_bytes_read - before == 8 + 4 + 4 + 4
@@ -134,11 +141,10 @@ def test_visibility_skips_in_flight_head():
     t2 = h.store.begin_tx()
     h.store.install_version(t2, 9, (2,))       # stays in-flight
     inv = h.prepare(pe_count=1, pages=1)
-    hit = pe_visibility_check(h.device, 0, 9, inv.vid_view[9],
-                              inv.descriptor, inv.l2p_view)
+    [hit] = _visible(h.device, [9], inv.vid_view, inv.descriptor, inv.l2p_view)
     assert hit is not None
     expected = h.store.vid_map[9].pred.rid
-    assert hit[0] == (expected.page_lid << 16) | expected.slot
+    assert hit == (expected.page_lid << 16) | expected.slot
     h.store.commit_tx(t2)
 
 
@@ -150,7 +156,7 @@ def test_visibility_none_when_all_newer():
     descriptor = SnapshotDescriptor(caller=1, in_flight=frozenset())
     h.shared.propagate("invocation", caller=1, in_flight=frozenset())
     vid_view, l2p_view = h.device.freeze_views()
-    assert pe_visibility_check(h.device, 0, 4, vid_view[4], descriptor, l2p_view) is None
+    assert _visible(h.device, [4], vid_view, descriptor, l2p_view) == [None]
 
 
 def test_visibility_matches_oracle_on_random_chains():
@@ -168,14 +174,14 @@ def test_visibility_matches_oracle_on_random_chains():
             h.store.commit_tx(t)
     inv = h.prepare(pe_count=1, pages=1)
     from ndtsim.mvcc import oracle_visible_version
-    for vid, packed in inv.vid_view.items():
-        hit = pe_visibility_check(h.device, 0, vid, packed, inv.descriptor, inv.l2p_view)
+    hits = _visible(h.device, list(inv.vid_view), inv.vid_view, inv.descriptor, inv.l2p_view)
+    for vid, hit in zip(inv.vid_view, hits):
         expected = oracle_visible_version(h.store.vid_map[vid], inv.descriptor)
         if expected is None:
             assert hit is None
         else:
             assert hit is not None
-            assert hit[0] == (expected.page_lid << 16) | expected.slot
+            assert hit == (expected.page_lid << 16) | expected.slot
 
 
 # -- transformation byte oracle ------------------------------------------------------

@@ -1,0 +1,194 @@
+"""The batch visibility walk: a differential check and corrupt chains.
+
+The differential test drives random transactions (aborts, interior
+rollbacks, tombstones, writers left in flight) over pages of which some
+were merged to NVM and some stay in the DDR delta mirror, then walks every
+tuple with 1 to 8 PEs.  Every tuple must resolve to the version
+``oracle_visible_version`` picks, at the bytes the host reads for it, and
+every PE must be charged one map entry per tuple and one address
+resolution, slot read and header probe per version the oracle visits.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from ndtsim.device import MAX_SLOTS, REGION_NVM, REGIONS
+from ndtsim.engine import PageTable, materialize_results, pe_visibility_check, schedule, walk
+from ndtsim.errors import CorruptRecord, StaleWrite
+from ndtsim.layout import PAGE_SIZE, Int32, Schema, page_slot_count_at, pack_rid
+from ndtsim.mvcc import TOMBSTONE, oracle_visible_version
+from conftest import Harness
+
+SCHEMA = Schema("t", [("a", Int32(), False)])
+
+
+def _random_history(seed: int, vids: int = 40, steps: int = 400):
+    """Interleaved transactions on a few tuples; some stay open at the end.
+
+    Returns the harness and the id of a transaction begun halfway through.
+    """
+    h = Harness(SCHEMA, capacity=4 * 1024)     # small buffer: several propagations
+    rng = random.Random(seed)
+    open_txs = []
+    halfway = None
+    for step in range(steps):
+        roll = rng.random()
+        if not open_txs or (roll < 0.15 and len(open_txs) < 4):
+            open_txs.append(h.store.begin_tx())
+            if halfway is None and step >= steps // 2:
+                halfway = open_txs[-1]
+        elif roll < 0.75:
+            t = rng.choice(open_txs)
+            values = TOMBSTONE if rng.random() < 0.1 else (step,)
+            try:
+                h.store.install_version(t, rng.randrange(vids), values)
+            except StaleWrite:
+                pass
+        else:
+            t = open_txs.pop(rng.randrange(len(open_txs)))
+            if rng.random() < 0.3:
+                h.store.abort_tx(t)
+            else:
+                h.store.commit_tx(t)
+        if rng.random() < 0.01:
+            h.shared.propagate("regular")
+            h.shared.merge_delta_pages()
+    # in every history: an interior rollback, and a writer left in flight
+    below, above = h.store.begin_tx(), h.store.begin_tx()
+    vid = rng.randrange(vids)
+    h.store.install_version(below, vid, (-1,))
+    h.store.install_version(above, vid, (-2,))
+    h.store.abort_tx(below)
+    for vid in rng.sample(range(vids), 5):
+        h.store.install_version(above, vid, (-3,))
+    return h, halfway
+
+
+def _oracle_visits(chain, snap) -> int:
+    """Versions the new-to-old walk reads before it stops."""
+    visits = 0
+    node = chain
+    while node is not None:
+        visits += 1
+        if node.create_ts < snap.caller and node.create_ts not in snap.in_flight:
+            break
+        node = node.pred
+    return visits
+
+
+@pytest.mark.parametrize("snapshot", ["now", "halfway"])
+@pytest.mark.parametrize("seed", range(4))
+def test_walk_matches_oracle_with_exact_per_pe_charges(seed, snapshot):
+    h, halfway = _random_history(seed)
+    # halfway: an old caller, so the walk goes deep into the chains
+    inv = h.prepare(pe_count=1, pages=1, caller=halfway if snapshot == "halfway" else None)
+    regions = {region for region, _idx in inv.l2p_view.values()}
+    assert regions == set(REGIONS), "the history must leave pages in both regions"
+    items = list(inv.vid_view.items())
+    for pe_count in range(1, 9):
+        inv.pe_count = pe_count
+        jobs = schedule(inv, h.device)
+        before = h.device.ledger.snapshot()
+        assert walk(jobs, inv, h.device, {}, probe=False) == []
+        delta = h.device.ledger.delta_since(before)
+
+        nvm_visits = 0
+        for job in jobs:
+            rows = dict(zip(job.changed.vids.tolist(), range(len(job.changed.vids))))
+            visits = 0
+            for vid, _head in items[job.pe::pe_count]:
+                chain = h.store.vid_map[vid]
+                expected = oracle_visible_version(chain, inv.descriptor)
+                visits += _oracle_visits(chain, inv.descriptor)
+                node = chain
+                for _ in range(_oracle_visits(chain, inv.descriptor)):
+                    nvm_visits += h.shared.l2p[node.rid.page_lid][0] == REGION_NVM
+                    node = node.pred
+                if expected is None:
+                    assert vid not in rows
+                    continue
+                k = rows.pop(vid)
+                assert int(job.changed.rids[k]) == pack_rid(expected)
+                region = REGIONS[job.changed.regions[k]]
+                at, size = int(job.changed.offsets[k]), int(job.changed.lengths[k])
+                assert bytes(h.device.peek(region, at, size)) == h.shared.read_record(expected)
+            assert rows == {}
+            n = len(job.vids)
+            ops = delta["pe_ops"].get(job.pe, {})
+            want = {"vid_entry": n, "l2p": visits, "slot": visits, "probe": visits}
+            assert ops == {op: count for op, count in want.items() if count}
+        assert delta["nvm_reads"] == 2 * nvm_visits
+        assert delta["device_internal_bytes_read"] == 8 * len(items) + 12 * sum(
+            _oracle_visits(h.store.vid_map[vid], inv.descriptor) for vid, _ in items)
+
+
+# -- corrupt chains and slots --------------------------------------------------------
+
+
+def _merged_rows(rows: int = 200) -> Harness:
+    h = Harness(SCHEMA)
+    h.install_rows({vid: (vid,) for vid in range(rows)})
+    h.shared.propagate("regular")
+    h.shared.merge_delta_pages()
+    return h
+
+
+def _fails_and_frees(h, inv, error):
+    with pytest.raises(error):
+        materialize_results(inv, h.device, h.grantor)
+    assert h.device.owner_pages(inv.owner) == set()
+
+
+def test_slot_past_the_page_slot_count_is_corrupt():
+    h = _merged_rows(1000)                      # the first page is full
+    inv = h.prepare(pe_count=2, pages=4)
+    lid = min(inv.l2p_view)
+    region, idx = inv.l2p_view[lid]
+    base = idx * PAGE_SIZE
+    count = page_slot_count_at(h.device.peek(region, base, PAGE_SIZE), 0)
+    # past the count, slot entries would overlap record bytes
+    for slot in range(count, MAX_SLOTS + 1):
+        with pytest.raises(CorruptRecord):
+            h.device.pe_read_slot(0, region, np.array([base]), np.array([slot]))
+    for slot in (count, 0xFFFE):
+        inv = h.prepare(pe_count=2, pages=4)
+        inv.vid_view[next(iter(inv.vid_view))] = lid << 16 | slot
+        _fails_and_frees(h, inv, CorruptRecord)
+    # a corrupt slot count does not let an entry leave its page
+    h.device.patch(region, base + 8, b"\xff\xff")
+    for slot in (MAX_SLOTS, 0xFFFE):
+        with pytest.raises(CorruptRecord):
+            h.device.pe_read_slot(0, region, np.array([base]), np.array([slot]))
+
+
+def _chain(h, versions: int):
+    """One tuple with ``versions`` committed versions; returns their rids, newest first."""
+    for i in range(versions):
+        h.install_rows({7: (i,)})
+    h.shared.propagate("regular")
+    return h.store.chain_rids(7)
+
+
+@pytest.mark.parametrize("versions, cycle", [(1, "self-loop"), (2, "2-cycle")])
+def test_chain_cycle_is_corrupt_within_one_lap(versions, cycle):
+    h = Harness(SCHEMA)
+    rids = _chain(h, versions)
+    h.shared.patch_pred(rids[-1], rids[0])     # the oldest version points at the newest
+    # caller 1 is the first writer: no version is visible, the walk follows every pred
+    inv = h.prepare(pe_count=1, pages=4, caller=1)
+    before = h.device.ledger.op_total("l2p")
+    _fails_and_frees(h, inv, CorruptRecord)
+    assert h.device.ledger.op_total("l2p") - before <= versions + 1
+
+
+def test_walk_of_an_empty_share_charges_nothing():
+    h = _merged_rows(3)
+    inv = h.prepare(pe_count=1, pages=1)
+    before = h.device.ledger.snapshot()
+    empty = np.array([], dtype=np.uint64)
+    rids, *_ = pe_visibility_check(h.device, 5, empty, empty, inv.descriptor,
+                                   PageTable.of(inv.l2p_view))
+    assert len(rids) == 0
+    assert h.device.ledger.delta_since(before)["pe_ops"] == {}
