@@ -17,7 +17,7 @@ import numpy as np
 
 from .columns import canonical_compare
 from .delta import delta_cost, masked_view
-from .device import DeviceConfig, ledger_csv_rows, modeled_time
+from .device import GIB, DeviceConfig, ledger_csv_rows, modeled_time
 from .engine import MODE_MATERIALIZE, MODE_STREAM, columns_from_batches
 from .errors import InvalidConfig, NdtError
 from .host import (
@@ -71,9 +71,13 @@ def _q6_params(args) -> Q6Params:
 def cmd_htap(args) -> int:
     """Foreground-impact experiment: OLTP alone vs OLTP with a concurrent
     transformation; the host-work counters must match exactly."""
+    if not 1 <= args.intervals <= args.tx_count:
+        raise InvalidConfig(f"need 1 <= --intervals ({args.intervals}) <= --tx-count "
+                            f"({args.tx_count})")
     rows = args.sf * ROWS_PER_SF
     intervals = args.intervals
     per_interval = args.tx_count // intervals
+    ndt_interval = max(intervals // 2 - 1, 0)     # the interval the transformation runs in
 
     def run(with_ndt: bool):
         system = HostSystem(_device_config(args))
@@ -87,7 +91,7 @@ def cmd_htap(args) -> int:
             before = system.store.op_count
             driver.run(per_interval)
             counters.append(system.store.op_count - before)
-            if with_ndt and i == intervals // 2 - 1:
+            if with_ndt and i == ndt_interval:
                 _, handle = system.transform_snapshot(mode=MODE_MATERIALIZE,
                                                       pe_count=args.pe or None)
                 ndt_rows = handle.visible_rows
@@ -97,7 +101,7 @@ def cmd_htap(args) -> int:
     co_counters, ndt_rows, system = run(True)
 
     out_rows = [
-        (i, base_counters[i], co_counters[i], ndt_rows if i == intervals // 2 - 1 else 0)
+        (i, base_counters[i], co_counters[i], ndt_rows if i == ndt_interval else 0)
         for i in range(intervals)
     ]
     if args.csv:
@@ -128,7 +132,7 @@ def cmd_transform(args) -> int:
 
     nsm_pages = sum(1 for loc in system.shared.l2p.values() if loc[0] != "HOST")
     baseline_bytes = nsm_pages * PAGE_SIZE
-    baseline_ns = baseline_bytes / (system.device.cfg.host_read_gib_s * 1024 ** 3) * 1e9
+    baseline_ns = baseline_bytes / (system.device.cfg.host_read_gib_s * GIB) * 1e9
 
     if mode == MODE_MATERIALIZE:
         result_bytes = result.column_bytes
@@ -171,17 +175,25 @@ def cmd_transform(args) -> int:
 
 
 def _parse_fractions(text: str) -> list:
+    """Percentages from ``10,20,50`` or ``lo..hi[:step]``: at least one, each in 0..100."""
     text = text.strip()
-    if ".." in text:
-        span, _, step = text.partition(":")
-        lo, _, hi = span.partition("..")
-        step = int(step) if step else 10
-        return list(range(int(lo), int(hi) + 1, step))
-    return [int(p) for p in text.split(",") if p]
+    try:
+        if ".." in text:
+            span, _, step = text.partition(":")
+            lo, _, hi = span.partition("..")
+            fractions = list(range(int(lo), int(hi) + 1, int(step) if step else 10))
+        else:
+            fractions = [int(p) for p in text.split(",") if p]
+    except ValueError as exc:          # an unparseable entry, or a zero step
+        raise InvalidConfig(f"--delta-fractions {text!r}: {exc}") from None
+    if not fractions or not all(0 <= f <= 100 for f in fractions):
+        raise InvalidConfig(f"--delta-fractions {text!r}: need one or more values in 0..100")
+    return fractions
 
 
 def cmd_delta(args) -> int:
     """Incremental-refresh experiment over increasing modification fractions."""
+    fractions = _parse_fractions(args.delta_fractions)
     rows = args.rows or args.sf * ROWS_PER_SF
     system = HostSystem(_device_config(args))
     shadow = system.load_orderlines(rows, seed=args.seed)
@@ -194,7 +206,6 @@ def cmd_delta(args) -> int:
     print(f"delta: table {rows} rows, initial materialization {initial_bytes} bytes")
 
     rng = random.Random(args.seed + 1)
-    fractions = _parse_fractions(args.delta_fractions)
     out_rows = []
     vids = list(shadow)
     for fraction in fractions:

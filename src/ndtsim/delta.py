@@ -9,7 +9,10 @@ visible version is unchanged cost nothing more, while changed tuples are
 dealt round-robin over the PEs, transformed and appended as a new run.
 Superseded rows are never rewritten -- a positional visibility bitmap
 masks them out -- so existing column bytes stay immutable until an
-explicit compaction rewrites the whole materialization.
+explicit compaction rewrites the whole materialization.  Compaction keeps
+the current rows in position order, so each held vid's new position is
+the rank of its old one among the current positions
+(``cumsum(current)[position] - 1``), and every new position is current.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ from .engine import (
     MaterializationHandle,
     NdtInvocation,
     Segment,
-    bitmap_set_range,
-    bitmap_words,
     expose_segments,
     freed_on_failure,
     materialize_into,
@@ -54,12 +55,6 @@ def read_fragment(device, frag: Fragment, requester="HOST") -> bytes:
     return bytes(out)
 
 
-def visibility_bits(handle: MaterializationHandle) -> np.ndarray:
-    bits = np.unpackbits(np.frombuffer(bytes(handle.visibility), dtype=np.uint8),
-                         bitorder="little")
-    return bits[:handle.total_positions].astype(bool)
-
-
 def full_column_set(handle: MaterializationHandle, requester="HOST") -> ColumnSet:
     """All materialized positions (current and outdated), in position order."""
     _require_live(handle)
@@ -75,7 +70,7 @@ def masked_view(handle: MaterializationHandle) -> ColumnSet:
     """The rows a consumer reads: bitmap-current positions, in position order."""
     _require_live(handle)
     full = full_column_set(handle)
-    return full.mask(visibility_bits(handle))
+    return full.mask(handle.current)
 
 
 def delta_transform(handle: MaterializationHandle, inv: NdtInvocation,
@@ -121,14 +116,14 @@ def delta_cost(handle: MaterializationHandle, inv: NdtInvocation,
     before = device.ledger.snapshot()
     rows_before = handle.total_positions
     bytes_before = handle.column_bytes
-    index_before = set(handle.vid_index)
+    vids_before = handle.index.vids
     delta_transform(handle, inv, grantor)
     ledger_delta = device.ledger.delta_since(before)
     return DeltaCostReport(
         scanned_vids=len(inv.vid_view),
         appended_rows=handle.total_positions - rows_before,
         appended_bytes=handle.column_bytes - bytes_before,
-        removed_rows=len(index_before - set(handle.vid_index)),
+        removed_rows=len(np.setdiff1d(vids_before, handle.index.vids, assume_unique=True)),
         ledger_delta=ledger_delta,
         modeled_ns=modeled_time(ledger_delta, device.cfg),
     )
@@ -142,11 +137,11 @@ def compact(handle: MaterializationHandle) -> MaterializationHandle:
     """
     _require_live(handle)
     device = handle.device
-    current = full_column_set(handle, requester="COORD").mask(visibility_bits(handle))
+    rows = full_column_set(handle, requester="COORD").mask(handle.current)
     new_owner = f"{handle.owner}+c"
 
     frags = {}
-    for key, data in column_buffers(current).items():
+    for key, data in column_buffers(rows).items():
         writer = FragmentWriter(REGION_NVM)
         if data:
             pages = device.allocate_pages(REGION_NVM, writer.pages_needed(len(data)), new_owner)
@@ -155,11 +150,10 @@ def compact(handle: MaterializationHandle) -> MaterializationHandle:
 
     device.free_pages(handle.owner)
     handle.owner = new_owner
-    handle.segments = [Segment(handle.run_count, 0, current.n_rows, frags)] if current.n_rows else []
-    handle.vid_index = {int(v): i for i, v in enumerate(current.vids)}
-    handle.total_positions = current.n_rows
-    handle.visibility = bytearray(bitmap_words(current.n_rows) * 8)
-    bitmap_set_range(handle.visibility, 0, current.n_rows)
+    handle.segments = [Segment(handle.run_count, 0, rows.n_rows, frags)] if rows.n_rows else []
+    rank = np.cumsum(handle.current, dtype=np.int64) - 1
+    handle.index = handle.index._replace(positions=rank[handle.index.positions])
+    handle.current = np.ones(rows.n_rows, dtype=bool)
     handle.bitmap_pages = []
     handle.column_bytes = sum(f.nbytes for f in frags.values())
     handle.run_count += 1

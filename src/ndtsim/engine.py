@@ -14,10 +14,10 @@ refresh of an existing materialization -- runs one pipeline:
    are not visible to their predecessors, until every tuple has a visible
    version or nothing.  Each PE is charged exactly what walking its tuples
    one by one would charge.  The visible versions are compared with the
-   ones the target handle already holds.  A first materialization or a
-   stream targets an empty handle, so every visible tuple counts as
-   changed; a refresh also charges an 8-byte index probe per tuple and
-   collects the tuples that are no longer visible.
+   rids the target handle's identity index holds (one ``searchsorted``).
+   A first materialization or a stream passes an empty index, so every
+   visible tuple counts as changed; a refresh also charges an 8-byte index
+   probe per tuple and collects the held tuples that are no longer visible.
 2. **Transform.**  Each PE transforms its changed tuples as one batch: it
    loads all of their records in one device read, locates every field
    with the batch locator of ``layout``, and extracts each projected
@@ -29,9 +29,11 @@ refresh of an existing materialization -- runs one pipeline:
    than the partition is then spilled on its own).  On a first run a
    changed tuple stays on the PE that walked it; on a refresh the changed
    list, in PE-major walk order, is dealt round-robin again.
-3. **Append** (materializing sinks only).  Unused result pages are freed,
-   the rest join the handle, removed and superseded positions are masked
-   out, and the appended rows become the handle's newest run.
+3. **Append** (materializing sinks only).  Unused result pages are freed
+   and the rest join the handle, whose identity index is three arrays
+   sorted by vid (vid, position, rid) beside one boolean per position.
+   Positions held for removed and re-appended vids are cleared, the
+   appended rows marked current, and the index merged with the new rows.
 
 Steps 1 and 2 run inside one failure guard: when either raises, every
 page the invocation owns goes back to the pool.
@@ -192,6 +194,28 @@ class ChangedRows(NamedTuple):
     @staticmethod
     def concat(parts) -> "ChangedRows":
         return ChangedRows(*map(np.concatenate, zip(*parts)))
+
+
+class IdentityIndex(NamedTuple):
+    """The rows a materialization holds: one entry per held vid, sorted by vid."""
+
+    vids: np.ndarray            # uint64, strictly increasing
+    positions: np.ndarray       # int64 global position of the vid's current row
+    rids: np.ndarray            # uint64 packed rid of the version that produced it
+
+    @staticmethod
+    def empty() -> "IdentityIndex":
+        return IdentityIndex(np.empty(0, np.uint64), np.empty(0, np.int64), np.empty(0, np.uint64))
+
+    def take(self, index) -> "IdentityIndex":
+        return IdentityIndex(*(column[index] for column in self))
+
+    def rids_of(self, vids: np.ndarray) -> np.ndarray:
+        """The held rid of each of ``vids``; ``RID_NONE`` where the vid is not held."""
+        if not len(self.vids):
+            return np.full(len(vids), _NOTHING)
+        at = np.minimum(np.searchsorted(self.vids, vids), len(self.vids) - 1)
+        return np.where(self.vids[at] == vids, self.rids[at], _NOTHING)
 
 
 class PeJob:
@@ -444,37 +468,28 @@ class PageRequest:
 INDEX_PROBE_BYTES = 8               # handle identity-index lookup per walked tuple
 
 
-def walk(jobs, inv: NdtInvocation, device: Device, held: dict, probe: bool):
+def walk(jobs, inv: NdtInvocation, device: Device, held: IdentityIndex, probe: bool):
     """Step 1: visibility walk of every tuple, PE by PE in scheduled order.
 
-    ``held`` maps vid -> packed rid of the row the target handle holds.
-    Visible versions that differ from it become the walking job's
-    ``changed`` rows; held tuples with nothing visible are returned as
-    removed, in walk order.  ``probe`` charges the identity-index lookup.
+    ``held`` is the identity index of the target handle.  Visible versions
+    that differ from the held ones become the walking job's ``changed``
+    rows; held tuples with nothing visible are returned as removed, one
+    ``uint64`` array in walk order.  ``probe`` charges the index lookup.
     """
     l2p = PageTable.of(inv.l2p_view)
-    if held:
-        # sorted held vids, and a last RID_NONE key that keeps every search in bounds
-        held_vids = np.fromiter(held.keys(), dtype=np.uint64, count=len(held))
-        order = np.argsort(held_vids)
-        held_vids = np.append(held_vids[order], _NOTHING)
-        held_rids = np.append(
-            np.fromiter(held.values(), dtype=np.uint64, count=len(held))[order], _NOTHING)
     removed = []
     for job in jobs:
         found = ChangedRows(job.vids, *pe_visibility_check(
             device, job.pe, job.vids, job.heads, inv.descriptor, l2p))
         visible = found.rids != _NOTHING
-        if held:
-            at = np.searchsorted(held_vids, job.vids)
-            old = np.where(held_vids[at] == job.vids, held_rids[at], _NOTHING)
-            removed.extend(job.vids[~visible & (old != _NOTHING)].tolist())
-            visible &= found.rids != old
+        old = held.rids_of(job.vids)
+        removed.append(job.vids[~visible & (old != _NOTHING)])
+        visible &= found.rids != old
         if probe and len(job.vids):
             device.ledger.device_internal_bytes_read += INDEX_PROBE_BYTES * len(job.vids)
             device.ledger.pe_op(job.pe, "index_probe", len(job.vids))
         job.changed = found.take(visible)
-    return removed
+    return np.concatenate(removed)
 
 
 def suspend_for_space(job: PeJob, inv: NdtInvocation, device: Device, grantor,
@@ -528,7 +543,8 @@ def walk_and_transform(inv: NdtInvocation, device: Device, sink, grantor=None,
     """
     jobs = schedule(inv, device)
     refresh = handle is not None and handle.total_positions > 0
-    removed = walk(jobs, inv, device, handle.vid_rids if handle else {}, probe=refresh)
+    held = handle.index if handle else IdentityIndex.empty()
+    removed = walk(jobs, inv, device, held, probe=refresh)
     if refresh:
         changed = ChangedRows.concat(job.changed for job in jobs)
         for job in jobs:
@@ -742,6 +758,10 @@ class MaterializationHandle:
     the identity index and visibility bitmap live beside the fragments on
     the device and are only ever shipped if a consumer reads them.  A new
     handle is empty; every run of the pipeline appends to it.
+
+    ``current`` holds one boolean per position (True = current).  Invariant:
+    every current position belongs to exactly one held vid, so the sorted
+    ``index.positions`` equal ``np.flatnonzero(current)``.
     """
 
     owner: str
@@ -751,10 +771,8 @@ class MaterializationHandle:
     specs: tuple
     snapshot: SnapshotDescriptor
     segments: list = field(default_factory=list)
-    vid_index: dict = field(default_factory=dict)   # vid -> global row position
-    vid_rids: dict = field(default_factory=dict)    # vid -> packed rid of the current row
-    visibility: bytearray = field(default_factory=bytearray)  # LE u64 words, 1 = current
-    total_positions: int = 0
+    index: IdentityIndex = field(default_factory=IdentityIndex.empty)
+    current: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
     bitmap_pages: list = field(default_factory=list)
     column_bytes: int = 0
     run_count: int = 0
@@ -765,12 +783,12 @@ class MaterializationHandle:
         return self.snapshot.caller
 
     @property
-    def row_count(self) -> int:
-        return self.total_positions
+    def total_positions(self) -> int:
+        return len(self.current)
 
     @property
     def visible_rows(self) -> int:
-        return int.from_bytes(self.visibility, "little").bit_count()
+        return int(np.count_nonzero(self.current))
 
     def fragment_sizes(self) -> dict:
         sizes: dict = {}
@@ -780,28 +798,11 @@ class MaterializationHandle:
         return sizes
 
 
-def bitmap_clear(bitmap: bytearray, pos: int):
-    """Mark one position outdated (LSB-first within little-endian words)."""
-    bitmap[pos // 8] &= ~(1 << (pos & 7))
-
-
-def bitmap_set_range(bitmap: bytearray, start: int, stop: int):
-    """Set positions [start, stop) current in one read-modify-write."""
-    if stop <= start:
-        return
-    lo, hi = start // 8, -(-stop // 8)
-    mask = ((1 << (stop - start)) - 1) << (start - lo * 8)
-    bitmap[lo:hi] = (int.from_bytes(bitmap[lo:hi], "little") | mask).to_bytes(hi - lo, "little")
-
-
-def bitmap_words(rows: int) -> int:
-    return -(-rows // 64)
-
-
 def write_bitmap_pages(handle: MaterializationHandle):
-    """Persist the visibility bitmap beside the fragments (charged writes)."""
+    """Persist ``current`` beside the fragments as LSB-first u64 words (charged writes)."""
     device = handle.device
-    data = bytes(handle.visibility)
+    bits = np.packbits(handle.current, bitorder="little").tobytes()
+    data = bits + bytes(-len(bits) % 8)
     need = -(-len(data) // PAGE_SIZE) if data else 0
     while len(handle.bitmap_pages) < need:
         [idx] = device.allocate_pages(REGION_NVM, 1, handle.owner)
@@ -829,10 +830,11 @@ def append_run(handle: MaterializationHandle, inv: NdtInvocation, jobs, sink,
     """Step 3: make the transformed rows the handle's newest run.
 
     Unused result pages are freed and the rest join the handle's
-    allocation.  Removed tuples and the old rows of changed tuples are
-    masked out; the appended positions, which are contiguous, are marked
-    current at once.  The bitmap is persisted, the new fragments exposed
-    and the handle metadata charged as host-bound bytes.
+    allocation.  The changed rows take the next positions in job order;
+    the positions held for removed and re-appended vids are masked out and
+    the index is merged with the new rows.  The bitmap is persisted, the
+    new fragments exposed and the handle metadata charged as host-bound
+    bytes.
     """
     device = handle.device
     segments = sink.segments(jobs, run=handle.run_count)
@@ -841,26 +843,17 @@ def append_run(handle: MaterializationHandle, inv: NdtInvocation, jobs, sink,
         device.free_pages(inv.owner, leftovers)
     device.adopt_pages(inv.owner, handle.owner)
 
-    start = handle.total_positions
-    total = start + sum(job.rows for job in jobs)
-    bitmap = handle.visibility
-    bitmap.extend(bytes(bitmap_words(total) * 8 - len(bitmap)))
-    for vid in removed:
-        bitmap_clear(bitmap, handle.vid_index.pop(vid))
-        del handle.vid_rids[vid]
-    position = start
-    for job in jobs:
-        for vid, rid in zip(job.changed.vids.tolist(), job.changed.rids.tolist()):
-            old_pos = handle.vid_index.get(vid)
-            if old_pos is not None:
-                bitmap_clear(bitmap, old_pos)
-            handle.vid_index[vid] = position
-            handle.vid_rids[vid] = rid
-            position += 1
-    bitmap_set_range(bitmap, start, total)
+    new = ChangedRows.concat(job.changed for job in jobs)
+    gone = np.isin(handle.index.vids, np.concatenate((removed, new.vids)))
+    current = np.concatenate((handle.current, np.ones(len(new.vids), dtype=bool)))
+    current[handle.index.positions[gone]] = False
+    positions = np.arange(handle.total_positions, len(current), dtype=np.int64)
+    merged = IdentityIndex(*map(np.concatenate, zip(handle.index.take(~gone),
+                                                     (new.vids, positions, new.rids))))
+    handle.index = merged.take(np.argsort(merged.vids))
+    handle.current = current
 
     handle.segments.extend(segments)
-    handle.total_positions = total
     handle.snapshot = inv.descriptor
     handle.run_count += 1
     handle.column_bytes += sum(f.nbytes for s in segments for f in s.frags.values())

@@ -41,7 +41,7 @@ from .layout import (
     MICROS_PER_SECOND,
 )
 from .mvcc import MvccStore, SnapshotDescriptor, oracle_visible_version
-from .shared_state import HostSharedState
+from .shared_state import DEFAULT_CAPACITY_BYTES, HostSharedState
 
 log = logging.getLogger(__name__)
 
@@ -156,8 +156,8 @@ class OltpReport:
 class HostSystem:
     """One host DBMS instance attached to one emulated device."""
 
-    def __init__(self, device_cfg: DeviceConfig = None, shared_capacity: int = 512 * 1024,
-                 estimator=None):
+    def __init__(self, device_cfg: DeviceConfig = None,
+                 shared_capacity: int = DEFAULT_CAPACITY_BYTES, estimator=None):
         self.device = Device(device_cfg or DeviceConfig())
         self.shared = HostSharedState(self.device, capacity_bytes=shared_capacity)
         self.schema = orderline_schema()

@@ -40,6 +40,7 @@ from .columns import (
     column_buffers,
     value_width,
 )
+from .delta import full_column_set
 from .errors import BadMagic, CorruptDescriptor, UnsupportedVersion
 from .layout import (
     TC_DECIMAL,
@@ -284,6 +285,4 @@ def read_file(path):
 
 def write_handle(path, handle) -> None:
     """Export a materialization: all positions plus its visibility bitmap."""
-    from .delta import full_column_set, visibility_bits
-    full = full_column_set(handle)
-    write_file(path, full, visibility_bits(handle), snapshot_ts=handle.snapshot_ts)
+    write_file(path, full_column_set(handle), handle.current, snapshot_ts=handle.snapshot_ts)

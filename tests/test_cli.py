@@ -1,0 +1,79 @@
+"""The command line: every exit code, and malformed arguments rejected up front.
+
+Exit codes: 0 ok, 1 configuration error, 2 runtime error, 3 verification
+failure.  A configuration error must be raised before the table is loaded.
+"""
+
+import pytest
+
+from ndtsim import cli
+from ndtsim.host import HostSystem
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "--sf", "0"],
+    ["transform", "--sf", "0", "--mode", "stream", "--q6"],
+    ["transform", "--sf", "0", "--q6"],
+    ["delta", "--rows", "200"],
+    ["htap", "--sf", "0", "--tx-count", "20", "--intervals", "4"],
+])
+def test_ok_runs_exit_0(argv):
+    assert cli.main(argv) == 0
+
+
+def test_export_writes_a_file(tmp_path):
+    out = tmp_path / "r.ndtc"
+    assert cli.main(["transform", "--sf", "0", "--out", str(out)]) == 0
+    assert out.read_bytes()[:4] == b"NDTC"
+
+
+@pytest.mark.parametrize("argv", [
+    ["htap", "--intervals", "0"],
+    ["htap", "--intervals", "-3"],
+    ["htap", "--tx-count", "3", "--intervals", "4"],
+    ["delta", "--delta-fractions", ","],
+    ["delta", "--delta-fractions", ""],
+    ["delta", "--delta-fractions", "abc"],
+    ["delta", "--delta-fractions", "150"],
+    ["delta", "--delta-fractions", "10,-5"],
+    ["delta", "--delta-fractions", "0..10:0"],
+    ["delta", "--delta-fractions", "0..x"],
+    ["transform", "--mode", "columnar"],
+    ["nosuchcommand"],
+])
+def test_malformed_arguments_exit_1_before_loading(argv, monkeypatch, capsys):
+    def no_load(*_args, **_kwargs):
+        raise AssertionError("the table was loaded before the arguments were checked")
+
+    monkeypatch.setattr(HostSystem, "load_orderlines", no_load)
+    assert cli.main(argv) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_runtime_error_exits_2(capsys):
+    assert cli.main(["transform", "--sf", "0", "--scratchpad-bytes", "100"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_wrong_q6_answer_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "q6_columnar", lambda view, params: -1)
+    assert cli.main(["transform", "--sf", "0", "--q6"]) == 3
+    assert "verification failure" in capsys.readouterr().err
+
+
+def test_one_interval_still_runs_the_transformation(tmp_path, capsys):
+    table = tmp_path / "htap.csv"
+    assert cli.main(["htap", "--sf", "0", "--tx-count", "10", "--intervals", "1",
+                     "--csv", str(table)]) == 0
+    assert "ndt transformed 0 rows" not in capsys.readouterr().out
+    header, row = table.read_text().splitlines()
+    assert header.endswith("ndt_rows") and int(row.split(",")[-1]) > 0
+
+
+@pytest.mark.parametrize("intervals,ndt_interval", [(2, 0), (3, 0), (4, 1), (10, 4)])
+def test_transformation_interval_is_unchanged(intervals, ndt_interval, tmp_path):
+    table = tmp_path / "htap.csv"
+    assert cli.main(["htap", "--sf", "0", "--tx-count", str(2 * intervals),
+                     "--intervals", str(intervals), "--csv", str(table)]) == 0
+    rows = [line.split(",") for line in table.read_text().splitlines()[1:]]
+    assert [int(r[0]) for r in rows if int(r[-1])] == [ndt_interval]

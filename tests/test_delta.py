@@ -13,7 +13,6 @@ from ndtsim.delta import (
     full_column_set,
     masked_view,
     read_fragment,
-    visibility_bits,
 )
 from ndtsim.engine import MODE_MATERIALIZE
 from ndtsim.errors import StaleHandle
@@ -87,13 +86,13 @@ def test_delete_clears_bit_without_append():
     visible_before = handle.visible_rows
     _, _ = system.delta_refresh(handle)
     assert handle.visible_rows == visible_before - 1
-    assert victim not in handle.vid_index
+    assert victim not in handle.index.vids.tolist()
     assert victim not in set(int(v) for v in masked_view(handle).vids)
 
 
 def test_fresh_materialization_all_bits_set():
     system, shadow, handle = _loaded_system(64)
-    bits = visibility_bits(handle)
+    bits = handle.current
     assert bits.all() and len(bits) == 64
     assert canonical_compare(masked_view(handle).sorted_by_vid(),
                              full_column_set(handle).sorted_by_vid()).equal
@@ -105,8 +104,8 @@ def test_repeated_updates_leave_single_set_bit():
     for k in range(4):
         _update_rows(system, shadow, [vid], bump=k + 1)
         system.delta_refresh(handle)
-    positions = [handle.vid_index[vid]]
-    bits = visibility_bits(handle)
+    positions = handle.index.positions[handle.index.vids == vid].tolist()
+    bits = handle.current
     vids_current = [int(v) for v, keep in
                     zip(full_column_set(handle).vids, bits) if keep]
     assert vids_current.count(vid) == 1
@@ -196,7 +195,7 @@ def test_compact_rewrites_to_current_rows():
     assert total_before == 210
     compact(handle)
     assert handle.total_positions == 150
-    assert visibility_bits(handle).all()
+    assert handle.current.all()
     assert canonical_compare(masked_view(handle).sorted_by_vid(), view_before).equal
 
 

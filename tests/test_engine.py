@@ -68,7 +68,7 @@ def test_empty_table_completes_with_empty_output():
     h = Harness(Schema("t", [("a", Int32(), False)]))
     inv = h.prepare(pe_count=4, pages=4)
     handle = materialize_results(inv, h.device)
-    assert handle.row_count == 0 and handle.column_bytes == 0
+    assert handle.total_positions == 0 and handle.column_bytes == 0
     assert handle.fragment_sizes() == {}
 
 

@@ -1,9 +1,12 @@
-"""No module of the package or its tests imports a name it never uses.
+"""Import hygiene, by AST scan.
 
-An AST scan: every name an import statement binds must be read somewhere
-in the module (string annotations included).  Package ``__init__.py``
-files re-export names and are exempt, as are import lines marked
-``# noqa: F401``.
+No module of the package or its tests imports a name it never uses: every
+name an import statement binds must be read somewhere in the module
+(string annotations included).  Package ``__init__.py`` files re-export
+names and are exempt, as are import lines marked ``# noqa: F401``.
+
+No module of the package imports another ``ndtsim`` module's private
+(underscore-prefixed) names.
 """
 
 import ast
@@ -12,9 +15,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "ndtsim").glob("*.py"))
 SOURCES = sorted(
-    path for path in [*(ROOT / "src" / "ndtsim").glob("*.py"), *(ROOT / "tests").glob("*.py")]
-    if path.name != "__init__.py"
+    path for path in [*PACKAGE, *(ROOT / "tests").glob("*.py")] if path.name != "__init__.py"
 )
 
 
@@ -71,3 +74,35 @@ def test_scan_finds_an_unused_import(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("import os\nimport sys  # noqa: F401\nfrom a import b as c\nprint(c)\n")
     assert unused_imports(probe) == ["line 1: os"]
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_imports(path: Path) -> list:
+    """Private names ``path`` imports from the package (relatively or as ``ndtsim``)."""
+    private = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and (node.module or "").partition(".")[0] != "ndtsim":
+            continue
+        private.extend(f"line {node.lineno}: {alias.name}"
+                       for alias in node.names if _is_private(alias.name))
+    return private
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_private_imports(path):
+    assert private_imports(path) == []
+
+
+def test_scan_finds_a_private_import(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from __future__ import annotations\n"
+                     "from .engine import _NOTHING, walk\n"
+                     "from ndtsim.device import _check_range\n"
+                     "from . import __version__\n"
+                     "from numpy import _core\n")
+    assert private_imports(probe) == ["line 2: _NOTHING", "line 3: _check_range"]

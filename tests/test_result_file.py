@@ -6,7 +6,7 @@ import random
 import numpy as np
 
 from ndtsim.columns import canonical_compare
-from ndtsim.delta import full_column_set, visibility_bits
+from ndtsim.delta import full_column_set
 from ndtsim.engine import MODE_MATERIALIZE
 from ndtsim.errors import NdtError
 from ndtsim.host import HostSystem
@@ -36,7 +36,7 @@ def test_write_handle_bytes_are_pinned(tmp_path):
 
     column_set, bits = read_file(path)
     assert canonical_compare(column_set, full_column_set(handle)).equal
-    assert np.array_equal(bits, visibility_bits(handle))
+    assert np.array_equal(bits, handle.current)
     assert list(column_set.vids) == list(full_column_set(handle).vids)
 
 

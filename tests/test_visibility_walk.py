@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from ndtsim.device import MAX_SLOTS, REGION_NVM, REGIONS
-from ndtsim.engine import PageTable, materialize_results, pe_visibility_check, schedule, walk
+from ndtsim.engine import (IdentityIndex, PageTable, materialize_results, pe_visibility_check,
+                           schedule, walk)
 from ndtsim.errors import CorruptRecord, StaleWrite
 from ndtsim.layout import PAGE_SIZE, Int32, Schema, page_slot_count_at, pack_rid
 from ndtsim.mvcc import TOMBSTONE, oracle_visible_version
@@ -91,7 +92,7 @@ def test_walk_matches_oracle_with_exact_per_pe_charges(seed, snapshot):
         inv.pe_count = pe_count
         jobs = schedule(inv, h.device)
         before = h.device.ledger.snapshot()
-        assert walk(jobs, inv, h.device, {}, probe=False) == []
+        assert len(walk(jobs, inv, h.device, IdentityIndex.empty(), probe=False)) == 0
         delta = h.device.ledger.delta_since(before)
 
         nvm_visits = 0
