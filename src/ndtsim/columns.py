@@ -104,9 +104,6 @@ class ColumnSet:
             return PyDecimal(raw).scaleb(-spec.ftype.scale)
         return raw
 
-    def logical_row(self, row: int) -> tuple:
-        return tuple(self.logical_value(name, row) for name in self.column_names())
-
 
 def _empty_arrays(specs):
     data: dict = {}

@@ -200,13 +200,16 @@ def ledger_csv_rows(ledger, cfg: DeviceConfig) -> list:
     """(category, bytes, ops, modeled_ns) rows for export."""
     t = modeled_time(ledger, cfg)
     get = ledger.get if isinstance(ledger, dict) else lambda k: getattr(ledger, k)
-    flushes = 0
-    pe_ops = get("pe_ops") if isinstance(ledger, dict) else ledger.pe_ops
-    if pe_ops:
-        flushes = sum(ops.get("flush", 0) for ops in pe_ops.values())
+    pe_ops = get("pe_ops").values()
+
+    def ops(op: str) -> int:
+        return sum(counts.get(op, 0) for counts in pe_ops)
+
     return [
-        ("device_internal_read", get("device_internal_bytes_read"), flushes, t["internal_read_ns"]),
-        ("device_internal_write", get("device_internal_bytes_written"), 0, t["internal_write_ns"]),
+        ("device_internal_read", get("device_internal_bytes_read"), ops("read"),
+         t["internal_read_ns"]),
+        ("device_internal_write", get("device_internal_bytes_written"), ops("write"),
+         t["internal_write_ns"]),
         ("device_to_host", get("device_to_host_bytes"), 0, t["device_to_host_ns"]),
         ("host_to_device", get("host_to_device_bytes"), 0, t["host_to_device_ns"]),
         ("nvm_access", 0, get("nvm_reads") + get("nvm_writes"), t["nvm_ns"]),

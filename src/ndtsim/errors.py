@@ -99,10 +99,6 @@ class HostDenied(NdtError):
     """Host refused a space grant; the invocation failed cleanly."""
 
 
-class ConsumerStalled(NdtError):
-    pass
-
-
 class StaleHandle(NdtError):
     """Materialization pages were freed; the handle is unusable."""
 

@@ -3,7 +3,14 @@
 Wires the transaction store, shared state, and device together and drives
 the order-line workload against them.  Also provides both sides of the
 query equivalence check: a columnar evaluator over transformation output
-and a row-store evaluator that scans version chains directly.
+and a row-store evaluator over the version chains.
+
+The reference side (``oracle_column_set``, ``q6_rowstore``) is the host
+oracle of ``ndtsim.oracle``: visibility from the host's own chains, each
+visible version's page read once (from the host buffer, or uncharged from
+the device), and a numpy decoder of its own, a column at a time.  It
+shares no code with the device path, so a bug there cannot sit on both
+sides of a differential check.
 """
 
 from __future__ import annotations
@@ -35,12 +42,11 @@ from .layout import (
     Schema,
     TimestampPg,
     VarChar,
-    pg_timestamp_to_unix_epoch,
-    record_field_slices,
     POSTGRES_EPOCH_OFFSET_SECONDS,
     MICROS_PER_SECOND,
 )
-from .mvcc import MvccStore, SnapshotDescriptor, oracle_visible_version
+from .mvcc import MvccStore, SnapshotDescriptor
+from .oracle import visible_columns
 from .shared_state import DEFAULT_CAPACITY_BYTES, HostSharedState
 
 log = logging.getLogger(__name__)
@@ -340,88 +346,32 @@ class HostSystem:
 
     # -- oracle side ---------------------------------------------------------------
 
-    def oracle_rows(self, snap: SnapshotDescriptor, projection=None):
-        """Visible rows per the host chain walk, decoded from record bytes."""
-        projection = tuple(projection) if projection else tuple(
-            a.name for a in self.schema.attributes)
-        indexes = [self.schema.index_of[n] for n in projection]
-        rows = []
-        for vid, head in self.store.vid_map.items():
-            rid = oracle_visible_version(head, snap)
-            if rid is None:
-                continue
-            record = self.shared.read_record(rid)
-            slices, _ = record_field_slices(self.schema, record)
-            rows.append((vid, record, slices, indexes))
-        return rows
-
     def oracle_column_set(self, snap: SnapshotDescriptor, projection=None) -> ColumnSet:
-        """Expected transformation output, built without touching the device path."""
+        """Expected transformation output, built without touching the device path.
+
+        The visible versions come from the host's chains, and their pages
+        are read once each and decoded a column at a time by ``oracle``.
+        """
         projection = tuple(projection) if projection else tuple(
             a.name for a in self.schema.attributes)
         specs = result_specs(self.schema, projection)
-        vids, columns, validity = [], {}, {}
-        for spec in specs[1:]:
-            columns[spec.name] = []
-            validity[spec.name] = [] if spec.nullable else None
-        for vid, record, slices, _ in self.oracle_rows(snap, projection):
-            vids.append(vid)
-            for spec in specs[1:]:
-                idx = self.schema.index_of[spec.name]
-                slc = slices[idx]
-                ftype = spec.ftype
-                if ftype.is_varlen:
-                    value = "" if slc is None else bytes(record[slc[0]:slc[0] + slc[1]]).decode()
-                    columns[spec.name].append(value)
-                elif slc is None:
-                    columns[spec.name].append(0)
-                else:
-                    raw = int.from_bytes(record[slc[0]:slc[0] + ftype.width], "little", signed=True)
-                    if isinstance(ftype, TimestampPg):
-                        raw = pg_timestamp_to_unix_epoch(raw)
-                    columns[spec.name].append(raw)
-                if spec.nullable:
-                    validity[spec.name].append(slc is not None)
-        data = {}
-        vdata = {}
-        for spec in specs[1:]:
-            col = columns[spec.name]
-            if spec.ftype.is_varlen:
-                data[spec.name] = col
-            else:
-                width = 4 if isinstance(spec.ftype, Int32) else 8
-                data[spec.name] = np.array(col, dtype=f"<i{width}")
-            v = validity[spec.name]
-            vdata[spec.name] = np.array(v, dtype=bool) if v is not None else None
-        return ColumnSet(specs, np.array(vids, dtype="<u8"), data, vdata, len(vids))
+        vids, values, present = visible_columns(self.shared, self.store.vid_map, self.schema,
+                                                snap, projection)
+        validity = {s.name: present[s.name] if s.nullable else None for s in specs[1:]}
+        return ColumnSet(specs, vids, values, validity, len(vids))
 
     def q6_rowstore(self, snap: SnapshotDescriptor, params: Q6Params) -> PyDecimal:
-        """Row-engine baseline: evaluate the predicate by MVCC chain scan."""
-        schema = self.schema
-        i_delivery = schema.index_of["ol_delivery_d"]
-        i_quantity = schema.index_of["ol_quantity"]
-        i_amount = schema.index_of["ol_amount"]
-        total = 0
-        for vid, head in self.store.vid_map.items():
-            rid = oracle_visible_version(head, snap)
-            if rid is None:
-                continue
-            record = self.shared.read_record(rid)
-            slices, _ = record_field_slices(schema, record)
-            slc = slices[i_delivery]
-            if slc is None:
-                continue
-            micros = int.from_bytes(record[slc[0]:slc[0] + 8], "little", signed=True)
-            seconds = pg_timestamp_to_unix_epoch(micros)
-            if not (params.date_lo_unix <= seconds < params.date_hi_unix):
-                continue
-            qs = slices[i_quantity]
-            quantity = int.from_bytes(record[qs[0]:qs[0] + 4], "little", signed=True)
-            if not (params.qty_lo <= quantity <= params.qty_hi):
-                continue
-            ams = slices[i_amount]
-            total += int.from_bytes(record[ams[0]:ams[0] + 8], "little", signed=True)
-        scale = schema.attribute("ol_amount").ftype.scale
+        """Row-engine baseline: the predicate over the visible versions, decoded
+        by ``oracle`` from the row-store pages, summed exactly."""
+        _vids, values, present = visible_columns(
+            self.shared, self.store.vid_map, self.schema, snap,
+            ("ol_delivery_d", "ol_quantity", "ol_amount"))
+        delivery, quantity = values["ol_delivery_d"], values["ol_quantity"]
+        keep = present["ol_delivery_d"].copy()
+        keep &= (delivery >= params.date_lo_unix) & (delivery < params.date_hi_unix)
+        keep &= (quantity >= params.qty_lo) & (quantity <= params.qty_hi)
+        total = sum(values["ol_amount"][keep].tolist())
+        scale = self.schema.attribute("ol_amount").ftype.scale
         return PyDecimal(total).scaleb(-scale)
 
 

@@ -531,12 +531,5 @@ class NsmPage:
         return bytes(self.buf)
 
 
-def slot_entry_at(buf, page_base: int, slot: int, slot_count: int):
-    """Parse slot ``slot`` of the page image starting at ``page_base``."""
-    if not (0 <= slot < slot_count):
-        raise SlotOutOfRange(f"slot {slot} not in [0,{slot_count})")
-    return _SLOT.unpack_from(buf, page_base + PAGE_SIZE - SLOT_ENTRY_SIZE * (slot + 1))
-
-
 def page_slot_count_at(buf, page_base: int) -> int:
     return _U16.unpack_from(buf, page_base + 8)[0]

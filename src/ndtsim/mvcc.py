@@ -59,17 +59,6 @@ def oracle_visible_version(chain: Optional[ChainNode], snap: SnapshotDescriptor)
     return None
 
 
-def visible_node(chain: Optional[ChainNode], snap: SnapshotDescriptor) -> Optional[ChainNode]:
-    """Like oracle_visible_version but returns the node (tombstones included)."""
-    node = chain
-    while node is not None:
-        ts = node.create_ts
-        if ts < snap.caller and ts not in snap.in_flight:
-            return node
-        node = node.pred
-    return None
-
-
 class MvccStore:
     """Transaction lifecycle plus version-chain and map maintenance.
 
@@ -197,12 +186,6 @@ class MvccStore:
 
     def snapshot_descriptor(self, caller: int) -> SnapshotDescriptor:
         return SnapshotDescriptor(caller, frozenset(self.in_flight))
-
-    def visible_version(self, vid: int, snap: SnapshotDescriptor) -> Optional[RecordID]:
-        return oracle_visible_version(self.vid_map.get(vid), snap)
-
-    def chain_of(self, vid: int) -> Optional[ChainNode]:
-        return self.vid_map.get(vid)
 
     def chain_rids(self, vid: int) -> list:
         out = []

@@ -1,0 +1,188 @@
+"""Host reference reader: the visible rows of a table, decoded a page at a time.
+
+The differential tests compare every device path with what this module
+builds from host state alone.  Visibility comes from the host's MVCC
+chains (``oracle_visible_version`` over the vid map), record bytes from
+the pages wherever they live (read without a ledger charge), and values
+from a decoder of its own.
+
+Reading groups the records by page and fetches each page once, from the
+host's delta buffer or through ``Device.peek``.  The slot entries of all
+records are parsed together and bounded as the device bounds them: a slot
+below its page's slot count, a record inside the page's record area.
+
+Decoding works a column at a time, as PAX does.  Fixed-field offsets
+depend only on the null mask, so they are computed once per distinct mask
+and gathered; varlen positions follow from the u16 length prefixes, one
+varlen attribute after another.  NULL values decode to 0 (or ""), with
+their presence cleared.  Corrupt bytes raise ``CorruptRecord``.
+
+Independence rule: nothing here comes from the device path (``engine``,
+``delta``, or the batch field locator in ``layout``), so a bug there
+cannot sit on both sides of a differential test.  ``tests/test_imports.py``
+enforces it.
+"""
+
+from __future__ import annotations
+
+from itertools import chain, repeat
+from operator import is_not
+
+import numpy as np
+
+from .device import SLOT_COUNT_OFFSET
+from .errors import CorruptRecord, SlotOutOfRange
+from .layout import (
+    MICROS_PER_SECOND,
+    PAGE_HEADER_SIZE,
+    PAGE_SIZE,
+    POSTGRES_EPOCH_OFFSET_SECONDS,
+    RECORD_HEADER_FIXED,
+    SLOT_ENTRY_SIZE,
+    TC_TIMESTAMP,
+    Schema,
+)
+from .mvcc import SnapshotDescriptor, oracle_visible_version
+
+TOMBSTONE_AT = RECORD_HEADER_FIXED - 1     # flags byte, bit 0
+
+
+def _u16(buf: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Little-endian u16 values at byte ``positions`` of ``buf``, as int64."""
+    return buf[positions].astype(np.int64) | buf[positions + 1].astype(np.int64) << 8
+
+
+def visible_records(vid_map: dict, snap: SnapshotDescriptor):
+    """(vids, page lids, slots) of the version each tuple shows ``snap``, in map order."""
+    rids = list(map(oracle_visible_version, vid_map.values(), repeat(snap)))
+    keep = np.fromiter(map(is_not, rids, repeat(None)), dtype=bool, count=len(rids))
+    vids = np.fromiter(vid_map, dtype="<u8", count=len(rids))[keep]
+    found = np.fromiter(chain.from_iterable(filter(None, rids)), dtype=np.int64,
+                        count=2 * len(vids)).reshape(len(vids), 2)
+    return vids, found[:, 0], found[:, 1]
+
+
+def read_records(shared, page_lids, slots):
+    """Fetch records by (page lid, slot) from ``shared``, reading each page once.
+
+    Returns ``(raw, starts, lengths)``: record k is
+    ``raw[starts[k]:starts[k] + lengths[k]]``, and ``raw`` holds the pages
+    read, one after another.  Raises ``DanglingReference`` for an unmapped
+    page, ``SlotOutOfRange`` for a slot outside its page's slot count and
+    ``CorruptRecord`` for a record outside its page's record area.
+    """
+    page_lids = np.asarray(page_lids, dtype=np.int64)
+    slots = np.asarray(slots, dtype=np.int64)
+    lids, page_of = np.unique(page_lids, return_inverse=True)
+    raw = b"".join([shared.page_image(lid) for lid in lids.tolist()])
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    bases = page_of * PAGE_SIZE
+    counts = _u16(buf, bases + SLOT_COUNT_OFFSET)
+    bad = (slots < 0) | (slots >= counts)
+    if bad.any():
+        k = bad.argmax()
+        raise SlotOutOfRange(f"slot {slots[k]} of page {page_lids[k]} not in [0,{counts[k]})")
+    area_end = PAGE_SIZE - SLOT_ENTRY_SIZE * counts         # the slot array starts here
+    bad = area_end < PAGE_HEADER_SIZE
+    if bad.any():
+        k = bad.argmax()
+        raise CorruptRecord(f"page {page_lids[k]}: {counts[k]} slots overrun the page")
+    entries = bases + PAGE_SIZE - SLOT_ENTRY_SIZE * (slots + 1)
+    offsets, lengths = _u16(buf, entries), _u16(buf, entries + 2)
+    bad = (offsets < PAGE_HEADER_SIZE) | (offsets + lengths > area_end)
+    if bad.any():
+        k = bad.argmax()
+        raise CorruptRecord(f"slot {slots[k]} of page {page_lids[k]} points outside the "
+                            f"record area: [{offsets[k]}, {offsets[k] + lengths[k]})")
+    return raw, bases + offsets, lengths
+
+
+def _aligned(pos: int, alignment: int) -> int:
+    return -(-pos // alignment) * alignment
+
+
+def decode_columns(schema: Schema, names, raw: bytes, starts: np.ndarray,
+                   lengths: np.ndarray):
+    """Decode attributes ``names`` of the records ``raw[starts[k]:starts[k] + lengths[k]]``.
+
+    Returns ``(values, present)``, both keyed by name.  Values are ``<i4``
+    (Int32) or ``<i8`` arrays, timestamps in seconds since the UNIX epoch
+    (floor), decimals scaled; varchars are lists of str.  A NULL value is 0
+    or "" and not present; a tombstone has no value present.
+    """
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    n = len(starts)
+    if (lengths < RECORD_HEADER_FIXED).any():
+        raise CorruptRecord("record shorter than its header")
+    live = buf[starts + TOMBSTONE_AT] & 1 == 0
+    if (live & (lengths < schema.header_size)).any():
+        raise CorruptRecord("record shorter than its header")
+
+    # null bitmaps (all NULL for tombstones), grouped by distinct mask
+    width = schema.null_bitmap_bytes
+    bitmaps = np.full((n, width), 0xFF, dtype=np.uint8)
+    rows = np.flatnonzero(live)
+    bitmaps[rows] = buf[starts[rows, None] + np.arange(RECORD_HEADER_FIXED, schema.header_size)]
+    masks, group = np.unique(bitmaps.view(np.dtype((np.void, width))).ravel(),
+                             return_inverse=True)
+    null = np.zeros((len(masks), schema.n_attrs), dtype=bool)
+    rel = np.zeros((len(masks), schema.n_attrs), dtype=np.int64)   # fixed-field offsets
+    fixed_end = np.zeros(len(masks), dtype=np.int64)
+    for g, mask in enumerate(masks):
+        null_mask = int.from_bytes(mask.tobytes(), "little")
+        null[g] = [null_mask >> i & 1 for i in range(schema.n_attrs)]
+        pos = schema.header_size
+        for i, field_width, alignment, _code in schema.fixed_plan:
+            if not null[g, i]:
+                rel[g, i] = pos = _aligned(pos, alignment)
+                pos += field_width
+        fixed_end[g] = pos
+    present = ~null[group]
+    end = fixed_end[group]
+    if (live & (end > lengths)).any():
+        raise CorruptRecord("fixed fields run past record end")
+
+    varlen_at = {}                   # attribute -> (payload starts, payload lengths)
+    for i in schema.varlen_plan:
+        on = np.flatnonzero(present[:, i])
+        prefix = starts[on] + end[on]
+        if (end[on] + 2 > lengths[on]).any():
+            raise CorruptRecord(f"varlen field {i} length prefix past record end")
+        size = _u16(buf, prefix)
+        end[on] += 2 + size
+        if (end[on] > lengths[on]).any():
+            raise CorruptRecord(f"varlen field {i} payload past record end")
+        at, sizes = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        at[on], sizes[on] = prefix + 2, size
+        varlen_at[i] = at, sizes
+
+    values, present_of = {}, {}
+    for name in names:
+        i = schema.index_of[name]
+        ftype = schema.attributes[i].ftype
+        present_of[name] = present[:, i]
+        if ftype.is_varlen:
+            at, sizes = varlen_at[i]
+            try:
+                values[name] = [raw[a:a + s].decode("utf-8")
+                                for a, s in zip(at.tolist(), sizes.tolist())]
+            except UnicodeDecodeError as exc:
+                raise CorruptRecord(f"varlen field {i} is not UTF-8 ({exc})") from None
+            continue
+        at = starts + rel[group, i]
+        word = buf[at[:, None] + np.arange(ftype.width)].view(f"<i{ftype.width}").ravel()
+        if ftype.code == TC_TIMESTAMP:
+            word = word // MICROS_PER_SECOND + POSTGRES_EPOCH_OFFSET_SECONDS
+        values[name] = np.where(present[:, i], word, 0).astype(f"<i{ftype.width}")
+    return values, present_of
+
+
+def visible_columns(shared, vid_map: dict, schema: Schema, snap: SnapshotDescriptor, names):
+    """The attributes ``names`` of the tuples visible to ``snap``, in map order.
+
+    Returns ``(vids, values, present)`` as ``decode_columns`` does.
+    """
+    vids, page_lids, slots = visible_records(vid_map, snap)
+    raw, starts, lengths = read_records(shared, page_lids, slots)
+    values, present = decode_columns(schema, names, raw, starts, lengths)
+    return vids, values, present

@@ -20,14 +20,8 @@ from typing import Optional
 
 from .device import REGION_DDR, REGION_NVM  # noqa: F401  (device-side l2p regions)
 from .errors import DanglingReference, DeviceUnavailable
-from .layout import (
-    PAGE_SIZE,
-    NsmPage,
-    RecordID,
-    pack_rid,
-    slot_entry_at,
-    page_slot_count_at,
-)
+from .layout import PAGE_SIZE, NsmPage, RecordID, pack_rid
+from .oracle import read_records
 
 REGION_HOST = "HOST"
 
@@ -151,22 +145,20 @@ class HostSharedState:
 
     # -- host-side record access (oracle path, not performance-modeled) -------
 
-    def _locate(self, rid: RecordID):
-        loc = self.l2p.get(rid.page_lid)
+    def page_image(self, page_lid: int):
+        """Page ``page_lid`` as it is now, wherever it lives; nothing is charged."""
+        loc = self.l2p.get(page_lid)
         if loc is None:
-            raise DanglingReference(f"page {rid.page_lid} not mapped")
-        return loc
+            raise DanglingReference(f"page {page_lid} not mapped")
+        region, idx = loc
+        if region == REGION_HOST:
+            return self.host_pages[page_lid].buf
+        return self.device.peek(region, idx * PAGE_SIZE, PAGE_SIZE)
 
     def read_record(self, rid: RecordID) -> bytes:
         """Fetch raw record bytes wherever the page currently lives."""
-        region, idx = self._locate(rid)
-        if region == REGION_HOST:
-            return self.host_pages[rid.page_lid].slot_bytes(rid.slot)
-        base = idx * PAGE_SIZE
-        view = self.device.peek(region, base, PAGE_SIZE)
-        count = page_slot_count_at(view, 0)
-        off, length = slot_entry_at(view, 0, rid.slot, count)
-        return bytes(view[off:off + length])
+        raw, starts, lengths = read_records(self, [rid.page_lid], [rid.slot])
+        return raw[starts[0]:starts[0] + lengths[0]]
 
     def patch_pred(self, rid: RecordID, new_pred: Optional[RecordID]):
         """Rewrite the 8-byte predecessor pointer of an existing record.
@@ -178,14 +170,10 @@ class HostSharedState:
         committed version.
         """
         packed = struct.pack("<Q", pack_rid(new_pred))
-        region, idx = self._locate(rid)
+        _raw, starts, _lengths = read_records(self, [rid.page_lid], [rid.slot])
+        at = int(starts[0]) + 16    # one page read: the record's offset in it
+        region, idx = self.l2p[rid.page_lid]
         if region == REGION_HOST:
-            page = self.host_pages[rid.page_lid]
-            off, _length = page.slot_entry(rid.slot)
-            page.buf[off + 16:off + 24] = packed
-            return
-        base = idx * PAGE_SIZE
-        view = self.device.peek(region, base, PAGE_SIZE)
-        count = page_slot_count_at(view, 0)
-        off, _length = slot_entry_at(view, 0, rid.slot, count)
-        self.device.patch(region, base + off + 16, packed)
+            self.host_pages[rid.page_lid].buf[at:at + 8] = packed
+        else:
+            self.device.patch(region, idx * PAGE_SIZE + at, packed)

@@ -146,11 +146,12 @@ def _reference(schema: Schema, projection, records: dict) -> ColumnSet:
     """Expected result, decoded one record at a time by ``decode_values``."""
     specs = result_specs(schema, projection)
     vids = sorted(records)
+    decoded = [decode_values(schema, records[vid]) for vid in vids]
     data, validity = {}, {}
     for name in projection:
         i = schema.index_of[name]
         ftype = schema.attributes[i].ftype
-        values = [decode_values(schema, records[vid])[i] for vid in vids]
+        values = [row[i] for row in decoded]
         if schema.attributes[i].nullable:
             validity[name] = np.array([v is not None for v in values], dtype=bool)
         else:

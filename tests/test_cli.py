@@ -7,6 +7,7 @@ failure.  A configuration error must be raised before the table is loaded.
 import pytest
 
 from ndtsim import cli
+from ndtsim.columns import CompareResult
 from ndtsim.host import HostSystem
 
 
@@ -40,6 +41,8 @@ def test_export_writes_a_file(tmp_path):
     ["delta", "--delta-fractions", "0..x"],
     ["transform", "--mode", "columnar"],
     ["nosuchcommand"],
+    ["delta", "--delta-fractions", "50"],
+    ["delta", "--delta-fractions", "50,50"],
 ])
 def test_malformed_arguments_exit_1_before_loading(argv, monkeypatch, capsys):
     def no_load(*_args, **_kwargs):
@@ -59,6 +62,21 @@ def test_wrong_q6_answer_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(cli, "q6_columnar", lambda view, params: -1)
     assert cli.main(["transform", "--sf", "0", "--q6"]) == 3
     assert "verification failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("failing, what", [(0, "vs host oracle"), (1, "committed table")])
+def test_htap_mismatch_exits_3(failing, what, monkeypatch, capsys):
+    compare, calls = cli.canonical_compare, []
+
+    def one_fails(got, expected):
+        calls.append(None)
+        if len(calls) - 1 == failing:
+            return CompareResult(False, "rows differ")
+        return compare(got, expected)
+
+    monkeypatch.setattr(cli, "canonical_compare", one_fails)
+    assert cli.main(["htap", "--sf", "0", "--tx-count", "20", "--intervals", "4"]) == 3
+    assert what in capsys.readouterr().err and len(calls) == failing + 1
 
 
 def test_one_interval_still_runs_the_transformation(tmp_path, capsys):

@@ -161,6 +161,21 @@ def test_csv_rows_shape():
         "host_to_device", "nvm_access", "host_roundtrip", "pe_compute", "total"]
     assert all(len(r) == 4 for r in rows)
 
+    # the ops column of the internal rows counts PE reads and PE writes
+    [idx] = dev.allocate_pages(REGION_DDR, 1, "x")
+    dev.expose_to_host([(REGION_DDR, idx)])
+    before = dev.ledger.snapshot()
+    for pe in (0, 1, 1):
+        dev.read(REGION_DDR, idx * PAGE_SIZE, 16, pe)
+    for pe in (2, 3):
+        dev.write(REGION_DDR, idx * PAGE_SIZE, b"ab", pe)
+    dev.read(REGION_DDR, idx * PAGE_SIZE, 16, "HOST")
+    for ledger in (dev.ledger, dev.ledger.delta_since(before)):
+        rows = {r[0]: r[1:3] for r in ledger_csv_rows(ledger, dev.cfg)}
+        assert rows["device_internal_read"] == (48, 3)
+        assert rows["device_internal_write"] == (4, 2)
+        assert rows["device_to_host"] == (16, 0)
+
 
 def test_batch_accessors_charge_each_access_and_release_the_regions():
     dev = configure(DeviceConfig())

@@ -106,3 +106,48 @@ def test_scan_finds_a_private_import(tmp_path):
                      "from . import __version__\n"
                      "from numpy import _core\n")
     assert private_imports(probe) == ["line 2: _NOTHING", "line 3: _check_range"]
+
+
+# The host oracle is the reference every device path is compared with, so it
+# shares no code with the device path: one bug must not sit on both sides.
+ORACLE = ROOT / "src" / "ndtsim" / "oracle.py"
+DEVICE_PATH_MODULES = {"engine", "delta"}
+DEVICE_PATH_NAMES = {"locate_fields", "range_indexes", "FieldLocations"}
+
+
+def device_path_imports(path: Path) -> list:
+    """Imports in ``path`` of the device-path modules or of the batch field locator."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+            names = []
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+            names = [alias.name for alias in node.names]
+            if node.level and not node.module:          # from . import engine
+                modules = names
+        else:
+            continue
+        found.extend(f"line {node.lineno}: {module}" for module in modules
+                     if DEVICE_PATH_MODULES & set(module.split(".")))
+        found.extend(f"line {node.lineno}: {name}" for name in names
+                     if name in DEVICE_PATH_NAMES)
+    return found
+
+
+def test_oracle_is_independent_of_the_device_path():
+    assert device_path_imports(ORACLE) == []
+
+
+def test_scan_finds_a_device_path_import(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from .engine import walk\n"
+                     "from . import delta, layout\n"
+                     "import ndtsim.engine\n"
+                     "from ndtsim.layout import PAGE_SIZE, locate_fields\n"
+                     "from .layout import FieldLocations as F, range_indexes\n"
+                     "from .mvcc import oracle_visible_version\n")
+    assert device_path_imports(probe) == [
+        "line 1: engine", "line 2: delta", "line 3: ndtsim.engine", "line 4: locate_fields",
+        "line 5: FieldLocations", "line 5: range_indexes"]

@@ -1,0 +1,243 @@
+"""The host oracle against record-by-record decoding, and on corrupt pages.
+
+The oracle reads each page once and decodes a column at a time.  Here it
+is pinned to ``read_record`` plus ``layout.decode_values``, one visible
+record at a time: on the refresh workloads of ``test_refresh_differential``
+(deletes, aborts, NULL delivery dates, writers left in flight, pages in the
+host buffer, the DDR delta mirror and NVM), on the chain histories of
+``test_visibility_walk`` (tombstones, interior rollbacks, old snapshots),
+and on random schemas.  ``q6_rowstore`` is pinned to a per-record Python
+sum.  Corrupt page bytes under either oracle call may raise only typed
+``NdtError`` subclasses.
+"""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+from ndtsim.columns import canonical_compare
+from ndtsim.errors import CorruptRecord, NdtError, SlotOutOfRange
+from ndtsim.host import HostSystem, Q6Params, WorkloadConfig, WorkloadDriver, unix_seconds
+from ndtsim.layout import (
+    PAGE_SIZE,
+    RECORD_HEADER_FIXED,
+    decode_values,
+    pg_timestamp_to_unix_epoch,
+    record_field_slices,
+)
+from ndtsim.mvcc import oracle_visible_version
+from ndtsim.oracle import read_records, visible_columns
+from ndtsim.shared_state import REGION_HOST
+from conftest import Harness
+from test_batch_path import _reference, _tables
+from test_refresh_differential import _leave_writer_in_flight
+from test_visibility_walk import SCHEMA, _random_history
+
+Q6_PARAMS = (
+    Q6Params(unix_seconds(1999), unix_seconds(2020)),
+    Q6Params(unix_seconds(2003), unix_seconds(2009, 7, 1), qty_lo=3, qty_hi=7),
+    Q6Params(unix_seconds(1990), unix_seconds(1999, 12, 31), qty_lo=10, qty_hi=10),
+)
+
+
+def _visible_records(shared, vid_map, snap) -> dict:
+    """{vid: record bytes} of the visible versions, read one rid at a time."""
+    records = {}
+    for vid, head in vid_map.items():
+        rid = oracle_visible_version(head, snap)
+        if rid is not None:
+            records[vid] = shared.read_record(rid)
+    return records
+
+
+def _assert_identical(got, expected):
+    """Equal rows, and equal arrays too: NULLs read 0 (or "") in both."""
+    assert canonical_compare(got, expected), canonical_compare(got, expected)
+    got, expected = got.sorted_by_vid(), expected.sorted_by_vid()
+    for name in expected.column_names():
+        a, b = got.data[name], expected.data[name]
+        if isinstance(b, list):
+            assert a == b, name
+        else:
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def _q6_per_record(schema, rows: list, params: Q6Params):
+    """The q6 sum over decoded rows, in Python arithmetic."""
+    total = 0
+    i_delivery, i_quantity, i_amount = (schema.index_of[n] for n in
+                                        ("ol_delivery_d", "ol_quantity", "ol_amount"))
+    for values in rows:
+        if values[i_delivery] is None:
+            continue
+        seconds = pg_timestamp_to_unix_epoch(values[i_delivery])
+        if params.date_lo_unix <= seconds < params.date_hi_unix \
+                and params.qty_lo <= values[i_quantity] <= params.qty_hi:
+            total += values[i_amount]
+    return total
+
+
+def _check_system(system, snap):
+    records = _visible_records(system.shared, system.store.vid_map, snap)
+    schema = system.schema
+    for projection in (None, ("ol_dist_info", "ol_delivery_d", "ol_amount")):
+        names = projection or tuple(a.name for a in schema.attributes)
+        _assert_identical(system.oracle_column_set(snap, projection),
+                          _reference(schema, names, records))
+    rows = [decode_values(schema, record) for record in records.values()]
+    for params in Q6_PARAMS:
+        assert system.q6_rowstore(snap, params) == _q6_per_record(schema, rows, params)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_oracle_matches_record_decoding_on_refresh_workloads(seed):
+    rng = random.Random(seed)
+    system = HostSystem()
+    shadow = system.load_orderlines(600, seed=seed)
+    system.merge_to_cold()
+    cfg = WorkloadConfig(seed=seed, new_order_weight=0.3, delivery_weight=0.3,
+                         delete_weight=0.2, amount_update_weight=0.2, abort_fraction=0.2)
+    driver = WorkloadDriver(system, cfg, shadow)
+    regions = set()
+    in_flight = 0
+    for _ in range(10):
+        driver.run(rng.randint(5, 25))
+        if rng.random() < 0.4:
+            system.merge_to_cold()
+        elif rng.random() < 0.5:
+            system.shared.propagate("regular")        # leaves pages in the DDR mirror
+        writer = _leave_writer_in_flight(system, driver, rng) if rng.random() < 0.4 else None
+        reader = system.store.begin_tx()
+        _check_system(system, system.store.snapshot_descriptor(reader))
+        regions |= {region for region, _ in system.shared.l2p.values()}
+        system.store.commit_tx(reader)
+        if writer is not None:
+            system.store.abort_tx(writer)
+            in_flight += 1
+    assert regions == {REGION_HOST, "DDR", "NVM"} and in_flight
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_oracle_matches_record_decoding_on_chain_histories(seed):
+    h, halfway = _random_history(seed)
+    now = h.store.begin_tx()
+    regions = set()
+    for _ in range(2):                  # as the history left it, then propagated to DDR
+        regions |= {region for region, _ in h.shared.l2p.values()}
+        for caller in (now, halfway):
+            snap = h.store.snapshot_descriptor(caller)
+            records = _visible_records(h.shared, h.store.vid_map, snap)
+            vids, values, present = visible_columns(h.shared, h.store.vid_map, SCHEMA, snap,
+                                                    ("a",))
+            assert dict(zip(vids.tolist(), values["a"].tolist())) == {
+                vid: decode_values(SCHEMA, record)[0] for vid, record in records.items()}
+            assert present["a"].all()
+        h.shared.propagate("regular")
+    assert regions == {REGION_HOST, "DDR", "NVM"}
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(table=_tables())
+def test_oracle_matches_record_decoding_on_random_schemas(table):
+    schema, rows = table
+    h = Harness(schema, capacity=1024)               # some pages propagated, some not
+    h.install_rows({vid: row for vid, row in enumerate(rows, start=1)})
+    snap = h.store.snapshot_descriptor(h.store.begin_tx())
+    records = _visible_records(h.shared, h.store.vid_map, snap)
+    names = tuple(a.name for a in schema.attributes)
+    expected = _reference(schema, names, records)
+    vids, values, present = visible_columns(h.shared, h.store.vid_map, schema, snap, names)
+    for name in names:
+        order = np.argsort(vids, kind="stable")
+        got = values[name]
+        got = [got[k] for k in order] if isinstance(got, list) else got[order]
+        want = expected.data[name]
+        if isinstance(want, list):
+            assert got == want
+        else:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        if expected.validity[name] is not None:
+            assert np.array_equal(present[name][order], expected.validity[name])
+
+
+def test_read_records_bounds_slots():
+    h = Harness(SCHEMA)
+    rids = h.install_rows({vid: (vid,) for vid in range(3)})
+    lid = rids[0].page_lid
+    for slot in (3, -1, 0xFFFF):
+        with pytest.raises(SlotOutOfRange):
+            read_records(h.shared, [lid], [slot])
+    raw, starts, lengths = read_records(h.shared, [lid, lid], [2, 0])
+    assert raw[starts[1]:starts[1] + lengths[1]] == h.shared.read_record(rids[0])
+    h.shared.host_pages[lid].buf[PAGE_SIZE - 4:PAGE_SIZE - 2] = (8190).to_bytes(2, "little")
+    with pytest.raises(CorruptRecord):
+        h.shared.read_record(rids[0])
+
+
+# -- corrupt page bytes ------------------------------------------------------------------
+
+KINDS = ("slot_count", "slot_entry", "header", "null_bitmap", "varlen_prefix", "payload")
+
+
+def _corruption(rng, kind, record_at, record, schema):
+    """(page offset, new bytes) for one corruption of the record at ``record_at``."""
+    if kind == "slot_count":
+        return 8, rng.choice([0, 1, 0xFFFF, rng.randrange(1 << 16)]).to_bytes(2, "little")
+    if kind == "slot_entry":
+        entry, slot_field = record_at["entry"], rng.randrange(2)
+        value = rng.choice([0, 10, 8190, rng.randrange(1 << 16)])
+        return entry + 2 * slot_field, value.to_bytes(2, "little")
+    off = record_at["offset"]
+    if kind == "header":
+        return off + rng.randrange(RECORD_HEADER_FIXED), bytes([rng.randrange(256)])
+    if kind == "null_bitmap":
+        return off + RECORD_HEADER_FIXED + rng.randrange(schema.null_bitmap_bytes), \
+            bytes([rng.randrange(256)])
+    slices, _ = record_field_slices(schema, record)
+    start, length = slices[schema.index_of["ol_dist_info"]]
+    if kind == "varlen_prefix":
+        return off + start - 2, rng.choice([0, 0xFFFF, length + 1,
+                                            rng.randrange(1 << 16)]).to_bytes(2, "little")
+    at = rng.randrange(schema.header_size, start + length)
+    return off + at, bytes([rng.choice([0xFF, 0x80, 0xC3, rng.randrange(256)])])
+
+
+def test_corrupt_pages_raise_only_typed_errors():
+    rng = random.Random(6)
+    system = HostSystem()
+    shadow = system.load_orderlines(200, seed=6)
+    system.merge_to_cold()
+    WorkloadDriver(system, WorkloadConfig(seed=6), shadow).run(20)    # host-resident pages
+    reader = system.store.begin_tx()
+    snap = system.store.snapshot_descriptor(reader)
+    visible = [oracle_visible_version(head, snap) for head in system.store.vid_map.values()]
+    visible = [rid for rid in visible if rid is not None]
+    assert {system.shared.l2p[rid.page_lid][0] for rid in visible} == {REGION_HOST, "NVM"}
+    typed = dict.fromkeys(KINDS, 0)
+    for case in range(600):
+        kind = KINDS[case % len(KINDS)]
+        rid = rng.choice(visible)
+        record = system.shared.read_record(rid)
+        region, idx = system.shared.l2p[rid.page_lid]
+        page = (system.shared.host_pages[rid.page_lid].buf if region == REGION_HOST
+                else system.device.peek(region, idx * PAGE_SIZE, PAGE_SIZE))
+        entry = PAGE_SIZE - 4 * (rid.slot + 1)
+        record_at = {"entry": entry, "offset": int.from_bytes(page[entry:entry + 2], "little")}
+        at, data = _corruption(rng, kind, record_at, record, system.schema)
+        original = bytes(page)
+        page[at:at + len(data)] = data
+        try:
+            for call in (lambda: system.oracle_column_set(snap),
+                         lambda: system.q6_rowstore(snap, Q6_PARAMS[0])):
+                try:
+                    call()
+                except NdtError:
+                    typed[kind] += 1
+        finally:
+            page[:] = original
+            del page
+    # a header byte is read only for its tombstone flag, which no check rejects
+    assert all(n for kind, n in typed.items() if kind != "header"), typed
+    system.store.commit_tx(reader)
