@@ -10,6 +10,16 @@ device writes:
   timestamps (seconds since the UNIX epoch) -> little-endian i8
 * varchar -> UTF-8 payload plus a u4 offsets vector of length rows+1
 * validity -> LSB-first bitmap, 1 = value present
+
+Reading device buffers back checks every row of every segment, but
+decodes only what the consumer keeps.  ``assemble`` takes an optional keep
+mask: fixed-width columns are numpy views gathered by it, and each varchar
+column is checked as a whole (offsets from 0, never decreasing, ending at
+the payload's length, on character boundaries; the payload UTF-8) and
+decoded with one ``bytes.decode``, each kept value being one slice of that
+text (``decode_varchar``).  ``gather_buffers`` moves kept values, offsets,
+payload bytes and validity bits between buffer sets without building a
+string, for compaction and export.
 """
 
 from __future__ import annotations
@@ -73,7 +83,7 @@ class ColumnSet:
         data = {}
         for name, arr in self.data.items():
             if isinstance(arr, list):
-                data[name] = [arr[i] for i in np.flatnonzero(keep)]
+                data[name] = [arr[i] for i in np.flatnonzero(keep).tolist()]
             else:
                 data[name] = arr[keep]
         validity = {n: (v[keep] if v is not None else None) for n, v in self.validity.items()}
@@ -84,7 +94,7 @@ class ColumnSet:
         data = {}
         for name, arr in self.data.items():
             if isinstance(arr, list):
-                data[name] = [arr[i] for i in order]
+                data[name] = [arr[i] for i in order.tolist()]
             else:
                 data[name] = arr[order]
         validity = {n: (v[order] if v is not None else None) for n, v in self.validity.items()}
@@ -103,21 +113,6 @@ class ColumnSet:
         if spec.ftype.code == TC_DECIMAL:
             return PyDecimal(raw).scaleb(-spec.ftype.scale)
         return raw
-
-
-def _empty_arrays(specs):
-    data: dict = {}
-    validity: dict = {}
-    for spec in specs:
-        if spec.name == VID_COLUMN:
-            continue
-        if spec.ftype.code == TC_VARCHAR:
-            data[spec.name] = []
-        else:
-            width = value_width(spec.ftype)
-            data[spec.name] = np.zeros(0, dtype=f"<i{width}")
-        validity[spec.name] = np.zeros(0, dtype=bool) if spec.nullable else None
-    return data, validity
 
 
 def column_buffers(column_set: ColumnSet) -> dict:
@@ -147,8 +142,69 @@ def column_buffers(column_set: ColumnSet) -> dict:
     return out
 
 
-def decode_segment(specs, buffers: dict, rows: int):
-    """Decode one device output segment (raw buffers for a run of rows)."""
+def _byte_offsets(payload: bytes, offsets: np.ndarray, what: str) -> np.ndarray:
+    ends = offsets.astype(np.int64)
+    if ends[0] != 0 or ends[-1] != len(payload) or (ends[1:] < ends[:-1]).any():
+        raise CorruptDescriptor(f"{what}: offsets from {ends[0]} to {ends[-1]} not monotone "
+                                f"over a payload of {len(payload)}")
+    return ends
+
+
+def _utf8(payload: bytes, what: str) -> str:
+    try:
+        return payload.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptDescriptor(f"{what}: value is not UTF-8 ({exc})") from None
+
+
+def _char_offsets(payload: bytes, text: str, ends: np.ndarray, what: str) -> np.ndarray:
+    """Byte offsets ``ends`` into ``payload`` as offsets into its decoded
+    ``text``; each must fall on a character boundary."""
+    if len(text) == len(payload):                   # ASCII: one byte per character
+        return ends
+    lead = np.frombuffer(payload, dtype=np.uint8) & 0xC0 != 0x80
+    if not lead[ends[ends < len(payload)]].all():
+        raise CorruptDescriptor(f"{what}: an offset splits a multibyte character")
+    chars = np.zeros(len(payload) + 1, dtype=np.int64)
+    np.cumsum(lead, out=chars[1:])
+    return chars[ends]
+
+
+def decode_varchar(payload: bytes, offsets: np.ndarray, what: str, keep=None) -> list:
+    """The values of one varchar column: u4 ``offsets`` (rows+1 of them) over
+    a UTF-8 ``payload``; only the rows ``keep`` marks, when it is given.
+
+    The whole column is checked, dropped rows included: the offsets start
+    at 0, never decrease, end at the payload's length and fall on character
+    boundaries, and the payload is UTF-8; else ``CorruptDescriptor``.  The
+    payload is decoded once, and each value is one slice of that text.
+    """
+    ends = _byte_offsets(payload, offsets, what)
+    text = _utf8(payload, what)
+    chars = _char_offsets(payload, text, ends, what)
+    starts, stops = chars[:-1], chars[1:]
+    if keep is not None:
+        starts, stops = starts[keep], stops[keep]
+    return [text[a:b] for a, b in zip(starts.tolist(), stops.tolist())]
+
+
+def _check_varchar(payload: bytes, offsets: np.ndarray, what: str) -> np.ndarray:
+    """Check one varchar column as ``decode_varchar`` does and return its
+    offsets as int64; an ASCII payload is checked without building a str."""
+    ends = _byte_offsets(payload, offsets, what)
+    if not payload.isascii():
+        _char_offsets(payload, _utf8(payload, what), ends, what)
+    return ends
+
+
+def _split_segment(specs, buffers: dict, rows: int):
+    """Check the buffer sizes of one device output segment (raw buffers for
+    a run of rows) and view its columns as arrays, decoding no value.
+
+    Returns ``(vids, data, validity)``; ``data`` maps a fixed-width column
+    to its values array and a varchar column to ``(payload, offsets)``,
+    whose content ``decode_varchar`` or ``_check_varchar`` checks.
+    """
     vid_buf = buffers.get((VID_COLUMN, KIND_VALUES), b"")
     vids = np.frombuffer(vid_buf, dtype="<u8")
     if len(vids) != rows:
@@ -166,21 +222,13 @@ def decode_segment(specs, buffers: dict, rows: int):
             if rows == 0:
                 if len(offsets) not in (0, 1):
                     raise CorruptDescriptor(f"{name}: offsets present for empty segment")
-                data[name] = []
+                data[name] = b"", np.zeros(1, dtype="<u4")
             else:
                 if len(offsets) != rows + 1:
                     raise CorruptDescriptor(
                         f"{name}: {len(offsets)} offsets for {rows} rows"
                     )
-                payload = bytes(values)
-                if offsets[-1] != len(payload):
-                    raise CorruptDescriptor(f"{name}: offsets end at {offsets[-1]}, payload {len(payload)}")
-                try:
-                    data[name] = [
-                        payload[offsets[i]:offsets[i + 1]].decode("utf-8") for i in range(rows)
-                    ]
-                except UnicodeDecodeError as exc:
-                    raise CorruptDescriptor(f"{name}: value is not UTF-8 ({exc})") from exc
+                data[name] = bytes(values), offsets
         else:
             width = value_width(spec.ftype)
             arr = np.frombuffer(values, dtype=f"<i{width}")
@@ -198,32 +246,85 @@ def decode_segment(specs, buffers: dict, rows: int):
     return vids, data, validity
 
 
-def assemble(specs, segments) -> ColumnSet:
-    """Concatenate decoded segments (list of (rows, buffers)) in order."""
-    if not segments:
-        data, validity = _empty_arrays(specs)
-        return ColumnSet(specs, np.zeros(0, dtype="<u8"), data, validity, 0)
-    parts = [decode_segment(specs, bufs, rows) for rows, bufs in segments]
-    vids = np.concatenate([p[0] for p in parts])
+def _split_segments(specs, segments, keep):
+    """``_split_segment`` of each of ``segments`` (none reads as one empty
+    segment), the positions each starts and ends at, and the index that
+    selects the kept positions from their concatenation."""
+    segments = segments or [(0, {})]
+    bounds = np.cumsum([0] + [rows for rows, _ in segments]).tolist()
+    if keep is not None and len(keep) != bounds[-1]:
+        raise ValueError(f"keep mask has {len(keep)} entries for {bounds[-1]} positions")
+    parts = [_split_segment(specs, bufs, rows) for rows, bufs in segments]
+    return parts, bounds, slice(None) if keep is None else keep
+
+
+def assemble(specs, segments, keep=None) -> ColumnSet:
+    """Concatenate decoded segments (list of (rows, buffers)) in order,
+    keeping the positions ``keep`` marks (all when None).
+
+    Every position is checked; strings are built for kept positions only.
+    """
+    parts, bounds, take = _split_segments(specs, segments, keep)
+    vids = np.concatenate([p[0] for p in parts])[take]
     data: dict = {}
     validity: dict = {}
     for spec in specs:
         name = spec.name
         if name == VID_COLUMN:
             continue
-        cols = [p[1][name] for p in parts]
-        if isinstance(cols[0], list):
-            merged: list = []
-            for c in cols:
-                merged.extend(c)
-            data[name] = merged
+        if spec.ftype.code == TC_VARCHAR:
+            data[name] = []
+            for p, lo, hi in zip(parts, bounds, bounds[1:]):
+                data[name] += decode_varchar(*p[1][name], name,
+                                             None if keep is None else keep[lo:hi])
         else:
-            data[name] = np.concatenate(cols)
+            data[name] = np.concatenate([p[1][name] for p in parts])[take]
         if spec.nullable:
-            validity[name] = np.concatenate([p[2][name] for p in parts])
+            validity[name] = np.concatenate([p[2][name] for p in parts])[take]
         else:
             validity[name] = None
     return ColumnSet(specs, vids, data, validity, len(vids))
+
+
+def decode_segment(specs, buffers: dict, rows: int):
+    """Decode one device output segment (raw buffers for a run of rows)."""
+    column_set = assemble(specs, [(rows, buffers)])
+    return column_set.vids, column_set.data, column_set.validity
+
+
+def gather_buffers(specs, segments, keep=None) -> dict:
+    """``column_buffers(assemble(specs, segments, keep))``, moved byte for
+    byte out of the segment buffers: the kept values, offsets, payload bytes
+    and validity bits are gathered with numpy and no string is built.
+
+    Every position is checked as ``assemble`` checks it.
+    """
+    parts, _, take = _split_segments(specs, segments, keep)
+    vids = np.concatenate([p[0] for p in parts])[take]
+    out = {(VID_COLUMN, KIND_VALUES): vids.astype("<u8").tobytes()}
+    for spec in specs:
+        name = spec.name
+        if name == VID_COLUMN:
+            continue
+        if spec.ftype.code == TC_VARCHAR:
+            cols = [p[1][name] for p in parts]
+            lengths = np.concatenate([np.diff(_check_varchar(payload, offsets, name))
+                                      for payload, offsets in cols])
+            payload = b"".join(payload for payload, _ in cols)
+            if keep is not None:
+                payload = np.frombuffer(payload, dtype=np.uint8)[np.repeat(keep, lengths)]
+                lengths = lengths[keep]
+            out[(name, KIND_VALUES)] = bytes(payload)
+            if len(vids):
+                ends = np.concatenate([[0], np.cumsum(lengths)])
+                out[(name, KIND_OFFSETS)] = ends.astype("<u4").tobytes()
+        else:
+            values = np.concatenate([p[1][name] for p in parts])[take]
+            out[(name, KIND_VALUES)] = values.astype(f"<i{value_width(spec.ftype)}").tobytes()
+        if spec.nullable:
+            bits = np.concatenate([p[2][name] for p in parts])[take].astype(np.uint8)
+            out[(name, KIND_VALIDITY)] = np.packbits(bits, bitorder="little").tobytes()
+    return out
 
 
 @dataclass(frozen=True)
@@ -269,7 +370,9 @@ def canonical_compare(a: ColumnSet, b: ColumnSet) -> CompareResult:
                                  left=bool(va[idx]), right=bool(vb[idx]))
         ca, cb = sa.data[name], sb.data[name]
         if isinstance(ca, list):
-            for i, (xa, xb) in enumerate(zip(ca, cb)):
+            if ca == cb:
+                continue
+            for i, (xa, xb) in enumerate(zip(ca, cb)):     # locate the first difference
                 if va is not None and not va[i]:
                     continue
                 if xa != xb:

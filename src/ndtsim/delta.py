@@ -13,6 +13,11 @@ explicit compaction rewrites the whole materialization.  Compaction keeps
 the current rows in position order, so each held vid's new position is
 the rank of its old one among the current positions
 (``cumsum(current)[position] - 1``), and every new position is current.
+
+The read side pulls every fragment page of every run.  ``masked_view``
+decodes strings for current positions only; ``compact`` decodes none, it
+gathers the current rows' bytes into its new fragments.  Both check every
+position, outdated ones included.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .columns import ColumnSet, assemble, column_buffers
+from .columns import ColumnSet, assemble, gather_buffers
 from .device import REGION_NVM, modeled_time
 from .engine import (
     Fragment,
@@ -55,22 +60,26 @@ def read_fragment(device, frag: Fragment, requester="HOST") -> bytes:
     return bytes(out)
 
 
+def read_segments(handle: MaterializationHandle, requester="HOST") -> list:
+    """Every segment's ``(rows, buffers)``, read off all its fragment pages."""
+    _require_live(handle)
+    return [(seg.rows, {key: read_fragment(handle.device, frag, requester)
+                        for key, frag in seg.frags.items()})
+            for seg in handle.segments]
+
+
 def full_column_set(handle: MaterializationHandle, requester="HOST") -> ColumnSet:
     """All materialized positions (current and outdated), in position order."""
-    _require_live(handle)
-    segments = []
-    for seg in handle.segments:
-        bufs = {key: read_fragment(handle.device, frag, requester)
-                for key, frag in seg.frags.items()}
-        segments.append((seg.rows, bufs))
-    return assemble(handle.specs, segments)
+    return assemble(handle.specs, read_segments(handle, requester))
 
 
 def masked_view(handle: MaterializationHandle) -> ColumnSet:
-    """The rows a consumer reads: bitmap-current positions, in position order."""
-    _require_live(handle)
-    full = full_column_set(handle)
-    return full.mask(handle.current)
+    """The rows a consumer reads: bitmap-current positions, in position order.
+
+    Every page is read and every position checked; strings are decoded for
+    current positions only.
+    """
+    return assemble(handle.specs, read_segments(handle), handle.current)
 
 
 def delta_transform(handle: MaterializationHandle, inv: NdtInvocation,
@@ -135,13 +144,13 @@ def compact(handle: MaterializationHandle) -> MaterializationHandle:
     The one operation allowed to rewrite column bytes; everything is moved
     device-internally into fresh pages and the old pages are freed.
     """
-    _require_live(handle)
     device = handle.device
-    rows = full_column_set(handle, requester="COORD").mask(handle.current)
+    buffers = gather_buffers(handle.specs, read_segments(handle, "COORD"), handle.current)
+    n_rows = int(np.count_nonzero(handle.current))
     new_owner = f"{handle.owner}+c"
 
     frags = {}
-    for key, data in column_buffers(rows).items():
+    for key, data in buffers.items():
         writer = FragmentWriter(REGION_NVM)
         if data:
             pages = device.allocate_pages(REGION_NVM, writer.pages_needed(len(data)), new_owner)
@@ -150,10 +159,10 @@ def compact(handle: MaterializationHandle) -> MaterializationHandle:
 
     device.free_pages(handle.owner)
     handle.owner = new_owner
-    handle.segments = [Segment(handle.run_count, 0, rows.n_rows, frags)] if rows.n_rows else []
+    handle.segments = [Segment(handle.run_count, 0, n_rows, frags)] if n_rows else []
     rank = np.cumsum(handle.current, dtype=np.int64) - 1
     handle.index = handle.index._replace(positions=rank[handle.index.positions])
-    handle.current = np.ones(rows.n_rows, dtype=bool)
+    handle.current = np.ones(n_rows, dtype=bool)
     handle.bitmap_pages = []
     handle.column_bytes = sum(f.nbytes for f in frags.values())
     handle.run_count += 1

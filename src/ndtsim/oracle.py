@@ -15,7 +15,9 @@ Decoding works a column at a time, as PAX does.  Fixed-field offsets
 depend only on the null mask, so they are computed once per distinct mask
 and gathered; varlen positions follow from the u16 length prefixes, one
 varlen attribute after another.  NULL values decode to 0 (or ""), with
-their presence cleared.  Corrupt bytes raise ``CorruptRecord``.
+their presence cleared.  Corrupt bytes raise ``CorruptRecord``, as do a
+tombstone flag and a NULL non-nullable attribute: the chains call every
+record read here live.
 
 Independence rule: nothing here comes from the device path (``engine``,
 ``delta``, or the batch field locator in ``layout``), so a bug there
@@ -108,21 +110,21 @@ def decode_columns(schema: Schema, names, raw: bytes, starts: np.ndarray,
     Returns ``(values, present)``, both keyed by name.  Values are ``<i4``
     (Int32) or ``<i8`` arrays, timestamps in seconds since the UNIX epoch
     (floor), decimals scaled; varchars are lists of str.  A NULL value is 0
-    or "" and not present; a tombstone has no value present.
+    or "" and not present.  The records must be live versions: a tombstone
+    flag, or a NULL bit on a non-nullable attribute, raises ``CorruptRecord``.
     """
     buf = np.frombuffer(raw, dtype=np.uint8)
     n = len(starts)
     if (lengths < RECORD_HEADER_FIXED).any():
         raise CorruptRecord("record shorter than its header")
-    live = buf[starts + TOMBSTONE_AT] & 1 == 0
-    if (live & (lengths < schema.header_size)).any():
+    if (buf[starts + TOMBSTONE_AT] & 1).any():
+        raise CorruptRecord("a version the chains call live is a tombstone")
+    if (lengths < schema.header_size).any():
         raise CorruptRecord("record shorter than its header")
 
-    # null bitmaps (all NULL for tombstones), grouped by distinct mask
+    # null bitmaps, grouped by distinct mask
     width = schema.null_bitmap_bytes
-    bitmaps = np.full((n, width), 0xFF, dtype=np.uint8)
-    rows = np.flatnonzero(live)
-    bitmaps[rows] = buf[starts[rows, None] + np.arange(RECORD_HEADER_FIXED, schema.header_size)]
+    bitmaps = buf[starts[:, None] + np.arange(RECORD_HEADER_FIXED, schema.header_size)]
     masks, group = np.unique(bitmaps.view(np.dtype((np.void, width))).ravel(),
                              return_inverse=True)
     null = np.zeros((len(masks), schema.n_attrs), dtype=bool)
@@ -137,9 +139,12 @@ def decode_columns(schema: Schema, names, raw: bytes, starts: np.ndarray,
                 rel[g, i] = pos = _aligned(pos, alignment)
                 pos += field_width
         fixed_end[g] = pos
+    required = ~np.array([attr.nullable for attr in schema.attributes], dtype=bool)
+    if (null[:, required]).any():
+        raise CorruptRecord("a non-nullable attribute is NULL")
     present = ~null[group]
     end = fixed_end[group]
-    if (live & (end > lengths)).any():
+    if (end > lengths).any():
         raise CorruptRecord("fixed fields run past record end")
 
     varlen_at = {}                   # attribute -> (payload starts, payload lengths)

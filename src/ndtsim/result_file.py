@@ -22,6 +22,11 @@ Absent buffers have offset 0 and length 0.  Timestamp columns hold i64
 seconds since the UNIX epoch (the transformation converts on the way out);
 decimal columns hold the scaled i64 representation, with precision/scale
 in the schema block parameters.
+
+``write_file`` encodes a column set; ``write_handle`` moves a
+materialization's fragment bytes into the file without decoding a value.
+``read_file`` checks every buffer and decodes each varchar column with one
+``bytes.decode`` (``columns.decode_varchar``).
 """
 
 from __future__ import annotations
@@ -38,9 +43,11 @@ from .columns import (
     ColumnSet,
     ColumnSpec,
     column_buffers,
+    decode_varchar,
+    gather_buffers,
     value_width,
 )
-from .delta import full_column_set
+from .delta import read_segments
 from .errors import BadMagic, CorruptDescriptor, UnsupportedVersion
 from .layout import (
     TC_DECIMAL,
@@ -102,10 +109,16 @@ def write_file(path, column_set: ColumnSet, visibility: np.ndarray = None,
     rows = column_set.n_rows
     if visibility is None:
         visibility = np.ones(rows, dtype=bool)
+    _write_buffers(path, column_set.specs, rows, column_buffers(column_set), visibility,
+                   snapshot_ts)
+
+
+def _write_buffers(path, specs, rows: int, buffers: dict, visibility: np.ndarray,
+                   snapshot_ts: int) -> None:
+    """Lay out encoded column buffers ({(name, kind): bytes}) as one file."""
     if len(visibility) != rows:
         raise ValueError(f"visibility has {len(visibility)} bits for {rows} rows")
 
-    specs = column_set.specs
     schema_block = bytearray()
     for spec in specs:
         name_bytes = spec.name.encode("utf-8")
@@ -129,7 +142,6 @@ def write_file(path, column_set: ColumnSet, visibility: np.ndarray = None,
         cursor = off + len(data)
         return off, len(data)
 
-    buffers = column_buffers(column_set)
     descriptors = []
     for spec in specs:
         name = spec.name
@@ -238,16 +250,8 @@ def read_file(path):
             else:
                 if len(offsets_raw) != (rows + 1) * 4:
                     raise CorruptDescriptor(f"{spec.name}: offsets length {len(offsets_raw)}")
-                offsets = np.frombuffer(offsets_raw, dtype="<u4")
-                monotone = not np.any(np.diff(offsets.astype(np.int64)) < 0)
-                if offsets[0] != 0 or offsets[-1] != len(values) or not monotone:
-                    raise CorruptDescriptor(f"{spec.name}: offsets not monotone over payload")
-                try:
-                    data[spec.name] = [
-                        values[offsets[i]:offsets[i + 1]].decode("utf-8") for i in range(rows)
-                    ]
-                except UnicodeDecodeError as exc:
-                    raise CorruptDescriptor(f"{spec.name}: value is not UTF-8: {exc}") from exc
+                data[spec.name] = decode_varchar(
+                    values, np.frombuffer(offsets_raw, dtype="<u4"), spec.name)
         else:
             width = value_width(spec.ftype)
             if len(values) != rows * width:
@@ -284,5 +288,11 @@ def read_file(path):
 
 
 def write_handle(path, handle) -> None:
-    """Export a materialization: all positions plus its visibility bitmap."""
-    write_file(path, full_column_set(handle), handle.current, snapshot_ts=handle.snapshot_ts)
+    """Export a materialization: all positions plus its visibility bitmap.
+
+    The file holds what ``write_file`` would write for ``full_column_set``,
+    but its buffers are moved out of the fragments without decoding a value.
+    """
+    segments = read_segments(handle)
+    _write_buffers(path, handle.specs, sum(rows for rows, _ in segments),
+                   gather_buffers(handle.specs, segments), handle.current, handle.snapshot_ts)

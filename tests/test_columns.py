@@ -1,19 +1,204 @@
-"""Decoding device segments into column sets."""
+"""Decoding device segments into column sets, and moving their bytes.
+
+The read-back decodes each varchar payload once and slices it; compaction
+and export gather bytes without building strings.  Both are pinned here to
+the per-row decoder they replaced (one ``bytes.decode`` per value, kept
+below as the reference), on random specs, segments and keep masks.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ndtsim.columns import KIND_OFFSETS, KIND_VALUES, VID_COLUMN, decode_segment, result_specs
+from ndtsim.columns import (
+    KIND_OFFSETS,
+    KIND_VALIDITY,
+    KIND_VALUES,
+    VID_COLUMN,
+    ColumnSet,
+    ColumnSpec,
+    assemble,
+    column_buffers,
+    decode_segment,
+    gather_buffers,
+    result_specs,
+)
 from ndtsim.errors import CorruptDescriptor
-from ndtsim.layout import Schema, VarChar
+from ndtsim.layout import Decimal, Int32, Int64, Schema, TimestampPg, VarChar
+
+
+def _varchar_segment(payload: bytes, offsets):
+    specs = result_specs(Schema("t", [("s", VarChar(8), False)]), ("s",))
+    rows = len(offsets) - 1
+    buffers = {
+        (VID_COLUMN, KIND_VALUES): np.arange(rows, dtype="<u8").tobytes(),
+        ("s", KIND_VALUES): payload,
+        ("s", KIND_OFFSETS): np.array(offsets, dtype="<u4").tobytes(),
+    }
+    return specs, buffers, rows
 
 
 def test_decode_segment_rejects_non_utf8_varchar():
-    specs = result_specs(Schema("t", [("s", VarChar(8), False)]), ("s",))
-    buffers = {
-        (VID_COLUMN, KIND_VALUES): np.array([1], dtype="<u8").tobytes(),
-        ("s", KIND_VALUES): b"\xff",
-        ("s", KIND_OFFSETS): np.array([0, 1], dtype="<u4").tobytes(),
-    }
+    specs, buffers, rows = _varchar_segment(b"\xff", [0, 1])
     with pytest.raises(CorruptDescriptor):
-        decode_segment(specs, buffers, 1)
+        decode_segment(specs, buffers, rows)
+
+
+@pytest.mark.parametrize("offsets", [[0, 5, 3, 6], [2, 4, 6, 6]],
+                         ids=["decreasing", "not_from_zero"])
+def test_decode_segment_rejects_bad_offsets(offsets):
+    specs, buffers, rows = _varchar_segment(b"abcdef", offsets)
+    with pytest.raises(CorruptDescriptor):
+        decode_segment(specs, buffers, rows)
+
+
+# -- the per-row reference -----------------------------------------------------------
+
+
+def _reference_segment(specs, buffers: dict, rows: int):
+    """One segment decoded a value at a time, as the read-back used to."""
+    vids = np.frombuffer(buffers.get((VID_COLUMN, KIND_VALUES), b""), dtype="<u8")
+    data, validity = {}, {}
+    for spec in specs[1:]:
+        values = buffers.get((spec.name, KIND_VALUES), b"")
+        if isinstance(spec.ftype, VarChar):
+            offsets = np.frombuffer(buffers.get((spec.name, KIND_OFFSETS), b""), dtype="<u4")
+            data[spec.name] = [values[offsets[i]:offsets[i + 1]].decode("utf-8")
+                               for i in range(rows)]
+        else:
+            width = 4 if isinstance(spec.ftype, Int32) else 8
+            data[spec.name] = np.frombuffer(values, dtype=f"<i{width}")
+        validity[spec.name] = None
+        if spec.nullable:
+            bits = np.frombuffer(buffers.get((spec.name, KIND_VALIDITY), b""), dtype=np.uint8)
+            validity[spec.name] = np.unpackbits(bits, bitorder="little")[:rows].astype(bool)
+    return vids, data, validity
+
+
+def _reference(specs, segments) -> ColumnSet:
+    parts = [_reference_segment(specs, bufs, rows) for rows, bufs in segments or [(0, {})]]
+    data, validity = {}, {}
+    for spec in specs[1:]:
+        cols = [p[1][spec.name] for p in parts]
+        data[spec.name] = (sum(cols, []) if isinstance(spec.ftype, VarChar)
+                           else np.concatenate(cols))
+        validity[spec.name] = (np.concatenate([p[2][spec.name] for p in parts])
+                               if spec.nullable else None)
+    vids = np.concatenate([p[0] for p in parts])
+    return ColumnSet(specs, vids, data, validity, len(vids))
+
+
+def _assert_identical(got: ColumnSet, want: ColumnSet):
+    assert got.specs == want.specs and got.n_rows == want.n_rows
+    assert got.vids.dtype == want.vids.dtype and np.array_equal(got.vids, want.vids)
+    assert list(got.data) == list(want.data) and list(got.validity) == list(want.validity)
+    for name, col in want.data.items():
+        if isinstance(col, list):
+            assert type(got.data[name]) is list and got.data[name] == col, name
+        else:
+            assert got.data[name].dtype == col.dtype and np.array_equal(got.data[name], col)
+        bits = want.validity[name]
+        if bits is None:
+            assert got.validity[name] is None
+        else:
+            assert got.validity[name].dtype == bits.dtype
+            assert np.array_equal(got.validity[name], bits), name
+
+
+# -- random specs, segments and keep masks -------------------------------------------
+
+ASCII = st.text(alphabet=st.characters(max_codepoint=0x7F), max_size=6)
+UNICODE = st.text(alphabet=st.characters(codec="utf-8"), max_size=6)
+_FIXED = {
+    "int32": (Int32(), st.integers(-2**31, 2**31 - 1)),
+    "int64": (Int64(), st.integers(-2**63, 2**63 - 1)),
+    "decimal": (Decimal(12, 2), st.integers(-10**12 + 1, 10**12 - 1)),
+    "timestamp": (TimestampPg(), st.integers(-2**40, 2**40)),
+}
+
+
+@st.composite
+def _readbacks(draw):
+    """(specs, segments, keep): device segments of random columns, some empty."""
+    kinds = draw(st.lists(st.sampled_from(["ascii", "unicode", *_FIXED]), min_size=1,
+                          max_size=4))
+    specs = [ColumnSpec(VID_COLUMN, Int64(), False)]
+    for i, kind in enumerate(kinds):
+        ftype = VarChar(24) if kind in ("ascii", "unicode") else _FIXED[kind][0]
+        specs.append(ColumnSpec(f"c{i}", ftype, draw(st.booleans())))
+    specs = tuple(specs)
+    segments = []
+    for rows in draw(st.lists(st.sampled_from([0, 0, 1, 2, 5, 9]), max_size=4)):
+        data, validity = {}, {}
+        for spec, kind in zip(specs[1:], kinds):
+            if kind in ("ascii", "unicode"):
+                texts = ASCII if kind == "ascii" else UNICODE
+                data[spec.name] = draw(st.lists(texts, min_size=rows, max_size=rows))
+            else:
+                width = 4 if kind == "int32" else 8
+                data[spec.name] = np.array(draw(st.lists(_FIXED[kind][1], min_size=rows,
+                                                         max_size=rows)), dtype=f"<i{width}")
+            validity[spec.name] = None
+            if spec.nullable:             # a NULL varchar is "" on the device, or any value
+                present = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+                validity[spec.name] = np.array(present, dtype=bool)
+                if kind in ("ascii", "unicode"):
+                    data[spec.name] = [s if p else "" for s, p in zip(data[spec.name], present)]
+        vids = np.array(draw(st.lists(st.integers(0, 2**64 - 1), min_size=rows,
+                                      max_size=rows)), dtype="<u8")
+        segments.append((rows, column_buffers(ColumnSet(specs, vids, data, validity, rows))))
+    total = sum(rows for rows, _ in segments)
+    keep = np.array(draw(st.one_of(st.just([False] * total),
+                                   st.lists(st.booleans(), min_size=total, max_size=total))),
+                    dtype=bool)
+    return specs, segments, keep
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_readbacks())
+def test_readback_matches_the_per_row_decoder(case):
+    specs, segments, keep = case
+    reference = _reference(specs, segments)
+    _assert_identical(assemble(specs, segments), reference)
+    _assert_identical(assemble(specs, segments, keep), reference.mask(keep))
+    for got, want in ((gather_buffers(specs, segments), column_buffers(reference)),
+                      (gather_buffers(specs, segments, keep),
+                       column_buffers(reference.mask(keep)))):
+        assert list(got.items()) == list(want.items())
+
+
+# -- corruption confined to rows the mask drops --------------------------------------
+
+
+def _corrupt(kind: str, values: list, row: int):
+    """(payload, offsets) of ``values`` with rows ``row`` and ``row + 1`` corrupted."""
+    encoded = [v.encode("utf-8") for v in values]
+    if kind == "non_utf8":
+        encoded[row] = b"\xff" + encoded[row]
+    elif kind == "split_character":
+        encoded[row], encoded[row + 1] = "é".encode("utf-8"), b""
+    else:
+        encoded[row], encoded[row + 1] = b"", b"ab"
+    ends = np.cumsum([0] + [len(e) for e in encoded])
+    if kind == "split_character":
+        ends[row + 1] -= 1           # the payload stays UTF-8, the offset splits a character
+    elif kind == "decreasing":
+        ends[row + 1] += 3           # past the offset after it
+    return b"".join(encoded), ends
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(UNICODE, min_size=2, max_size=8), data=st.data(),
+       kind=st.sampled_from(["non_utf8", "split_character", "decreasing"]))
+def test_corrupt_dropped_rows_still_raise(values, data, kind):
+    row = data.draw(st.integers(0, len(values) - 2))
+    payload, offsets = _corrupt(kind, values, row)
+    specs, buffers, rows = _varchar_segment(payload, offsets)
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)), dtype=bool)
+    keep[row:row + 2] = False
+    for call in (lambda: assemble(specs, [(rows, buffers)], keep),
+                 lambda: gather_buffers(specs, [(rows, buffers)], keep),
+                 lambda: decode_segment(specs, buffers, rows)):
+        with pytest.raises(CorruptDescriptor):
+            call()

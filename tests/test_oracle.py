@@ -241,3 +241,34 @@ def test_corrupt_pages_raise_only_typed_errors():
     # a header byte is read only for its tombstone flag, which no check rejects
     assert all(n for kind, n in typed.items() if kind != "header"), typed
     system.store.commit_tx(reader)
+
+
+@pytest.mark.parametrize("bit", ["tombstone", "null_on_required"])
+def test_live_version_with_dead_bits_is_corrupt(bit):
+    """A version the chains call live may not carry a tombstone flag, nor a
+    NULL bit on a non-nullable attribute."""
+    system = HostSystem()
+    system.load_orderlines(60, seed=7)
+    system.merge_to_cold()
+    reader = system.store.begin_tx()
+    snap = system.store.snapshot_descriptor(reader)
+    rid = oracle_visible_version(system.store.vid_map[min(system.store.vid_map)], snap)
+    region, idx = system.shared.l2p[rid.page_lid]
+    page = system.device.peek(region, idx * PAGE_SIZE, PAGE_SIZE)
+    entry = PAGE_SIZE - 4 * (rid.slot + 1)
+    offset = int.from_bytes(page[entry:entry + 2], "little")
+    schema = system.schema
+    if bit == "tombstone":
+        page[offset + RECORD_HEADER_FIXED - 1] |= 1
+    else:
+        required = schema.index_of["ol_o_id"]
+        assert not schema.attributes[required].nullable
+        page[offset + RECORD_HEADER_FIXED + required // 8] |= 1 << required % 8
+    try:
+        for call in (lambda: system.oracle_column_set(snap),
+                     lambda: system.q6_rowstore(snap, Q6_PARAMS[0])):
+            with pytest.raises(CorruptRecord):
+                call()
+    finally:
+        del page
+    system.store.commit_tx(reader)
