@@ -30,7 +30,6 @@ import numpy as np
 from .columns import ColumnSet, assemble, gather_buffers
 from .device import REGION_NVM, modeled_time
 from .engine import (
-    Fragment,
     FragmentWriter,
     MaterializationHandle,
     NdtInvocation,
@@ -38,26 +37,15 @@ from .engine import (
     expose_segments,
     freed_on_failure,
     materialize_into,
+    read_fragment,
     write_bitmap_pages,
 )
 from .errors import StaleHandle
-from .layout import PAGE_SIZE
 
 
 def _require_live(handle: MaterializationHandle):
     if handle.freed:
         raise StaleHandle(f"handle {handle.owner} was freed")
-
-
-def read_fragment(device, frag: Fragment, requester="HOST") -> bytes:
-    """Pull one fragment's bytes off its pages, in order."""
-    out = bytearray()
-    remaining = frag.nbytes
-    for idx in frag.pages:
-        take = min(PAGE_SIZE, remaining)
-        out += device.read(frag.region, idx * PAGE_SIZE, take, requester)
-        remaining -= take
-    return bytes(out)
 
 
 def read_segments(handle: MaterializationHandle, requester="HOST") -> list:

@@ -25,12 +25,18 @@ region and return arrays.  They decode page metadata (the slot count in the
 page header) without a charge, bound every slot by it and raise
 ``CorruptRecord`` for a slot or slot entry that is invalid.  Regions are
 named in arrays by their code, the index into ``REGIONS``.
+
+The map mirrors are the read-only arrays the walk reads: ``vid_map`` has
+one (vid, packed chain head) row per tuple, sorted by vid, and ``l2p`` is a
+``PageTable`` whose DDR rows are the delta mirror's pages.  Propagation and
+merges replace them, never write into them, so invocations share them.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,13 +48,14 @@ from .errors import (
     OutOfRange,
     OutOfSpace,
 )
-from .layout import PAGE_HEADER_SIZE, PAGE_SIZE, SLOT_ENTRY_SIZE
+from .layout import PAGE_HEADER_SIZE, PAGE_SIZE, RID_NONE, SLOT_ENTRY_SIZE, pack_rid
 
 GIB = 1024 ** 3
 
 REGION_DDR = "DDR"
 REGION_NVM = "NVM"
 REGIONS = (REGION_DDR, REGION_NVM)      # region code -> region name
+UNRESOLVED = len(REGIONS)               # region code of a page the device cannot reach
 
 SLOT_COUNT_OFFSET = 8            # u16 slot count in the page header
 MAX_SLOTS = (PAGE_SIZE - PAGE_HEADER_SIZE) // SLOT_ENTRY_SIZE
@@ -175,6 +182,46 @@ def _gather(buf, dtype: str, positions: np.ndarray) -> np.ndarray:
     return words[positions]
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _replaced(keys: np.ndarray, columns, changed: np.ndarray, new_keys: np.ndarray,
+              new_columns) -> list:
+    """``columns`` (rows sorted by ``keys``) without the rows keyed in ``changed``,
+    plus ``new_columns`` at the places of their sorted, unique ``new_keys``: new
+    read-only arrays, or ``columns`` themselves when nothing changes."""
+    if not len(changed):
+        return list(columns)
+    kept = ~np.isin(keys, changed)
+    at = np.searchsorted(keys[kept], new_keys)
+    return [_read_only(np.insert(old[kept], at, new)) for old, new in zip(columns, new_columns)]
+
+
+VID_ENTRY = np.dtype([("vid", np.uint64), ("head", np.uint64)])   # one row of the vid map
+
+
+class PageTable(NamedTuple):
+    """The page map as arrays: sorted page lids, region code, page index."""
+
+    lids: np.ndarray            # uint64, strictly increasing
+    regions: np.ndarray         # uint8 region code (index into ``REGIONS``)
+    pages: np.ndarray           # int64 page index in its region
+
+    @staticmethod
+    def empty() -> "PageTable":
+        return PageTable(*(_read_only(np.empty(0, dtype))
+                           for dtype in (np.uint64, np.uint8, np.int64)))
+
+    def resolve(self, lids: np.ndarray):
+        """(region codes, page indexes) of ``lids``; ``UNRESOLVED`` where unmapped."""
+        if not len(self.lids):
+            return np.full(len(lids), UNRESOLVED, dtype=np.uint8), np.zeros(len(lids), np.int64)
+        at = np.minimum(np.searchsorted(self.lids, lids), len(self.lids) - 1)
+        return np.where(self.lids[at] == lids, self.regions[at], UNRESOLVED), self.pages[at]
+
+
 def _transfer_ns(nbytes: int, gib_s: float) -> float:
     return nbytes / (gib_s * GIB) * 1e9
 
@@ -233,9 +280,8 @@ class Device:
         self._free = {REGION_DDR: [], REGION_NVM: []}
         self._allocations: dict = {}          # owner -> set[(region, idx)]
         self._host_readable: set = set()      # (region, idx) exposed to the host
-        self.vid_map: dict = {}               # device mirror: vid -> packed rid
-        self.l2p: dict = {}                   # device mirror: page_lid -> (region, idx)
-        self.delta_pages: list = []           # lids resident in the DDR delta mirror
+        self.vid_map = _read_only(np.empty(0, VID_ENTRY))   # device mirror, sorted by vid
+        self.l2p = PageTable.empty()                        # device mirror, sorted by page lid
         self._invocations = 0                 # invocations running now
 
     # -- page pool -----------------------------------------------------------
@@ -442,21 +488,24 @@ class Device:
 
     def apply_propagation(self, snapshot) -> dict:
         """Ingest a shared-state snapshot; returns page placements as ack."""
+        pages = self.allocate_pages(REGION_DDR, len(snapshot.pages), "shared-state")
         placements = {}
-        for lid, image in snapshot.pages:
-            [idx] = self.allocate_pages(REGION_DDR, 1, "shared-state")
-            base = idx * PAGE_SIZE
-            self._regions[REGION_DDR][base:base + PAGE_SIZE] = image
-            self.ledger.host_to_device_bytes += PAGE_SIZE
-            self.l2p[lid] = (REGION_DDR, idx)
+        for (lid, image), idx in zip(snapshot.pages, pages):
+            self._regions[REGION_DDR][idx * PAGE_SIZE:(idx + 1) * PAGE_SIZE] = image
             placements[lid] = (REGION_DDR, idx)
-            self.delta_pages.append(lid)
-        for vid, rid in snapshot.vid_map_delta:
-            if rid is None:
-                self.vid_map.pop(vid, None)
-            else:
-                self.vid_map[vid] = (rid.page_lid << 16) | rid.slot
-            self.ledger.host_to_device_bytes += PROP_VID_ENTRY_BYTES
+        self.ledger.host_to_device_bytes += PAGE_SIZE * len(pages)
+        lids = np.fromiter(placements, dtype=np.uint64, count=len(pages))
+        placed = (lids, np.full(len(pages), REGIONS.index(REGION_DDR), dtype=np.uint8),
+                  np.array(pages, dtype=np.int64))
+        self.l2p = PageTable(*_replaced(self.l2p.lids, self.l2p, lids, lids, placed))
+        delta = snapshot.vid_map_delta
+        rows = np.empty(len(delta), VID_ENTRY)
+        rows["vid"] = [vid for vid, _rid in delta]
+        rows["head"] = [pack_rid(rid) for _vid, rid in delta]
+        new = rows[rows["head"] != RID_NONE]
+        [self.vid_map] = _replaced(self.vid_map["vid"], [self.vid_map], rows["vid"],
+                                   new["vid"], [new])
+        self.ledger.host_to_device_bytes += PROP_VID_ENTRY_BYTES * len(delta)
         self.ledger.host_to_device_bytes += PROP_L2P_ENTRY_BYTES * len(snapshot.l2p_delta)
         self.ledger.host_to_device_bytes += PROP_FIXED_BYTES
         if snapshot.in_flight is not None:
@@ -482,12 +531,11 @@ class Device:
         """
         if self._invocations:
             raise InvocationInFlight("delta pages cannot be merged while an invocation runs")
+        l2p = self.l2p
+        delta = np.flatnonzero(l2p.regions == REGIONS.index(REGION_DDR))
         relocations = {}
         ddr = self._regions[REGION_DDR]
-        for lid in self.delta_pages:
-            region, idx = self.l2p[lid]
-            if region != REGION_DDR:
-                continue
+        for lid, idx in zip(l2p.lids[delta].tolist(), l2p.pages[delta].tolist()):
             [nidx] = self.allocate_pages(REGION_NVM, 1, "cold")
             base, nbase = idx * PAGE_SIZE, nidx * PAGE_SIZE
             self._regions[REGION_NVM][nbase:nbase + PAGE_SIZE] = ddr[base:base + PAGE_SIZE]
@@ -495,14 +543,16 @@ class Device:
             self.ledger.device_internal_bytes_written += PAGE_SIZE
             self.ledger.nvm_writes += 1
             self.free_pages("shared-state", [(REGION_DDR, idx)])
-            self.l2p[lid] = (REGION_NVM, nidx)
             relocations[lid] = (REGION_NVM, nidx)
-        self.delta_pages.clear()
+        regions = np.full_like(l2p.regions, REGIONS.index(REGION_NVM))   # no DDR row is left
+        pages = l2p.pages.copy()
+        pages[delta] = [idx for _region, idx in relocations.values()]
+        self.l2p = PageTable(l2p.lids, _read_only(regions), _read_only(pages))
         return relocations
 
     def freeze_views(self):
-        """Per-invocation immutable copies of the map mirrors."""
-        return dict(self.vid_map), dict(self.l2p)
+        """An invocation's frozen ``(vid_map, l2p)``: the read-only mirrors, not copies."""
+        return self.vid_map, self.l2p
 
     def modeled_time(self, ledger=None) -> dict:
         return modeled_time(ledger if ledger is not None else self.ledger, self.cfg)

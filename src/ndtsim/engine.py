@@ -5,19 +5,20 @@ descriptor), the table schema and projection, and its pre-allocated result
 space.  Every invocation -- a first materialization, a stream, or the
 refresh of an existing materialization -- runs one pipeline:
 
-1. **Walk.**  The frozen tuple map becomes two arrays (vids and packed
-   chain heads), split over the processing elements (entry i goes to PE
-   i mod n).  Each PE walks its share as one frontier: every step resolves
-   the pages of all its unresolved tuples' current versions (a
-   ``searchsorted`` over the frozen page map, built once per invocation),
-   reads their slots and probes their headers, and moves the versions that
-   are not visible to their predecessors, until every tuple has a visible
-   version or nothing.  Each PE is charged exactly what walking its tuples
-   one by one would charge.  The visible versions are compared with the
-   rids the target handle's identity index holds (one ``searchsorted``).
-   A first materialization or a stream passes an empty index, so every
-   visible tuple counts as changed; a refresh also charges an 8-byte index
-   probe per tuple and collects the held tuples that are no longer visible.
+1. **Walk.**  The frozen tuple map is the device's vid map itself: one
+   (vid, packed chain head) row per tuple, sorted by vid.  Its two columns
+   are split over the processing elements (row i goes to PE i mod n).
+   Each PE walks its share as one frontier: every step resolves the pages
+   of all its unresolved tuples' current versions (a ``searchsorted`` over
+   the frozen page table), reads their slots and probes their headers, and
+   moves the versions that are not visible to their predecessors, until
+   every tuple has a visible version or nothing.  Each PE is charged
+   exactly what walking its tuples one by one would charge.  The visible
+   versions are compared with the rids the target handle's identity index
+   holds (one ``searchsorted``).  A first materialization or a stream
+   passes an empty index, so every visible tuple counts as changed; a
+   refresh also charges an 8-byte index probe per tuple and collects the
+   held tuples that are no longer visible.
 2. **Transform.**  Each PE transforms its changed tuples as one batch: it
    loads all of their records in one device read, locates every field
    with the batch locator of ``layout``, and extracts each projected
@@ -72,7 +73,7 @@ from .columns import (
     assemble,
     result_specs,
 )
-from .device import Device, REGION_DDR, REGION_NVM, REGIONS
+from .device import Device, PageTable, REGION_DDR, REGION_NVM, REGIONS, UNRESOLVED
 from .errors import (
     CorruptRecord,
     DanglingReference,
@@ -156,8 +157,8 @@ class NdtInvocation:
     result_region: str
     result_pages: list            # page indexes pre-allocated for results
     stream_pages: list            # ring-buffer pages (stream mode)
-    vid_view: dict                # frozen vid -> packed rid
-    l2p_view: dict                # frozen page_lid -> (region, index)
+    vid_view: np.ndarray          # frozen device vid map: (vid, head) rows sorted by vid
+    l2p_view: PageTable           # frozen device page table
     initial_pages: int = 0
     proj_plan: tuple = field(default=())
 
@@ -243,47 +244,15 @@ def schedule(inv: NdtInvocation, device: Device) -> list:
     if inv.pe_count < 1:
         raise TooManyPEsRequested("need at least one PE")
     layout = plan_scratchpad(inv.schema, inv.projection, device.cfg.scratchpad_bytes)
-    n, count = inv.pe_count, len(inv.vid_view)
-    vids = np.fromiter(inv.vid_view.keys(), dtype=np.uint64, count=count)
-    heads = np.fromiter(inv.vid_view.values(), dtype=np.uint64, count=count)
+    n = inv.pe_count
+    vids, heads = inv.vid_view["vid"], inv.vid_view["head"]
     jobs = [PeJob(pe, vids[pe::n], heads[pe::n], layout) for pe in range(n)]
     for j, idx in enumerate(inv.result_pages):
         jobs[j % n].page_queue.append(idx)
     return jobs
 
 
-_UNRESOLVED = len(REGIONS)         # region code of a page the device cannot reach
-_REGION_CODES = {region: code for code, region in enumerate(REGIONS)}
 _NOTHING = np.uint64(RID_NONE)
-
-
-class PageTable(NamedTuple):
-    """A frozen l2p view as arrays: sorted page lids, region code, page index.
-
-    A last entry with lid ``RID_NONE`` (no page lid is that large) keeps
-    every search position inside the arrays.
-    """
-
-    lids: np.ndarray            # uint64, sorted
-    regions: np.ndarray         # uint8; ``_UNRESOLVED`` outside the device
-    pages: np.ndarray           # int64
-
-    @staticmethod
-    def of(l2p_view: dict) -> "PageTable":
-        n = len(l2p_view)
-        lids = np.fromiter(l2p_view.keys(), dtype=np.uint64, count=n)
-        regions = np.fromiter((_REGION_CODES.get(region, _UNRESOLVED)
-                               for region, _idx in l2p_view.values()), dtype=np.uint8, count=n)
-        pages = np.fromiter((idx for _region, idx in l2p_view.values()), dtype=np.int64, count=n)
-        order = np.argsort(lids)
-        return PageTable(np.append(lids[order], _NOTHING),
-                         np.append(regions[order], np.uint8(_UNRESOLVED)),
-                         np.append(pages[order], 0))
-
-    def resolve(self, lids: np.ndarray):
-        """(region codes, page indexes) of ``lids``; ``_UNRESOLVED`` where unmapped."""
-        at = np.searchsorted(self.lids, lids)
-        return np.where(self.lids[at] == lids, self.regions[at], _UNRESOLVED), self.pages[at]
 
 
 def pe_visibility_check(device: Device, pe: int, vids: np.ndarray, heads: np.ndarray,
@@ -320,7 +289,7 @@ def pe_visibility_check(device: Device, pe: int, vids: np.ndarray, heads: np.nda
         m = len(live)
         device.pe_read_l2p(pe, m)
         region, page = l2p.resolve(packed >> np.uint64(16))
-        bad = np.flatnonzero(region == _UNRESOLVED)
+        bad = np.flatnonzero(region == UNRESOLVED)
         if len(bad):
             k = bad[0]
             raise DanglingReference(f"vid {vids[live[k]]}: page {packed[k] >> np.uint64(16)} "
@@ -476,11 +445,10 @@ def walk(jobs, inv: NdtInvocation, device: Device, held: IdentityIndex, probe: b
     rows; held tuples with nothing visible are returned as removed, one
     ``uint64`` array in walk order.  ``probe`` charges the index lookup.
     """
-    l2p = PageTable.of(inv.l2p_view)
     removed = []
     for job in jobs:
         found = ChangedRows(job.vids, *pe_visibility_check(
-            device, job.pe, job.vids, job.heads, inv.descriptor, l2p))
+            device, job.pe, job.vids, job.heads, inv.descriptor, inv.l2p_view))
         visible = found.rids != _NOTHING
         old = held.rids_of(job.vids)
         removed.append(job.vids[~visible & (old != _NOTHING)])
@@ -597,6 +565,17 @@ class Fragment:
     nbytes: int
 
 
+def read_fragment(device: Device, frag: Fragment, requester="HOST") -> bytes:
+    """Pull one fragment's bytes off its pages, in order."""
+    out = bytearray()
+    remaining = frag.nbytes
+    for idx in frag.pages:
+        take = min(PAGE_SIZE, remaining)
+        out += device.read(frag.region, idx * PAGE_SIZE, take, requester)
+        remaining -= take
+    return bytes(out)
+
+
 @dataclass
 class Segment:
     """One PE's contribution within one transformation run."""
@@ -667,7 +646,8 @@ class StreamSink:
         ]
         device.expose_to_host((REGION_DDR, idx) for idx in inv.stream_pages)
         self.current = 0
-        self.fill = 0
+        self.writer = FragmentWriter(REGION_DDR)    # the current buffer's bytes so far
+        self.free = deque(self.buffers[0])          # and its pages not yet written
         self.pending = []             # (pe, key, length) in write order
         self.batches = []
 
@@ -675,52 +655,34 @@ class StreamSink:
         mv = memoryview(data)
         pos = 0
         while pos < len(data):
-            room = self.buffer_bytes - self.fill
+            room = self.buffer_bytes - self.writer.total
             if room == 0:
                 self._deliver()
                 room = self.buffer_bytes
             take = min(room, len(data) - pos)
-            self._write(job.pe, mv[pos:pos + take])
+            self.writer.append(self.device, job.pe, mv[pos:pos + take], self.free)
             self.pending.append((job.pe, key, take))
             pos += take
         return
         yield  # pragma: no cover - generator protocol parity with MaterializeSink
 
-    def _write(self, pe: int, piece):
-        pages = self.buffers[self.current]
-        pos = 0
-        while pos < len(piece):
-            page_i, in_page = divmod(self.fill, PAGE_SIZE)
-            take = min(PAGE_SIZE - in_page, len(piece) - pos)
-            self.device.write(REGION_DDR, pages[page_i] * PAGE_SIZE + in_page,
-                              piece[pos:pos + take], pe)
-            self.fill += take
-            pos += take
-
     def _deliver(self):
-        if self.fill == 0:
+        if self.writer.total == 0:
             return
-        pages = self.buffers[self.current]
-        raw = bytearray()
-        remaining = self.fill
-        for idx in pages:
-            if remaining <= 0:
-                break
-            take = min(PAGE_SIZE, remaining)
-            raw += self.device.read(REGION_DDR, idx * PAGE_SIZE, take, "HOST")
-            remaining -= take
+        raw = read_fragment(self.device, self.writer.fragment())
         chunks = []
         pos = 0
         for pe, key, length in self.pending:
-            chunks.append((pe, key[0], key[1], bytes(raw[pos:pos + length])))
+            chunks.append((pe, key[0], key[1], raw[pos:pos + length]))
             pos += length
-        batch = Batch(len(self.batches), chunks, self.fill)
+        batch = Batch(len(self.batches), chunks, self.writer.total)
         self.batches.append(batch)
         if self.consumer is not None:
             self.consumer(batch)
         self.pending = []
-        self.fill = 0
         self.current = (self.current + 1) % len(self.buffers)
+        self.writer = FragmentWriter(REGION_DDR)
+        self.free = deque(self.buffers[self.current])
 
     def finish(self):
         self._deliver()

@@ -18,7 +18,6 @@ import struct
 from dataclasses import dataclass
 from typing import Optional
 
-from .device import REGION_DDR, REGION_NVM  # noqa: F401  (device-side l2p regions)
 from .errors import DanglingReference, DeviceUnavailable
 from .layout import PAGE_SIZE, NsmPage, RecordID, pack_rid
 from .oracle import read_records
@@ -32,8 +31,8 @@ DEFAULT_CAPACITY_BYTES = 512 * 1024
 class SharedStateSnapshot:
     """Frozen propagation payload; immutable once constructed."""
 
-    pages: tuple                 # ((page_lid, 8 KiB image bytes), ...)
-    vid_map_delta: tuple         # ((vid, RecordID | None), ...)
+    pages: tuple                 # ((page_lid, 8 KiB image bytes), ...), lids ascending
+    vid_map_delta: tuple         # ((vid, RecordID | None), ...), one per vid, sorted by vid
     l2p_delta: tuple             # page_lids newly declared by the host
     caller: Optional[int]        # set for invocation-mode propagation
     in_flight: Optional[frozenset]

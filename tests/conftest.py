@@ -1,9 +1,10 @@
 import random
 from decimal import Decimal as D
 
+import numpy as np
 import pytest
 
-from ndtsim.device import Device, DeviceConfig, REGION_DDR, REGION_NVM
+from ndtsim.device import Device, DeviceConfig, REGION_DDR, REGION_NVM, REGIONS
 from ndtsim.engine import MODE_MATERIALIZE, MODE_STREAM, NdtInvocation
 from ndtsim.host import HostSystem, orderline_schema
 from ndtsim.layout import PAGE_SIZE
@@ -70,6 +71,12 @@ class Harness:
 
     def grantor(self, inv, count):
         return self.device.allocate_pages(inv.result_region, count, inv.owner)
+
+
+def page_of(l2p_view, lid: int):
+    """(region, page index) of page ``lid`` in a frozen page table."""
+    [code], [idx] = l2p_view.resolve(np.array([lid], dtype=np.uint64))
+    return REGIONS[code], int(idx)
 
 
 def random_orderline(rng: random.Random, order_id: int = 1, line: int = 1,

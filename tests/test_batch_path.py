@@ -49,7 +49,7 @@ from ndtsim.layout import (
     decode_values,
     pg_timestamp_to_unix_epoch,
 )
-from conftest import Harness, random_orderline
+from conftest import Harness, page_of, random_orderline
 
 PINS = json.loads((Path(__file__).parent / "batch_path_pins.json").read_text())
 
@@ -196,9 +196,10 @@ def test_corrupt_varlen_prefix_raises_and_frees_pages():
     h = Harness(schema)
     h.install_rows({vid: (vid, "x" * vid) for vid in range(1, 9)})
     inv = h.prepare(pe_count=2, pages=4)
-    region, idx = inv.l2p_view[inv.vid_view[5] >> 16]
+    head = dict(inv.vid_view.tolist())[5]
+    region, idx = page_of(inv.l2p_view, head >> 16)
     page = h.device.peek(region, idx * PAGE_SIZE, PAGE_SIZE)
-    slot = inv.vid_view[5] & 0xFFFF
+    slot = head & 0xFFFF
     off = int.from_bytes(page[PAGE_SIZE - 4 * (slot + 1):PAGE_SIZE - 4 * slot - 2], "little")
     # header 26 bytes, int32 at 28, the varchar's u16 length prefix at 32
     page[off + 32:off + 34] = (0xFFFF).to_bytes(2, "little")

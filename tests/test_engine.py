@@ -13,7 +13,6 @@ from ndtsim.engine import (
     MODE_MATERIALIZE,
     MODE_STREAM,
     columns_from_batches,
-    PageTable,
     materialize_results,
     pe_visibility_check,
     plan_scratchpad,
@@ -45,7 +44,7 @@ def test_schedule_distributes_vids_and_pages():
     assert [len(j.vids) for j in jobs] == [3, 3, 2, 2]
     assert [len(j.page_queue) for j in jobs] == [3, 3, 2, 2]
     # entry i lands on PE i mod 4, in enumeration order, with its chain head
-    flat = list(inv.vid_view.items())
+    flat = inv.vid_view.tolist()
     for pe, job in enumerate(jobs):
         assert job.vids.dtype == job.heads.dtype == np.uint64
         assert list(zip(job.vids.tolist(), job.heads.tolist())) == flat[pe::4]
@@ -118,8 +117,8 @@ def _single_version_harness():
 def _visible(device, vids, vid_view, descriptor, l2p_view, pe=0):
     """Batch walk of ``vids`` on one PE; the visible packed rid per vid, or None."""
     vids = np.array(vids, dtype=np.uint64)
-    heads = np.array([vid_view[vid] for vid in vids.tolist()], dtype=np.uint64)
-    rids = pe_visibility_check(device, pe, vids, heads, descriptor, PageTable.of(l2p_view))[0]
+    heads = vid_view["head"][np.searchsorted(vid_view["vid"], vids)]
+    rids = pe_visibility_check(device, pe, vids, heads, descriptor, l2p_view)[0]
     return [None if rid == RID_NONE else rid for rid in rids.tolist()]
 
 
@@ -174,8 +173,9 @@ def test_visibility_matches_oracle_on_random_chains():
             h.store.commit_tx(t)
     inv = h.prepare(pe_count=1, pages=1)
     from ndtsim.mvcc import oracle_visible_version
-    hits = _visible(h.device, list(inv.vid_view), inv.vid_view, inv.descriptor, inv.l2p_view)
-    for vid, hit in zip(inv.vid_view, hits):
+    vids = inv.vid_view["vid"].tolist()
+    hits = _visible(h.device, vids, inv.vid_view, inv.descriptor, inv.l2p_view)
+    for vid, hit in zip(vids, hits):
         expected = oracle_visible_version(h.store.vid_map[vid], inv.descriptor)
         if expected is None:
             assert hit is None

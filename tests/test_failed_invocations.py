@@ -3,6 +3,7 @@
 import pytest
 
 from ndtsim.delta import delta_transform, free_handle
+from ndtsim.device import REGION_DDR, REGIONS, PageTable
 from ndtsim.engine import MODE_STREAM
 from ndtsim.errors import (
     DanglingReference,
@@ -47,7 +48,7 @@ def _refresh_older_snapshot(system, handle):
 
 def _refresh_dangling(system, handle):
     inv = _prepare(system, handle)
-    inv.l2p_view.clear()
+    inv.l2p_view = PageTable.empty()
     return inv, DanglingReference
 
 
@@ -68,7 +69,7 @@ def _deny(inv, count):
 
 def _drop_l2p(system):
     freeze = system.device.freeze_views
-    system.device.freeze_views = lambda: (freeze()[0], {})
+    system.device.freeze_views = lambda: (freeze()[0], PageTable.empty())
 
 
 def _host_denied_transform(system, handle):
@@ -137,4 +138,4 @@ def test_merge_is_refused_only_while_an_invocation_runs():
         system.transform_snapshot(mode=MODE_STREAM,
                                   consumer=lambda batch: system.merge_to_cold())
     assert system.merge_to_cold()
-    assert system.device.delta_pages == []
+    assert REGIONS.index(REGION_DDR) not in system.device.l2p.regions

@@ -86,7 +86,7 @@ def test_prepare_empty_table_minimal_allocation(system):
     inv = system.prepare_invocation(t, pe_count=4)
     system.store.commit_tx(t)
     assert len(inv.result_pages) == 4       # one page per processing element
-    assert inv.vid_view == {}
+    assert len(inv.vid_view) == 0
 
 
 def test_invocation_carries_exact_in_flight_set(system):

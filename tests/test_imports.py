@@ -3,7 +3,9 @@
 No module of the package or its tests imports a name it never uses: every
 name an import statement binds must be read somewhere in the module
 (string annotations included).  Package ``__init__.py`` files re-export
-names and are exempt, as are import lines marked ``# noqa: F401``.
+names and are exempt, as are import lines marked ``# noqa: F401``.  Only
+the package ``__init__.py`` re-exports: no other module of the package
+carries that mark.
 
 No module of the package imports another ``ndtsim`` module's private
 (underscore-prefixed) names.
@@ -74,6 +76,24 @@ def test_scan_finds_an_unused_import(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("import os\nimport sys  # noqa: F401\nfrom a import b as c\nprint(c)\n")
     assert unused_imports(probe) == ["line 1: os"]
+
+
+def reexport_marks(path: Path) -> list:
+    """Lines of ``path`` marked ``# noqa: F401``."""
+    return [f"line {number}" for number, line in enumerate(path.read_text().splitlines(), 1)
+            if "# noqa: F401" in line]
+
+
+@pytest.mark.parametrize("path", [path for path in PACKAGE if path.name != "__init__.py"],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_package_modules_do_not_reexport(path):
+    assert reexport_marks(path) == []
+
+
+def test_scan_finds_a_reexport_mark(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import os\nfrom .device import REGION_DDR  # noqa: F401\nprint(os)\n")
+    assert reexport_marks(probe) == ["line 2"]
 
 
 def _is_private(name: str) -> bool:

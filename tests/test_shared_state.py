@@ -4,11 +4,12 @@ import random
 
 import pytest
 
+from ndtsim.device import REGION_DDR
 from ndtsim.errors import DeviceUnavailable
 from ndtsim.host import HostSystem
 from ndtsim.layout import PAGE_SIZE
 from ndtsim.mvcc import MvccStore
-from ndtsim.shared_state import HostSharedState, REGION_DDR, REGION_HOST
+from ndtsim.shared_state import HostSharedState, REGION_HOST
 from ndtsim.host import orderline_schema
 from conftest import random_orderline
 

@@ -15,12 +15,11 @@ import numpy as np
 import pytest
 
 from ndtsim.device import MAX_SLOTS, REGION_NVM, REGIONS
-from ndtsim.engine import (IdentityIndex, PageTable, materialize_results, pe_visibility_check,
-                           schedule, walk)
+from ndtsim.engine import IdentityIndex, materialize_results, pe_visibility_check, schedule, walk
 from ndtsim.errors import CorruptRecord, StaleWrite
 from ndtsim.layout import PAGE_SIZE, Int32, Schema, page_slot_count_at, pack_rid
 from ndtsim.mvcc import TOMBSTONE, oracle_visible_version
-from conftest import Harness
+from conftest import Harness, page_of
 
 SCHEMA = Schema("t", [("a", Int32(), False)])
 
@@ -85,9 +84,9 @@ def test_walk_matches_oracle_with_exact_per_pe_charges(seed, snapshot):
     h, halfway = _random_history(seed)
     # halfway: an old caller, so the walk goes deep into the chains
     inv = h.prepare(pe_count=1, pages=1, caller=halfway if snapshot == "halfway" else None)
-    regions = {region for region, _idx in inv.l2p_view.values()}
+    regions = {REGIONS[code] for code in inv.l2p_view.regions}
     assert regions == set(REGIONS), "the history must leave pages in both regions"
-    items = list(inv.vid_view.items())
+    items = inv.vid_view.tolist()
     for pe_count in range(1, 9):
         inv.pe_count = pe_count
         jobs = schedule(inv, h.device)
@@ -145,8 +144,8 @@ def _fails_and_frees(h, inv, error):
 def test_slot_past_the_page_slot_count_is_corrupt():
     h = _merged_rows(1000)                      # the first page is full
     inv = h.prepare(pe_count=2, pages=4)
-    lid = min(inv.l2p_view)
-    region, idx = inv.l2p_view[lid]
+    lid = int(inv.l2p_view.lids[0])
+    region, idx = page_of(inv.l2p_view, lid)
     base = idx * PAGE_SIZE
     count = page_slot_count_at(h.device.peek(region, base, PAGE_SIZE), 0)
     # past the count, slot entries would overlap record bytes
@@ -155,7 +154,8 @@ def test_slot_past_the_page_slot_count_is_corrupt():
             h.device.pe_read_slot(0, region, np.array([base]), np.array([slot]))
     for slot in (count, 0xFFFE):
         inv = h.prepare(pe_count=2, pages=4)
-        inv.vid_view[next(iter(inv.vid_view))] = lid << 16 | slot
+        inv.vid_view = inv.vid_view.copy()
+        inv.vid_view["head"][0] = lid << 16 | slot
         _fails_and_frees(h, inv, CorruptRecord)
     # a corrupt slot count does not let an entry leave its page
     h.device.patch(region, base + 8, b"\xff\xff")
@@ -189,7 +189,6 @@ def test_walk_of_an_empty_share_charges_nothing():
     inv = h.prepare(pe_count=1, pages=1)
     before = h.device.ledger.snapshot()
     empty = np.array([], dtype=np.uint64)
-    rids, *_ = pe_visibility_check(h.device, 5, empty, empty, inv.descriptor,
-                                   PageTable.of(inv.l2p_view))
+    rids, *_ = pe_visibility_check(h.device, 5, empty, empty, inv.descriptor, inv.l2p_view)
     assert len(rids) == 0
     assert h.device.ledger.delta_since(before)["pe_ops"] == {}
