@@ -1,23 +1,28 @@
-"""Logical columnar results: typed buffers plus row identity.
+"""Logical columnar results, and the one codec of their column buffers.
 
 A ColumnSet is the in-memory form of a transformation result: one numpy
 array (or string list) per projected attribute, optional validity arrays
 for nullable attributes, and the per-row tuple identity vector that makes
-order-insensitive comparison possible.  Buffer encodings mirror what the
-device writes:
+order-insensitive comparison possible.  Its buffers ({(name, kind):
+bytes}) are laid out as the device writes them and as NDTC files store
+them, and every encoder of that layout is here:
 
 * Int32 -> little-endian i4; Int64 / Decimal (scaled) / converted
   timestamps (seconds since the UNIX epoch) -> little-endian i8
-* varchar -> UTF-8 payload plus a u4 offsets vector of length rows+1
-* validity -> LSB-first bitmap, 1 = value present
+* varchar -> UTF-8 payload plus u4 offsets, rows+1 of them
+  (``varchar_offsets``); none for a column of no rows
+* validity -> LSB-first bitmap, 1 = value present (``pack_bits``)
+* visibility -> LSB-first bits padded to whole u64 words
+  (``visibility_words``)
 
-Reading device buffers back checks every row of every segment, but
-decodes only what the consumer keeps.  ``assemble`` takes an optional keep
-mask: fixed-width columns are numpy views gathered by it, and each varchar
-column is checked as a whole (offsets from 0, never decreasing, ending at
-the payload's length, on character boundaries; the payload UTF-8) and
-decoded with one ``bytes.decode``, each kept value being one slice of that
-text (``decode_varchar``).  ``gather_buffers`` moves kept values, offsets,
+One reader, ``assemble``, serves device segments and NDTC files.  It checks
+every buffer's length before viewing it and every row of every segment,
+but decodes only what the consumer keeps: fixed-width columns are numpy
+views gathered by its keep mask, and each varchar column is checked as a
+whole (offsets from 0, never decreasing, ending at the payload's length,
+on character boundaries; the payload UTF-8) and decoded with one
+``bytes.decode``, each kept value being one slice of that text
+(``decode_varchar``).  ``gather_buffers`` moves kept values, offsets,
 payload bytes and validity bits between buffer sets without building a
 string, for compaction and export.
 """
@@ -31,24 +36,13 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import CorruptDescriptor, SchemaMismatch
-from .layout import (
-    TC_DECIMAL,
-    TC_INT32,
-    TC_VARCHAR,
-    Int64,
-    Schema,
-)
+from .layout import TC_DECIMAL, TC_VARCHAR, Int64, Schema
 
 KIND_VALUES = "values"
 KIND_VALIDITY = "validity"
 KIND_OFFSETS = "offsets"
 
 VID_COLUMN = "__vid"
-
-
-def value_width(ftype) -> int:
-    """Byte width of one value slot in a result buffer (varchar excluded)."""
-    return 4 if ftype.code == TC_INT32 else 8
 
 
 class ColumnSpec(NamedTuple):
@@ -79,26 +73,19 @@ class ColumnSet:
     def column_names(self):
         return [s.name for s in self.specs if s.name != VID_COLUMN]
 
+    def take(self, rows: np.ndarray) -> "ColumnSet":
+        """The rows at positions ``rows``, in that order."""
+        index = rows.tolist()
+        data = {name: [arr[i] for i in index] if isinstance(arr, list) else arr[rows]
+                for name, arr in self.data.items()}
+        validity = {n: (v[rows] if v is not None else None) for n, v in self.validity.items()}
+        return ColumnSet(self.specs, self.vids[rows], data, validity, len(index))
+
     def mask(self, keep: np.ndarray) -> "ColumnSet":
-        data = {}
-        for name, arr in self.data.items():
-            if isinstance(arr, list):
-                data[name] = [arr[i] for i in np.flatnonzero(keep).tolist()]
-            else:
-                data[name] = arr[keep]
-        validity = {n: (v[keep] if v is not None else None) for n, v in self.validity.items()}
-        return ColumnSet(self.specs, self.vids[keep], data, validity, int(keep.sum()))
+        return self.take(np.flatnonzero(keep))
 
     def sorted_by_vid(self) -> "ColumnSet":
-        order = np.argsort(self.vids, kind="stable")
-        data = {}
-        for name, arr in self.data.items():
-            if isinstance(arr, list):
-                data[name] = [arr[i] for i in order.tolist()]
-            else:
-                data[name] = arr[order]
-        validity = {n: (v[order] if v is not None else None) for n, v in self.validity.items()}
-        return ColumnSet(self.specs, self.vids[order], data, validity, self.n_rows)
+        return self.take(np.argsort(self.vids, kind="stable"))
 
     def logical_value(self, name: str, row: int):
         """Decoded value at a row: None when invalid, Decimal for decimals."""
@@ -115,31 +102,70 @@ class ColumnSet:
         return raw
 
 
-def column_buffers(column_set: ColumnSet) -> dict:
-    """Encode a column set into device buffers, {(name, kind): bytes}.
+def pack_bits(flags: np.ndarray) -> np.ndarray:
+    """LSB-first u1 bitmap of a boolean array (a validity buffer)."""
+    return np.packbits(flags, bitorder="little")
 
-    The inverse of ``decode_segment``: values, then offsets (varchar, only
-    when there are rows), then validity (nullable) per column, after the
-    identity column.
+
+def unpack_bits(bits: np.ndarray, rows: int) -> np.ndarray:
+    """Inverse of ``pack_bits``: the first ``rows`` bits, as booleans."""
+    return np.unpackbits(bits, count=rows, bitorder="little").astype(bool)
+
+
+def varchar_offsets(lengths) -> np.ndarray:
+    """The u4 offsets of values with these byte lengths: rows+1 entries from 0."""
+    return np.concatenate(([0], np.cumsum(lengths))).astype("<u4")
+
+
+def visibility_words(current: np.ndarray) -> bytes:
+    """A visibility bitmap as stored: LSB-first bits zero-padded to whole u64 words."""
+    bits = pack_bits(current).tobytes()
+    return bits + bytes(-len(bits) % 8)
+
+
+def visibility_bits(raw, rows: int) -> np.ndarray:
+    """Inverse of ``visibility_words``; a wrong length raises ``CorruptDescriptor``."""
+    return unpack_bits(_array(raw, "<u8", -(-rows // 64), "visibility bitmap").view(np.uint8),
+                       rows)
+
+
+def _encode(specs, vids: np.ndarray, column) -> dict:
+    """One buffer set: values, then offsets (varchar, only when there are
+    rows), then validity (nullable) per column, after the identity column.
+
+    ``column(spec)`` gives one column's ``(values, present)``, a column at a
+    time; varchar values are ``(payload bytes, byte lengths)``, and
+    ``present`` is unused for a column that is not nullable.
     """
-    out = {(VID_COLUMN, KIND_VALUES): column_set.vids.astype("<u8").tobytes()}
-    for spec in column_set.specs:
+    out = {(VID_COLUMN, KIND_VALUES): vids.astype("<u8").tobytes()}
+    for spec in specs:
         name = spec.name
         if name == VID_COLUMN:
             continue
-        col = column_set.data[name]
+        values, present = column(spec)
+        if spec.ftype.code == TC_VARCHAR:
+            payload, lengths = values
+            out[(name, KIND_VALUES)] = bytes(payload)
+            if len(vids):
+                out[(name, KIND_OFFSETS)] = varchar_offsets(lengths).tobytes()
+        else:
+            out[(name, KIND_VALUES)] = values.astype(f"<i{spec.ftype.width}").tobytes()
+        if spec.nullable:
+            out[(name, KIND_VALIDITY)] = pack_bits(present).tobytes()
+    return out
+
+
+def column_buffers(column_set: ColumnSet) -> dict:
+    """Encode a column set into device buffers, {(name, kind): bytes}; the
+    inverse of ``decode_segment``."""
+    def column(spec):
+        col = column_set.data[spec.name]
         if spec.ftype.code == TC_VARCHAR:
             encoded = [s.encode("utf-8") for s in col]
-            out[(name, KIND_VALUES)] = b"".join(encoded)
-            if column_set.n_rows:
-                ends = np.cumsum([0] + [len(e) for e in encoded])
-                out[(name, KIND_OFFSETS)] = ends.astype("<u4").tobytes()
-        else:
-            out[(name, KIND_VALUES)] = col.astype(f"<i{value_width(spec.ftype)}").tobytes()
-        if spec.nullable:
-            bits = column_set.validity[name].astype(np.uint8)
-            out[(name, KIND_VALIDITY)] = np.packbits(bits, bitorder="little").tobytes()
-    return out
+            col = b"".join(encoded), [len(e) for e in encoded]
+        return col, column_set.validity[spec.name]
+
+    return _encode(column_set.specs, column_set.vids, column)
 
 
 def _byte_offsets(payload: bytes, offsets: np.ndarray, what: str) -> np.ndarray:
@@ -197,65 +223,57 @@ def _check_varchar(payload: bytes, offsets: np.ndarray, what: str) -> np.ndarray
     return ends
 
 
+def _array(raw, dtype: str, count: int, what: str) -> np.ndarray:
+    """``raw`` viewed as ``count`` values of ``dtype``; any other byte length
+    raises ``CorruptDescriptor``."""
+    width = np.dtype(dtype).itemsize
+    if len(raw) != count * width:
+        raise CorruptDescriptor(f"{what}: {len(raw)} bytes for {count} entries of {width}")
+    return np.frombuffer(raw, dtype=dtype)
+
+
 def _split_segment(specs, buffers: dict, rows: int):
-    """Check the buffer sizes of one device output segment (raw buffers for
-    a run of rows) and view its columns as arrays, decoding no value.
+    """Check the buffer sizes of one segment (raw buffers for a run of rows)
+    and view its columns as arrays, decoding no value.
 
     Returns ``(vids, data, validity)``; ``data`` maps a fixed-width column
     to its values array and a varchar column to ``(payload, offsets)``,
     whose content ``decode_varchar`` or ``_check_varchar`` checks.
     """
-    vid_buf = buffers.get((VID_COLUMN, KIND_VALUES), b"")
-    vids = np.frombuffer(vid_buf, dtype="<u8")
-    if len(vids) != rows:
-        raise CorruptDescriptor(f"identity column has {len(vids)} entries for {rows} rows")
+    def buffer(name, kind, dtype, count):
+        return _array(buffers.get((name, kind), b""), dtype, count, f"{name} {kind}")
+
+    vids = buffer(VID_COLUMN, KIND_VALUES, "<u8", rows)
     data: dict = {}
     validity: dict = {}
     for spec in specs:
         name = spec.name
         if name == VID_COLUMN:
             continue
-        values = buffers.get((name, KIND_VALUES), b"")
         if spec.ftype.code == TC_VARCHAR:
-            off_buf = buffers.get((name, KIND_OFFSETS), b"")
-            offsets = np.frombuffer(off_buf, dtype="<u4")
-            if rows == 0:
-                if len(offsets) not in (0, 1):
-                    raise CorruptDescriptor(f"{name}: offsets present for empty segment")
-                data[name] = b"", np.zeros(1, dtype="<u4")
-            else:
-                if len(offsets) != rows + 1:
-                    raise CorruptDescriptor(
-                        f"{name}: {len(offsets)} offsets for {rows} rows"
-                    )
-                data[name] = bytes(values), offsets
+            offsets = buffer(name, KIND_OFFSETS, "<u4", rows + 1 if rows else 0)
+            data[name] = (bytes(buffers.get((name, KIND_VALUES), b"")),
+                          offsets if rows else varchar_offsets([]))    # none stored for no rows
         else:
-            width = value_width(spec.ftype)
-            arr = np.frombuffer(values, dtype=f"<i{width}")
-            if len(arr) != rows:
-                raise CorruptDescriptor(f"{name}: {len(arr)} values for {rows} rows")
-            data[name] = arr
-        if spec.nullable:
-            bits_buf = buffers.get((name, KIND_VALIDITY), b"")
-            if len(bits_buf) != (rows + 7) // 8:
-                raise CorruptDescriptor(f"{name}: validity bitmap length {len(bits_buf)}")
-            bits = np.unpackbits(np.frombuffer(bits_buf, dtype=np.uint8), bitorder="little")
-            validity[name] = bits[:rows].astype(bool)
-        else:
-            validity[name] = None
+            data[name] = buffer(name, KIND_VALUES, f"<i{spec.ftype.width}", rows)
+        validity[name] = (unpack_bits(buffer(name, KIND_VALIDITY, "u1", (rows + 7) // 8), rows)
+                          if spec.nullable else None)
     return vids, data, validity
 
 
 def _split_segments(specs, segments, keep):
     """``_split_segment`` of each of ``segments`` (none reads as one empty
-    segment), the positions each starts and ends at, and the index that
-    selects the kept positions from their concatenation."""
+    segment), the positions each starts and ends at, and the function that
+    joins one array per segment and selects the kept positions (a lone
+    segment's array is not copied)."""
     segments = segments or [(0, {})]
     bounds = np.cumsum([0] + [rows for rows, _ in segments]).tolist()
     if keep is not None and len(keep) != bounds[-1]:
         raise ValueError(f"keep mask has {len(keep)} entries for {bounds[-1]} positions")
     parts = [_split_segment(specs, bufs, rows) for rows, bufs in segments]
-    return parts, bounds, slice(None) if keep is None else keep
+    take = slice(None) if keep is None else keep
+    return parts, bounds, lambda arrays: (
+        arrays[0] if len(arrays) == 1 else np.concatenate(arrays))[take]
 
 
 def assemble(specs, segments, keep=None) -> ColumnSet:
@@ -264,8 +282,8 @@ def assemble(specs, segments, keep=None) -> ColumnSet:
 
     Every position is checked; strings are built for kept positions only.
     """
-    parts, bounds, take = _split_segments(specs, segments, keep)
-    vids = np.concatenate([p[0] for p in parts])[take]
+    parts, bounds, joined = _split_segments(specs, segments, keep)
+    vids = joined([p[0] for p in parts])
     data: dict = {}
     validity: dict = {}
     for spec in specs:
@@ -278,11 +296,8 @@ def assemble(specs, segments, keep=None) -> ColumnSet:
                 data[name] += decode_varchar(*p[1][name], name,
                                              None if keep is None else keep[lo:hi])
         else:
-            data[name] = np.concatenate([p[1][name] for p in parts])[take]
-        if spec.nullable:
-            validity[name] = np.concatenate([p[2][name] for p in parts])[take]
-        else:
-            validity[name] = None
+            data[name] = joined([p[1][name] for p in parts])
+        validity[name] = joined([p[2][name] for p in parts]) if spec.nullable else None
     return ColumnSet(specs, vids, data, validity, len(vids))
 
 
@@ -299,13 +314,10 @@ def gather_buffers(specs, segments, keep=None) -> dict:
 
     Every position is checked as ``assemble`` checks it.
     """
-    parts, _, take = _split_segments(specs, segments, keep)
-    vids = np.concatenate([p[0] for p in parts])[take]
-    out = {(VID_COLUMN, KIND_VALUES): vids.astype("<u8").tobytes()}
-    for spec in specs:
+    parts, _, joined = _split_segments(specs, segments, keep)
+
+    def column(spec):
         name = spec.name
-        if name == VID_COLUMN:
-            continue
         if spec.ftype.code == TC_VARCHAR:
             cols = [p[1][name] for p in parts]
             lengths = np.concatenate([np.diff(_check_varchar(payload, offsets, name))
@@ -314,17 +326,12 @@ def gather_buffers(specs, segments, keep=None) -> dict:
             if keep is not None:
                 payload = np.frombuffer(payload, dtype=np.uint8)[np.repeat(keep, lengths)]
                 lengths = lengths[keep]
-            out[(name, KIND_VALUES)] = bytes(payload)
-            if len(vids):
-                ends = np.concatenate([[0], np.cumsum(lengths)])
-                out[(name, KIND_OFFSETS)] = ends.astype("<u4").tobytes()
+            values = payload, lengths
         else:
-            values = np.concatenate([p[1][name] for p in parts])[take]
-            out[(name, KIND_VALUES)] = values.astype(f"<i{value_width(spec.ftype)}").tobytes()
-        if spec.nullable:
-            bits = np.concatenate([p[2][name] for p in parts])[take].astype(np.uint8)
-            out[(name, KIND_VALIDITY)] = np.packbits(bits, bitorder="little").tobytes()
-    return out
+            values = joined([p[1][name] for p in parts])
+        return values, joined([p[2][name] for p in parts]) if spec.nullable else None
+
+    return _encode(specs, joined([p[0] for p in parts]), column)
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,18 @@ from .errors import (
     OutOfRange,
     OutOfSpace,
 )
-from .layout import PAGE_HEADER_SIZE, PAGE_SIZE, RID_NONE, SLOT_ENTRY_SIZE, pack_rid
+from .layout import (
+    CREATE_TS_OFFSET,
+    FLAGS_OFFSET,
+    PAGE_HEADER_SIZE,
+    PAGE_SIZE,
+    PRED_OFFSET,
+    RECORD_HEADER_FIXED,
+    RID_NONE,
+    SLOT_COUNT_OFFSET,
+    SLOT_ENTRY_SIZE,
+    pack_rid,
+)
 
 GIB = 1024 ** 3
 
@@ -57,9 +68,7 @@ REGION_NVM = "NVM"
 REGIONS = (REGION_DDR, REGION_NVM)      # region code -> region name
 UNRESOLVED = len(REGIONS)               # region code of a page the device cannot reach
 
-SLOT_COUNT_OFFSET = 8            # u16 slot count in the page header
 MAX_SLOTS = (PAGE_SIZE - PAGE_HEADER_SIZE) // SLOT_ENTRY_SIZE
-PROBE_BYTES = 25                 # record header through the flags byte
 
 # Modeled transfer sizes for in-situ navigation.
 VID_ENTRY_BYTES = 8
@@ -443,11 +452,11 @@ class Device:
 
     def pe_probe_header(self, pe: int, region: str, record_offsets: np.ndarray):
         """Modeled 4B header probes; yield (create_ts, packed pred, flags) arrays."""
-        buf = self._check_ranges(region, record_offsets, PROBE_BYTES)
+        buf = self._check_ranges(region, record_offsets, RECORD_HEADER_FIXED)
         self._charge_navigation(pe, "probe", HEADER_PROBE_BYTES, len(record_offsets), region)
-        return (_gather(buf, "<u8", record_offsets + 8),
-                _gather(buf, "<u8", record_offsets + 16),
-                _gather(buf, "u1", record_offsets + 24))
+        return (_gather(buf, "<u8", record_offsets + CREATE_TS_OFFSET),
+                _gather(buf, "<u8", record_offsets + PRED_OFFSET),
+                _gather(buf, "u1", record_offsets + FLAGS_OFFSET))
 
     def pe_read_records(self, pe: int, regions: np.ndarray, offsets: np.ndarray,
                         lengths: np.ndarray):

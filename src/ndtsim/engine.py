@@ -71,7 +71,10 @@ from .columns import (
     KIND_VALUES,
     VID_COLUMN,
     assemble,
+    pack_bits,
     result_specs,
+    varchar_offsets,
+    visibility_words,
 )
 from .device import Device, PageTable, REGION_DDR, REGION_NVM, REGIONS, UNRESOLVED
 from .errors import (
@@ -411,11 +414,11 @@ def transform_record(job: PeJob, inv: NdtInvocation, device: Device) -> list:
             planned[KIND_VALUES] = _element_flushes(
                 raw.reshape(-1), width, job.caps[name, KIND_VALUES], n, lambda e: e, _FLUSH_VALUES)
         if nullable:
-            bits = np.packbits(present, bitorder="little")
+            bits = pack_bits(present)
             planned[KIND_VALIDITY] = _element_flushes(
                 bits, 1, job.caps[name, KIND_VALIDITY], len(bits), lambda e: 8 * e, _FLUSH_VALIDITY)
         if code == TC_VARCHAR:
-            offsets = np.concatenate(([0], np.cumsum(sizes))).astype("<u4").view(np.uint8)
+            offsets = varchar_offsets(sizes).view(np.uint8)
             planned[KIND_OFFSETS] = _element_flushes(
                 offsets, 4, job.caps[name, KIND_OFFSETS], n + 1, lambda e: e - 1, _FLUSH_OFFSETS)
         for kind, (mid, tail) in planned.items():
@@ -761,11 +764,10 @@ class MaterializationHandle:
 
 
 def write_bitmap_pages(handle: MaterializationHandle):
-    """Persist ``current`` beside the fragments as LSB-first u64 words (charged writes)."""
+    """Persist ``current`` beside the fragments as ``visibility_words`` (charged writes)."""
     device = handle.device
-    bits = np.packbits(handle.current, bitorder="little").tobytes()
-    data = bits + bytes(-len(bits) % 8)
-    need = -(-len(data) // PAGE_SIZE) if data else 0
+    data = visibility_words(handle.current)
+    need = -(-len(data) // PAGE_SIZE)
     while len(handle.bitmap_pages) < need:
         [idx] = device.allocate_pages(REGION_NVM, 1, handle.owner)
         handle.bitmap_pages.append(idx)

@@ -48,8 +48,12 @@ from .errors import (
 
 PAGE_SIZE = 8192
 PAGE_HEADER_SIZE = 12          # page_lid u64, slot_count u16, free_offset u16
+SLOT_COUNT_OFFSET = 8          # slot_count, then free_offset, in the page header
 SLOT_ENTRY_SIZE = 4            # offset u16, length u16
-RECORD_HEADER_FIXED = 25       # vid + create_ts + pred + flags
+CREATE_TS_OFFSET = 8           # record header fields after the vid
+PRED_OFFSET = 16
+FLAGS_OFFSET = 24
+RECORD_HEADER_FIXED = FLAGS_OFFSET + 1     # vid + create_ts + pred + flags
 MAX_RECORD_SIZE = PAGE_SIZE - PAGE_HEADER_SIZE - SLOT_ENTRY_SIZE
 
 # Seconds from 1970-01-01T00:00:00Z to 2000-01-01T00:00:00Z.
@@ -396,7 +400,7 @@ def locate_fields(schema: Schema, buf: np.ndarray, starts: np.ndarray,
         return FieldLocations(present, start, length)
     if (lengths < RECORD_HEADER_FIXED).any():
         raise CorruptRecord("record shorter than its header")
-    live = buf[starts + RECORD_HEADER_FIXED - 1] & 1 == 0    # flags byte, bit 0
+    live = buf[starts + FLAGS_OFFSET] & 1 == 0    # bit 0: tombstone
     if (live & (lengths < schema.header_size)).any():
         raise CorruptRecord("record shorter than its header")
     # null bitmaps, all-NULL for tombstones
@@ -491,7 +495,7 @@ class NsmPage:
         self._sync_header()
 
     def _sync_header(self):
-        struct.pack_into("<HH", self.buf, 8, self.slot_count, self.free_offset)
+        struct.pack_into("<HH", self.buf, SLOT_COUNT_OFFSET, self.slot_count, self.free_offset)
 
     @property
     def free_space(self) -> int:
@@ -532,4 +536,4 @@ class NsmPage:
 
 
 def page_slot_count_at(buf, page_base: int) -> int:
-    return _U16.unpack_from(buf, page_base + 8)[0]
+    return _U16.unpack_from(buf, page_base + SLOT_COUNT_OFFSET)[0]

@@ -20,9 +20,9 @@ tombstone flag and a NULL non-nullable attribute: the chains call every
 record read here live.
 
 Independence rule: nothing here comes from the device path (``engine``,
-``delta``, or the batch field locator in ``layout``), so a bug there
-cannot sit on both sides of a differential test.  ``tests/test_imports.py``
-enforces it.
+``delta``, ``device``, or the batch field locator in ``layout``), so a bug
+there cannot sit on both sides of a differential test.
+``tests/test_imports.py`` enforces it.
 """
 
 from __future__ import annotations
@@ -32,21 +32,20 @@ from operator import is_not
 
 import numpy as np
 
-from .device import SLOT_COUNT_OFFSET
 from .errors import CorruptRecord, SlotOutOfRange
 from .layout import (
+    FLAGS_OFFSET,
     MICROS_PER_SECOND,
     PAGE_HEADER_SIZE,
     PAGE_SIZE,
     POSTGRES_EPOCH_OFFSET_SECONDS,
     RECORD_HEADER_FIXED,
+    SLOT_COUNT_OFFSET,
     SLOT_ENTRY_SIZE,
     TC_TIMESTAMP,
     Schema,
 )
 from .mvcc import SnapshotDescriptor, oracle_visible_version
-
-TOMBSTONE_AT = RECORD_HEADER_FIXED - 1     # flags byte, bit 0
 
 
 def _u16(buf: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -117,7 +116,7 @@ def decode_columns(schema: Schema, names, raw: bytes, starts: np.ndarray,
     n = len(starts)
     if (lengths < RECORD_HEADER_FIXED).any():
         raise CorruptRecord("record shorter than its header")
-    if (buf[starts + TOMBSTONE_AT] & 1).any():
+    if (buf[starts + FLAGS_OFFSET] & 1).any():      # bit 0: tombstone
         raise CorruptRecord("a version the chains call live is a tombstone")
     if (lengths < schema.header_size).any():
         raise CorruptRecord("record shorter than its header")

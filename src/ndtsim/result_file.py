@@ -25,8 +25,9 @@ in the schema block parameters.
 
 ``write_file`` encodes a column set; ``write_handle`` moves a
 materialization's fragment bytes into the file without decoding a value.
-``read_file`` checks every buffer and decodes each varchar column with one
-``bytes.decode`` (``columns.decode_varchar``).
+``read_file`` makes the file's own checks (header, schema, descriptor
+ranges, overlaps) and decodes the buffers with ``columns.assemble``, the
+reader of device segments, which checks each buffer's length and content.
 """
 
 from __future__ import annotations
@@ -42,10 +43,11 @@ from .columns import (
     VID_COLUMN,
     ColumnSet,
     ColumnSpec,
+    assemble,
     column_buffers,
-    decode_varchar,
     gather_buffers,
-    value_width,
+    visibility_bits,
+    visibility_words,
 )
 from .delta import read_segments
 from .errors import BadMagic, CorruptDescriptor, UnsupportedVersion
@@ -71,6 +73,7 @@ _ATTR_FIXED = struct.Struct("<BHHB")
 _DESC = struct.Struct("<QQQQQQ")
 _VIS = struct.Struct("<QQ")
 _U16 = struct.Struct("<H")
+_KINDS = (KIND_VALUES, KIND_VALIDITY, KIND_OFFSETS)      # descriptor order
 
 
 def _align(n: int) -> int:
@@ -142,28 +145,16 @@ def _write_buffers(path, specs, rows: int, buffers: dict, visibility: np.ndarray
         cursor = off + len(data)
         return off, len(data)
 
-    descriptors = []
-    for spec in specs:
-        name = spec.name
-        descriptors.append(place(buffers.get((name, KIND_VALUES), b""))
-                           + place(buffers.get((name, KIND_VALIDITY), b""))
-                           + place(buffers.get((name, KIND_OFFSETS), b"")))
-
-    if rows:
-        vis_bytes = np.packbits(visibility.astype(np.uint8), bitorder="little").tobytes()
-        vis_bytes += b"\x00" * (-(-rows // 64) * 8 - len(vis_bytes))
-    else:
-        vis_bytes = b""
-    vis_desc = place(vis_bytes)
+    descriptors = [sum((place(buffers.get((spec.name, kind), b"")) for kind in _KINDS), ())
+                   for spec in specs]
+    vis_desc = place(visibility_words(visibility))
 
     out = bytearray(cursor)
     _HEADER.pack_into(out, 0, MAGIC, FORMAT_VERSION, snapshot_ts, rows, len(specs))
     out[_HEADER.size:_HEADER.size + len(schema_block)] = schema_block
-    pos = desc_pos
-    for desc in descriptors:
-        _DESC.pack_into(out, pos, *desc)
-        pos += _DESC.size
-    _VIS.pack_into(out, pos, *vis_desc)
+    for i, desc in enumerate(descriptors):
+        _DESC.pack_into(out, desc_pos + _DESC.size * i, *desc)
+    _VIS.pack_into(out, desc_pos + _DESC.size * len(specs), *vis_desc)
     for off, data in blobs:
         out[off:off + len(data)] = data
 
@@ -171,10 +162,8 @@ def _write_buffers(path, specs, rows: int, buffers: dict, visibility: np.ndarray
         fh.write(out)
 
 
-def _checked_slice(raw: bytes, off: int, length: int, what: str) -> bytes:
-    if off == 0 and length == 0:
-        return b""
-    if off < 0 or length < 0 or off + length > len(raw):
+def _checked_slice(raw, off: int, length: int, what: str):
+    if off + length > len(raw):
         raise CorruptDescriptor(f"{what}: range [{off},{off + length}) outside file of {len(raw)}")
     return raw[off:off + length]
 
@@ -210,81 +199,28 @@ def read_file(path):
             except ValueError as exc:
                 raise CorruptDescriptor(f"bad type parameters: {exc}") from exc
             specs.append(ColumnSpec(name, ftype, bool(nullable)))
-        descriptors = []
-        for _ in range(attr_count):
-            descriptors.append(_DESC.unpack_from(raw, pos))
-            pos += _DESC.size
-        vis_off, vis_len = _VIS.unpack_from(raw, pos)
+        descriptors = [_DESC.unpack_from(raw, pos + _DESC.size * i) for i in range(attr_count)]
+        vis_off, vis_len = _VIS.unpack_from(raw, pos + _DESC.size * attr_count)
     except struct.error as exc:
         raise CorruptDescriptor(f"descriptor table truncated: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise CorruptDescriptor(f"attribute name is not UTF-8: {exc}") from exc
 
-    if not specs or specs[0].name != VID_COLUMN:
-        raise CorruptDescriptor("first column must be the row identity")
+    names = [spec.name for spec in specs]
+    if names[0] != VID_COLUMN or len(set(names)) != len(names):
+        raise CorruptDescriptor("the row identity must come first, and no name twice")
 
-    ranges = [r for d in descriptors for r in ((d[0], d[1]), (d[2], d[3]), (d[4], d[5]))]
-    ranges.append((vis_off, vis_len))
-    occupied = sorted((off, off + ln) for off, ln in ranges if ln)
+    ranges = {(name, kind): desc[2 * i:2 * i + 2]
+              for name, desc in zip(names, descriptors) for i, kind in enumerate(_KINDS)}
+    occupied = sorted((off, off + ln) for off, ln in [*ranges.values(), (vis_off, vis_len)] if ln)
     for (a0, a1), (b0, b1) in zip(occupied, occupied[1:]):
         if b0 < a1:
             raise CorruptDescriptor(f"buffers [{a0},{a1}) and [{b0},{b1}) overlap")
 
-    data: dict = {}
-    validity: dict = {}
-    vids = None
-    for spec, desc in zip(specs, descriptors):
-        v_off, v_len, n_off, n_len, o_off, o_len = desc
-        values = _checked_slice(raw, v_off, v_len, f"{spec.name} values")
-        if spec.name == VID_COLUMN:
-            if len(values) != rows * 8:
-                raise CorruptDescriptor(f"identity column holds {len(values)} bytes for {rows} rows")
-            vids = np.frombuffer(values, dtype="<u8")
-            continue
-        if isinstance(spec.ftype, VarChar):
-            offsets_raw = _checked_slice(raw, o_off, o_len, f"{spec.name} offsets")
-            if rows == 0:
-                if offsets_raw:
-                    raise CorruptDescriptor(f"{spec.name}: offsets present for empty file")
-                data[spec.name] = []
-            else:
-                if len(offsets_raw) != (rows + 1) * 4:
-                    raise CorruptDescriptor(f"{spec.name}: offsets length {len(offsets_raw)}")
-                data[spec.name] = decode_varchar(
-                    values, np.frombuffer(offsets_raw, dtype="<u4"), spec.name)
-        else:
-            width = value_width(spec.ftype)
-            if len(values) != rows * width:
-                raise CorruptDescriptor(
-                    f"{spec.name}: {len(values)} value bytes for {rows} rows of width {width}"
-                )
-            data[spec.name] = np.frombuffer(values, dtype=f"<i{width}")
-        if spec.nullable:
-            bits_raw = _checked_slice(raw, n_off, n_len, f"{spec.name} validity")
-            if rows == 0:
-                validity[spec.name] = np.zeros(0, dtype=bool)
-            else:
-                if len(bits_raw) != (rows + 7) // 8:
-                    raise CorruptDescriptor(f"{spec.name}: validity length {len(bits_raw)}")
-                bits = np.unpackbits(np.frombuffer(bits_raw, dtype=np.uint8), bitorder="little")
-                validity[spec.name] = bits[:rows].astype(bool)
-        else:
-            validity[spec.name] = None
-
-    if vids is None:
-        raise CorruptDescriptor("missing row identity column")
-    vis_raw = _checked_slice(raw, vis_off, vis_len, "visibility bitmap")
-    if rows == 0:
-        bits = np.zeros(0, dtype=bool)
-        if vis_raw:
-            raise CorruptDescriptor("visibility bitmap present for empty file")
-    else:
-        if len(vis_raw) != -(-rows // 64) * 8:
-            raise CorruptDescriptor(f"visibility bitmap length {len(vis_raw)}")
-        bits = np.unpackbits(np.frombuffer(vis_raw, dtype=np.uint8),
-                             bitorder="little")[:rows].astype(bool)
-    column_set = ColumnSet(tuple(specs), vids, data, validity, rows)
-    return column_set, bits
+    view = memoryview(raw)
+    buffers = {key: _checked_slice(view, *r, " ".join(key)) for key, r in ranges.items()}
+    bits = visibility_bits(_checked_slice(view, vis_off, vis_len, "visibility bitmap"), rows)
+    return assemble(tuple(specs), [(rows, buffers)]), bits
 
 
 def write_handle(path, handle) -> None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DanglingReference, DeviceUnavailable
-from .layout import PAGE_SIZE, NsmPage, RecordID, pack_rid
+from .layout import PAGE_SIZE, PRED_OFFSET, NsmPage, RecordID, pack_rid
 from .oracle import read_records
 
 REGION_HOST = "HOST"
@@ -170,7 +170,7 @@ class HostSharedState:
         """
         packed = struct.pack("<Q", pack_rid(new_pred))
         _raw, starts, _lengths = read_records(self, [rid.page_lid], [rid.slot])
-        at = int(starts[0]) + 16    # one page read: the record's offset in it
+        at = int(starts[0]) + PRED_OFFSET    # one page read: the record's offset in it
         region, idx = self.l2p[rid.page_lid]
         if region == REGION_HOST:
             self.host_pages[rid.page_lid].buf[at:at + 8] = packed

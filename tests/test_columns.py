@@ -3,8 +3,12 @@
 The read-back decodes each varchar payload once and slices it; compaction
 and export gather bytes without building strings.  Both are pinned here to
 the per-row decoder they replaced (one ``bytes.decode`` per value, kept
-below as the reference), on random specs, segments and keep masks.
+below as the reference), on random specs, segments and keep masks, and so
+is the NDTC file written from the reference and read back.
 """
+
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from ndtsim.columns import (
 )
 from ndtsim.errors import CorruptDescriptor
 from ndtsim.layout import Decimal, Int32, Int64, Schema, TimestampPg, VarChar
+from ndtsim.result_file import read_file, write_file
 
 
 def _varchar_segment(payload: bytes, offsets):
@@ -51,6 +56,25 @@ def test_decode_segment_rejects_bad_offsets(offsets):
     specs, buffers, rows = _varchar_segment(b"abcdef", offsets)
     with pytest.raises(CorruptDescriptor):
         decode_segment(specs, buffers, rows)
+
+
+@pytest.mark.parametrize("key", [(VID_COLUMN, KIND_VALUES), ("n", KIND_VALUES),
+                                 ("s", KIND_OFFSETS)],
+                         ids=["identity", "fixed_width", "offsets"])
+def test_ragged_buffer_lengths_raise_typed_errors(key):
+    """A buffer that is not a whole number of its elements is corrupt, and
+    every reader says so with ``CorruptDescriptor``."""
+    specs = result_specs(Schema("t", [("n", Int32(), False), ("s", VarChar(8), False)]),
+                         ("n", "s"))
+    buffers = column_buffers(ColumnSet(specs, np.arange(3, dtype="<u8"),
+                                       {"n": np.arange(3, dtype="<i4"), "s": ["a", "bc", ""]},
+                                       {"n": None, "s": None}, 3))
+    buffers[key] = buffers[key][:-1]
+    for call in (lambda: decode_segment(specs, buffers, 3),
+                 lambda: assemble(specs, [(3, buffers)]),
+                 lambda: gather_buffers(specs, [(3, buffers)])):
+        with pytest.raises(CorruptDescriptor):
+            call()
 
 
 # -- the per-row reference -----------------------------------------------------------
@@ -166,6 +190,12 @@ def test_readback_matches_the_per_row_decoder(case):
                       (gather_buffers(specs, segments, keep),
                        column_buffers(reference.mask(keep)))):
         assert list(got.items()) == list(want.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "readback.ndtc")
+        write_file(path, reference)
+        from_file, bits = read_file(path)
+    _assert_identical(from_file, reference)
+    assert bits.dtype == bool and len(bits) == reference.n_rows and bits.all()
 
 
 # -- corruption confined to rows the mask drops --------------------------------------

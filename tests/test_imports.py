@@ -131,7 +131,7 @@ def test_scan_finds_a_private_import(tmp_path):
 # The host oracle is the reference every device path is compared with, so it
 # shares no code with the device path: one bug must not sit on both sides.
 ORACLE = ROOT / "src" / "ndtsim" / "oracle.py"
-DEVICE_PATH_MODULES = {"engine", "delta"}
+DEVICE_PATH_MODULES = {"engine", "delta", "device"}
 # The device result's varchar decoder counts as device path too.
 DEVICE_PATH_NAMES = {"locate_fields", "range_indexes", "FieldLocations", "decode_varchar"}
 
@@ -170,8 +170,9 @@ def test_scan_finds_a_device_path_import(tmp_path):
                      "from .layout import FieldLocations as F, range_indexes\n"
                      "from .mvcc import oracle_visible_version\n"
                      "from .columns import ColumnSet, decode_varchar\n"
-                     "from ndtsim.columns import decode_varchar as decode\n")
+                     "from ndtsim.columns import decode_varchar as decode\n"
+                     "from .device import Device\n")
     assert device_path_imports(probe) == [
         "line 1: engine", "line 2: delta", "line 3: ndtsim.engine", "line 4: locate_fields",
         "line 5: FieldLocations", "line 5: range_indexes", "line 7: decode_varchar",
-        "line 8: decode_varchar"]
+        "line 8: decode_varchar", "line 9: device"]

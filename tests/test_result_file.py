@@ -4,13 +4,22 @@ import hashlib
 import random
 
 import numpy as np
+import pytest
 
-from ndtsim.columns import canonical_compare
+from ndtsim.columns import (
+    KIND_OFFSETS,
+    KIND_VALIDITY,
+    ColumnSet,
+    canonical_compare,
+    column_buffers,
+    result_specs,
+)
 from ndtsim.delta import full_column_set
 from ndtsim.engine import MODE_MATERIALIZE
-from ndtsim.errors import NdtError
+from ndtsim.errors import CorruptDescriptor, NdtError
 from ndtsim.host import HostSystem
-from ndtsim.result_file import read_file, write_file, write_handle
+from ndtsim.layout import Int32, Schema, VarChar
+from ndtsim.result_file import _write_buffers, read_file, write_file, write_handle
 
 
 def _refreshed_handle():
@@ -48,6 +57,26 @@ def test_empty_file_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == EMPTY_SHA256
     column_set, bits = read_file(path)
     assert column_set.n_rows == 0 and len(bits) == 0
+
+
+@pytest.mark.parametrize("key, data", [(("n", KIND_VALIDITY), b"\x00"),
+                                       (("s", KIND_OFFSETS), bytes(4))],
+                         ids=["validity_byte", "single_offset"])
+def test_empty_file_with_column_bytes_is_rejected(tmp_path, key, data):
+    """A file of no rows stores no validity bits and no offsets: not even
+    the one offset 0 that ``rows + 1`` would give."""
+    specs = result_specs(Schema("t", [("n", Int32(), True), ("s", VarChar(8), False)]),
+                         ("n", "s"))
+    empty = ColumnSet(specs, np.zeros(0, dtype="<u8"), {"n": np.zeros(0, dtype="<i4"), "s": []},
+                      {"n": np.zeros(0, dtype=bool), "s": None}, 0)
+    path = tmp_path / "empty.ndtc"
+    write_file(path, empty)
+    column_set, bits = read_file(path)
+    assert column_set.n_rows == 0 and len(bits) == 0
+    buffers = {**column_buffers(empty), key: data}
+    _write_buffers(path, specs, 0, buffers, np.zeros(0, dtype=bool), 0)
+    with pytest.raises(CorruptDescriptor):
+        read_file(path)
 
 
 def test_corrupt_files_raise_only_typed_errors(tmp_path):
