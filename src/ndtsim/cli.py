@@ -77,10 +77,8 @@ def _require_equal(got, expected, what: str):
 
 def _committed_table(system):
     """Every committed row, read by the host oracle at a fresh reader snapshot."""
-    reader = system.store.begin_tx()
-    table = system.oracle_column_set(system.store.snapshot_descriptor(reader))
-    system.store.commit_tx(reader)
-    return table
+    with system.reader() as reader:
+        return system.oracle_column_set(system.store.snapshot_descriptor(reader))
 
 
 def cmd_htap(args) -> int:
@@ -224,9 +222,7 @@ def cmd_delta(args) -> int:
     shadow = system.load_orderlines(rows, seed=args.seed)
     system.merge_to_cold()
 
-    before = system.device.ledger.snapshot()
     _, handle = system.transform_snapshot(mode=MODE_MATERIALIZE, pe_count=args.pe or None)
-    initial_delta = system.device.ledger.delta_since(before)
     initial_bytes = handle.column_bytes
     print(f"delta: table {rows} rows, initial materialization {initial_bytes} bytes")
 
@@ -245,12 +241,10 @@ def cmd_delta(args) -> int:
         system.store.commit_tx(t)
         system.merge_to_cold()
 
-        inv_caller = system.store.begin_tx()
-        inv = system.prepare_invocation(inv_caller, handle.projection,
-                                        MODE_MATERIALIZE, args.pe or None,
-                                        prior_handle=handle)
-        report = delta_cost(handle, inv, grantor=system.grant_space)
-        system.store.commit_tx(inv_caller)
+        with system.reader() as caller:
+            inv = system.prepare_invocation(caller, handle.projection, MODE_MATERIALIZE,
+                                            args.pe or None, prior_handle=handle)
+            report = delta_cost(handle, inv, grantor=system.grant_space)
 
         if args.verify:
             snap = handle.snapshot

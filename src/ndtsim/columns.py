@@ -44,6 +44,12 @@ KIND_OFFSETS = "offsets"
 
 VID_COLUMN = "__vid"
 
+# Element types of the buffers every column set shares: the identity column,
+# varchar offsets and validity bytes.
+VID_DTYPE = np.dtype("<u8")
+OFFSETS_DTYPE = np.dtype("<u4")
+VALIDITY_DTYPE = np.dtype("u1")
+
 
 class ColumnSpec(NamedTuple):
     name: str
@@ -114,7 +120,7 @@ def unpack_bits(bits: np.ndarray, rows: int) -> np.ndarray:
 
 def varchar_offsets(lengths) -> np.ndarray:
     """The u4 offsets of values with these byte lengths: rows+1 entries from 0."""
-    return np.concatenate(([0], np.cumsum(lengths))).astype("<u4")
+    return np.concatenate(([0], np.cumsum(lengths))).astype(OFFSETS_DTYPE)
 
 
 def visibility_words(current: np.ndarray) -> bytes:
@@ -137,7 +143,7 @@ def _encode(specs, vids: np.ndarray, column) -> dict:
     time; varchar values are ``(payload bytes, byte lengths)``, and
     ``present`` is unused for a column that is not nullable.
     """
-    out = {(VID_COLUMN, KIND_VALUES): vids.astype("<u8").tobytes()}
+    out = {(VID_COLUMN, KIND_VALUES): vids.astype(VID_DTYPE).tobytes()}
     for spec in specs:
         name = spec.name
         if name == VID_COLUMN:
@@ -223,7 +229,7 @@ def _check_varchar(payload: bytes, offsets: np.ndarray, what: str) -> np.ndarray
     return ends
 
 
-def _array(raw, dtype: str, count: int, what: str) -> np.ndarray:
+def _array(raw, dtype, count: int, what: str) -> np.ndarray:
     """``raw`` viewed as ``count`` values of ``dtype``; any other byte length
     raises ``CorruptDescriptor``."""
     width = np.dtype(dtype).itemsize
@@ -243,7 +249,7 @@ def _split_segment(specs, buffers: dict, rows: int):
     def buffer(name, kind, dtype, count):
         return _array(buffers.get((name, kind), b""), dtype, count, f"{name} {kind}")
 
-    vids = buffer(VID_COLUMN, KIND_VALUES, "<u8", rows)
+    vids = buffer(VID_COLUMN, KIND_VALUES, VID_DTYPE, rows)
     data: dict = {}
     validity: dict = {}
     for spec in specs:
@@ -251,12 +257,13 @@ def _split_segment(specs, buffers: dict, rows: int):
         if name == VID_COLUMN:
             continue
         if spec.ftype.code == TC_VARCHAR:
-            offsets = buffer(name, KIND_OFFSETS, "<u4", rows + 1 if rows else 0)
+            offsets = buffer(name, KIND_OFFSETS, OFFSETS_DTYPE, rows + 1 if rows else 0)
             data[name] = (bytes(buffers.get((name, KIND_VALUES), b"")),
                           offsets if rows else varchar_offsets([]))    # none stored for no rows
         else:
             data[name] = buffer(name, KIND_VALUES, f"<i{spec.ftype.width}", rows)
-        validity[name] = (unpack_bits(buffer(name, KIND_VALIDITY, "u1", (rows + 7) // 8), rows)
+        validity[name] = (unpack_bits(buffer(name, KIND_VALIDITY, VALIDITY_DTYPE,
+                                             (rows + 7) // 8), rows)
                           if spec.nullable else None)
     return vids, data, validity
 

@@ -35,22 +35,15 @@ from .engine import (
     NdtInvocation,
     Segment,
     expose_segments,
-    freed_on_failure,
-    materialize_into,
     read_fragment,
+    run_invocation,
     write_bitmap_pages,
 )
-from .errors import StaleHandle
-
-
-def _require_live(handle: MaterializationHandle):
-    if handle.freed:
-        raise StaleHandle(f"handle {handle.owner} was freed")
 
 
 def read_segments(handle: MaterializationHandle, requester="HOST") -> list:
     """Every segment's ``(rows, buffers)``, read off all its fragment pages."""
-    _require_live(handle)
+    handle.require_live()
     return [(seg.rows, {key: read_fragment(handle.device, frag, requester)
                         for key, frag in seg.frags.items()})
             for seg in handle.segments]
@@ -77,21 +70,12 @@ def delta_transform(handle: MaterializationHandle, inv: NdtInvocation,
     Change detection compares the version now visible for each tuple with
     the version the handle materialized; equality means zero transformation
     work.  Changed tuples get their old position masked out and the new row
-    appended; deleted tuples are only masked out.  A refresh that is
-    rejected or fails returns the invocation's pages to the pool.
+    appended; deleted tuples are only masked out.  This is
+    ``run_invocation`` with the handle: a refresh that is rejected (freed
+    handle, snapshot not newer, other projection) or fails returns the
+    invocation's pages to the pool.
     """
-    device = handle.device
-    with device.invocation_in_flight():
-        with freed_on_failure(device, inv.owner):
-            _require_live(handle)
-            if inv.descriptor.caller <= handle.snapshot.caller:
-                raise ValueError(
-                    f"refresh snapshot {inv.descriptor.caller} not newer than handle "
-                    f"at {handle.snapshot.caller}"
-                )
-            if tuple(inv.projection) != tuple(handle.projection):
-                raise ValueError("refresh projection must match the materialization")
-        return materialize_into(handle, inv, grantor)
+    return run_invocation(inv, handle.device, grantor, handle=handle)
 
 
 @dataclass(frozen=True)

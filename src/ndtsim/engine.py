@@ -36,18 +36,19 @@ refresh of an existing materialization -- runs one pipeline:
    Positions held for removed and re-appended vids are cleared, the
    appended rows marked current, and the index merged with the new rows.
 
-Steps 1 and 2 run inside one failure guard: when either raises, every
-page the invocation owns goes back to the pool.
+``run_invocation`` is the one lifecycle of all three.  The invocation is
+in flight for the whole call, so no merge moves the pages its frozen views
+point at, and steps 1 and 2 run inside one failure guard: when either
+raises, every page the invocation owns goes back to the pool.
 
 The flushes reach the sinks in the order of a deterministic coordinator
 that drives the PEs round-robin one tuple at a time: every flush is tagged
 (round = the row of its job during which it happens, PE, position within
 that row), a job's final flushes come in the round after its last row,
 and the merged tags are replayed in order.  A flush that runs out of
-result pages raises a page request, which the coordinator turns into a
-host round-trip before resuming it.  Page grants, fragment placement and
-stream-buffer rotation are therefore those of any legal parallel execution
-of the same jobs.
+result pages calls the host for more (one round-trip) and then goes on.
+Page grants, fragment placement and stream-buffer rotation are therefore
+those of any legal parallel execution of the same jobs.
 
 Every result carries an implicit leading identity column (``__vid``,
 u64) so results can be compared canonically and materializations can be
@@ -58,8 +59,8 @@ in a scratchpad partition, and flushed once per PE at job end.
 from __future__ import annotations
 
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -69,7 +70,10 @@ from .columns import (
     KIND_OFFSETS,
     KIND_VALIDITY,
     KIND_VALUES,
+    OFFSETS_DTYPE,
+    VALIDITY_DTYPE,
     VID_COLUMN,
+    VID_DTYPE,
     assemble,
     pack_bits,
     result_specs,
@@ -84,6 +88,7 @@ from .errors import (
     MissingColumn,
     PoolExhausted,
     ScratchpadTooSmall,
+    StaleHandle,
     TooManyPEsRequested,
 )
 from .layout import (
@@ -127,9 +132,9 @@ def plan_scratchpad(schema: Schema, projection, scratchpad_bytes: int) -> Scratc
         elem = 1 if attr.ftype.is_varlen else attr.ftype.width
         parts.append(((name, KIND_VALUES), elem))
         if attr.nullable:
-            parts.append(((name, KIND_VALIDITY), 1))
+            parts.append(((name, KIND_VALIDITY), VALIDITY_DTYPE.itemsize))
         if attr.ftype.is_varlen:
-            parts.append(((name, KIND_OFFSETS), 4))
+            parts.append(((name, KIND_OFFSETS), OFFSETS_DTYPE.itemsize))
     avail = scratchpad_bytes - RECORD_LOAD_BYTES
     if avail <= 0:
         raise ScratchpadTooSmall(
@@ -162,7 +167,6 @@ class NdtInvocation:
     stream_pages: list            # ring-buffer pages (stream mode)
     vid_view: np.ndarray          # frozen device vid map: (vid, head) rows sorted by vid
     l2p_view: PageTable           # frozen device page table
-    initial_pages: int = 0
     proj_plan: tuple = field(default=())
 
     def __post_init__(self):
@@ -176,7 +180,6 @@ class NdtInvocation:
             attr = self.schema.attributes[idx]
             plan.append((idx, name, attr.ftype, attr.ftype.code, attr.nullable))
         self.proj_plan = tuple(plan)
-        self.initial_pages = self.initial_pages or len(self.result_pages)
 
     @property
     def specs(self):
@@ -379,7 +382,7 @@ def _payload_flushes(payload: np.ndarray, sizes: np.ndarray, cap: int):
 def flush_partition(job: PeJob, device: Device, sink, key, data: bytes):
     """Spill one planned partition flush to its destination."""
     device.ledger.pe_op(job.pe, "flush")
-    yield from sink.emit(job, key, data)
+    sink.emit(job, key, data)
 
 
 def transform_record(job: PeJob, inv: NdtInvocation, device: Device) -> list:
@@ -416,25 +419,21 @@ def transform_record(job: PeJob, inv: NdtInvocation, device: Device) -> list:
         if nullable:
             bits = pack_bits(present)
             planned[KIND_VALIDITY] = _element_flushes(
-                bits, 1, job.caps[name, KIND_VALIDITY], len(bits), lambda e: 8 * e, _FLUSH_VALIDITY)
+                bits, VALIDITY_DTYPE.itemsize, job.caps[name, KIND_VALIDITY], len(bits),
+                lambda e: 8 * e, _FLUSH_VALIDITY)
         if code == TC_VARCHAR:
             offsets = varchar_offsets(sizes).view(np.uint8)
             planned[KIND_OFFSETS] = _element_flushes(
-                offsets, 4, job.caps[name, KIND_OFFSETS], n + 1, lambda e: e - 1, _FLUSH_OFFSETS)
+                offsets, OFFSETS_DTYPE.itemsize, job.caps[name, KIND_OFFSETS], n + 1,
+                lambda e: e - 1, _FLUSH_OFFSETS)
         for kind, (mid, tail) in planned.items():
             flushes.extend((row, job.pe, _FLUSHES_PER_ATTR * slot + position, (name, kind),
                             data.tobytes()) for row, position, data in mid)
             tails.append(((name, kind), tail))
-    tails.append(((VID_COLUMN, KIND_VALUES), rows.vids.astype("<u8").view(np.uint8)))
+    tails.append(((VID_COLUMN, KIND_VALUES), rows.vids.astype(VID_DTYPE).view(np.uint8)))
     flushes.extend((n, job.pe, position, key, data.tobytes())
                    for position, (key, data) in enumerate(tails) if len(data))
     return flushes
-
-
-@dataclass(frozen=True)
-class PageRequest:
-    pe: int
-    count: int
 
 
 INDEX_PROBE_BYTES = 8               # handle identity-index lookup per walked tuple
@@ -463,9 +462,9 @@ def walk(jobs, inv: NdtInvocation, device: Device, held: IdentityIndex, probe: b
     return np.concatenate(removed)
 
 
-def suspend_for_space(job: PeJob, inv: NdtInvocation, device: Device, grantor,
-                      count: int):
-    """Host round-trip for more result pages; the job resumes afterwards."""
+def suspend_for_space(inv: NdtInvocation, device: Device, grantor, job: PeJob, count: int):
+    """Host round-trip for ``count`` more result pages of ``job``; a denial
+    raises ``HostDenied``."""
     device.ledger.host_roundtrips += 1
     device.ledger.pe_op(job.pe, "space_request")
     if grantor is None:
@@ -477,51 +476,16 @@ def suspend_for_space(job: PeJob, inv: NdtInvocation, device: Device, grantor,
     job.page_queue.extend(pages)
 
 
-def run_jobs(jobs, inv: NdtInvocation, device: Device, sink, grantor=None):
+def run_jobs(jobs, inv: NdtInvocation, device: Device, sink):
     """Transform every job, then replay the flushes in coordinator order.
 
     The order is that of PEs driven round-robin one tuple at a time
-    (round, then PE, then position within the row).  On a page request the
-    flushing job is suspended, the grant obtained, and the flush resumed;
-    a denial raises ``HostDenied``.
+    (round, then PE, then position within the row).
     """
     flushes = [f for job in jobs for f in transform_record(job, inv, device)]
     flushes.sort(key=itemgetter(0, 1, 2))
     for _round, pe, _position, key, data in flushes:
-        job = jobs[pe]
-        for request in flush_partition(job, device, sink, key, data):
-            suspend_for_space(job, inv, device, grantor, request.count)
-
-
-@contextmanager
-def freed_on_failure(device: Device, owner: str):
-    """Return every page ``owner`` holds to the pool if the body raises."""
-    try:
-        yield
-    except BaseException:
-        device.free_pages(owner)
-        raise
-
-
-def walk_and_transform(inv: NdtInvocation, device: Device, sink, grantor=None,
-                       handle=None):
-    """Steps 1 and 2 into ``sink``; returns (jobs, removed vids).
-
-    ``handle`` is the materialization being refreshed; without one, or
-    when it holds no rows yet, every visible tuple is changed, no index
-    probe is charged and each changed tuple stays on the PE that walked
-    it.  Callers return the invocation's pages to the pool if it raises.
-    """
-    jobs = schedule(inv, device)
-    refresh = handle is not None and handle.total_positions > 0
-    held = handle.index if handle else IdentityIndex.empty()
-    removed = walk(jobs, inv, device, held, probe=refresh)
-    if refresh:
-        changed = ChangedRows.concat(job.changed for job in jobs)
-        for job in jobs:
-            job.changed = changed.take(slice(job.pe, None, inv.pe_count))
-    run_jobs(jobs, inv, device, sink, grantor)
-    return jobs, removed
+        flush_partition(jobs[pe], device, sink, key, data)
 
 
 # -- result sinks ---------------------------------------------------------------
@@ -590,11 +554,13 @@ class Segment:
 
 
 class MaterializeSink:
-    """Routes flushed partitions into per-(PE, column, kind) page chains."""
+    """Routes flushed partitions into per-(PE, column, kind) page chains;
+    ``more_pages(job, count)`` adds ``count`` pages to a job's queue."""
 
-    def __init__(self, device: Device, region: str):
+    def __init__(self, device: Device, region: str, more_pages):
         self.device = device
         self.region = region
+        self.more_pages = more_pages
         self.writers = {}
 
     def emit(self, job: PeJob, key, data):
@@ -603,7 +569,7 @@ class MaterializeSink:
             writer = FragmentWriter(self.region)
             self.writers[(job.pe, key)] = writer
         while writer.pages_needed(len(data)) > len(job.page_queue):
-            yield PageRequest(job.pe, writer.pages_needed(len(data)) - len(job.page_queue))
+            self.more_pages(job, writer.pages_needed(len(data)) - len(job.page_queue))
         writer.append(self.device, job.pe, data, job.page_queue)
 
     def segments(self, jobs, run: int) -> list:
@@ -666,8 +632,6 @@ class StreamSink:
             self.writer.append(self.device, job.pe, mv[pos:pos + take], self.free)
             self.pending.append((job.pe, key, take))
             pos += take
-        return
-        yield  # pragma: no cover - generator protocol parity with MaterializeSink
 
     def _deliver(self):
         if self.writer.total == 0:
@@ -702,7 +666,7 @@ def stream_segments(batches, pe_count: int) -> list:
         vid_buf = bufs[pe].get((VID_COLUMN, KIND_VALUES))
         if not vid_buf:
             continue
-        rows = len(vid_buf) // 8
+        rows = len(vid_buf) // VID_DTYPE.itemsize
         segments.append((rows, {k: bytes(v) for k, v in bufs[pe].items()}))
     return segments
 
@@ -754,6 +718,19 @@ class MaterializationHandle:
     @property
     def visible_rows(self) -> int:
         return int(np.count_nonzero(self.current))
+
+    def require_live(self):
+        if self.freed:
+            raise StaleHandle(f"handle {self.owner} was freed")
+
+    def require_refreshable(self, inv: NdtInvocation):
+        """A refresh needs a live handle, a newer snapshot and the same projection."""
+        self.require_live()
+        if inv.descriptor.caller <= self.snapshot.caller:
+            raise ValueError(f"refresh snapshot {inv.descriptor.caller} not newer than handle "
+                             f"at {self.snapshot.caller}")
+        if tuple(inv.projection) != tuple(self.projection):
+            raise ValueError("refresh projection must match the materialization")
 
     def fragment_sizes(self) -> dict:
         sizes: dict = {}
@@ -830,37 +807,54 @@ def append_run(handle: MaterializationHandle, inv: NdtInvocation, jobs, sink,
     return handle
 
 
-def materialize_into(handle: MaterializationHandle, inv: NdtInvocation,
-                     grantor=None) -> MaterializationHandle:
-    """Run a materializing invocation and append its changed rows to ``handle``."""
-    device = handle.device
-    sink = MaterializeSink(device, inv.result_region)
-    with freed_on_failure(device, inv.owner):
-        jobs, removed = walk_and_transform(inv, device, sink, grantor, handle)
-    return append_run(handle, inv, jobs, sink, removed)
+def run_invocation(inv: NdtInvocation, device: Device, grantor=None, consumer=None,
+                   handle=None):
+    """Run one invocation: a first materialization, a stream, or the refresh
+    of ``handle`` to the invocation's snapshot.
+
+    The invocation is in flight for the whole call, so no merge moves the
+    pages its frozen views point at, and if anything up to the end of the
+    stream raises, every page it owns goes back to the pool.  A stream
+    frees its buffers and returns the pulled batches; a materialization
+    appends a run to ``handle`` (or to a new, empty one) and returns it.
+    Pages beyond the pre-allocated ones come from ``grantor(inv, count)``.
+    """
+    stream = inv.result_mode == MODE_STREAM
+    with device.invocation_in_flight():
+        try:
+            if handle is not None:
+                handle.require_refreshable(inv)
+            sink = StreamSink(device, inv, consumer) if stream else MaterializeSink(
+                device, inv.result_region, partial(suspend_for_space, inv, device, grantor))
+            jobs = schedule(inv, device)
+            refresh = handle is not None and handle.total_positions > 0   # else a first run
+            held = handle.index if handle else IdentityIndex.empty()
+            removed = walk(jobs, inv, device, held, probe=refresh)
+            if refresh:
+                changed = ChangedRows.concat(job.changed for job in jobs)
+                for job in jobs:
+                    job.changed = changed.take(slice(job.pe, None, inv.pe_count))
+            run_jobs(jobs, inv, device, sink)
+            if stream:
+                sink.finish()
+        except BaseException:
+            device.free_pages(inv.owner)
+            raise
+        if stream:
+            device.free_pages(inv.owner)
+            return sink.batches
+        if handle is None:
+            handle = MaterializationHandle(owner=inv.owner, device=device, schema=inv.schema,
+                                           projection=inv.projection, specs=inv.specs,
+                                           snapshot=inv.descriptor)
+        return append_run(handle, inv, jobs, sink, removed)
 
 
 def materialize_results(inv: NdtInvocation, device: Device, grantor=None) -> MaterializationHandle:
-    """Run a materializing invocation to completion: append to an empty handle."""
-    handle = MaterializationHandle(owner=inv.owner, device=device, schema=inv.schema,
-                                   projection=inv.projection, specs=inv.specs,
-                                   snapshot=inv.descriptor)
-    return materialize_into(handle, inv, grantor)
+    """Run a materializing invocation to completion into a new handle."""
+    return run_invocation(inv, device, grantor)
 
 
 def stream_results(inv: NdtInvocation, device: Device, consumer=None, grantor=None) -> list:
     """Run a streaming invocation; returns the pulled batches in order."""
-    try:
-        sink = StreamSink(device, inv, consumer)
-        walk_and_transform(inv, device, sink, grantor)
-        sink.finish()
-    finally:
-        device.free_pages(inv.owner)
-    return sink.batches
-
-
-def run_invocation(inv: NdtInvocation, device: Device, grantor=None, consumer=None):
-    with device.invocation_in_flight():
-        if inv.result_mode == MODE_STREAM:
-            return stream_results(inv, device, consumer=consumer, grantor=grantor)
-        return materialize_results(inv, device, grantor=grantor)
+    return run_invocation(inv, device, grantor, consumer)

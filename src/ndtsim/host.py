@@ -33,7 +33,6 @@ from .engine import (
     NdtInvocation,
     run_invocation,
 )
-from .delta import delta_transform
 from .errors import MissingColumn, PoolExhausted, UnknownTx
 from .layout import (
     PAGE_SIZE,
@@ -295,48 +294,38 @@ class HostSystem:
             raise PoolExhausted(
                 f"{inv.result_region} pool has {available} pages, {count} needed"
             )
-        chunk = max(count, inv.initial_pages // (2 * inv.pe_count), 4)
+        chunk = max(count, len(inv.result_pages) // (2 * inv.pe_count), 4)
         return self.device.allocate_pages(inv.result_region, min(chunk, available), inv.owner)
+
+    @contextmanager
+    def reader(self):
+        """A reader transaction for the body: committed after it, aborted
+        before the error propagates if the body raises."""
+        caller = self.store.begin_tx()
+        try:
+            yield caller
+        except BaseException:
+            self.store.abort_tx(caller)
+            raise
+        self.store.commit_tx(caller)
 
     def transform_snapshot(self, projection=None, mode: str = MODE_MATERIALIZE,
                            pe_count: int = None, estimate_scale: float = 1.0,
                            consumer=None):
-        """Begin a reader transaction, run one transformation, commit.
-
-        On failure the reader transaction is aborted before the error
-        propagates.
-        """
-        caller = self.store.begin_tx()
-        with self._aborted_on_failure(caller):
+        """Run one transformation in a reader transaction of its own."""
+        with self.reader() as caller:
             inv = self.prepare_invocation(caller, projection, mode, pe_count,
                                           estimate_scale=estimate_scale)
-            result = run_invocation(inv, self.device, grantor=self.grant_space,
-                                    consumer=consumer)
-        self.store.commit_tx(caller)
-        return inv, result
+            return inv, run_invocation(inv, self.device, self.grant_space, consumer)
 
     def delta_refresh(self, handle, pe_count: int = None, estimate_scale: float = 1.0):
-        """Refresh a materialization to the current committed state.
-
-        On failure the reader transaction is aborted before the error
-        propagates.
-        """
-        caller = self.store.begin_tx()
-        with self._aborted_on_failure(caller):
+        """Refresh a materialization to the current committed state, in a
+        reader transaction of its own."""
+        with self.reader() as caller:
             inv = self.prepare_invocation(caller, handle.projection, MODE_MATERIALIZE,
                                           pe_count or handle.device.cfg.pe_count,
                                           estimate_scale=estimate_scale, prior_handle=handle)
-            updated = delta_transform(handle, inv, grantor=self.grant_space)
-        self.store.commit_tx(caller)
-        return inv, updated
-
-    @contextmanager
-    def _aborted_on_failure(self, caller: int):
-        try:
-            yield
-        except BaseException:
-            self.store.abort_tx(caller)
-            raise
+            return inv, run_invocation(inv, self.device, self.grant_space, handle=handle)
 
     def merge_to_cold(self):
         """Propagate anything pending, then relocate delta pages to cold NVM."""

@@ -8,6 +8,7 @@ import pytest
 
 from ndtsim import cli
 from ndtsim.columns import CompareResult
+from ndtsim.errors import NdtError
 from ndtsim.host import HostSystem
 
 
@@ -95,3 +96,22 @@ def test_transformation_interval_is_unchanged(intervals, ndt_interval, tmp_path)
                      "--intervals", str(intervals), "--csv", str(table)]) == 0
     rows = [line.split(",") for line in table.read_text().splitlines()[1:]]
     assert [int(r[0]) for r in rows if int(r[-1])] == [ndt_interval]
+
+
+def test_failed_refresh_aborts_its_reader(monkeypatch, capsys):
+    systems = []
+
+    class Recorded(HostSystem):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            systems.append(self)
+
+    def failing_refresh(*_args, **_kwargs):
+        raise NdtError("refresh failed")
+
+    monkeypatch.setattr(cli, "HostSystem", Recorded)
+    monkeypatch.setattr(cli, "delta_cost", failing_refresh)
+    assert cli.main(["delta", "--sf", "1", "--delta-fractions", "10,20"]) == 2
+    assert "refresh failed" in capsys.readouterr().err
+    [system] = systems
+    assert system.store.in_flight == set()

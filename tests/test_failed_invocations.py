@@ -103,6 +103,27 @@ def _merge_mid_stream(system, handle):
     system.transform_snapshot(mode=MODE_STREAM, consumer=lambda batch: system.merge_to_cold())
 
 
+def _merge_before_granting(system):
+    grant = system.grant_space
+
+    def merging_grant(inv, count):
+        system.merge_to_cold()
+        return grant(inv, count)
+
+    system.grant_space = merging_grant
+
+
+def _merge_mid_transform(system, handle):
+    _merge_before_granting(system)
+    system.transform_snapshot(estimate_scale=0.01)
+
+
+def _merge_mid_refresh(system, handle):
+    system.run_oltp(WorkloadConfig(seed=3, tx_count=20))
+    _merge_before_granting(system)
+    system.delta_refresh(handle, estimate_scale=0.01)
+
+
 @pytest.mark.parametrize("call, error", [
     (_host_denied_transform, HostDenied),
     (_dangling_stream, DanglingReference),
@@ -110,6 +131,8 @@ def _merge_mid_stream(system, handle):
     (_stale_refresh, StaleHandle),
     (_dangling_refresh, DanglingReference),
     (_merge_mid_stream, InvocationInFlight),
+    (_merge_mid_transform, InvocationInFlight),
+    (_merge_mid_refresh, InvocationInFlight),
 ])
 def test_failed_host_call_frees_pages_and_aborts_reader(call, error):
     system, handle = _loaded()

@@ -9,6 +9,9 @@ carries that mark.
 
 No module of the package imports another ``ndtsim`` module's private
 (underscore-prefixed) names.
+
+The host oracle imports nothing of the device path, and only
+``engine.run_invocation`` marks an invocation in flight.
 """
 
 import ast
@@ -176,3 +179,50 @@ def test_scan_finds_a_device_path_import(tmp_path):
         "line 1: engine", "line 2: delta", "line 3: ndtsim.engine", "line 4: locate_fields",
         "line 5: FieldLocations", "line 5: range_indexes", "line 7: decode_varchar",
         "line 8: decode_varchar", "line 9: device"]
+
+
+# An invocation is marked in flight in one place, the lifecycle every
+# materialization, stream and refresh enters.
+IN_FLIGHT_MARK = "invocation_in_flight"
+
+
+def in_flight_marks(path: Path) -> list:
+    """The functions (dotted, by their enclosing definitions) of ``path``
+    that call ``invocation_in_flight``, once per call."""
+    found = []
+
+    def scan(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scan(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "attr", getattr(func, "id", None)) == IN_FLIGHT_MARK:
+                    found.append(scope)
+            scan(child, scope)
+
+    scan(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_invocations_are_marked_in_flight_in_one_place():
+    assert [mark for path in PACKAGE for mark in in_flight_marks(path)] == [
+        "engine.run_invocation"]
+
+
+def test_scan_finds_every_in_flight_mark(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def invocation_in_flight():\n"
+                     "    pass\n"
+                     "with device.invocation_in_flight():\n"
+                     "    pass\n"
+                     "class Handle:\n"
+                     "    def refresh(self):\n"
+                     "        def inner():\n"
+                     "            return run(invocation_in_flight())\n"
+                     "        with self.device.invocation_in_flight(), other():\n"
+                     "            inner()\n"
+                     "text = 'device.invocation_in_flight()'\n")
+    assert in_flight_marks(probe) == ["probe", "probe.Handle.refresh.inner",
+                                      "probe.Handle.refresh"]
