@@ -44,6 +44,7 @@ from .layout import (
     decode_field,
     decode_values,
     encode_record,
+    encode_records,
     pg_timestamp_to_unix_epoch,
 )
 from .mvcc import MvccStore, SnapshotDescriptor, TOMBSTONE, oracle_visible_version
@@ -63,7 +64,7 @@ __all__ = [
     "orderline_schema", "q6_columnar", "q6_default_params",
     "Decimal", "Int32", "Int64", "NsmPage", "RecordHeader", "RecordID",
     "Schema", "TimestampPg", "VarChar", "decode_field", "decode_values",
-    "encode_record", "pg_timestamp_to_unix_epoch",
+    "encode_record", "encode_records", "pg_timestamp_to_unix_epoch",
     "MvccStore", "SnapshotDescriptor", "TOMBSTONE", "oracle_visible_version",
     "read_file", "write_file", "write_handle",
     "HostSharedState", "SharedStateSnapshot",

@@ -233,11 +233,9 @@ def cmd_delta(args) -> int:
         n_mod = rows * fraction // 100
         targets = rng.sample(vids, n_mod)
         t = system.store.begin_tx()
-        for vid in targets:
-            old = shadow[vid]
-            row = old[:6] + (old[6] + 1,) + old[7:]
-            system.store.install_version(t, vid, row)
-            shadow[vid] = row
+        updated = [shadow[vid][:6] + (shadow[vid][6] + 1,) + shadow[vid][7:] for vid in targets]
+        system.store.install_versions(t, targets, updated)
+        shadow.update(zip(targets, updated))
         system.store.commit_tx(t)
         system.merge_to_cold()
 

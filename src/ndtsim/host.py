@@ -202,22 +202,24 @@ class HostSystem:
 
     def load_orderlines(self, n_rows: int, seed: int = 1, null_delivery_rate: float = 0.08,
                         batch: int = 1000) -> dict:
-        """Bulk-load committed rows; returns the shadow {vid: values}."""
+        """Bulk-load committed rows, ``batch`` to a transaction, each
+        transaction's rows installed together; returns the shadow {vid: values}."""
         rng = random.Random(seed)
         shadow = {}
         store = self.store
         remaining = n_rows
         while remaining > 0:
             t = store.begin_tx()
+            vids, rows = [], []
             for _ in range(min(batch, remaining)):
                 order = self._next_order
                 self._next_order += 1
                 delivered = None if rng.random() < null_delivery_rate \
                     else self._random_delivery(rng)
-                row = self._random_row(rng, order, 1, 10, delivered)
-                vid = self.new_vid()
-                store.install_version(t, vid, row)
-                shadow[vid] = row
+                rows.append(self._random_row(rng, order, 1, 10, delivered))
+                vids.append(self.new_vid())
+            store.install_versions(t, vids, rows)
+            shadow.update(zip(vids, rows))
             store.commit_tx(t)
             remaining -= batch
         return shadow
@@ -419,11 +421,11 @@ class WorkloadDriver:
             order = self.system._next_order
             self.system._next_order += 1
             lines = rng.randint(cfg.min_lines, cfg.max_lines)
-            for line in range(1, lines + 1):
-                vid = self.system.new_vid()
-                row = self.system._random_row(rng, order, line, cfg.warehouses, None)
-                store.install_version(t, vid, row)
-                writes.append((vid, row, False))
+            vids = [self.system.new_vid() for _ in range(lines)]
+            rows = [self.system._random_row(rng, order, line, cfg.warehouses, None)
+                    for line in range(1, lines + 1)]
+            store.install_versions(t, vids, rows)
+            writes = [(vid, row, False) for vid, row in zip(vids, rows)]
         elif pick < weights[0] + weights[1]:
             vid = self.undelivered.pick(rng)
             if vid is not None:

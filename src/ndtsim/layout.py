@@ -16,7 +16,8 @@ Record wire format (little-endian throughout):
     variable-length fields, schema order, NULL fields omitted,
         each a u16 byte length followed by the raw payload
 
-Tombstone records are header-only.
+Tombstone records are header-only.  ``encode_records`` serializes a batch
+of records, and ``encode_record`` is its one-record case.
 
 ``record_field_slices`` locates the fields of one record.  Its batch form,
 ``locate_fields``, locates them for many records packed into one buffer:
@@ -31,6 +32,9 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from decimal import Decimal as PyDecimal
+from itertools import repeat
+from operator import attrgetter
+from types import NoneType
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -162,9 +166,25 @@ class Schema:
             if not a.ftype.is_varlen
         )
         self.varlen_plan = tuple(i for i, a in enumerate(attrs) if a.ftype.is_varlen)
+        # no record of the schema is longer, whatever its NULLs and padding
+        self.max_record_bytes = self.header_size + sum(
+            a.ftype.width + a.ftype.alignment - 1 if a.ftype.width else 2 + a.ftype.max_len
+            for a in attrs)
+        self.record_packers: dict = {}     # row value types -> packer, see encode_records
 
     def attribute(self, name: str) -> Attribute:
         return self.attributes[self.index_of[name]]
+
+    def fixed_offsets(self, null_mask: int):
+        """Offsets (from the record start) of the fixed fields present under
+        ``null_mask``, as ((attr index, offset), ...), and where they end."""
+        offsets, pos = [], self.header_size
+        for i, width, alignment, _code in self.fixed_plan:
+            if not null_mask >> i & 1:
+                pos = _align_up(pos, alignment)
+                offsets.append((i, pos))
+                pos += width
+        return offsets, pos
 
     def __repr__(self):
         return f"Schema({self.table_name!r}, {self.n_attrs} attrs)"
@@ -196,7 +216,6 @@ class RecordHeader:
     create_ts: int
     pred: Optional[RecordID] = None
     tombstone: bool = False
-    null_mask: int = 0         # derived from values at encode time
 
     @property
     def flags(self) -> int:
@@ -218,16 +237,17 @@ def _align_up(off: int, alignment: int) -> int:
 
 def decimal_to_scaled(value, ftype: Decimal) -> int:
     """Convert a decimal value to its scaled-integer representation, exactly."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        dec = PyDecimal(value)
-    elif isinstance(value, PyDecimal):
-        dec = value
+    if isinstance(value, PyDecimal):
+        if not value.is_finite():
+            raise TypeMismatch(f"{value} is not a finite number")
+        scaled = value.scaleb(ftype.scale)
+    elif isinstance(value, int) and not isinstance(value, bool):
+        scaled = value * 10 ** ftype.scale
     else:
         raise TypeMismatch(f"expected Decimal or int, got {type(value).__name__}")
-    scaled = dec.scaleb(ftype.scale)
-    if scaled != scaled.to_integral_value():
-        raise TypeMismatch(f"{value} has more than {ftype.scale} fraction digits")
     n = int(scaled)
+    if n != scaled:
+        raise TypeMismatch(f"{value} has more than {ftype.scale} fraction digits")
     if abs(n) >= 10 ** ftype.precision:
         raise TypeMismatch(f"{value} exceeds precision {ftype.precision}")
     return n
@@ -237,76 +257,141 @@ def scaled_to_decimal(scaled: int, ftype: Decimal) -> PyDecimal:
     return PyDecimal(scaled).scaleb(-ftype.scale)
 
 
-def _check_int_range(value, bits: int) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeMismatch(f"expected int, got {type(value).__name__}")
-    lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
-    if not (lo <= value <= hi):
-        raise TypeMismatch(f"{value} out of {bits}-bit range")
-    return value
+def _null_mask(schema: Schema, signature: tuple) -> int:
+    """The null mask of a live record whose values have the types ``signature``.
+
+    Raises ``ArityMismatch`` for a signature of the wrong length,
+    ``NullNotAllowed`` for a NULL in a non-nullable attribute and
+    ``TypeMismatch`` for a value of a type its attribute cannot hold.
+    """
+    if len(signature) != schema.n_attrs:
+        raise ArityMismatch(f"schema has {schema.n_attrs} attributes, got {len(signature)} values")
+    mask = 0
+    for i, (attr, kind) in enumerate(zip(schema.attributes, signature)):
+        if kind is NoneType:
+            if not attr.nullable:
+                raise NullNotAllowed(f"attribute {attr.name!r} is not nullable")
+            mask |= 1 << i
+        elif attr.ftype.code == TC_VARCHAR:
+            if not issubclass(kind, str):
+                raise TypeMismatch(f"attribute {attr.name!r} expects str")
+        elif issubclass(kind, bool) or not (issubclass(kind, int) or (
+                attr.ftype.code == TC_DECIMAL and issubclass(kind, PyDecimal))):
+            raise TypeMismatch(f"attribute {attr.name!r} cannot hold a {kind.__name__}")
+    return mask
+
+
+def _framed_varchars(values, attr: Attribute) -> list:
+    """Each value's UTF-8 bytes after their u16 length."""
+    try:
+        framed = [_U16.pack(len(payload)) + payload for payload in map(str.encode, values)]
+    except UnicodeEncodeError as exc:
+        raise TypeMismatch(f"attribute {attr.name!r}: {exc.reason}") from None
+    except struct.error:             # a length the u16 cannot hold
+        error = VarCharTooLong if attr.ftype.max_len <= 0xFFFF else RecordTooLarge
+        raise error(f"{attr.name!r}: a value of more than 0xFFFF bytes") from None
+    longest = max(map(len, framed)) - 2
+    if longest > attr.ftype.max_len:
+        raise VarCharTooLong(f"{attr.name!r}: {longest} bytes > max_len {attr.ftype.max_len}")
+    return framed
+
+
+_TOMBSTONE = attrgetter("tombstone")
+
+
+def encode_records(schema: Schema, headers: Sequence[RecordHeader], rows: Sequence) -> list:
+    """Serialize one version record per header; returns their bytes, in order.
+
+    ``rows[k]`` holds record k's values, None for a tombstone, which is
+    its header alone.  The live rows are grouped by signature, the types
+    of their values, so every row of a group has the same null mask.  A
+    signature is checked once (arity, NULLs, types) and gets one
+    ``struct.Struct`` that packs the header and the fixed fields with their
+    alignment padding.  Each group is then checked a column at a time
+    (decimal digits, varchar lengths; int ranges by the packing itself),
+    packed, and its varlen fields appended.
+    """
+    if len(headers) != len(rows):
+        raise ArityMismatch(f"{len(headers)} record headers for {len(rows)} rows")
+    records = [None] * len(headers)
+    live = range(len(headers))
+    if any(map(_TOMBSTONE, headers)):
+        live = []
+        for k, (header, values) in enumerate(zip(headers, rows)):
+            if not header.tombstone:
+                live.append(k)
+            elif values:
+                raise TypeMismatch("tombstone records carry no field payload")
+            else:
+                records[k] = _HDR.pack(header.vid, header.create_ts, pack_rid(header.pred),
+                                       header.flags) + bytes(schema.null_bitmap_bytes)
+        if not live:
+            return records
+        headers, rows = list(map(headers.__getitem__, live)), list(map(rows.__getitem__, live))
+    try:
+        signatures = [tuple(map(type, row)) for row in rows]
+    except TypeError:
+        raise ArityMismatch(f"schema has {schema.n_attrs} attributes, a row has none") from None
+
+    groups = dict.fromkeys(signatures)
+    if len(groups) > 1:
+        for signature in groups:
+            groups[signature] = []
+        for at, signature in enumerate(signatures):
+            groups[signature].append(at)
+
+    for signature, at in groups.items():
+        packer = schema.record_packers.get(signature)
+        if packer is None:
+            mask = _null_mask(schema, signature)
+            # vid, create_ts, pred, flags 0 and the null bitmap, then the fixed fields
+            fmt, pos = f"<QQQx{schema.null_bitmap_bytes}s", schema.header_size
+            offsets, _end = schema.fixed_offsets(mask)
+            for i, offset in offsets:
+                ftype = schema.attributes[i].ftype
+                fmt += "x" * (offset - pos) + ("i" if ftype.code == TC_INT32 else "q")
+                pos = offset + ftype.width
+            packer = schema.record_packers[signature] = (
+                struct.Struct(fmt).pack, mask.to_bytes(schema.null_bitmap_bytes, "little"),
+                [i for i, _offset in offsets],
+                [(i, schema.attributes[i].ftype) for i, _offset in offsets
+                 if schema.attributes[i].ftype.code == TC_DECIMAL],
+                [i for i in schema.varlen_plan if not mask >> i & 1])
+        pack, bitmap, fixed, decimals, varlens = packer
+        if at is None:                                  # one group: every live row
+            at, group, group_headers = range(len(rows)), rows, headers
+        else:
+            group = list(map(rows.__getitem__, at))
+            group_headers = list(map(headers.__getitem__, at))
+        columns = list(zip(*group))
+        for i, ftype in decimals:
+            columns[i] = list(map(decimal_to_scaled, columns[i], repeat(ftype)))
+        for i in varlens:
+            columns[i] = _framed_varchars(columns[i], schema.attributes[i])
+        vids, create_ts, preds = zip(*[(h.vid, h.create_ts, pack_rid(h.pred))
+                                      for h in group_headers])
+        try:
+            packed = list(map(pack, vids, create_ts, preds, repeat(bitmap),
+                              *[columns[i] for i in fixed]))
+        except struct.error as exc:
+            raise TypeMismatch(f"a value out of its field's range ({exc})") from None
+        for i in varlens:
+            packed = list(map(bytes.__add__, packed, columns[i]))
+        if len(packed) == len(records):
+            records = packed
+        else:
+            for k, record in zip(map(live.__getitem__, at), packed):
+                records[k] = record
+    if schema.max_record_bytes > MAX_RECORD_SIZE:
+        longest = max(map(len, records))
+        if longest > MAX_RECORD_SIZE:
+            raise RecordTooLarge(f"record of {longest} bytes exceeds {MAX_RECORD_SIZE}")
+    return records
 
 
 def encode_record(schema: Schema, header: RecordHeader, values: Optional[Sequence[Value]]) -> bytes:
-    """Serialize one version record. Returns immutable bytes."""
-    if header.tombstone:
-        if values:
-            raise TypeMismatch("tombstone records carry no field payload")
-        buf = bytearray(schema.header_size)
-        _HDR.pack_into(buf, 0, header.vid, header.create_ts, pack_rid(header.pred), header.flags)
-        header.null_mask = 0
-        return bytes(buf)
-
-    if values is None or len(values) != schema.n_attrs:
-        got = 0 if values is None else len(values)
-        raise ArityMismatch(f"schema has {schema.n_attrs} attributes, got {got} values")
-
-    null_mask = 0
-    for i, (attr, v) in enumerate(zip(schema.attributes, values)):
-        if v is None:
-            if not attr.nullable:
-                raise NullNotAllowed(f"attribute {attr.name!r} is not nullable")
-            null_mask |= 1 << i
-
-    buf = bytearray(schema.header_size)
-    _HDR.pack_into(buf, 0, header.vid, header.create_ts, pack_rid(header.pred), header.flags)
-    buf[RECORD_HEADER_FIXED:schema.header_size] = null_mask.to_bytes(schema.null_bitmap_bytes, "little")
-    header.null_mask = null_mask
-
-    pos = schema.header_size
-    for i, width, alignment, code in schema.fixed_plan:
-        if null_mask >> i & 1:
-            continue
-        v = values[i]
-        aligned = _align_up(pos, alignment)
-        if aligned != pos:
-            buf.extend(b"\x00" * (aligned - pos))
-            pos = aligned
-        if code == TC_INT32:
-            buf.extend(_I32.pack(_check_int_range(v, 32)))
-        elif code == TC_DECIMAL:
-            buf.extend(_I64.pack(decimal_to_scaled(v, schema.attributes[i].ftype)))
-        else:  # TC_INT64 or TC_TIMESTAMP
-            buf.extend(_I64.pack(_check_int_range(v, 64)))
-        pos += width
-
-    for i in schema.varlen_plan:
-        if null_mask >> i & 1:
-            continue
-        v = values[i]
-        if not isinstance(v, str):
-            raise TypeMismatch(f"attribute {schema.attributes[i].name!r} expects str")
-        payload = v.encode("utf-8")
-        ftype = schema.attributes[i].ftype
-        if len(payload) > ftype.max_len:
-            raise VarCharTooLong(
-                f"{schema.attributes[i].name!r}: {len(payload)} bytes > max_len {ftype.max_len}"
-            )
-        buf.extend(_U16.pack(len(payload)))
-        buf.extend(payload)
-
-    if len(buf) > MAX_RECORD_SIZE:
-        raise RecordTooLarge(f"record of {len(buf)} bytes exceeds {MAX_RECORD_SIZE}")
-    return bytes(buf)
+    """Serialize one version record: the one-record case of ``encode_records``."""
+    return encode_records(schema, [header], [values])[0]
 
 
 def decode_header(buf, offset: int = 0) -> RecordHeader:
@@ -334,7 +419,6 @@ def record_field_slices(schema: Schema, buf, offset: int = 0):
     if header.tombstone:
         return [None] * schema.n_attrs, header
     null_mask = _null_mask_at(schema, buf, offset)
-    header.null_mask = null_mask
     slices = [None] * schema.n_attrs
     pos = offset + schema.header_size
     limit = len(buf)
@@ -415,13 +499,9 @@ def locate_fields(schema: Schema, buf: np.ndarray, starts: np.ndarray,
     rel = np.zeros((len(masks), n_attrs), dtype=np.int64)
     fixed_end = np.empty(len(masks), dtype=np.int64)
     for g, mask in enumerate(masks):
-        null_mask = int.from_bytes(mask.tobytes(), "little")
-        pos = schema.header_size
-        for i, width, alignment, _code in schema.fixed_plan:
-            if not null_mask >> i & 1:
-                rel[g, i] = pos = _align_up(pos, alignment)
-                pos += width
-        fixed_end[g] = pos
+        offsets, fixed_end[g] = schema.fixed_offsets(int.from_bytes(mask.tobytes(), "little"))
+        for i, offset in offsets:
+            rel[g, i] = offset
     pos = fixed_end[group]
     short = np.flatnonzero(live & (lengths < pos))
     if len(short):
@@ -495,7 +575,7 @@ class NsmPage:
         self._sync_header()
 
     def _sync_header(self):
-        struct.pack_into("<HH", self.buf, SLOT_COUNT_OFFSET, self.slot_count, self.free_offset)
+        _SLOT.pack_into(self.buf, SLOT_COUNT_OFFSET, self.slot_count, self.free_offset)  # u16 pair
 
     @property
     def free_space(self) -> int:
@@ -506,26 +586,30 @@ class NsmPage:
 
     def insert(self, record_bytes: bytes) -> int:
         """Append a record, returning its slot index."""
-        n = len(record_bytes)
-        if n > MAX_RECORD_SIZE:
-            raise RecordTooLarge(f"record of {n} bytes exceeds {MAX_RECORD_SIZE}")
-        if not self.fits(n):
-            raise PageFull(
-                f"page {self.page_lid}: {n} bytes do not fit in {self.free_space - SLOT_ENTRY_SIZE}"
-            )
-        off = self.free_offset
-        self.buf[off:off + n] = record_bytes
-        slot = self.slot_count
-        _SLOT.pack_into(self.buf, PAGE_SIZE - SLOT_ENTRY_SIZE * (slot + 1), off, n)
-        self.slot_count += 1
-        self.free_offset = off + n
+        return self.extend([record_bytes])
+
+    def extend(self, records) -> int:
+        """Append records in order, returning the first one's slot index;
+        the others take the slots after it."""
+        sizes = list(map(len, records))
+        total = sum(sizes)
+        if max(sizes) > MAX_RECORD_SIZE:
+            raise RecordTooLarge(f"record of {max(sizes)} bytes exceeds {MAX_RECORD_SIZE}")
+        if total + SLOT_ENTRY_SIZE * len(sizes) > self.free_space:
+            raise PageFull(f"page {self.page_lid}: {len(sizes)} records of {total} bytes do not "
+                           f"fit in {self.free_space}")
+        first, off = self.slot_count, self.free_offset
+        self.buf[off:off + total] = b"".join(records)
+        for slot, size in enumerate(sizes, first):
+            _SLOT.pack_into(self.buf, PAGE_SIZE - SLOT_ENTRY_SIZE * (slot + 1), off, size)
+            off += size
+        self.slot_count += len(sizes)
+        self.free_offset = off
         self._sync_header()
-        return slot
+        return first
 
     def slot_entry(self, slot: int):
-        if not (0 <= slot < self.slot_count):
-            raise SlotOutOfRange(f"slot {slot} not in [0,{self.slot_count})")
-        return _SLOT.unpack_from(self.buf, PAGE_SIZE - SLOT_ENTRY_SIZE * (slot + 1))
+        return page_slot_entry_at(self.buf, 0, slot)
 
     def slot_bytes(self, slot: int) -> bytes:
         off, length = self.slot_entry(slot)
@@ -537,3 +621,22 @@ class NsmPage:
 
 def page_slot_count_at(buf, page_base: int) -> int:
     return _U16.unpack_from(buf, page_base + SLOT_COUNT_OFFSET)[0]
+
+
+def page_slot_entry_at(buf, page_base: int, slot: int):
+    """(offset, length) of record ``slot`` of the page at ``page_base`` of ``buf``.
+
+    Raises ``SlotOutOfRange`` for a slot outside the page's slot count and
+    ``CorruptRecord`` for a record outside the page's record area.
+    """
+    count = page_slot_count_at(buf, page_base)
+    if not 0 <= slot < count:
+        raise SlotOutOfRange(f"slot {slot} not in [0,{count})")
+    area_end = PAGE_SIZE - SLOT_ENTRY_SIZE * count          # the slot array starts here
+    if area_end < PAGE_HEADER_SIZE:
+        raise CorruptRecord(f"{count} slots overrun the page")
+    offset, length = _SLOT.unpack_from(buf, page_base + PAGE_SIZE - SLOT_ENTRY_SIZE * (slot + 1))
+    if offset < PAGE_HEADER_SIZE or offset + length > area_end:
+        raise CorruptRecord(f"slot {slot} points outside the record area: "
+                            f"[{offset}, {offset + length})")
+    return offset, length

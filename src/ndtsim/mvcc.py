@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import AlreadyFinished, StaleWrite, UnknownTx
-from .layout import RecordHeader, RecordID, Schema, encode_record
+from .layout import RecordHeader, RecordID, Schema, encode_records
 
 
 class ChainNode(NamedTuple):
@@ -37,7 +37,7 @@ class SnapshotDescriptor:
     in_flight: frozenset
 
 
-# Sentinel passed to install_version to create a delete marker.
+# Sentinel passed to install_version(s) to create a delete marker.
 TOMBSTONE = object()
 
 
@@ -112,38 +112,46 @@ class MvccStore:
     # -- version installation ---------------------------------------------
 
     def install_version(self, t: int, vid: int, values) -> RecordID:
-        """Encode a new version for ``vid`` and link it as the chain head.
+        """Encode a new version for ``vid`` and link it as the chain head:
+        the one-row case of ``install_versions``."""
+        return self.install_versions(t, [vid], [values])[0]
 
-        The new version's predecessor is the current head; a re-update by
-        the same transaction bypasses its own earlier version so creation
-        timestamps stay strictly decreasing along the chain.
+    def install_versions(self, t: int, vids, rows) -> list:
+        """Encode a new version of ``vids[k]`` with values ``rows[k]`` for
+        each k and link each as its chain head; returns their RecordIDs.
+
+        The result is that of one ``install_version`` per row, in order.
+        A new version's predecessor is the current head; a re-update by the
+        same transaction bypasses its own earlier version, so creation
+        timestamps stay strictly decreasing along the chain and a version
+        never points at another of the same batch.  Every header is
+        computed and every record encoded before any state changes, so a
+        bad value or a ``StaleWrite`` leaves the store and the shared
+        state as they were.
         """
         self._require_active(t)
-        head = self.vid_map.get(vid)
-        if head is not None:
-            if head.create_ts == t:
-                pred = head.pred           # same-tx re-update: bypass own version
-            elif t < head.create_ts:
-                raise StaleWrite(f"tx {t} behind chain head {head.create_ts} for vid {vid}")
-            else:
-                pred = head
-        else:
-            pred = None
-
-        tombstone = values is TOMBSTONE
-        header = RecordHeader(
-            vid=vid,
-            create_ts=t,
-            pred=pred.rid if pred is not None else None,
-            tombstone=tombstone,
-        )
-        record = encode_record(self.schema, header, None if tombstone else values)
-        rid = self.shared.append_record(record)
-        self.vid_map[vid] = ChainNode(rid, t, tombstone, pred)
-        self._tx_writes[t].append((vid, rid))
-        self.op_count += 1
-        self.shared.record_change(rid, vid)
-        return rid
+        preds, headers = [], []
+        for vid, values in zip(vids, rows, strict=True):
+            pred = self.vid_map.get(vid)
+            if pred is not None:
+                if pred.create_ts == t:
+                    pred = pred.pred           # same-tx re-update: bypass own version
+                elif t < pred.create_ts:
+                    raise StaleWrite(f"tx {t} behind chain head {pred.create_ts} for vid {vid}")
+            preds.append(pred)
+            headers.append(RecordHeader(vid, t, None if pred is None else pred.rid,
+                                        values is TOMBSTONE))
+        records = encode_records(self.schema, headers,
+                                 [None if values is TOMBSTONE else values for values in rows])
+        rids = []
+        try:
+            self.shared.append_records(records, vids, rids)
+        finally:              # link what was placed, even if a propagation failed
+            for vid, rid, header, pred in zip(vids, rids, headers, preds):
+                self.vid_map[vid] = ChainNode(rid, t, header.tombstone, pred)
+            self._tx_writes[t].extend(zip(vids, rids))
+            self.op_count += len(rids)
+        return rids
 
     def delete_version(self, t: int, vid: int) -> RecordID:
         return self.install_version(t, vid, TOMBSTONE)

@@ -14,13 +14,21 @@ which a record is reachable from neither side.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DanglingReference, DeviceUnavailable
-from .layout import PAGE_SIZE, PRED_OFFSET, NsmPage, RecordID, pack_rid
-from .oracle import read_records
+from .layout import (
+    PAGE_SIZE,
+    PRED_OFFSET,
+    SLOT_ENTRY_SIZE,
+    NsmPage,
+    RecordID,
+    pack_rid,
+    page_slot_entry_at,
+)
 
 REGION_HOST = "HOST"
 
@@ -66,21 +74,38 @@ class HostSharedState:
         self._open_page = page
         return page
 
-    def append_record(self, record_bytes: bytes) -> RecordID:
-        """Place a version record in the delta buffer, assigning its RecordID."""
-        page = self._open_page
-        if page is None or not page.fits(len(record_bytes)):
-            page = self._new_page()
-        slot = page.insert(record_bytes)
-        self.size_bytes += len(record_bytes)
-        return RecordID(page.page_lid, slot)
+    def append_records(self, records, vids, rids: list):
+        """Place version records in the delta buffer in order, page by page,
+        and stage the map delta of each (record k is ``vids[k]``'s new head).
 
-    def record_change(self, rid: RecordID, vid: int):
-        """Stage the map delta for a newly placed record; auto-propagates
-        in regular mode once the configured capacity is reached."""
-        self._staged_vid[vid] = rid
-        if self.size_bytes >= self.capacity_bytes and self.device is not None:
-            self.propagate("regular")
+        Each record's RecordID is appended to ``rids`` as it is placed, so a
+        caller can link every placed record even if a propagation fails.
+        Propagates in regular mode right after the record whose append
+        reaches the configured capacity; the records after it start a new
+        page.  The result is that of appending the records one at a time.
+        """
+        capacity = self.capacity_bytes if self.device is not None else math.inf   # no device
+        k, n = 0, len(records)
+        while k < n:
+            page = self._open_page
+            if page is None or not page.fits(len(records[k])):
+                page = self._new_page()
+            # this page takes records[k:end]: those that fit, up to the one reaching capacity
+            end, room, size = k, page.free_space, self.size_bytes
+            while end < n and len(records[end]) + SLOT_ENTRY_SIZE <= room:
+                room -= len(records[end]) + SLOT_ENTRY_SIZE
+                size += len(records[end])
+                end += 1
+                if size >= capacity:
+                    break
+            slot = page.extend(records[k:end])
+            placed = [RecordID(page.page_lid, s) for s in range(slot, slot + end - k)]
+            rids += placed
+            self._staged_vid.update(zip(vids[k:end], placed))
+            self.size_bytes = size
+            k = end
+            if size >= capacity:
+                self.propagate("regular")
 
     def stage_vid_delta(self, vid: int, rid: Optional[RecordID]):
         """Stage a map correction (abort rollback); None removes the entry."""
@@ -156,8 +181,9 @@ class HostSharedState:
 
     def read_record(self, rid: RecordID) -> bytes:
         """Fetch raw record bytes wherever the page currently lives."""
-        raw, starts, lengths = read_records(self, [rid.page_lid], [rid.slot])
-        return raw[starts[0]:starts[0] + lengths[0]]
+        page = self.page_image(rid.page_lid)
+        offset, length = page_slot_entry_at(page, 0, rid.slot)
+        return bytes(page[offset:offset + length])
 
     def patch_pred(self, rid: RecordID, new_pred: Optional[RecordID]):
         """Rewrite the 8-byte predecessor pointer of an existing record.
@@ -169,8 +195,8 @@ class HostSharedState:
         committed version.
         """
         packed = struct.pack("<Q", pack_rid(new_pred))
-        _raw, starts, _lengths = read_records(self, [rid.page_lid], [rid.slot])
-        at = int(starts[0]) + PRED_OFFSET    # one page read: the record's offset in it
+        offset, _length = page_slot_entry_at(self.page_image(rid.page_lid), 0, rid.slot)
+        at = offset + PRED_OFFSET
         region, idx = self.l2p[rid.page_lid]
         if region == REGION_HOST:
             self.host_pages[rid.page_lid].buf[at:at + 8] = packed

@@ -1,0 +1,215 @@
+"""The batch record encoder: round trips over random schemas, error parity.
+
+Records are decoded by the tests' reference decoder (``decode_header``,
+``decode_values``) and by the batch field locator, never compared with
+``encode_record``, which is the one-row case of the same code.
+"""
+
+import random
+from decimal import Decimal as D
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from ndtsim.errors import (
+    ArityMismatch,
+    NdtError,
+    NullNotAllowed,
+    TypeMismatch,
+    VarCharTooLong,
+)
+from ndtsim.layout import (
+    TC_DECIMAL,
+    TC_INT32,
+    TC_VARCHAR,
+    Decimal,
+    Int32,
+    Int64,
+    RecordHeader,
+    RecordID,
+    Schema,
+    TimestampPg,
+    VarChar,
+    decode_header,
+    decode_values,
+    encode_records,
+    locate_fields,
+)
+
+INT32 = (-2**31, 2**31 - 1)
+INT64 = (-2**63, 2**63 - 1)
+
+field_types = st.one_of(
+    st.just(Int32()),
+    st.just(Int64()),
+    st.just(TimestampPg()),
+    st.integers(1, 18).flatmap(lambda p: st.builds(Decimal, st.just(p), st.integers(0, p))),
+    st.integers(1, 40).map(VarChar),
+)
+
+schemas = st.lists(st.tuples(field_types, st.booleans()), min_size=1, max_size=12).map(
+    lambda attrs: Schema("t", [(f"a{i}", ftype, nullable)
+                               for i, (ftype, nullable) in enumerate(attrs)]))
+
+
+def _bounded(lo, hi):
+    return st.one_of(st.sampled_from([lo, hi]), st.integers(lo, hi))
+
+
+def _utf8_prefix(text: str, max_bytes: int) -> str:
+    """The longest prefix of ``text`` that fits ``max_bytes`` bytes of UTF-8."""
+    while len(text.encode()) > max_bytes:
+        text = text[:-1]
+    return text
+
+
+def _full_varchar(max_len: int) -> st.SearchStrategy:
+    """Multi-byte strings of exactly ``max_len`` bytes."""
+    return st.sampled_from(["é", "€", "𝄞"]).map(
+        lambda char: char * (max_len // len(char.encode())) + "x" * (max_len % len(char.encode())))
+
+
+def values_of(ftype) -> st.SearchStrategy:
+    if ftype.code == TC_INT32:
+        return _bounded(*INT32)
+    if ftype.code == TC_DECIMAL:
+        limit = 10 ** ftype.precision - 1
+        return _bounded(-limit, limit).map(lambda n: D(n).scaleb(-ftype.scale))
+    if ftype.code == TC_VARCHAR:
+        return st.one_of(_full_varchar(ftype.max_len),
+                         st.text(max_size=ftype.max_len).map(
+                             lambda text: _utf8_prefix(text, ftype.max_len)))
+    return _bounded(*INT64)
+
+
+@st.composite
+def batches(draw):
+    schema = draw(schemas)
+    row = st.tuples(*[st.one_of(st.none(), values_of(a.ftype)) if a.nullable
+                      else values_of(a.ftype) for a in schema.attributes])
+    pred = st.one_of(st.none(), st.builds(RecordID, st.integers(0, 2**47 - 1),
+                                          st.integers(0, 2**16 - 1)))
+    n = draw(st.integers(1, 12))
+    headers = [RecordHeader(draw(st.integers(0, 2**64 - 1)), draw(st.integers(0, 2**64 - 1)),
+                            draw(pred), draw(st.booleans()) and draw(st.booleans()))
+               for _ in range(n)]
+    rows = [None if h.tombstone else draw(row) for h in headers]
+    return schema, headers, rows
+
+
+def _field_value(buf: bytes, ftype, start: int, length: int):
+    """A located field's value, decoded here: ints (decimals scaled) or str."""
+    data = buf[start:start + length]
+    if ftype.code == TC_VARCHAR:
+        return data.decode()
+    return int.from_bytes(data, "little", signed=True)
+
+
+def _expected_field(ftype, value):
+    if ftype.code == TC_DECIMAL:
+        return int(value.scaleb(ftype.scale))
+    return value
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(batches())
+def test_encode_records_round_trip(batch):
+    schema, headers, rows = batch
+    records = encode_records(schema, headers, rows)
+    assert len(records) == len(headers)
+    for record, header, values in zip(records, headers, rows):
+        assert decode_header(record) == header
+        if header.tombstone:
+            assert len(record) == schema.header_size
+            assert record[schema.header_size - schema.null_bitmap_bytes:] == \
+                bytes(schema.null_bitmap_bytes)
+        else:
+            assert decode_values(schema, record) == list(values)
+
+    buf = b"".join(records)
+    lengths = np.array([len(r) for r in records], dtype=np.int64)
+    starts = np.concatenate([[0], np.cumsum(lengths)[:-1]]).astype(np.int64)
+    loc = locate_fields(schema, np.frombuffer(buf, dtype=np.uint8), starts, lengths)
+    for k, values in enumerate(rows):
+        for i, attr in enumerate(schema.attributes):
+            value = None if values is None else values[i]
+            assert loc.present[k, i] == (value is not None)
+            if value is not None:
+                assert _field_value(buf, attr.ftype, loc.start[k, i], loc.length[k, i]) == \
+                    _expected_field(attr.ftype, value)
+
+
+# -- error parity: a bad value raises the same error from a batch as alone ---------------
+
+PARITY_SCHEMA = Schema("p", [
+    ("i", Int32(), False), ("l", Int64(), True), ("m", Decimal(6, 2), False),
+    ("t", TimestampPg(), True), ("s", VarChar(6), True),
+])
+
+
+def _good_row(rng):
+    return (rng.randint(*INT32), rng.choice([None, rng.randint(*INT64)]),
+            D(rng.randint(-999_999, 999_999)).scaleb(-2), rng.choice([None, rng.randint(0, 9)]),
+            rng.choice([None, "", "ab", "é€"]))
+
+
+BAD_ROWS = [
+    ("bool for an int", TypeMismatch, lambda row: (True,) + row[1:]),
+    ("bool for a decimal", TypeMismatch, lambda row: row[:2] + (False,) + row[3:]),
+    ("int32 overflow", TypeMismatch, lambda row: (2**31,) + row[1:]),
+    ("int32 underflow", TypeMismatch, lambda row: (-2**31 - 1,) + row[1:]),
+    ("int64 overflow", TypeMismatch, lambda row: row[:1] + (2**63,) + row[2:]),
+    ("timestamp underflow", TypeMismatch, lambda row: row[:3] + (-2**63 - 1,) + row[4:]),
+    ("extra fraction digit", TypeMismatch, lambda row: row[:2] + (D("1.234"),) + row[3:]),
+    ("decimal precision", TypeMismatch, lambda row: row[:2] + (D("10000.00"),) + row[3:]),
+    ("decimal NaN", TypeMismatch, lambda row: row[:2] + (D("NaN"),) + row[3:]),
+    ("decimal infinity", TypeMismatch, lambda row: row[:2] + (D("-Infinity"),) + row[3:]),
+    ("str for an int", TypeMismatch, lambda row: ("1",) + row[1:]),
+    ("int for a varchar", TypeMismatch, lambda row: row[:4] + (7,)),
+    ("over-long varchar", VarCharTooLong, lambda row: row[:4] + ("é" * 4,)),
+    ("NULL in non-nullable", NullNotAllowed, lambda row: row[:2] + (None,) + row[3:]),
+    ("missing value", ArityMismatch, lambda row: row[:4]),
+    ("extra value", ArityMismatch, lambda row: row + (1,)),
+    ("no values", ArityMismatch, lambda row: None),
+]
+
+
+@pytest.mark.parametrize("error, make_bad", [(e, m) for _n, e, m in BAD_ROWS],
+                         ids=[name for name, *_ in BAD_ROWS])
+def test_bad_value_raises_the_same_error_in_a_batch(error, make_bad):
+    rng = random.Random(7)
+    bad = make_bad(_good_row(rng))
+    with pytest.raises(error):
+        encode_records(PARITY_SCHEMA, [RecordHeader(1, 1)], [bad])
+    for size in (2, 9, 40):
+        rows = [_good_row(rng) for _ in range(size)]
+        rows[rng.randrange(size)] = bad
+        headers = [RecordHeader(vid, 1, tombstone=rng.random() < 0.2 and row is not bad)
+                   for vid, row in enumerate(rows)]
+        rows = [None if h.tombstone else row for h, row in zip(headers, rows)]
+        with pytest.raises(error):
+            encode_records(PARITY_SCHEMA, headers, rows)
+
+
+def test_tombstone_with_values_raises_in_a_batch():
+    rng = random.Random(8)
+    rows = [_good_row(rng) for _ in range(5)]
+    headers = [RecordHeader(vid, 1) for vid in range(5)]
+    headers[3].tombstone = True
+    with pytest.raises(TypeMismatch):
+        encode_records(PARITY_SCHEMA, headers[3:4], rows[3:4])
+    with pytest.raises(TypeMismatch):
+        encode_records(PARITY_SCHEMA, headers, rows)
+
+
+def test_only_typed_errors_escape():
+    schema = Schema("u", [("s", VarChar(10), False), ("m", Decimal(4, 1), False)])
+    for bad in [(chr(0xD800), D(1)), ("x", D("sNaN")), ("x", 1.5), (b"x", D(1)), ("x", [1])]:
+        with pytest.raises(NdtError):
+            encode_records(schema, [RecordHeader(1, 1)], [bad])
+
+
+def test_headers_and_rows_must_pair():
+    with pytest.raises(ArityMismatch):
+        encode_records(PARITY_SCHEMA, [RecordHeader(1, 1)], [])

@@ -11,7 +11,9 @@ No module of the package imports another ``ndtsim`` module's private
 (underscore-prefixed) names.
 
 The host oracle imports nothing of the device path, and only
-``engine.run_invocation`` marks an invocation in flight.
+``engine.run_invocation`` marks an invocation in flight.  ``encode_record``
+and ``install_version`` are one call into their batch forms, and only
+``layout.encode_records`` packs a record header.
 """
 
 import ast
@@ -226,3 +228,91 @@ def test_scan_finds_every_in_flight_mark(tmp_path):
                      "text = 'device.invocation_in_flight()'\n")
     assert in_flight_marks(probe) == ["probe", "probe.Handle.refresh.inner",
                                       "probe.Handle.refresh"]
+
+
+# One record encoder and one version install: the one-row forms are single
+# calls into the batch forms, and only the batch encoder packs a record
+# header.  A record header format is a struct format that starts with the
+# vid, create_ts and pred words and the flags byte (or its zero padding).
+ONE_ROW_FORMS = {("layout", "encode_record"): "encode_records",
+                 ("mvcc", "MvccStore.install_version"): "install_versions"}
+HEADER_FORMATS = ("<QQQB", "<QQQx")
+
+
+def delegated_calls(path: Path, qualname: str):
+    """The functions that definition ``qualname`` of ``path`` calls, if its
+    body (after the docstring) is one return statement; None otherwise."""
+    node = ast.parse(path.read_text())
+    for name in qualname.split("."):
+        node = next(child for child in node.body if getattr(child, "name", None) == name)
+    body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+    if len(body) != 1 or not isinstance(body[0], ast.Return):
+        return None
+    return [getattr(call.func, "attr", getattr(call.func, "id", None))
+            for call in ast.walk(body[0]) if isinstance(call, ast.Call)]
+
+
+@pytest.mark.parametrize("module, qualname", ONE_ROW_FORMS,
+                         ids=[f"{module}.{qualname}" for module, qualname in ONE_ROW_FORMS])
+def test_one_row_forms_are_one_call_into_the_batch_form(module, qualname):
+    path = ROOT / "src" / "ndtsim" / f"{module}.py"
+    assert delegated_calls(path, qualname) == [ONE_ROW_FORMS[module, qualname]]
+
+
+def _is_header_format(node) -> bool:
+    return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value.startswith(HEADER_FORMATS))
+
+
+def header_packers(path: Path) -> list:
+    """The definitions (dotted) of ``path`` that pack a record header, once
+    per occurrence: they write a header format (an f-string's included), or
+    call ``pack``/``pack_into`` on a module-level struct of one.  Defining
+    such a struct at module level packs nothing."""
+    tree = ast.parse(path.read_text())
+    header_structs = {target.id for node in tree.body if isinstance(node, ast.Assign)
+                      and any(map(_is_header_format, ast.walk(node.value)))
+                      for target in node.targets if isinstance(target, ast.Name)}
+    found = []
+
+    def scan(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scan(child, f"{scope}.{child.name}")
+                continue
+            func = getattr(child, "func", None)
+            if scope != path.stem and (_is_header_format(child) or (
+                    isinstance(func, ast.Attribute) and func.attr in ("pack", "pack_into")
+                    and getattr(func.value, "id", None) in header_structs)):
+                found.append(scope)
+            scan(child, scope)
+
+    scan(tree, path.stem)
+    return found
+
+
+def test_only_the_batch_encoder_packs_a_record_header():
+    packers = [scope for path in PACKAGE for scope in header_packers(path)]
+    assert packers and set(packers) == {"layout.encode_records"}
+
+
+def test_scan_finds_a_second_record_packer(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import struct\n"
+                     "_HDR = struct.Struct('<QQQB')\n"
+                     "_U16 = struct.Struct('<H')\n"
+                     "def encode_records(rows):\n"
+                     "    return [_HDR.pack(*row) for row in rows]\n"
+                     "def decode(buf):\n"
+                     "    return _HDR.unpack_from(buf), _U16.pack(1)\n"
+                     "class Fast:\n"
+                     "    def encode(self, n, v):\n"
+                     "        buf = bytearray(40)\n"
+                     "        _HDR.pack_into(buf, 0, v, 1, 2, 0)\n"
+                     "        return struct.pack(f'<QQQB{n}s', v, 1, 2, 0, b'')\n"
+                     "def one(header, values):\n"
+                     "    return encode_records([values])[0]\n")
+    assert header_packers(probe) == ["probe.encode_records", "probe.Fast.encode",
+                                     "probe.Fast.encode"]
+    assert delegated_calls(probe, "one") == ["encode_records"]
+    assert delegated_calls(probe, "Fast.encode") is None

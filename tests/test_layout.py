@@ -20,9 +20,11 @@ from ndtsim.errors import (
 )
 from ndtsim.layout import (
     MAX_RECORD_SIZE,
+    PAGE_HEADER_SIZE,
     PAGE_SIZE,
     POSTGRES_EPOCH_OFFSET_SECONDS,
     RECORD_HEADER_FIXED,
+    SLOT_ENTRY_SIZE,
     Decimal,
     Int32,
     Int64,
@@ -38,6 +40,7 @@ from ndtsim.layout import (
     encode_record,
     locate_fields,
     pack_rid,
+    page_slot_entry_at,
     pg_timestamp_to_unix_epoch,
     record_field_slices,
     unpack_rid,
@@ -334,3 +337,38 @@ def test_record_too_large_rejected():
     page = NsmPage(1)
     with pytest.raises(RecordTooLarge):
         page.insert(b"y" * (MAX_RECORD_SIZE + 1))
+
+
+def test_extend_equals_one_insert_at_a_time():
+    rng = random.Random(17)
+    records = [bytes(rng.randrange(256) for _ in range(rng.randint(1, 300))) for _ in range(60)]
+    one, many = NsmPage(4), NsmPage(4)
+    k = 0
+    while k < len(records):
+        chunk = records[k:k + rng.randint(1, 7)]
+        if not many.fits(sum(map(len, chunk)) + SLOT_ENTRY_SIZE * (len(chunk) - 1)):
+            with pytest.raises(PageFull):
+                many.extend(chunk)
+            break
+        assert many.extend(chunk) == one.slot_count
+        for record in chunk:
+            one.insert(record)
+        k += len(chunk)
+    assert k > 10
+    assert many.to_bytes() == one.to_bytes()
+    assert [many.slot_bytes(s) for s in range(many.slot_count)] == records[:k]
+
+
+def test_slot_entry_reader_bounds():
+    page = NsmPage(5)
+    page.insert(b"abc")
+    page.insert(b"defg")
+    assert page_slot_entry_at(b"\0" * 8 + page.to_bytes(), 8, 1) == (PAGE_HEADER_SIZE + 3, 4)
+    for slot in (2, -1):
+        with pytest.raises(SlotOutOfRange):
+            page_slot_entry_at(page.buf, 0, slot)
+    for at, value in [(PAGE_SIZE - 4, 2), (PAGE_SIZE - 2, PAGE_SIZE), (8, 0x1000)]:
+        broken = bytearray(page.buf)
+        broken[at:at + 2] = value.to_bytes(2, "little")
+        with pytest.raises(CorruptRecord):
+            page_slot_entry_at(broken, 0, 0)

@@ -5,9 +5,19 @@ import random
 import pytest
 
 from ndtsim.device import REGION_DDR
-from ndtsim.errors import DeviceUnavailable
+from ndtsim.errors import CorruptRecord, DeviceUnavailable, SlotOutOfRange
 from ndtsim.host import HostSystem
-from ndtsim.layout import PAGE_SIZE
+from ndtsim.layout import (
+    PAGE_SIZE,
+    PRED_OFFSET,
+    SLOT_COUNT_OFFSET,
+    SLOT_ENTRY_SIZE,
+    RecordHeader,
+    RecordID,
+    decode_header,
+    encode_record,
+    page_slot_count_at,
+)
 from ndtsim.mvcc import MvccStore
 from ndtsim.shared_state import HostSharedState, REGION_HOST
 from ndtsim.host import orderline_schema
@@ -139,3 +149,73 @@ def test_merge_relocates_pages_and_preserves_reads(system):
     assert relocations and all(loc[0] == "NVM" for loc in relocations.values())
     for rid in rids:
         assert system.shared.read_record(rid) == before[rid]
+
+
+# -- record reads and pred patches from the page bytes --------------------------------------
+
+def _placed(system, n=30):
+    """Committed rows on host pages, on DDR pages and on NVM pages: {rid: record bytes}."""
+    rng = random.Random(9)
+    records = {}
+    for vid in range(3 * n):
+        if vid == n:
+            system.merge_to_cold()
+        elif vid == 2 * n:
+            system.shared.propagate("regular")
+        t = system.store.begin_tx()
+        values = random_orderline(rng, vid, null_delivery=vid % 5 == 0)
+        rid = system.store.install_version(t, vid, values)
+        system.store.commit_tx(t)
+        records[rid] = encode_record(system.schema, RecordHeader(vid, t), values)
+    return records
+
+
+def test_read_record_and_patch_pred_on_host_and_device_pages(system):
+    records = _placed(system)
+    regions = {system.shared.l2p[rid.page_lid][0] for rid in records}
+    assert regions == {REGION_HOST, REGION_DDR, "NVM"}
+    rids = list(records)
+    for rid, record in records.items():
+        assert system.shared.read_record(rid) == record
+    for k, rid in enumerate(rids):
+        system.shared.patch_pred(rid, rids[-1 - k])
+    for k, rid in enumerate(rids):
+        patched = system.shared.read_record(rid)
+        assert decode_header(patched).pred == rids[-1 - k]
+        assert patched[:PRED_OFFSET] + patched[PRED_OFFSET + 8:] == \
+            records[rid][:PRED_OFFSET] + records[rid][PRED_OFFSET + 8:]
+    system.shared.patch_pred(rids[0], None)
+    assert decode_header(system.shared.read_record(rids[0])).pred is None
+
+
+def _corrupt(system, rid, at: int, value: int):
+    """Overwrite the u16 at page offset ``at`` of ``rid``'s page, wherever it lives."""
+    region, idx = system.shared.l2p[rid.page_lid]
+    data = value.to_bytes(2, "little")
+    if region == REGION_HOST:
+        system.shared.host_pages[rid.page_lid].buf[at:at + 2] = data
+    else:
+        system.device.patch(region, idx * PAGE_SIZE + at, data)
+
+
+@pytest.mark.parametrize("region", [REGION_HOST, REGION_DDR, "NVM"])
+def test_slot_reads_raise_typed_errors(region):
+    system = HostSystem()
+    rid = next(rid for rid in _placed(system) if system.shared.l2p[rid.page_lid][0] == region)
+    count = page_slot_count_at(system.shared.page_image(rid.page_lid), 0)
+    for slot in (count, count + 1, 0xFFFF, -1):
+        with pytest.raises(SlotOutOfRange):
+            system.shared.read_record(RecordID(rid.page_lid, slot))
+        with pytest.raises(SlotOutOfRange):
+            system.shared.patch_pred(RecordID(rid.page_lid, slot), None)
+    entry = PAGE_SIZE - SLOT_ENTRY_SIZE * (rid.slot + 1)
+    for at, value in [(entry, 4), (entry, PAGE_SIZE - 8), (entry + 2, PAGE_SIZE),
+                      (SLOT_COUNT_OFFSET, 0x0FFF)]:
+        original = bytes(system.shared.page_image(rid.page_lid)[at:at + 2])
+        _corrupt(system, rid, at, value)
+        with pytest.raises(CorruptRecord):
+            system.shared.read_record(rid)
+        with pytest.raises(CorruptRecord):
+            system.shared.patch_pred(rid, None)
+        _corrupt(system, rid, at, int.from_bytes(original, "little"))
+    system.shared.read_record(rid)
