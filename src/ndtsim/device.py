@@ -180,11 +180,15 @@ class TransferLedger:
         return {name: getattr(self, name) for name in _COUNTERS}
 
 
-def _gather(buf, dtype: str, positions: np.ndarray) -> np.ndarray:
+def _gather(buf, dtype, positions: np.ndarray) -> np.ndarray:
     """The little-endian ``dtype`` words that start at byte ``positions`` of ``buf``.
 
-    The positions are checked by the caller.  The strided view of ``buf``
-    is dropped on return, so no export of the region outlives the gather.
+    ``dtype`` may be a void type, ``np.dtype((np.void, size))``: each word
+    is then the ``size`` bytes at its position, and the result's
+    ``view(np.uint8)`` holds them back to back.  The positions are checked
+    by the caller; each must leave ``size`` bytes before the end of
+    ``buf``.  The strided view of ``buf`` is dropped on return, so no
+    export of the region outlives the gather.
     """
     size = np.dtype(dtype).itemsize
     words = np.ndarray((max(len(buf) - size + 1, 0),), dtype=dtype, buffer=buf, strides=(1,))
@@ -463,35 +467,50 @@ class Device:
         """Load a PE's records in one batch; returns (u8 array, record starts).
 
         Record k is bytes [offsets[k], offsets[k] + lengths[k]) of region
-        ``REGIONS[regions[k]]``; in the returned copy it begins at
-        ``starts[k]`` (``starts`` has one more entry, the total).  Ranges
-        are checked like ``read``, and the ledger is charged what one
-        ``read`` plus one record load per record charges: the bytes, and one
-        NVM access per NVM-resident record.
+        ``REGIONS[regions[k]]``.  It comes in a fixed-width window: with
+        ``width`` the batch's longest record, window k is bytes
+        [k * width, (k + 1) * width) of the returned array, and the record
+        begins at ``starts[k]``, ``shift[k]`` bytes into its window.  The
+        shift is 0 unless the record's window would run past the end of its
+        region; that window ends at the region's end instead (in a region
+        shorter than ``width`` it is the whole region, and the rest of the
+        window is left unset).  ``starts`` has one more entry: ``starts[n]``
+        is the array's length, ``n * width``, not the total of the record
+        bytes.  Only bytes [starts[k], starts[k] + lengths[k]) are record
+        k; the rest of its window belongs to other data.  A window is at
+        most the schema's longest record, so that bounds the padding per
+        record.
+
+        Each region's windows come out in one strided gather.  Ranges are
+        checked like ``read``, and the ledger is charged what one ``read``
+        plus one record load per record charges: the record bytes (not the
+        window bytes), and one NVM access per NVM-resident record.
         """
-        starts = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=starts[1:])
-        codes = np.unique(regions).tolist()
-        for code in codes:
-            rows = np.flatnonzero(regions == code)
-            self._check_ranges(REGIONS[code], offsets[rows], lengths[rows])
-            if REGIONS[code] == REGION_NVM:
-                self.ledger.nvm_reads += len(rows)
-        views = {code: memoryview(self._regions[REGIONS[code]]) for code in codes}
-        try:
-            # one slice per record; released views let a region grow again
-            data = b"".join([views[code][start:start + length] for code, start, length
-                             in zip(regions.tolist(), offsets.tolist(), lengths.tolist())])
-        finally:
-            for view in views.values():
-                view.release()
         n = len(lengths)
+        width = int(lengths.max(initial=0))
+        windows = np.empty((n, width), dtype=np.uint8)
+        shift = np.zeros(n, dtype=np.int64)
+        for code, count in enumerate(np.bincount(regions, minlength=len(REGIONS)).tolist()):
+            if not count:
+                continue
+            rows = slice(None) if count == n else np.flatnonzero(regions == code)
+            at = offsets[rows]
+            buf = self._check_ranges(REGIONS[code], at, lengths[rows])
+            if REGIONS[code] == REGION_NVM:
+                self.ledger.nvm_reads += count
+            size = min(width, len(buf))
+            first = np.minimum(at, len(buf) - size)     # a window ends by the region's end
+            shift[rows] = at - first
+            windows[rows, :size] = _gather(buf, np.dtype((np.void, size)), first).view(
+                np.uint8).reshape(count, size)
         if n:
-            self.ledger.device_internal_bytes_read += int(starts[-1])
+            self.ledger.device_internal_bytes_read += int(lengths.sum())
             self.ledger.records_processed += n
             self.ledger.pe_op(pe, "read", n)
             self.ledger.pe_op(pe, "record_load", n)
-        return np.frombuffer(data, dtype=np.uint8), starts
+        starts = np.arange(n + 1, dtype=np.int64) * width
+        starts[:n] += shift
+        return windows.reshape(-1), starts
 
     # -- propagation & maintenance ---------------------------------------------
 

@@ -388,18 +388,21 @@ def flush_partition(job: PeJob, device: Device, sink, key, data: bytes):
 def transform_record(job: PeJob, inv: NdtInvocation, device: Device) -> list:
     """Step 2 for one PE: batch-transform its changed tuples, plan its flushes.
 
-    The records are loaded in one device read and every projected attribute
-    is extracted at once.  Returns the job's flushes as (round, PE,
-    position, key, bytes), where round is the row during which the flush
-    happens; the final flushes (values, validity, offsets per attribute,
-    then the identity column) come in the round after the last row.
+    The records are loaded in one batch read, each in a fixed-width window
+    of the loaded buffer, and located by their start and their own length,
+    so no field is read from the window bytes past a record's end.  Every
+    projected attribute is extracted at once.  Returns the job's flushes as
+    (round, PE, position, key, bytes), where round is the row during which
+    the flush happens; the final flushes (values, validity, offsets per
+    attribute, then the identity column) come in the round after the last
+    row.
     """
     rows = job.changed
     n = len(rows.vids)
     if n == 0:
         return []
     buf, starts = device.pe_read_records(job.pe, rows.regions, rows.offsets, rows.lengths)
-    loc = locate_fields(inv.schema, buf, starts[:-1], np.diff(starts))
+    loc = locate_fields(inv.schema, buf, starts[:-1], rows.lengths)
     flushes, tails = [], []
     for slot, (attr_idx, name, ftype, code, nullable) in enumerate(inv.proj_plan):
         present = loc.present[:, attr_idx]

@@ -297,6 +297,7 @@ def _framed_varchars(values, attr: Attribute) -> list:
 
 
 _TOMBSTONE = attrgetter("tombstone")
+_HEADER_WORDS = attrgetter("vid", "create_ts", "pred")
 
 
 def encode_records(schema: Schema, headers: Sequence[RecordHeader], rows: Sequence) -> list:
@@ -368,10 +369,9 @@ def encode_records(schema: Schema, headers: Sequence[RecordHeader], rows: Sequen
             columns[i] = list(map(decimal_to_scaled, columns[i], repeat(ftype)))
         for i in varlens:
             columns[i] = _framed_varchars(columns[i], schema.attributes[i])
-        vids, create_ts, preds = zip(*[(h.vid, h.create_ts, pack_rid(h.pred))
-                                      for h in group_headers])
+        vids, create_ts, preds = zip(*map(_HEADER_WORDS, group_headers))
         try:
-            packed = list(map(pack, vids, create_ts, preds, repeat(bitmap),
+            packed = list(map(pack, vids, create_ts, map(pack_rid, preds), repeat(bitmap),
                               *[columns[i] for i in fixed]))
         except struct.error as exc:
             raise TypeMismatch(f"a value out of its field's range ({exc})") from None
@@ -599,11 +599,14 @@ class NsmPage:
             raise PageFull(f"page {self.page_lid}: {len(sizes)} records of {total} bytes do not "
                            f"fit in {self.free_space}")
         first, off = self.slot_count, self.free_offset
-        self.buf[off:off + total] = b"".join(records)
-        for slot, size in enumerate(sizes, first):
-            _SLOT.pack_into(self.buf, PAGE_SIZE - SLOT_ENTRY_SIZE * (slot + 1), off, size)
+        buf = self.buf
+        buf[off:off + total] = b"".join(records)
+        entry = PAGE_SIZE - SLOT_ENTRY_SIZE * first       # slot entries grow downwards
+        for size in sizes:
+            entry -= SLOT_ENTRY_SIZE
+            _SLOT.pack_into(buf, entry, off, size)
             off += size
-        self.slot_count += len(sizes)
+        self.slot_count = first + len(sizes)
         self.free_offset = off
         self._sync_header()
         return first

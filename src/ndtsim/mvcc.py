@@ -130,25 +130,26 @@ class MvccStore:
         state as they were.
         """
         self._require_active(t)
-        preds, headers = [], []
+        vid_map = self.vid_map
+        preds, headers, values_of = [], [], []
         for vid, values in zip(vids, rows, strict=True):
-            pred = self.vid_map.get(vid)
+            pred = vid_map.get(vid)
             if pred is not None:
                 if pred.create_ts == t:
                     pred = pred.pred           # same-tx re-update: bypass own version
                 elif t < pred.create_ts:
                     raise StaleWrite(f"tx {t} behind chain head {pred.create_ts} for vid {vid}")
+            tombstone = values is TOMBSTONE
             preds.append(pred)
-            headers.append(RecordHeader(vid, t, None if pred is None else pred.rid,
-                                        values is TOMBSTONE))
-        records = encode_records(self.schema, headers,
-                                 [None if values is TOMBSTONE else values for values in rows])
+            headers.append(RecordHeader(vid, t, None if pred is None else pred.rid, tombstone))
+            values_of.append(None if tombstone else values)
+        records = encode_records(self.schema, headers, values_of)
         rids = []
         try:
             self.shared.append_records(records, vids, rids)
         finally:              # link what was placed, even if a propagation failed
-            for vid, rid, header, pred in zip(vids, rids, headers, preds):
-                self.vid_map[vid] = ChainNode(rid, t, header.tombstone, pred)
+            for header, rid, pred in zip(headers, rids, preds):
+                vid_map[header.vid] = ChainNode(rid, t, header.tombstone, pred)
             self._tx_writes[t].extend(zip(vids, rids))
             self.op_count += len(rids)
         return rids

@@ -85,27 +85,31 @@ class HostSharedState:
         page.  The result is that of appending the records one at a time.
         """
         capacity = self.capacity_bytes if self.device is not None else math.inf   # no device
-        k, n = 0, len(records)
+        page, k, n = self._open_page, 0, len(records)
+        room = -1 if page is None else page.free_space
+        staged = self._staged_vid
         while k < n:
-            page = self._open_page
-            if page is None or not page.fits(len(records[k])):
+            if len(records[k]) + SLOT_ENTRY_SIZE > room:
                 page = self._new_page()
+                room = page.free_space
             # this page takes records[k:end]: those that fit, up to the one reaching capacity
-            end, room, size = k, page.free_space, self.size_bytes
+            end, size = k, self.size_bytes
             while end < n and len(records[end]) + SLOT_ENTRY_SIZE <= room:
                 room -= len(records[end]) + SLOT_ENTRY_SIZE
                 size += len(records[end])
                 end += 1
                 if size >= capacity:
                     break
-            slot = page.extend(records[k:end])
-            placed = [RecordID(page.page_lid, s) for s in range(slot, slot + end - k)]
-            rids += placed
-            self._staged_vid.update(zip(vids[k:end], placed))
+            slot, lid = page.extend(records[k:end]), page.page_lid
+            for vid in vids[k:end]:
+                rid = staged[vid] = RecordID(lid, slot)
+                rids.append(rid)
+                slot += 1
             self.size_bytes = size
             k = end
             if size >= capacity:
                 self.propagate("regular")
+                room = -1                       # the next record starts a new page
 
     def stage_vid_delta(self, vid: int, rid: Optional[RecordID]):
         """Stage a map correction (abort rollback); None removes the entry."""

@@ -13,7 +13,8 @@ No module of the package imports another ``ndtsim`` module's private
 The host oracle imports nothing of the device path, and only
 ``engine.run_invocation`` marks an invocation in flight.  ``encode_record``
 and ``install_version`` are one call into their batch forms, and only
-``layout.encode_records`` packs a record header.
+``layout.encode_records`` packs a record header.  The device's batch
+accessors hold no comprehension.
 """
 
 import ast
@@ -239,12 +240,18 @@ ONE_ROW_FORMS = {("layout", "encode_record"): "encode_records",
 HEADER_FORMATS = ("<QQQB", "<QQQx")
 
 
-def delegated_calls(path: Path, qualname: str):
-    """The functions that definition ``qualname`` of ``path`` calls, if its
-    body (after the docstring) is one return statement; None otherwise."""
+def _definition(path: Path, qualname: str):
+    """The AST of definition ``qualname`` (dotted) of ``path``."""
     node = ast.parse(path.read_text())
     for name in qualname.split("."):
         node = next(child for child in node.body if getattr(child, "name", None) == name)
+    return node
+
+
+def delegated_calls(path: Path, qualname: str):
+    """The functions that definition ``qualname`` of ``path`` calls, if its
+    body (after the docstring) is one return statement; None otherwise."""
+    node = _definition(path, qualname)
     body = node.body[1:] if ast.get_docstring(node) is not None else node.body
     if len(body) != 1 or not isinstance(body[0], ast.Return):
         return None
@@ -316,3 +323,35 @@ def test_scan_finds_a_second_record_packer(tmp_path):
                                      "probe.Fast.encode"]
     assert delegated_calls(probe, "one") == ["encode_records"]
     assert delegated_calls(probe, "Fast.encode") is None
+
+
+# The device's batch accessors serve a PE's whole batch with array
+# operations, so per-record Python (a comprehension over the batch) must not
+# creep back into them.
+BATCH_ACCESSORS = ("Device.pe_read_slot", "Device.pe_probe_header", "Device.pe_read_records")
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def comprehensions(path: Path, qualname: str) -> list:
+    """The comprehensions in definition ``qualname`` of ``path``, by line."""
+    return [f"line {node.lineno}: {type(node).__name__}"
+            for node in ast.walk(_definition(path, qualname))
+            if isinstance(node, COMPREHENSIONS)]
+
+
+@pytest.mark.parametrize("qualname", BATCH_ACCESSORS)
+def test_batch_accessors_have_no_per_record_python(qualname):
+    assert comprehensions(ROOT / "src" / "ndtsim" / "device.py", qualname) == []
+
+
+def test_scan_finds_every_comprehension(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("class Device:\n"
+                     "    def pe_read_records(self, rows):\n"
+                     "        data = b''.join([row for row in rows])\n"
+                     "        return data, {r: 1 for r in rows}, {r for r in rows}, sum(\n"
+                     "            r for r in rows)\n"
+                     "    def pe_read_slot(self, rows):\n"
+                     "        return [r for r in rows]\n")
+    assert comprehensions(probe, "Device.pe_read_records") == [
+        "line 3: ListComp", "line 4: DictComp", "line 4: SetComp", "line 4: GeneratorExp"]
