@@ -58,6 +58,7 @@ from .layout import (
     RID_NONE,
     SLOT_COUNT_OFFSET,
     SLOT_ENTRY_SIZE,
+    gather_words,
     pack_rid,
 )
 
@@ -178,21 +179,6 @@ class TransferLedger:
 
     def counters(self) -> dict:
         return {name: getattr(self, name) for name in _COUNTERS}
-
-
-def _gather(buf, dtype, positions: np.ndarray) -> np.ndarray:
-    """The little-endian ``dtype`` words that start at byte ``positions`` of ``buf``.
-
-    ``dtype`` may be a void type, ``np.dtype((np.void, size))``: each word
-    is then the ``size`` bytes at its position, and the result's
-    ``view(np.uint8)`` holds them back to back.  The positions are checked
-    by the caller; each must leave ``size`` bytes before the end of
-    ``buf``.  The strided view of ``buf`` is dropped on return, so no
-    export of the region outlives the gather.
-    """
-    size = np.dtype(dtype).itemsize
-    words = np.ndarray((max(len(buf) - size + 1, 0),), dtype=dtype, buffer=buf, strides=(1,))
-    return words[positions]
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -439,13 +425,13 @@ class Device:
         """
         buf = self._check_ranges(region, page_bases, PAGE_SIZE)
         self._charge_navigation(pe, "slot", SLOT_READ_BYTES, len(slots), region)
-        counts = _gather(buf, "<u2", page_bases + SLOT_COUNT_OFFSET)
+        counts = gather_words(buf, "<u2", page_bases + SLOT_COUNT_OFFSET)
         bad = np.flatnonzero((slots >= counts) | (slots >= MAX_SLOTS))
         if len(bad):
             k = bad[0]
             raise CorruptRecord(f"slot {slots[k]} of page at {page_bases[k]} is past its "
                                 f"{counts[k]} slots")
-        entries = _gather(buf, "<u4", page_bases + PAGE_SIZE - SLOT_ENTRY_SIZE * (slots + 1))
+        entries = gather_words(buf, "<u4", page_bases + PAGE_SIZE - SLOT_ENTRY_SIZE * (slots + 1))
         offsets = (entries & 0xFFFF).astype(np.int64)
         lengths = (entries >> 16).astype(np.int64)
         bad = np.flatnonzero((offsets == 0) | (offsets + lengths > PAGE_SIZE))
@@ -458,9 +444,9 @@ class Device:
         """Modeled 4B header probes; yield (create_ts, packed pred, flags) arrays."""
         buf = self._check_ranges(region, record_offsets, RECORD_HEADER_FIXED)
         self._charge_navigation(pe, "probe", HEADER_PROBE_BYTES, len(record_offsets), region)
-        return (_gather(buf, "<u8", record_offsets + CREATE_TS_OFFSET),
-                _gather(buf, "<u8", record_offsets + PRED_OFFSET),
-                _gather(buf, "u1", record_offsets + FLAGS_OFFSET))
+        return (gather_words(buf, "<u8", record_offsets + CREATE_TS_OFFSET),
+                gather_words(buf, "<u8", record_offsets + PRED_OFFSET),
+                gather_words(buf, "u1", record_offsets + FLAGS_OFFSET))
 
     def pe_read_records(self, pe: int, regions: np.ndarray, offsets: np.ndarray,
                         lengths: np.ndarray):
@@ -481,10 +467,13 @@ class Device:
         most the schema's longest record, so that bounds the padding per
         record.
 
-        Each region's windows come out in one strided gather.  Ranges are
-        checked like ``read``, and the ledger is charged what one ``read``
-        plus one record load per record charges: the record bytes (not the
-        window bytes), and one NVM access per NVM-resident record.
+        Each region's windows come out in one typed strided gather
+        (``gather_words`` with a void word of the window's size).  When the
+        whole batch lies in one region, the gathered windows are returned
+        as they are, not copied again.
+        Ranges are checked like ``read``, and the ledger is charged what one
+        ``read`` plus one record load per record charges: the record bytes
+        (not the window bytes), and one NVM access per NVM-resident record.
         """
         n = len(lengths)
         width = int(lengths.max(initial=0))
@@ -501,8 +490,12 @@ class Device:
             size = min(width, len(buf))
             first = np.minimum(at, len(buf) - size)     # a window ends by the region's end
             shift[rows] = at - first
-            windows[rows, :size] = _gather(buf, np.dtype((np.void, size)), first).view(
+            gathered = gather_words(buf, np.dtype((np.void, size)), first).view(
                 np.uint8).reshape(count, size)
+            if count == n:                  # one region: its windows are the batch's
+                windows = gathered
+            else:
+                windows[rows, :size] = gathered
         if n:
             self.ledger.device_internal_bytes_read += int(lengths.sum())
             self.ledger.records_processed += n

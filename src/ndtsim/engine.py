@@ -20,16 +20,22 @@ refresh of an existing materialization -- runs one pipeline:
    refresh also charges an 8-byte index probe per tuple and collects the
    held tuples that are no longer visible.
 2. **Transform.**  Each PE transforms its changed tuples as one batch: it
-   loads all of their records in one device read, locates every field
-   with the batch locator of ``layout``, and extracts each projected
-   attribute into value/validity/offset columns (timestamps converted to
-   epoch seconds, NULLs as zeroed slots with a clear validity bit).  From
-   the scratchpad partition capacities it then plans where each partition
-   would flush: fixed-size elements at closed-form rows, varchar payloads
-   greedily (one that does not fit flushes the partition first, one larger
-   than the partition is then spilled on its own).  On a first run a
-   changed tuple stays on the PE that walked it; on a refresh the changed
-   list, in PE-major walk order, is dealt round-robin again.
+   loads all of their records in one device read, each in a fixed-width
+   window, and locates every field with the batch locator of ``layout``.
+   Each record-field word is read with one typed strided gather
+   (``layout.gather_words``) for the whole batch: the null bitmaps, the
+   varlen length prefixes, and each fixed projected attribute, one
+   ``<i4`` or ``<i8`` gather at its located starts with NULLs zeroed
+   (timestamps converted to epoch seconds).  A varchar's payload is the
+   bytes of its located ranges.  Each projected attribute becomes
+   value/validity/offset columns, a NULL a zeroed slot with a clear
+   validity bit.  From the scratchpad partition capacities the PE then
+   plans where each partition would flush: fixed-size elements at
+   closed-form rows, varchar payloads greedily (one that does not fit
+   flushes the partition first, one larger than the partition is then
+   spilled on its own).  On a first run a changed tuple stays on the PE
+   that walked it; on a refresh the changed list, in PE-major walk order,
+   is dealt round-robin again.
 3. **Append** (materializing sinks only).  Unused result pages are freed
    and the rest join the handle, whose identity index is three arrays
    sorted by vid (vid, position, rid) beside one boolean per position.
@@ -97,6 +103,7 @@ from .layout import (
     Schema,
     TC_TIMESTAMP,
     TC_VARCHAR,
+    gather_words,
     locate_fields,
     pg_timestamp_to_unix_epoch,
     range_indexes,
@@ -391,11 +398,13 @@ def transform_record(job: PeJob, inv: NdtInvocation, device: Device) -> list:
     The records are loaded in one batch read, each in a fixed-width window
     of the loaded buffer, and located by their start and their own length,
     so no field is read from the window bytes past a record's end.  Every
-    projected attribute is extracted at once.  Returns the job's flushes as
-    (round, PE, position, key, bytes), where round is the row during which
-    the flush happens; the final flushes (values, validity, offsets per
-    attribute, then the identity column) come in the round after the last
-    row.
+    projected attribute is extracted at once: a fixed one as one ``<i4``
+    or ``<i8`` ``gather_words`` at its located starts, NULLs zeroed by
+    ``np.where``, a varchar as the bytes of its located ranges.  Returns
+    the job's flushes as (round, PE, position, key, bytes), where round is
+    the row during which the flush happens; the final flushes (values,
+    validity, offsets per attribute, then the identity column) come in the
+    round after the last row.
     """
     rows = job.changed
     n = len(rows.vids)
@@ -412,13 +421,14 @@ def transform_record(job: PeJob, inv: NdtInvocation, device: Device) -> list:
             payload = buf[range_indexes(loc.start[:, attr_idx], sizes)]
             planned[KIND_VALUES] = _payload_flushes(payload, sizes, job.caps[name, KIND_VALUES])
         else:
-            width = ftype.width
-            raw = buf[loc.start[:, attr_idx, None] + np.arange(width)]
+            width, dtype = ftype.width, f"<i{ftype.width}"
+            values = gather_words(buf, dtype, loc.start[:, attr_idx])
             if code == TC_TIMESTAMP:
-                raw = pg_timestamp_to_unix_epoch(raw.view("<i8")).astype("<i8").view(np.uint8)
-            raw[~present] = 0
+                values = pg_timestamp_to_unix_epoch(values)
+            values = np.where(present, values, 0).astype(dtype, copy=False)
             planned[KIND_VALUES] = _element_flushes(
-                raw.reshape(-1), width, job.caps[name, KIND_VALUES], n, lambda e: e, _FLUSH_VALUES)
+                values.view(np.uint8), width, job.caps[name, KIND_VALUES], n, lambda e: e,
+                _FLUSH_VALUES)
         if nullable:
             bits = pack_bits(present)
             planned[KIND_VALIDITY] = _element_flushes(

@@ -22,9 +22,15 @@ of records, and ``encode_record`` is its one-record case.
 ``record_field_slices`` locates the fields of one record.  Its batch form,
 ``locate_fields``, locates them for many records packed into one buffer:
 fixed-field offsets depend only on the null mask, so they are computed
-once per distinct mask and gathered; varlen positions follow from the u16
-length prefixes, one varlen attribute after another.  Both make the same
-bounds checks and raise the same ``CorruptRecord``.
+once per distinct mask and taken by each record's mask; varlen positions
+follow from the u16 length prefixes, one varlen attribute after another.
+Both make the same bounds checks and raise the same ``CorruptRecord``.
+
+``gather_words`` is the one strided gather of the device path: it reads
+one little-endian word (an integer, or a void word of a given size) at
+each of many byte positions of a buffer.  The device's batch accessors,
+the batch locator and the transform read every header word, record
+window and field word through it.
 """
 
 from __future__ import annotations
@@ -453,6 +459,23 @@ class FieldLocations(NamedTuple):
     length: np.ndarray          # int64 byte length
 
 
+def gather_words(buf, dtype, positions: np.ndarray) -> np.ndarray:
+    """The little-endian ``dtype`` words that start at byte ``positions`` of ``buf``.
+
+    One typed strided gather: ``buf`` is viewed as one ``dtype`` word at
+    every byte, and the words at ``positions`` are copied out.  ``dtype``
+    may be a void type, ``np.dtype((np.void, size))``: each word is then
+    the ``size`` bytes at its position, and the result's ``view(np.uint8)``
+    holds them back to back.  The positions are checked by the caller;
+    each must leave the word's size in bytes before the end of ``buf``.
+    The strided view of ``buf`` is dropped on return, so no export of
+    ``buf`` outlives the gather.
+    """
+    size = np.dtype(dtype).itemsize
+    words = np.ndarray((max(len(buf) - size + 1, 0),), dtype=dtype, buffer=buf, strides=(1,))
+    return words[positions]
+
+
 def range_indexes(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Indexes of the ranges [starts[k], starts[k] + lengths[k]), concatenated.
 
@@ -469,39 +492,74 @@ def range_indexes(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return steps
 
 
+def _mask_groups(bitmaps: np.ndarray):
+    """The distinct rows of the ``(n, bytes)`` u8 matrix ``bitmaps``, and the
+    index of each row's distinct row.
+
+    The rows are ordered by a stable argsort on one byte at a time, the
+    last byte first, so a bitmap of any width is keyed on all its bytes; a
+    byte that is the same in every row orders nothing and is skipped.  A
+    row starts a new group where any byte differs from the row before.
+    """
+    varying = [column for column in bitmaps.T if column.min() != column.max()]
+    order = np.arange(len(bitmaps))
+    for column in reversed(varying):
+        order = order[np.argsort(column[order], kind="stable")]
+    first = np.zeros(len(order), dtype=bool)
+    first[0] = True
+    for column in varying:
+        ordered = column[order]
+        first[1:] |= ordered[1:] != ordered[:-1]
+    group = np.empty(len(order), dtype=np.int64)
+    group[order] = np.cumsum(first) - 1
+    return bitmaps[order[first]], group
+
+
 def locate_fields(schema: Schema, buf: np.ndarray, starts: np.ndarray,
                   lengths: np.ndarray) -> FieldLocations:
     """Batch field locator: record k is ``buf[starts[k]:starts[k] + lengths[k]]``.
 
-    Makes every check ``record_field_slices`` makes and raises the same
-    ``CorruptRecord``; tombstones carry no fields.
+    Each live record's null bitmap is read as one word and each varlen
+    length prefix as one ``<u2`` word, by ``gather_words``.  Records are
+    grouped by null mask; a fixed field's offset depends only on the mask,
+    so presence, offsets and widths are tabled once per distinct mask and
+    taken for every record by its group.  The varlen fields then follow,
+    one attribute at a time.  Makes every check ``record_field_slices``
+    makes and raises the same ``CorruptRecord``; tombstones carry no
+    fields.
     """
     n, n_attrs = len(starts), schema.n_attrs
-    present = np.zeros((n, n_attrs), dtype=bool)
-    start = np.zeros((n, n_attrs), dtype=np.int64)
-    length = np.zeros((n, n_attrs), dtype=np.int64)
     if n == 0:
-        return FieldLocations(present, start, length)
+        return FieldLocations(np.zeros((0, n_attrs), dtype=bool),
+                              np.zeros((0, n_attrs), dtype=np.int64),
+                              np.zeros((0, n_attrs), dtype=np.int64))
     if (lengths < RECORD_HEADER_FIXED).any():
         raise CorruptRecord("record shorter than its header")
     live = buf[starts + FLAGS_OFFSET] & 1 == 0    # bit 0: tombstone
     if (live & (lengths < schema.header_size)).any():
         raise CorruptRecord("record shorter than its header")
     # null bitmaps, all-NULL for tombstones
-    bitmaps = np.full((n, schema.null_bitmap_bytes), 0xFF, dtype=np.uint8)
+    bitmap_bytes = schema.null_bitmap_bytes
     rows = np.flatnonzero(live)
-    bitmaps[rows] = buf[starts[rows, None] + np.arange(RECORD_HEADER_FIXED, schema.header_size)]
-    present[:] = np.unpackbits(bitmaps, axis=1, bitorder="little")[:, :n_attrs] == 0
-    masks, group = np.unique(bitmaps.view(np.dtype((np.void, schema.null_bitmap_bytes))).ravel(),
-                             return_inverse=True)
+    bitmaps = gather_words(buf, np.dtype((np.void, bitmap_bytes)),
+                           starts[rows] + RECORD_HEADER_FIXED).view(np.uint8).reshape(
+        len(rows), bitmap_bytes)
+    if len(rows) < n:
+        bitmaps, live_bitmaps = np.full((n, bitmap_bytes), 0xFF, dtype=np.uint8), bitmaps
+        bitmaps[rows] = live_bitmaps
+    masks, group = _mask_groups(bitmaps)
 
-    # fixed-field offsets (relative to the record start) once per null mask
+    # per null mask: presence, fixed-field offsets (from the record start) and widths
+    mask_present = np.unpackbits(masks, axis=1, bitorder="little")[:, :n_attrs] == 0
     rel = np.zeros((len(masks), n_attrs), dtype=np.int64)
+    widths = np.zeros((len(masks), n_attrs), dtype=np.int64)
     fixed_end = np.empty(len(masks), dtype=np.int64)
     for g, mask in enumerate(masks):
         offsets, fixed_end[g] = schema.fixed_offsets(int.from_bytes(mask.tobytes(), "little"))
         for i, offset in offsets:
             rel[g, i] = offset
+            widths[g, i] = schema.attributes[i].ftype.width
+    present = mask_present.take(group, axis=0)
     pos = fixed_end[group]
     short = np.flatnonzero(live & (lengths < pos))
     if len(short):
@@ -509,12 +567,10 @@ def locate_fields(schema: Schema, buf: np.ndarray, starts: np.ndarray,
         i = next(i for i, width, *_ in schema.fixed_plan
                  if present[k, i] and rel[group[k], i] + width > lengths[k])
         raise CorruptRecord(f"fixed field {i} runs past record end")
-    if schema.fixed_plan:
-        fixed = np.array([i for i, *_ in schema.fixed_plan])
-        widths = np.array([width for _i, width, *_ in schema.fixed_plan])
-        on = present[:, fixed]
-        start[:, fixed] = np.where(on, starts[:, None] + rel[group][:, fixed], 0)
-        length[:, fixed] = np.where(on, widths, 0)
+    length = widths.take(group, axis=0)
+    start = rel.take(group, axis=0)
+    start += starts[:, None]
+    start *= length > 0                             # 0 where no fixed field is present
 
     for i in schema.varlen_plan:
         rows = np.flatnonzero(present[:, i])
@@ -522,12 +578,13 @@ def locate_fields(schema: Schema, buf: np.ndarray, starts: np.ndarray,
         if (at + 2 > limit).any():
             raise CorruptRecord(f"varlen field {i} length prefix past record end")
         prefix = starts[rows] + at
-        size = buf[prefix].astype(np.int64) | buf[prefix + 1].astype(np.int64) << 8
-        if (at + 2 + size > limit).any():
+        size = gather_words(buf, "<u2", prefix).astype(np.int64)
+        end = at + 2 + size
+        if (end > limit).any():
             raise CorruptRecord(f"varlen field {i} payload past record end")
         start[rows, i] = prefix + 2
         length[rows, i] = size
-        pos[rows] = at + 2 + size
+        pos[rows] = end
     return FieldLocations(present, start, length)
 
 

@@ -7,7 +7,7 @@ import pytest
 from ndtsim.device import Device, DeviceConfig, REGION_DDR, REGION_NVM, REGIONS
 from ndtsim.engine import MODE_MATERIALIZE, MODE_STREAM, NdtInvocation
 from ndtsim.host import HostSystem, orderline_schema
-from ndtsim.layout import PAGE_SIZE
+from ndtsim.layout import PAGE_SIZE, TC_DECIMAL, TC_VARCHAR
 from ndtsim.mvcc import MvccStore
 from ndtsim.shared_state import HostSharedState
 
@@ -95,3 +95,16 @@ def random_orderline(rng: random.Random, order_id: int = 1, line: int = 1,
         D(rng.randint(1, 999_999)).scaleb(-2),
         "".join(rng.choice("abcdefghij") for _ in range(rng.randint(0, 24))),
     )
+
+
+def random_value(rng: random.Random, attr):
+    """A random value of ``attr``: NULL three times in ten where nullable."""
+    if attr.nullable and rng.random() < 0.3:
+        return None
+    ftype = attr.ftype
+    if ftype.code == TC_VARCHAR:
+        return "".join(rng.choice("abé€") for _ in range(rng.randint(0, ftype.max_len // 3)))
+    if ftype.code == TC_DECIMAL:
+        return D(rng.randint(-10**ftype.precision + 1, 10**ftype.precision - 1)).scaleb(
+            -ftype.scale)
+    return rng.randint(-2**31, 2**31 - 1)

@@ -131,14 +131,31 @@ _TYPES = {
 
 @st.composite
 def _tables(draw):
-    kinds = draw(st.lists(st.sampled_from(sorted(_TYPES)), min_size=1, max_size=4))
-    nullable = draw(st.lists(st.booleans(), min_size=len(kinds), max_size=len(kinds)))
+    """A schema and its rows.  Wide schemas of 9 to 16 or 65 to 72 attributes
+    give null bitmaps of 2 or 9 bytes.  Few of their attributes are nullable,
+    the last always, and each other attribute holds one value in every row,
+    so many rows share a null mask but for a NULL past the 64th attribute."""
+    if draw(st.booleans()):
+        kinds = draw(st.lists(st.sampled_from(sorted(_TYPES)), min_size=1, max_size=4))
+        nullable = draw(st.lists(st.booleans(), min_size=len(kinds), max_size=len(kinds)))
+        rows = draw(st.lists(st.tuples(*[st.one_of(st.none(), _TYPES[k][1]) if n
+                                         else _TYPES[k][1] for k, n in zip(kinds, nullable)]),
+                             max_size=40))
+    else:
+        n = draw(st.one_of(st.integers(9, 16), st.integers(65, 72)))
+        kinds = draw(st.lists(st.sampled_from(sorted(_TYPES)), min_size=n, max_size=n))
+        nulls = sorted(draw(st.sets(st.integers(0, n - 1), max_size=3)) | {n - 1})
+        nullable = [i in nulls for i in range(n)]
+        base = [draw(_TYPES[k][1]) for k in kinds]
+        varied = draw(st.lists(st.tuples(*[st.one_of(st.none(), _TYPES[kinds[i]][1])
+                                           for i in nulls]), min_size=16, max_size=40))
+        rows = []
+        for values in varied:
+            row = list(base)
+            for i, value in zip(nulls, values):
+                row[i] = value
+            rows.append(tuple(row))
     attrs = [(f"c{i}", _TYPES[k][0], n) for i, (k, n) in enumerate(zip(kinds, nullable))]
-    value_strategies = []
-    for kind, null_ok in zip(kinds, nullable):
-        values = _TYPES[kind][1]
-        value_strategies.append(st.one_of(st.none(), values) if null_ok else values)
-    rows = draw(st.lists(st.tuples(*value_strategies), max_size=40))
     return Schema("t", attrs), rows
 
 

@@ -48,9 +48,27 @@ field_types = st.one_of(
     st.integers(1, 40).map(VarChar),
 )
 
-schemas = st.lists(st.tuples(field_types, st.booleans()), min_size=1, max_size=12).map(
-    lambda attrs: Schema("t", [(f"a{i}", ftype, nullable)
-                               for i, (ftype, nullable) in enumerate(attrs)]))
+# Wide schemas test null bitmaps, not value coverage, so their attributes
+# take a few fixed types and ``batches`` gives each non-nullable one a
+# single value: the draws stay cheap.
+WIDE_TYPES = (Int32(), Int64(), TimestampPg(), Decimal(18, 4), VarChar(8))
+
+
+@st.composite
+def _wide_attrs(draw):
+    """13 to 16 or 65 to 72 attributes: null bitmaps of 2 or 9 bytes.  Few
+    are nullable, the last always, so rows share null masks but for a NULL
+    past the 64th."""
+    n = draw(st.one_of(st.integers(13, 16), st.integers(65, 72)))
+    ftypes = draw(st.lists(st.sampled_from(WIDE_TYPES), min_size=n, max_size=n))
+    nulls = draw(st.sets(st.integers(0, len(ftypes) - 1), max_size=3)) | {len(ftypes) - 1}
+    return [(ftype, i in nulls) for i, ftype in enumerate(ftypes)]
+
+
+schemas = st.one_of(
+    st.lists(st.tuples(field_types, st.booleans()), min_size=1, max_size=12), _wide_attrs(),
+).map(lambda attrs: Schema("t", [(f"a{i}", ftype, nullable)
+                                 for i, (ftype, nullable) in enumerate(attrs)]))
 
 
 def _bounded(lo, hi):
@@ -86,8 +104,15 @@ def values_of(ftype) -> st.SearchStrategy:
 @st.composite
 def batches(draw):
     schema = draw(schemas)
-    row = st.tuples(*[st.one_of(st.none(), values_of(a.ftype)) if a.nullable
-                      else values_of(a.ftype) for a in schema.attributes])
+    columns = []
+    for attr in schema.attributes:
+        values = values_of(attr.ftype)
+        if attr.nullable:
+            values = st.one_of(st.none(), values)
+        elif schema.n_attrs > 12:           # wide: one value per column, in every row
+            values = st.just(draw(values))
+        columns.append(values)
+    row = st.tuples(*columns)
     pred = st.one_of(st.none(), st.builds(RecordID, st.integers(0, 2**47 - 1),
                                           st.integers(0, 2**16 - 1)))
     n = draw(st.integers(1, 12))

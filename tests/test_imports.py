@@ -10,11 +10,11 @@ carries that mark.
 No module of the package imports another ``ndtsim`` module's private
 (underscore-prefixed) names.
 
-The host oracle imports nothing of the device path, and only
-``engine.run_invocation`` marks an invocation in flight.  ``encode_record``
-and ``install_version`` are one call into their batch forms, and only
-``layout.encode_records`` packs a record header.  The device's batch
-accessors hold no comprehension.
+The host oracle imports nothing of the device path (its strided gather
+included), and only ``engine.run_invocation`` marks an invocation in
+flight.  ``encode_record`` and ``install_version`` are one call into their
+batch forms, and only ``layout.encode_records`` packs a record header.
+The device's batch accessors hold no comprehension.
 """
 
 import ast
@@ -138,8 +138,10 @@ def test_scan_finds_a_private_import(tmp_path):
 # shares no code with the device path: one bug must not sit on both sides.
 ORACLE = ROOT / "src" / "ndtsim" / "oracle.py"
 DEVICE_PATH_MODULES = {"engine", "delta", "device"}
-# The device result's varchar decoder counts as device path too.
-DEVICE_PATH_NAMES = {"locate_fields", "range_indexes", "FieldLocations", "decode_varchar"}
+# The device result's varchar decoder and the device path's strided gather
+# count as device path too.
+DEVICE_PATH_NAMES = {"locate_fields", "range_indexes", "FieldLocations", "decode_varchar",
+                     "gather_words"}
 
 
 def device_path_imports(path: Path) -> list:
@@ -177,11 +179,12 @@ def test_scan_finds_a_device_path_import(tmp_path):
                      "from .mvcc import oracle_visible_version\n"
                      "from .columns import ColumnSet, decode_varchar\n"
                      "from ndtsim.columns import decode_varchar as decode\n"
-                     "from .device import Device\n")
+                     "from .device import Device\n"
+                     "from .layout import Schema, gather_words as gather\n")
     assert device_path_imports(probe) == [
         "line 1: engine", "line 2: delta", "line 3: ndtsim.engine", "line 4: locate_fields",
         "line 5: FieldLocations", "line 5: range_indexes", "line 7: decode_varchar",
-        "line 8: decode_varchar", "line 9: device"]
+        "line 8: decode_varchar", "line 9: device", "line 10: gather_words"]
 
 
 # An invocation is marked in flight in one place, the lifecycle every

@@ -9,7 +9,6 @@ locates may reach past its record's end.
 """
 
 import random
-from decimal import Decimal as D
 
 import numpy as np
 import pytest
@@ -22,8 +21,6 @@ from ndtsim.layout import (
     FLAGS_OFFSET,
     PAGE_SIZE,
     RECORD_HEADER_FIXED,
-    TC_DECIMAL,
-    TC_VARCHAR,
     Decimal,
     Int32,
     RecordHeader,
@@ -34,6 +31,7 @@ from ndtsim.layout import (
     locate_fields,
     record_field_slices,
 )
+from conftest import random_value
 
 PE = 3
 MAX_PAGES = 3
@@ -139,18 +137,6 @@ FIXED = Schema("fixed", [("a", Int32(), True), ("m", Decimal(18, 4), False),
 SCHEMAS = (orderline_schema(), WIDE, FIXED)
 
 
-def _value(rng: random.Random, attr):
-    if attr.nullable and rng.random() < 0.3:
-        return None
-    ftype = attr.ftype
-    if ftype.code == TC_VARCHAR:
-        return "".join(rng.choice("abé€") for _ in range(rng.randint(0, ftype.max_len // 3)))
-    if ftype.code == TC_DECIMAL:
-        return D(rng.randint(-10**ftype.precision + 1, 10**ftype.precision - 1)).scaleb(
-            -ftype.scale)
-    return rng.randint(-2**31, 2**31 - 1)
-
-
 CORRUPTIONS = ("flags", "bitmap", "prefix")
 
 
@@ -164,7 +150,7 @@ def windowed_batches(draw):
     n = draw(st.integers(1, 12))
     headers = [RecordHeader(k, 1, None, rng.random() < 0.1) for k in range(n)]
     encoded = encode_records(schema, headers, [
-        None if h.tombstone else [_value(rng, a) for a in schema.attributes] for h in headers])
+        None if h.tombstone else [random_value(rng, a) for a in schema.attributes] for h in headers])
     records = list(map(bytearray, encoded))
     for _ in range(draw(st.integers(0, 4))):
         k = draw(st.integers(0, n - 1))
