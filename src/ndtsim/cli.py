@@ -31,6 +31,7 @@ from .host import (
 )
 from .layout import PAGE_SIZE
 from .result_file import write_handle
+from .shared_state import REGION_HOST
 
 log = logging.getLogger("ndtsim")
 
@@ -149,7 +150,7 @@ def cmd_transform(args) -> int:
     delta = system.device.ledger.delta_since(before)
     times = modeled_time(delta, system.device.cfg)
 
-    nsm_pages = sum(1 for loc in system.shared.l2p.values() if loc[0] != "HOST")
+    nsm_pages = sum(1 for loc in system.shared.l2p.values() if loc[0] != REGION_HOST)
     baseline_bytes = nsm_pages * PAGE_SIZE
     baseline_ns = baseline_bytes / (system.device.cfg.host_read_gib_s * GIB) * 1e9
 

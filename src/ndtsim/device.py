@@ -122,8 +122,8 @@ class DeviceConfig:
             raise InvalidConfig("NVM latencies must be >= 0")
         if self.ddr_capacity_pages <= 0 or self.nvm_capacity_pages <= 0:
             raise InvalidConfig("region capacities must be positive")
-        if self.stream_buffer_count <= 0 or self.stream_buffer_bytes <= 0:
-            raise InvalidConfig("stream buffer budget must be positive")
+        if self.stream_buffer_count <= 0 or self.stream_buffer_bytes < PAGE_SIZE:
+            raise InvalidConfig("stream buffers must be positive in number and hold a page")
         if self.pe_clock_hz <= 0:
             raise InvalidConfig("pe_clock_hz must be positive")
 
@@ -383,14 +383,6 @@ class Device:
         buf = self._check_range(region, offset, length)
         return memoryview(buf)[offset:offset + length]
 
-    def patch(self, region: str, offset: int, data):
-        """Host-issued in-place maintenance write (chain pointer rollback)."""
-        buf = self._check_range(region, offset, len(data))
-        self.ledger.host_to_device_bytes += len(data)
-        if region == REGION_NVM:
-            self.ledger.nvm_writes += 1
-        buf[offset:offset + len(data)] = data
-
     # -- in-situ navigation accessors (modeled transfer sizes) -----------------
 
     def _check_ranges(self, region: str, offsets: np.ndarray, lengths):
@@ -421,7 +413,8 @@ class Device:
         """4B slot-entry reads; returns (record offsets, record lengths) in pages.
 
         ``page_bases`` are int64 byte offsets of pages in ``region``; each
-        slot must lie below its page's slot count, and its entry in the page.
+        slot must lie below its page's slot count, and its record in the
+        page's record area: past the page header and before the slot array.
         """
         buf = self._check_ranges(region, page_bases, PAGE_SIZE)
         self._charge_navigation(pe, "slot", SLOT_READ_BYTES, len(slots), region)
@@ -434,10 +427,12 @@ class Device:
         entries = gather_words(buf, "<u4", page_bases + PAGE_SIZE - SLOT_ENTRY_SIZE * (slots + 1))
         offsets = (entries & 0xFFFF).astype(np.int64)
         lengths = (entries >> 16).astype(np.int64)
-        bad = np.flatnonzero((offsets == 0) | (offsets + lengths > PAGE_SIZE))
+        area_ends = PAGE_SIZE - SLOT_ENTRY_SIZE * counts.astype(np.int64)
+        bad = np.flatnonzero((offsets < PAGE_HEADER_SIZE) | (offsets + lengths > area_ends))
         if len(bad):
             k = bad[0]
-            raise CorruptRecord(f"slot {slots[k]} of page at {page_bases[k]} is invalid")
+            raise CorruptRecord(f"slot {slots[k]} of page at {page_bases[k]} points outside "
+                                f"the record area: [{offsets[k]}, {offsets[k] + lengths[k]})")
         return offsets, lengths
 
     def pe_probe_header(self, pe: int, region: str, record_offsets: np.ndarray):

@@ -61,10 +61,6 @@ class StaleWrite(NdtError):
 
 # --- shared state / device --------------------------------------------------
 
-class DeviceUnavailable(NdtError):
-    pass
-
-
 class InvalidConfig(NdtError):
     pass
 

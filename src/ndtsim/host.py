@@ -15,7 +15,6 @@ sides of a differential check.
 
 from __future__ import annotations
 
-import logging
 import random
 import string
 from contextlib import contextmanager
@@ -48,8 +47,6 @@ from .mvcc import MvccStore, SnapshotDescriptor
 from .oracle import visible_columns
 from .shared_state import DEFAULT_CAPACITY_BYTES, HostSharedState
 
-log = logging.getLogger(__name__)
-
 
 def orderline_schema() -> Schema:
     return Schema("orderline", [
@@ -77,6 +74,7 @@ def pg_micros(year: int, month: int = 1, day: int = 1) -> int:
 # Delivery dates spread across 1995..2014, so both pre- and post-2000
 # timestamp encodings occur.
 DELIVERY_RANGE = (pg_micros(1995), pg_micros(2015))
+LOAD_BATCH_ROWS = 1000          # rows per bulk-load transaction
 
 
 @dataclass(frozen=True)
@@ -127,12 +125,6 @@ def estimated_row_bytes(schema: Schema, projection) -> int:
     return total
 
 
-def default_estimator(schema, projection, row_count, prior_handle=None) -> int:
-    """Expected result bytes: row count times projected width, with headroom."""
-    scale = 0.25 if prior_handle is not None else 1.0
-    return int(row_count * estimated_row_bytes(schema, projection) * 1.25 * scale)
-
-
 @dataclass
 class WorkloadConfig:
     """Deterministic order-line transaction mix."""
@@ -159,17 +151,18 @@ class OltpReport:
 
 
 class HostSystem:
-    """One host DBMS instance attached to one emulated device."""
+    """One host DBMS instance attached to one emulated device.
+
+    ``prepare_invocation`` reserves a materialization's result pages for the
+    projected row width plus 25% (a quarter of that for a refresh)."""
 
     def __init__(self, device_cfg: DeviceConfig = None,
-                 shared_capacity: int = DEFAULT_CAPACITY_BYTES, estimator=None):
+                 shared_capacity: int = DEFAULT_CAPACITY_BYTES):
         self.device = Device(device_cfg or DeviceConfig())
         self.shared = HostSharedState(self.device, capacity_bytes=shared_capacity)
         self.schema = orderline_schema()
         self.store = MvccStore(self.schema, self.shared)
-        self.estimator = estimator or default_estimator
         self.admin_ops = 0            # invocation preparation + space grants
-        self.estimator_fallbacks = 0  # estimates replaced by the row-width bound
         self._inv_seq = 0
         self._next_vid = 1
         self._next_order = 1
@@ -200,9 +193,9 @@ class HostSystem:
     def _random_delivery(self, rng: random.Random) -> int:
         return rng.randrange(*DELIVERY_RANGE)
 
-    def load_orderlines(self, n_rows: int, seed: int = 1, null_delivery_rate: float = 0.08,
-                        batch: int = 1000) -> dict:
-        """Bulk-load committed rows, ``batch`` to a transaction, each
+    def load_orderlines(self, n_rows: int, seed: int = 1,
+                        null_delivery_rate: float = 0.08) -> dict:
+        """Bulk-load committed rows, ``LOAD_BATCH_ROWS`` to a transaction, each
         transaction's rows installed together; returns the shadow {vid: values}."""
         rng = random.Random(seed)
         shadow = {}
@@ -211,7 +204,7 @@ class HostSystem:
         while remaining > 0:
             t = store.begin_tx()
             vids, rows = [], []
-            for _ in range(min(batch, remaining)):
+            for _ in range(min(LOAD_BATCH_ROWS, remaining)):
                 order = self._next_order
                 self._next_order += 1
                 delivered = None if rng.random() < null_delivery_rate \
@@ -221,7 +214,7 @@ class HostSystem:
             store.install_versions(t, vids, rows)
             shadow.update(zip(vids, rows))
             store.commit_tx(t)
-            remaining -= batch
+            remaining -= LOAD_BATCH_ROWS
         return shadow
 
     def run_oltp(self, cfg: WorkloadConfig, shadow: dict = None) -> OltpReport:
@@ -263,12 +256,9 @@ class HostSystem:
             result_pages = []
             region = REGION_DDR
         else:
-            try:
-                est_bytes = self.estimator(self.schema, projection, len(vid_view), prior_handle)
-            except (ArithmeticError, TypeError, ValueError) as exc:
-                self.estimator_fallbacks += 1
-                log.warning("result-size estimator failed (%r); using the row-width bound", exc)
-                est_bytes = len(vid_view) * estimated_row_bytes(self.schema, projection)
+            scale = 0.25 if prior_handle is not None else 1.0
+            est_bytes = int(len(vid_view) * estimated_row_bytes(self.schema, projection)
+                            * 1.25 * scale)
             pages = max(pe_count, -(-int(est_bytes * estimate_scale) // PAGE_SIZE))
             region = REGION_NVM
             result_pages = self.device.allocate_pages(region, pages, owner)

@@ -14,12 +14,11 @@ which a record is reachable from neither side.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DanglingReference, DeviceUnavailable
+from .errors import DanglingReference
 from .layout import (
     PAGE_SIZE,
     PRED_OFFSET,
@@ -48,9 +47,10 @@ class SharedStateSnapshot:
 
 
 class HostSharedState:
-    """Accumulator for modifications not yet merged into device state."""
+    """Accumulator, attached to ``device``, of modifications not yet merged into
+    its state; ``capacity_bytes`` of buffered record bytes propagate them."""
 
-    def __init__(self, device=None, capacity_bytes: int = DEFAULT_CAPACITY_BYTES):
+    def __init__(self, device, capacity_bytes: int = DEFAULT_CAPACITY_BYTES):
         self.device = device
         self.capacity_bytes = capacity_bytes
         self.host_pages: dict = {}        # page_lid -> NsmPage, still host-resident
@@ -84,7 +84,6 @@ class HostSharedState:
         reaches the configured capacity; the records after it start a new
         page.  The result is that of appending the records one at a time.
         """
-        capacity = self.capacity_bytes if self.device is not None else math.inf   # no device
         page, k, n = self._open_page, 0, len(records)
         room = -1 if page is None else page.free_space
         staged = self._staged_vid
@@ -98,7 +97,7 @@ class HostSharedState:
                 room -= len(records[end]) + SLOT_ENTRY_SIZE
                 size += len(records[end])
                 end += 1
-                if size >= capacity:
+                if size >= self.capacity_bytes:
                     break
             slot, lid = page.extend(records[k:end]), page.page_lid
             for vid in vids[k:end]:
@@ -107,7 +106,7 @@ class HostSharedState:
                 slot += 1
             self.size_bytes = size
             k = end
-            if size >= capacity:
+            if size >= self.capacity_bytes:
                 self.propagate("regular")
                 room = -1                       # the next record starts a new page
 
@@ -129,8 +128,6 @@ class HostSharedState:
         caller id and in-flight list needed for in-situ snapshot creation.
         The host buffer is cleared only after the device acknowledges.
         """
-        if self.device is None:
-            raise DeviceUnavailable("no device attached to shared state")
         if mode == "invocation":
             if caller is None or in_flight is None:
                 raise ValueError("invocation propagation needs caller and in_flight")
@@ -165,8 +162,6 @@ class HostSharedState:
 
         Exposed as an explicit operation so experiments stay deterministic.
         """
-        if self.device is None:
-            raise DeviceUnavailable("no device attached to shared state")
         relocations = self.device.merge_delta_pages()
         self.l2p.update(relocations)
         return relocations
@@ -205,4 +200,4 @@ class HostSharedState:
         if region == REGION_HOST:
             self.host_pages[rid.page_lid].buf[at:at + 8] = packed
         else:
-            self.device.patch(region, idx * PAGE_SIZE + at, packed)
+            self.device.write(region, idx * PAGE_SIZE + at, packed, "HOST")

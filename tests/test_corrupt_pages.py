@@ -128,7 +128,7 @@ def test_corrupt_pages_raise_typed_errors_and_free_their_pages(seed, rows, corru
     assert set(np.unique(h.device.l2p.regions).tolist()) == {0, 1}    # DDR and NVM pages
     patches = [patch for corruption in corrupt for patch in _patches(h, corruption)]
     for region, offset, data in patches:
-        h.device.patch(region, offset, data)
+        h.device.write(region, offset, data, "HOST")
     for mode in (MODE_MATERIALIZE, MODE_STREAM):
         before = _free_pages(h)
         inv = h.prepare(mode=mode, pe_count=pe_count, pages=pages)

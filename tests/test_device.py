@@ -28,6 +28,11 @@ def test_configure_defaults_and_bounds():
         configure(DeviceConfig(pe_count=9))
     with pytest.raises(InvalidConfig):
         configure(DeviceConfig(internal_read_gib_s=0))
+    # a stream buffer is whole pages; validated only, never streamed
+    for size in (0, PAGE_SIZE - 1):
+        with pytest.raises(InvalidConfig):
+            DeviceConfig(stream_buffer_bytes=size).validate()
+    DeviceConfig(stream_buffer_bytes=PAGE_SIZE).validate()
 
 
 def test_reconfigure_gives_fresh_ledger():

@@ -1,6 +1,5 @@
 """Workload determinism, invocation preparation, grants, and Q6 equivalence."""
 
-import logging
 import random
 from decimal import Decimal as D
 
@@ -8,7 +7,7 @@ import pytest
 
 from ndtsim.columns import canonical_compare
 from ndtsim.delta import masked_view
-from ndtsim.device import DeviceConfig
+from ndtsim.device import REGION_DDR, REGION_NVM, DeviceConfig
 from ndtsim.engine import MODE_MATERIALIZE
 from ndtsim.errors import MissingColumn, UnknownTx
 from ndtsim.host import (
@@ -133,32 +132,13 @@ def test_pool_exhaustion_denies_grant():
         system.transform_snapshot(mode=MODE_MATERIALIZE, estimate_scale=0.05)
 
 
-def test_estimator_failure_falls_back(system, caplog):
-    calls = []
-
-    def broken(schema, projection, rows, prior):
-        calls.append(rows)
-        raise ValueError("no estimate for you")
-
-    system.estimator = broken
+def test_failed_preparation_aborts_the_reader(system):
     system.load_orderlines(50, seed=11)
-    with caplog.at_level(logging.WARNING, logger="ndtsim.host"):
-        _, handle = system.transform_snapshot()
-    assert calls and handle.visible_rows == 50
-    assert system.estimator_fallbacks == 1
-    assert "no estimate for you" in caplog.text
-
-
-def test_estimator_bug_is_not_swallowed(system):
-    def broken(schema, projection, rows, prior):
-        raise RuntimeError("estimator bug")
-
-    system.estimator = broken
-    system.load_orderlines(50, seed=11)
-    with pytest.raises(RuntimeError):
-        system.transform_snapshot()
-    assert system.estimator_fallbacks == 0
+    free = [system.device.free_page_count(region) for region in (REGION_DDR, REGION_NVM)]
+    with pytest.raises(MissingColumn):
+        system.transform_snapshot(projection=("nope",))
     assert not system.store.in_flight
+    assert [system.device.free_page_count(region) for region in (REGION_DDR, REGION_NVM)] == free
 
 
 def test_q6_empty_and_all_null(system):

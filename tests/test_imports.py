@@ -2,10 +2,10 @@
 
 No module of the package or its tests imports a name it never uses: every
 name an import statement binds must be read somewhere in the module
-(string annotations included).  Package ``__init__.py`` files re-export
-names and are exempt, as are import lines marked ``# noqa: F401``.  Only
-the package ``__init__.py`` re-exports: no other module of the package
-carries that mark.
+(string annotations included).  Import lines marked ``# noqa: F401`` are
+exempt, but no module of the package, its ``__init__.py`` included,
+carries that mark or assigns ``__all__`` (whose strings would count as
+uses): the package re-exports nothing.
 
 No module of the package imports another ``ndtsim`` module's private
 (underscore-prefixed) names.
@@ -24,9 +24,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "ndtsim").glob("*.py"))
-SOURCES = sorted(
-    path for path in [*PACKAGE, *(ROOT / "tests").glob("*.py")] if path.name != "__init__.py"
-)
+SOURCES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def _bound_names(node):
@@ -85,13 +83,17 @@ def test_scan_finds_an_unused_import(tmp_path):
 
 
 def reexport_marks(path: Path) -> list:
-    """Lines of ``path`` marked ``# noqa: F401``."""
-    return [f"line {number}" for number, line in enumerate(path.read_text().splitlines(), 1)
-            if "# noqa: F401" in line]
+    """Lines of ``path`` marked ``# noqa: F401`` or assigning ``__all__``."""
+    source = path.read_text()
+    numbers = {number for number, line in enumerate(source.splitlines(), 1)
+               if "# noqa: F401" in line}
+    numbers.update(node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Name) and node.id == "__all__"
+                   and isinstance(node.ctx, ast.Store))
+    return [f"line {number}" for number in sorted(numbers)]
 
 
-@pytest.mark.parametrize("path", [path for path in PACKAGE if path.name != "__init__.py"],
-                         ids=lambda p: str(p.relative_to(ROOT)))
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
 def test_package_modules_do_not_reexport(path):
     assert reexport_marks(path) == []
 
@@ -99,6 +101,14 @@ def test_package_modules_do_not_reexport(path):
 def test_scan_finds_a_reexport_mark(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("import os\nfrom .device import REGION_DDR  # noqa: F401\nprint(os)\n")
+    assert reexport_marks(probe) == ["line 2"]
+
+
+def test_scan_finds_an_all_list(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from .device import REGION_DDR\n"
+                     "__all__ = ['REGION_DDR']\n"
+                     "print(__all__)\n")
     assert reexport_marks(probe) == ["line 2"]
 
 

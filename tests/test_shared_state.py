@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ndtsim.device import REGION_DDR
-from ndtsim.errors import CorruptRecord, DeviceUnavailable, SlotOutOfRange
+from ndtsim.errors import CorruptRecord, SlotOutOfRange
 from ndtsim.host import HostSystem
 from ndtsim.layout import (
     PAGE_SIZE,
@@ -18,9 +18,7 @@ from ndtsim.layout import (
     encode_record,
     page_slot_count_at,
 )
-from ndtsim.mvcc import MvccStore
-from ndtsim.shared_state import HostSharedState, REGION_HOST
-from ndtsim.host import orderline_schema
+from ndtsim.shared_state import REGION_HOST
 from conftest import random_orderline
 
 
@@ -131,13 +129,6 @@ def test_propagation_charges_host_to_device(system):
     assert moved >= len(snap.pages) * PAGE_SIZE
 
 
-def test_propagate_without_device_fails():
-    shared = HostSharedState(device=None)
-    store = MvccStore(orderline_schema(), shared)
-    with pytest.raises(DeviceUnavailable):
-        shared.propagate("regular")
-
-
 def test_merge_relocates_pages_and_preserves_reads(system):
     rng = random.Random(6)
     t = system.store.begin_tx()
@@ -195,7 +186,7 @@ def _corrupt(system, rid, at: int, value: int):
     if region == REGION_HOST:
         system.shared.host_pages[rid.page_lid].buf[at:at + 2] = data
     else:
-        system.device.patch(region, idx * PAGE_SIZE + at, data)
+        system.device.write(region, idx * PAGE_SIZE + at, data, "HOST")
 
 
 @pytest.mark.parametrize("region", [REGION_HOST, REGION_DDR, "NVM"])

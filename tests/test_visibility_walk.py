@@ -10,6 +10,7 @@ resolution, slot read and header probe per version the oracle visits.
 """
 
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -17,7 +18,14 @@ import pytest
 from ndtsim.device import MAX_SLOTS, REGION_NVM, REGIONS
 from ndtsim.engine import IdentityIndex, materialize_results, pe_visibility_check, schedule, walk
 from ndtsim.errors import CorruptRecord, StaleWrite
-from ndtsim.layout import PAGE_SIZE, Int32, Schema, page_slot_count_at, pack_rid
+from ndtsim.layout import (
+    PAGE_SIZE,
+    SLOT_ENTRY_SIZE,
+    Int32,
+    Schema,
+    page_slot_count_at,
+    pack_rid,
+)
 from ndtsim.mvcc import TOMBSTONE, oracle_visible_version
 from conftest import Harness, page_of
 
@@ -157,8 +165,21 @@ def test_slot_past_the_page_slot_count_is_corrupt():
         inv.vid_view = inv.vid_view.copy()
         inv.vid_view["head"][0] = lid << 16 | slot
         _fails_and_frees(h, inv, CorruptRecord)
+    # a slot entry whose record starts in the page header, or runs into the slot array
+    entry_at = base + PAGE_SIZE - SLOT_ENTRY_SIZE
+    entry = bytes(h.device.peek(region, entry_at, SLOT_ENTRY_SIZE))
+    area_end = PAGE_SIZE - SLOT_ENTRY_SIZE * count
+    for offset, length in ((4, 30), (area_end - 12, 16)):
+        h.device.write(region, entry_at, struct.pack("<HH", offset, length), "HOST")
+        with pytest.raises(CorruptRecord):
+            h.device.pe_read_slot(0, region, np.array([base]), np.array([0]))
+        inv = h.prepare(pe_count=2, pages=4)
+        inv.vid_view = inv.vid_view.copy()
+        inv.vid_view["head"][0] = lid << 16
+        _fails_and_frees(h, inv, CorruptRecord)
+    h.device.write(region, entry_at, entry, "HOST")
     # a corrupt slot count does not let an entry leave its page
-    h.device.patch(region, base + 8, b"\xff\xff")
+    h.device.write(region, base + 8, b"\xff\xff", "HOST")
     for slot in (MAX_SLOTS, 0xFFFE):
         with pytest.raises(CorruptRecord):
             h.device.pe_read_slot(0, region, np.array([base]), np.array([slot]))
