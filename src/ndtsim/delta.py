@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .columns import ColumnSet, assemble, gather_buffers
-from .device import REGION_NVM, modeled_time
+from .device import REGION_NVM, REQUESTER_HOST, modeled_time
 from .engine import (
     FragmentWriter,
     MaterializationHandle,
@@ -41,7 +41,7 @@ from .engine import (
 )
 
 
-def read_segments(handle: MaterializationHandle, requester="HOST") -> list:
+def read_segments(handle: MaterializationHandle, requester=REQUESTER_HOST) -> list:
     """Every segment's ``(rows, buffers)``, read off all its fragment pages."""
     handle.require_live()
     return [(seg.rows, {key: read_fragment(handle.device, frag, requester)
@@ -49,7 +49,7 @@ def read_segments(handle: MaterializationHandle, requester="HOST") -> list:
             for seg in handle.segments]
 
 
-def full_column_set(handle: MaterializationHandle, requester="HOST") -> ColumnSet:
+def full_column_set(handle: MaterializationHandle, requester=REQUESTER_HOST) -> ColumnSet:
     """All materialized positions (current and outdated), in position order."""
     return assemble(handle.specs, read_segments(handle, requester))
 

@@ -59,10 +59,11 @@ from .layout import (
     SLOT_COUNT_OFFSET,
     SLOT_ENTRY_SIZE,
     gather_words,
-    pack_rid,
 )
 
 GIB = 1024 ** 3
+
+REQUESTER_HOST = "HOST"                 # the requester of a move over the host link
 
 REGION_DDR = "DDR"
 REGION_NVM = "NVM"
@@ -189,13 +190,24 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 def _replaced(keys: np.ndarray, columns, changed: np.ndarray, new_keys: np.ndarray,
               new_columns) -> list:
     """``columns`` (rows sorted by ``keys``) without the rows keyed in ``changed``,
-    plus ``new_columns`` at the places of their sorted, unique ``new_keys``: new
-    read-only arrays, or ``columns`` themselves when nothing changes."""
+    plus ``new_columns`` at the places of their ``new_keys``: new read-only
+    arrays, or ``columns`` themselves when nothing changes.  ``keys``,
+    ``changed`` and ``new_keys`` are each sorted and unique."""
     if not len(changed):
         return list(columns)
-    kept = ~np.isin(keys, changed)
+    found = np.searchsorted(keys, changed)
+    hit = found[found < len(keys)]
+    kept = np.ones(len(keys), dtype=bool)
+    kept[hit[keys[hit] == changed[:len(hit)]]] = False
     at = np.searchsorted(keys[kept], new_keys)
-    return [_read_only(np.insert(old[kept], at, new)) for old, new in zip(columns, new_columns)]
+    return [_read_only(np.insert(_as_words(old)[kept], at, _as_words(new)).view(old.dtype))
+            for old, new in zip(columns, new_columns)]
+
+
+def _as_words(array: np.ndarray) -> np.ndarray:
+    """``array`` viewed as opaque words of its item size, which numpy copies
+    much faster than the rows of a structured array."""
+    return array.view(np.dtype((np.void, array.itemsize)))
 
 
 VID_ENTRY = np.dtype([("vid", np.uint64), ("head", np.uint64)])   # one row of the vid map
@@ -355,9 +367,9 @@ class Device:
                 raise AccessDenied(f"host access to {region} page {idx} not exposed")
 
     def read(self, region: str, offset: int, length: int, requester) -> bytes:
-        """Read bytes; requester "HOST" moves them over the host link."""
+        """Read bytes; requester ``REQUESTER_HOST`` moves them over the host link."""
         buf = self._check_range(region, offset, length)
-        if requester == "HOST":
+        if requester == REQUESTER_HOST:
             self._check_host_access(region, offset, length)
             self.ledger.device_to_host_bytes += length
         else:
@@ -369,7 +381,7 @@ class Device:
 
     def write(self, region: str, offset: int, data, requester):
         buf = self._check_range(region, offset, len(data))
-        if requester == "HOST":
+        if requester == REQUESTER_HOST:
             self.ledger.host_to_device_bytes += len(data)
         else:
             self.ledger.device_internal_bytes_written += len(data)
@@ -514,14 +526,14 @@ class Device:
         placed = (lids, np.full(len(pages), REGIONS.index(REGION_DDR), dtype=np.uint8),
                   np.array(pages, dtype=np.int64))
         self.l2p = PageTable(*_replaced(self.l2p.lids, self.l2p, lids, lids, placed))
-        delta = snapshot.vid_map_delta
-        rows = np.empty(len(delta), VID_ENTRY)
-        rows["vid"] = [vid for vid, _rid in delta]
-        rows["head"] = [pack_rid(rid) for _vid, rid in delta]
-        new = rows[rows["head"] != RID_NONE]
-        [self.vid_map] = _replaced(self.vid_map["vid"], [self.vid_map], rows["vid"],
+        vids, heads = snapshot.vids, snapshot.heads
+        live = heads != RID_NONE
+        new = np.empty(np.count_nonzero(live), VID_ENTRY)
+        new["vid"] = vids[live]
+        new["head"] = heads[live]
+        [self.vid_map] = _replaced(self.vid_map["vid"], [self.vid_map], vids,
                                    new["vid"], [new])
-        self.ledger.host_to_device_bytes += PROP_VID_ENTRY_BYTES * len(delta)
+        self.ledger.host_to_device_bytes += PROP_VID_ENTRY_BYTES * len(vids)
         self.ledger.host_to_device_bytes += PROP_L2P_ENTRY_BYTES * len(snapshot.l2p_delta)
         self.ledger.host_to_device_bytes += PROP_FIXED_BYTES
         if snapshot.in_flight is not None:

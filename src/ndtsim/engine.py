@@ -86,7 +86,15 @@ from .columns import (
     varchar_offsets,
     visibility_words,
 )
-from .device import Device, PageTable, REGION_DDR, REGION_NVM, REGIONS, UNRESOLVED
+from .device import (
+    REGION_DDR,
+    REGION_NVM,
+    REGIONS,
+    REQUESTER_HOST,
+    UNRESOLVED,
+    Device,
+    PageTable,
+)
 from .errors import (
     CorruptRecord,
     DanglingReference,
@@ -545,7 +553,7 @@ class Fragment:
     nbytes: int
 
 
-def read_fragment(device: Device, frag: Fragment, requester="HOST") -> bytes:
+def read_fragment(device: Device, frag: Fragment, requester=REQUESTER_HOST) -> bytes:
     """Pull one fragment's bytes off its pages, in order."""
     out = bytearray()
     remaining = frag.nbytes

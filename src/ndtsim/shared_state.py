@@ -6,6 +6,11 @@ is propagated to the device either when it reaches its configured capacity
 or alongside an invocation, where it is frozen together with the caller's
 transaction id and the in-flight list.
 
+The VID-map delta is staged as two lists in staging order, vids and the
+packed RecordIDs of their new chain heads (``RID_NONE`` removes a vid's
+entry), and ships as two arrays: a propagation sorts them by vid and keeps
+the last staging of each vid, so every vid appears once.
+
 Hand-off is two-phase: the device acknowledges a propagation by returning
 the physical placements it assigned, and only then does the host clear its
 buffer and repoint its logical-to-physical map, so no window exists in
@@ -18,10 +23,14 @@ import struct
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
+from .device import REQUESTER_HOST
 from .errors import DanglingReference
 from .layout import (
     PAGE_SIZE,
     PRED_OFFSET,
+    RID_NONE,
     SLOT_ENTRY_SIZE,
     NsmPage,
     RecordID,
@@ -36,14 +45,33 @@ DEFAULT_CAPACITY_BYTES = 512 * 1024
 
 @dataclass(frozen=True)
 class SharedStateSnapshot:
-    """Frozen propagation payload; immutable once constructed."""
+    """Frozen propagation payload; immutable once constructed (its arrays
+    are made read-only here)."""
 
     pages: tuple                 # ((page_lid, 8 KiB image bytes), ...), lids ascending
-    vid_map_delta: tuple         # ((vid, RecordID | None), ...), one per vid, sorted by vid
+    vids: np.ndarray             # uint64 vids whose map entry changes, sorted, unique
+    heads: np.ndarray            # uint64 packed new chain head of vids[k]; RID_NONE removes
     l2p_delta: tuple             # page_lids newly declared by the host
     caller: Optional[int]        # set for invocation-mode propagation
     in_flight: Optional[frozenset]
     size_bytes: int              # record bytes carried
+
+    def __post_init__(self):
+        self.vids.flags.writeable = False
+        self.heads.flags.writeable = False
+
+
+def _last_staged(vids: list, heads: list):
+    """The staged (vids, heads) lists as arrays sorted by vid, with only the
+    last staging of each vid: the one at its largest staging position."""
+    vids = np.array(vids, dtype=np.uint64)
+    order = np.argsort(vids)
+    vids = vids[order]
+    first = np.ones(len(vids), dtype=bool)
+    np.not_equal(vids[1:], vids[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    last = np.maximum.reduceat(order, starts) if len(vids) else order
+    return vids[starts], np.array(heads, dtype=np.uint64)[last]
 
 
 class HostSharedState:
@@ -57,8 +85,10 @@ class HostSharedState:
         self.l2p: dict = {}               # page_lid -> (region, page_index); HOST index -1
         self._next_page_lid = 1
         self._open_page: Optional[NsmPage] = None
+        self._open_rid0 = RID_NONE        # packed RecordID of the open page's slot 0
         self._pending_pages: list = []    # lids awaiting propagation, in creation order
-        self._staged_vid: dict = {}       # vid -> RecordID | None
+        self._staged_vids: list = []      # vids of staged map changes, in staging order
+        self._staged_heads: list = []     # their packed new heads; RID_NONE removes
         self.size_bytes = 0
         self.propagation_count = 0
 
@@ -72,6 +102,7 @@ class HostSharedState:
         self.l2p[lid] = (REGION_HOST, -1)
         self._pending_pages.append(lid)
         self._open_page = page
+        self._open_rid0 = pack_rid(RecordID(lid, 0))
         return page
 
     def append_records(self, records, vids, rids: list):
@@ -86,37 +117,45 @@ class HostSharedState:
         """
         page, k, n = self._open_page, 0, len(records)
         room = -1 if page is None else page.free_space
-        staged = self._staged_vid
+        capacity = self.capacity_bytes
+        staged_vids, staged_heads = self._staged_vids, self._staged_heads
         while k < n:
             if len(records[k]) + SLOT_ENTRY_SIZE > room:
                 page = self._new_page()
                 room = page.free_space
             # this page takes records[k:end]: those that fit, up to the one reaching capacity
             end, size = k, self.size_bytes
-            while end < n and len(records[end]) + SLOT_ENTRY_SIZE <= room:
-                room -= len(records[end]) + SLOT_ENTRY_SIZE
-                size += len(records[end])
+            while end < n:
+                need = len(records[end]) + SLOT_ENTRY_SIZE
+                if need > room:
+                    break
+                room -= need
+                size += need - SLOT_ENTRY_SIZE
                 end += 1
-                if size >= self.capacity_bytes:
+                if size >= capacity:
                     break
             slot, lid = page.extend(records[k:end]), page.page_lid
+            head = self._open_rid0 + slot     # a slot is below 2**16: packing adds it
             for vid in vids[k:end]:
-                rid = staged[vid] = RecordID(lid, slot)
-                rids.append(rid)
+                rids.append(RecordID(lid, slot))
+                staged_vids.append(vid)
+                staged_heads.append(head)
                 slot += 1
+                head += 1
             self.size_bytes = size
             k = end
-            if size >= self.capacity_bytes:
+            if size >= capacity:
                 self.propagate("regular")
                 room = -1                       # the next record starts a new page
 
     def stage_vid_delta(self, vid: int, rid: Optional[RecordID]):
         """Stage a map correction (abort rollback); None removes the entry."""
-        self._staged_vid[vid] = rid
+        self._staged_vids.append(vid)
+        self._staged_heads.append(pack_rid(rid))
 
     @property
     def has_pending(self) -> bool:
-        return bool(self._pending_pages or self._staged_vid)
+        return bool(self._pending_pages or self._staged_vids)
 
     # -- propagation ----------------------------------------------------------
 
@@ -138,9 +177,11 @@ class HostSharedState:
         else:
             raise ValueError(f"unknown propagation mode {mode!r}")
 
+        vids, heads = _last_staged(self._staged_vids, self._staged_heads)
         snapshot = SharedStateSnapshot(
             pages=tuple((lid, self.host_pages[lid].to_bytes()) for lid in self._pending_pages),
-            vid_map_delta=tuple(sorted(self._staged_vid.items())),
+            vids=vids,
+            heads=heads,
             l2p_delta=tuple(self._pending_pages),
             caller=caller,
             in_flight=in_flight,
@@ -151,7 +192,8 @@ class HostSharedState:
             self.l2p[lid] = loc
             del self.host_pages[lid]
         self._pending_pages.clear()
-        self._staged_vid.clear()
+        self._staged_vids.clear()
+        self._staged_heads.clear()
         self.size_bytes = 0
         self._open_page = None
         self.propagation_count += 1
@@ -200,4 +242,4 @@ class HostSharedState:
         if region == REGION_HOST:
             self.host_pages[rid.page_lid].buf[at:at + 8] = packed
         else:
-            self.device.write(region, idx * PAGE_SIZE + at, packed, "HOST")
+            self.device.write(region, idx * PAGE_SIZE + at, packed, REQUESTER_HOST)

@@ -14,7 +14,8 @@ The host oracle imports nothing of the device path (its strided gather
 included), and only ``engine.run_invocation`` marks an invocation in
 flight.  ``encode_record`` and ``install_version`` are one call into their
 batch forms, and only ``layout.encode_records`` packs a record header.
-The device's batch accessors hold no comprehension.
+The device's batch accessors and its propagation merge hold no
+comprehension.
 """
 
 import ast
@@ -338,10 +339,12 @@ def test_scan_finds_a_second_record_packer(tmp_path):
     assert delegated_calls(probe, "Fast.encode") is None
 
 
-# The device's batch accessors serve a PE's whole batch with array
-# operations, so per-record Python (a comprehension over the batch) must not
-# creep back into them.
-BATCH_ACCESSORS = ("Device.pe_read_slot", "Device.pe_probe_header", "Device.pe_read_records")
+# The device's batch accessors serve a PE's whole batch, and its propagation
+# merge a snapshot's whole vid-map delta, with array operations, so
+# per-record Python (a comprehension over the batch) must not creep back into
+# them.
+BATCH_ACCESSORS = ("Device.pe_read_slot", "Device.pe_probe_header", "Device.pe_read_records",
+                   "Device.apply_propagation")
 COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 

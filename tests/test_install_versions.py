@@ -19,7 +19,7 @@ def state(system) -> dict:
         "vid_map": dict(store.vid_map),
         "tx_writes": {t: list(writes) for t, writes in store._tx_writes.items()},
         "op_count": store.op_count,
-        "staged": dict(shared._staged_vid),
+        "staged": dict(zip(shared._staged_vids, shared._staged_heads)),
         "pending": list(shared._pending_pages),
         "size_bytes": shared.size_bytes,
         "propagation_count": shared.propagation_count,

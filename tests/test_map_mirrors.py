@@ -53,7 +53,9 @@ def test_mirrors_match_a_dict_model(steps):
             next_lid += new_pages
             pages.update(device.apply_propagation(SharedStateSnapshot(
                 pages=tuple((lid, _image(lid)) for lid in lids),
-                vid_map_delta=tuple(sorted(delta.items())), l2p_delta=tuple(lids),
+                vids=np.array(sorted(delta), dtype=np.uint64),
+                heads=np.array([pack_rid(delta[vid]) for vid in sorted(delta)], dtype=np.uint64),
+                l2p_delta=tuple(lids),
                 caller=None, in_flight=None, size_bytes=0)))
             for vid, rid in delta.items():
                 if rid is None:

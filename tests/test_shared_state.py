@@ -2,23 +2,35 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from ndtsim.device import REGION_DDR
-from ndtsim.errors import CorruptRecord, SlotOutOfRange
+from ndtsim.device import (
+    PROP_FIXED_BYTES,
+    PROP_L2P_ENTRY_BYTES,
+    PROP_TX_ENTRY_BYTES,
+    PROP_VID_ENTRY_BYTES,
+    REGION_DDR,
+)
+from ndtsim.errors import CorruptRecord, SlotOutOfRange, StaleWrite
 from ndtsim.host import HostSystem
 from ndtsim.layout import (
     PAGE_SIZE,
     PRED_OFFSET,
+    RID_NONE,
     SLOT_COUNT_OFFSET,
     SLOT_ENTRY_SIZE,
     RecordHeader,
     RecordID,
     decode_header,
     encode_record,
+    pack_rid,
     page_slot_count_at,
+    unpack_rid,
 )
-from ndtsim.shared_state import REGION_HOST
+from ndtsim.mvcc import TOMBSTONE
+from ndtsim.shared_state import REGION_HOST, SharedStateSnapshot
 from conftest import random_orderline
 
 
@@ -51,12 +63,17 @@ def test_staged_vid_delta_matches_shadow(system):
         shadow[vid] = rid
     system.store.commit_tx(t)
     snap = system.shared.propagate("regular")
-    assert dict(snap.vid_map_delta) == shadow
+    assert shipped(snap) == shadow
+
+
+def shipped(snapshot) -> dict:
+    """The vid-map delta a snapshot carries: {vid: RecordID | None}."""
+    return dict(zip(snapshot.vids.tolist(), map(unpack_rid, snapshot.heads.tolist())))
 
 
 def test_propagate_empty_buffer_is_valid(system):
     snap = system.shared.propagate("regular")
-    assert snap.pages == () and snap.vid_map_delta == () and snap.size_bytes == 0
+    assert snap.pages == () and shipped(snap) == {} and snap.size_bytes == 0
 
 
 def test_second_snapshot_contains_only_new_changes(system):
@@ -71,9 +88,9 @@ def test_second_snapshot_contains_only_new_changes(system):
               for vid in range(5, 15)}
     snap = system.shared.propagate("invocation", caller=t2 + 1,
                                    in_flight={t2})
-    assert dict(snap.vid_map_delta) == second
+    assert shipped(snap) == second
     assert snap.caller == t2 + 1 and snap.in_flight == frozenset({t2})
-    assert not (set(p for p, _ in snap.pages) & set(first[v].page_lid for v in first)) or True
+    assert not (set(p for p, _ in snap.pages) & set(first[v].page_lid for v in first))
     system.store.commit_tx(t2)
 
 
@@ -140,6 +157,109 @@ def test_merge_relocates_pages_and_preserves_reads(system):
     assert relocations and all(loc[0] == "NVM" for loc in relocations.values())
     for rid in rids:
         assert system.shared.read_record(rid) == before[rid]
+
+
+def test_snapshot_arrays_are_read_only(system):
+    t = system.store.begin_tx()
+    system.store.install_versions(t, [4, 2], [random_orderline(random.Random(7))] * 2)
+    system.store.commit_tx(t)
+    built = SharedStateSnapshot(pages=(), vids=np.arange(3, dtype=np.uint64),
+                                heads=np.arange(3, dtype=np.uint64), l2p_delta=(),
+                                caller=None, in_flight=None, size_bytes=0)
+    for snap in (system.shared.propagate("regular"), built):
+        for array in (snap.vids, snap.heads):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+
+# -- the staged vid-map delta against a dict model ------------------------------------------
+
+# A step installs a batch as one of two writers (a vid may repeat; True
+# deletes it), commits or aborts a writer, or propagates in either mode.
+WRITES = st.lists(st.tuples(st.integers(0, 11), st.booleans()), min_size=1, max_size=6)
+STEPS = st.lists(st.tuples(st.just("install"), st.integers(0, 1), WRITES)
+                 | st.tuples(st.sampled_from(["commit", "abort"]), st.integers(0, 1))
+                 | st.tuples(st.just("propagate"), st.sampled_from(["regular", "invocation"])),
+                 max_size=25)
+
+
+def head_of(store, vid: int) -> int:
+    """The packed RecordID of ``vid``'s chain head; ``RID_NONE`` for none."""
+    node = store.vid_map.get(vid)
+    return pack_rid(None if node is None else node.rid)
+
+
+@settings(max_examples=100, deadline=None)
+@given(STEPS)
+@example([("install", 0, [(1, False), (2, False), (1, False)]),   # vid 1 twice in a batch
+          ("commit", 0),
+          ("install", 0, [(1, False), (3, True), (1, True)]),       # again, and tombstones
+          ("install", 1, [(4, False)]),
+          ("abort", 0),             # 1 back to its predecessor, 3 to none
+          ("install", 1, [(3, False), (4, False)]),                 # 3 installed again
+          ("propagate", "invocation"),
+          ("install", 0, [(4, False)]),                             # above writer 1's 4
+          ("abort", 1),             # its 4 is interior now (no map change), 3 to none
+          ("install", 0, [(5, False)]),
+          ("propagate", "regular"),
+          ("abort", 0)])            # 4 and 5 roll back in the last window
+@example([("install", 0, [(0, False)]), ("install", 1, [(0, False)]),
+          ("propagate", "regular"), ("abort", 0)])      # an interior rollback, next window
+def test_staged_delta_matches_a_dict_model(steps):
+    """Every propagation ships the last staging of each vid staged since the
+    previous one, sorted by vid, is charged for exactly those entries, and
+    leaves the device's vid map equal to the model."""
+    system = HostSystem()
+    store, shared, device = system.store, system.shared, system.device
+    rng = random.Random(0)
+    writers = [None, None]          # the open transaction of each writer
+    written = [set(), set()]        # the vids each writer wrote
+    staged = {}                     # model: vid -> packed head staged since the last propagation
+    mirror = {}                     # model of the device's vid map: vid -> packed head
+    propagations = 0
+    for step in [*steps, ("propagate", "regular")]:
+        kind, who = step[0], step[1]
+        if kind == "install":
+            vids = [vid for vid, _ in step[2]]
+            if writers[who] is None:
+                writers[who] = store.begin_tx()
+            try:
+                rids = store.install_versions(writers[who], vids, [
+                    TOMBSTONE if delete else random_orderline(rng, vid) for vid, delete in step[2]])
+            except StaleWrite:      # a newer writer holds one of the vids
+                continue
+            staged.update(zip(vids, map(pack_rid, rids)))
+            written[who].update(vids)
+        elif kind == "propagate":
+            caller = 10**6 if who == "invocation" else None
+            in_flight = set(store.in_flight) if caller else None
+            before = device.ledger.host_to_device_bytes
+            snap = shared.propagate(who, caller=caller, in_flight=in_flight)
+            propagations += 1
+            assert snap.vids.tolist() == sorted(staged)
+            assert snap.heads.tolist() == [staged[vid] for vid in sorted(staged)]
+            assert device.ledger.host_to_device_bytes - before == (
+                PAGE_SIZE * len(snap.pages) + PROP_VID_ENTRY_BYTES * len(staged)
+                + PROP_L2P_ENTRY_BYTES * len(snap.l2p_delta) + PROP_FIXED_BYTES
+                + (PROP_TX_ENTRY_BYTES * (len(in_flight) + 1) if caller else 0))
+            for vid, head in staged.items():
+                if head == RID_NONE:
+                    mirror.pop(vid, None)
+                else:
+                    mirror[vid] = head
+            staged.clear()
+            assert device.vid_map.tolist() == sorted(mirror.items())
+        elif writers[who] is not None:
+            t, writers[who] = writers[who], None
+            if kind == "commit":
+                store.commit_tx(t)
+            else:                   # a rollback stages each head it moves
+                heads = {vid: head_of(store, vid) for vid in written[who]}
+                store.abort_tx(t)
+                staged.update((vid, head_of(store, vid)) for vid in heads
+                              if head_of(store, vid) != heads[vid])
+            written[who].clear()
+    assert shared.propagation_count == propagations     # none was triggered by capacity
 
 
 # -- record reads and pred patches from the page bytes --------------------------------------
