@@ -52,6 +52,16 @@ def _device_config(args) -> DeviceConfig:
     return cfg
 
 
+def _table_rows(args) -> int:
+    """Rows to load: ``--rows`` where the command takes it and it is set, else
+    ``--sf`` units.  A negative size is a configuration error."""
+    rows = getattr(args, "rows", 0)
+    for flag, value in (("--sf", args.sf), ("--rows", rows)):
+        if value < 0:
+            raise InvalidConfig(f"{flag} {value} is negative")
+    return rows or args.sf * ROWS_PER_SF
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -92,7 +102,7 @@ def cmd_htap(args) -> int:
     if not 1 <= args.intervals <= args.tx_count:
         raise InvalidConfig(f"need 1 <= --intervals ({args.intervals}) <= --tx-count "
                             f"({args.tx_count})")
-    rows = args.sf * ROWS_PER_SF
+    rows = _table_rows(args)
     intervals = args.intervals
     per_interval = args.tx_count // intervals
     ndt_interval = max(intervals // 2 - 1, 0)     # the interval the transformation runs in
@@ -139,7 +149,7 @@ def cmd_htap(args) -> int:
 
 def cmd_transform(args) -> int:
     """One transformation with movement split, against an export baseline."""
-    rows = args.sf * ROWS_PER_SF
+    rows = _table_rows(args)
     system = HostSystem(_device_config(args))
     system.load_orderlines(rows, seed=args.seed)
     system.merge_to_cold()
@@ -195,10 +205,7 @@ def cmd_transform(args) -> int:
 
 
 def _parse_fractions(text: str) -> list:
-    """Percentages from ``10,20,50`` or ``lo..hi[:step]``, each in 0..100.
-
-    At least two distinct values: the linearity check fits a line through them.
-    """
+    """Percentages from ``10,20,50`` or ``lo..hi[:step]``, each in 0..100."""
     text = text.strip()
     try:
         if ".." in text:
@@ -209,16 +216,19 @@ def _parse_fractions(text: str) -> list:
             fractions = [int(p) for p in text.split(",") if p]
     except ValueError as exc:          # an unparseable entry, or a zero step
         raise InvalidConfig(f"--delta-fractions {text!r}: {exc}") from None
-    if len(set(fractions)) < 2 or not all(0 <= f <= 100 for f in fractions):
-        raise InvalidConfig(f"--delta-fractions {text!r}: need two or more distinct values "
-                            "in 0..100")
+    if not all(0 <= f <= 100 for f in fractions):
+        raise InvalidConfig(f"--delta-fractions {text!r}: need values in 0..100")
     return fractions
 
 
 def cmd_delta(args) -> int:
     """Incremental-refresh experiment over increasing modification fractions."""
     fractions = _parse_fractions(args.delta_fractions)
-    rows = args.rows or args.sf * ROWS_PER_SF
+    rows = _table_rows(args)
+    modified = [rows * fraction // 100 for fraction in fractions]
+    if len(set(modified)) < 2:          # the linearity check fits a line through them
+        raise InvalidConfig(f"--delta-fractions {args.delta_fractions!r} of {rows} rows modify "
+                            f"{sorted(set(modified))} rows: need two or more distinct counts")
     system = HostSystem(_device_config(args))
     shadow = system.load_orderlines(rows, seed=args.seed)
     system.merge_to_cold()
@@ -230,8 +240,7 @@ def cmd_delta(args) -> int:
     rng = random.Random(args.seed + 1)
     out_rows = []
     vids = list(shadow)
-    for fraction in fractions:
-        n_mod = rows * fraction // 100
+    for fraction, n_mod in zip(fractions, modified):
         targets = rng.sample(vids, n_mod)
         t = system.store.begin_tx()
         updated = [shadow[vid][:6] + (shadow[vid][6] + 1,) + shadow[vid][7:] for vid in targets]
@@ -246,12 +255,9 @@ def cmd_delta(args) -> int:
             report = delta_cost(handle, inv, grantor=system.grant_space)
 
         if args.verify:
-            snap = handle.snapshot
-            expected = system.oracle_column_set(snap, handle.projection)
-            got = masked_view(handle)
-            cmp = canonical_compare(got.sorted_by_vid(), expected.sorted_by_vid())
-            if not cmp.equal:
-                raise VerificationFailure(f"fraction {fraction}%: {cmp.reason}")
+            _require_equal(masked_view(handle),
+                           system.oracle_column_set(handle.snapshot, handle.projection),
+                           f"fraction {fraction}%")
         out_rows.append((
             fraction, report.appended_rows, report.appended_bytes,
             report.ledger_delta["device_internal_bytes_read"],

@@ -163,7 +163,7 @@ def _encode(specs, vids: np.ndarray, column) -> dict:
 
 def column_buffers(column_set: ColumnSet) -> dict:
     """Encode a column set into device buffers, {(name, kind): bytes}; the
-    inverse of ``decode_segment``."""
+    inverse of ``assemble`` over one segment."""
     def column(spec):
         col = column_set.data[spec.name]
         if spec.ftype.code == TC_VARCHAR:
@@ -306,12 +306,6 @@ def assemble(specs, segments, keep=None) -> ColumnSet:
             data[name] = joined([p[1][name] for p in parts])
         validity[name] = joined([p[2][name] for p in parts]) if spec.nullable else None
     return ColumnSet(specs, vids, data, validity, len(vids))
-
-
-def decode_segment(specs, buffers: dict, rows: int):
-    """Decode one device output segment (raw buffers for a run of rows)."""
-    column_set = assemble(specs, [(rows, buffers)])
-    return column_set.vids, column_set.data, column_set.validity
 
 
 def gather_buffers(specs, segments, keep=None) -> dict:

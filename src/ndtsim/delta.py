@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .columns import ColumnSet, assemble, gather_buffers
-from .device import REGION_NVM, REQUESTER_HOST, modeled_time
+from .device import REGION_NVM, REQUESTER_COORD, REQUESTER_HOST, modeled_time
 from .engine import (
     FragmentWriter,
     MaterializationHandle,
@@ -47,11 +47,6 @@ def read_segments(handle: MaterializationHandle, requester=REQUESTER_HOST) -> li
     return [(seg.rows, {key: read_fragment(handle.device, frag, requester)
                         for key, frag in seg.frags.items()})
             for seg in handle.segments]
-
-
-def full_column_set(handle: MaterializationHandle, requester=REQUESTER_HOST) -> ColumnSet:
-    """All materialized positions (current and outdated), in position order."""
-    return assemble(handle.specs, read_segments(handle, requester))
 
 
 def masked_view(handle: MaterializationHandle) -> ColumnSet:
@@ -82,7 +77,6 @@ def delta_transform(handle: MaterializationHandle, inv: NdtInvocation,
 class DeltaCostReport:
     """Ledger movement attributable to one refresh."""
 
-    scanned_vids: int
     appended_rows: int
     appended_bytes: int
     removed_rows: int
@@ -101,7 +95,6 @@ def delta_cost(handle: MaterializationHandle, inv: NdtInvocation,
     delta_transform(handle, inv, grantor)
     ledger_delta = device.ledger.delta_since(before)
     return DeltaCostReport(
-        scanned_vids=len(inv.vid_view),
         appended_rows=handle.total_positions - rows_before,
         appended_bytes=handle.column_bytes - bytes_before,
         removed_rows=len(np.setdiff1d(vids_before, handle.index.vids, assume_unique=True)),
@@ -117,7 +110,7 @@ def compact(handle: MaterializationHandle) -> MaterializationHandle:
     device-internally into fresh pages and the old pages are freed.
     """
     device = handle.device
-    buffers = gather_buffers(handle.specs, read_segments(handle, "COORD"), handle.current)
+    buffers = gather_buffers(handle.specs, read_segments(handle, REQUESTER_COORD), handle.current)
     n_rows = int(np.count_nonzero(handle.current))
     new_owner = f"{handle.owner}+c"
 
@@ -126,7 +119,7 @@ def compact(handle: MaterializationHandle) -> MaterializationHandle:
         writer = FragmentWriter(REGION_NVM)
         if data:
             pages = device.allocate_pages(REGION_NVM, writer.pages_needed(len(data)), new_owner)
-            writer.append(device, "COORD", data, deque(pages))
+            writer.append(device, REQUESTER_COORD, data, deque(pages))
         frags[key] = writer.fragment()
 
     device.free_pages(handle.owner)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -64,6 +65,7 @@ from .layout import (
 GIB = 1024 ** 3
 
 REQUESTER_HOST = "HOST"                 # the requester of a move over the host link
+REQUESTER_COORD = "COORD"               # the device coordinator, beside the PEs
 
 REGION_DDR = "DDR"
 REGION_NVM = "NVM"
@@ -151,16 +153,9 @@ class TransferLedger:
             setattr(self, name, 0)
         self.pe_ops: dict = {}       # pe index -> {op name: count}
 
-    @property
-    def nvm_accesses(self) -> int:
-        return self.nvm_reads + self.nvm_writes
-
     def pe_op(self, pe: int, op: str, n: int = 1):
         ops = self.pe_ops.setdefault(pe, {})
         ops[op] = ops.get(op, 0) + n
-
-    def op_total(self, op: str) -> int:
-        return sum(ops.get(op, 0) for ops in self.pe_ops.values())
 
     def snapshot(self) -> dict:
         snap = {name: getattr(self, name) for name in _COUNTERS}
@@ -237,9 +232,19 @@ def _transfer_ns(nbytes: int, gib_s: float) -> float:
     return nbytes / (gib_s * GIB) * 1e9
 
 
+def _counter(ledger, name: str):
+    """Counter ``name`` of a ``TransferLedger`` or of a dict of its counters."""
+    return ledger[name] if isinstance(ledger, dict) else getattr(ledger, name)
+
+
+def op_total(ledger, op: str) -> int:
+    """Operation ``op`` summed over the requesters of a ledger or of its ``snapshot``."""
+    return sum(ops.get(op, 0) for ops in _counter(ledger, "pe_ops").values())
+
+
 def modeled_time(ledger, cfg: DeviceConfig) -> dict:
     """Nanoseconds by category, derived only from counters and rates."""
-    get = ledger.get if isinstance(ledger, dict) else lambda k: getattr(ledger, k)
+    get = partial(_counter, ledger)
     t = {
         "internal_read_ns": _transfer_ns(get("device_internal_bytes_read"), cfg.internal_read_gib_s),
         "internal_write_ns": _transfer_ns(get("device_internal_bytes_written"), cfg.internal_write_gib_s),
@@ -257,16 +262,11 @@ def modeled_time(ledger, cfg: DeviceConfig) -> dict:
 def ledger_csv_rows(ledger, cfg: DeviceConfig) -> list:
     """(category, bytes, ops, modeled_ns) rows for export."""
     t = modeled_time(ledger, cfg)
-    get = ledger.get if isinstance(ledger, dict) else lambda k: getattr(ledger, k)
-    pe_ops = get("pe_ops").values()
-
-    def ops(op: str) -> int:
-        return sum(counts.get(op, 0) for counts in pe_ops)
-
+    get = partial(_counter, ledger)
     return [
-        ("device_internal_read", get("device_internal_bytes_read"), ops("read"),
+        ("device_internal_read", get("device_internal_bytes_read"), op_total(ledger, "read"),
          t["internal_read_ns"]),
-        ("device_internal_write", get("device_internal_bytes_written"), ops("write"),
+        ("device_internal_write", get("device_internal_bytes_written"), op_total(ledger, "write"),
          t["internal_write_ns"]),
         ("device_to_host", get("device_to_host_bytes"), 0, t["device_to_host_ns"]),
         ("host_to_device", get("host_to_device_bytes"), 0, t["host_to_device_ns"]),
@@ -534,7 +534,7 @@ class Device:
         [self.vid_map] = _replaced(self.vid_map["vid"], [self.vid_map], vids,
                                    new["vid"], [new])
         self.ledger.host_to_device_bytes += PROP_VID_ENTRY_BYTES * len(vids)
-        self.ledger.host_to_device_bytes += PROP_L2P_ENTRY_BYTES * len(snapshot.l2p_delta)
+        self.ledger.host_to_device_bytes += PROP_L2P_ENTRY_BYTES * len(pages)
         self.ledger.host_to_device_bytes += PROP_FIXED_BYTES
         if snapshot.in_flight is not None:
             self.ledger.host_to_device_bytes += PROP_TX_ENTRY_BYTES * (len(snapshot.in_flight) + 1)
@@ -581,11 +581,3 @@ class Device:
     def freeze_views(self):
         """An invocation's frozen ``(vid_map, l2p)``: the read-only mirrors, not copies."""
         return self.vid_map, self.l2p
-
-    def modeled_time(self, ledger=None) -> dict:
-        return modeled_time(ledger if ledger is not None else self.ledger, self.cfg)
-
-
-def configure(cfg: DeviceConfig) -> Device:
-    """Initialize a device with an empty ledger and pools."""
-    return Device(cfg)

@@ -90,6 +90,7 @@ from .device import (
     REGION_DDR,
     REGION_NVM,
     REGIONS,
+    REQUESTER_COORD,
     REQUESTER_HOST,
     UNRESOLVED,
     Device,
@@ -124,23 +125,12 @@ MODE_MATERIALIZE = "materialize"
 MODE_STREAM = "stream"
 
 
-@dataclass(frozen=True)
-class ScratchpadLayout:
-    """Partitioning of one PE's scratchpad for a given projection."""
-
-    record_load_bytes: int
-    partitions: dict            # (attr name, kind) -> capacity in bytes
-
-    @property
-    def total_bytes(self) -> int:
-        return self.record_load_bytes + sum(self.partitions.values())
-
-
-def plan_scratchpad(schema: Schema, projection, scratchpad_bytes: int) -> ScratchpadLayout:
-    """Split the scratchpad: fixed record-load window, then an equal share
-    per partition (value per attribute, validity per nullable, offsets per
-    varlen), each rounded down to a whole number of its element size.  The
-    projection is one ``NdtInvocation`` has validated."""
+def plan_scratchpad(schema: Schema, projection, scratchpad_bytes: int) -> dict:
+    """Split one PE's scratchpad: fixed record-load window, then an equal
+    share per partition (value per attribute, validity per nullable, offsets
+    per varlen), each rounded down to a whole number of its element size.
+    Returns {(attr name, kind): capacity in bytes}.  The projection is one
+    ``NdtInvocation`` has validated."""
     parts = []
     for name in projection:
         attr = schema.attribute(name)
@@ -164,7 +154,7 @@ def plan_scratchpad(schema: Schema, projection, scratchpad_bytes: int) -> Scratc
                 f"{scratchpad_bytes} bytes give partition {key} only {share} bytes"
             )
         partitions[key] = cap
-    return ScratchpadLayout(RECORD_LOAD_BYTES, partitions)
+    return partitions
 
 
 @dataclass
@@ -245,12 +235,12 @@ class PeJob:
 
     __slots__ = ("pe", "vids", "heads", "changed", "caps", "page_queue")
 
-    def __init__(self, pe: int, vids: np.ndarray, heads: np.ndarray, layout: ScratchpadLayout):
+    def __init__(self, pe: int, vids: np.ndarray, heads: np.ndarray, caps: dict):
         self.pe = pe
         self.vids = vids                            # uint64 tuples to walk
         self.heads = heads                          # uint64 packed chain heads
         self.changed = None                         # ChangedRows to transform
-        self.caps = layout.partitions               # (name, kind) -> partition bytes
+        self.caps = caps                            # (name, kind) -> partition bytes
         self.page_queue = deque()
 
     @property
@@ -264,10 +254,10 @@ def schedule(inv: NdtInvocation, device: Device) -> list:
         raise TooManyPEsRequested(f"{inv.pe_count} PEs requested, device has {device.cfg.pe_count}")
     if inv.pe_count < 1:
         raise TooManyPEsRequested("need at least one PE")
-    layout = plan_scratchpad(inv.schema, inv.projection, device.cfg.scratchpad_bytes)
+    caps = plan_scratchpad(inv.schema, inv.projection, device.cfg.scratchpad_bytes)
     n = inv.pe_count
     vids, heads = inv.vid_view["vid"], inv.vid_view["head"]
-    jobs = [PeJob(pe, vids[pe::n], heads[pe::n], layout) for pe in range(n)]
+    jobs = [PeJob(pe, vids[pe::n], heads[pe::n], caps) for pe in range(n)]
     for j, idx in enumerate(inv.result_pages):
         jobs[j % n].page_queue.append(idx)
     return jobs
@@ -753,13 +743,6 @@ class MaterializationHandle:
         if tuple(inv.projection) != tuple(self.projection):
             raise ValueError("refresh projection must match the materialization")
 
-    def fragment_sizes(self) -> dict:
-        sizes: dict = {}
-        for seg in self.segments:
-            for key, frag in seg.frags.items():
-                sizes[key] = sizes.get(key, 0) + frag.nbytes
-        return sizes
-
 
 def write_bitmap_pages(handle: MaterializationHandle):
     """Persist ``current`` beside the fragments as ``visibility_words`` (charged writes)."""
@@ -772,7 +755,7 @@ def write_bitmap_pages(handle: MaterializationHandle):
         device.expose_to_host([(REGION_NVM, idx)])
     for i in range(need):
         piece = data[i * PAGE_SIZE:(i + 1) * PAGE_SIZE]
-        device.write(REGION_NVM, handle.bitmap_pages[i] * PAGE_SIZE, piece, "COORD")
+        device.write(REGION_NVM, handle.bitmap_pages[i] * PAGE_SIZE, piece, REQUESTER_COORD)
 
 
 HANDLE_META_FRAGMENT_BYTES = 16     # address + size per fragment
@@ -869,13 +852,3 @@ def run_invocation(inv: NdtInvocation, device: Device, grantor=None, consumer=No
                                            projection=inv.projection, specs=inv.specs,
                                            snapshot=inv.descriptor)
         return append_run(handle, inv, jobs, sink, removed)
-
-
-def materialize_results(inv: NdtInvocation, device: Device, grantor=None) -> MaterializationHandle:
-    """Run a materializing invocation to completion into a new handle."""
-    return run_invocation(inv, device, grantor)
-
-
-def stream_results(inv: NdtInvocation, device: Device, consumer=None, grantor=None) -> list:
-    """Run a streaming invocation; returns the pulled batches in order."""
-    return run_invocation(inv, device, grantor, consumer)

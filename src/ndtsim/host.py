@@ -217,10 +217,6 @@ class HostSystem:
             remaining -= LOAD_BATCH_ROWS
         return shadow
 
-    def run_oltp(self, cfg: WorkloadConfig, shadow: dict = None) -> OltpReport:
-        driver = WorkloadDriver(self, cfg, shadow if shadow is not None else {})
-        return driver.run(cfg.tx_count)
-
     # -- invocation lifecycle ------------------------------------------------------
 
     def prepare_invocation(self, caller: int, projection=None, mode: str = MODE_MATERIALIZE,
@@ -241,7 +237,7 @@ class HostSystem:
         self.admin_ops += 1
 
         descriptor = store.snapshot_descriptor(caller)
-        self.shared.propagate("invocation", caller=caller, in_flight=descriptor.in_flight)
+        self.shared.propagate(descriptor.in_flight)
         vid_view, l2p_view = self.device.freeze_views()
 
         self._inv_seq += 1
@@ -322,7 +318,7 @@ class HostSystem:
     def merge_to_cold(self):
         """Propagate anything pending, then relocate delta pages to cold NVM."""
         if self.shared.has_pending:
-            self.shared.propagate("regular")
+            self.shared.propagate()
         return self.shared.merge_delta_pages()
 
     # -- oracle side ---------------------------------------------------------------
@@ -381,9 +377,6 @@ class _IndexedSet:
         if not self.items:
             return None
         return self.items[rng.randrange(len(self.items))]
-
-    def __len__(self):
-        return len(self.items)
 
 
 class WorkloadDriver:

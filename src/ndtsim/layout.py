@@ -638,13 +638,6 @@ class NsmPage:
     def free_space(self) -> int:
         return PAGE_SIZE - self.free_offset - SLOT_ENTRY_SIZE * self.slot_count
 
-    def fits(self, nbytes: int) -> bool:
-        return nbytes + SLOT_ENTRY_SIZE <= self.free_space
-
-    def insert(self, record_bytes: bytes) -> int:
-        """Append a record, returning its slot index."""
-        return self.extend([record_bytes])
-
     def extend(self, records) -> int:
         """Append records in order, returning the first one's slot index;
         the others take the slots after it."""
@@ -668,11 +661,8 @@ class NsmPage:
         self._sync_header()
         return first
 
-    def slot_entry(self, slot: int):
-        return page_slot_entry_at(self.buf, 0, slot)
-
     def slot_bytes(self, slot: int) -> bytes:
-        off, length = self.slot_entry(slot)
+        off, length = page_slot_entry_at(self.buf, 0, slot)
         return bytes(self.buf[off:off + length])
 
     def to_bytes(self) -> bytes:

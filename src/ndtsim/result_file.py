@@ -226,8 +226,9 @@ def read_file(path):
 def write_handle(path, handle) -> None:
     """Export a materialization: all positions plus its visibility bitmap.
 
-    The file holds what ``write_file`` would write for ``full_column_set``,
-    but its buffers are moved out of the fragments without decoding a value.
+    The file holds what ``write_file`` would write for every position
+    ``assemble`` reads off the fragments, but its buffers are moved out of
+    the fragments without decoding a value.
     """
     segments = read_segments(handle)
     _write_buffers(path, handle.specs, sum(rows for rows, _ in segments),

@@ -3,8 +3,8 @@
 New version records accumulate in host-resident pages together with the
 VID-map and logical-to-physical map entries they imply.  The whole bundle
 is propagated to the device either when it reaches its configured capacity
-or alongside an invocation, where it is frozen together with the caller's
-transaction id and the in-flight list.
+or alongside an invocation, which also ships the in-flight transaction
+list its snapshot needs.
 
 The VID-map delta is staged as two lists in staging order, vids and the
 packed RecordIDs of their new chain heads (``RID_NONE`` removes a vid's
@@ -45,16 +45,14 @@ DEFAULT_CAPACITY_BYTES = 512 * 1024
 
 @dataclass(frozen=True)
 class SharedStateSnapshot:
-    """Frozen propagation payload; immutable once constructed (its arrays
-    are made read-only here)."""
+    """Frozen propagation payload, holding only what the device reads;
+    immutable once constructed (its arrays are made read-only here).  Each
+    of ``pages`` also declares a new logical-to-physical map entry."""
 
     pages: tuple                 # ((page_lid, 8 KiB image bytes), ...), lids ascending
     vids: np.ndarray             # uint64 vids whose map entry changes, sorted, unique
     heads: np.ndarray            # uint64 packed new chain head of vids[k]; RID_NONE removes
-    l2p_delta: tuple             # page_lids newly declared by the host
-    caller: Optional[int]        # set for invocation-mode propagation
-    in_flight: Optional[frozenset]
-    size_bytes: int              # record bytes carried
+    in_flight: Optional[frozenset]   # an invocation's in-flight list; None for a regular one
 
     def __post_init__(self):
         self.vids.flags.writeable = False
@@ -111,7 +109,7 @@ class HostSharedState:
 
         Each record's RecordID is appended to ``rids`` as it is placed, so a
         caller can link every placed record even if a propagation fails.
-        Propagates in regular mode right after the record whose append
+        Propagates (with no in-flight list) right after the record whose append
         reaches the configured capacity; the records after it start a new
         page.  The result is that of appending the records one at a time.
         """
@@ -145,7 +143,7 @@ class HostSharedState:
             self.size_bytes = size
             k = end
             if size >= capacity:
-                self.propagate("regular")
+                self.propagate()
                 room = -1                       # the next record starts a new page
 
     def stage_vid_delta(self, vid: int, rid: Optional[RecordID]):
@@ -159,33 +157,19 @@ class HostSharedState:
 
     # -- propagation ----------------------------------------------------------
 
-    def propagate(self, mode: str = "regular", caller: Optional[int] = None,
-                  in_flight=None) -> SharedStateSnapshot:
+    def propagate(self, in_flight=None) -> SharedStateSnapshot:
         """Freeze and ship the accumulated state to the device.
 
-        "regular" carries only data; "invocation" additionally carries the
-        caller id and in-flight list needed for in-situ snapshot creation.
-        The host buffer is cleared only after the device acknowledges.
+        An invocation's propagation also carries the ``in_flight`` list its
+        in-situ snapshot needs; a regular one carries only data.  The host
+        buffer is cleared only after the device acknowledges.
         """
-        if mode == "invocation":
-            if caller is None or in_flight is None:
-                raise ValueError("invocation propagation needs caller and in_flight")
-            in_flight = frozenset(in_flight)
-        elif mode == "regular":
-            caller = None
-            in_flight = None
-        else:
-            raise ValueError(f"unknown propagation mode {mode!r}")
-
         vids, heads = _last_staged(self._staged_vids, self._staged_heads)
         snapshot = SharedStateSnapshot(
             pages=tuple((lid, self.host_pages[lid].to_bytes()) for lid in self._pending_pages),
             vids=vids,
             heads=heads,
-            l2p_delta=tuple(self._pending_pages),
-            caller=caller,
-            in_flight=in_flight,
-            size_bytes=self.size_bytes,
+            in_flight=None if in_flight is None else frozenset(in_flight),
         )
         placements = self.device.apply_propagation(snapshot)
         for lid, loc in placements.items():

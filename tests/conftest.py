@@ -46,8 +46,7 @@ class Harness:
         if own_caller:
             caller = self.store.begin_tx()
         descriptor = self.store.snapshot_descriptor(caller)
-        self.shared.propagate("invocation", caller=caller,
-                              in_flight=descriptor.in_flight)
+        self.shared.propagate(descriptor.in_flight)
         vid_view, l2p_view = self.device.freeze_views()
         self._seq += 1
         owner = f"t-inv-{self._seq}"

@@ -22,15 +22,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ndtsim.columns import ColumnSet, canonical_compare, result_specs
 from ndtsim.delta import masked_view, read_fragment
-from ndtsim.device import DeviceConfig
+from ndtsim.device import DeviceConfig, op_total
 from ndtsim.engine import (
     MODE_MATERIALIZE,
     MODE_STREAM,
     RECORD_LOAD_BYTES,
     columns_from_batches,
-    materialize_results,
     plan_scratchpad,
-    stream_results,
+    run_invocation,
 )
 from ndtsim.errors import CorruptRecord
 from ndtsim.host import orderline_schema
@@ -74,11 +73,11 @@ def materialize_case() -> dict:
     """3 PEs, 40 bytes of partitions (varchars spill oversize), 4 pages (grants)."""
     h = Harness(orderline_schema(), DeviceConfig(scratchpad_bytes=8 * 1024 + 40))
     h.install_rows(_orderline_rows(300, seed=41))
-    h.shared.propagate("regular")
+    h.shared.propagate()
     h.shared.merge_delta_pages()
     inv = h.prepare(projection=("ol_delivery_d", "ol_quantity", "ol_dist_info"),
                     pe_count=3, pages=4)
-    handle = materialize_results(inv, h.device, grantor=h.grantor)
+    handle = run_invocation(inv, h.device, grantor=h.grantor)
     frags = {}
     for seg in handle.segments:
         for (name, kind), frag in seg.frags.items():
@@ -88,7 +87,7 @@ def materialize_case() -> dict:
             }
     return {
         "rows": [seg.rows for seg in handle.segments],
-        "space_requests": h.device.ledger.op_total("space_request"),
+        "space_requests": op_total(h.device.ledger, "space_request"),
         "fragments": frags,
     }
 
@@ -99,7 +98,7 @@ def stream_case() -> dict:
     h = Harness(orderline_schema(), cfg)
     h.install_rows(_orderline_rows(600, seed=42))
     inv = h.prepare(mode=MODE_STREAM, pe_count=4)
-    batches = stream_results(inv, h.device, grantor=h.grantor)
+    batches = run_invocation(inv, h.device, grantor=h.grantor)
     return {
         "batches": [[[pe, name, kind, len(payload), _sha(payload)]
                      for pe, name, kind, payload in batch.chunks]
@@ -193,7 +192,7 @@ def test_batch_transform_matches_record_decoding(table, pe_count, tiny, mode, pa
     projection = tuple(a.name for a in schema.attributes)
     scratchpad = 64 * 1024
     if tiny:
-        parts = len(plan_scratchpad(schema, projection, 64 * 1024).partitions)
+        parts = len(plan_scratchpad(schema, projection, 64 * 1024))
         scratchpad = RECORD_LOAD_BYTES + 8 * parts
     h = Harness(schema, DeviceConfig(scratchpad_bytes=scratchpad))
     rids = h.install_rows({vid: row for vid, row in enumerate(rows, start=1)})
@@ -201,9 +200,9 @@ def test_batch_transform_matches_record_decoding(table, pe_count, tiny, mode, pa
     inv = h.prepare(projection, mode=mode, pe_count=pe_count, pages=pages)
     if mode == MODE_STREAM:
         got = columns_from_batches(schema, projection,
-                                   stream_results(inv, h.device, grantor=h.grantor), pe_count)
+                                   run_invocation(inv, h.device, grantor=h.grantor), pe_count)
     else:
-        got = masked_view(materialize_results(inv, h.device, grantor=h.grantor))
+        got = masked_view(run_invocation(inv, h.device, grantor=h.grantor))
     result = canonical_compare(got, _reference(schema, projection, records))
     assert result, result
 
@@ -222,5 +221,5 @@ def test_corrupt_varlen_prefix_raises_and_frees_pages():
     page[off + 32:off + 34] = (0xFFFF).to_bytes(2, "little")
     del page
     with pytest.raises(CorruptRecord):
-        materialize_results(inv, h.device, grantor=h.grantor)
+        run_invocation(inv, h.device, grantor=h.grantor)
     assert h.device.owner_pages(inv.owner) == set()

@@ -44,6 +44,11 @@ def test_export_writes_a_file(tmp_path):
     ["nosuchcommand"],
     ["delta", "--delta-fractions", "50"],
     ["delta", "--delta-fractions", "50,50"],
+    ["transform", "--sf", "-1"],
+    ["htap", "--sf", "-1", "--tx-count", "20", "--intervals", "4"],
+    ["delta", "--rows", "-5"],
+    ["delta", "--sf", "0"],                                 # no row to modify
+    ["delta", "--rows", "3", "--delta-fractions", "10,20"],   # 0 rows modified twice
 ])
 def test_malformed_arguments_exit_1_before_loading(argv, monkeypatch, capsys):
     def no_load(*_args, **_kwargs):

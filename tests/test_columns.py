@@ -4,10 +4,12 @@ The read-back decodes each varchar payload once and slices it; compaction
 and export gather bytes without building strings.  Both are pinned here to
 the per-row decoder they replaced (one ``bytes.decode`` per value, kept
 below as the reference), on random specs, segments and keep masks, and so
-is the NDTC file written from the reference and read back.
+is the NDTC file written from the reference and read back.  Corrupt
+segments raise only typed errors.
 """
 
 import os
+import struct
 import tempfile
 
 import numpy as np
@@ -24,11 +26,10 @@ from ndtsim.columns import (
     ColumnSpec,
     assemble,
     column_buffers,
-    decode_segment,
     gather_buffers,
     result_specs,
 )
-from ndtsim.errors import CorruptDescriptor
+from ndtsim.errors import CorruptDescriptor, NdtError
 from ndtsim.layout import Decimal, Int32, Int64, Schema, TimestampPg, VarChar
 from ndtsim.result_file import read_file, write_file
 
@@ -47,7 +48,7 @@ def _varchar_segment(payload: bytes, offsets):
 def test_decode_segment_rejects_non_utf8_varchar():
     specs, buffers, rows = _varchar_segment(b"\xff", [0, 1])
     with pytest.raises(CorruptDescriptor):
-        decode_segment(specs, buffers, rows)
+        assemble(specs, [(rows, buffers)])
 
 
 @pytest.mark.parametrize("offsets", [[0, 5, 3, 6], [2, 4, 6, 6]],
@@ -55,7 +56,7 @@ def test_decode_segment_rejects_non_utf8_varchar():
 def test_decode_segment_rejects_bad_offsets(offsets):
     specs, buffers, rows = _varchar_segment(b"abcdef", offsets)
     with pytest.raises(CorruptDescriptor):
-        decode_segment(specs, buffers, rows)
+        assemble(specs, [(rows, buffers)])
 
 
 @pytest.mark.parametrize("key", [(VID_COLUMN, KIND_VALUES), ("n", KIND_VALUES),
@@ -70,8 +71,7 @@ def test_ragged_buffer_lengths_raise_typed_errors(key):
                                        {"n": np.arange(3, dtype="<i4"), "s": ["a", "bc", ""]},
                                        {"n": None, "s": None}, 3))
     buffers[key] = buffers[key][:-1]
-    for call in (lambda: decode_segment(specs, buffers, 3),
-                 lambda: assemble(specs, [(3, buffers)]),
+    for call in (lambda: assemble(specs, [(3, buffers)]),
                  lambda: gather_buffers(specs, [(3, buffers)])):
         with pytest.raises(CorruptDescriptor):
             call()
@@ -229,6 +229,74 @@ def test_corrupt_dropped_rows_still_raise(values, data, kind):
     keep[row:row + 2] = False
     for call in (lambda: assemble(specs, [(rows, buffers)], keep),
                  lambda: gather_buffers(specs, [(rows, buffers)], keep),
-                 lambda: decode_segment(specs, buffers, rows)):
+                 lambda: assemble(specs, [(rows, buffers)])):
         with pytest.raises(CorruptDescriptor):
             call()
+
+
+# -- corrupt segments ------------------------------------------------------------------
+
+BUFFER_KINDS = {"offsets": KIND_OFFSETS, "utf8": KIND_VALUES, "validity": KIND_VALIDITY}
+
+
+def _sites(kind: str, segments, varchars) -> list:
+    """The places a corruption of ``kind`` can hit: (segment, buffer key)."""
+    if kind == "rows":
+        return [(segment, None) for segment in segments]
+    return [(segment, key) for segment in segments for key in sorted(segment[1])
+            if kind == "length" or (key[1] == BUFFER_KINDS[kind] and segment[1][key]
+                                    and (kind != "utf8" or key[0] in varchars))]
+
+
+@st.composite
+def _corrupted(draw):
+    """A ``_readbacks`` case with one to three corruptions of its segments:
+    a buffer's length, a varchar offset, a varchar payload byte (made a
+    UTF-8 continuation or lead byte), a validity byte, or a row count.  The
+    keep mask, when there is one, has an entry per declared row, as a
+    handle's does; with a negative row count there is none."""
+    specs, segments, _ = draw(_readbacks().filter(lambda case: case[1]))
+    varchars = {spec.name for spec in specs if isinstance(spec.ftype, VarChar)}
+    segments = [[rows, dict(buffers)] for rows, buffers in segments]
+    for _ in range(draw(st.integers(1, 3))):
+        kinds = [kind for kind in ("rows", "length", *BUFFER_KINDS)
+                 if _sites(kind, segments, varchars)]
+        kind = draw(st.sampled_from(kinds))
+        segment, key = draw(st.sampled_from(_sites(kind, segments, varchars)))
+        rows, buffers = segment
+        if kind == "rows":
+            segment[0] = draw(st.integers(-2, rows + 3).filter(lambda n: n != rows))
+            continue
+        raw = buffers[key]
+        if kind == "length":
+            size = draw(st.integers(0, len(raw) + 9).filter(lambda n: n != len(raw)))
+            buffers[key] = raw[:size] + bytes(max(size - len(raw), 0))
+            continue
+        width = 4 if kind == "offsets" else 1
+        at = width * draw(st.integers(0, len(raw) // width - 1))
+        if kind == "offsets":
+            payload = len(buffers.get((key[0], KIND_VALUES), b""))
+            value = struct.pack("<I", draw(st.one_of(st.integers(0, payload + 2),
+                                                     st.integers(0, 2**32 - 1))))
+        else:
+            value = bytes([draw(st.integers(0x80 if kind == "utf8" else 0, 0xFF))])
+        buffers[key] = raw[:at] + value + raw[at + width:]
+    declared = [rows for rows, _ in segments]
+    keep = None
+    if min(declared) >= 0 and draw(st.booleans()):
+        keep = np.array(draw(st.lists(st.booleans(), min_size=sum(declared),
+                                      max_size=sum(declared))), dtype=bool)
+    return specs, [tuple(segment) for segment in segments], keep
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_corrupted())
+def test_corrupt_segments_raise_only_typed_errors(case):
+    """``assemble``, and ``gather_buffers`` which checks as it does, return
+    or raise an ``NdtError`` on any corruption; nothing else escapes."""
+    specs, segments, keep = case
+    for read in (assemble, gather_buffers):
+        try:
+            read(specs, segments, keep)
+        except NdtError:
+            pass

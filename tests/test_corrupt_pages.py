@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ndtsim.delta import free_handle
 from ndtsim.device import REGION_DDR, REGION_NVM, REGIONS
-from ndtsim.engine import MODE_MATERIALIZE, MODE_STREAM, materialize_results, stream_results
+from ndtsim.engine import MODE_MATERIALIZE, MODE_STREAM, run_invocation
 from ndtsim.errors import NdtError
 from ndtsim.layout import (
     FLAGS_OFFSET,
@@ -57,7 +57,7 @@ def _loaded(seed: int, n: int) -> Harness:
         return {vid: tuple(random_value(rng, a) for a in SCHEMA.attributes) for vid in vids}
 
     h.install_rows(rows(range(1, n + 1)))
-    h.shared.propagate("regular")
+    h.shared.propagate()
     h.shared.merge_delta_pages()
     h.install_rows(rows(rng.sample(range(1, n + 1), n // 4)))
     h.install_rows(rows(range(n + 1, n + 2 + n // 4)))
@@ -65,7 +65,7 @@ def _loaded(seed: int, n: int) -> Harness:
     for vid in rng.sample(range(1, n + 1), n // 8):
         h.store.delete_version(t, vid)
     h.store.commit_tx(t)
-    h.shared.propagate("regular")
+    h.shared.propagate()
     return h
 
 
@@ -134,9 +134,9 @@ def test_corrupt_pages_raise_typed_errors_and_free_their_pages(seed, rows, corru
         inv = h.prepare(mode=mode, pe_count=pe_count, pages=pages)
         try:
             if mode == MODE_STREAM:
-                stream_results(inv, h.device, grantor=h.grantor)
+                run_invocation(inv, h.device, grantor=h.grantor)
             else:
-                free_handle(materialize_results(inv, h.device, grantor=h.grantor))
+                free_handle(run_invocation(inv, h.device, grantor=h.grantor))
         except NdtError:
             pass
         assert _free_pages(h) == before

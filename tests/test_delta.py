@@ -4,15 +4,15 @@ import random
 
 import pytest
 
-from ndtsim.columns import canonical_compare
+from ndtsim.columns import assemble, canonical_compare
 from ndtsim.delta import (
     compact,
     delta_cost,
     delta_transform,
     free_handle,
-    full_column_set,
     masked_view,
     read_fragment,
+    read_segments,
 )
 from ndtsim.engine import MODE_MATERIALIZE
 from ndtsim.errors import StaleHandle
@@ -95,7 +95,7 @@ def test_fresh_materialization_all_bits_set():
     bits = handle.current
     assert bits.all() and len(bits) == 64
     assert canonical_compare(masked_view(handle).sorted_by_vid(),
-                             full_column_set(handle).sorted_by_vid()).equal
+                             assemble(handle.specs, read_segments(handle)).sorted_by_vid()).equal
 
 
 def test_repeated_updates_leave_single_set_bit():
@@ -107,7 +107,7 @@ def test_repeated_updates_leave_single_set_bit():
     positions = handle.index.positions[handle.index.vids == vid].tolist()
     bits = handle.current
     vids_current = [int(v) for v, keep in
-                    zip(full_column_set(handle).vids, bits) if keep]
+                    zip(assemble(handle.specs, read_segments(handle)).vids, bits) if keep]
     assert vids_current.count(vid) == 1
     assert bits[positions[0]]
     assert handle.total_positions == 54

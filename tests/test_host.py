@@ -7,8 +7,8 @@ import pytest
 
 from ndtsim.columns import canonical_compare
 from ndtsim.delta import masked_view
-from ndtsim.device import REGION_DDR, REGION_NVM, DeviceConfig
-from ndtsim.engine import MODE_MATERIALIZE
+from ndtsim.device import REGION_DDR, REGION_NVM, DeviceConfig, op_total
+from ndtsim.engine import MODE_MATERIALIZE, run_invocation
 from ndtsim.errors import MissingColumn, UnknownTx
 from ndtsim.host import (
     HostSystem,
@@ -37,7 +37,7 @@ def test_same_seed_reproduces_state():
     def run():
         system = HostSystem()
         shadow = system.load_orderlines(200, seed=3)
-        system.run_oltp(WorkloadConfig(seed=9, tx_count=300), shadow)
+        WorkloadDriver(system, WorkloadConfig(seed=9), shadow).run(300)
         return _chain_signature(system), shadow
     sig_a, shadow_a = run()
     sig_b, shadow_b = run()
@@ -49,7 +49,7 @@ def test_new_order_only_creates_expected_vids(system):
                          delivery_weight=0.0, delete_weight=0.0,
                          amount_update_weight=0.0, min_lines=7, max_lines=7,
                          abort_fraction=0.0)
-    report = system.run_oltp(cfg)
+    report = WorkloadDriver(system, cfg).run(cfg.tx_count)
     assert report.new_vids == 20 * 7
     assert report.versions_created == 20 * 7
     assert len(system.store.vid_map) == 140
@@ -60,7 +60,7 @@ def test_delivery_updates_grow_chains(system):
     cfg = WorkloadConfig(seed=6, tx_count=40, new_order_weight=0.0,
                          delivery_weight=1.0, delete_weight=0.0,
                          amount_update_weight=0.0, abort_fraction=0.0)
-    system.run_oltp(cfg, shadow)
+    WorkloadDriver(system, cfg, shadow).run(cfg.tx_count)
     lengths = []
     for vid in shadow:
         node = system.store.vid_map[vid]
@@ -105,9 +105,9 @@ def test_underestimation_corrected_by_suspension(system):
     system.load_orderlines(1200, seed=8)
     system.merge_to_cold()
     _, full = system.transform_snapshot(mode=MODE_MATERIALIZE)
-    before = system.device.ledger.op_total("space_request")
+    before = op_total(system.device.ledger, "space_request")
     _, half = system.transform_snapshot(mode=MODE_MATERIALIZE, estimate_scale=0.5)
-    assert system.device.ledger.op_total("space_request") > before
+    assert op_total(system.device.ledger, "space_request") > before
     assert canonical_compare(masked_view(full).sorted_by_vid(),
                              masked_view(half).sorted_by_vid()).equal
 
@@ -146,8 +146,7 @@ def test_q6_empty_and_all_null(system):
     t = system.store.begin_tx()
     inv = system.prepare_invocation(t)
     system.store.commit_tx(t)
-    from ndtsim.engine import materialize_results
-    handle = materialize_results(inv, system.device, system.grant_space)
+    handle = run_invocation(inv, system.device, system.grant_space)
     assert q6_columnar(masked_view(handle), params) == D("0")
 
     system2 = HostSystem()
@@ -165,7 +164,7 @@ def test_q6_columnar_equals_rowstore_across_seeds():
     for seed in (1, 2, 3):
         system = HostSystem()
         shadow = system.load_orderlines(300, seed=seed)
-        system.run_oltp(WorkloadConfig(seed=seed + 50, tx_count=150), shadow)
+        WorkloadDriver(system, WorkloadConfig(seed=seed + 50), shadow).run(150)
         system.merge_to_cold()
         _, handle = system.transform_snapshot()
         view = masked_view(handle)

@@ -16,6 +16,11 @@ flight.  ``encode_record`` and ``install_version`` are one call into their
 batch forms, and only ``layout.encode_records`` packs a record header.
 The device's batch accessors and its propagation merge hold no
 comprehension.
+
+The package holds only what the system runs: every function, class and
+method it defines is named somewhere in the package or in the benchmark
+(``perfbench/*.py``, whose traced targets count), not only in the tests.
+The few exceptions are listed, each with its reason.
 """
 
 import ast
@@ -25,6 +30,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "ndtsim").glob("*.py"))
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 SOURCES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
@@ -371,3 +377,92 @@ def test_scan_finds_every_comprehension(tmp_path):
                      "        return [r for r in rows]\n")
     assert comprehensions(probe, "Device.pe_read_records") == [
         "line 3: ListComp", "line 4: DictComp", "line 4: SetComp", "line 4: GeneratorExp"]
+
+
+# What the package defines, the system runs.  A definition counts as run when
+# a module of the package or of the benchmark reads its bare name (as a
+# variable or an attribute) or traces it; dunder methods are called by the
+# language.  These are the only names the tests alone may call.
+UNREFERENCED_ALLOWED = {
+    "layout.decode_field": "the per-record reference decoder the batch path is checked against",
+    "layout.decode_values": "the per-record reference decoder the batch path is checked against",
+    "layout.NsmPage.slot_bytes": "a record read off a page; tests would re-implement the lookup",
+    "device.Device.owner_pages": "an owner's pages; tests would read the private allocation map",
+    "mvcc.MvccStore.chain_rids": "a vid's version chain; tests would re-implement the walk",
+    "shared_state.HostSharedState.read_record": "a record wherever its page lives; tests would "
+                                                "re-implement the page lookup",
+}
+
+
+def definitions(path: Path) -> list:
+    """The functions, classes and methods (not dunders) defined at the top
+    level of ``path`` and in its classes, dotted as ``module.Class.name``."""
+    found = []
+
+    def scan(node, scope):
+        for child in node.body:
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if not (child.name.startswith("__") and child.name.endswith("__")):
+                found.append(f"{scope}.{child.name}")
+            if isinstance(child, ast.ClassDef):
+                scan(child, f"{scope}.{child.name}")
+
+    scan(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def traced_names(tracing: Path) -> set:
+    """Each dotted part of the qualified names in ``tracing``'s ``TRACED``."""
+    for node in ast.parse(tracing.read_text()).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TRACED"
+                                                for t in node.targets):
+            return {part for _module, qualname, _span in ast.literal_eval(node.value)
+                    for part in qualname.split(".")}
+    return set()
+
+
+def unreferenced(defining, reading, traced: set) -> list:
+    """The definitions of ``defining`` whose bare name no module of
+    ``reading`` reads and ``traced`` does not hold."""
+    names = set(traced)
+    for path in reading:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return [qualname for path in defining for qualname in definitions(path)
+            if qualname.rpartition(".")[2] not in names]
+
+
+def test_the_package_defines_only_what_the_system_runs():
+    traced = traced_names(ROOT / "perfbench" / "tracing.py")
+    assert sorted(unreferenced(PACKAGE, PACKAGE + BENCH, traced)) == sorted(UNREFERENCED_ALLOWED)
+
+
+def test_scan_finds_every_unreferenced_definition(tmp_path):
+    probe, bench, tracing = (tmp_path / f"{name}.py" for name in ("probe", "bench", "tracing"))
+    probe.write_text("class Page:\n"
+                     "    def __len__(self):\n"
+                     "        return 0\n"
+                     "    def used(self):\n"
+                     "        return helper()\n"
+                     "    def unused(self):\n"
+                     "        def nested():\n"
+                     "            pass\n"
+                     "        return nested\n"
+                     "def helper():\n"
+                     "    return Page().used()\n"
+                     "def traced():\n"
+                     "    pass\n"
+                     "def benched():\n"
+                     "    pass\n"
+                     "def dead():\n"
+                     "    return 'dead'\n")
+    bench.write_text("import probe\nprobe.benched()\n")
+    tracing.write_text("TRACED = (('probe', 'Other.traced', 'probe.traced'),)\n")
+    assert unreferenced([probe], [probe, bench], traced_names(tracing)) == [
+        "probe.Page.unused", "probe.dead"]
+    assert unreferenced([probe], [probe], set()) == [
+        "probe.Page.unused", "probe.traced", "probe.benched", "probe.dead"]

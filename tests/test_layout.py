@@ -275,7 +275,7 @@ def test_pg_timestamp_matches_floor_division(ts):
 
 def test_first_insert_gets_slot_zero():
     page = NsmPage(3)
-    assert page.insert(b"hello") == 0
+    assert page.extend([b"hello"]) == 0
     assert page.slot_bytes(0) == b"hello"
 
 
@@ -287,7 +287,7 @@ def test_insert_until_full_matches_arithmetic():
     count = 0
     while True:
         try:
-            page.insert(record)
+            page.extend([record])
             count += 1
         except PageFull:
             break
@@ -300,9 +300,9 @@ def test_slot_lookup_shadow_map():
     shadow = []
     while True:
         data = bytes(rng.randrange(256) for _ in range(rng.randint(1, 200)))
-        if not page.fits(len(data)):
+        if len(data) + SLOT_ENTRY_SIZE > page.free_space:
             break
-        slot = page.insert(data)
+        slot = page.extend([data])
         shadow.append((slot, data))
     assert len(shadow) > 10
     for slot, data in shadow:
@@ -311,7 +311,7 @@ def test_slot_lookup_shadow_map():
 
 def test_slot_out_of_range():
     page = NsmPage(1)
-    page.insert(b"a")
+    page.extend([b"a"])
     with pytest.raises(SlotOutOfRange):
         page.slot_bytes(1)
 
@@ -320,10 +320,10 @@ def test_page_safety_no_overlap():
     rng = random.Random(13)
     page = NsmPage(1)
     inserted = 0
-    while page.fits(64):
-        page.insert(bytes([inserted % 256]) * rng.randint(1, 64))
+    while 64 + SLOT_ENTRY_SIZE <= page.free_space:
+        page.extend([bytes([inserted % 256]) * rng.randint(1, 64)])
         inserted += 1
-    spans = [page.slot_entry(s) for s in range(page.slot_count)]
+    spans = [page_slot_entry_at(page.buf, 0, s) for s in range(page.slot_count)]
     spans.sort()
     for (o1, l1), (o2, _l2) in zip(spans, spans[1:]):
         assert o1 + l1 <= o2
@@ -336,7 +336,7 @@ def test_record_too_large_rejected():
     from ndtsim.errors import RecordTooLarge
     page = NsmPage(1)
     with pytest.raises(RecordTooLarge):
-        page.insert(b"y" * (MAX_RECORD_SIZE + 1))
+        page.extend([b"y" * (MAX_RECORD_SIZE + 1)])
 
 
 def test_extend_equals_one_insert_at_a_time():
@@ -346,13 +346,13 @@ def test_extend_equals_one_insert_at_a_time():
     k = 0
     while k < len(records):
         chunk = records[k:k + rng.randint(1, 7)]
-        if not many.fits(sum(map(len, chunk)) + SLOT_ENTRY_SIZE * (len(chunk) - 1)):
+        if sum(map(len, chunk)) + SLOT_ENTRY_SIZE * len(chunk) > many.free_space:
             with pytest.raises(PageFull):
                 many.extend(chunk)
             break
         assert many.extend(chunk) == one.slot_count
         for record in chunk:
-            one.insert(record)
+            one.extend([record])
         k += len(chunk)
     assert k > 10
     assert many.to_bytes() == one.to_bytes()
@@ -361,8 +361,8 @@ def test_extend_equals_one_insert_at_a_time():
 
 def test_slot_entry_reader_bounds():
     page = NsmPage(5)
-    page.insert(b"abc")
-    page.insert(b"defg")
+    page.extend([b"abc"])
+    page.extend([b"defg"])
     assert page_slot_entry_at(b"\0" * 8 + page.to_bytes(), 8, 1) == (PAGE_HEADER_SIZE + 3, 4)
     for slot in (2, -1):
         with pytest.raises(SlotOutOfRange):

@@ -55,8 +55,7 @@ def test_mirrors_match_a_dict_model(steps):
                 pages=tuple((lid, _image(lid)) for lid in lids),
                 vids=np.array(sorted(delta), dtype=np.uint64),
                 heads=np.array([pack_rid(delta[vid]) for vid in sorted(delta)], dtype=np.uint64),
-                l2p_delta=tuple(lids),
-                caller=None, in_flight=None, size_bytes=0)))
+                in_flight=None)))
             for vid, rid in delta.items():
                 if rid is None:
                     vids.pop(vid, None)

@@ -119,7 +119,7 @@ def test_abort_patches_after_propagation(system):
     t2 = store.begin_tx()
     rid2 = store.install_version(t2, 3, row(rng))
     store.commit_tx(t2)
-    system.shared.propagate("regular")            # records now device-resident
+    system.shared.propagate()                     # records now device-resident
     store.abort_tx(t1)
     hdr = decode_header(system.shared.read_record(rid2))
     assert hdr.pred == rid0

@@ -107,7 +107,7 @@ def test_oracle_matches_record_decoding_on_refresh_workloads(seed):
         if rng.random() < 0.4:
             system.merge_to_cold()
         elif rng.random() < 0.5:
-            system.shared.propagate("regular")        # leaves pages in the DDR mirror
+            system.shared.propagate()                  # leaves pages in the DDR mirror
         writer = _leave_writer_in_flight(system, driver, rng) if rng.random() < 0.4 else None
         reader = system.store.begin_tx()
         _check_system(system, system.store.snapshot_descriptor(reader))
@@ -134,7 +134,7 @@ def test_oracle_matches_record_decoding_on_chain_histories(seed):
             assert dict(zip(vids.tolist(), values["a"].tolist())) == {
                 vid: decode_values(SCHEMA, record)[0] for vid, record in records.items()}
             assert present["a"].all()
-        h.shared.propagate("regular")
+        h.shared.propagate()
     assert regions == {REGION_HOST, "DDR", "NVM"}
 
 

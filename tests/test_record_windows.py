@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from ndtsim.device import REGION_DDR, REGION_NVM, REGIONS, DeviceConfig, configure
+from ndtsim.device import REGION_DDR, REGION_NVM, REGIONS, Device, DeviceConfig
 from ndtsim.errors import NdtError, OutOfRange
 from ndtsim.host import orderline_schema
 from ndtsim.layout import (
@@ -65,8 +65,8 @@ def batches(draw):
 
 
 def _filled_device(pages, seed: int):
-    dev = configure(DeviceConfig(ddr_capacity_pages=2 * MAX_PAGES,
-                                 nvm_capacity_pages=2 * MAX_PAGES))
+    dev = Device(DeviceConfig(ddr_capacity_pages=2 * MAX_PAGES,
+                              nvm_capacity_pages=2 * MAX_PAGES))
     rng = random.Random(seed)
     for region, count in zip(REGIONS, pages):
         dev.allocate_pages(region, count, "data")

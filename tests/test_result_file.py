@@ -10,11 +10,12 @@ from ndtsim.columns import (
     KIND_OFFSETS,
     KIND_VALIDITY,
     ColumnSet,
+    assemble,
     canonical_compare,
     column_buffers,
     result_specs,
 )
-from ndtsim.delta import full_column_set
+from ndtsim.delta import read_segments
 from ndtsim.engine import MODE_MATERIALIZE
 from ndtsim.errors import CorruptDescriptor, NdtError
 from ndtsim.host import HostSystem
@@ -44,14 +45,15 @@ def test_write_handle_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == HANDLE_SHA256
 
     column_set, bits = read_file(path)
-    assert canonical_compare(column_set, full_column_set(handle)).equal
+    every_position = assemble(handle.specs, read_segments(handle))
+    assert canonical_compare(column_set, every_position).equal
     assert np.array_equal(bits, handle.current)
-    assert list(column_set.vids) == list(full_column_set(handle).vids)
+    assert list(column_set.vids) == list(every_position.vids)
 
 
 def test_empty_file_bytes_are_pinned(tmp_path):
     handle = _refreshed_handle()
-    empty = full_column_set(handle).mask(np.zeros(handle.total_positions, dtype=bool))
+    empty = assemble(handle.specs, read_segments(handle)).mask(np.zeros(handle.total_positions, dtype=bool))
     path = tmp_path / "empty.ndtc"
     write_file(path, empty, snapshot_ts=7)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == EMPTY_SHA256

@@ -1,4 +1,4 @@
-"""Delta-buffer accumulation, propagation modes, and device hand-off."""
+"""Delta-buffer accumulation, regular and invocation propagations, and device hand-off."""
 
 import random
 
@@ -62,7 +62,7 @@ def test_staged_vid_delta_matches_shadow(system):
         rid = system.store.install_version(t, vid, random_orderline(rng))
         shadow[vid] = rid
     system.store.commit_tx(t)
-    snap = system.shared.propagate("regular")
+    snap = system.shared.propagate()
     assert shipped(snap) == shadow
 
 
@@ -72,8 +72,8 @@ def shipped(snapshot) -> dict:
 
 
 def test_propagate_empty_buffer_is_valid(system):
-    snap = system.shared.propagate("regular")
-    assert snap.pages == () and shipped(snap) == {} and snap.size_bytes == 0
+    snap = system.shared.propagate()
+    assert snap.pages == () and shipped(snap) == {}
 
 
 def test_second_snapshot_contains_only_new_changes(system):
@@ -82,14 +82,12 @@ def test_second_snapshot_contains_only_new_changes(system):
     first = {vid: system.store.install_version(t, vid, random_orderline(rng))
              for vid in range(10)}
     system.store.commit_tx(t)
-    system.shared.propagate("regular")
+    system.shared.propagate()
     t2 = system.store.begin_tx()
     second = {vid: system.store.install_version(t2, vid, random_orderline(rng))
               for vid in range(5, 15)}
-    snap = system.shared.propagate("invocation", caller=t2 + 1,
-                                   in_flight={t2})
-    assert shipped(snap) == second
-    assert snap.caller == t2 + 1 and snap.in_flight == frozenset({t2})
+    snap = system.shared.propagate({t2})
+    assert shipped(snap) == second and snap.in_flight == frozenset({t2})
     assert not (set(p for p, _ in snap.pages) & set(first[v].page_lid for v in first))
     system.store.commit_tx(t2)
 
@@ -107,7 +105,7 @@ def test_device_state_equals_replay(system):
         system.store.commit_tx(t)
         expected[rid] = values
         if rng.random() < 0.05:
-            system.shared.propagate("regular")
+            system.shared.propagate()
         if rng.random() < 0.02:
             system.merge_to_cold()
     from ndtsim.layout import decode_values
@@ -123,7 +121,7 @@ def test_delta_exclusivity_chains_resolve_once(system):
         system.store.install_version(t, rng.randrange(20), random_orderline(rng))
         system.store.commit_tx(t)
         if i == 70:
-            system.shared.propagate("regular")
+            system.shared.propagate()
     seen = set()
     for vid in system.store.vid_map:
         node = system.store.vid_map[vid]
@@ -141,7 +139,7 @@ def test_propagation_charges_host_to_device(system):
     system.store.install_version(t, 1, random_orderline(random.Random(0)))
     system.store.commit_tx(t)
     before = system.device.ledger.host_to_device_bytes
-    snap = system.shared.propagate("regular")
+    snap = system.shared.propagate()
     moved = system.device.ledger.host_to_device_bytes - before
     assert moved >= len(snap.pages) * PAGE_SIZE
 
@@ -151,7 +149,7 @@ def test_merge_relocates_pages_and_preserves_reads(system):
     t = system.store.begin_tx()
     rids = [system.store.install_version(t, vid, random_orderline(rng)) for vid in range(50)]
     system.store.commit_tx(t)
-    system.shared.propagate("regular")
+    system.shared.propagate()
     before = {rid: system.shared.read_record(rid) for rid in rids}
     relocations = system.shared.merge_delta_pages()
     assert relocations and all(loc[0] == "NVM" for loc in relocations.values())
@@ -164,9 +162,8 @@ def test_snapshot_arrays_are_read_only(system):
     system.store.install_versions(t, [4, 2], [random_orderline(random.Random(7))] * 2)
     system.store.commit_tx(t)
     built = SharedStateSnapshot(pages=(), vids=np.arange(3, dtype=np.uint64),
-                                heads=np.arange(3, dtype=np.uint64), l2p_delta=(),
-                                caller=None, in_flight=None, size_bytes=0)
-    for snap in (system.shared.propagate("regular"), built):
+                                heads=np.arange(3, dtype=np.uint64), in_flight=None)
+    for snap in (system.shared.propagate(), built):
         for array in (snap.vids, snap.heads):
             with pytest.raises(ValueError):
                 array[0] = 1
@@ -175,7 +172,8 @@ def test_snapshot_arrays_are_read_only(system):
 # -- the staged vid-map delta against a dict model ------------------------------------------
 
 # A step installs a batch as one of two writers (a vid may repeat; True
-# deletes it), commits or aborts a writer, or propagates in either mode.
+# deletes it), commits or aborts a writer, or propagates (as a regular or an
+# invocation propagation).
 WRITES = st.lists(st.tuples(st.integers(0, 11), st.booleans()), min_size=1, max_size=6)
 STEPS = st.lists(st.tuples(st.just("install"), st.integers(0, 1), WRITES)
                  | st.tuples(st.sampled_from(["commit", "abort"]), st.integers(0, 1))
@@ -231,17 +229,16 @@ def test_staged_delta_matches_a_dict_model(steps):
             staged.update(zip(vids, map(pack_rid, rids)))
             written[who].update(vids)
         elif kind == "propagate":
-            caller = 10**6 if who == "invocation" else None
-            in_flight = set(store.in_flight) if caller else None
+            in_flight = set(store.in_flight) if who == "invocation" else None
             before = device.ledger.host_to_device_bytes
-            snap = shared.propagate(who, caller=caller, in_flight=in_flight)
+            snap = shared.propagate(in_flight)
             propagations += 1
             assert snap.vids.tolist() == sorted(staged)
             assert snap.heads.tolist() == [staged[vid] for vid in sorted(staged)]
             assert device.ledger.host_to_device_bytes - before == (
                 PAGE_SIZE * len(snap.pages) + PROP_VID_ENTRY_BYTES * len(staged)
-                + PROP_L2P_ENTRY_BYTES * len(snap.l2p_delta) + PROP_FIXED_BYTES
-                + (PROP_TX_ENTRY_BYTES * (len(in_flight) + 1) if caller else 0))
+                + PROP_L2P_ENTRY_BYTES * len(snap.pages) + PROP_FIXED_BYTES
+                + (PROP_TX_ENTRY_BYTES * (len(in_flight) + 1) if in_flight is not None else 0))
             for vid, head in staged.items():
                 if head == RID_NONE:
                     mirror.pop(vid, None)
@@ -272,7 +269,7 @@ def _placed(system, n=30):
         if vid == n:
             system.merge_to_cold()
         elif vid == 2 * n:
-            system.shared.propagate("regular")
+            system.shared.propagate()
         t = system.store.begin_tx()
         values = random_orderline(rng, vid, null_delivery=vid % 5 == 0)
         rid = system.store.install_version(t, vid, values)

@@ -15,8 +15,8 @@ import struct
 import numpy as np
 import pytest
 
-from ndtsim.device import MAX_SLOTS, REGION_NVM, REGIONS
-from ndtsim.engine import IdentityIndex, materialize_results, pe_visibility_check, schedule, walk
+from ndtsim.device import MAX_SLOTS, REGION_NVM, REGIONS, op_total
+from ndtsim.engine import IdentityIndex, pe_visibility_check, run_invocation, schedule, walk
 from ndtsim.errors import CorruptRecord, StaleWrite
 from ndtsim.layout import (
     PAGE_SIZE,
@@ -61,7 +61,7 @@ def _random_history(seed: int, vids: int = 40, steps: int = 400):
             else:
                 h.store.commit_tx(t)
         if rng.random() < 0.01:
-            h.shared.propagate("regular")
+            h.shared.propagate()
             h.shared.merge_delta_pages()
     # in every history: an interior rollback, and a writer left in flight
     below, above = h.store.begin_tx(), h.store.begin_tx()
@@ -138,14 +138,14 @@ def test_walk_matches_oracle_with_exact_per_pe_charges(seed, snapshot):
 def _merged_rows(rows: int = 200) -> Harness:
     h = Harness(SCHEMA)
     h.install_rows({vid: (vid,) for vid in range(rows)})
-    h.shared.propagate("regular")
+    h.shared.propagate()
     h.shared.merge_delta_pages()
     return h
 
 
 def _fails_and_frees(h, inv, error):
     with pytest.raises(error):
-        materialize_results(inv, h.device, h.grantor)
+        run_invocation(inv, h.device, h.grantor)
     assert h.device.owner_pages(inv.owner) == set()
 
 
@@ -189,7 +189,7 @@ def _chain(h, versions: int):
     """One tuple with ``versions`` committed versions; returns their rids, newest first."""
     for i in range(versions):
         h.install_rows({7: (i,)})
-    h.shared.propagate("regular")
+    h.shared.propagate()
     return h.store.chain_rids(7)
 
 
@@ -200,9 +200,9 @@ def test_chain_cycle_is_corrupt_within_one_lap(versions, cycle):
     h.shared.patch_pred(rids[-1], rids[0])     # the oldest version points at the newest
     # caller 1 is the first writer: no version is visible, the walk follows every pred
     inv = h.prepare(pe_count=1, pages=4, caller=1)
-    before = h.device.ledger.op_total("l2p")
+    before = op_total(h.device.ledger, "l2p")
     _fails_and_frees(h, inv, CorruptRecord)
-    assert h.device.ledger.op_total("l2p") - before <= versions + 1
+    assert op_total(h.device.ledger, "l2p") - before <= versions + 1
 
 
 def test_walk_of_an_empty_share_charges_nothing():
