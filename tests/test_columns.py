@@ -237,14 +237,18 @@ def test_corrupt_dropped_rows_still_raise(values, data, kind):
 # -- corrupt segments ------------------------------------------------------------------
 
 BUFFER_KINDS = {"offsets": KIND_OFFSETS, "utf8": KIND_VALUES, "validity": KIND_VALIDITY}
+WIDTHS = {"offsets": 4, "utf8": 1, "validity": 1}
 
 
 def _sites(kind: str, segments, varchars) -> list:
-    """The places a corruption of ``kind`` can hit: (segment, buffer key)."""
+    """The places a corruption of ``kind`` can hit: (segment, buffer key).
+    A value corruption needs one whole value in the buffer, which an earlier
+    length corruption may have cut short."""
     if kind == "rows":
         return [(segment, None) for segment in segments]
     return [(segment, key) for segment in segments for key in sorted(segment[1])
-            if kind == "length" or (key[1] == BUFFER_KINDS[kind] and segment[1][key]
+            if kind == "length" or (key[1] == BUFFER_KINDS[kind]
+                                    and len(segment[1][key]) >= WIDTHS[kind]
                                     and (kind != "utf8" or key[0] in varchars))]
 
 
@@ -272,7 +276,7 @@ def _corrupted(draw):
             size = draw(st.integers(0, len(raw) + 9).filter(lambda n: n != len(raw)))
             buffers[key] = raw[:size] + bytes(max(size - len(raw), 0))
             continue
-        width = 4 if kind == "offsets" else 1
+        width = WIDTHS[kind]
         at = width * draw(st.integers(0, len(raw) // width - 1))
         if kind == "offsets":
             payload = len(buffers.get((key[0], KIND_VALUES), b""))
