@@ -15,16 +15,19 @@ them, and every encoder of that layout is here:
 * visibility -> LSB-first bits padded to whole u64 words
   (``visibility_words``)
 
-One reader, ``assemble``, serves device segments and NDTC files.  It checks
+One reader, ``assemble``, serves device segments and NDTC files: it is
+``decode_segment`` of each segment, then ``join_segments``.  It checks
 every buffer's length before viewing it and every row of every segment,
 but decodes only what the consumer keeps: fixed-width columns are numpy
 views gathered by its keep mask, and each varchar column is checked as a
 whole (offsets from 0, never decreasing, ending at the payload's length,
 on character boundaries; the payload UTF-8) and decoded with one
 ``bytes.decode``, each kept value being one slice of that text
-(``decode_varchar``).  ``gather_buffers`` moves kept values, offsets,
-payload bytes and validity bits between buffer sets without building a
-string, for compaction and export.
+(``decode_varchar``).  ``delta.masked_view`` calls the same two pieces and
+hands ``decode_segment`` the strings it kept from byte-equal buffers.
+``gather_buffers`` moves kept values, offsets, payload bytes and validity
+bits between buffer sets without building a string, for compaction and
+export.
 """
 
 from __future__ import annotations
@@ -268,29 +271,59 @@ def _split_segment(specs, buffers: dict, rows: int):
     return vids, data, validity
 
 
-def _split_segments(specs, segments, keep):
-    """``_split_segment`` of each of ``segments`` (none reads as one empty
-    segment), the positions each starts and ends at, and the function that
-    joins one array per segment and selects the kept positions (a lone
-    segment's array is not copied)."""
-    segments = segments or [(0, {})]
+def segment_masks(segments, keep) -> list:
+    """Each segment's slice of the keep mask (None throughout when ``keep``
+    is None); a mask of another length than the positions is a ValueError."""
     bounds = np.cumsum([0] + [rows for rows, _ in segments]).tolist()
-    if keep is not None and len(keep) != bounds[-1]:
+    if keep is None:
+        return [None] * len(segments)
+    if len(keep) != bounds[-1]:
         raise ValueError(f"keep mask has {len(keep)} entries for {bounds[-1]} positions")
-    parts = [_split_segment(specs, bufs, rows) for rows, bufs in segments]
-    take = slice(None) if keep is None else keep
-    return parts, bounds, lambda arrays: (
-        arrays[0] if len(arrays) == 1 else np.concatenate(arrays))[take]
+    return [keep[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
-def assemble(specs, segments, keep=None) -> ColumnSet:
-    """Concatenate decoded segments (list of (rows, buffers)) in order,
-    keeping the positions ``keep`` marks (all when None).
+def _joined(arrays) -> np.ndarray:
+    """One array per segment, concatenated; a lone array is not copied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
-    Every position is checked; strings are built for kept positions only.
+
+class DecodedSegment(NamedTuple):
+    """One segment as ``decode_segment`` leaves it for ``join_segments``:
+    the fixed-width, identity and validity columns viewed whole, the
+    strings of the kept rows, and the keep mask (None: every row)."""
+
+    vids: np.ndarray
+    data: dict                    # name -> values array, or [str] of the kept rows
+    validity: dict                # name -> bool array | None
+    keep: Optional[np.ndarray]
+
+
+def decode_segment(specs, rows: int, buffers: dict, keep=None, strings=None) -> DecodedSegment:
+    """Check one segment's buffers and decode the strings of the rows
+    ``keep`` marks (all when None).
+
+    Every buffer length and every position is checked, and strings are built
+    for kept rows only.  ``strings`` maps a varchar column to its kept
+    values when the caller holds them already, decoded from byte-equal
+    buffers under the same checks; such a column is not decoded again.
     """
-    parts, bounds, joined = _split_segments(specs, segments, keep)
-    vids = joined([p[0] for p in parts])
+    strings = strings or {}
+    vids, data, validity = _split_segment(specs, buffers, rows)
+    for spec in specs:
+        name = spec.name
+        if spec.ftype.code == TC_VARCHAR:
+            data[name] = (strings[name] if name in strings
+                          else decode_varchar(*data[name], name, keep))
+    return DecodedSegment(vids, data, validity, keep)
+
+
+def join_segments(specs, parts) -> ColumnSet:
+    """The kept rows of decoded segments, concatenated in order (none reads
+    as one empty segment); either every segment has a mask or none has.
+    Without masks a lone segment's arrays are not copied; every string list
+    is a new one."""
+    parts = parts or [decode_segment(specs, 0, {})]
+    take = slice(None) if parts[0].keep is None else _joined([p.keep for p in parts])
     data: dict = {}
     validity: dict = {}
     for spec in specs:
@@ -299,13 +332,26 @@ def assemble(specs, segments, keep=None) -> ColumnSet:
             continue
         if spec.ftype.code == TC_VARCHAR:
             data[name] = []
-            for p, lo, hi in zip(parts, bounds, bounds[1:]):
-                data[name] += decode_varchar(*p[1][name], name,
-                                             None if keep is None else keep[lo:hi])
+            for p in parts:
+                data[name] += p.data[name]
         else:
-            data[name] = joined([p[1][name] for p in parts])
-        validity[name] = joined([p[2][name] for p in parts]) if spec.nullable else None
+            data[name] = _joined([p.data[name] for p in parts])[take]
+        validity[name] = (_joined([p.validity[name] for p in parts])[take]
+                          if spec.nullable else None)
+    vids = _joined([p.vids for p in parts])[take]
     return ColumnSet(specs, vids, data, validity, len(vids))
+
+
+def assemble(specs, segments, keep=None) -> ColumnSet:
+    """Concatenate decoded segments (list of (rows, buffers)) in order,
+    keeping the positions ``keep`` marks (all when None): ``decode_segment``
+    of each, then ``join_segments``.
+
+    Every position is checked; strings are built for kept positions only.
+    """
+    masks = segment_masks(segments, keep)
+    return join_segments(specs, [decode_segment(specs, rows, buffers, mask)
+                                 for (rows, buffers), mask in zip(segments, masks)])
 
 
 def gather_buffers(specs, segments, keep=None) -> dict:
@@ -315,7 +361,12 @@ def gather_buffers(specs, segments, keep=None) -> dict:
 
     Every position is checked as ``assemble`` checks it.
     """
-    parts, _, joined = _split_segments(specs, segments, keep)
+    segment_masks(segments, keep)                # checks the mask's length
+    parts = [_split_segment(specs, buffers, rows) for rows, buffers in segments or [(0, {})]]
+    take = slice(None) if keep is None else keep
+
+    def joined(arrays):
+        return _joined(arrays)[take]
 
     def column(spec):
         name = spec.name

@@ -14,20 +14,40 @@ the current rows in position order, so each held vid's new position is
 the rank of its old one among the current positions
 (``cumsum(current)[position] - 1``), and every new position is current.
 
-The read side pulls every fragment page of every run.  ``masked_view``
-decodes strings for current positions only; ``compact`` decodes none, it
-gathers the current rows' bytes into its new fragments.  Both check every
-position, outdated ones included.
+The read side pulls every fragment page of every run and checks every
+buffer's length.  ``masked_view`` views the fixed-width columns from those
+fresh bytes, but decodes a segment's strings once for the life of the
+segment: the handle keeps on the host, per segment, the varchar buffers a
+view decoded, the current mask it decoded them under and the strings of
+that mask (``DecodedStrings``).  A later view reuses them while the
+segment's varchar buffers are byte-equal to the kept ones and its mask has
+only lost positions, which holds until a compaction because a current bit
+is only ever cleared; it checks both every time.  Anything else is decoded
+and checked as ``columns.assemble`` does, for current positions only.
+``compact`` decodes nothing, it gathers the current rows' bytes into its
+new fragments and checks every position, outdated ones included; when the
+kept strings of every old segment were reusable it carries those of the
+current rows to the new segment, so the view after it decodes nothing.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain, compress
+from typing import NamedTuple
 
 import numpy as np
 
-from .columns import ColumnSet, assemble, gather_buffers
+from .columns import (
+    KIND_OFFSETS,
+    KIND_VALUES,
+    ColumnSet,
+    decode_segment,
+    gather_buffers,
+    join_segments,
+    segment_masks,
+)
 from .device import REGION_NVM, REQUESTER_COORD, REQUESTER_HOST, modeled_time
 from .engine import (
     FragmentWriter,
@@ -39,6 +59,7 @@ from .engine import (
     run_invocation,
     write_bitmap_pages,
 )
+from .layout import TC_VARCHAR
 
 
 def read_segments(handle: MaterializationHandle, requester=REQUESTER_HOST) -> list:
@@ -49,13 +70,70 @@ def read_segments(handle: MaterializationHandle, requester=REQUESTER_HOST) -> li
             for seg in handle.segments]
 
 
+class DecodedStrings(NamedTuple):
+    """What ``masked_view`` keeps of one segment on the host: the varchar
+    buffers it decoded, the segment's current mask then, and the strings of
+    that mask's positions, per varchar column."""
+
+    buffers: dict                 # (name, kind) -> the varchar values and offsets bytes
+    keep: np.ndarray              # bool per position of the segment
+    strings: dict                 # name -> [str] of keep's positions
+
+    @classmethod
+    def of(cls, specs, buffers: dict, keep: np.ndarray, strings: dict) -> "DecodedStrings":
+        names = [spec.name for spec in specs if spec.ftype.code == TC_VARCHAR]
+        return cls({(name, kind): buffers.get((name, kind), b"")
+                    for name in names for kind in (KIND_VALUES, KIND_OFFSETS)},
+                   keep.copy(), {name: strings[name] for name in names})
+
+    def under(self, buffers: dict, keep: np.ndarray):
+        """These strings narrowed to ``keep``, or None unless the segment's
+        varchar ``buffers`` are byte-equal to the decoded ones and ``keep``
+        has only lost positions."""
+        if len(keep) != len(self.keep) or (keep & ~self.keep).any():
+            return None
+        if any(buffers.get(key, b"") != raw for key, raw in self.buffers.items()):
+            return None
+        still = keep[self.keep]
+        if still.all():
+            return self
+        still = still.tolist()
+        return DecodedStrings(self.buffers, keep.copy(),
+                              {name: list(compress(values, still))
+                               for name, values in self.strings.items()})
+
+
+def _reused(handle: MaterializationHandle, segments) -> tuple:
+    """Per segment, its kept ``DecodedStrings`` under the current mask, or
+    None where they cannot be reused; and the mask slices."""
+    masks = segment_masks(segments, handle.current)
+    reused = []
+    for seg, (_rows, buffers), keep in zip(handle.segments, segments, masks):
+        kept = handle.decoded.get((seg.run, seg.pe))
+        reused.append(kept and kept.under(buffers, keep))
+    return reused, masks
+
+
 def masked_view(handle: MaterializationHandle) -> ColumnSet:
     """The rows a consumer reads: bitmap-current positions, in position order.
 
-    Every page is read and every position checked; strings are decoded for
-    current positions only.
+    Every page is read, every buffer length checked and the fixed-width
+    columns viewed from the fresh bytes.  A segment's strings are decoded
+    once for the life of the segment: while its varchar buffers stay
+    byte-equal to the ones the handle kept and its current positions only
+    shrink, the kept strings are narrowed instead; otherwise the segment is
+    decoded and checked as ``assemble`` does, for current positions only.
     """
-    return assemble(handle.specs, read_segments(handle), handle.current)
+    specs = handle.specs
+    segments = read_segments(handle)
+    reused, masks = _reused(handle, segments)
+    decoded, parts = {}, []
+    for seg, (rows, buffers), keep, kept in zip(handle.segments, segments, masks, reused):
+        part = decode_segment(specs, rows, buffers, keep, kept and kept.strings)
+        decoded[(seg.run, seg.pe)] = kept or DecodedStrings.of(specs, buffers, keep, part.data)
+        parts.append(part)
+    handle.decoded = decoded
+    return join_segments(specs, parts)
 
 
 def delta_transform(handle: MaterializationHandle, inv: NdtInvocation,
@@ -110,8 +188,10 @@ def compact(handle: MaterializationHandle) -> MaterializationHandle:
     device-internally into fresh pages and the old pages are freed.
     """
     device = handle.device
-    buffers = gather_buffers(handle.specs, read_segments(handle, REQUESTER_COORD), handle.current)
+    segments = read_segments(handle, REQUESTER_COORD)
+    buffers = gather_buffers(handle.specs, segments, handle.current)
     n_rows = int(np.count_nonzero(handle.current))
+    reused, _ = _reused(handle, segments)
     new_owner = f"{handle.owner}+c"
 
     frags = {}
@@ -125,13 +205,18 @@ def compact(handle: MaterializationHandle) -> MaterializationHandle:
     device.free_pages(handle.owner)
     handle.owner = new_owner
     handle.segments = [Segment(handle.run_count, 0, n_rows, frags)] if n_rows else []
+    handle.decoded = {}
+    if n_rows and all(reused):          # carry the strings of the current rows over
+        strings = {name: list(chain.from_iterable(kept.strings[name] for kept in reused))
+                   for name in reused[0].strings}
+        handle.decoded[(handle.run_count, 0)] = DecodedStrings.of(
+            handle.specs, buffers, np.ones(n_rows, dtype=bool), strings)
     rank = np.cumsum(handle.current, dtype=np.int64) - 1
     handle.index = handle.index._replace(positions=rank[handle.index.positions])
     handle.current = np.ones(n_rows, dtype=bool)
-    handle.bitmap_pages = []
+    handle.bitmap_pages = write_bitmap_pages(device, new_owner, [], handle.current)
     handle.column_bytes = sum(f.nbytes for f in frags.values())
     handle.run_count += 1
-    write_bitmap_pages(handle)
     expose_segments(device, handle.segments)
     return handle
 
@@ -140,3 +225,4 @@ def free_handle(handle: MaterializationHandle):
     """Release every page the materialization owns; the handle goes stale."""
     handle.device.free_pages(handle.owner)
     handle.freed = True
+    handle.decoded = {}

@@ -377,7 +377,7 @@ class Device:
             self.ledger.pe_op(requester, "read")
         if region == REGION_NVM:
             self.ledger.nvm_reads += 1
-        return bytes(buf[offset:offset + length])
+        return bytes(memoryview(buf)[offset:offset + length])
 
     def write(self, region: str, offset: int, data, requester):
         buf = self._check_range(region, offset, len(data))

@@ -544,14 +544,15 @@ class Fragment:
 
 
 def read_fragment(device: Device, frag: Fragment, requester=REQUESTER_HOST) -> bytes:
-    """Pull one fragment's bytes off its pages, in order."""
-    out = bytearray()
+    """Pull one fragment's bytes off its pages, in order: one read per page,
+    joined unless there is only one."""
+    pieces = []
     remaining = frag.nbytes
     for idx in frag.pages:
         take = min(PAGE_SIZE, remaining)
-        out += device.read(frag.region, idx * PAGE_SIZE, take, requester)
+        pieces.append(device.read(frag.region, idx * PAGE_SIZE, take, requester))
         remaining -= take
-    return bytes(out)
+    return pieces[0] if len(pieces) == 1 else b"".join(pieces)
 
 
 @dataclass
@@ -702,6 +703,11 @@ class MaterializationHandle:
     ``current`` holds one boolean per position (True = current).  Invariant:
     every current position belongs to exactly one held vid, so the sorted
     ``index.positions`` equal ``np.flatnonzero(current)``.
+
+    ``decoded`` is host memory, not device state: what ``delta.masked_view``
+    keeps per segment, keyed by (run, PE), so that a later view or a
+    compaction reuses the strings of a segment whose varchar bytes have not
+    changed (``delta.DecodedStrings``).
     """
 
     owner: str
@@ -717,6 +723,7 @@ class MaterializationHandle:
     column_bytes: int = 0
     run_count: int = 0
     freed: bool = False
+    decoded: dict = field(default_factory=dict)
 
     @property
     def snapshot_ts(self) -> int:
@@ -744,18 +751,21 @@ class MaterializationHandle:
             raise ValueError("refresh projection must match the materialization")
 
 
-def write_bitmap_pages(handle: MaterializationHandle):
-    """Persist ``current`` beside the fragments as ``visibility_words`` (charged writes)."""
-    device = handle.device
-    data = visibility_words(handle.current)
+def write_bitmap_pages(device: Device, owner: str, pages: list, current: np.ndarray) -> list:
+    """Persist ``current`` beside the fragments as ``visibility_words``
+    (charged writes) over ``pages``, plus the pages it lacks, taken for
+    ``owner``; returns the pages the bitmap now has."""
+    data = visibility_words(current)
     need = -(-len(data) // PAGE_SIZE)
-    while len(handle.bitmap_pages) < need:
-        [idx] = device.allocate_pages(REGION_NVM, 1, handle.owner)
-        handle.bitmap_pages.append(idx)
-        device.expose_to_host([(REGION_NVM, idx)])
+    pages = list(pages)
+    if len(pages) < need:
+        more = device.allocate_pages(REGION_NVM, need - len(pages), owner)
+        device.expose_to_host((REGION_NVM, idx) for idx in more)
+        pages += more
     for i in range(need):
         piece = data[i * PAGE_SIZE:(i + 1) * PAGE_SIZE]
-        device.write(REGION_NVM, handle.bitmap_pages[i] * PAGE_SIZE, piece, REQUESTER_COORD)
+        device.write(REGION_NVM, pages[i] * PAGE_SIZE, piece, REQUESTER_COORD)
+    return pages
 
 
 HANDLE_META_FRAGMENT_BYTES = 16     # address + size per fragment
@@ -774,19 +784,20 @@ def append_run(handle: MaterializationHandle, inv: NdtInvocation, jobs, sink,
                removed):
     """Step 3: make the transformed rows the handle's newest run.
 
-    Unused result pages are freed and the rest join the handle's
-    allocation.  The changed rows take the next positions in job order;
-    the positions held for removed and re-appended vids are masked out and
-    the index is merged with the new rows.  The bitmap is persisted, the
-    new fragments exposed and the handle metadata charged as host-bound
-    bytes.
+    Unused result pages are freed.  The changed rows take the next
+    positions in job order; the positions held for removed and re-appended
+    vids are masked out and the index is merged with the new rows.  The
+    bitmap is persisted and the new fragments exposed while every new page
+    is still the invocation's, so a failure up to there leaves the handle
+    as it was and the invocation's pages to be freed.  Then the pages join
+    the handle's allocation, the handle takes the run, and its metadata is
+    charged as host-bound bytes.
     """
     device = handle.device
     segments = sink.segments(jobs, run=handle.run_count)
     leftovers = [(inv.result_region, idx) for job in jobs for idx in job.page_queue]
     if leftovers:
         device.free_pages(inv.owner, leftovers)
-    device.adopt_pages(inv.owner, handle.owner)
 
     new = ChangedRows.concat(job.changed for job in jobs)
     gone = np.isin(handle.index.vids, np.concatenate((removed, new.vids)))
@@ -795,15 +806,17 @@ def append_run(handle: MaterializationHandle, inv: NdtInvocation, jobs, sink,
     positions = np.arange(handle.total_positions, len(current), dtype=np.int64)
     merged = IdentityIndex(*map(np.concatenate, zip(handle.index.take(~gone),
                                                      (new.vids, positions, new.rids))))
+    bitmap_pages = write_bitmap_pages(device, inv.owner, handle.bitmap_pages, current)
+    expose_segments(device, segments)
+
+    device.adopt_pages(inv.owner, handle.owner)
     handle.index = merged.take(np.argsort(merged.vids))
     handle.current = current
-
+    handle.bitmap_pages = bitmap_pages
     handle.segments.extend(segments)
     handle.snapshot = inv.descriptor
     handle.run_count += 1
     handle.column_bytes += sum(f.nbytes for s in segments for f in s.frags.values())
-    write_bitmap_pages(handle)
-    expose_segments(device, segments)
     n_frags = sum(len(seg.frags) for seg in segments)
     device.ledger.device_to_host_bytes += (
         HANDLE_META_FIXED_BYTES + HANDLE_META_FRAGMENT_BYTES * n_frags
@@ -841,14 +854,16 @@ def run_invocation(inv: NdtInvocation, device: Device, grantor=None, consumer=No
             run_jobs(jobs, inv, device, sink)
             if stream:
                 sink.finish()
+            else:
+                if handle is None:
+                    handle = MaterializationHandle(
+                        owner=inv.owner, device=device, schema=inv.schema,
+                        projection=inv.projection, specs=inv.specs, snapshot=inv.descriptor)
+                append_run(handle, inv, jobs, sink, removed)
         except BaseException:
             device.free_pages(inv.owner)
             raise
         if stream:
             device.free_pages(inv.owner)
             return sink.batches
-        if handle is None:
-            handle = MaterializationHandle(owner=inv.owner, device=device, schema=inv.schema,
-                                           projection=inv.projection, specs=inv.specs,
-                                           snapshot=inv.descriptor)
-        return append_run(handle, inv, jobs, sink, removed)
+        return handle

@@ -143,8 +143,6 @@ class WorkloadConfig:
 
 @dataclass
 class OltpReport:
-    tx_committed: int = 0
-    tx_aborted: int = 0
     versions_created: int = 0
     new_vids: int = 0
     oltp_ops: int = 0           # host-work counter delta for the run
@@ -220,8 +218,7 @@ class HostSystem:
     # -- invocation lifecycle ------------------------------------------------------
 
     def prepare_invocation(self, caller: int, projection=None, mode: str = MODE_MATERIALIZE,
-                           pe_count: int = None, estimate_scale: float = 1.0,
-                           prior_handle=None) -> NdtInvocation:
+                           pe_count: int = None, prior_handle=None) -> NdtInvocation:
         """Snapshot shared state with the call, size and reserve result space,
         and assemble the device invocation."""
         if caller not in self.store.in_flight:
@@ -255,7 +252,7 @@ class HostSystem:
             scale = 0.25 if prior_handle is not None else 1.0
             est_bytes = int(len(vid_view) * estimated_row_bytes(self.schema, projection)
                             * 1.25 * scale)
-            pages = max(pe_count, -(-int(est_bytes * estimate_scale) // PAGE_SIZE))
+            pages = max(pe_count, -(-est_bytes // PAGE_SIZE))
             region = REGION_NVM
             result_pages = self.device.allocate_pages(region, pages, owner)
             stream_pages = []
@@ -298,21 +295,19 @@ class HostSystem:
         self.store.commit_tx(caller)
 
     def transform_snapshot(self, projection=None, mode: str = MODE_MATERIALIZE,
-                           pe_count: int = None, estimate_scale: float = 1.0,
-                           consumer=None):
+                           pe_count: int = None, consumer=None):
         """Run one transformation in a reader transaction of its own."""
         with self.reader() as caller:
-            inv = self.prepare_invocation(caller, projection, mode, pe_count,
-                                          estimate_scale=estimate_scale)
+            inv = self.prepare_invocation(caller, projection, mode, pe_count)
             return inv, run_invocation(inv, self.device, self.grant_space, consumer)
 
-    def delta_refresh(self, handle, pe_count: int = None, estimate_scale: float = 1.0):
+    def delta_refresh(self, handle, pe_count: int = None):
         """Refresh a materialization to the current committed state, in a
         reader transaction of its own."""
         with self.reader() as caller:
             inv = self.prepare_invocation(caller, handle.projection, MODE_MATERIALIZE,
                                           pe_count or handle.device.cfg.pe_count,
-                                          estimate_scale=estimate_scale, prior_handle=handle)
+                                          prior_handle=handle)
             return inv, run_invocation(inv, self.device, self.grant_space, handle=handle)
 
     def merge_to_cold(self):
@@ -432,10 +427,8 @@ class WorkloadDriver:
 
         if writes and rng.random() < cfg.abort_fraction:
             store.abort_tx(t)
-            self.report.tx_aborted += 1
             return
         store.commit_tx(t)
-        self.report.tx_committed += 1
         for vid, row, deleted in writes:
             self.report.versions_created += 1
             if deleted:

@@ -1,9 +1,11 @@
 import random
+from contextlib import contextmanager
 from decimal import Decimal as D
 
 import numpy as np
 import pytest
 
+from ndtsim import host
 from ndtsim.device import Device, DeviceConfig, REGION_DDR, REGION_NVM, REGIONS
 from ndtsim.engine import MODE_MATERIALIZE, MODE_STREAM, NdtInvocation
 from ndtsim.host import HostSystem, orderline_schema
@@ -70,6 +72,17 @@ class Harness:
 
     def grantor(self, inv, count):
         return self.device.allocate_pages(inv.result_region, count, inv.owner)
+
+
+@contextmanager
+def undersized(share: float):
+    """Within the block, ``prepare_invocation`` reserves about ``share`` of
+    the result bytes it would, so an invocation must ask for space."""
+    estimate = host.estimated_row_bytes
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(host, "estimated_row_bytes",
+                      lambda schema, projection: estimate(schema, projection) * share)
+        yield
 
 
 def page_of(l2p_view, lid: int):

@@ -13,6 +13,7 @@ from ndtsim.errors import (
     StaleHandle,
 )
 from ndtsim.host import HostSystem, WorkloadConfig, WorkloadDriver
+from conftest import undersized
 
 
 def _loaded(rows=200):
@@ -74,7 +75,8 @@ def _drop_l2p(system):
 
 def _host_denied_transform(system, handle):
     system.grant_space = _deny
-    system.transform_snapshot(estimate_scale=0.01)
+    with undersized(0.01):
+        system.transform_snapshot()
 
 
 def _dangling_stream(system, handle):
@@ -85,7 +87,8 @@ def _dangling_stream(system, handle):
 def _host_denied_refresh(system, handle):
     WorkloadDriver(system, WorkloadConfig(seed=3)).run(20)
     system.grant_space = _deny
-    system.delta_refresh(handle, estimate_scale=0.01)
+    with undersized(0.01):
+        system.delta_refresh(handle)
 
 
 def _stale_refresh(system, handle):
@@ -115,13 +118,15 @@ def _merge_before_granting(system):
 
 def _merge_mid_transform(system, handle):
     _merge_before_granting(system)
-    system.transform_snapshot(estimate_scale=0.01)
+    with undersized(0.01):
+        system.transform_snapshot()
 
 
 def _merge_mid_refresh(system, handle):
     WorkloadDriver(system, WorkloadConfig(seed=3)).run(20)
     _merge_before_granting(system)
-    system.delta_refresh(handle, estimate_scale=0.01)
+    with undersized(0.01):
+        system.delta_refresh(handle)
 
 
 @pytest.mark.parametrize("call, error", [

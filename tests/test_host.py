@@ -19,7 +19,7 @@ from ndtsim.host import (
     q6_default_params,
     unix_seconds,
 )
-from conftest import random_orderline
+from conftest import random_orderline, undersized
 
 
 def _chain_signature(system):
@@ -106,7 +106,8 @@ def test_underestimation_corrected_by_suspension(system):
     system.merge_to_cold()
     _, full = system.transform_snapshot(mode=MODE_MATERIALIZE)
     before = op_total(system.device.ledger, "space_request")
-    _, half = system.transform_snapshot(mode=MODE_MATERIALIZE, estimate_scale=0.5)
+    with undersized(0.5):
+        _, half = system.transform_snapshot(mode=MODE_MATERIALIZE)
     assert op_total(system.device.ledger, "space_request") > before
     assert canonical_compare(masked_view(full).sorted_by_vid(),
                              masked_view(half).sorted_by_vid()).equal
@@ -116,7 +117,8 @@ def test_grant_bound_by_result_size():
     system = HostSystem()
     system.load_orderlines(1500, seed=9)
     system.merge_to_cold()
-    _, handle = system.transform_snapshot(mode=MODE_MATERIALIZE, estimate_scale=0.3)
+    with undersized(0.3):
+        _, handle = system.transform_snapshot(mode=MODE_MATERIALIZE)
     from ndtsim.layout import PAGE_SIZE
     owned = len(system.device.owner_pages(handle.owner)) * PAGE_SIZE
     # everything still held after completion is result plus bitmap pages,
@@ -129,7 +131,8 @@ def test_pool_exhaustion_denies_grant():
     system.load_orderlines(2000, seed=10)
     from ndtsim.errors import HostDenied
     with pytest.raises(HostDenied):
-        system.transform_snapshot(mode=MODE_MATERIALIZE, estimate_scale=0.05)
+        with undersized(0.05):
+            system.transform_snapshot(mode=MODE_MATERIALIZE)
 
 
 def test_failed_preparation_aborts_the_reader(system):
