@@ -21,10 +21,11 @@ every buffer's length before viewing it and every row of every segment,
 but decodes only what the consumer keeps: fixed-width columns are numpy
 views gathered by its keep mask, and each varchar column is checked as a
 whole (offsets from 0, never decreasing, ending at the payload's length,
-on character boundaries; the payload UTF-8) and decoded with one
-``bytes.decode``, each kept value being one slice of that text
-(``decode_varchar``).  ``delta.masked_view`` calls the same two pieces and
-hands ``decode_segment`` the strings it kept from byte-equal buffers.
+on character boundaries; the payload UTF-8) and decoded whole, with one
+UTF-8 decode of the payload with a NUL between values and one split at
+the NULs, before the kept values are picked (``decode_varchar``).
+``delta.masked_view`` calls the same two pieces and hands
+``decode_segment`` the strings it kept from byte-equal buffers.
 ``gather_buffers`` moves kept values, offsets, payload bytes and validity
 bits between buffer sets without building a string, for compaction and
 export.
@@ -34,6 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal as PyDecimal
+from itertools import chain, compress
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -205,22 +208,48 @@ def _char_offsets(payload: bytes, text: str, ends: np.ndarray, what: str) -> np.
     return chars[ends]
 
 
+def _sliced_values(payload: bytes, ends: np.ndarray, what: str) -> list:
+    """Every value of a varchar column, each one slice of the decoded
+    payload.  ``decode_varchar`` takes this path for a payload that holds a
+    NUL byte, which its split would take for a separator, and for a column
+    that fails its one decode, whose fault the checks here name."""
+    text = _utf8(payload, what)
+    chars = _char_offsets(payload, text, ends, what).tolist()
+    return [text[a:b] for a, b in zip(chars[:-1], chars[1:])]
+
+
 def decode_varchar(payload: bytes, offsets: np.ndarray, what: str, keep=None) -> list:
     """The values of one varchar column: u4 ``offsets`` (rows+1 of them) over
     a UTF-8 ``payload``; only the rows ``keep`` marks, when it is given.
 
     The whole column is checked, dropped rows included: the offsets start
     at 0, never decrease, end at the payload's length and fall on character
-    boundaries, and the payload is UTF-8; else ``CorruptDescriptor``.  The
-    payload is decoded once, and each value is one slice of that text.
+    boundaries, and the payload is UTF-8; else ``CorruptDescriptor``.  Every
+    row is decoded at once: the payload is copied with a NUL byte between
+    values, decoded as strict UTF-8 and split at the NULs.  Each value is
+    valid UTF-8 on its own exactly when the payload is and no offset splits
+    a character, so a column that fails that decode is checked again value
+    by value, which names the fault; one whose payload holds a NUL is
+    sliced value by value (``_sliced_values``).
     """
     ends = _byte_offsets(payload, offsets, what)
-    text = _utf8(payload, what)
-    chars = _char_offsets(payload, text, ends, what)
-    starts, stops = chars[:-1], chars[1:]
-    if keep is not None:
-        starts, stops = starts[keep], stops[keep]
-    return [text[a:b] for a, b in zip(starts.tolist(), stops.tolist())]
+    rows = len(ends) - 1
+    if not rows:
+        return []
+    if b"\x00" in payload:
+        values = _sliced_values(payload, ends, what)
+    else:
+        separated = np.zeros(len(payload) + rows - 1, dtype=np.uint8)
+        value_byte = np.ones(len(separated), dtype=bool)
+        value_byte[ends[1:-1] + np.arange(rows - 1)] = False      # the NULs
+        separated[value_byte] = np.frombuffer(payload, dtype=np.uint8)
+        try:
+            values = str(separated, "utf-8").split("\x00")
+        except UnicodeDecodeError:
+            values = _sliced_values(payload, ends, what)
+    if keep is None or keep.all():
+        return values
+    return list(compress(values, keep.tolist()))
 
 
 def _check_varchar(payload: bytes, offsets: np.ndarray, what: str) -> np.ndarray:
@@ -323,23 +352,21 @@ def join_segments(specs, parts) -> ColumnSet:
     Without masks a lone segment's arrays are not copied; every string list
     is a new one."""
     parts = parts or [decode_segment(specs, 0, {})]
-    take = slice(None) if parts[0].keep is None else _joined([p.keep for p in parts])
-    data: dict = {}
-    validity: dict = {}
+    vids, data, validity, keeps = zip(*parts)
+    take = slice(None) if keeps[0] is None else _joined(keeps)
+    columns: dict = {}
+    valid: dict = {}
     for spec in specs:
         name = spec.name
         if name == VID_COLUMN:
             continue
-        if spec.ftype.code == TC_VARCHAR:
-            data[name] = []
-            for p in parts:
-                data[name] += p.data[name]
-        else:
-            data[name] = _joined([p.data[name] for p in parts])[take]
-        validity[name] = (_joined([p.validity[name] for p in parts])[take]
-                          if spec.nullable else None)
-    vids = _joined([p.vids for p in parts])[take]
-    return ColumnSet(specs, vids, data, validity, len(vids))
+        column = tuple(map(itemgetter(name), data))
+        columns[name] = (list(chain.from_iterable(column)) if spec.ftype.code == TC_VARCHAR
+                         else _joined(column)[take])
+        valid[name] = (_joined(tuple(map(itemgetter(name), validity)))[take]
+                       if spec.nullable else None)
+    vids = _joined(vids)[take]
+    return ColumnSet(specs, vids, columns, valid, len(vids))
 
 
 def assemble(specs, segments, keep=None) -> ColumnSet:

@@ -185,7 +185,10 @@ def compact(handle: MaterializationHandle) -> MaterializationHandle:
     """Rewrite the materialization keeping only current rows.
 
     The one operation allowed to rewrite column bytes; everything is moved
-    device-internally into fresh pages and the old pages are freed.
+    device-internally into fresh pages and the old pages are freed.  The
+    new fragments and bitmap are written under a new owner before the
+    handle changes, so a failure up to there frees that owner's pages and
+    leaves the handle as it was.
     """
     device = handle.device
     segments = read_segments(handle, REQUESTER_COORD)
@@ -193,14 +196,21 @@ def compact(handle: MaterializationHandle) -> MaterializationHandle:
     n_rows = int(np.count_nonzero(handle.current))
     reused, _ = _reused(handle, segments)
     new_owner = f"{handle.owner}+c"
+    current = np.ones(n_rows, dtype=bool)
 
     frags = {}
-    for key, data in buffers.items():
-        writer = FragmentWriter(REGION_NVM)
-        if data:
-            pages = device.allocate_pages(REGION_NVM, writer.pages_needed(len(data)), new_owner)
-            writer.append(device, REQUESTER_COORD, data, deque(pages))
-        frags[key] = writer.fragment()
+    try:
+        for key, data in buffers.items():
+            writer = FragmentWriter(REGION_NVM)
+            if data:
+                pages = device.allocate_pages(REGION_NVM, writer.pages_needed(len(data)),
+                                              new_owner)
+                writer.append(device, REQUESTER_COORD, data, deque(pages))
+            frags[key] = writer.fragment()
+        bitmap_pages = write_bitmap_pages(device, new_owner, [], current)
+    except BaseException:
+        device.free_pages(new_owner)
+        raise
 
     device.free_pages(handle.owner)
     handle.owner = new_owner
@@ -210,11 +220,11 @@ def compact(handle: MaterializationHandle) -> MaterializationHandle:
         strings = {name: list(chain.from_iterable(kept.strings[name] for kept in reused))
                    for name in reused[0].strings}
         handle.decoded[(handle.run_count, 0)] = DecodedStrings.of(
-            handle.specs, buffers, np.ones(n_rows, dtype=bool), strings)
+            handle.specs, buffers, current, strings)
     rank = np.cumsum(handle.current, dtype=np.int64) - 1
     handle.index = handle.index._replace(positions=rank[handle.index.positions])
-    handle.current = np.ones(n_rows, dtype=bool)
-    handle.bitmap_pages = write_bitmap_pages(device, new_owner, [], handle.current)
+    handle.current = current
+    handle.bitmap_pages = bitmap_pages
     handle.column_bytes = sum(f.nbytes for f in frags.values())
     handle.run_count += 1
     expose_segments(device, handle.segments)

@@ -668,18 +668,18 @@ class StreamSink:
 
 
 def stream_segments(batches, pe_count: int) -> list:
-    """Reassemble per-PE segment buffers from pulled batches."""
-    bufs = [dict() for _ in range(pe_count)]
+    """Reassemble per-PE segment buffers from pulled batches: each
+    (PE, column, kind) buffer is its chunks, in pull order, joined once."""
+    chunks = [dict() for _ in range(pe_count)]
     for batch in batches:
         for pe, name, kind, payload in batch.chunks:
-            bufs[pe].setdefault((name, kind), bytearray()).extend(payload)
+            chunks[pe].setdefault((name, kind), []).append(payload)
     segments = []
     for pe in range(pe_count):
-        vid_buf = bufs[pe].get((VID_COLUMN, KIND_VALUES))
-        if not vid_buf:
-            continue
-        rows = len(vid_buf) // VID_DTYPE.itemsize
-        segments.append((rows, {k: bytes(v) for k, v in bufs[pe].items()}))
+        buffers = {key: b"".join(pieces) for key, pieces in chunks[pe].items()}
+        vid_buf = buffers.get((VID_COLUMN, KIND_VALUES))
+        if vid_buf:
+            segments.append((len(vid_buf) // VID_DTYPE.itemsize, buffers))
     return segments
 
 
@@ -810,7 +810,9 @@ def append_run(handle: MaterializationHandle, inv: NdtInvocation, jobs, sink,
     expose_segments(device, segments)
 
     device.adopt_pages(inv.owner, handle.owner)
-    handle.index = merged.take(np.argsort(merged.vids))
+    # merged is a few vid-sorted runs (the kept index, then each PE's rows),
+    # which the stable sort merges
+    handle.index = merged.take(np.argsort(merged.vids, kind="stable"))
     handle.current = current
     handle.bitmap_pages = bitmap_pages
     handle.segments.extend(segments)

@@ -1,11 +1,13 @@
 """Decoding device segments into column sets, and moving their bytes.
 
-The read-back decodes each varchar payload once and slices it; compaction
-and export gather bytes without building strings.  Both are pinned here to
-the per-row decoder they replaced (one ``bytes.decode`` per value, kept
-below as the reference), on random specs, segments and keep masks, and so
-is the NDTC file written from the reference and read back.  Corrupt
-segments raise only typed errors.
+The read-back decodes each varchar column with one UTF-8 decode and one
+split; compaction and export gather bytes without building strings.  Both
+are pinned here to the per-row decoder they replaced (one ``bytes.decode``
+per value, kept below as the reference), on random specs, segments and
+keep masks, and so is the NDTC file written from the reference and read
+back.  ``decode_varchar`` alone is pinned to a per-value slicing reference
+with the read-back's errors, on values with NULs and multibyte characters.
+Corrupt segments raise only typed errors.
 """
 
 import os
@@ -14,9 +16,10 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ndtsim import columns
 from ndtsim.columns import (
     KIND_OFFSETS,
     KIND_VALIDITY,
@@ -26,6 +29,7 @@ from ndtsim.columns import (
     ColumnSpec,
     assemble,
     column_buffers,
+    decode_varchar,
     gather_buffers,
     result_specs,
 )
@@ -232,6 +236,87 @@ def test_corrupt_dropped_rows_still_raise(values, data, kind):
                  lambda: assemble(specs, [(rows, buffers)])):
         with pytest.raises(CorruptDescriptor):
             call()
+
+
+# -- one varchar column, against the per-value slicing reference ----------------------
+
+
+def _reference_varchar(payload: bytes, offsets, what: str, keep=None) -> list:
+    """One varchar column decoded a slice at a time, with the checks and
+    errors of the read-back: offsets, then the payload's UTF-8, then the
+    character boundaries, for dropped rows too."""
+    ends = [int(end) for end in offsets]
+    if ends[0] != 0 or ends[-1] != len(payload) or any(b < a for a, b in zip(ends, ends[1:])):
+        raise CorruptDescriptor(f"{what}: offsets from {ends[0]} to {ends[-1]} not monotone "
+                                f"over a payload of {len(payload)}")
+    try:
+        payload.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptDescriptor(f"{what}: value is not UTF-8 ({exc})") from None
+    try:
+        values = [payload[a:b].decode("utf-8") for a, b in zip(ends, ends[1:])]
+    except UnicodeDecodeError:
+        raise CorruptDescriptor(f"{what}: an offset splits a multibyte character") from None
+    return values if keep is None else [v for v, k in zip(values, keep) if k]
+
+
+# Empty strings, NUL and characters of one to four UTF-8 bytes.
+VARCHARS = st.text(alphabet=st.one_of(st.sampled_from("a\x00é€😀"),
+                                      st.characters(codec="utf-8")), max_size=5)
+
+
+def _keeps(rows: int):
+    return st.one_of(st.none(), st.just(np.ones(rows, dtype=bool)),
+                     st.just(np.zeros(rows, dtype=bool)),
+                     st.lists(st.booleans(), min_size=rows, max_size=rows).map(
+                         lambda flags: np.array(flags, dtype=bool)))
+
+
+def _decode_spied(payload: bytes, offsets, keep) -> tuple:
+    """``decode_varchar``'s result (or ``CorruptDescriptor``), and whether
+    it went through ``columns._sliced_values``."""
+    sliced = []
+    helper = columns._sliced_values
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(columns, "_sliced_values",
+                      lambda *args: sliced.append(1) or helper(*args))
+        try:
+            got = decode_varchar(payload, np.asarray(offsets, dtype="<u4"), "s", keep)
+        except CorruptDescriptor as exc:
+            got = exc
+    return got, bool(sliced)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.one_of(st.lists(VARCHARS, max_size=2), st.lists(VARCHARS, max_size=12)),
+       data=st.data())
+@example(values=["ab", "", "c"], data=None).via("the split path")
+@example(values=["a\x00b", "é"], data=None).via("the NUL helper")
+def test_decode_varchar_matches_per_value_slicing(values, data):
+    encoded = [v.encode("utf-8") for v in values]
+    payload, offsets = b"".join(encoded), np.cumsum([0] + [len(e) for e in encoded])
+    keep = data.draw(_keeps(len(values))) if data else None
+    got, sliced = _decode_spied(payload, offsets, keep)
+    assert type(got) is list and got == _reference_varchar(payload, offsets, "s", keep)
+    assert sliced == (b"\x00" in payload)        # else one decode and one split
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(VARCHARS, min_size=2, max_size=8), data=st.data(),
+       kind=st.sampled_from(["non_utf8", "split_character", "decreasing"]))
+def test_decode_varchar_raises_as_the_reference(values, data, kind):
+    """A corrupt column raises the reference's ``CorruptDescriptor``, with
+    its message, wherever the fault sits and whichever rows are kept."""
+    row = data.draw(st.integers(0, len(values) - 2))
+    payload, offsets = _corrupt(kind, values, row)
+    keep = data.draw(_keeps(len(values)))
+    if keep is not None and data.draw(st.booleans()):
+        keep = keep.copy()
+        keep[row:row + 2] = False               # the fault sits in dropped rows
+    with pytest.raises(CorruptDescriptor) as want:
+        _reference_varchar(payload, offsets, "s", keep)
+    got, _ = _decode_spied(payload, offsets, keep)
+    assert isinstance(got, CorruptDescriptor) and str(got) == str(want.value)
 
 
 # -- corrupt segments ------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""A failure anywhere in an invocation leaves the system as it was.
+"""A failure anywhere in an invocation or a compaction leaves the system as
+it was.
 
 Every invocation passes through ``run_invocation``'s one guard, so one
 harness covers first materializations, streams and refreshes.  Each case
@@ -9,9 +10,12 @@ picked among those a twin system, built from the same seeds, makes in that
 step without a failure.  Afterwards the page pools, the reader
 transactions and a refreshed handle must be as they were, its next
 ``masked_view`` must equal a cache-free read, and the next invocation
-must succeed.
+must succeed.  The same harness injects into the reads, page allocations
+and writes of ``compact``, with the same checks, and a compaction that
+runs out of NVM for real must leave the pool and the handle as they were.
 """
 
+from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
@@ -21,10 +25,10 @@ from hypothesis import strategies as st
 
 from ndtsim import engine
 from ndtsim.columns import assemble, canonical_compare
-from ndtsim.delta import masked_view, read_segments
-from ndtsim.device import REGION_DDR, REGION_NVM
+from ndtsim.delta import compact, masked_view, read_segments
+from ndtsim.device import REGION_DDR, REGION_NVM, DeviceConfig
 from ndtsim.engine import MODE_STREAM, columns_from_batches
-from ndtsim.errors import CorruptRecord, HostDenied, PoolExhausted
+from ndtsim.errors import CorruptRecord, HostDenied, OutOfSpace, PoolExhausted
 from ndtsim.host import HostSystem, WorkloadConfig, WorkloadDriver
 from conftest import undersized
 from test_columns import _assert_identical
@@ -42,7 +46,7 @@ class Injector:
     def __init__(self, step=None, at=None, error=None):
         self.step, self.at, self.error = step, at, error
         self.current = None
-        self.calls = dict.fromkeys(STEPS, 0)
+        self.calls = Counter()
         self.raised = None
 
     def point(self, original):
@@ -78,9 +82,9 @@ def _injected(system, injector, small_reservation: bool):
             yield
 
 
-def _system(seed: int, kind: str, pe_count: int):
-    system = HostSystem()
-    shadow = system.load_orderlines(160, seed=seed)
+def _system(seed: int, kind: str, pe_count: int, rows: int = 160, device_cfg=None):
+    system = HostSystem(device_cfg)
+    shadow = system.load_orderlines(rows, seed=seed)
     system.merge_to_cold()
     driver = WorkloadDriver(system, WorkloadConfig(seed=seed), shadow)
     handle = None
@@ -148,3 +152,54 @@ def test_a_failed_invocation_restores_pools_readers_and_handle(
     assert canonical_compare(view, system.oracle_column_set(inv.descriptor)).equal
     if handle is not None:
         assert np.array_equal(np.sort(handle.index.positions), np.flatnonzero(handle.current))
+
+
+def _compactable(seed: int, pe_count: int, **setup):
+    """A system whose handle holds two runs, outdated positions and the
+    strings its last view decoded."""
+    system, handle = _system(seed, "refresh", pe_count, **setup)
+    system.delta_refresh(handle, pe_count=pe_count)
+    masked_view(handle)
+    return system, handle
+
+
+def _assert_restored(system, handle, before):
+    """The pools and the handle are as they were, and its next view equals
+    a cache-free read."""
+    assert _state(system, handle) == before
+    _assert_identical(masked_view(handle),
+                      assemble(handle.specs, read_segments(handle), handle.current))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), error=st.sampled_from(ERRORS), pe_count=st.integers(1, 4),
+       share=st.floats(0, 1, exclude_max=True))
+def test_a_failed_compaction_restores_pools_and_handle(seed, error, pe_count, share):
+    twin, twin_handle = _compactable(seed, pe_count)
+    counter = Injector()
+    with _injected(twin, counter, small_reservation=False):
+        counter.step_of("compact", compact)(twin_handle)
+    assert counter.calls["compact"], "compact makes no device call"
+
+    system, handle = _compactable(seed, pe_count)
+    before = _state(system, handle)
+    injector = Injector("compact", int(share * counter.calls["compact"]), error)
+    with _injected(system, injector, small_reservation=False):
+        with pytest.raises(error):
+            injector.step_of("compact", compact)(handle)
+    assert injector.raised in ("read", "allocate_pages", "write")
+    _assert_restored(system, handle, before)
+    compact(handle)
+    assert canonical_compare(masked_view(handle),
+                             system.oracle_column_set(handle.snapshot)).equal
+
+
+def test_a_compaction_out_of_nvm_restores_pools_and_handle():
+    """On 230 NVM pages, 2000 rows after one refresh leave fewer pages free
+    than the compacted copy needs."""
+    system, handle = _compactable(1, 8, rows=2000,
+                                  device_cfg=DeviceConfig(nvm_capacity_pages=230))
+    before = _state(system, handle)
+    with pytest.raises(OutOfSpace):
+        compact(handle)
+    _assert_restored(system, handle, before)

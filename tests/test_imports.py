@@ -14,8 +14,8 @@ The host oracle imports nothing of the device path (its strided gather
 included), and only ``engine.run_invocation`` marks an invocation in
 flight.  ``encode_record`` and ``install_version`` are one call into their
 batch forms, and only ``layout.encode_records`` packs a record header.
-The device's batch accessors and its propagation merge hold no
-comprehension.
+The device's batch accessors, its propagation merge and the read-back's
+varchar decoder and segment join hold no comprehension.
 
 The package holds only what the system runs: every function, class and
 method it defines is named somewhere in the package or in the benchmark
@@ -364,6 +364,32 @@ def comprehensions(path: Path, qualname: str) -> list:
 @pytest.mark.parametrize("qualname", BATCH_ACCESSORS)
 def test_batch_accessors_have_no_per_record_python(qualname):
     assert comprehensions(ROOT / "src" / "ndtsim" / "device.py", qualname) == []
+
+
+# The read-back decodes a varchar column with one UTF-8 decode and one split
+# and joins segments a column at a time, so its decoder holds no per-value
+# Python either.  The one exception is ``columns._sliced_values``, which
+# slices value by value the column whose payload holds a NUL byte (the split
+# would take it for a separator) and names the fault of a corrupt column.
+READBACK_DECODERS = ("decode_varchar", "decode_segment", "join_segments")
+
+
+@pytest.mark.parametrize("qualname", READBACK_DECODERS)
+def test_readback_decoders_have_no_per_value_python(qualname):
+    assert comprehensions(ROOT / "src" / "ndtsim" / "columns.py", qualname) == []
+
+
+def test_scan_finds_a_per_value_decode(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def _sliced_values(text, ends):\n"
+                     "    return [text[a:b] for a, b in zip(ends, ends[1:])]\n"
+                     "def decode_varchar(payload, ends, keep):\n"
+                     "    text = payload.decode()\n"
+                     "    return [text[a:b] for a, b, k in zip(ends, ends[1:], keep) if k]\n"
+                     "def join_segments(parts):\n"
+                     "    return sum((list(p) for p in parts), [])\n")
+    assert comprehensions(probe, "decode_varchar") == ["line 5: ListComp"]
+    assert comprehensions(probe, "join_segments") == ["line 7: GeneratorExp"]
 
 
 def test_scan_finds_every_comprehension(tmp_path):
