@@ -23,13 +23,20 @@ slot reads and header probes one NVM access per NVM-resident access).
 ``pe_read_slot`` and ``pe_probe_header`` take arrays of positions in one
 region and return arrays.  They decode page metadata (the slot count in the
 page header) without a charge, bound every slot by it and raise
-``CorruptRecord`` for a slot or slot entry that is invalid.  Regions are
-named in arrays by their code, the index into ``REGIONS``.
+``CorruptRecord`` for a slot or slot entry that is invalid.  Their range
+and slot checks are min/max reductions over the batch; the offending entry
+is located only when one fails, so the error names the first of them.
+``pe_read_records`` loads records of either region, for one PE or for a
+batch pooled over several, and charges each PE its own records.  Regions
+are named in arrays by their code, the index into ``REGIONS``.
 
 The map mirrors are the read-only arrays the walk reads: ``vid_map`` has
 one (vid, packed chain head) row per tuple, sorted by vid, and ``l2p`` is a
-``PageTable`` whose DDR rows are the delta mirror's pages.  Propagation and
-merges replace them, never write into them, so invocations share them.
+``PageTable`` whose DDR rows are the delta mirror's pages.  Beside its rows
+sorted by lid, a ``PageTable`` holds the same map indexed by lid, built
+with the table (``PageTable.of``), so resolving a page is a bound check and
+two gathers.  Propagation and merges replace the mirrors, never write into
+them, so invocations share them.
 """
 
 from __future__ import annotations
@@ -209,23 +216,52 @@ VID_ENTRY = np.dtype([("vid", np.uint64), ("head", np.uint64)])   # one row of t
 
 
 class PageTable(NamedTuple):
-    """The page map as arrays: sorted page lids, region code, page index."""
+    """The page map as arrays: sorted page lids, region code, page index,
+    and the same map indexed by lid.
+
+    The host numbers its pages densely from 1, so the lid-indexed view is
+    as long as the largest lid plus one: ``lid_regions[lid]`` and
+    ``lid_pages[lid]`` are the region code and page of ``lid``, or
+    ``UNRESOLVED`` and 0 where the lid is unmapped.  Build a table with
+    ``PageTable.of``, which derives the view; all five arrays are
+    read-only.
+    """
 
     lids: np.ndarray            # uint64, strictly increasing
     regions: np.ndarray         # uint8 region code (index into ``REGIONS``)
     pages: np.ndarray           # int64 page index in its region
+    lid_regions: np.ndarray     # uint8 region code by lid, ``UNRESOLVED`` where unmapped
+    lid_pages: np.ndarray       # int64 page index by lid, 0 where unmapped
+
+    @staticmethod
+    def of(lids: np.ndarray, regions: np.ndarray, pages: np.ndarray) -> "PageTable":
+        """The table of the sorted rows (lids, regions, pages), with its view."""
+        size = int(lids[-1]) + 1 if len(lids) else 0
+        lid_regions = np.full(size, UNRESOLVED, dtype=np.uint8)
+        lid_regions[lids] = regions
+        lid_pages = np.zeros(size, dtype=np.int64)
+        lid_pages[lids] = pages
+        return PageTable(*map(_read_only, (lids, regions, pages, lid_regions, lid_pages)))
 
     @staticmethod
     def empty() -> "PageTable":
-        return PageTable(*(_read_only(np.empty(0, dtype))
-                           for dtype in (np.uint64, np.uint8, np.int64)))
+        return PageTable.of(*(np.empty(0, dtype) for dtype in (np.uint64, np.uint8, np.int64)))
 
     def resolve(self, lids: np.ndarray):
-        """(region codes, page indexes) of ``lids``; ``UNRESOLVED`` where unmapped."""
-        if not len(self.lids):
-            return np.full(len(lids), UNRESOLVED, dtype=np.uint8), np.zeros(len(lids), np.int64)
-        at = np.minimum(np.searchsorted(self.lids, lids), len(self.lids) - 1)
-        return np.where(self.lids[at] == lids, self.regions[at], UNRESOLVED), self.pages[at]
+        """(region codes, page indexes) of the uint64 ``lids``; ``UNRESOLVED``
+        and 0 where unmapped.  A bound check, then one gather from each
+        column of the lid-indexed view."""
+        size = len(self.lid_regions)
+        if len(lids) and lids.max() < size:
+            at = lids.view(np.int64)                # every lid is below the view's length
+            return self.lid_regions[at], self.lid_pages[at]
+        inside = lids < size
+        at = lids[inside].view(np.int64)
+        codes = np.full(len(lids), UNRESOLVED, dtype=np.uint8)
+        codes[inside] = self.lid_regions[at]
+        pages = np.zeros(len(lids), dtype=np.int64)
+        pages[inside] = self.lid_pages[at]
+        return codes, pages
 
 
 def _transfer_ns(nbytes: int, gib_s: float) -> float:
@@ -398,16 +434,33 @@ class Device:
     # -- in-situ navigation accessors (modeled transfer sizes) -----------------
 
     def _check_ranges(self, region: str, offsets: np.ndarray, lengths):
-        """``_check_range`` for each of ``offsets`` with its length (or one for all)."""
+        """``_check_range`` for each of ``offsets`` with its length (or one for
+        all): min/max reductions, and the offending entry is located only on
+        failure."""
         buf = self._regions.get(region)
         if buf is None:
             raise OutOfRange(f"unknown region {region!r}")
-        lengths = np.broadcast_to(lengths, offsets.shape)
-        bad = np.flatnonzero((offsets < 0) | (lengths < 0) | (offsets + lengths > len(buf)))
-        if len(bad):
-            first, size = int(offsets[bad[0]]), int(lengths[bad[0]])
-            raise OutOfRange(f"{region}[{first}:{first + size}] outside {len(buf)} bytes")
+        ends = offsets + lengths
+        if (offsets.min(initial=0) < 0 or np.min(lengths, initial=0) < 0
+                or ends.max(initial=0) > len(buf)):
+            k = np.flatnonzero((offsets < 0) | (lengths < 0) | (ends > len(buf)))[0]
+            raise OutOfRange(f"{region}[{offsets[k]}:{ends[k]}] outside {len(buf)} bytes")
         return buf
+
+    def _check_records(self, pe, regions: np.ndarray, offsets: np.ndarray,
+                       lengths: np.ndarray):
+        """``_check_ranges`` for records in either region.  On failure the
+        ``OutOfRange`` names the bad record that loading each PE's records in
+        turn (PE by PE, each region by region) would meet first."""
+        limits = np.array([len(self._regions[name]) for name in REGIONS])[regions]
+        ends = offsets + lengths
+        if (offsets.min(initial=0) >= 0 and lengths.min(initial=0) >= 0
+                and (limits - ends).min(initial=0) >= 0):
+            return
+        bad = np.flatnonzero((offsets < 0) | (lengths < 0) | (ends > limits))
+        k = bad[np.lexsort((regions[bad], np.broadcast_to(pe, len(regions))[bad]))[0]]
+        raise OutOfRange(f"{REGIONS[regions[k]]}[{offsets[k]}:{ends[k]}] outside "
+                         f"{limits[k]} bytes")
 
     def _charge_navigation(self, pe: int, op: str, nbytes: int, count: int, region=None):
         self.ledger.device_internal_bytes_read += nbytes * count
@@ -430,19 +483,18 @@ class Device:
         """
         buf = self._check_ranges(region, page_bases, PAGE_SIZE)
         self._charge_navigation(pe, "slot", SLOT_READ_BYTES, len(slots), region)
-        counts = gather_words(buf, "<u2", page_bases + SLOT_COUNT_OFFSET)
-        bad = np.flatnonzero((slots >= counts) | (slots >= MAX_SLOTS))
-        if len(bad):
-            k = bad[0]
+        counts = gather_words(buf, "<u2", page_bases + SLOT_COUNT_OFFSET).astype(np.int64)
+        if slots.max(initial=0) >= MAX_SLOTS or (counts - slots).min(initial=1) <= 0:
+            k = np.flatnonzero((slots >= counts) | (slots >= MAX_SLOTS))[0]
             raise CorruptRecord(f"slot {slots[k]} of page at {page_bases[k]} is past its "
                                 f"{counts[k]} slots")
         entries = gather_words(buf, "<u4", page_bases + PAGE_SIZE - SLOT_ENTRY_SIZE * (slots + 1))
         offsets = (entries & 0xFFFF).astype(np.int64)
         lengths = (entries >> 16).astype(np.int64)
-        area_ends = PAGE_SIZE - SLOT_ENTRY_SIZE * counts.astype(np.int64)
-        bad = np.flatnonzero((offsets < PAGE_HEADER_SIZE) | (offsets + lengths > area_ends))
-        if len(bad):
-            k = bad[0]
+        area_ends = PAGE_SIZE - SLOT_ENTRY_SIZE * counts
+        if (offsets.min(initial=PAGE_HEADER_SIZE) < PAGE_HEADER_SIZE
+                or (area_ends - offsets - lengths).min(initial=0) < 0):
+            k = np.flatnonzero((offsets < PAGE_HEADER_SIZE) | (offsets + lengths > area_ends))[0]
             raise CorruptRecord(f"slot {slots[k]} of page at {page_bases[k]} points outside "
                                 f"the record area: [{offsets[k]}, {offsets[k] + lengths[k]})")
         return offsets, lengths
@@ -455,9 +507,12 @@ class Device:
                 gather_words(buf, "<u8", record_offsets + PRED_OFFSET),
                 gather_words(buf, "u1", record_offsets + FLAGS_OFFSET))
 
-    def pe_read_records(self, pe: int, regions: np.ndarray, offsets: np.ndarray,
+    def pe_read_records(self, pe, regions: np.ndarray, offsets: np.ndarray,
                         lengths: np.ndarray):
-        """Load a PE's records in one batch; returns (u8 array, record starts).
+        """Load records in one batch; returns (u8 array, record starts).
+
+        ``pe`` is the one PE that loads them all, or an array holding the
+        loading PE of each record (a batch pooled over several PEs).
 
         Record k is bytes [offsets[k], offsets[k] + lengths[k]) of region
         ``REGIONS[regions[k]]``.  It comes in a fixed-width window: with
@@ -478,10 +533,13 @@ class Device:
         (``gather_words`` with a void word of the window's size).  When the
         whole batch lies in one region, the gathered windows are returned
         as they are, not copied again.
-        Ranges are checked like ``read``, and the ledger is charged what one
-        ``read`` plus one record load per record charges: the record bytes
-        (not the window bytes), and one NVM access per NVM-resident record.
+        Ranges are checked like ``read`` before anything is loaded or
+        charged (``_check_records``).  Each PE is charged what one ``read``
+        of its records plus one record load per record charges: the record
+        bytes (not the window bytes), and one NVM access per NVM-resident
+        record.
         """
+        self._check_records(pe, regions, offsets, lengths)
         n = len(lengths)
         width = int(lengths.max(initial=0))
         windows = np.empty((n, width), dtype=np.uint8)
@@ -491,7 +549,7 @@ class Device:
                 continue
             rows = slice(None) if count == n else np.flatnonzero(regions == code)
             at = offsets[rows]
-            buf = self._check_ranges(REGIONS[code], at, lengths[rows])
+            buf = self._regions[REGIONS[code]]
             if REGIONS[code] == REGION_NVM:
                 self.ledger.nvm_reads += count
             size = min(width, len(buf))
@@ -506,8 +564,10 @@ class Device:
         if n:
             self.ledger.device_internal_bytes_read += int(lengths.sum())
             self.ledger.records_processed += n
-            self.ledger.pe_op(pe, "read", n)
-            self.ledger.pe_op(pe, "record_load", n)
+            counts = np.bincount(np.broadcast_to(pe, n))
+            for one in np.flatnonzero(counts).tolist():
+                self.ledger.pe_op(one, "read", int(counts[one]))
+                self.ledger.pe_op(one, "record_load", int(counts[one]))
         starts = np.arange(n + 1, dtype=np.int64) * width
         starts[:n] += shift
         return windows.reshape(-1), starts
@@ -525,7 +585,7 @@ class Device:
         lids = np.fromiter(placements, dtype=np.uint64, count=len(pages))
         placed = (lids, np.full(len(pages), REGIONS.index(REGION_DDR), dtype=np.uint8),
                   np.array(pages, dtype=np.int64))
-        self.l2p = PageTable(*_replaced(self.l2p.lids, self.l2p, lids, lids, placed))
+        self.l2p = PageTable.of(*_replaced(self.l2p.lids, self.l2p[:3], lids, lids, placed))
         vids, heads = snapshot.vids, snapshot.heads
         live = heads != RID_NONE
         new = np.empty(np.count_nonzero(live), VID_ENTRY)
@@ -575,7 +635,7 @@ class Device:
         regions = np.full_like(l2p.regions, REGIONS.index(REGION_NVM))   # no DDR row is left
         pages = l2p.pages.copy()
         pages[delta] = [idx for _region, idx in relocations.values()]
-        self.l2p = PageTable(l2p.lids, _read_only(regions), _read_only(pages))
+        self.l2p = PageTable.of(l2p.lids, regions, pages)
         return relocations
 
     def freeze_views(self):

@@ -10,9 +10,11 @@ picked among those a twin system, built from the same seeds, makes in that
 step without a failure.  Afterwards the page pools, the reader
 transactions and a refreshed handle must be as they were, its next
 ``masked_view`` must equal a cache-free read, and the next invocation
-must succeed.  The same harness injects into the reads, page allocations
-and writes of ``compact``, with the same checks, and a compaction that
-runs out of NVM for real must leave the pool and the handle as they were.
+must succeed.  A refresh of eight PEs whose one pooled record load
+raises is checked the same way.  The same harness injects into the reads,
+page allocations and writes of ``compact``, with the same checks, and a
+compaction that runs out of NVM for real must leave the pool and the
+handle as they were.
 """
 
 from collections import Counter
@@ -152,6 +154,37 @@ def test_a_failed_invocation_restores_pools_readers_and_handle(
     assert canonical_compare(view, system.oracle_column_set(inv.descriptor)).equal
     if handle is not None:
         assert np.array_equal(np.sort(handle.index.positions), np.flatnonzero(handle.current))
+
+
+@pytest.mark.parametrize("error", ERRORS)
+def test_a_failed_pooled_load_of_eight_pes_restores_the_refresh(error):
+    """A refresh extracts the changed rows of all eight PEs in one batch, so
+    its transform makes one ``pe_read_records`` call, for every PE, before
+    any other device call; here that call raises."""
+    twin, twin_handle = _system(5, "refresh", 8)
+    loads = []
+    load = twin.device.pe_read_records
+
+    def counted(pe, *args):
+        loads.append(np.unique(pe).tolist())
+        return load(pe, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(twin.device, "pe_read_records", counted)
+        _invoke(twin, twin_handle, "refresh", 8)
+    assert loads == [list(range(8))]
+
+    system, handle = _system(5, "refresh", 8)
+    before = _state(system, handle)
+    injector = Injector("run_jobs", 0, error)
+    with _injected(system, injector, small_reservation=False):
+        with pytest.raises(error):
+            _invoke(system, handle, "refresh", 8)
+    assert injector.raised == "pe_read_records"
+    _assert_restored(system, handle, before)
+    inv, view = _invoke(system, handle, "refresh", 8)
+    assert canonical_compare(view, system.oracle_column_set(inv.descriptor)).equal
+    assert np.array_equal(np.sort(handle.index.positions), np.flatnonzero(handle.current))
 
 
 def _compactable(seed: int, pe_count: int, **setup):

@@ -14,8 +14,9 @@ The host oracle imports nothing of the device path (its strided gather
 included), and only ``engine.run_invocation`` marks an invocation in
 flight.  ``encode_record`` and ``install_version`` are one call into their
 batch forms, and only ``layout.encode_records`` packs a record header.
-The device's batch accessors, its propagation merge and the read-back's
-varchar decoder and segment join hold no comprehension.
+The device's batch accessors, page-table lookup and propagation merge,
+the engine's extraction and flush planning, and the read-back's varchar
+decoder and segment join hold no comprehension.
 
 The package holds only what the system runs: every function, class and
 method it defines is named somewhere in the package or in the benchmark
@@ -345,12 +346,15 @@ def test_scan_finds_a_second_record_packer(tmp_path):
     assert delegated_calls(probe, "Fast.encode") is None
 
 
-# The device's batch accessors serve a PE's whole batch, and its propagation
-# merge a snapshot's whole vid-map delta, with array operations, so
-# per-record Python (a comprehension over the batch) must not creep back into
-# them.
-BATCH_ACCESSORS = ("Device.pe_read_slot", "Device.pe_probe_header", "Device.pe_read_records",
-                   "Device.apply_propagation")
+# The device's batch accessors and its page-table lookup serve a PE's whole
+# batch, its propagation merge a snapshot's whole vid-map delta, and the
+# engine's extraction and flush planning a batch of PEs' changed rows, with
+# array operations, so per-record Python (a comprehension over the batch)
+# must not creep back into them.
+BATCH_ACCESSORS = (("device", "Device.pe_read_slot"), ("device", "Device.pe_probe_header"),
+                   ("device", "Device.pe_read_records"), ("device", "Device.apply_propagation"),
+                   ("device", "PageTable.resolve"), ("engine", "transform_record"),
+                   ("engine", "plan_flushes"))
 COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
@@ -361,9 +365,10 @@ def comprehensions(path: Path, qualname: str) -> list:
             if isinstance(node, COMPREHENSIONS)]
 
 
-@pytest.mark.parametrize("qualname", BATCH_ACCESSORS)
-def test_batch_accessors_have_no_per_record_python(qualname):
-    assert comprehensions(ROOT / "src" / "ndtsim" / "device.py", qualname) == []
+@pytest.mark.parametrize("module, qualname", BATCH_ACCESSORS,
+                         ids=[qualname for _module, qualname in BATCH_ACCESSORS])
+def test_batch_accessors_have_no_per_record_python(module, qualname):
+    assert comprehensions(ROOT / "src" / "ndtsim" / f"{module}.py", qualname) == []
 
 
 # The read-back decodes a varchar column with one UTF-8 decode and one split
@@ -403,6 +408,23 @@ def test_scan_finds_every_comprehension(tmp_path):
                      "        return [r for r in rows]\n")
     assert comprehensions(probe, "Device.pe_read_records") == [
         "line 3: ListComp", "line 4: DictComp", "line 4: SetComp", "line 4: GeneratorExp"]
+
+
+def test_scan_finds_a_per_record_lookup_or_plan(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("class PageTable:\n"
+                     "    def resolve(self, lids):\n"
+                     "        return [self.lid_regions[lid] for lid in lids]\n"
+                     "def transform_record(batch):\n"
+                     "    for job in batch.jobs:\n"
+                     "        plan_flushes(job)\n"
+                     "def plan_flushes(job):\n"
+                     "    flushes = []\n"
+                     "    flushes.extend((row, job.pe) for row in job.rows)\n"
+                     "    return flushes\n")
+    assert comprehensions(probe, "PageTable.resolve") == ["line 3: ListComp"]
+    assert comprehensions(probe, "transform_record") == []
+    assert comprehensions(probe, "plan_flushes") == ["line 9: GeneratorExp"]
 
 
 # What the package defines, the system runs.  A definition counts as run when

@@ -7,14 +7,30 @@ page lid the host was told about must resolve to the placement of the
 last acknowledgement and hold that page's image, and no row may be in DDR
 after a merge.  Views frozen at earlier steps must not have changed and
 must not be writeable.
+
+The page table's lid-indexed view resolves every lid as a ``searchsorted``
+over its sorted rows would, and a walk over a head whose page is unmapped
+raises ``DanglingReference``.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ndtsim.device import REGION_DDR, REGIONS, UNRESOLVED, VID_ENTRY, Device, DeviceConfig
-from ndtsim.layout import PAGE_SIZE, RecordID, pack_rid
+from ndtsim.device import (
+    REGION_DDR,
+    REGIONS,
+    UNRESOLVED,
+    VID_ENTRY,
+    Device,
+    DeviceConfig,
+    PageTable,
+)
+from ndtsim.engine import pe_visibility_check
+from ndtsim.errors import DanglingReference
+from ndtsim.layout import PAGE_SIZE, Int32, RecordID, Schema, pack_rid
 from ndtsim.shared_state import SharedStateSnapshot
+from conftest import Harness
 
 RIDS = st.builds(RecordID, st.integers(1, 1 << 30), st.integers(0, 400))
 PROPAGATION = st.tuples(st.integers(0, 3),
@@ -75,3 +91,66 @@ def test_mirrors_match_a_dict_model(steps):
             for view, value in zip(views, values):
                 assert not view.flags.writeable
                 assert np.array_equal(view, value)
+
+
+def _searchsorted_resolve(table: PageTable, lids: np.ndarray):
+    """(region codes, page indexes) of ``lids`` by a ``searchsorted`` over the
+    table's sorted rows; ``UNRESOLVED`` and 0 where unmapped."""
+    if not len(table.lids):
+        return np.full(len(lids), UNRESOLVED, dtype=np.uint8), np.zeros(len(lids), np.int64)
+    at = np.minimum(np.searchsorted(table.lids, lids), len(table.lids) - 1)
+    mapped = table.lids[at] == lids
+    return (np.where(mapped, table.regions[at], UNRESOLVED).astype(np.uint8),
+            np.where(mapped, table.pages[at], 0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sets(st.integers(1, 300), max_size=40),
+       st.lists(st.integers(0, 400) | st.integers(0, 2**64 - 1), max_size=30),
+       st.integers(0, 2**32))
+@example(set(), [0, 1, 2**64 - 1], 0)
+def test_the_lid_view_resolves_as_a_searchsorted(lids, probes, seed):
+    rng = np.random.default_rng(seed)
+    lids = np.array(sorted(lids), dtype=np.uint64)
+    table = PageTable.of(lids, rng.integers(0, len(REGIONS), len(lids)).astype(np.uint8),
+                         rng.integers(0, 1 << 20, len(lids)))
+    # lid 0, the largest, past the largest, every gap below it, and the probes
+    top = int(lids[-1]) if len(lids) else 0
+    query = np.array([0, top, top + 1, *range(top), *probes], dtype=np.uint64)
+    for part in (query, query[query <= top], query[:0]):
+        codes, pages = table.resolve(part)
+        want_codes, want_pages = _searchsorted_resolve(table, part)
+        assert codes.dtype == np.uint8 and pages.dtype == np.int64
+        assert codes.tolist() == want_codes.tolist()
+        assert pages.tolist() == want_pages.tolist()
+    assert len(table.lid_regions) == len(table.lid_pages) == (top + 1 if len(lids) else 0)
+    for array in table:
+        assert not array.flags.writeable
+
+
+def test_the_empty_table_resolves_nothing():
+    table = PageTable.empty()
+    codes, pages = table.resolve(np.array([0, 1, 2**63], dtype=np.uint64))
+    assert codes.tolist() == [UNRESOLVED] * 3 and pages.tolist() == [0] * 3
+    assert all(not array.flags.writeable for array in table)
+
+
+@pytest.mark.parametrize("where", ["gap", "zero", "past"])
+def test_a_walk_over_an_unmapped_head_raises(where):
+    """The first tuple's head points at a lid the frozen table does not map:
+    one dropped from between mapped lids, lid 0, or one past the largest."""
+    h = Harness(Schema("t", [("a", Int32(), False)]), capacity=PAGE_SIZE)
+    h.install_rows({vid: (vid,) for vid in range(1, 3000)})
+    inv = h.prepare()
+    l2p = inv.l2p_view
+    assert len(l2p.lids) >= 3
+    vids, heads = inv.vid_view["vid"], inv.vid_view["head"].copy()
+    if where == "gap":
+        lid = int(l2p.lids[1])
+        keep = l2p.lids != lid
+        l2p = PageTable.of(l2p.lids[keep], l2p.regions[keep], l2p.pages[keep])
+        heads[0] = pack_rid(RecordID(lid, 0))
+    else:
+        heads[0] = pack_rid(RecordID(0 if where == "zero" else int(l2p.lids[-1]) + 1, 0))
+    with pytest.raises(DanglingReference, match=f"vid {vids[0]}:"):
+        pe_visibility_check(h.device, 0, vids, heads, inv.descriptor, l2p)
