@@ -4,8 +4,11 @@ A software stand-in for a computational storage drive: an array of
 processing elements with private scratchpads, two memory regions (DDR and
 NVM, the latter with configurable extra latency), a page pool whose space
 is managed by the host, and a transfer ledger that accounts every byte
-moved.  Modeled time is derived purely from ledger counters and the
-configured rates, so identical call sequences always cost the same.
+moved.  The ledger changes only through ``TransferLedger.charge``, and
+each charge names the requester whose movement it is: a PE index,
+``REQUESTER_COORD`` (the coordinator) or ``REQUESTER_HOST``.  Modeled time
+is derived purely from ledger counters and the configured rates, so
+identical call sequences always cost the same.
 
 Byte movement comes in two flavors:
 
@@ -151,33 +154,52 @@ _COUNTERS = (
 
 
 class TransferLedger:
-    """Byte- and operation-granular movement accounting."""
+    """Byte- and operation-granular movement accounting.  ``charge`` is the
+    only writer, and each charge names its requester: a PE index,
+    ``REQUESTER_COORD`` or ``REQUESTER_HOST``."""
 
     __slots__ = _COUNTERS + ("pe_ops",)
 
     def __init__(self):
         for name in _COUNTERS:
             setattr(self, name, 0)
-        self.pe_ops: dict = {}       # pe index -> {op name: count}
+        self.pe_ops: dict = {}       # requester -> {op name: count}
 
-    def pe_op(self, pe: int, op: str, n: int = 1):
+    def charge(self, requester, op=None, count: int = 1, *, device_internal_bytes_read=0,
+               device_internal_bytes_written=0, device_to_host_bytes=0,
+               host_to_device_bytes=0, nvm_reads=0, nvm_writes=0, host_roundtrips=0,
+               records_processed=0):
+        """Add one move of ``requester`` to the counters its keywords name; ``op``,
+        one operation or a tuple of them, adds ``count`` of each to its ``pe_ops``."""
+        self.device_internal_bytes_read += device_internal_bytes_read
+        self.device_internal_bytes_written += device_internal_bytes_written
+        self.device_to_host_bytes += device_to_host_bytes
+        self.host_to_device_bytes += host_to_device_bytes
+        self.nvm_reads += nvm_reads
+        self.nvm_writes += nvm_writes
+        self.host_roundtrips += host_roundtrips
+        self.records_processed += records_processed
+        if type(op) is str:
+            self.pe_op(requester, op, count)
+        elif op is not None:
+            for name in op:
+                self.pe_op(requester, name, count)
+
+    def pe_op(self, pe, op: str, n: int = 1):
         ops = self.pe_ops.setdefault(pe, {})
         ops[op] = ops.get(op, 0) + n
 
     def snapshot(self) -> dict:
-        snap = {name: getattr(self, name) for name in _COUNTERS}
-        snap["pe_ops"] = {pe: dict(ops) for pe, ops in self.pe_ops.items()}
-        return snap
+        return {**self.counters(), "pe_ops": {pe: dict(ops) for pe, ops in self.pe_ops.items()}}
 
     def delta_since(self, snap: dict) -> dict:
         delta = {name: getattr(self, name) - snap[name] for name in _COUNTERS}
-        pe_delta: dict = {}
+        delta["pe_ops"] = {}
         for pe, ops in self.pe_ops.items():
             before = snap["pe_ops"].get(pe, {})
             d = {op: n - before.get(op, 0) for op, n in ops.items() if n != before.get(op, 0)}
             if d:
-                pe_delta[pe] = d
-        delta["pe_ops"] = pe_delta
+                delta["pe_ops"][pe] = d
         return delta
 
     def counters(self) -> dict:
@@ -405,25 +427,22 @@ class Device:
     def read(self, region: str, offset: int, length: int, requester) -> bytes:
         """Read bytes; requester ``REQUESTER_HOST`` moves them over the host link."""
         buf = self._check_range(region, offset, length)
+        nvm = 1 if region == REGION_NVM else 0
         if requester == REQUESTER_HOST:
             self._check_host_access(region, offset, length)
-            self.ledger.device_to_host_bytes += length
+            self.ledger.charge(requester, device_to_host_bytes=length, nvm_reads=nvm)
         else:
-            self.ledger.device_internal_bytes_read += length
-            self.ledger.pe_op(requester, "read")
-        if region == REGION_NVM:
-            self.ledger.nvm_reads += 1
+            self.ledger.charge(requester, "read", device_internal_bytes_read=length, nvm_reads=nvm)
         return bytes(memoryview(buf)[offset:offset + length])
 
     def write(self, region: str, offset: int, data, requester):
         buf = self._check_range(region, offset, len(data))
+        nvm = 1 if region == REGION_NVM else 0
         if requester == REQUESTER_HOST:
-            self.ledger.host_to_device_bytes += len(data)
+            self.ledger.charge(requester, host_to_device_bytes=len(data), nvm_writes=nvm)
         else:
-            self.ledger.device_internal_bytes_written += len(data)
-            self.ledger.pe_op(requester, "write")
-        if region == REGION_NVM:
-            self.ledger.nvm_writes += 1
+            self.ledger.charge(requester, "write", device_internal_bytes_written=len(data),
+                               nvm_writes=nvm)
         buf[offset:offset + len(data)] = data
 
     def peek(self, region: str, offset: int, length: int) -> memoryview:
@@ -463,10 +482,8 @@ class Device:
                          f"{limits[k]} bytes")
 
     def _charge_navigation(self, pe: int, op: str, nbytes: int, count: int, region=None):
-        self.ledger.device_internal_bytes_read += nbytes * count
-        self.ledger.pe_op(pe, op, count)
-        if region == REGION_NVM:
-            self.ledger.nvm_reads += count
+        self.ledger.charge(pe, op, count, device_internal_bytes_read=nbytes * count,
+                           nvm_reads=count if region == REGION_NVM else 0)
 
     def pe_read_vid_entry(self, pe: int, count: int):
         self._charge_navigation(pe, "vid_entry", VID_ENTRY_BYTES, count)
@@ -550,8 +567,6 @@ class Device:
             rows = slice(None) if count == n else np.flatnonzero(regions == code)
             at = offsets[rows]
             buf = self._regions[REGIONS[code]]
-            if REGIONS[code] == REGION_NVM:
-                self.ledger.nvm_reads += count
             size = min(width, len(buf))
             first = np.minimum(at, len(buf) - size)     # a window ends by the region's end
             shift[rows] = at - first
@@ -561,13 +576,14 @@ class Device:
                 windows = gathered
             else:
                 windows[rows, :size] = gathered
-        if n:
-            self.ledger.device_internal_bytes_read += int(lengths.sum())
-            self.ledger.records_processed += n
-            counts = np.bincount(np.broadcast_to(pe, n))
-            for one in np.flatnonzero(counts).tolist():
-                self.ledger.pe_op(one, "read", int(counts[one]))
-                self.ledger.pe_op(one, "record_load", int(counts[one]))
+        pes = np.broadcast_to(pe, n)
+        counts = np.bincount(pes)
+        nbytes = np.bincount(pes, weights=lengths)
+        nvm = np.bincount(pes, weights=regions == REGIONS.index(REGION_NVM))
+        for one in np.flatnonzero(counts).tolist():
+            self.ledger.charge(one, ("read", "record_load"), int(counts[one]),
+                               device_internal_bytes_read=int(nbytes[one]),
+                               nvm_reads=int(nvm[one]), records_processed=int(counts[one]))
         starts = np.arange(n + 1, dtype=np.int64) * width
         starts[:n] += shift
         return windows.reshape(-1), starts
@@ -581,7 +597,6 @@ class Device:
         for (lid, image), idx in zip(snapshot.pages, pages):
             self._regions[REGION_DDR][idx * PAGE_SIZE:(idx + 1) * PAGE_SIZE] = image
             placements[lid] = (REGION_DDR, idx)
-        self.ledger.host_to_device_bytes += PAGE_SIZE * len(pages)
         lids = np.fromiter(placements, dtype=np.uint64, count=len(pages))
         placed = (lids, np.full(len(pages), REGIONS.index(REGION_DDR), dtype=np.uint8),
                   np.array(pages, dtype=np.int64))
@@ -593,12 +608,10 @@ class Device:
         new["head"] = heads[live]
         [self.vid_map] = _replaced(self.vid_map["vid"], [self.vid_map], vids,
                                    new["vid"], [new])
-        self.ledger.host_to_device_bytes += PROP_VID_ENTRY_BYTES * len(vids)
-        self.ledger.host_to_device_bytes += PROP_L2P_ENTRY_BYTES * len(pages)
-        self.ledger.host_to_device_bytes += PROP_FIXED_BYTES
-        if snapshot.in_flight is not None:
-            self.ledger.host_to_device_bytes += PROP_TX_ENTRY_BYTES * (len(snapshot.in_flight) + 1)
-        self.ledger.host_roundtrips += 1
+        in_flight = 0 if snapshot.in_flight is None else len(snapshot.in_flight) + 1
+        self.ledger.charge(REQUESTER_HOST, host_roundtrips=1, host_to_device_bytes=(
+            (PAGE_SIZE + PROP_L2P_ENTRY_BYTES) * len(pages) + PROP_VID_ENTRY_BYTES * len(vids)
+            + PROP_FIXED_BYTES + PROP_TX_ENTRY_BYTES * in_flight))
         return placements
 
     @contextmanager
@@ -627,9 +640,8 @@ class Device:
             [nidx] = self.allocate_pages(REGION_NVM, 1, "cold")
             base, nbase = idx * PAGE_SIZE, nidx * PAGE_SIZE
             self._regions[REGION_NVM][nbase:nbase + PAGE_SIZE] = ddr[base:base + PAGE_SIZE]
-            self.ledger.device_internal_bytes_read += PAGE_SIZE
-            self.ledger.device_internal_bytes_written += PAGE_SIZE
-            self.ledger.nvm_writes += 1
+            self.ledger.charge(REQUESTER_COORD, device_internal_bytes_read=PAGE_SIZE,
+                               device_internal_bytes_written=PAGE_SIZE, nvm_writes=1)
             self.free_pages("shared-state", [(REGION_DDR, idx)])
             relocations[lid] = (REGION_NVM, nidx)
         regions = np.full_like(l2p.regions, REGIONS.index(REGION_NVM))   # no DDR row is left

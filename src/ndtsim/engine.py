@@ -210,7 +210,9 @@ class ChangedRows(NamedTuple):
 
     @staticmethod
     def concat(parts) -> "ChangedRows":
-        return ChangedRows(*map(np.concatenate, zip(*parts)))
+        """The rows of ``parts`` in order; a lone part is returned as it is."""
+        parts = list(parts)
+        return parts[0] if len(parts) == 1 else ChangedRows(*map(np.concatenate, zip(*parts)))
 
 
 class IdentityIndex(NamedTuple):
@@ -397,7 +399,7 @@ def _payload_flushes(payload: np.ndarray, sizes: np.ndarray, cap: int):
 
 def flush_partition(job: PeJob, device: Device, sink, key, data: bytes):
     """Spill one planned partition flush to its destination."""
-    device.ledger.pe_op(job.pe, "flush")
+    device.ledger.charge(job.pe, "flush")
     sink.emit(job, key, data)
 
 
@@ -406,7 +408,7 @@ class TransformBatch(NamedTuple):
 
     jobs: list
     rows: ChangedRows           # the jobs' changed rows, job after job
-    pes: object                 # the PE of a one-job batch, else an int64 PE per row
+    pes: np.ndarray             # int64 loading PE per row
     bounds: list                # job k's rows are rows[bounds[k]:bounds[k + 1]]
 
 
@@ -436,12 +438,9 @@ def transform_batches(jobs) -> list:
     batches = []
     for group in groups:
         counts = [job.rows for job in group]
-        if len(group) == 1:                 # the job's own rows, loaded by its PE
-            rows, pes = group[0].changed, group[0].pe
-        else:
-            rows = ChangedRows.concat([job.changed for job in group])
-            pes = np.repeat([job.pe for job in group], counts)
-        batches.append(TransformBatch(group, rows, pes, np.cumsum([0] + counts).tolist()))
+        batches.append(TransformBatch(group, ChangedRows.concat([job.changed for job in group]),
+                                      np.repeat([job.pe for job in group], counts),
+                                      np.cumsum([0] + counts).tolist()))
     return batches
 
 
@@ -570,8 +569,8 @@ def walk(jobs, inv: NdtInvocation, device: Device, held: IdentityIndex, probe: b
         removed.append(job.vids[~visible & (old != _NOTHING)])
         visible &= found.rids != old
         if probe and len(job.vids):
-            device.ledger.device_internal_bytes_read += INDEX_PROBE_BYTES * len(job.vids)
-            device.ledger.pe_op(job.pe, "index_probe", len(job.vids))
+            device.ledger.charge(job.pe, "index_probe", len(job.vids),
+                                 device_internal_bytes_read=INDEX_PROBE_BYTES * len(job.vids))
         job.changed = found.take(visible)
     return np.concatenate(removed)
 
@@ -579,8 +578,7 @@ def walk(jobs, inv: NdtInvocation, device: Device, held: IdentityIndex, probe: b
 def suspend_for_space(inv: NdtInvocation, device: Device, grantor, job: PeJob, count: int):
     """Host round-trip for ``count`` more result pages of ``job``; a denial
     raises ``HostDenied``."""
-    device.ledger.host_roundtrips += 1
-    device.ledger.pe_op(job.pe, "space_request")
+    device.ledger.charge(job.pe, "space_request", host_roundtrips=1)
     if grantor is None:
         raise HostDenied(f"no space grantor for invocation {inv.owner}")
     try:
@@ -691,16 +689,10 @@ class MaterializeSink:
         writer.append(self.device, job.pe, data, job.page_queue)
 
     def segments(self, jobs, run: int) -> list:
-        out = []
-        for job in jobs:
-            if job.rows == 0:
-                continue
-            frags = {}
-            for (pe, key), writer in self.writers.items():
-                if pe == job.pe:
-                    frags[key] = writer.fragment()
-            out.append(Segment(run, job.pe, job.rows, frags))
-        return out
+        """One segment per job with rows: the fragments of its PE's writers."""
+        return [Segment(run, job.pe, job.rows, {key: writer.fragment() for (pe, key), writer
+                                                in self.writers.items() if pe == job.pe})
+                for job in jobs if job.rows]
 
 
 @dataclass
@@ -879,11 +871,8 @@ HANDLE_META_FIXED_BYTES = 32
 
 
 def expose_segments(device: Device, segments):
-    pages = []
-    for seg in segments:
-        for frag in seg.frags.values():
-            pages.extend((frag.region, idx) for idx in frag.pages)
-    device.expose_to_host(pages)
+    device.expose_to_host((frag.region, idx) for seg in segments
+                          for frag in seg.frags.values() for idx in frag.pages)
 
 
 def append_run(handle: MaterializationHandle, inv: NdtInvocation, jobs, sink,
@@ -926,9 +915,8 @@ def append_run(handle: MaterializationHandle, inv: NdtInvocation, jobs, sink,
     handle.run_count += 1
     handle.column_bytes += sum(f.nbytes for s in segments for f in s.frags.values())
     n_frags = sum(len(seg.frags) for seg in segments)
-    device.ledger.device_to_host_bytes += (
-        HANDLE_META_FIXED_BYTES + HANDLE_META_FRAGMENT_BYTES * n_frags
-    )
+    device.ledger.charge(REQUESTER_COORD, device_to_host_bytes=(
+        HANDLE_META_FIXED_BYTES + HANDLE_META_FRAGMENT_BYTES * n_frags))
     return handle
 
 

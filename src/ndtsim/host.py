@@ -25,7 +25,7 @@ from decimal import Decimal as PyDecimal
 import numpy as np
 
 from .columns import ColumnSet, result_specs
-from .device import Device, DeviceConfig, REGION_DDR, REGION_NVM
+from .device import Device, DeviceConfig, REGION_DDR, REGION_NVM, REQUESTER_HOST
 from .engine import (
     MODE_MATERIALIZE,
     MODE_STREAM,
@@ -240,8 +240,8 @@ class HostSystem:
         self._inv_seq += 1
         owner = f"inv-{self._inv_seq}"
         # invocation command: context + schema/projection descriptor
-        self.device.ledger.host_to_device_bytes += 64 + sum(len(n) for n in projection)
-        self.device.ledger.host_roundtrips += 1
+        self.device.ledger.charge(REQUESTER_HOST, host_roundtrips=1, host_to_device_bytes=(
+            64 + sum(len(n) for n in projection)))
 
         if mode == MODE_STREAM:
             count = cfg.stream_buffer_count * (cfg.stream_buffer_bytes // PAGE_SIZE)

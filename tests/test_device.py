@@ -11,6 +11,10 @@ from ndtsim.device import (
     GIB,
     REGION_DDR,
     REGION_NVM,
+    REGIONS,
+    REQUESTER_COORD,
+    REQUESTER_HOST,
+    TransferLedger,
     ledger_csv_rows,
     modeled_time,
 )
@@ -218,3 +222,54 @@ def test_batch_accessors_charge_each_access_and_release_the_regions():
     assert failure.value is not None
     for region in (REGION_DDR, REGION_NVM):
         dev.allocate_pages(region, 2, "grow")
+
+
+def test_a_charge_adds_ops_only_when_it_names_them():
+    ledger = TransferLedger()
+    ledger.charge(REQUESTER_HOST, host_to_device_bytes=100, host_roundtrips=1)
+    ledger.charge(REQUESTER_COORD, device_to_host_bytes=48)
+    ledger.charge(3, nvm_writes=1)
+    assert ledger.pe_ops == {}
+    ledger.charge(3, "flush")
+    ledger.charge(3, ("read", "record_load"), 2, device_internal_bytes_read=40, nvm_reads=2,
+                  records_processed=2)
+    assert ledger.pe_ops == {3: {"flush": 1, "read": 2, "record_load": 2}}
+    assert ledger.counters() == {
+        "device_internal_bytes_read": 40, "device_internal_bytes_written": 0,
+        "device_to_host_bytes": 48, "host_to_device_bytes": 100, "nvm_reads": 2,
+        "nvm_writes": 1, "host_roundtrips": 1, "records_processed": 2}
+
+
+def test_a_charge_naming_an_unknown_counter_raises_and_changes_nothing():
+    ledger = TransferLedger()
+    ledger.charge(0, "read", device_internal_bytes_read=8, nvm_reads=1)
+    before = ledger.snapshot()
+    with pytest.raises(TypeError):
+        ledger.charge(0, "read", device_internal_bytes_read=8, nvm_read=1)
+    with pytest.raises(TypeError):
+        ledger.charge(REQUESTER_HOST, host_bytes=8)
+    assert ledger.snapshot() == before
+
+
+def test_a_pooled_load_charges_what_each_pe_loading_its_own_records_charges():
+    """Records of PEs 2 and 5 in both regions: one pooled load against one
+    load per PE, on two devices of the same regions."""
+    ddr, nvm = REGIONS.index(REGION_DDR), REGIONS.index(REGION_NVM)
+    records = [(2, ddr, 0, 10), (5, nvm, 16, 20), (2, nvm, 40, 30), (5, ddr, 64, 12),
+               (2, nvm, 100, 8), (5, nvm, 200, 40)]
+    pes, regions, offsets, lengths = map(np.array, zip(*records))
+    pooled, alone = Device(DeviceConfig()), Device(DeviceConfig())
+    for dev in (pooled, alone):
+        for region in (REGION_DDR, REGION_NVM):
+            dev.allocate_pages(region, 1, "x")
+    pooled.pe_read_records(pes, regions, offsets, lengths)
+    for pe in (2, 5):
+        mine = pes == pe
+        alone.pe_read_records(pe, regions[mine], offsets[mine], lengths[mine])
+    assert pooled.ledger.snapshot() == alone.ledger.snapshot()
+    assert pooled.ledger.pe_ops == {2: {"read": 3, "record_load": 3},
+                                    5: {"read": 3, "record_load": 3}}
+    counters = pooled.ledger.counters()
+    assert (counters["device_internal_bytes_read"], counters["nvm_reads"],
+            counters["records_processed"]) == (120, 4, 6)
+    assert all(type(value) is int for value in counters.values())

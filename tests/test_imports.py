@@ -18,6 +18,10 @@ The device's batch accessors, page-table lookup and propagation merge,
 the engine's extraction and flush planning, and the read-back's varchar
 decoder and segment join hold no comprehension.
 
+The transfer ledger changes only through ``TransferLedger.charge``: no
+package code outside class ``TransferLedger`` stores to a counter or to
+``pe_ops``, and none outside ``charge`` calls ``pe_op``.
+
 The package holds only what the system runs: every function, class and
 method it defines is named somewhere in the package or in the benchmark
 (``perfbench/*.py``, whose traced targets count), not only in the tests.
@@ -28,6 +32,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+from ndtsim.device import TransferLedger
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "ndtsim").glob("*.py"))
@@ -425,6 +431,79 @@ def test_scan_finds_a_per_record_lookup_or_plan(tmp_path):
     assert comprehensions(probe, "PageTable.resolve") == ["line 3: ListComp"]
     assert comprehensions(probe, "transform_record") == []
     assert comprehensions(probe, "plan_flushes") == ["line 9: GeneratorExp"]
+
+
+# One writer of the ledger.  A store is an assignment, an augmented
+# assignment or a deletion whose target is a counter or ``pe_ops`` attribute,
+# or an item of one (``ledger.pe_ops[pe] = ...``).  Tests stay free to set
+# counters; only the package is scanned.
+LEDGER_FIELDS = frozenset(TransferLedger().counters()) | {"pe_ops"}
+LEDGER_CLASS = "device.TransferLedger"
+LEDGER_WRITER = "device.TransferLedger.charge"
+
+
+def _stored_field(node):
+    """The ledger field a store to ``node`` changes, or None."""
+    if not isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del)):
+        return None
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return node.attr if isinstance(node, ast.Attribute) and node.attr in LEDGER_FIELDS else None
+
+
+def ledger_writes(path: Path) -> list:
+    """The ledger changes in ``path`` that bypass ``charge``, by scope and
+    line: a store to a ledger field outside ``LEDGER_CLASS`` and a call of
+    ``pe_op`` outside ``LEDGER_WRITER``."""
+    found = []
+
+    def scan(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scan(child, f"{scope}.{child.name}")
+                continue
+            name = _stored_field(child)
+            if name and scope != LEDGER_CLASS and not scope.startswith(LEDGER_CLASS + "."):
+                found.append(f"{scope} line {child.lineno}: {name}")
+            if (isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "pe_op"
+                    and scope != LEDGER_WRITER):
+                found.append(f"{scope} line {child.lineno}: pe_op()")
+            scan(child, scope)
+
+    scan(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_the_ledger_changes_only_through_charge():
+    assert [write for path in PACKAGE for write in ledger_writes(path)] == []
+
+
+def test_scan_finds_a_ledger_write_that_bypasses_charge(tmp_path):
+    probe = tmp_path / "device.py"
+    probe.write_text("class TransferLedger:\n"
+                     "    def __init__(self):\n"
+                     "        self.nvm_reads = 0\n"
+                     "        self.pe_ops = {}\n"
+                     "    def charge(self, pe, op, nvm_reads=0):\n"
+                     "        self.nvm_reads += nvm_reads\n"
+                     "        self.pe_op(pe, op)\n"
+                     "    def reset(self):\n"
+                     "        self.pe_op(0, 'read')\n"
+                     "class Device:\n"
+                     "    def read(self, x):\n"
+                     "        x.ledger.nvm_reads += 1\n"
+                     "        x.ledger.pe_op(0, 'read')\n"
+                     "        x.ledger.pe_ops[0]['read'] = 1\n"
+                     "        x.ledger.records_processed, y = 1, 2\n"
+                     "        del x.ledger.pe_ops[0]\n"
+                     "        x.ledger.charge(0, 'read', nvm_reads=1)\n"
+                     "        return x.ledger.nvm_reads + len(x.ledger.pe_ops)\n"
+                     "ledger.host_roundtrips = 0\n")
+    assert ledger_writes(probe) == [
+        "device.TransferLedger.reset line 9: pe_op()",
+        "device.Device.read line 12: nvm_reads", "device.Device.read line 13: pe_op()",
+        "device.Device.read line 14: pe_ops", "device.Device.read line 15: records_processed",
+        "device.Device.read line 16: pe_ops", "device line 19: host_roundtrips"]
 
 
 # What the package defines, the system runs.  A definition counts as run when
