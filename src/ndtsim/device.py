@@ -577,9 +577,10 @@ class Device:
             else:
                 windows[rows, :size] = gathered
         pes = np.broadcast_to(pe, n)
-        counts = np.bincount(pes)
         nbytes = np.bincount(pes, weights=lengths)
-        nvm = np.bincount(pes, weights=regions == REGIONS.index(REGION_NVM))
+        loads = np.bincount(pes * len(REGIONS) + regions,
+                            minlength=len(nbytes) * len(REGIONS)).reshape(-1, len(REGIONS))
+        counts, nvm = loads.sum(axis=1), loads[:, REGIONS.index(REGION_NVM)]
         for one in np.flatnonzero(counts).tolist():
             self.ledger.charge(one, ("read", "record_load"), int(counts[one]),
                                device_internal_bytes_read=int(nbytes[one]),

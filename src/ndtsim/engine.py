@@ -14,12 +14,21 @@ refresh of an existing materialization -- runs one pipeline:
    their headers, one region at a time, and moves the versions that are
    not visible to their predecessors, until every tuple has a visible
    version or nothing.  Each PE is charged
-   exactly what walking its tuples one by one would charge.  The visible
-   versions are compared with the rids the target handle's identity index
-   holds (one ``searchsorted``).  A first materialization or a stream
-   passes an empty index, so every visible tuple counts as changed; a
-   refresh also charges an 8-byte index probe per tuple and collects the
-   held tuples that are no longer visible.
+   exactly what walking its tuples one by one would charge.  The rids the
+   target handle's identity index holds (one ``searchsorted``) go into the
+   walk: a tuple whose head is the held rid is *settled* after its page is
+   resolved, without a slot read or a header probe, because it is
+   unchanged.  The held version was visible at the handle's snapshot, so
+   its creator had committed; it is still the head, so nothing newer
+   exists (lids are never reused, and an abort rolls a head back to the
+   version it replaced).  A writer in flight at either snapshot is the
+   head itself, so its tuple is walked.  The visible versions are then
+   compared with the held rids.  A first materialization or a stream
+   passes an empty index, so nothing is settled and every visible tuple
+   counts as changed; a refresh also charges an 8-byte index probe per
+   tuple and collects the held tuples that are no longer visible.  As a
+   refresh does not read a settled tuple's slot or header, corruption
+   there is found by the next full materialization or host read.
 2. **Transform.**  On a first run a changed tuple stays on the PE that
    walked it; on a refresh the changed list, in PE-major walk order, is
    dealt round-robin again.  Consecutive PEs then pool their changed
@@ -274,7 +283,7 @@ _NOTHING = np.uint64(RID_NONE)
 
 
 def pe_visibility_check(device: Device, pe: int, vids: np.ndarray, heads: np.ndarray,
-                        snap: SnapshotDescriptor, l2p: PageTable):
+                        snap: SnapshotDescriptor, l2p: PageTable, held: np.ndarray = None):
     """In-situ visibility for one PE: walk its chains new-to-old over page bytes.
 
     A frontier walk: each step takes every tuple not yet resolved, resolves
@@ -285,10 +294,19 @@ def pe_visibility_check(device: Device, pe: int, vids: np.ndarray, heads: np.nda
     ``pred``.  Creation timestamps must strictly decrease along a chain, so
     a cycle fails within one lap.
 
+    ``held`` is, per tuple, the rid a refreshed handle holds (``RID_NONE``
+    where it holds none; None, as for a first materialization, holds
+    nothing).  A tuple whose head is its held rid is settled in the first
+    step: its page is resolved, so an unmapped page still raises
+    ``DanglingReference``, but its slot and header are not read, and it
+    resolves to the head (see the module docstring for why it is
+    unchanged).  Its region code is the page's, its offset and length 0.
+
     Charges the modeled transfers (8B map entry per tuple, then 4B address
-    resolution + 4B slot + 4B header probe per visited version) and returns
-    (packed rid, region code, record offset, record length) arrays, one
-    entry per tuple; the rid is ``RID_NONE`` where nothing is visible.
+    resolution per visited version, and 4B slot + 4B header probe per
+    visited version that is not settled) and returns (packed rid, region
+    code, record offset, record length) arrays, one entry per tuple; the
+    rid is ``RID_NONE`` where nothing is visible.
     """
     n = len(vids)
     rids = np.full(n, _NOTHING)
@@ -304,13 +322,22 @@ def pe_visibility_check(device: Device, pe: int, vids: np.ndarray, heads: np.nda
     packed = heads[live]
     newer_ts = None                                     # create_ts each entry was reached from
     while len(live):
-        m = len(live)
-        device.pe_read_l2p(pe, m)
+        device.pe_read_l2p(pe, len(live))
         region, page = l2p.resolve(packed >> np.uint64(16))
         if region.max() == UNRESOLVED:
             k = np.flatnonzero(region == UNRESOLVED)[0]
             raise DanglingReference(f"vid {vids[live[k]]}: page {packed[k] >> np.uint64(16)} "
                                     "unresolvable on device")
+        if newer_ts is None and held is not None:       # the heads: settle the held ones
+            settled = packed == held[live]
+            if settled.any():
+                at = live[settled]
+                rids[at], regions[at] = packed[settled], region[settled]
+                walked = ~settled
+                live, packed, region, page = (a[walked] for a in (live, packed, region, page))
+                if not len(live):
+                    break
+        m = len(live)
         base = page * PAGE_SIZE
         slot = (packed & np.uint64(0xFFFF)).astype(np.int64)
         counts = np.bincount(region, minlength=len(REGIONS)).tolist()
@@ -555,17 +582,21 @@ INDEX_PROBE_BYTES = 8               # handle identity-index lookup per walked tu
 def walk(jobs, inv: NdtInvocation, device: Device, held: IdentityIndex, probe: bool):
     """Step 1: visibility walk of every tuple, PE by PE in scheduled order.
 
-    ``held`` is the identity index of the target handle.  Visible versions
-    that differ from the held ones become the walking job's ``changed``
-    rows; held tuples with nothing visible are returned as removed, one
-    ``uint64`` array in walk order.  ``probe`` charges the index lookup.
+    ``held`` is the identity index of the target handle.  Its rids go into
+    ``pe_visibility_check``, which settles the tuples whose head is the
+    held rid without reading their slots or headers, so a refresh walks
+    only the tuples whose head moved.  Visible versions that differ from
+    the held ones become the walking job's ``changed`` rows; held tuples
+    with nothing visible are returned as removed, one ``uint64`` array in
+    walk order.  ``probe`` charges the index lookup (8 bytes per tuple,
+    settled or not).
     """
     removed = []
     for job in jobs:
-        found = ChangedRows(job.vids, *pe_visibility_check(
-            device, job.pe, job.vids, job.heads, inv.descriptor, inv.l2p_view))
-        visible = found.rids != _NOTHING
         old = held.rids_of(job.vids)
+        found = ChangedRows(job.vids, *pe_visibility_check(
+            device, job.pe, job.vids, job.heads, inv.descriptor, inv.l2p_view, old))
+        visible = found.rids != _NOTHING
         removed.append(job.vids[~visible & (old != _NOTHING)])
         visible &= found.rids != old
         if probe and len(job.vids):

@@ -4,6 +4,8 @@ Exit codes: 0 ok, 1 configuration error, 2 runtime error, 3 verification
 failure.  A configuration error must be raised before the table is loaded.
 """
 
+import re
+
 import pytest
 
 from ndtsim import cli
@@ -120,3 +122,11 @@ def test_failed_refresh_aborts_its_reader(monkeypatch, capsys):
     assert "refresh failed" in capsys.readouterr().err
     [system] = systems
     assert system.store.in_flight == set()
+
+
+def test_a_small_refresh_is_modeled_at_a_small_share_of_a_full_one(capsys):
+    """The refresh walks only the tuples whose head moved, so at sf 3 a 1%
+    refresh is modeled below a tenth of a 100% one."""
+    assert cli.main(["delta", "--sf", "3", "--delta-fractions", "1,100"]) == 0
+    modeled = dict(re.findall(r"(\d+)%: appended .* modeled ([\d.]+) ms", capsys.readouterr().out))
+    assert float(modeled["1"]) < 0.1 * float(modeled["100"])

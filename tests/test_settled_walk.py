@@ -1,0 +1,254 @@
+"""Differential test of the settled walk against the full walk.
+
+A refresh settles a tuple without walking its chain when the tuple's head
+in the frozen map is the version the handle holds: the page is resolved,
+but no slot is read and no header probed.  The full walk is
+``pe_visibility_check`` without held rids, the path a first
+materialization takes.  Twin systems built from the same seed run the same
+history; one refreshes with the settled walk, the other with the full walk.
+
+Histories hold committed updates, deletes, inserts and re-inserts after a
+tombstone; aborted writes, whose heads roll back to the version they
+replaced; an older writer aborted under a newer committed version, which
+unlinks it by patching the newer record's ``pred``; writers in flight at
+one refresh and ended before the next, or in flight at both; and merges of
+the delta pages to cold NVM between refreshes, so settled tuples sit in
+DDR and in NVM.  After every refresh both twins must have walked out the
+same changed rows and removed vids and hold the same handle, the view must
+equal the oracle's, and the full walk must have charged exactly one slot
+read and one header probe more per settled tuple (two NVM reads per
+settled cold tuple) and nothing else.
+"""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ndtsim import engine
+from ndtsim.columns import canonical_compare
+from ndtsim.delta import compact, masked_view
+from ndtsim.device import REGION_NVM, REGIONS, DeviceConfig
+from ndtsim.host import HostSystem
+from ndtsim.layout import RID_NONE
+from ndtsim.mvcc import TOMBSTONE
+
+OPS = ("update", "delete", "insert", "reinsert", "abort", "abort_under")
+NVM = REGIONS.index(REGION_NVM)
+CFG = DeviceConfig(ddr_capacity_pages=512, nvm_capacity_pages=2048)
+SETTLED_WALK = engine.pe_visibility_check
+
+
+def full_walk(device, pe, vids, heads, snap, l2p, held=None):
+    """``pe_visibility_check`` without held rids: every chain is walked."""
+    return SETTLED_WALK(device, pe, vids, heads, snap, l2p)
+
+
+def counting_walk(settled: dict):
+    """``pe_visibility_check`` that adds, per PE, the tuples whose head is the
+    held rid and those of them in NVM to ``settled`` (pe -> [tuples, in NVM])."""
+    def call(device, pe, vids, heads, snap, l2p, held=None):
+        if held is not None:
+            hit = (heads == held) & (heads != RID_NONE)
+            region, _ = l2p.resolve(heads[hit] >> np.uint64(16))
+            counts = settled.setdefault(pe, [0, 0])
+            counts[0] += int(hit.sum())
+            counts[1] += int((region == NVM).sum())
+        return SETTLED_WALK(device, pe, vids, heads, snap, l2p, held)
+    return call
+
+
+def assert_moved(full, skipping, settled: dict):
+    """The full walk's ledger holds one slot read and one header probe more per
+    settled tuple, so 8 bytes, and two NVM reads per settled cold tuple; every
+    other counter and op is the same."""
+    moved = {name: 0 for name in full.counters()}
+    moved.update(device_internal_bytes_read=8 * sum(k for k, _ in settled.values()),
+                 nvm_reads=2 * sum(nvm for _, nvm in settled.values()))
+    assert {name: full.counters()[name] - value
+            for name, value in skipping.counters().items()} == moved
+    assert full.pe_ops.keys() == skipping.pe_ops.keys()
+    for pe, ops in full.pe_ops.items():
+        skip = settled.get(pe, [0])[0]
+        assert skipping.pe_ops[pe].keys() <= ops.keys()
+        assert {op: n - skipping.pe_ops[pe].get(op, 0) for op, n in ops.items()} == \
+            {op: skip if op in ("slot", "probe") else 0 for op in ops}
+
+
+class Twins:
+    """Two systems from one seed that see the same history: ``settled``
+    refreshes as the engine does, ``full`` walks every chain."""
+
+    def __init__(self, seed: int, rows: int, pe_count: int):
+        self.rng = random.Random(seed)
+        self.settled, self.full = HostSystem(CFG), HostSystem(CFG)
+        self.values = self.settled.load_orderlines(rows, seed=seed)
+        assert self.full.load_orderlines(rows, seed=seed) == self.values
+        self.live, self.deleted = sorted(self.values), []
+        self.writers = []                       # [refreshes left to live, txids, commit?]
+        self.moved = {}                         # pe -> [settled tuples, settled in NVM]
+        self.walked = []                        # (removed, [changed rows per job]) per twin
+        self.handles = [system.transform_snapshot(pe_count=pe_count)[1]
+                        for system in self.systems]
+
+    @property
+    def systems(self):
+        return self.settled, self.full
+
+    # -- history -------------------------------------------------------------
+
+    def _row(self, vid):
+        row = self.values[vid]
+        return row[:6] + (self.rng.randint(1, 10),) + row[7:]
+
+    def _begin(self, vids, rows):
+        txids = []
+        for system in self.systems:
+            t = system.store.begin_tx()
+            system.store.install_versions(t, vids, rows)
+            txids.append(t)
+        return txids
+
+    def _end(self, txids, commit: bool):
+        for system, t in zip(self.systems, txids):
+            (system.store.commit_tx if commit else system.store.abort_tx)(t)
+
+    def _new_vid(self):
+        vid = self.settled.new_vid()
+        assert self.full.new_vid() == vid
+        return vid
+
+    def _pick(self, pool, count):
+        return self.rng.sample(pool, min(count, len(pool)))
+
+    def apply(self, op: str, count: int):
+        """One committed or aborted transaction of kind ``op``."""
+        if op == "update" or op == "abort":
+            vids = self._pick(self.live, count)
+            rows = [self._row(vid) for vid in vids]
+            self._end(self._begin(vids, rows), commit=op == "update")
+        elif op == "delete":
+            vids = self._pick(self.live, count)
+            self._end(self._begin(vids, [TOMBSTONE] * len(vids)), commit=True)
+            self.live = [vid for vid in self.live if vid not in vids]
+            self.deleted += vids
+        elif op == "reinsert":
+            vids = self._pick(self.deleted, count)
+            self._end(self._begin(vids, [self._row(vid) for vid in vids]), commit=True)
+            self.deleted = [vid for vid in self.deleted if vid not in vids]
+            self.live += vids
+        elif op == "insert":
+            template = self.values[self.rng.choice(sorted(self.values))]
+            vids = [self._new_vid() for _ in range(count)]
+            self.values.update((vid, template) for vid in vids)
+            self._end(self._begin(vids, [template] * count), commit=True)
+            self.live += vids
+        else:                                   # an older writer aborted under a newer one
+            vids = self._pick(self.live, count)
+            older = self._begin(vids, [self._row(vid) for vid in vids])
+            newer = self._begin(vids, [self._row(vid) for vid in vids])
+            self._end(older, commit=False)
+            self._end(newer, commit=self.rng.random() < 0.5)
+
+    def leave_in_flight(self, refreshes: int, commit: bool):
+        """A writer that updates, deletes and inserts, and ends after ``refreshes``
+        more refreshes."""
+        vids = self._pick(self.live, 4)
+        rows = [TOMBSTONE] + [self._row(vid) for vid in vids[1:]] if vids else []
+        vid = self._new_vid()
+        self.values[vid] = self.values[self.rng.choice(sorted(self.values))]
+        self.writers.append([refreshes, self._begin(vids + [vid], rows + [self.values[vid]]),
+                             commit])
+
+    def merge_to_cold(self):
+        for system in self.systems:
+            system.merge_to_cold()
+
+    def compact(self):
+        for handle in self.handles:
+            compact(handle)
+
+    # -- refresh and checks ---------------------------------------------------
+
+    def _recording(self, walk):
+        def call(jobs, inv, device, held, probe):
+            removed = walk(jobs, inv, device, held, probe)
+            self.walked.append((removed, [job.changed for job in jobs]))
+            return removed
+        return call
+
+    def refresh(self, pe_count: int):
+        self.walked = []
+        for system, handle, check in zip(self.systems, self.handles,
+                                         (counting_walk(self.moved), full_walk)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(engine, "walk", self._recording(engine.walk))
+                patch.setattr(engine, "pe_visibility_check", check)
+                system.delta_refresh(handle, pe_count=pe_count)
+        for writer in self.writers:
+            writer[0] -= 1
+            if not writer[0]:
+                self._end(writer[1], writer[2])
+        self.writers = [writer for writer in self.writers if writer[0]]
+        self.check()
+
+    def check(self):
+        (removed, changed), (full_removed, full_changed) = self.walked
+        assert np.array_equal(removed, full_removed)
+        assert len(changed) == len(full_changed)
+        for rows, full_rows in zip(changed, full_changed):
+            for column, full_column in zip(rows, full_rows):
+                assert np.array_equal(column, full_column)
+
+        settled, full = self.handles
+        assert settled.snapshot == full.snapshot
+        assert settled.column_bytes == full.column_bytes
+        assert np.array_equal(settled.current, full.current)
+        for column, full_column in zip(settled.index, full.index):
+            assert np.array_equal(column, full_column)
+        view = masked_view(settled).sorted_by_vid()
+        same = canonical_compare(view, masked_view(full).sorted_by_vid())
+        assert same.equal, same.reason
+        expected = self.settled.oracle_column_set(settled.snapshot, settled.projection)
+        same = canonical_compare(view, expected.sorted_by_vid())
+        assert same.equal, same.reason
+        assert_moved(self.full.device.ledger, self.settled.device.ledger, self.moved)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), data=st.data())
+def test_settled_walk_equals_full_walk(seed, data):
+    twins = Twins(seed, data.draw(st.integers(20, 120)), data.draw(st.integers(1, 4)))
+    for _ in range(data.draw(st.integers(1, 5))):
+        for op in data.draw(st.lists(st.sampled_from(OPS), max_size=5)):
+            twins.apply(op, data.draw(st.integers(1, 6)))
+        if data.draw(st.booleans()):
+            twins.merge_to_cold()
+        life = data.draw(st.integers(0, 2))
+        if life:
+            twins.leave_in_flight(life, commit=data.draw(st.booleans()))
+        twins.refresh(data.draw(st.integers(1, 4)))
+        if data.draw(st.integers(0, 3)) == 0:
+            twins.compact()
+
+
+def test_a_fixed_history_settles_in_both_regions():
+    """Every kind of step at least once; settled tuples in DDR and in NVM."""
+    twins = Twins(seed=7, rows=200, pe_count=4)
+    for op in OPS:
+        twins.apply(op, 5)
+    twins.leave_in_flight(2, commit=True)          # in flight at two refreshes
+    twins.refresh(3)
+    for op in ("abort_under", "update", "reinsert"):
+        twins.apply(op, 5)
+    twins.leave_in_flight(1, commit=False)         # in flight at the new snapshot only
+    twins.merge_to_cold()
+    twins.refresh(4)                                # the first writer ends after it
+    twins.compact()
+    twins.apply("delete", 5)
+    twins.refresh(2)                                # the second writer was in flight at the old
+    settled = sum(count for count, _ in twins.moved.values())
+    cold = sum(nvm for _, nvm in twins.moved.values())
+    assert 0 < cold < settled, "settled tuples in NVM and in DDR"
