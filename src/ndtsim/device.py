@@ -29,8 +29,9 @@ page header) without a charge, bound every slot by it and raise
 ``CorruptRecord`` for a slot or slot entry that is invalid.  Their range
 and slot checks are min/max reductions over the batch; the offending entry
 is located only when one fails, so the error names the first of them.
-``pe_read_records`` loads records of either region, for one PE or for a
-batch pooled over several, and charges each PE its own records.  Regions
+``pe_read_records`` loads records of either region in place, for one PE or
+for a batch pooled over several: it checks their ranges, charges each PE
+its own records and hands back the region buffers, copying nothing.  Regions
 are named in arrays by their code, the index into ``REGIONS``.
 
 The map mirrors are the read-only arrays the walk reads: ``vid_map`` has
@@ -60,11 +61,9 @@ from .errors import (
     OutOfSpace,
 )
 from .layout import (
-    CREATE_TS_OFFSET,
-    FLAGS_OFFSET,
+    HEADER_WORDS,
     PAGE_HEADER_SIZE,
     PAGE_SIZE,
-    PRED_OFFSET,
     RECORD_HEADER_FIXED,
     RID_NONE,
     SLOT_COUNT_OFFSET,
@@ -468,14 +467,17 @@ class Device:
 
     def _check_records(self, pe, regions: np.ndarray, offsets: np.ndarray,
                        lengths: np.ndarray):
-        """``_check_ranges`` for records in either region.  On failure the
+        """``_check_ranges`` for records in either region: a min of the offsets
+        and lengths and a max of the ends in each region.  On failure the
         ``OutOfRange`` names the bad record that loading each PE's records in
         turn (PE by PE, each region by region) would meet first."""
-        limits = np.array([len(self._regions[name]) for name in REGIONS])[regions]
         ends = offsets + lengths
-        if (offsets.min(initial=0) >= 0 and lengths.min(initial=0) >= 0
-                and (limits - ends).min(initial=0) >= 0):
+        fits = offsets.min(initial=0) >= 0 and lengths.min(initial=0) >= 0
+        for code, name in enumerate(REGIONS):
+            fits = fits and ends.max(initial=0, where=regions == code) <= len(self._regions[name])
+        if fits:
             return
+        limits = np.array([len(self._regions[name]) for name in REGIONS])[regions]
         bad = np.flatnonzero((offsets < 0) | (lengths < 0) | (ends > limits))
         k = bad[np.lexsort((regions[bad], np.broadcast_to(pe, len(regions))[bad]))[0]]
         raise OutOfRange(f"{REGIONS[regions[k]]}[{offsets[k]}:{ends[k]}] outside "
@@ -517,65 +519,32 @@ class Device:
         return offsets, lengths
 
     def pe_probe_header(self, pe: int, region: str, record_offsets: np.ndarray):
-        """Modeled 4B header probes; yield (create_ts, packed pred, flags) arrays."""
+        """Modeled 4B header probes; yield (create_ts, packed pred, flags) arrays,
+        read with one gather of each record's fixed header."""
         buf = self._check_ranges(region, record_offsets, RECORD_HEADER_FIXED)
         self._charge_navigation(pe, "probe", HEADER_PROBE_BYTES, len(record_offsets), region)
-        return (gather_words(buf, "<u8", record_offsets + CREATE_TS_OFFSET),
-                gather_words(buf, "<u8", record_offsets + PRED_OFFSET),
-                gather_words(buf, "u1", record_offsets + FLAGS_OFFSET))
+        header = gather_words(buf, np.dtype((np.void, RECORD_HEADER_FIXED)), record_offsets).view(
+            HEADER_WORDS)
+        return header["create_ts"], header["pred"], header["flags"]
 
     def pe_read_records(self, pe, regions: np.ndarray, offsets: np.ndarray,
                         lengths: np.ndarray):
-        """Load records in one batch; returns (u8 array, record starts).
+        """Load records in one batch, read where they lie; returns the region
+        buffers, indexed by region code.
 
         ``pe`` is the one PE that loads them all, or an array holding the
-        loading PE of each record (a batch pooled over several PEs).
-
-        Record k is bytes [offsets[k], offsets[k] + lengths[k]) of region
-        ``REGIONS[regions[k]]``.  It comes in a fixed-width window: with
-        ``width`` the batch's longest record, window k is bytes
-        [k * width, (k + 1) * width) of the returned array, and the record
-        begins at ``starts[k]``, ``shift[k]`` bytes into its window.  The
-        shift is 0 unless the record's window would run past the end of its
-        region; that window ends at the region's end instead (in a region
-        shorter than ``width`` it is the whole region, and the rest of the
-        window is left unset).  ``starts`` has one more entry: ``starts[n]``
-        is the array's length, ``n * width``, not the total of the record
-        bytes.  Only bytes [starts[k], starts[k] + lengths[k]) are record
-        k; the rest of its window belongs to other data.  A window is at
-        most the schema's longest record, so that bounds the padding per
-        record.
-
-        Each region's windows come out in one typed strided gather
-        (``gather_words`` with a void word of the window's size).  When the
-        whole batch lies in one region, the gathered windows are returned
-        as they are, not copied again.
-        Ranges are checked like ``read`` before anything is loaded or
-        charged (``_check_records``).  Each PE is charged what one ``read``
-        of its records plus one record load per record charges: the record
-        bytes (not the window bytes), and one NVM access per NVM-resident
-        record.
+        loading PE of each record (a batch pooled over several PEs).  Record
+        k is bytes [offsets[k], offsets[k] + lengths[k]) of
+        ``buffers[regions[k]]``.  Nothing is copied: the caller reads the
+        records in place, writes nothing and keeps no view of a buffer once
+        done, as a later allocation may grow the region.  Ranges are
+        checked like ``read`` before anything is charged.  Each PE is
+        charged what one ``read`` of its records plus one record load per
+        record charges: the record bytes, and one NVM access per
+        NVM-resident record.
         """
         self._check_records(pe, regions, offsets, lengths)
         n = len(lengths)
-        width = int(lengths.max(initial=0))
-        windows = np.empty((n, width), dtype=np.uint8)
-        shift = np.zeros(n, dtype=np.int64)
-        for code, count in enumerate(np.bincount(regions, minlength=len(REGIONS)).tolist()):
-            if not count:
-                continue
-            rows = slice(None) if count == n else np.flatnonzero(regions == code)
-            at = offsets[rows]
-            buf = self._regions[REGIONS[code]]
-            size = min(width, len(buf))
-            first = np.minimum(at, len(buf) - size)     # a window ends by the region's end
-            shift[rows] = at - first
-            gathered = gather_words(buf, np.dtype((np.void, size)), first).view(
-                np.uint8).reshape(count, size)
-            if count == n:                  # one region: its windows are the batch's
-                windows = gathered
-            else:
-                windows[rows, :size] = gathered
         pes = np.broadcast_to(pe, n)
         nbytes = np.bincount(pes, weights=lengths)
         loads = np.bincount(pes * len(REGIONS) + regions,
@@ -585,9 +554,7 @@ class Device:
             self.ledger.charge(one, ("read", "record_load"), int(counts[one]),
                                device_internal_bytes_read=int(nbytes[one]),
                                nvm_reads=int(nvm[one]), records_processed=int(counts[one]))
-        starts = np.arange(n + 1, dtype=np.int64) * width
-        starts[:n] += shift
-        return windows.reshape(-1), starts
+        return tuple(map(self._regions.get, REGIONS))
 
     # -- propagation & maintenance ---------------------------------------------
 

@@ -35,14 +35,13 @@ refresh of an existing materialization -- runs one pipeline:
    tuples into one batch while its rows stay within
    ``TRANSFORM_BATCH_ROWS`` (a PE with more is a batch of its own), so a
    refresh's few changed tuples per PE are extracted once for all PEs.  A
-   batch loads all of its records in one device read, each in a
-   fixed-width window and charged to the PE that owns it, and locates
-   every field with the batch locator of ``layout``.  Each record-field
-   word is read with one typed strided gather (``layout.gather_words``)
-   for the whole batch: the null bitmaps, the varlen length prefixes, and
-   each fixed projected attribute, one ``<i4`` or ``<i8`` gather at its
-   located starts with NULLs zeroed (timestamps converted to epoch
-   seconds).  A varchar's payload is the bytes of its located ranges.
+   batch's records are loaded in one device read that checks their ranges
+   and charges each to the PE that owns it, then read where they lie by
+   ``layout.extract_fields``: grouped by (region, null mask), so that one
+   structured gather per group reads every projected fixed field, NULLs
+   zeroed (timestamps then converted to epoch seconds); a varchar's
+   payload is the bytes of its located ranges.  No byte past a record's
+   own length is read.
    Each projected attribute becomes value/validity/offset columns, a NULL
    a zeroed slot with a clear validity bit.  Each PE then plans, on its
    own rows of the batch and from its scratchpad partition capacities,
@@ -126,10 +125,8 @@ from .layout import (
     Schema,
     TC_TIMESTAMP,
     TC_VARCHAR,
-    gather_words,
-    locate_fields,
+    extract_fields,
     pg_timestamp_to_unix_epoch,
-    range_indexes,
 )
 from .mvcc import SnapshotDescriptor
 
@@ -317,7 +314,7 @@ def pe_visibility_check(device: Device, pe: int, vids: np.ndarray, heads: np.nda
         return rids, regions, offsets, lengths
     device.pe_read_vid_entry(pe, n)
     caller = np.uint64(snap.caller)
-    in_flight = np.fromiter(snap.in_flight, dtype=np.uint64, count=len(snap.in_flight))
+    in_flight = np.sort(np.fromiter(snap.in_flight, dtype=np.uint64, count=len(snap.in_flight)))
     live = np.flatnonzero(heads != _NOTHING)            # tuple index of each frontier entry
     packed = heads[live]
     newer_ts = None                                     # create_ts each entry was reached from
@@ -365,9 +362,9 @@ def pe_visibility_check(device: Device, pe: int, vids: np.ndarray, heads: np.nda
             if len(bad):
                 raise CorruptRecord(f"version chain for vid {vids[live[bad[0]]]} is not "
                                     "ordered new-to-old")
-        visible = create_ts < caller
-        if len(in_flight):
-            visible &= ~np.isin(create_ts, in_flight)
+        # not in flight: no entry of the sorted ``in_flight`` equals create_ts
+        visible = (create_ts < caller) & (np.searchsorted(in_flight, create_ts) == np.searchsorted(
+            in_flight, create_ts, side="right"))
         hit = np.flatnonzero(visible & (flags & 1 == 0))
         at = live[hit]
         rids[at], regions[at], offsets[at], lengths[at] = \
@@ -441,7 +438,7 @@ class TransformBatch(NamedTuple):
 
 # Rows one extraction pools at most.  Every extraction has a fixed cost, so
 # a refresh's few hundred changed rows per PE extract faster in one batch of
-# all eight PEs; but a batch's record windows and field arrays must stay in
+# all eight PEs; but a batch's gathered words and field arrays must stay in
 # the cache.  Measured on a 2-core Xeon VM (Python 3.11, numpy 2.4), after a
 # gc.collect and a 16 MiB touch per pass: an sf-10 refresh (8 x 317 rows)
 # transforms in 5.9 ms PE by PE and 2.8 ms pooled; a full sf-10
@@ -471,62 +468,38 @@ def transform_batches(jobs) -> list:
     return batches
 
 
-class Extracted(NamedTuple):
-    """One projected attribute of a batch's rows, as transformed values."""
-
-    present: np.ndarray         # bool per row
-    data: np.ndarray            # fixed: values per row, NULLs zeroed; varchar: the payloads
-    sizes: np.ndarray           # varchar: int64 payload bytes per row; fixed: None
-    ends: np.ndarray            # varchar: payload k ends at ends[k + 1]; fixed: None
-
-    def rows(self, first: int, end: int):
-        """(presence, data bytes, payload sizes or None) of rows [first, end)."""
-        if self.sizes is None:
-            return self.present[first:end], self.data[first:end].view(np.uint8), None
-        return (self.present[first:end], self.data[self.ends[first]:self.ends[end]],
-                self.sizes[first:end])
-
-
 def transform_record(batch: TransformBatch, inv: NdtInvocation, device: Device) -> list:
     """Step 2 for a batch of PEs: transform their changed tuples at once, then
     plan each PE's flushes.
 
-    The records are loaded in one batch read, each in a fixed-width window
-    of the loaded buffer, and located by their start and their own length,
-    so no field is read from the window bytes past a record's end.  Every
-    projected attribute is extracted at once: a fixed one as one ``<i4``
-    or ``<i8`` ``gather_words`` at its located starts, NULLs zeroed by
-    ``np.where``, a varchar as the bytes of its located ranges.  Returns
-    the batch's flushes, PE after PE, as ``plan_flushes`` gives them.
-
-    A corrupt record raises the ``CorruptRecord`` that locating each PE's
-    records in turn would raise first.
+    The records are loaded in one batch read (``Device.pe_read_records``),
+    which checks their ranges and charges each PE its own, and read in
+    place by ``layout.extract_fields``, which checks each record's header,
+    fixed fields and varlen fields before it reads them; timestamps are
+    then converted to epoch seconds.  Returns the batch's flushes, PE after
+    PE, as ``plan_flushes`` gives them.  A corrupt record raises the
+    ``CorruptRecord`` that extracting each PE's records in turn would raise
+    first.  Nothing viewing a region outlives the call, so a space grant
+    during the flush replay may grow a region.
     """
     rows = batch.rows
     if not len(rows.vids):
         return []
-    buf, starts = device.pe_read_records(batch.pes, rows.regions, rows.offsets, rows.lengths)
+    buffers = device.pe_read_records(batch.pes, rows.regions, rows.offsets, rows.lengths)
+    attrs = tuple(map(itemgetter(0), inv.proj_plan))
     try:
-        loc = locate_fields(inv.schema, buf, starts[:-1], rows.lengths)
+        columns = extract_fields(inv.schema, buffers, rows.regions, rows.offsets, rows.lengths,
+                                 attrs)
     except CorruptRecord:
         for first, end in zip(batch.bounds, batch.bounds[1:]):
-            locate_fields(inv.schema, buf, starts[first:end], rows.lengths[first:end])
+            extract_fields(inv.schema, buffers, rows.regions[first:end],
+                           rows.offsets[first:end], rows.lengths[first:end], attrs)
         raise
-    columns = []
-    for attr_idx, _name, ftype, code, _nullable in inv.proj_plan:
-        present = loc.present[:, attr_idx]
-        if code == TC_VARCHAR:
-            sizes = loc.length[:, attr_idx]
-            payload = buf[range_indexes(loc.start[:, attr_idx], sizes)]
-            columns.append(Extracted(present, payload, sizes,
-                                     np.concatenate(([0], np.cumsum(sizes)))))
-            continue
-        dtype = f"<i{ftype.width}"
-        values = gather_words(buf, dtype, loc.start[:, attr_idx])
+    for slot, (_attr_idx, _name, _ftype, code, _nullable) in enumerate(inv.proj_plan):
         if code == TC_TIMESTAMP:
-            values = pg_timestamp_to_unix_epoch(values)
-        values = np.where(present, values, 0).astype(dtype, copy=False)
-        columns.append(Extracted(present, values, None, None))
+            present, values = columns[slot].present, columns[slot].data
+            columns[slot] = columns[slot]._replace(
+                data=np.where(present, pg_timestamp_to_unix_epoch(values), 0))
     flushes = []
     for job, first, end in zip(batch.jobs, batch.bounds, batch.bounds[1:]):
         flushes += plan_flushes(job, inv, columns, first, end)
@@ -926,7 +899,13 @@ def append_run(handle: MaterializationHandle, inv: NdtInvocation, jobs, sink,
         device.free_pages(inv.owner, leftovers)
 
     new = ChangedRows.concat(job.changed for job in jobs)
-    gone = np.isin(handle.index.vids, np.concatenate((removed, new.vids)))
+    held = handle.index.vids
+    moved = np.concatenate((removed, new.vids))     # vids whose held row is replaced or gone
+    at = np.searchsorted(held, moved)
+    inside = at < len(held)
+    at, moved = at[inside], moved[inside]
+    gone = np.zeros(len(held), dtype=bool)
+    gone[at[held[at] == moved]] = True
     current = np.concatenate((handle.current, np.ones(len(new.vids), dtype=bool)))
     current[handle.index.positions[gone]] = False
     positions = np.arange(handle.total_positions, len(current), dtype=np.int64)

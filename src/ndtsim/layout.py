@@ -20,17 +20,19 @@ Tombstone records are header-only.  ``encode_records`` serializes a batch
 of records, and ``encode_record`` is its one-record case.
 
 ``record_field_slices`` locates the fields of one record.  Its batch form,
-``locate_fields``, locates them for many records packed into one buffer:
-fixed-field offsets depend only on the null mask, so they are computed
-once per distinct mask and taken by each record's mask; varlen positions
-follow from the u16 length prefixes, one varlen attribute after another.
-Both make the same bounds checks and raise the same ``CorruptRecord``.
+``extract_fields``, extracts projected fields from many records read where
+they lie in region buffers: fixed-field offsets depend only on the null
+mask, so the records are grouped by (region, null mask), and each group's
+fixed parts come out in one gather viewed as a structured dtype whose
+fields are the projected fixed attributes.  Varlen positions follow from
+the u16 length prefixes, one varlen attribute after another.  Both make
+the same bounds checks and raise the same ``CorruptRecord``.
 
 ``gather_words`` is the one strided gather of the device path: it reads
 one little-endian word (an integer, or a void word of a given size) at
-each of many byte positions of a buffer.  The device's batch accessors,
-the batch locator and the transform read every header word, record
-window and field word through it.
+each of many byte positions of a buffer.  The device's batch accessors
+and the extractor read every header word, null bitmap, fixed part, length
+prefix and payload byte through it.
 """
 
 from __future__ import annotations
@@ -64,6 +66,10 @@ CREATE_TS_OFFSET = 8           # record header fields after the vid
 PRED_OFFSET = 16
 FLAGS_OFFSET = 24
 RECORD_HEADER_FIXED = FLAGS_OFFSET + 1     # vid + create_ts + pred + flags
+# The header words a visibility probe reads, over the fixed header's bytes.
+HEADER_WORDS = np.dtype({"names": ["create_ts", "pred", "flags"], "formats": ["<u8", "<u8", "u1"],
+                         "offsets": [CREATE_TS_OFFSET, PRED_OFFSET, FLAGS_OFFSET],
+                         "itemsize": RECORD_HEADER_FIXED})
 MAX_RECORD_SIZE = PAGE_SIZE - PAGE_HEADER_SIZE - SLOT_ENTRY_SIZE
 
 # Seconds from 1970-01-01T00:00:00Z to 2000-01-01T00:00:00Z.
@@ -177,6 +183,7 @@ class Schema:
             a.ftype.width + a.ftype.alignment - 1 if a.ftype.width else 2 + a.ftype.max_len
             for a in attrs)
         self.record_packers: dict = {}     # row value types -> packer, see encode_records
+        self.field_plans: dict = {}        # (null bitmap, projection) -> see _field_plan
 
     def attribute(self, name: str) -> Attribute:
         return self.attributes[self.index_of[name]]
@@ -450,15 +457,6 @@ def record_field_slices(schema: Schema, buf, offset: int = 0):
     return slices, header
 
 
-class FieldLocations(NamedTuple):
-    """Batch form of ``record_field_slices``: one row per record, one column
-    per attribute; NULL fields are absent with start and length 0."""
-
-    present: np.ndarray         # bool
-    start: np.ndarray           # int64 offset into the buffer (varlen: the payload)
-    length: np.ndarray          # int64 byte length
-
-
 def gather_words(buf, dtype, positions: np.ndarray) -> np.ndarray:
     """The little-endian ``dtype`` words that start at byte ``positions`` of ``buf``.
 
@@ -492,100 +490,177 @@ def range_indexes(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return steps
 
 
-def _mask_groups(bitmaps: np.ndarray):
-    """The distinct rows of the ``(n, bytes)`` u8 matrix ``bitmaps``, and the
-    index of each row's distinct row.
+class Extracted(NamedTuple):
+    """One projected attribute of a batch of records, as ``extract_fields``
+    gives it."""
 
-    The rows are ordered by a stable argsort on one byte at a time, the
-    last byte first, so a bitmap of any width is keyed on all its bytes; a
-    byte that is the same in every row orders nothing and is skipped.  A
-    row starts a new group where any byte differs from the row before.
+    present: np.ndarray         # bool per record
+    data: np.ndarray            # fixed: the field's word per record, 0 where NULL;
+                                # varchar: the payloads, back to back
+    sizes: np.ndarray           # varchar: int64 payload bytes per record; fixed: None
+    ends: np.ndarray            # varchar: payload k ends at ends[k + 1]; fixed: None
+
+    def rows(self, first: int, end: int):
+        """(presence, data bytes, payload sizes or None) of records [first, end)."""
+        if self.sizes is None:
+            return self.present[first:end], self.data[first:end].view(np.uint8), None
+        return (self.present[first:end], self.data[self.ends[first]:self.ends[end]],
+                self.sizes[first:end])
+
+
+def _groups(columns) -> list:
+    """The rows of a batch grouped by their values in ``columns``, integer arrays
+    of one value per row: one ascending array of row indexes per distinct
+    combination of values.
+
+    The rows are ordered by a stable argsort on one column at a time, the
+    last column first, so the groups are keyed on every column; a column
+    that is the same in every row orders nothing and is skipped.  A group
+    starts where any column differs from the row before.
     """
-    varying = [column for column in bitmaps.T if column.min() != column.max()]
-    order = np.arange(len(bitmaps))
+    varying = [column for column in columns if len(column) and column.min() != column.max()]
+    order = np.arange(len(columns[0]))
     for column in reversed(varying):
         order = order[np.argsort(column[order], kind="stable")]
     first = np.zeros(len(order), dtype=bool)
-    first[0] = True
+    first[:1] = True
     for column in varying:
         ordered = column[order]
         first[1:] |= ordered[1:] != ordered[:-1]
-    group = np.empty(len(order), dtype=np.int64)
-    group[order] = np.cumsum(first) - 1
-    return bitmaps[order[first]], group
+    bounds = np.flatnonzero(first).tolist() + [len(order)]
+    return [order[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def locate_fields(schema: Schema, buf: np.ndarray, starts: np.ndarray,
-                  lengths: np.ndarray) -> FieldLocations:
-    """Batch field locator: record k is ``buf[starts[k]:starts[k] + lengths[k]]``.
+def _field_plan(schema: Schema, bitmap: bytes, attrs: tuple) -> tuple:
+    """What ``extract_fields`` reads from a record of null bitmap ``bitmap``
+    for the projected attribute indexes ``attrs``, cached on the schema:
 
-    Each live record's null bitmap is read as one word and each varlen
-    length prefix as one ``<u2`` word, by ``gather_words``.  Records are
-    grouped by null mask; a fixed field's offset depends only on the mask,
-    so presence, offsets and widths are tabled once per distinct mask and
-    taken for every record by its group.  The varlen fields then follow,
-    one attribute at a time.  Makes every check ``record_field_slices``
-    makes and raises the same ``CorruptRecord``; tombstones carry no
-    fields.
+    - where the fixed part ends, from the record start;
+    - the fixed part as a structured dtype: the projected fixed fields at
+      their offsets;
+    - (projection slot, field name) of each of its fields;
+    - an (attr index, end) row for every present fixed field;
+    - (attr index, projection slot or None) of every present varlen.
     """
-    n, n_attrs = len(starts), schema.n_attrs
-    if n == 0:
-        return FieldLocations(np.zeros((0, n_attrs), dtype=bool),
-                              np.zeros((0, n_attrs), dtype=np.int64),
-                              np.zeros((0, n_attrs), dtype=np.int64))
+    plan = schema.field_plans.get((bitmap, attrs))
+    if plan is None:
+        mask = int.from_bytes(bitmap, "little")
+        offsets, end = schema.fixed_offsets(mask)
+        at = dict(offsets)
+        fixed = [(slot, i) for slot, i in enumerate(attrs) if i in at]
+        words = np.dtype({
+            "names": [schema.attributes[i].name for _slot, i in fixed],
+            "formats": [f"<i{schema.attributes[i].ftype.width}" for _slot, i in fixed],
+            "offsets": [at[i] for _slot, i in fixed],
+            "itemsize": end})
+        slots = {i: slot for slot, i in enumerate(attrs)}
+        plan = schema.field_plans[bitmap, attrs] = (
+            end, words, tuple((slot, schema.attributes[i].name) for slot, i in fixed),
+            np.array([(i, offset + schema.attributes[i].ftype.width) for i, offset in offsets],
+                     dtype=np.int64).reshape(-1, 2),
+            tuple((i, slots.get(i)) for i in schema.varlen_plan if not mask >> i & 1))
+    return plan
+
+
+def extract_fields(schema: Schema, buffers, regions: np.ndarray, offsets: np.ndarray,
+                   lengths: np.ndarray, attrs: tuple) -> list:
+    """The attributes ``attrs`` (schema indexes) of a batch of records, read
+    where they lie: one ``Extracted`` per projected attribute, in order.
+
+    Record k is bytes [offsets[k], offsets[k] + lengths[k]) of
+    ``buffers[regions[k]]``; each range must lie inside its buffer.  The
+    records are checked in this order, and the first failure raises
+    ``CorruptRecord``:
+
+    1. every record holds the fixed header, and every live one (flags bit
+       0 clear) its null bitmap too: "record shorter than its header";
+    2. every live record holds its present fixed fields, at the offsets and
+       alignment its null mask gives: the first record in batch order that
+       does not names the first of them, "fixed field {i} runs past record
+       end";
+    3. every present varlen field, one attribute after another in schema
+       order: its u16 length prefix ("varlen field {i} length prefix past
+       record end"), then its payload ("... payload past record end").
+
+    No byte is read before the check that bounds it.  A tombstone has no
+    fields: its attributes are all NULL, and a NULL word is 0.
+
+    A group's fixed part, bytes [0, fixed end) of each record, is one void
+    ``gather_words`` viewed as the plan's structured dtype, and each fixed
+    column takes a field copy per group.  Payloads are gathered through
+    ``range_indexes``, region by region.  No array viewing a buffer
+    outlives the call, so a buffer may grow after it.
+    """
+    n = len(offsets)
     if (lengths < RECORD_HEADER_FIXED).any():
         raise CorruptRecord("record shorter than its header")
-    live = buf[starts + FLAGS_OFFSET] & 1 == 0    # bit 0: tombstone
-    if (live & (lengths < schema.header_size)).any():
-        raise CorruptRecord("record shorter than its header")
-    # null bitmaps, all-NULL for tombstones
-    bitmap_bytes = schema.null_bitmap_bytes
-    rows = np.flatnonzero(live)
-    bitmaps = gather_words(buf, np.dtype((np.void, bitmap_bytes)),
-                           starts[rows] + RECORD_HEADER_FIXED).view(np.uint8).reshape(
-        len(rows), bitmap_bytes)
-    if len(rows) < n:
-        bitmaps, live_bitmaps = np.full((n, bitmap_bytes), 0xFF, dtype=np.uint8), bitmaps
-        bitmaps[rows] = live_bitmaps
-    masks, group = _mask_groups(bitmaps)
+    by_region = _groups([regions])
+    # each record's null bitmap, all-NULL for a tombstone, and the same bytes as one word
+    bitmaps = np.full((n, schema.null_bitmap_bytes), 0xFF, dtype=np.uint8)
+    bitmap_words = bitmaps.view(np.dtype((np.void, schema.null_bitmap_bytes)))[:, 0]
+    for rows in by_region:
+        buf, at = buffers[regions[rows[0]]], offsets[rows]
+        live = gather_words(buf, "u1", at + FLAGS_OFFSET) & 1 == 0
+        rows, at = rows[live], at[live]
+        if (lengths[rows] < schema.header_size).any():
+            raise CorruptRecord("record shorter than its header")
+        bitmap_words[rows] = gather_words(buf, bitmap_words.dtype, at + RECORD_HEADER_FIXED)
+    present = np.unpackbits(bitmaps, axis=1, count=schema.n_attrs, bitorder="little")[
+        :, list(attrs)] == 0
 
-    # per null mask: presence, fixed-field offsets (from the record start) and widths
-    mask_present = np.unpackbits(masks, axis=1, bitorder="little")[:, :n_attrs] == 0
-    rel = np.zeros((len(masks), n_attrs), dtype=np.int64)
-    widths = np.zeros((len(masks), n_attrs), dtype=np.int64)
-    fixed_end = np.empty(len(masks), dtype=np.int64)
-    for g, mask in enumerate(masks):
-        offsets, fixed_end[g] = schema.fixed_offsets(int.from_bytes(mask.tobytes(), "little"))
-        for i, offset in offsets:
-            rel[g, i] = offset
-            widths[g, i] = schema.attributes[i].ftype.width
-    present = mask_present.take(group, axis=0)
-    pos = fixed_end[group]
-    short = np.flatnonzero(live & (lengths < pos))
-    if len(short):
-        k = short[0]
-        i = next(i for i, width, *_ in schema.fixed_plan
-                 if present[k, i] and rel[group[k], i] + width > lengths[k])
-        raise CorruptRecord(f"fixed field {i} runs past record end")
-    length = widths.take(group, axis=0)
-    start = rel.take(group, axis=0)
-    start += starts[:, None]
-    start *= length > 0                             # 0 where no fixed field is present
+    values, starts, sizes = {}, {}, {}      # by projection slot: fixed words; payload ranges
+    for slot, i in enumerate(attrs):
+        width = schema.attributes[i].ftype.width
+        if width is None:
+            starts[slot], sizes[slot] = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        else:
+            values[slot] = np.zeros(n, dtype=f"<i{width}")
+    failures = []               # (check, record or attribute, prefix 0 / payload 1, message)
+    for rows in _groups([regions, *bitmaps.T]):
+        fixed_end, fields, fixed, fits, varlens = _field_plan(
+            schema, bitmaps[rows[0]].tobytes(), attrs)
+        buf, at, limit = buffers[regions[rows[0]]], offsets[rows], lengths[rows]
+        short = np.flatnonzero(limit < fixed_end) if len(fits) else ()
+        if len(short):
+            k = rows[short[0]]
+            i = fits[fits[:, 1] > lengths[k], 0][0]
+            failures.append((2, k, 0, f"fixed field {i} runs past record end"))
+            continue
+        if fixed:
+            words = gather_words(buf, np.dtype((np.void, fixed_end)), at).view(fields)
+            for slot, name in fixed:
+                values[slot][rows] = words[name]
+        pos = fixed_end
+        for i, slot in varlens:
+            if (pos + 2 > limit).any():
+                failures.append((3, i, 0, f"varlen field {i} length prefix past record end"))
+                break
+            size = gather_words(buf, "<u2", at + pos).astype(np.int64)
+            end = pos + 2 + size
+            if (end > limit).any():
+                failures.append((3, i, 1, f"varlen field {i} payload past record end"))
+                break
+            if slot is not None:
+                starts[slot][rows] = at + pos + 2
+                sizes[slot][rows] = size
+            pos = end
+    if failures:
+        raise CorruptRecord(min(failures)[-1])
 
-    for i in schema.varlen_plan:
-        rows = np.flatnonzero(present[:, i])
-        at, limit = pos[rows], lengths[rows]
-        if (at + 2 > limit).any():
-            raise CorruptRecord(f"varlen field {i} length prefix past record end")
-        prefix = starts[rows] + at
-        size = gather_words(buf, "<u2", prefix).astype(np.int64)
-        end = at + 2 + size
-        if (end > limit).any():
-            raise CorruptRecord(f"varlen field {i} payload past record end")
-        start[rows, i] = prefix + 2
-        length[rows, i] = size
-        pos[rows] = end
-    return FieldLocations(present, start, length)
+    columns = []
+    for slot in range(len(attrs)):
+        if slot in values:
+            columns.append(Extracted(present[:, slot], values[slot], None, None))
+            continue
+        ends = np.concatenate(([0], np.cumsum(sizes[slot])))
+        payload = np.empty(ends[-1], dtype=np.uint8)
+        owners = np.repeat(regions, sizes[slot]) if len(by_region) > 1 else None  # per byte
+        for rows in by_region:
+            code = regions[rows[0]]
+            payload[slice(None) if owners is None else owners == code] = gather_words(
+                buffers[code], "u1", range_indexes(starts[slot][rows], sizes[slot][rows]))
+        columns.append(Extracted(present[:, slot], payload, sizes[slot], ends))
+    return columns
 
 
 def _decode_at(schema: Schema, buf, attr_index: int, slc) -> Value:

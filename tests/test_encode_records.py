@@ -1,7 +1,7 @@
 """The batch record encoder: round trips over random schemas, error parity.
 
 Records are decoded by the tests' reference decoder (``decode_header``,
-``decode_values``) and by the batch field locator, never compared with
+``decode_values``) and by the batch field extractor, never compared with
 ``encode_record``, which is the one-row case of the same code.
 """
 
@@ -34,7 +34,7 @@ from ndtsim.layout import (
     decode_header,
     decode_values,
     encode_records,
-    locate_fields,
+    extract_fields,
 )
 
 INT32 = (-2**31, 2**31 - 1)
@@ -123,12 +123,11 @@ def batches(draw):
     return schema, headers, rows
 
 
-def _field_value(buf: bytes, ftype, start: int, length: int):
-    """A located field's value, decoded here: ints (decimals scaled) or str."""
-    data = buf[start:start + length]
+def _field_value(ftype, column, k: int):
+    """Record k's extracted value: ints (decimals scaled) or str."""
     if ftype.code == TC_VARCHAR:
-        return data.decode()
-    return int.from_bytes(data, "little", signed=True)
+        return column.data[column.ends[k]:column.ends[k + 1]].tobytes().decode()
+    return int(column.data[k])
 
 
 def _expected_field(ftype, value):
@@ -155,14 +154,14 @@ def test_encode_records_round_trip(batch):
     buf = b"".join(records)
     lengths = np.array([len(r) for r in records], dtype=np.int64)
     starts = np.concatenate([[0], np.cumsum(lengths)[:-1]]).astype(np.int64)
-    loc = locate_fields(schema, np.frombuffer(buf, dtype=np.uint8), starts, lengths)
+    columns = extract_fields(schema, (buf,), np.zeros(len(records), dtype=np.uint8), starts,
+                             lengths, tuple(range(schema.n_attrs)))
     for k, values in enumerate(rows):
-        for i, attr in enumerate(schema.attributes):
+        for i, (attr, column) in enumerate(zip(schema.attributes, columns)):
             value = None if values is None else values[i]
-            assert loc.present[k, i] == (value is not None)
+            assert column.present[k] == (value is not None)
             if value is not None:
-                assert _field_value(buf, attr.ftype, loc.start[k, i], loc.length[k, i]) == \
-                    _expected_field(attr.ftype, value)
+                assert _field_value(attr.ftype, column, k) == _expected_field(attr.ftype, value)
 
 
 # -- error parity: a bad value raises the same error from a batch as alone ---------------

@@ -164,12 +164,12 @@ ORACLE = ROOT / "src" / "ndtsim" / "oracle.py"
 DEVICE_PATH_MODULES = {"engine", "delta", "device"}
 # The device result's varchar decoder and the device path's strided gather
 # count as device path too.
-DEVICE_PATH_NAMES = {"locate_fields", "range_indexes", "FieldLocations", "decode_varchar",
+DEVICE_PATH_NAMES = {"extract_fields", "range_indexes", "Extracted", "decode_varchar",
                      "gather_words"}
 
 
 def device_path_imports(path: Path) -> list:
-    """Imports in ``path`` of the device-path modules or of the batch field locator."""
+    """Imports in ``path`` of the device-path modules or of the batch field extractor."""
     found = []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
@@ -198,16 +198,16 @@ def test_scan_finds_a_device_path_import(tmp_path):
     probe.write_text("from .engine import walk\n"
                      "from . import delta, layout\n"
                      "import ndtsim.engine\n"
-                     "from ndtsim.layout import PAGE_SIZE, locate_fields\n"
-                     "from .layout import FieldLocations as F, range_indexes\n"
+                     "from ndtsim.layout import PAGE_SIZE, extract_fields\n"
+                     "from .layout import Extracted as F, range_indexes\n"
                      "from .mvcc import oracle_visible_version\n"
                      "from .columns import ColumnSet, decode_varchar\n"
                      "from ndtsim.columns import decode_varchar as decode\n"
                      "from .device import Device\n"
                      "from .layout import Schema, gather_words as gather\n")
     assert device_path_imports(probe) == [
-        "line 1: engine", "line 2: delta", "line 3: ndtsim.engine", "line 4: locate_fields",
-        "line 5: FieldLocations", "line 5: range_indexes", "line 7: decode_varchar",
+        "line 1: engine", "line 2: delta", "line 3: ndtsim.engine", "line 4: extract_fields",
+        "line 5: Extracted", "line 5: range_indexes", "line 7: decode_varchar",
         "line 8: decode_varchar", "line 9: device", "line 10: gather_words"]
 
 
@@ -354,13 +354,13 @@ def test_scan_finds_a_second_record_packer(tmp_path):
 
 # The device's batch accessors and its page-table lookup serve a PE's whole
 # batch, its propagation merge a snapshot's whole vid-map delta, and the
-# engine's extraction and flush planning a batch of PEs' changed rows, with
-# array operations, so per-record Python (a comprehension over the batch)
-# must not creep back into them.
+# engine's extraction (with the layout's field extractor) and flush planning
+# a batch of PEs' changed rows, with array operations, so per-record Python
+# (a comprehension over the batch) must not creep back into them.
 BATCH_ACCESSORS = (("device", "Device.pe_read_slot"), ("device", "Device.pe_probe_header"),
                    ("device", "Device.pe_read_records"), ("device", "Device.apply_propagation"),
                    ("device", "PageTable.resolve"), ("engine", "transform_record"),
-                   ("engine", "plan_flushes"))
+                   ("engine", "plan_flushes"), ("layout", "extract_fields"))
 COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 

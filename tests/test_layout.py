@@ -38,7 +38,7 @@ from ndtsim.layout import (
     decode_header,
     decode_values,
     encode_record,
-    locate_fields,
+    extract_fields,
     pack_rid,
     page_slot_entry_at,
     pg_timestamp_to_unix_epoch,
@@ -163,7 +163,7 @@ def test_tombstone_is_header_only():
     assert hdr.tombstone and hdr.vid == 9 and hdr.create_ts == 3
 
 
-# -- batch field locator ------------------------------------------------------------
+# -- batch field extractor ----------------------------------------------------------
 
 _TWO_VARLEN = Schema("t", [
     ("a", Int32(), True), ("s", VarChar(20), True), ("b", Int64(), True),
@@ -184,14 +184,15 @@ def _two_varlen_record(rng, vid):
 
 
 def _packed(records, rng):
-    """Records in one u8 buffer with random gaps: (buffer, starts, lengths)."""
+    """Records in one buffer with random gaps, as ``extract_fields`` takes
+    them: (buffers, region codes, offsets, lengths)."""
     chunks, starts, pos = [], [], 0
     for rec in records:
         gap = bytes(rng.randrange(256) for _ in range(rng.randrange(4)))
         chunks += [gap, rec]
         starts.append(pos + len(gap))
         pos += len(gap) + len(rec)
-    return (np.frombuffer(b"".join(chunks), dtype=np.uint8),
+    return ((b"".join(chunks),), np.zeros(len(records), dtype=np.uint8),
             np.array(starts, dtype=np.int64), np.array([len(r) for r in records], dtype=np.int64))
 
 
@@ -202,18 +203,28 @@ def _packed(records, rng):
     (_TWO_VARLEN, _two_varlen_record),
 ])
 def test_locate_fields_matches_record_field_slices(schema, make):
+    """The fields ``extract_fields`` locates in a packed batch are the
+    slices ``record_field_slices`` finds in each record: a fixed field's
+    word is its bytes, a varchar's payload is its bytes."""
     rng = random.Random(12)
     records = [make(rng, vid) for vid in range(300)]
-    buf, starts, lengths = _packed(records, rng)
-    loc = locate_fields(schema, buf, starts, lengths)
+    columns = extract_fields(schema, *_packed(records, rng), tuple(range(schema.n_attrs)))
     for k, rec in enumerate(records):
         slices, _ = record_field_slices(schema, rec)
-        got = [(int(loc.start[k, i] - starts[k]), int(loc.length[k, i]))
-               if loc.present[k, i] else None for i in range(schema.n_attrs)]
-        assert got == [tuple(s) if s else None for s in slices]
+        for column, s in zip(columns, slices):
+            present, data, sizes = column.rows(k, k + 1)
+            assert bool(present[0]) == (s is not None)
+            if s is None:
+                continue
+            field = bytes(rec[s[0]:s[0] + s[1]])
+            if sizes is None:
+                assert int(column.data[k]) == int.from_bytes(field, "little", signed=True)
+            else:
+                assert data.tobytes() == field and int(sizes[0]) == len(field)
 
 
-def test_locate_fields_raises_where_record_field_slices_does():
+def test_extract_fields_raises_where_record_field_slices_does():
+    every = tuple(range(_TWO_VARLEN.n_attrs))
     rng = random.Random(14)
     for vid in range(60):
         rec = _two_varlen_record(rng, vid)
@@ -230,10 +241,10 @@ def test_locate_fields_raises_where_record_field_slices_does():
                 expected = CorruptRecord
             batch = _packed([rec, piece], rng)
             if expected is None:
-                locate_fields(_TWO_VARLEN, *batch)
+                extract_fields(_TWO_VARLEN, *batch, every)
             else:
                 with pytest.raises(CorruptRecord):
-                    locate_fields(_TWO_VARLEN, *batch)
+                    extract_fields(_TWO_VARLEN, *batch, every)
 
 
 @settings(max_examples=150, deadline=None)

@@ -3,8 +3,8 @@
 ``engine.run_jobs`` extracts the changed rows of consecutive PEs in one
 batch (``transform_batches``, at most ``TRANSFORM_BATCH_ROWS`` rows unless
 one PE holds more) and then plans each PE's flushes on its slice.  The
-reference below is the per-PE transform: each PE loads, locates and
-extracts its own rows.  Over random schemas, PE counts, per-PE row counts
+reference below is the per-PE transform: each PE loads and extracts its
+own rows.  Over random schemas, PE counts, per-PE row counts
 (zeros included), bounds just under and just over a batch's rows, records
 in both regions and the refresh re-deal, the two must give equal flush
 lists and charge every PE the same.  A corrupt record or an out-of-range
@@ -44,37 +44,32 @@ from ndtsim.layout import (
     Int32,
     Schema,
     VarChar,
-    gather_words,
-    locate_fields,
+    extract_fields,
     pg_timestamp_to_unix_epoch,
-    range_indexes,
 )
 from conftest import Harness, page_of
 from test_batch_path import _tables
 
 
 def per_pe_flushes(job, inv, device) -> list:
-    """One PE's flushes, its rows loaded, located and extracted on their own."""
+    """One PE's flushes, its rows loaded and extracted on their own."""
     rows = job.changed
     n = len(rows.vids)
     if n == 0:
         return []
-    buf, starts = device.pe_read_records(job.pe, rows.regions, rows.offsets, rows.lengths)
-    loc = locate_fields(inv.schema, buf, starts[:-1], rows.lengths)
+    buffers = device.pe_read_records(job.pe, rows.regions, rows.offsets, rows.lengths)
+    columns = extract_fields(inv.schema, buffers, rows.regions, rows.offsets, rows.lengths,
+                             tuple(attr_idx for attr_idx, *_ in inv.proj_plan))
     flushes, tails = [], []
     for slot, (attr_idx, name, ftype, code, nullable) in enumerate(inv.proj_plan):
-        present = loc.present[:, attr_idx]
-        sizes = loc.length[:, attr_idx]
+        present, data, sizes = columns[slot].present, columns[slot].data, columns[slot].sizes
         planned = {}
         if code == TC_VARCHAR:
-            payload = buf[range_indexes(loc.start[:, attr_idx], sizes)]
-            planned[KIND_VALUES] = engine._payload_flushes(payload, sizes,
+            planned[KIND_VALUES] = engine._payload_flushes(data, sizes,
                                                            job.caps[name, KIND_VALUES])
         else:
             width, dtype = ftype.width, f"<i{ftype.width}"
-            values = gather_words(buf, dtype, loc.start[:, attr_idx])
-            if code == TC_TIMESTAMP:
-                values = pg_timestamp_to_unix_epoch(values)
+            values = pg_timestamp_to_unix_epoch(data) if code == TC_TIMESTAMP else data
             values = np.where(present, values, 0).astype(dtype, copy=False)
             planned[KIND_VALUES] = engine._element_flushes(
                 values.view(np.uint8), width, job.caps[name, KIND_VALUES], n, lambda e: e,
@@ -181,7 +176,7 @@ def _slot_entry(h, inv, vid: int):
 
 def test_a_corrupt_batch_raises_the_error_of_the_first_pe():
     """PE 0's record has a varchar payload past its end, PE 1's a slot
-    length shorter than a record header.  The pooled locate meets PE 1's
+    length shorter than a record header.  The pooled extraction meets PE 1's
     fault first (it checks every header before any field), the per-PE
     order PE 0's."""
     schema = Schema("t", [("a", Int32(), False), ("s", VarChar(16), False)])

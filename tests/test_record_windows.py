@@ -1,11 +1,14 @@
-"""Record loads in fixed-width windows, and the batch field locator over them.
+"""Record loads read in place, and the batch field extractor over them.
 
-``Device.pe_read_records`` returns each record in a window as wide as the
-batch's longest record.  It is compared here with one ``Device.read`` per
-record: the bytes, and the ledger charges they add up to.  The windows hold
-other bytes after each record, so ``locate_fields`` is fuzzed over windowed
-buffers of corrupted records: only typed errors may escape, and no field it
-locates may reach past its record's end.
+``Device.pe_read_records`` checks a batch's ranges, charges each record and
+hands back the region buffers, in which the records are read where they
+lie.  It is compared here with one ``Device.read`` per record: the bytes at
+each record's range, and the ledger charges they add up to.  The regions
+hold other bytes around each record, so ``extract_fields`` is fuzzed over
+corrupted records among random bytes in two regions: only typed errors may
+escape, the bytes around the records do not change the outcome, and what it
+extracts, or the error it raises, follows from ``record_field_slices`` over
+each record's own bytes.
 """
 
 import random
@@ -15,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ndtsim.device import REGION_DDR, REGION_NVM, REGIONS, Device, DeviceConfig
-from ndtsim.errors import NdtError, OutOfRange
+from ndtsim.errors import CorruptRecord, NdtError, OutOfRange
 from ndtsim.host import orderline_schema
 from ndtsim.layout import (
     FLAGS_OFFSET,
@@ -28,7 +31,7 @@ from ndtsim.layout import (
     TimestampPg,
     VarChar,
     encode_records,
-    locate_fields,
+    extract_fields,
     record_field_slices,
 )
 from conftest import random_value
@@ -92,7 +95,7 @@ def _regions_can_grow(dev):
 @example(((2, 1), [(1, 8192 - 40, 40), (0, 2 * 8192 - 1, 1), (1, 0, 8)] + [(0, 64, 5)] * 9,
           2, None))                                                      # ends on the last byte
 @example(((1, 1), [(0, 0, 30)], 3, 0))                                   # a bad range
-def test_windows_hold_what_per_record_reads_return(batch):
+def test_a_batch_load_charges_what_per_record_reads_charge(batch):
     pages, records, seed, bad = batch
     dev = _filled_device(pages, seed)
     if bad is not None:
@@ -104,26 +107,23 @@ def test_windows_hold_what_per_record_reads_return(batch):
         return
     regions, offsets, lengths = _columns(records)
     before = dev.ledger.snapshot()
-    buf, starts = dev.pe_read_records(PE, regions, offsets, lengths)
+    buffers = dev.pe_read_records(PE, regions, offsets, lengths)
     charged = dev.ledger.delta_since(before)
-    n, width = len(records), int(lengths.max(initial=0))
-    assert buf.dtype == np.uint8 and len(starts) == n + 1
-    assert starts[n] == len(buf) == n * width
+    assert len(buffers) == len(REGIONS)
 
     mid = dev.ledger.snapshot()
-    for k, (code, offset, length) in enumerate(records):
-        assert k * width <= starts[k] and starts[k] + length <= (k + 1) * width
-        assert buf[starts[k]:starts[k] + length].tobytes() == dev.read(
+    for code, offset, length in records:
+        assert bytes(buffers[code][offset:offset + length]) == dev.read(
             REGIONS[code], offset, length, PE)
     expected = dev.ledger.delta_since(mid)    # one read per record...
-    if n:                                     # ...plus one record load per record
-        expected["records_processed"] += n
-        expected["pe_ops"][PE]["record_load"] = n
+    if records:                               # ...plus one record load per record
+        expected["records_processed"] += len(records)
+        expected["pe_ops"][PE]["record_load"] = len(records)
     assert charged == expected
     _regions_can_grow(dev)
 
 
-# -- locate_fields over windowed buffers ------------------------------------------
+# -- extract_fields over records in place ------------------------------------------
 
 WIDE = Schema("wide", [
     ("a", Int32(), True),
@@ -141,10 +141,10 @@ CORRUPTIONS = ("flags", "bitmap", "prefix")
 
 
 @st.composite
-def windowed_batches(draw):
-    """A schema, its encoded records (some corrupted or cut short), the
-    window width, each record's shift in its window, and two seeds for the
-    bytes around the records."""
+def placed_batches(draw):
+    """A schema, its encoded records (some corrupted or cut short), each
+    record's region code and the gap before it, a projection, and two seeds
+    for the bytes around the records."""
     schema = draw(st.sampled_from(SCHEMAS))
     rng = random.Random(draw(st.integers(0, 2**32)))
     n = draw(st.integers(1, 12))
@@ -169,43 +169,89 @@ def windowed_batches(draw):
     for record in records:                      # and some records lose their tails
         if draw(st.integers(0, 7)) == 0:
             del record[draw(st.integers(0, len(record))):]
-    slack = draw(st.integers(0, 16))
-    width = max(map(len, records)) + slack
-    shifts = [draw(st.integers(0, width - len(record))) for record in records]
-    return schema, records, width, shifts, draw(st.integers(0, 2**32)), draw(st.integers(0, 2**32))
+    codes = [draw(st.integers(0, 1)) for _ in records]
+    gaps = [draw(st.integers(0, 16)) for _ in records]
+    attrs = tuple(draw(st.permutations(range(schema.n_attrs))))[:draw(
+        st.integers(1, schema.n_attrs))]
+    return (schema, records, codes, gaps, attrs, draw(st.integers(0, 2**32)),
+            draw(st.integers(0, 2**32)))
 
 
-def _windowed(records, width: int, shifts, seed: int):
-    """The records in windows of ``width`` bytes among random bytes."""
-    buf = np.frombuffer(random.Random(seed).randbytes(len(records) * width), np.uint8).copy()
-    starts = np.arange(len(records), dtype=np.int64) * width + np.array(shifts, dtype=np.int64)
-    for start, record in zip(starts.tolist(), records):
-        buf[start:start + len(record)] = np.frombuffer(bytes(record), np.uint8)
-    return buf, starts
+def _placed(records, codes, gaps, seed: int):
+    """The records in two region buffers, each after its gap of random bytes;
+    the last record of a region ends on its last byte.  Returns (buffers,
+    region codes, offsets, lengths)."""
+    rng = random.Random(seed)
+    buffers, offsets = (bytearray(), bytearray()), []
+    for record, code, gap in zip(records, codes, gaps):
+        buffers[code].extend(rng.randbytes(gap))
+        offsets.append(len(buffers[code]))
+        buffers[code].extend(record)
+    return (buffers, np.array(codes, dtype=np.uint8), np.array(offsets, dtype=np.int64),
+            np.array(list(map(len, records)), dtype=np.int64))
 
 
-def _located(schema, buf, starts, lengths):
-    """``locate_fields``'s result as lists, or its typed error as (type, message)."""
+def _extracted(schema, placed, attrs):
+    """``extract_fields``'s result as lists, or its typed error as (type, message)."""
     try:
-        loc = locate_fields(schema, buf, starts, lengths)
+        columns = extract_fields(schema, *placed, attrs)
     except NdtError as exc:
         return type(exc), str(exc)
-    return loc.present.tolist(), loc.start.tolist(), loc.length.tolist()
+    return [(c.present.tolist(), c.data.tobytes(), None if c.sizes is None else c.sizes.tolist())
+            for c in columns]
+
+
+def _first_error(schema, records) -> str:
+    """The error a batch of ``records`` raises, from each record's own
+    (``record_field_slices``): a short header first, then the first record
+    whose fixed fields overrun it, then varlen faults by attribute, a length
+    prefix before a payload."""
+    faults = []
+    for k, record in enumerate(map(bytes, records)):
+        try:
+            if len(record) < RECORD_HEADER_FIXED:
+                raise CorruptRecord("record shorter than its header")
+            record_field_slices(schema, record)
+        except CorruptRecord as exc:
+            words = str(exc).split()
+            if words[0] == "record":
+                faults.append((0, 0, "", str(exc)))
+            elif words[0] == "fixed":
+                faults.append((1, k, "", str(exc)))
+            else:
+                faults.append((2, int(words[2]), words[3] != "length", str(exc)))
+    return min(faults)[-1]
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(windowed_batches())
-def test_locate_fields_reads_no_window_byte_past_a_record(batch):
-    schema, records, width, shifts, seed_a, seed_b = batch
-    lengths = np.array(list(map(len, records)), dtype=np.int64)
-    buf_a, starts = _windowed(records, width, shifts, seed_a)
-    buf_b, _ = _windowed(records, width, shifts, seed_b)
-    located = _located(schema, buf_a, starts, lengths)
+@given(placed_batches())
+def test_extraction_reads_no_byte_past_a_record(batch):
+    schema, records, codes, gaps, attrs, seed_a, seed_b = batch
+    placed_a = _placed(records, codes, gaps, seed_a)
+    placed_b = _placed(records, codes, gaps, seed_b)
+    extracted = _extracted(schema, placed_a, attrs)
     # the bytes around the records differ, the outcome does not
-    assert _located(schema, buf_b, starts, lengths) == located
-    if isinstance(located[0], type):
+    assert _extracted(schema, placed_b, attrs) == extracted
+    for buf in placed_a[0]:                     # and no view of a buffer outlives the call
+        buf.extend(b"\0")
+    if isinstance(extracted[0], type):
+        assert extracted == (CorruptRecord, _first_error(schema, records))
         return
-    present, start, length = map(np.array, located)
-    ends = (starts + lengths)[:, None]
-    assert ((start >= starts[:, None]) & (start + length <= ends))[present].all()
-    assert not length[~present].any()
+    for slot, i in enumerate(attrs):
+        present, data, sizes = extracted[slot]
+        width = schema.attributes[i].ftype.width
+        payload = []
+        for k, record in enumerate(map(bytes, records)):
+            located = record_field_slices(schema, record)[0][i]
+            assert present[k] == (located is not None)
+            if width is not None:
+                word = record[located[0]:located[0] + width] if located else bytes(width)
+                assert data[k * width:(k + 1) * width] == word
+            elif located:
+                start, length = located
+                assert sizes[k] == length
+                payload.append(record[start:start + length])
+            else:
+                assert sizes[k] == 0
+        if width is None:
+            assert data == b"".join(payload)
