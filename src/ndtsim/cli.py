@@ -16,9 +16,9 @@ import sys
 import numpy as np
 
 from .columns import canonical_compare
-from .delta import delta_cost, masked_view
+from .delta import masked_view
 from .device import GIB, DeviceConfig, ledger_csv_rows, modeled_time
-from .engine import MODE_MATERIALIZE, MODE_STREAM, columns_from_batches
+from .engine import MODE_MATERIALIZE, MODE_STREAM, columns_from_batches, run_invocation
 from .errors import InvalidConfig, NdtError
 from .host import (
     HostSystem,
@@ -249,23 +249,27 @@ def cmd_delta(args) -> int:
         system.store.commit_tx(t)
         system.merge_to_cold()
 
+        rows_before, bytes_before = handle.total_positions, handle.column_bytes
         with system.reader() as caller:
             inv = system.prepare_invocation(caller, handle.projection, MODE_MATERIALIZE,
                                             args.pe or None, prior_handle=handle)
-            report = delta_cost(handle, inv, grantor=system.grant_space)
+            # measured from here, so propagation and the command are not the refresh's cost
+            before = system.device.ledger.snapshot()
+            run_invocation(inv, system.device, system.grant_space, handle=handle)
+            cost = system.device.ledger.delta_since(before)
+        appended_rows = handle.total_positions - rows_before
+        appended_bytes = handle.column_bytes - bytes_before
+        total_ns = modeled_time(cost, system.device.cfg)["total_ns"]
 
         if args.verify:
             _require_equal(masked_view(handle),
                            system.oracle_column_set(handle.snapshot, handle.projection),
                            f"fraction {fraction}%")
-        out_rows.append((
-            fraction, report.appended_rows, report.appended_bytes,
-            report.ledger_delta["device_internal_bytes_read"],
-            report.ledger_delta["device_internal_bytes_written"],
-            round(report.modeled_ns["total_ns"]),
-        ))
-        print(f"  {fraction:3d}%: appended {report.appended_rows} rows / "
-              f"{report.appended_bytes} bytes, modeled {report.modeled_ns['total_ns'] / 1e6:.3f} ms")
+        out_rows.append((fraction, appended_rows, appended_bytes,
+                         cost["device_internal_bytes_read"], cost["device_internal_bytes_written"],
+                         round(total_ns)))
+        print(f"  {fraction:3d}%: appended {appended_rows} rows / "
+              f"{appended_bytes} bytes, modeled {total_ns / 1e6:.3f} ms")
 
     mods = np.array([r[1] for r in out_rows], dtype=float)
     appended = np.array([r[2] for r in out_rows], dtype=float)

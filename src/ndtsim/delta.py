@@ -39,7 +39,6 @@ current rows to the new segment, so the view after it decodes nothing.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import chain, compress
 from typing import NamedTuple
 
@@ -54,7 +53,7 @@ from .columns import (
     join_segments,
     segment_masks,
 )
-from .device import REGION_NVM, REQUESTER_COORD, REQUESTER_HOST, modeled_time
+from .device import REGION_NVM, REQUESTER_COORD, REQUESTER_HOST
 from .engine import (
     FragmentWriter,
     MaterializationHandle,
@@ -155,36 +154,6 @@ def delta_transform(handle: MaterializationHandle, inv: NdtInvocation,
     invocation's pages to the pool.
     """
     return run_invocation(inv, handle.device, grantor, handle=handle)
-
-
-@dataclass(frozen=True)
-class DeltaCostReport:
-    """Ledger movement attributable to one refresh."""
-
-    appended_rows: int
-    appended_bytes: int
-    removed_rows: int
-    ledger_delta: dict
-    modeled_ns: dict
-
-
-def delta_cost(handle: MaterializationHandle, inv: NdtInvocation,
-               grantor=None) -> DeltaCostReport:
-    """Run delta_transform while measuring the ledger around it."""
-    device = handle.device
-    before = device.ledger.snapshot()
-    rows_before = handle.total_positions
-    bytes_before = handle.column_bytes
-    vids_before = handle.index.vids
-    delta_transform(handle, inv, grantor)
-    ledger_delta = device.ledger.delta_since(before)
-    return DeltaCostReport(
-        appended_rows=handle.total_positions - rows_before,
-        appended_bytes=handle.column_bytes - bytes_before,
-        removed_rows=len(np.setdiff1d(vids_before, handle.index.vids, assume_unique=True)),
-        ledger_delta=ledger_delta,
-        modeled_ns=modeled_time(ledger_delta, device.cfg),
-    )
 
 
 def compact(handle: MaterializationHandle) -> MaterializationHandle:

@@ -122,6 +122,11 @@ class DeviceConfig:
     stream_buffer_bytes: int = 64 * 1024
 
     def validate(self):
+        for name in ("pe_count", "scratchpad_bytes", "ddr_capacity_pages", "nvm_capacity_pages",
+                     "stream_buffer_count", "stream_buffer_bytes"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
         if not (1 <= self.pe_count <= 8):
             raise InvalidConfig(f"pe_count must be in [1,8], got {self.pe_count}")
         if self.scratchpad_bytes <= 0:
@@ -132,6 +137,8 @@ class DeviceConfig:
                 raise InvalidConfig(f"{name} must be > 0")
         if self.nvm_read_latency_ns < 0 or self.nvm_write_latency_ns < 0:
             raise InvalidConfig("NVM latencies must be >= 0")
+        if self.host_roundtrip_ns < 0 or self.pe_record_cost_cycles < 0:
+            raise InvalidConfig("host_roundtrip_ns and pe_record_cost_cycles must be >= 0")
         if self.ddr_capacity_pages <= 0 or self.nvm_capacity_pages <= 0:
             raise InvalidConfig("region capacities must be positive")
         if self.stream_buffer_count <= 0 or self.stream_buffer_bytes < PAGE_SIZE:

@@ -28,15 +28,14 @@ refresh of an existing materialization -- runs one pipeline:
    counts as changed; a refresh also charges an 8-byte index probe per
    tuple and collects the held tuples that are no longer visible.  As a
    refresh does not read a settled tuple's slot or header, corruption
-   there is found by the next full materialization or host read.
+   there is found by the next full materialization or host read.  The
+   walk's changed tuples form one ``ChangedRows`` table, PE after PE, each
+   row tagged with the PE that transforms it.
 2. **Transform.**  On a first run a changed tuple stays on the PE that
-   walked it; on a refresh the changed list, in PE-major walk order, is
-   dealt round-robin again.  Consecutive PEs then pool their changed
-   tuples into one batch while its rows stay within
-   ``TRANSFORM_BATCH_ROWS`` (a PE with more is a batch of its own), so a
-   refresh's few changed tuples per PE are extracted once for all PEs.  A
-   batch's records are loaded in one device read that checks their ranges
-   and charges each to the PE that owns it, then read where they lie by
+   walked it; on a refresh the table, in PE-major walk order, is dealt
+   round-robin again by one stable permutation.  The whole table is
+   loaded in one device read that checks the records' ranges and charges
+   each to the PE that owns it, then read where it lies by one
    ``layout.extract_fields``: grouped by (region, null mask), so that one
    structured gather per group reads every projected fixed field, NULLs
    zeroed (timestamps then converted to epoch seconds); a varchar's
@@ -44,7 +43,7 @@ refresh of an existing materialization -- runs one pipeline:
    own length is read.
    Each projected attribute becomes value/validity/offset columns, a NULL
    a zeroed slot with a clear validity bit.  Each PE then plans, on its
-   own rows of the batch and from its scratchpad partition capacities,
+   own slice of the table and from its scratchpad partition capacities,
    where each partition would flush: fixed-size elements at closed-form
    rows, varchar payloads greedily (one that does not fit flushes the
    partition first, one larger than the partition is then spilled on its
@@ -71,8 +70,9 @@ those of any legal parallel execution of the same jobs.
 
 Every result carries an implicit leading identity column (``__vid``,
 u64) so results can be compared canonically and materializations can be
-refreshed incrementally.  The identity vector is staged in job state, not
-in a scratchpad partition, and flushed once per PE at job end.
+refreshed incrementally.  The identity vector is the changed-rows table's
+vid column, not a scratchpad partition, and is flushed once per PE at job
+end.
 """
 
 from __future__ import annotations
@@ -203,22 +203,18 @@ class NdtInvocation:
 
 
 class ChangedRows(NamedTuple):
-    """Tuples to transform: identity, visible version and its record."""
+    """An invocation's tuples to transform, PE after PE: identity, visible
+    version, its record and the PE that transforms it."""
 
     vids: np.ndarray            # uint64
     rids: np.ndarray            # uint64 packed rid of the visible version
     regions: np.ndarray         # uint8 region code (index into ``REGIONS``)
     offsets: np.ndarray         # int64 record byte offset in its region
     lengths: np.ndarray         # int64 record length
+    pes: np.ndarray             # int64 transforming PE, ascending
 
     def take(self, index) -> "ChangedRows":
         return ChangedRows(*(column[index] for column in self))
-
-    @staticmethod
-    def concat(parts) -> "ChangedRows":
-        """The rows of ``parts`` in order; a lone part is returned as it is."""
-        parts = list(parts)
-        return parts[0] if len(parts) == 1 else ChangedRows(*map(np.concatenate, zip(*parts)))
 
 
 class IdentityIndex(NamedTuple):
@@ -246,19 +242,14 @@ class IdentityIndex(NamedTuple):
 class PeJob:
     """Mutable state of one PE's partitioned job."""
 
-    __slots__ = ("pe", "vids", "heads", "changed", "caps", "page_queue")
+    __slots__ = ("pe", "vids", "heads", "caps", "page_queue")
 
     def __init__(self, pe: int, vids: np.ndarray, heads: np.ndarray, caps: dict):
         self.pe = pe
         self.vids = vids                            # uint64 tuples to walk
         self.heads = heads                          # uint64 packed chain heads
-        self.changed = None                         # ChangedRows to transform
         self.caps = caps                            # (name, kind) -> partition bytes
         self.page_queue = deque()
-
-    @property
-    def rows(self) -> int:
-        return len(self.changed.vids)
 
 
 def schedule(inv: NdtInvocation, device: Device) -> list:
@@ -338,7 +329,12 @@ def pe_visibility_check(device: Device, pe: int, vids: np.ndarray, heads: np.nda
         base = page * PAGE_SIZE
         slot = (packed & np.uint64(0xFFFF)).astype(np.int64)
         counts = np.bincount(region, minlength=len(REGIONS)).tolist()
-        if max(counts) == m:                # one region: the accessors' arrays are the step's
+        # A second path, selected by the input: a step in one region keeps the
+        # accessors' arrays instead of scattering them into step-sized ones.
+        # Scattering every step made an sf-10 cold walk 7.9 -> 9.2-9.3 ms, and
+        # 4.1 -> 4.9 ms when the 2-core VM ran faster (in-process, 20
+        # interleaved rounds; the scatter was faster in at most 7/20).
+        if max(counts) == m:
             code = counts.index(m)
             off, length = device.pe_read_slot(pe, REGIONS[code], base, slot)
             record = base + off
@@ -427,73 +423,34 @@ def flush_partition(job: PeJob, device: Device, sink, key, data: bytes):
     sink.emit(job, key, data)
 
 
-class TransformBatch(NamedTuple):
-    """Consecutive PE jobs whose changed rows are extracted together."""
+def transform_record(jobs, changed: ChangedRows, inv: NdtInvocation, device: Device) -> list:
+    """Step 2: transform the invocation's changed tuples at once, then plan
+    each PE's flushes on its slice of them.
 
-    jobs: list
-    rows: ChangedRows           # the jobs' changed rows, job after job
-    pes: np.ndarray             # int64 loading PE per row
-    bounds: list                # job k's rows are rows[bounds[k]:bounds[k + 1]]
-
-
-# Rows one extraction pools at most.  Every extraction has a fixed cost, so
-# a refresh's few hundred changed rows per PE extract faster in one batch of
-# all eight PEs; but a batch's gathered words and field arrays must stay in
-# the cache.  Measured on a 2-core Xeon VM (Python 3.11, numpy 2.4), after a
-# gc.collect and a 16 MiB touch per pass: an sf-10 refresh (8 x 317 rows)
-# transforms in 5.9 ms PE by PE and 2.8 ms pooled; a full sf-10
-# materialization (8 x 3750 rows) in 16-17 ms for batches of 1 to 4 PEs and
-# 21.9 ms as one 30k-row batch.  At 4096 every refresh of that size is one
-# batch and every PE of a full materialization a batch of its own.
-TRANSFORM_BATCH_ROWS = 4096
-
-
-def transform_batches(jobs) -> list:
-    """The jobs, in order, as batches of consecutive jobs whose rows stay
-    within ``TRANSFORM_BATCH_ROWS``; a larger job is a batch of its own."""
-    groups, total = [], 0
-    for job in jobs:
-        if groups and total + job.rows <= TRANSFORM_BATCH_ROWS:
-            groups[-1].append(job)
-            total += job.rows
-        else:
-            groups.append([job])
-            total = job.rows
-    batches = []
-    for group in groups:
-        counts = [job.rows for job in group]
-        batches.append(TransformBatch(group, ChangedRows.concat([job.changed for job in group]),
-                                      np.repeat([job.pe for job in group], counts),
-                                      np.cumsum([0] + counts).tolist()))
-    return batches
-
-
-def transform_record(batch: TransformBatch, inv: NdtInvocation, device: Device) -> list:
-    """Step 2 for a batch of PEs: transform their changed tuples at once, then
-    plan each PE's flushes.
-
-    The records are loaded in one batch read (``Device.pe_read_records``),
-    which checks their ranges and charges each PE its own, and read in
-    place by ``layout.extract_fields``, which checks each record's header,
-    fixed fields and varlen fields before it reads them; timestamps are
-    then converted to epoch seconds.  Returns the batch's flushes, PE after
-    PE, as ``plan_flushes`` gives them.  A corrupt record raises the
+    The whole table is loaded in one device read
+    (``Device.pe_read_records``), which checks the records' ranges and
+    charges each PE its own, and read in place by one
+    ``layout.extract_fields``, which checks each record's header, fixed
+    fields and varlen fields before it reads them; timestamps are then
+    converted to epoch seconds.  Returns the flushes, PE after PE, as
+    ``plan_flushes`` gives them.  A corrupt record raises the
     ``CorruptRecord`` that extracting each PE's records in turn would raise
     first.  Nothing viewing a region outlives the call, so a space grant
     during the flush replay may grow a region.
     """
-    rows = batch.rows
-    if not len(rows.vids):
+    if not len(changed.vids):
         return []
-    buffers = device.pe_read_records(batch.pes, rows.regions, rows.offsets, rows.lengths)
+    buffers = device.pe_read_records(changed.pes, changed.regions, changed.offsets,
+                                     changed.lengths)
+    bounds = np.searchsorted(changed.pes, np.arange(len(jobs) + 1)).tolist()
     attrs = tuple(map(itemgetter(0), inv.proj_plan))
     try:
-        columns = extract_fields(inv.schema, buffers, rows.regions, rows.offsets, rows.lengths,
-                                 attrs)
+        columns = extract_fields(inv.schema, buffers, changed.regions, changed.offsets,
+                                 changed.lengths, attrs)
     except CorruptRecord:
-        for first, end in zip(batch.bounds, batch.bounds[1:]):
-            extract_fields(inv.schema, buffers, rows.regions[first:end],
-                           rows.offsets[first:end], rows.lengths[first:end], attrs)
+        for first, end in zip(bounds, bounds[1:]):
+            extract_fields(inv.schema, buffers, changed.regions[first:end],
+                           changed.offsets[first:end], changed.lengths[first:end], attrs)
         raise
     for slot, (_attr_idx, _name, _ftype, code, _nullable) in enumerate(inv.proj_plan):
         if code == TC_TIMESTAMP:
@@ -501,14 +458,15 @@ def transform_record(batch: TransformBatch, inv: NdtInvocation, device: Device) 
             columns[slot] = columns[slot]._replace(
                 data=np.where(present, pg_timestamp_to_unix_epoch(values), 0))
     flushes = []
-    for job, first, end in zip(batch.jobs, batch.bounds, batch.bounds[1:]):
-        flushes += plan_flushes(job, inv, columns, first, end)
+    for job, first, end in zip(jobs, bounds, bounds[1:]):
+        flushes += plan_flushes(job, inv, columns, changed.vids, first, end)
     return flushes
 
 
-def plan_flushes(job: PeJob, inv: NdtInvocation, columns, first: int, end: int) -> list:
-    """The flushes of ``job``, whose rows are [first, end) of the batch's
-    extracted ``columns``, planned from its partition capacities.
+def plan_flushes(job: PeJob, inv: NdtInvocation, columns, vids: np.ndarray, first: int,
+                 end: int) -> list:
+    """The flushes of ``job``, whose rows are [first, end) of the extracted
+    ``columns`` and of ``vids``, planned from its partition capacities.
 
     Returns (round, PE, position, key, bytes) tuples, where round is the
     row during which the flush happens; the final flushes (values,
@@ -542,7 +500,7 @@ def plan_flushes(job: PeJob, inv: NdtInvocation, columns, first: int, end: int) 
                 flushes.append((row, job.pe, _FLUSHES_PER_ATTR * slot + position, (name, kind),
                                 piece.tobytes()))
             tails.append(((name, kind), tail))
-    tails.append(((VID_COLUMN, KIND_VALUES), job.changed.vids.astype(VID_DTYPE).view(np.uint8)))
+    tails.append(((VID_COLUMN, KIND_VALUES), vids[first:end].astype(VID_DTYPE).view(np.uint8)))
     for position, (key, data) in enumerate(tails):
         if len(data):
             flushes.append((n, job.pe, position, key, data.tobytes()))
@@ -558,25 +516,27 @@ def walk(jobs, inv: NdtInvocation, device: Device, held: IdentityIndex, probe: b
     ``held`` is the identity index of the target handle.  Its rids go into
     ``pe_visibility_check``, which settles the tuples whose head is the
     held rid without reading their slots or headers, so a refresh walks
-    only the tuples whose head moved.  Visible versions that differ from
-    the held ones become the walking job's ``changed`` rows; held tuples
-    with nothing visible are returned as removed, one ``uint64`` array in
-    walk order.  ``probe`` charges the index lookup (8 bytes per tuple,
-    settled or not).
+    only the tuples whose head moved.  Returns the visible versions that
+    differ from the held ones as one ``ChangedRows`` table, each row on the
+    PE that walked it, and the held tuples with nothing visible as removed,
+    one ``uint64`` array in walk order.  ``probe`` charges the index lookup
+    (8 bytes per tuple, settled or not).
     """
-    removed = []
+    found, keep, removed = [], [], []
     for job in jobs:
         old = held.rids_of(job.vids)
-        found = ChangedRows(job.vids, *pe_visibility_check(
-            device, job.pe, job.vids, job.heads, inv.descriptor, inv.l2p_view, old))
-        visible = found.rids != _NOTHING
+        rids, regions, offsets, lengths = pe_visibility_check(
+            device, job.pe, job.vids, job.heads, inv.descriptor, inv.l2p_view, old)
+        visible = rids != _NOTHING
         removed.append(job.vids[~visible & (old != _NOTHING)])
-        visible &= found.rids != old
+        keep.append(visible & (rids != old))
         if probe and len(job.vids):
             device.ledger.charge(job.pe, "index_probe", len(job.vids),
                                  device_internal_bytes_read=INDEX_PROBE_BYTES * len(job.vids))
-        job.changed = found.take(visible)
-    return np.concatenate(removed)
+        found.append((job.vids, rids, regions, offsets, lengths,
+                      np.full(len(job.vids), job.pe, dtype=np.int64)))
+    changed = ChangedRows(*map(np.concatenate, zip(*found)))
+    return changed.take(np.concatenate(keep)), np.concatenate(removed)
 
 
 def suspend_for_space(inv: NdtInvocation, device: Device, grantor, job: PeJob, count: int):
@@ -592,16 +552,14 @@ def suspend_for_space(inv: NdtInvocation, device: Device, grantor, job: PeJob, c
     job.page_queue.extend(pages)
 
 
-def run_jobs(jobs, inv: NdtInvocation, device: Device, sink):
-    """Transform every job, batch by batch (``transform_batches``), then
+def run_jobs(jobs, changed: ChangedRows, inv: NdtInvocation, device: Device, sink):
+    """Transform the changed rows in one pass (``transform_record``), then
     replay the flushes in coordinator order.
 
     The order is that of PEs driven round-robin one tuple at a time
     (round, then PE, then position within the row).
     """
-    flushes = []
-    for batch in transform_batches(jobs):
-        flushes += transform_record(batch, inv, device)
+    flushes = transform_record(jobs, changed, inv, device)
     flushes.sort(key=itemgetter(0, 1, 2))
     for _round, pe, _position, key, data in flushes:
         flush_partition(jobs[pe], device, sink, key, data)
@@ -692,11 +650,12 @@ class MaterializeSink:
             self.more_pages(job, writer.pages_needed(len(data)) - len(job.page_queue))
         writer.append(self.device, job.pe, data, job.page_queue)
 
-    def segments(self, jobs, run: int) -> list:
-        """One segment per job with rows: the fragments of its PE's writers."""
-        return [Segment(run, job.pe, job.rows, {key: writer.fragment() for (pe, key), writer
-                                                in self.writers.items() if pe == job.pe})
-                for job in jobs if job.rows]
+    def segments(self, counts, run: int) -> list:
+        """One segment per PE with rows (``counts[pe]`` of them): the
+        fragments of its writers."""
+        return [Segment(run, pe, rows, {key: writer.fragment() for (owner, key), writer
+                                        in self.writers.items() if owner == pe})
+                for pe, rows in enumerate(counts) if rows]
 
 
 @dataclass
@@ -879,13 +838,14 @@ def expose_segments(device: Device, segments):
                           for frag in seg.frags.values() for idx in frag.pages)
 
 
-def append_run(handle: MaterializationHandle, inv: NdtInvocation, jobs, sink,
-               removed):
+def append_run(handle: MaterializationHandle, inv: NdtInvocation, jobs, changed: ChangedRows,
+               sink, removed):
     """Step 3: make the transformed rows the handle's newest run.
 
     Unused result pages are freed.  The changed rows take the next
-    positions in job order; the positions held for removed and re-appended
-    vids are masked out and the index is merged with the new rows.  The
+    positions in table order, PE after PE; the positions held for removed
+    and re-appended vids are masked out and the index is merged with the
+    new rows.  Each PE's rows form its segment of the run.  The
     bitmap is persisted and the new fragments exposed while every new page
     is still the invocation's, so a failure up to there leaves the handle
     as it was and the invocation's pages to be freed.  Then the pages join
@@ -893,24 +853,24 @@ def append_run(handle: MaterializationHandle, inv: NdtInvocation, jobs, sink,
     charged as host-bound bytes.
     """
     device = handle.device
-    segments = sink.segments(jobs, run=handle.run_count)
+    segments = sink.segments(np.bincount(changed.pes, minlength=len(jobs)).tolist(),
+                             run=handle.run_count)
     leftovers = [(inv.result_region, idx) for job in jobs for idx in job.page_queue]
     if leftovers:
         device.free_pages(inv.owner, leftovers)
 
-    new = ChangedRows.concat(job.changed for job in jobs)
     held = handle.index.vids
-    moved = np.concatenate((removed, new.vids))     # vids whose held row is replaced or gone
+    moved = np.concatenate((removed, changed.vids))     # vids whose held row is replaced or gone
     at = np.searchsorted(held, moved)
     inside = at < len(held)
     at, moved = at[inside], moved[inside]
     gone = np.zeros(len(held), dtype=bool)
     gone[at[held[at] == moved]] = True
-    current = np.concatenate((handle.current, np.ones(len(new.vids), dtype=bool)))
+    current = np.concatenate((handle.current, np.ones(len(changed.vids), dtype=bool)))
     current[handle.index.positions[gone]] = False
     positions = np.arange(handle.total_positions, len(current), dtype=np.int64)
     merged = IdentityIndex(*map(np.concatenate, zip(handle.index.take(~gone),
-                                                     (new.vids, positions, new.rids))))
+                                                     (changed.vids, positions, changed.rids))))
     bitmap_pages = write_bitmap_pages(device, inv.owner, handle.bitmap_pages, current)
     expose_segments(device, segments)
 
@@ -952,12 +912,11 @@ def run_invocation(inv: NdtInvocation, device: Device, grantor=None, consumer=No
             jobs = schedule(inv, device)
             refresh = handle is not None and handle.total_positions > 0   # else a first run
             held = handle.index if handle else IdentityIndex.empty()
-            removed = walk(jobs, inv, device, held, probe=refresh)
-            if refresh:
-                changed = ChangedRows.concat(job.changed for job in jobs)
-                for job in jobs:
-                    job.changed = changed.take(slice(job.pe, None, inv.pe_count))
-            run_jobs(jobs, inv, device, sink)
+            changed, removed = walk(jobs, inv, device, held, probe=refresh)
+            if refresh:                 # deal the table round-robin again, stably
+                deal = np.arange(len(changed.vids)) % inv.pe_count
+                changed = changed._replace(pes=deal).take(np.argsort(deal, kind="stable"))
+            run_jobs(jobs, changed, inv, device, sink)
             if stream:
                 sink.finish()
             else:
@@ -965,7 +924,7 @@ def run_invocation(inv: NdtInvocation, device: Device, grantor=None, consumer=No
                     handle = MaterializationHandle(
                         owner=inv.owner, device=device, schema=inv.schema,
                         projection=inv.projection, specs=inv.specs, snapshot=inv.descriptor)
-                append_run(handle, inv, jobs, sink, removed)
+                append_run(handle, inv, jobs, changed, sink, removed)
         except BaseException:
             device.free_pages(inv.owner)
             raise

@@ -117,7 +117,7 @@ def test_failed_refresh_aborts_its_reader(monkeypatch, capsys):
         raise NdtError("refresh failed")
 
     monkeypatch.setattr(cli, "HostSystem", Recorded)
-    monkeypatch.setattr(cli, "delta_cost", failing_refresh)
+    monkeypatch.setattr(cli, "run_invocation", failing_refresh)
     assert cli.main(["delta", "--sf", "1", "--delta-fractions", "10,20"]) == 2
     assert "refresh failed" in capsys.readouterr().err
     [system] = systems

@@ -7,7 +7,6 @@ import pytest
 from ndtsim.columns import assemble, canonical_compare
 from ndtsim.delta import (
     compact,
-    delta_cost,
     delta_transform,
     free_handle,
     masked_view,
@@ -43,11 +42,11 @@ def test_zero_modifications_appends_nothing():
     rows_before = handle.total_positions
     ts_before = handle.snapshot_ts
     caller = system.store.begin_tx()
+    bytes_before = handle.column_bytes
     inv = system.prepare_invocation(caller, handle.projection, prior_handle=handle)
-    report = delta_cost(handle, inv, grantor=system.grant_space)
+    delta_transform(handle, inv, grantor=system.grant_space)
     system.store.commit_tx(caller)
-    assert report.appended_rows == 0 and report.appended_bytes == 0
-    assert handle.total_positions == rows_before
+    assert handle.total_positions == rows_before and handle.column_bytes == bytes_before
     assert handle.snapshot_ts > ts_before
 
 
@@ -135,11 +134,12 @@ def test_delta_cost_linearity_and_full_refresh():
         _update_rows(system, shadow, rng.sample(vids, n))
         system.merge_to_cold()
         caller = system.store.begin_tx()
+        rows_before, bytes_before = handle.total_positions, handle.column_bytes
         inv = system.prepare_invocation(caller, handle.projection, prior_handle=handle)
-        report = delta_cost(handle, inv, grantor=system.grant_space)
+        delta_transform(handle, inv, grantor=system.grant_space)
         system.store.commit_tx(caller)
-        points.append((report.appended_rows, report.appended_bytes))
-        assert report.appended_rows == n
+        points.append((handle.total_positions - rows_before, handle.column_bytes - bytes_before))
+        assert points[-1][0] == n
 
     import numpy as np
     xs = np.array([p[0] for p in points], dtype=float)

@@ -37,6 +37,17 @@ def test_configure_defaults_and_bounds():
         with pytest.raises(InvalidConfig):
             DeviceConfig(stream_buffer_bytes=size).validate()
     DeviceConfig(stream_buffer_bytes=PAGE_SIZE).validate()
+    # a negative modeled cost would subtract time
+    for bad in ({"host_roundtrip_ns": -5000}, {"pe_record_cost_cycles": -1}):
+        with pytest.raises(InvalidConfig):
+            Device(DeviceConfig(**bad))
+    # counts and sizes are whole numbers
+    for name in ("pe_count", "scratchpad_bytes", "ddr_capacity_pages", "nvm_capacity_pages",
+                 "stream_buffer_count", "stream_buffer_bytes"):
+        for value in (getattr(DeviceConfig(), name) + 0.5, True):
+            with pytest.raises(InvalidConfig, match=f"{name} must be an integer"):
+                Device(DeviceConfig(**{name: value}))
+    DeviceConfig(pe_count=np.int64(2), host_roundtrip_ns=0, pe_record_cost_cycles=0).validate()
 
 
 def test_reconfigure_gives_fresh_ledger():

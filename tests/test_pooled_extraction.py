@@ -1,15 +1,18 @@
-"""Pooled extraction against the per-PE transform it replaced.
+"""One-pass extraction against the per-PE transform it replaced.
 
-``engine.run_jobs`` extracts the changed rows of consecutive PEs in one
-batch (``transform_batches``, at most ``TRANSFORM_BATCH_ROWS`` rows unless
-one PE holds more) and then plans each PE's flushes on its slice.  The
-reference below is the per-PE transform: each PE loads and extracts its
-own rows.  Over random schemas, PE counts, per-PE row counts
-(zeros included), bounds just under and just over a batch's rows, records
-in both regions and the refresh re-deal, the two must give equal flush
-lists and charge every PE the same.  A corrupt record or an out-of-range
-load must raise the error the per-PE order meets first.
+``engine.transform_record`` loads an invocation's whole changed-rows table
+in one ``pe_read_records`` call, extracts it with one
+``layout.extract_fields`` call, and then plans each PE's flushes on its
+slice.  The reference below is the per-PE transform: each PE loads and
+extracts its own rows.  Over random schemas, PE counts, per-PE row counts
+(zeros included), records in both regions and the refresh re-deal, the two
+must give equal flush lists and charge every PE the same.  A corrupt
+record or an out-of-range load must raise the error the per-PE order
+meets first, also through a whole invocation.
 """
+
+from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -29,14 +32,16 @@ from ndtsim.columns import (
 )
 from ndtsim.device import REGION_DDR, REGION_NVM, REGIONS, Device, DeviceConfig
 from ndtsim.engine import (
+    MODE_STREAM,
     ChangedRows,
     IdentityIndex,
+    run_invocation,
     schedule,
-    transform_batches,
     transform_record,
     walk,
 )
 from ndtsim.errors import CorruptRecord, OutOfRange
+from ndtsim.host import HostSystem
 from ndtsim.layout import (
     PAGE_SIZE,
     TC_TIMESTAMP,
@@ -51,9 +56,8 @@ from conftest import Harness, page_of
 from test_batch_path import _tables
 
 
-def per_pe_flushes(job, inv, device) -> list:
-    """One PE's flushes, its rows loaded and extracted on their own."""
-    rows = job.changed
+def per_pe_flushes(job, rows: ChangedRows, inv, device) -> list:
+    """One PE's flushes, its ``rows`` loaded and extracted on their own."""
     n = len(rows.vids)
     if n == 0:
         return []
@@ -96,7 +100,8 @@ def per_pe_flushes(job, inv, device) -> list:
 
 def _walked_jobs(schema, rows, pe_count: int, cold: int):
     """A harness whose first ``cold`` rows were merged to NVM and the rest
-    left in the DDR delta mirror, and the walked jobs of a full invocation."""
+    left in the DDR delta mirror, the jobs of a full invocation and the
+    changed rows their walk found."""
     h = Harness(schema)
     if cold:
         h.install_rows({vid: row for vid, row in enumerate(rows[:cold], start=1)})
@@ -106,22 +111,23 @@ def _walked_jobs(schema, rows, pe_count: int, cold: int):
         h.install_rows({vid: row for vid, row in enumerate(rows[cold:], start=cold + 1)})
     inv = h.prepare(pe_count=pe_count, pages=4)
     jobs = schedule(inv, h.device)
-    walk(jobs, inv, h.device, IdentityIndex.empty(), probe=False)
-    return h, inv, jobs
+    changed, _removed = walk(jobs, inv, h.device, IdentityIndex.empty(), probe=False)
+    return h, inv, jobs, changed
 
 
-def _deal(jobs, how: str, cuts):
-    """Give the jobs their rows: as walked, re-dealt round-robin as a refresh
-    does, or as contiguous runs of the walked rows cut at ``cuts``."""
+def _deal(changed: ChangedRows, pe_count: int, how: str, cuts) -> ChangedRows:
+    """The walked rows as walked, re-dealt round-robin as a refresh does (PE
+    k takes every ``pe_count``-th row from row k), or as contiguous runs cut
+    at ``cuts``."""
+    n = len(changed.vids)
     if how == "walked":
-        return
-    changed = ChangedRows.concat([job.changed for job in jobs])
-    bounds = [0, *sorted(cut % (len(changed.vids) + 1) for cut in cuts), len(changed.vids)]
-    for job in jobs:
-        if how == "redeal":
-            job.changed = changed.take(slice(job.pe, None, len(jobs)))
-        else:
-            job.changed = changed.take(slice(bounds[job.pe], bounds[job.pe + 1]))
+        return changed
+    if how == "redeal":
+        parts = [changed.take(slice(pe, None, pe_count)) for pe in range(pe_count)]
+        return ChangedRows(*map(np.concatenate, zip(*(
+            part._replace(pes=np.full(len(part.vids), pe)) for pe, part in enumerate(parts)))))
+    bounds = [0, *sorted(cut % (n + 1) for cut in cuts), n]
+    return changed._replace(pes=np.repeat(np.arange(pe_count), np.diff(bounds)))
 
 
 def _charged(device, run) -> tuple:
@@ -131,35 +137,41 @@ def _charged(device, run) -> tuple:
     return out, device.ledger.delta_since(before)
 
 
+@contextmanager
+def counted_calls(device):
+    """Counts the record loads and field extractions made within the block."""
+    calls = Counter()
+
+    def counting(name, original):
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+        return call
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(device, "pe_read_records", counting("loads", device.pe_read_records))
+        patch.setattr(engine, "extract_fields", counting("extractions", engine.extract_fields))
+        yield calls
+
+
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(table=_tables(), pe_count=st.integers(1, 8), cold_share=st.floats(0, 1),
        how=st.sampled_from(["walked", "redeal", "cut"]),
-       cuts=st.lists(st.integers(0, 1000), min_size=7, max_size=7),
-       split=st.integers(0, 7), slack=st.sampled_from([-1, 0, 1, None]))
+       cuts=st.lists(st.integers(0, 1000), min_size=7, max_size=7))
 def test_pooled_extraction_matches_the_per_pe_transform(table, pe_count, cold_share, how,
-                                                       cuts, split, slack):
+                                                       cuts):
     schema, rows = table
-    h, inv, jobs = _walked_jobs(schema, rows, pe_count, int(cold_share * len(rows)))
-    _deal(jobs, how, cuts[:pe_count - 1])
-    # a bound just under, at or just over the rows of the first jobs, or the default
-    bound = engine.TRANSFORM_BATCH_ROWS if slack is None else max(
-        0, sum(job.rows for job in jobs[:split % pe_count + 1]) + slack)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "TRANSFORM_BATCH_ROWS", bound)
-        batches = transform_batches(jobs)
-        pooled, pooled_charge = _charged(h.device, lambda: [
-            f for batch in batches for f in transform_record(batch, inv, h.device)])
+    h, inv, jobs, walked = _walked_jobs(schema, rows, pe_count, int(cold_share * len(rows)))
+    changed = _deal(walked, pe_count, how, cuts[:pe_count - 1])
+    assert np.all(np.diff(changed.pes) >= 0)
+    with counted_calls(h.device) as calls:
+        pooled, pooled_charge = _charged(
+            h.device, lambda: transform_record(jobs, changed, inv, h.device))
     reference, reference_charge = _charged(h.device, lambda: [
-        f for job in jobs for f in per_pe_flushes(job, inv, h.device)])
+        f for job in jobs
+        for f in per_pe_flushes(job, changed.take(changed.pes == job.pe), inv, h.device)])
 
-    assert [job for batch in batches for job in batch.jobs] == jobs
-    for batch, after in zip(batches, batches[1:] + [None]):
-        total = sum(job.rows for job in batch.jobs)
-        assert len(batch.jobs) == 1 or total <= bound
-        if after is not None:
-            assert total + after.jobs[0].rows > bound     # the next job did not fit
-        assert np.broadcast_to(batch.pes, total).tolist() == [
-            job.pe for job in batch.jobs for _ in range(job.rows)]
+    assert (calls["loads"], calls["extractions"]) == ((1, 1) if len(changed.vids) else (0, 0))
     assert pooled == reference
     assert pooled_charge == reference_charge
 
@@ -174,31 +186,79 @@ def _slot_entry(h, inv, vid: int):
     return page, entry, int.from_bytes(page[entry:entry + 2], "little")
 
 
+def _corrupt(h, inv, payload_vid: int, length_vid: int):
+    """Give ``payload_vid``'s varchar a payload past its record's end and
+    ``length_vid``'s slot a record length shorter than a record header."""
+    page, _, off = _slot_entry(h, inv, payload_vid)
+    page[off + 32:off + 34] = (0xFF).to_bytes(2, "little")        # the varchar's length prefix
+    page, entry, _ = _slot_entry(h, inv, length_vid)
+    page[entry + 2:entry + 4] = (10).to_bytes(2, "little")        # the record's length
+
+
+SMALL = Schema("t", [("a", Int32(), False), ("s", VarChar(16), False)])
+
+
 def test_a_corrupt_batch_raises_the_error_of_the_first_pe():
     """PE 0's record has a varchar payload past its end, PE 1's a slot
-    length shorter than a record header.  The pooled extraction meets PE 1's
-    fault first (it checks every header before any field), the per-PE
+    length shorter than a record header.  The one-pass extraction meets PE
+    1's fault first (it checks every header before any field), the per-PE
     order PE 0's."""
-    schema = Schema("t", [("a", Int32(), False), ("s", VarChar(16), False)])
-    h = Harness(schema)
+    h = Harness(SMALL)
     h.install_rows({vid: (vid, "x" * vid) for vid in range(1, 9)})
     inv = h.prepare(pe_count=2, pages=4)
-    page, _, off = _slot_entry(h, inv, 5)                         # vid 5: PE 0
-    page[off + 32:off + 34] = (0xFF).to_bytes(2, "little")        # the varchar's length prefix
-    page, entry, _ = _slot_entry(h, inv, 4)                       # vid 4: PE 1
-    page[entry + 2:entry + 4] = (10).to_bytes(2, "little")        # the record's length
-    del page
+    _corrupt(h, inv, payload_vid=5, length_vid=4)                 # vid 5: PE 0, vid 4: PE 1
     jobs = schedule(inv, h.device)
-    walk(jobs, inv, h.device, IdentityIndex.empty(), probe=False)
-    [batch] = transform_batches(jobs)
-    assert len(batch.jobs) == 2
+    changed, _removed = walk(jobs, inv, h.device, IdentityIndex.empty(), probe=False)
+    assert changed.pes.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
     with pytest.raises(CorruptRecord) as pooled:
-        transform_record(batch, inv, h.device)
+        transform_record(jobs, changed, inv, h.device)
     with pytest.raises(CorruptRecord) as first_pe:
-        per_pe_flushes(jobs[0], inv, h.device)
+        per_pe_flushes(jobs[0], changed.take(changed.pes == 0), inv, h.device)
     assert str(pooled.value) == str(first_pe.value) == "varlen field 1 payload past record end"
     with pytest.raises(CorruptRecord, match="shorter than its header"):
-        per_pe_flushes(jobs[1], inv, h.device)
+        per_pe_flushes(jobs[1], changed.take(changed.pes == 1), inv, h.device)
+
+
+def test_a_corrupt_full_materialization_raises_the_error_of_the_first_pe():
+    """A full materialization over four PEs whose corrupt records lie in
+    PEs 1 and 3: PE 3's short record fails the header check, which the
+    one-pass extraction makes before it reads PE 1's varchar.  The
+    invocation still raises PE 1's error, after one load and the PE-by-PE
+    re-extraction up to PE 1, and frees every page it took."""
+    h = Harness(SMALL)
+    h.install_rows({vid: (vid, "x" * (vid % 16)) for vid in range(1, 41)})
+    inv = h.prepare(pe_count=4, pages=4)
+    _corrupt(h, inv, payload_vid=6, length_vid=8)                 # vid 6: PE 1, vid 8: PE 3
+    free = h.device.free_page_count(REGION_NVM)
+    with counted_calls(h.device) as calls, pytest.raises(CorruptRecord) as failure:
+        run_invocation(inv, h.device, h.grantor)
+    assert str(failure.value) == "varlen field 1 payload past record end"
+    assert (calls["loads"], calls["extractions"]) == (1, 1 + 2)
+    assert h.device.owner_pages(inv.owner) == set()
+    assert h.device.free_page_count(REGION_NVM) == free + 4
+
+
+def test_an_invocation_loads_and_extracts_its_changed_rows_once():
+    """A first materialization, a stream and a refresh each load their
+    changed rows with one ``pe_read_records`` call and extract them with one
+    ``extract_fields`` call, however many rows each PE holds."""
+    system = HostSystem()
+    shadow = system.load_orderlines(5000, seed=3)
+    system.merge_to_cold()
+    with counted_calls(system.device) as calls:
+        _, handle = system.transform_snapshot(pe_count=2)
+    assert (calls["loads"], calls["extractions"], handle.total_positions) == (1, 1, 5000)
+    with counted_calls(system.device) as calls:
+        system.transform_snapshot(mode=MODE_STREAM, pe_count=8)
+    assert (calls["loads"], calls["extractions"]) == (1, 1)
+    t = system.store.begin_tx()
+    vids = sorted(shadow)[::3]
+    system.store.install_versions(t, vids, [shadow[vid] for vid in vids])
+    system.store.commit_tx(t)
+    with counted_calls(system.device) as calls:
+        system.delta_refresh(handle, pe_count=8)
+    assert (calls["loads"], calls["extractions"]) == (1, 1)
+    assert handle.total_positions == 5000 + len(vids)
 
 
 @pytest.mark.parametrize("records, first", [

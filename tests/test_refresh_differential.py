@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from ndtsim.columns import canonical_compare
-from ndtsim.delta import compact, delta_cost, masked_view
+from ndtsim.delta import compact, delta_transform, masked_view
 from ndtsim.device import REGIONS
 from ndtsim.engine import MODE_MATERIALIZE
 from ndtsim.host import HostSystem, WorkloadConfig, WorkloadDriver
@@ -84,14 +84,16 @@ def test_refresh_sequence_matches_oracle(seed):
         inv = system.prepare_invocation(caller, handle.projection, MODE_MATERIALIZE,
                                         rng.randint(1, 8), prior_handle=handle)
         both_regions += {REGIONS[code] for code in inv.l2p_view.regions} >= set(REGIONS)
-        report = delta_cost(handle, inv, grantor=system.grant_space)
+        vids_before = handle.index.vids
+        delta_transform(handle, inv, grantor=system.grant_space)
         system.store.commit_tx(caller)
         if writer is not None:
             system.store.abort_tx(writer)
             in_flight += 1
 
         now = _check_against_oracle(system, handle)
-        assert report.removed_rows == len(visible - now)
+        removed = np.setdiff1d(vids_before, handle.index.vids, assume_unique=True)
+        assert set(removed.tolist()) == visible - now
         visible = now
         if rng.random() < 0.3:
             compact(handle)

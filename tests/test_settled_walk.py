@@ -174,9 +174,9 @@ class Twins:
 
     def _recording(self, walk):
         def call(jobs, inv, device, held, probe):
-            removed = walk(jobs, inv, device, held, probe)
-            self.walked.append((removed, [job.changed for job in jobs]))
-            return removed
+            changed, removed = walk(jobs, inv, device, held, probe)
+            self.walked.append((removed, changed))
+            return changed, removed
         return call
 
     def refresh(self, pe_count: int):
@@ -197,10 +197,8 @@ class Twins:
     def check(self):
         (removed, changed), (full_removed, full_changed) = self.walked
         assert np.array_equal(removed, full_removed)
-        assert len(changed) == len(full_changed)
-        for rows, full_rows in zip(changed, full_changed):
-            for column, full_column in zip(rows, full_rows):
-                assert np.array_equal(column, full_column)
+        for column, full_column in zip(changed, full_changed):
+            assert np.array_equal(column, full_column)
 
         settled, full = self.handles
         assert settled.snapshot == full.snapshot

@@ -99,12 +99,15 @@ def test_walk_matches_oracle_with_exact_per_pe_charges(seed, snapshot):
         inv.pe_count = pe_count
         jobs = schedule(inv, h.device)
         before = h.device.ledger.snapshot()
-        assert len(walk(jobs, inv, h.device, IdentityIndex.empty(), probe=False)) == 0
+        changed, removed = walk(jobs, inv, h.device, IdentityIndex.empty(), probe=False)
+        assert len(removed) == 0
         delta = h.device.ledger.delta_since(before)
 
+        assert np.all(np.diff(changed.pes) >= 0)
         nvm_visits = 0
         for job in jobs:
-            rows = dict(zip(job.changed.vids.tolist(), range(len(job.changed.vids))))
+            mine = changed.take(changed.pes == job.pe)
+            rows = dict(zip(mine.vids.tolist(), range(len(mine.vids))))
             visits = 0
             for vid, _head in items[job.pe::pe_count]:
                 chain = h.store.vid_map[vid]
@@ -118,9 +121,9 @@ def test_walk_matches_oracle_with_exact_per_pe_charges(seed, snapshot):
                     assert vid not in rows
                     continue
                 k = rows.pop(vid)
-                assert int(job.changed.rids[k]) == pack_rid(expected)
-                region = REGIONS[job.changed.regions[k]]
-                at, size = int(job.changed.offsets[k]), int(job.changed.lengths[k])
+                assert int(mine.rids[k]) == pack_rid(expected)
+                region = REGIONS[mine.regions[k]]
+                at, size = int(mine.offsets[k]), int(mine.lengths[k])
                 assert bytes(h.device.peek(region, at, size)) == h.shared.read_record(expected)
             assert rows == {}
             n = len(job.vids)
