@@ -18,13 +18,20 @@ import numpy as np
 from .columns import canonical_compare
 from .delta import masked_view
 from .device import GIB, DeviceConfig, ledger_csv_rows, modeled_time
-from .engine import MODE_MATERIALIZE, MODE_STREAM, columns_from_batches, run_invocation
-from .errors import InvalidConfig, NdtError
+from .engine import (
+    MODE_MATERIALIZE,
+    MODE_STREAM,
+    columns_from_batches,
+    plan_scratchpad,
+    run_invocation,
+)
+from .errors import InvalidConfig, NdtError, ScratchpadTooSmall
 from .host import (
     HostSystem,
     Q6Params,
     WorkloadConfig,
     WorkloadDriver,
+    orderline_schema,
     q6_columnar,
     q6_default_params,
     unix_seconds,
@@ -43,12 +50,19 @@ class VerificationFailure(Exception):
 
 
 def _device_config(args) -> DeviceConfig:
+    """The device of ``--pe`` and ``--scratchpad-bytes``: every command transforms
+    the whole orderline table, so a scratchpad too small for it is a config error."""
     cfg = DeviceConfig()
     if getattr(args, "pe", None):
         cfg.pe_count = args.pe
     if getattr(args, "scratchpad_bytes", None):
         cfg.scratchpad_bytes = args.scratchpad_bytes
     cfg.validate()
+    schema = orderline_schema()
+    try:
+        plan_scratchpad(schema, [a.name for a in schema.attributes], cfg.scratchpad_bytes)
+    except ScratchpadTooSmall as exc:
+        raise InvalidConfig(f"--scratchpad-bytes: {exc}") from None
     return cfg
 
 
@@ -111,8 +125,7 @@ def cmd_htap(args) -> int:
         system = HostSystem(_device_config(args))
         shadow = system.load_orderlines(rows, seed=args.seed)
         system.merge_to_cold()
-        driver = WorkloadDriver(system, WorkloadConfig(seed=args.seed, tx_count=args.tx_count),
-                                shadow)
+        driver = WorkloadDriver(system, WorkloadConfig(seed=args.seed), shadow)
         counters = []
         ndt_rows = 0
         for i in range(intervals):
@@ -149,14 +162,15 @@ def cmd_htap(args) -> int:
 
 def cmd_transform(args) -> int:
     """One transformation with movement split, against an export baseline."""
+    if args.out and args.mode == MODE_STREAM:
+        raise InvalidConfig("--out exports a materialization: it needs --mode materialize")
     rows = _table_rows(args)
     system = HostSystem(_device_config(args))
     system.load_orderlines(rows, seed=args.seed)
     system.merge_to_cold()
 
-    mode = MODE_STREAM if args.mode == "stream" else MODE_MATERIALIZE
     before = system.device.ledger.snapshot()
-    inv, result = system.transform_snapshot(mode=mode, pe_count=args.pe or None)
+    inv, result = system.transform_snapshot(mode=args.mode, pe_count=args.pe or None)
     delta = system.device.ledger.delta_since(before)
     times = modeled_time(delta, system.device.cfg)
 
@@ -164,7 +178,7 @@ def cmd_transform(args) -> int:
     baseline_bytes = nsm_pages * PAGE_SIZE
     baseline_ns = baseline_bytes / (system.device.cfg.host_read_gib_s * GIB) * 1e9
 
-    if mode == MODE_MATERIALIZE:
+    if args.mode == MODE_MATERIALIZE:
         result_bytes = result.column_bytes
         out_rows = result.visible_rows
     else:
@@ -184,7 +198,7 @@ def cmd_transform(args) -> int:
 
     if args.q6:
         params = _q6_params(args)
-        if mode == MODE_MATERIALIZE:
+        if args.mode == MODE_MATERIALIZE:
             view = masked_view(result)
         expected = system.q6_rowstore(inv.descriptor, params)
         got = q6_columnar(view, params)
@@ -196,11 +210,8 @@ def cmd_transform(args) -> int:
         _write_csv(args.csv, ["category", "bytes", "ops", "modeled_ns"],
                    ledger_csv_rows(delta, system.device.cfg))
     if args.out:
-        if mode != MODE_MATERIALIZE:
-            print("  --out requires materialize mode; skipping export", file=sys.stderr)
-        else:
-            write_handle(args.out, result)
-            print(f"  exported {args.out}")
+        write_handle(args.out, result)
+        print(f"  exported {args.out}")
     return 0
 
 
@@ -316,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transform", help="one transformation with movement accounting")
     common(p)
-    p.add_argument("--mode", choices=["stream", "materialize"], default="materialize")
+    p.add_argument("--mode", choices=[MODE_STREAM, MODE_MATERIALIZE], default=MODE_MATERIALIZE)
     p.add_argument("--out", help="export the materialized result to this file")
     p.add_argument("--q6", action="store_true", help="verify the aggregate against the row store")
     p.add_argument("--q6-year-lo", type=int, default=0)

@@ -6,13 +6,13 @@ pipeline (walk -> transform -> append) run against the existing handle:
 the walk reads every tuple's map entry, probes the identity index for
 it and resolves its head's page.  A tuple whose head is the version the
 handle holds is settled there: it is unchanged, because that version's
-creator committed before the old snapshot and nothing newer was linked
-(an aborted write rolls the head back to it), so its slot is not read nor
-its header probed.  Only tuples whose head moved are walked in situ, so a
-refresh's NVM reads follow its delta.  Corruption in a settled tuple's
-slot or header is therefore found by the next full materialization or
-host read, not by a refresh.  Changed tuples are dealt round-robin over
-the PEs, transformed and appended as a new run.
+creator committed before the old snapshot, nothing newer was linked (an
+aborted write rolls the head back to it) and no record is rewritten, so its
+slot is not read nor its header probed.  Only tuples whose head moved are
+walked in situ, so a refresh's NVM reads follow its delta.  Corruption in a
+settled tuple's slot or header is therefore found by the next full
+materialization or host read, not by a refresh.  Changed tuples are dealt
+round-robin over the PEs, transformed and appended as a new run.
 Superseded rows are never rewritten -- a positional visibility bitmap
 masks them out -- so existing column bytes stay immutable until an
 explicit compaction rewrites the whole materialization.  Compaction keeps

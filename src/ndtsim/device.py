@@ -13,7 +13,8 @@ identical call sequences always cost the same.
 Byte movement comes in two flavors:
 
 * raw region reads/writes (``read``/``write``) charge exactly the bytes
-  they move — the conservation invariant holds over these;
+  they move — the conservation invariant holds over these.  Writes are
+  device-internal: host bytes come by propagation and invocation commands;
 * fine-grained navigation accessors (``pe_read_vid_entry``, ``pe_read_l2p``,
   ``pe_read_slot``, ``pe_probe_header``) charge the fixed modeled transfer
   sizes of the movement model (8B map entry, 4B address resolution, 4B slot,
@@ -443,12 +444,8 @@ class Device:
 
     def write(self, region: str, offset: int, data, requester):
         buf = self._check_range(region, offset, len(data))
-        nvm = 1 if region == REGION_NVM else 0
-        if requester == REQUESTER_HOST:
-            self.ledger.charge(requester, host_to_device_bytes=len(data), nvm_writes=nvm)
-        else:
-            self.ledger.charge(requester, "write", device_internal_bytes_written=len(data),
-                               nvm_writes=nvm)
+        self.ledger.charge(requester, "write", device_internal_bytes_written=len(data),
+                           nvm_writes=1 if region == REGION_NVM else 0)
         buf[offset:offset + len(data)] = data
 
     def peek(self, region: str, offset: int, length: int) -> memoryview:

@@ -19,15 +19,15 @@ refresh of an existing materialization -- runs one pipeline:
    walk: a tuple whose head is the held rid is *settled* after its page is
    resolved, without a slot read or a header probe, because it is
    unchanged.  The held version was visible at the handle's snapshot, so
-   its creator had committed; it is still the head, so nothing newer
-   exists (lids are never reused, and an abort rolls a head back to the
-   version it replaced).  A writer in flight at either snapshot is the
-   head itself, so its tuple is walked.  The visible versions are then
-   compared with the held rids.  A first materialization or a stream
-   passes an empty index, so nothing is settled and every visible tuple
-   counts as changed; a refresh also charges an 8-byte index probe per
-   tuple and collects the held tuples that are no longer visible.  As a
-   refresh does not read a settled tuple's slot or header, corruption
+   its creator had committed; it is still the head, so nothing newer exists
+   (lids are never reused, an abort rolls a head back to the version it
+   replaced, and no record is rewritten).  A writer in flight at either
+   snapshot is the head itself, so its tuple is walked.  The visible
+   versions are then compared with the held rids.  A first materialization
+   or a stream passes an empty index, so nothing is settled and every
+   visible tuple counts as changed; a refresh also charges an 8-byte index
+   probe per tuple and collects the held tuples that are no longer visible.
+   As a refresh does not read a settled tuple's slot or header, corruption
    there is found by the next full materialization or host read.  The
    walk's changed tuples form one ``ChangedRows`` table, PE after PE, each
    row tagged with the PE that transforms it.

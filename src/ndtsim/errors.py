@@ -56,7 +56,7 @@ class AlreadyFinished(NdtError):
 
 
 class StaleWrite(NdtError):
-    """Write-write conflict: the chain head is newer than the writer."""
+    """Write-write conflict: the head is newer than the writer, or another tx in flight wrote it."""
 
 
 # --- shared state / device --------------------------------------------------

@@ -130,7 +130,6 @@ class WorkloadConfig:
     """Deterministic order-line transaction mix."""
 
     seed: int = 7
-    tx_count: int = 1000
     new_order_weight: float = 0.50
     delivery_weight: float = 0.40
     delete_weight: float = 0.02

@@ -8,6 +8,11 @@ visibility rule that everything device-side is tested against.
 Chains are published as immutable cons-style nodes: installing a version
 swaps one dict entry, so concurrent snapshot readers never observe a
 half-updated chain.  A single logical writer is assumed for mutation.
+
+A write over a head created by another transaction still in flight (a
+dirty write, P0 in Berenson et al., SIGMOD 1995) is refused, so every
+version below a head was committed: an abort only moves heads back, and a
+record's bytes never change once written.
 """
 
 from __future__ import annotations
@@ -73,7 +78,7 @@ class MvccStore:
         self.in_flight: set = set()
         self._finished: dict = {}          # txid -> "committed" | "aborted"
         self.vid_map: dict = {}            # vid -> ChainNode (chain head)
-        self._tx_writes: dict = {}         # txid -> [(vid, rid), ...]
+        self._tx_writes: dict = {}         # txid -> {vid: rid of its last version}
         self.op_count = 0                  # host-work counter (OLTP operations)
 
     # -- transaction lifecycle -------------------------------------------
@@ -82,7 +87,7 @@ class MvccStore:
         t = self._next_txid
         self._next_txid += 1
         self.in_flight.add(t)
-        self._tx_writes[t] = []
+        self._tx_writes[t] = {}
         self.op_count += 1
         return t
 
@@ -101,9 +106,17 @@ class MvccStore:
         self.op_count += 1
 
     def abort_tx(self, t: int):
+        """Roll each vid ``t`` wrote back to the version ``t`` replaced: the head
+        is ``t``'s last version, as no other writer stacks on it."""
         self._require_active(t)
-        for vid, rid in reversed(self._tx_writes[t]):
-            self._unlink(vid, rid)
+        vid_map = self.vid_map
+        for vid in self._tx_writes[t]:
+            pred = vid_map[vid].pred
+            if pred is None:
+                del vid_map[vid]
+            else:
+                vid_map[vid] = pred
+            self.shared.stage_vid_delta(vid, None if pred is None else pred.rid)
         self.in_flight.discard(t)
         self._finished[t] = "aborted"
         del self._tx_writes[t]
@@ -124,21 +137,21 @@ class MvccStore:
         A new version's predecessor is the current head; a re-update by the
         same transaction bypasses its own earlier version, so creation
         timestamps stay strictly decreasing along the chain and a version
-        never points at another of the same batch.  Every header is
-        computed and every record encoded before any state changes, so a
-        bad value or a ``StaleWrite`` leaves the store and the shared
-        state as they were.
+        never points at another of the same batch.  A head newer than ``t``
+        or created by another transaction in flight is a ``StaleWrite``.
+        Every header is computed and every record encoded before any state
+        changes, so a bad value or a ``StaleWrite`` changes nothing.
         """
         self._require_active(t)
-        vid_map = self.vid_map
+        vid_map, in_flight = self.vid_map, self.in_flight
         preds, headers, values_of = [], [], []
         for vid, values in zip(vids, rows, strict=True):
             pred = vid_map.get(vid)
             if pred is not None:
                 if pred.create_ts == t:
                     pred = pred.pred           # same-tx re-update: bypass own version
-                elif t < pred.create_ts:
-                    raise StaleWrite(f"tx {t} behind chain head {pred.create_ts} for vid {vid}")
+                elif t < pred.create_ts or pred.create_ts in in_flight:
+                    raise StaleWrite(f"tx {t} may not write over tx {pred.create_ts}'s vid {vid}")
             tombstone = values is TOMBSTONE
             preds.append(pred)
             headers.append(RecordHeader(vid, t, None if pred is None else pred.rid, tombstone))
@@ -150,46 +163,12 @@ class MvccStore:
         finally:              # link what was placed, even if a propagation failed
             for header, rid, pred in zip(headers, rids, preds):
                 vid_map[header.vid] = ChainNode(rid, t, header.tombstone, pred)
-            self._tx_writes[t].extend(zip(vids, rids))
+            self._tx_writes[t].update(zip(vids, rids))
             self.op_count += len(rids)
         return rids
 
     def delete_version(self, t: int, vid: int) -> RecordID:
         return self.install_version(t, vid, TOMBSTONE)
-
-    def _unlink(self, vid: int, rid: RecordID):
-        """Remove one aborted version from its chain.
-
-        The version is either the chain head (map entry rolls back to its
-        predecessor), an interior node (the successor's pred pointer is
-        patched in the record bytes), or same-tx bypass garbage that was
-        never reachable.
-        """
-        head = self.vid_map.get(vid)
-        above = []
-        node = head
-        while node is not None and node.rid != rid:
-            above.append(node)
-            node = node.pred
-        if node is None:
-            return
-        pred = node.pred
-        if not above:
-            if pred is None:
-                del self.vid_map[vid]
-                self.shared.stage_vid_delta(vid, None)
-            else:
-                self.vid_map[vid] = pred
-                self.shared.stage_vid_delta(vid, pred.rid)
-            return
-        # Interior: rewrite the successor's pred pointer, then rebuild the
-        # immutable nodes above it.
-        successor = above[-1]
-        self.shared.patch_pred(successor.rid, pred.rid if pred is not None else None)
-        rebuilt = ChainNode(successor.rid, successor.create_ts, successor.tombstone, pred)
-        for n in reversed(above[:-1]):
-            rebuilt = ChainNode(n.rid, n.create_ts, n.tombstone, rebuilt)
-        self.vid_map[vid] = rebuilt
 
     # -- snapshots ----------------------------------------------------------
 

@@ -19,17 +19,14 @@ which a record is reachable from neither side.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .device import REQUESTER_HOST
 from .errors import DanglingReference
 from .layout import (
     PAGE_SIZE,
-    PRED_OFFSET,
     RID_NONE,
     SLOT_ENTRY_SIZE,
     NsmPage,
@@ -209,21 +206,3 @@ class HostSharedState:
         page = self.page_image(rid.page_lid)
         offset, length = page_slot_entry_at(page, 0, rid.slot)
         return bytes(page[offset:offset + length])
-
-    def patch_pred(self, rid: RecordID, new_pred: Optional[RecordID]):
-        """Rewrite the 8-byte predecessor pointer of an existing record.
-
-        Used by abort rollback when a successor referenced a now-removed
-        version.  Safe for concurrent snapshots: any snapshot that could
-        traverse the removed version has its creator in the in-flight list,
-        and both the old and the patched pointer lead to the same next
-        committed version.
-        """
-        packed = struct.pack("<Q", pack_rid(new_pred))
-        offset, _length = page_slot_entry_at(self.page_image(rid.page_lid), 0, rid.slot)
-        at = offset + PRED_OFFSET
-        region, idx = self.l2p[rid.page_lid]
-        if region == REGION_HOST:
-            self.host_pages[rid.page_lid].buf[at:at + 8] = packed
-        else:
-            self.device.write(region, idx * PAGE_SIZE + at, packed, REQUESTER_HOST)

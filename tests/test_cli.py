@@ -10,7 +10,7 @@ import pytest
 
 from ndtsim import cli
 from ndtsim.columns import CompareResult
-from ndtsim.errors import NdtError
+from ndtsim.errors import NdtError, PoolExhausted
 from ndtsim.host import HostSystem
 
 
@@ -51,6 +51,10 @@ def test_export_writes_a_file(tmp_path):
     ["delta", "--rows", "-5"],
     ["delta", "--sf", "0"],                                 # no row to modify
     ["delta", "--rows", "3", "--delta-fractions", "10,20"],   # 0 rows modified twice
+    ["transform", "--sf", "0", "--mode", "stream", "--out", "r.ndtc"],   # stream has no export
+    ["transform", "--sf", "1", "--scratchpad-bytes", "8192"],   # all of it the load window
+    ["delta", "--rows", "300", "--scratchpad-bytes", "8200"],   # no partition holds a value
+    ["htap", "--sf", "0", "--tx-count", "20", "--intervals", "4", "--scratchpad-bytes", "100"],
 ])
 def test_malformed_arguments_exit_1_before_loading(argv, monkeypatch, capsys):
     def no_load(*_args, **_kwargs):
@@ -61,9 +65,13 @@ def test_malformed_arguments_exit_1_before_loading(argv, monkeypatch, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_runtime_error_exits_2(capsys):
-    assert cli.main(["transform", "--sf", "0", "--scratchpad-bytes", "100"]) == 2
-    assert "error:" in capsys.readouterr().err
+def test_runtime_error_exits_2(monkeypatch, capsys):
+    def exhausted(*_args, **_kwargs):
+        raise PoolExhausted("NVM pool has 0 pages, 1 needed")
+
+    monkeypatch.setattr(HostSystem, "transform_snapshot", exhausted)
+    assert cli.main(["transform", "--sf", "0"]) == 2
+    assert "error: NVM pool" in capsys.readouterr().err
 
 
 def test_wrong_q6_answer_exits_3(monkeypatch, capsys):

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ndtsim.delta import free_handle
-from ndtsim.device import REGION_DDR, REGION_NVM, REGIONS
+from ndtsim.device import REGION_DDR, REGION_NVM, REGIONS, REQUESTER_COORD
 from ndtsim.engine import MODE_MATERIALIZE, MODE_STREAM, run_invocation
 from ndtsim.errors import NdtError
 from ndtsim.layout import (
@@ -128,7 +128,7 @@ def test_corrupt_pages_raise_typed_errors_and_free_their_pages(seed, rows, corru
     assert set(np.unique(h.device.l2p.regions).tolist()) == {0, 1}    # DDR and NVM pages
     patches = [patch for corruption in corrupt for patch in _patches(h, corruption)]
     for region, offset, data in patches:
-        h.device.write(region, offset, data, "HOST")
+        h.device.write(region, offset, data, REQUESTER_COORD)
     for mode in (MODE_MATERIALIZE, MODE_STREAM):
         before = _free_pages(h)
         inv = h.prepare(mode=mode, pe_count=pe_count, pages=pages)

@@ -45,11 +45,11 @@ def test_same_seed_reproduces_state():
 
 
 def test_new_order_only_creates_expected_vids(system):
-    cfg = WorkloadConfig(seed=4, tx_count=20, new_order_weight=1.0,
+    cfg = WorkloadConfig(seed=4, new_order_weight=1.0,
                          delivery_weight=0.0, delete_weight=0.0,
                          amount_update_weight=0.0, min_lines=7, max_lines=7,
                          abort_fraction=0.0)
-    report = WorkloadDriver(system, cfg).run(cfg.tx_count)
+    report = WorkloadDriver(system, cfg).run(20)
     assert report.new_vids == 20 * 7
     assert report.versions_created == 20 * 7
     assert len(system.store.vid_map) == 140
@@ -57,10 +57,10 @@ def test_new_order_only_creates_expected_vids(system):
 
 def test_delivery_updates_grow_chains(system):
     shadow = system.load_orderlines(50, seed=5, null_delivery_rate=1.0)
-    cfg = WorkloadConfig(seed=6, tx_count=40, new_order_weight=0.0,
+    cfg = WorkloadConfig(seed=6, new_order_weight=0.0,
                          delivery_weight=1.0, delete_weight=0.0,
                          amount_update_weight=0.0, abort_fraction=0.0)
-    WorkloadDriver(system, cfg, shadow).run(cfg.tx_count)
+    WorkloadDriver(system, cfg, shadow).run(40)
     lengths = []
     for vid in shadow:
         node = system.store.vid_map[vid]
@@ -191,7 +191,7 @@ def test_htap_counter_unaffected_by_invocation():
         system = HostSystem()
         shadow = system.load_orderlines(300, seed=14)
         system.merge_to_cold()
-        driver = WorkloadDriver(system, WorkloadConfig(seed=15, tx_count=400), shadow)
+        driver = WorkloadDriver(system, WorkloadConfig(seed=15), shadow)
         first = driver.run(200).oltp_ops
         if with_ndt:
             system.transform_snapshot(mode=MODE_MATERIALIZE)

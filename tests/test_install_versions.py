@@ -17,7 +17,7 @@ def state(system) -> dict:
     store, shared = system.store, system.shared
     return {
         "vid_map": dict(store.vid_map),
-        "tx_writes": {t: list(writes) for t, writes in store._tx_writes.items()},
+        "tx_writes": {t: dict(writes) for t, writes in store._tx_writes.items()},
         "op_count": store.op_count,
         "staged": dict(zip(shared._staged_vids, shared._staged_heads)),
         "pending": list(shared._pending_pages),
@@ -101,14 +101,17 @@ def test_uncommitted_batch_state_and_abort_match():
     assert state(a) == state(b)
 
 
-def _stale_setup():
-    """A system where tx ``old`` began before ``new`` committed an update of vid 3."""
+def _stale_setup(uncommitted: bool):
+    """A system and a tx ``writer`` whose write of vid 3 conflicts: another tx
+    committed an update of vid 3 after ``writer`` began or, if ``uncommitted``,
+    an older tx updated vid 3 and is still in flight."""
     system, _ = replay(4096, _transactions(random.Random(4), 1, 30, 10), batched=True)
-    old = system.store.begin_tx()
-    new = system.store.begin_tx()
-    system.store.install_version(new, 3, random_orderline(random.Random(5)))
-    system.store.commit_tx(new)
-    return system, old
+    first, second = system.store.begin_tx(), system.store.begin_tx()
+    holder, writer = (first, second) if uncommitted else (second, first)
+    system.store.install_version(holder, 3, random_orderline(random.Random(5)))
+    if not uncommitted:
+        system.store.commit_tx(holder)
+    return system, writer
 
 
 def test_stale_write_fails_the_batch_where_single_rows_fail():
@@ -116,19 +119,20 @@ def test_stale_write_fails_the_batch_where_single_rows_fail():
     rows = [random_orderline(rng) for _ in range(5)]
     vids = [0, 1, 3, 4, 5]
 
-    single, old = _stale_setup()
-    installed = []
-    with pytest.raises(StaleWrite):
-        for vid, values in zip(vids, rows):
-            single.store.install_version(old, vid, values)
-            installed.append(vid)
-    assert installed == [0, 1]
+    for uncommitted in (False, True):
+        single, writer = _stale_setup(uncommitted)
+        installed = []
+        with pytest.raises(StaleWrite):
+            for vid, values in zip(vids, rows):
+                single.store.install_version(writer, vid, values)
+                installed.append(vid)
+        assert installed == [0, 1]
 
-    batched, old = _stale_setup()
-    before = state(batched)
-    with pytest.raises(StaleWrite):
-        batched.store.install_versions(old, vids, rows)
-    assert state(batched) == before
+        batched, writer = _stale_setup(uncommitted)
+        before = state(batched)
+        with pytest.raises(StaleWrite):
+            batched.store.install_versions(writer, vids, rows)
+        assert state(batched) == before
 
 
 @pytest.mark.parametrize("bad, error", [

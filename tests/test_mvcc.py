@@ -87,43 +87,45 @@ def test_abort_restores_previous_head(system):
     assert store.vid_map[1].pred is None
 
 
-def test_abort_patches_interior_version(system):
-    """A later transaction stacks on an uncommitted head; the earlier abort
-    must splice its version out of both the chain and the record bytes."""
+def test_no_write_over_an_uncommitted_head(system):
+    """A write over another in-flight transaction's head is refused and changes
+    nothing; the writer may write once the holder aborts, or, if newer, once
+    the holder commits.  No record's bytes ever change."""
     store = system.store
     rng = random.Random(4)
     t0 = store.begin_tx()
-    rid0 = store.install_version(t0, 9, row(rng))
+    chain = [store.install_version(t0, 9, row(rng))]
     store.commit_tx(t0)
-    t1 = store.begin_tx()
-    store.install_version(t1, 9, row(rng))        # uncommitted middle
-    t2 = store.begin_tx()
-    rid2 = store.install_version(t2, 9, row(rng)) # stacks on top
-    store.commit_tx(t2)
-    store.abort_tx(t1)
-    chain = store.chain_rids(9)
-    assert chain == [rid2, rid0]
-    hdr = decode_header(system.shared.read_record(rid2))
-    assert hdr.pred == rid0
-
-
-def test_abort_patches_after_propagation(system):
-    """Same splice when the successor record already lives on the device."""
-    store = system.store
-    rng = random.Random(5)
-    t0 = store.begin_tx()
-    rid0 = store.install_version(t0, 3, row(rng))
-    store.commit_tx(t0)
-    t1 = store.begin_tx()
-    store.install_version(t1, 3, row(rng))
-    t2 = store.begin_tx()
-    rid2 = store.install_version(t2, 3, row(rng))
-    store.commit_tx(t2)
-    system.shared.propagate()                     # records now device-resident
-    store.abort_tx(t1)
-    hdr = decode_header(system.shared.read_record(rid2))
-    assert hdr.pred == rid0
-    assert store.chain_rids(3) == [rid2, rid0]
+    for propagate in (False, True):
+        holder, writer = store.begin_tx(), store.begin_tx()
+        store.install_version(holder, 9, row(rng))
+        if propagate:
+            system.shared.propagate()             # the holder's record is device-resident
+        head, staged = store.vid_map[9], list(system.shared._staged_vids)
+        for t in (writer, store.begin_tx()):      # a newer writer, and a newest
+            with pytest.raises(StaleWrite):
+                store.install_version(t, 9, row(rng))
+            with pytest.raises(StaleWrite):
+                store.install_versions(t, [3, 9], [row(rng), row(rng)])
+            assert store.vid_map[9] is head and 3 not in store.vid_map
+            assert system.shared._staged_vids == staged
+        store.abort_tx(holder)
+        assert store.chain_rids(9) == chain
+        rid = store.install_version(writer, 9, row(rng))
+        store.commit_tx(writer)
+        assert decode_header(system.shared.read_record(rid)).pred == chain[0]
+        chain.insert(0, rid)
+        assert store.chain_rids(9) == chain
+    # a holder that commits: the older writer is then stale, a newer one writes
+    older, holder, newer = store.begin_tx(), store.begin_tx(), store.begin_tx()
+    store.install_version(holder, 9, row(rng))
+    with pytest.raises(StaleWrite):
+        store.install_version(newer, 9, row(rng))
+    store.commit_tx(holder)
+    with pytest.raises(StaleWrite):
+        store.install_version(older, 9, row(rng))
+    rid = store.install_version(newer, 9, row(rng))
+    assert store.chain_rids(9)[0] == rid and store.vid_map[9].pred.create_ts == holder
 
 
 def test_same_tx_reupdate_bypasses_own_version(system):

@@ -5,7 +5,7 @@ is pinned to ``read_record`` plus ``layout.decode_values``, one visible
 record at a time: on the refresh workloads of ``test_refresh_differential``
 (deletes, aborts, NULL delivery dates, writers left in flight, pages in the
 host buffer, the DDR delta mirror and NVM), on the chain histories of
-``test_visibility_walk`` (tombstones, interior rollbacks, old snapshots),
+``test_visibility_walk`` (tombstones, refused writes, old snapshots),
 and on random schemas.  ``q6_rowstore`` is pinned to a per-record Python
 sum.  Corrupt page bytes under either oracle call may raise only typed
 ``NdtError`` subclasses.

@@ -9,11 +9,11 @@ history; one refreshes with the settled walk, the other with the full walk.
 
 Histories hold committed updates, deletes, inserts and re-inserts after a
 tombstone; aborted writes, whose heads roll back to the version they
-replaced; an older writer aborted under a newer committed version, which
-unlinks it by patching the newer record's ``pred``; writers in flight at
-one refresh and ended before the next, or in flight at both; and merges of
-the delta pages to cold NVM between refreshes, so settled tuples sit in
-DDR and in NVM.  After every refresh both twins must have walked out the
+replaced; a newer writer refused over an older one's uncommitted versions,
+which writes once the older aborts; writers in flight at one refresh and
+ended before the next, or in flight at both, whose tuples no other write
+touches; and merges of the delta pages to cold NVM between refreshes, so
+settled tuples sit in DDR and in NVM.  After every refresh both twins must have walked out the
 same changed rows and removed vids and hold the same handle, the view must
 equal the oracle's, and the full walk must have charged exactly one slot
 read and one header probe more per settled tuple (two NVM reads per
@@ -31,11 +31,12 @@ from ndtsim import engine
 from ndtsim.columns import canonical_compare
 from ndtsim.delta import compact, masked_view
 from ndtsim.device import REGION_NVM, REGIONS, DeviceConfig
+from ndtsim.errors import StaleWrite
 from ndtsim.host import HostSystem
 from ndtsim.layout import RID_NONE
 from ndtsim.mvcc import TOMBSTONE
 
-OPS = ("update", "delete", "insert", "reinsert", "abort", "abort_under")
+OPS = ("update", "delete", "insert", "reinsert", "abort", "refused")
 NVM = REGIONS.index(REGION_NVM)
 CFG = DeviceConfig(ddr_capacity_pages=512, nvm_capacity_pages=2048)
 SETTLED_WALK = engine.pe_visibility_check
@@ -121,7 +122,11 @@ class Twins:
         return vid
 
     def _pick(self, pool, count):
-        return self.rng.sample(pool, min(count, len(pool)))
+        """Up to ``count`` vids of ``pool`` that no writer in flight holds."""
+        store = self.settled.store
+        free = [vid for vid in pool if vid not in store.vid_map
+                or store.vid_map[vid].create_ts not in store.in_flight]
+        return self.rng.sample(free, min(count, len(free)))
 
     def apply(self, op: str, count: int):
         """One committed or aborted transaction of kind ``op``."""
@@ -145,11 +150,18 @@ class Twins:
             self.values.update((vid, template) for vid in vids)
             self._end(self._begin(vids, [template] * count), commit=True)
             self.live += vids
-        else:                                   # an older writer aborted under a newer one
+        else:                                   # refused until the older writer aborts
             vids = self._pick(self.live, count)
             older = self._begin(vids, [self._row(vid) for vid in vids])
-            newer = self._begin(vids, [self._row(vid) for vid in vids])
+            newer = [system.store.begin_tx() for system in self.systems]
+            rows = [self._row(vid) for vid in vids]
+            for system, t in zip(self.systems, newer):
+                if vids:
+                    with pytest.raises(StaleWrite):
+                        system.store.install_versions(t, vids, rows)
             self._end(older, commit=False)
+            for system, t in zip(self.systems, newer):
+                system.store.install_versions(t, vids, rows)
             self._end(newer, commit=self.rng.random() < 0.5)
 
     def leave_in_flight(self, refreshes: int, commit: bool):
@@ -239,7 +251,7 @@ def test_a_fixed_history_settles_in_both_regions():
         twins.apply(op, 5)
     twins.leave_in_flight(2, commit=True)          # in flight at two refreshes
     twins.refresh(3)
-    for op in ("abort_under", "update", "reinsert"):
+    for op in ("refused", "update", "reinsert"):
         twins.apply(op, 5)
     twins.leave_in_flight(1, commit=False)         # in flight at the new snapshot only
     twins.merge_to_cold()

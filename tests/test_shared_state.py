@@ -12,18 +12,17 @@ from ndtsim.device import (
     PROP_TX_ENTRY_BYTES,
     PROP_VID_ENTRY_BYTES,
     REGION_DDR,
+    REQUESTER_COORD,
 )
 from ndtsim.errors import CorruptRecord, SlotOutOfRange, StaleWrite
 from ndtsim.host import HostSystem
 from ndtsim.layout import (
     PAGE_SIZE,
-    PRED_OFFSET,
     RID_NONE,
     SLOT_COUNT_OFFSET,
     SLOT_ENTRY_SIZE,
     RecordHeader,
     RecordID,
-    decode_header,
     encode_record,
     pack_rid,
     page_slot_count_at,
@@ -196,13 +195,13 @@ def head_of(store, vid: int) -> int:
           ("abort", 0),             # 1 back to its predecessor, 3 to none
           ("install", 1, [(3, False), (4, False)]),                 # 3 installed again
           ("propagate", "invocation"),
-          ("install", 0, [(4, False)]),                             # above writer 1's 4
-          ("abort", 1),             # its 4 is interior now (no map change), 3 to none
+          ("install", 0, [(4, False)]),         # refused: writer 1's 4 is uncommitted
+          ("abort", 1),             # 3 and 4 to none
           ("install", 0, [(5, False)]),
           ("propagate", "regular"),
-          ("abort", 0)])            # 4 and 5 roll back in the last window
+          ("abort", 0)])            # 5 rolls back in the last window
 @example([("install", 0, [(0, False)]), ("install", 1, [(0, False)]),
-          ("propagate", "regular"), ("abort", 0)])      # an interior rollback, next window
+          ("propagate", "regular"), ("abort", 0)])      # a refused write, then a rollback
 def test_staged_delta_matches_a_dict_model(steps):
     """Every propagation ships the last staging of each vid staged since the
     previous one, sorted by vid, is charged for exactly those entries, and
@@ -224,7 +223,7 @@ def test_staged_delta_matches_a_dict_model(steps):
             try:
                 rids = store.install_versions(writers[who], vids, [
                     TOMBSTONE if delete else random_orderline(rng, vid) for vid, delete in step[2]])
-            except StaleWrite:      # a newer writer holds one of the vids
+            except StaleWrite:      # the other writer holds one of the vids
                 continue
             staged.update(zip(vids, map(pack_rid, rids)))
             written[who].update(vids)
@@ -259,7 +258,7 @@ def test_staged_delta_matches_a_dict_model(steps):
     assert shared.propagation_count == propagations     # none was triggered by capacity
 
 
-# -- record reads and pred patches from the page bytes --------------------------------------
+# -- record reads from the page bytes ------------------------------------------------------
 
 def _placed(system, n=30):
     """Committed rows on host pages, on DDR pages and on NVM pages: {rid: record bytes}."""
@@ -278,22 +277,12 @@ def _placed(system, n=30):
     return records
 
 
-def test_read_record_and_patch_pred_on_host_and_device_pages(system):
+def test_read_record_on_host_and_device_pages(system):
     records = _placed(system)
     regions = {system.shared.l2p[rid.page_lid][0] for rid in records}
     assert regions == {REGION_HOST, REGION_DDR, "NVM"}
-    rids = list(records)
     for rid, record in records.items():
         assert system.shared.read_record(rid) == record
-    for k, rid in enumerate(rids):
-        system.shared.patch_pred(rid, rids[-1 - k])
-    for k, rid in enumerate(rids):
-        patched = system.shared.read_record(rid)
-        assert decode_header(patched).pred == rids[-1 - k]
-        assert patched[:PRED_OFFSET] + patched[PRED_OFFSET + 8:] == \
-            records[rid][:PRED_OFFSET] + records[rid][PRED_OFFSET + 8:]
-    system.shared.patch_pred(rids[0], None)
-    assert decode_header(system.shared.read_record(rids[0])).pred is None
 
 
 def _corrupt(system, rid, at: int, value: int):
@@ -303,7 +292,7 @@ def _corrupt(system, rid, at: int, value: int):
     if region == REGION_HOST:
         system.shared.host_pages[rid.page_lid].buf[at:at + 2] = data
     else:
-        system.device.write(region, idx * PAGE_SIZE + at, data, "HOST")
+        system.device.write(region, idx * PAGE_SIZE + at, data, REQUESTER_COORD)
 
 
 @pytest.mark.parametrize("region", [REGION_HOST, REGION_DDR, "NVM"])
@@ -314,8 +303,6 @@ def test_slot_reads_raise_typed_errors(region):
     for slot in (count, count + 1, 0xFFFF, -1):
         with pytest.raises(SlotOutOfRange):
             system.shared.read_record(RecordID(rid.page_lid, slot))
-        with pytest.raises(SlotOutOfRange):
-            system.shared.patch_pred(RecordID(rid.page_lid, slot), None)
     entry = PAGE_SIZE - SLOT_ENTRY_SIZE * (rid.slot + 1)
     for at, value in [(entry, 4), (entry, PAGE_SIZE - 8), (entry + 2, PAGE_SIZE),
                       (SLOT_COUNT_OFFSET, 0x0FFF)]:
@@ -323,7 +310,5 @@ def test_slot_reads_raise_typed_errors(region):
         _corrupt(system, rid, at, value)
         with pytest.raises(CorruptRecord):
             system.shared.read_record(rid)
-        with pytest.raises(CorruptRecord):
-            system.shared.patch_pred(rid, None)
         _corrupt(system, rid, at, int.from_bytes(original, "little"))
     system.shared.read_record(rid)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from ndtsim import columns
 from ndtsim.columns import assemble
 from ndtsim.delta import compact, masked_view, read_segments
-from ndtsim.device import REQUESTER_HOST
+from ndtsim.device import REQUESTER_COORD
 from ndtsim.errors import CorruptDescriptor, NdtError
 from ndtsim.host import HostSystem, WorkloadConfig, WorkloadDriver
 from ndtsim.layout import PAGE_SIZE
@@ -101,10 +101,10 @@ def test_every_view_equals_a_cache_free_read(seed, data):
             at = data.draw(st.integers(0, frag.nbytes - 1))
             place = (frag.region, frag.pages[at // PAGE_SIZE] * PAGE_SIZE + at % PAGE_SIZE)
             written.setdefault(place, bytes(device.peek(*place, 1)))
-            device.write(*place, bytes([data.draw(st.integers(0, 255))]), REQUESTER_HOST)
+            device.write(*place, bytes([data.draw(st.integers(0, 255))]), REQUESTER_COORD)
         elif op == "revert":
             for place, byte in written.items():
-                device.write(*place, byte, REQUESTER_HOST)
+                device.write(*place, byte, REQUESTER_COORD)
             written.clear()
         elif not handle.current.all():
             current = handle.current.copy()
@@ -153,10 +153,10 @@ def test_an_unchanged_segment_is_decoded_once(decodes):
     device = handle.device
     place = (frag.region, frag.pages[0] * PAGE_SIZE)
     original = bytes(device.peek(*place, 1))
-    device.write(*place, b"\xff", REQUESTER_HOST)
+    device.write(*place, b"\xff", REQUESTER_COORD)
     with pytest.raises(CorruptDescriptor):          # not UTF-8: decoded again, and checked
         masked_view(handle)
-    device.write(*place, original, REQUESTER_HOST)
+    device.write(*place, original, REQUESTER_COORD)
     del decodes[:]
     masked_view(handle)
     assert decodes == []                            # the kept strings outlived the failure

@@ -1,9 +1,9 @@
 """The batch visibility walk: a differential check and corrupt chains.
 
-The differential test drives random transactions (aborts, interior
-rollbacks, tombstones, writers left in flight) over pages of which some
-were merged to NVM and some stay in the DDR delta mirror, then walks every
-tuple with 1 to 8 PEs.  Every tuple must resolve to the version
+The differential test drives random transactions (aborts, writes refused
+over uncommitted heads, tombstones, writers left in flight) over pages of
+which some were merged to NVM and some stay in the DDR delta mirror, then
+walks every tuple with 1 to 8 PEs.  Every tuple must resolve to the version
 ``oracle_visible_version`` picks, at the bytes the host reads for it, and
 every PE must be charged one map entry per tuple and one address
 resolution, slot read and header probe per version the oracle visits.
@@ -15,15 +15,17 @@ import struct
 import numpy as np
 import pytest
 
-from ndtsim.device import MAX_SLOTS, REGION_NVM, REGIONS, op_total
+from ndtsim.device import MAX_SLOTS, REGION_NVM, REGIONS, REQUESTER_COORD, op_total
 from ndtsim.engine import IdentityIndex, pe_visibility_check, run_invocation, schedule, walk
 from ndtsim.errors import CorruptRecord, StaleWrite
 from ndtsim.layout import (
     PAGE_SIZE,
+    PRED_OFFSET,
     SLOT_ENTRY_SIZE,
     Int32,
     Schema,
     page_slot_count_at,
+    page_slot_entry_at,
     pack_rid,
 )
 from ndtsim.mvcc import TOMBSTONE, oracle_visible_version
@@ -63,13 +65,18 @@ def _random_history(seed: int, vids: int = 40, steps: int = 400):
         if rng.random() < 0.01:
             h.shared.propagate()
             h.shared.merge_delta_pages()
-    # in every history: an interior rollback, and a writer left in flight
+    # in every history: a write refused until the older writer holding its
+    # vid aborts, and a writer left in flight
+    free = [vid for vid in range(vids) if vid not in h.store.vid_map
+            or h.store.vid_map[vid].create_ts not in h.store.in_flight]
     below, above = h.store.begin_tx(), h.store.begin_tx()
-    vid = rng.randrange(vids)
+    vid = rng.choice(free)
     h.store.install_version(below, vid, (-1,))
-    h.store.install_version(above, vid, (-2,))
+    with pytest.raises(StaleWrite):
+        h.store.install_version(above, vid, (-2,))
     h.store.abort_tx(below)
-    for vid in rng.sample(range(vids), 5):
+    h.store.install_version(above, vid, (-2,))
+    for vid in rng.sample(free, min(5, len(free))):
         h.store.install_version(above, vid, (-3,))
     return h, halfway
 
@@ -173,16 +180,16 @@ def test_slot_past_the_page_slot_count_is_corrupt():
     entry = bytes(h.device.peek(region, entry_at, SLOT_ENTRY_SIZE))
     area_end = PAGE_SIZE - SLOT_ENTRY_SIZE * count
     for offset, length in ((4, 30), (area_end - 12, 16)):
-        h.device.write(region, entry_at, struct.pack("<HH", offset, length), "HOST")
+        h.device.write(region, entry_at, struct.pack("<HH", offset, length), REQUESTER_COORD)
         with pytest.raises(CorruptRecord):
             h.device.pe_read_slot(0, region, np.array([base]), np.array([0]))
         inv = h.prepare(pe_count=2, pages=4)
         inv.vid_view = inv.vid_view.copy()
         inv.vid_view["head"][0] = lid << 16
         _fails_and_frees(h, inv, CorruptRecord)
-    h.device.write(region, entry_at, entry, "HOST")
+    h.device.write(region, entry_at, entry, REQUESTER_COORD)
     # a corrupt slot count does not let an entry leave its page
-    h.device.write(region, base + 8, b"\xff\xff", "HOST")
+    h.device.write(region, base + 8, b"\xff\xff", REQUESTER_COORD)
     for slot in (MAX_SLOTS, 0xFFFE):
         with pytest.raises(CorruptRecord):
             h.device.pe_read_slot(0, region, np.array([base]), np.array([slot]))
@@ -200,7 +207,11 @@ def _chain(h, versions: int):
 def test_chain_cycle_is_corrupt_within_one_lap(versions, cycle):
     h = Harness(SCHEMA)
     rids = _chain(h, versions)
-    h.shared.patch_pred(rids[-1], rids[0])     # the oldest version points at the newest
+    oldest = rids[-1]                           # its pred word points at the newest
+    region, idx = h.shared.l2p[oldest.page_lid]
+    offset, _length = page_slot_entry_at(h.shared.page_image(oldest.page_lid), 0, oldest.slot)
+    h.device.write(region, idx * PAGE_SIZE + offset + PRED_OFFSET,
+                   struct.pack("<Q", pack_rid(rids[0])), REQUESTER_COORD)
     # caller 1 is the first writer: no version is visible, the walk follows every pred
     inv = h.prepare(pe_count=1, pages=4, caller=1)
     before = op_total(h.device.ledger, "l2p")
