@@ -87,22 +87,55 @@ def test_abort_restores_previous_head(system):
     assert store.vid_map[1].pred is None
 
 
+def _write_after_abort(system, vid, seed, propagate):
+    """t1 holds an uncommitted head over a committed version; t2 may not stack
+    on it, and writes over the committed version once t1 aborts."""
+    store = system.store
+    rng = random.Random(seed)
+    t0 = store.begin_tx()
+    rid0 = store.install_version(t0, vid, row(rng))
+    store.commit_tx(t0)
+    t1 = store.begin_tx()
+    store.install_version(t1, vid, row(rng))      # uncommitted head
+    t2 = store.begin_tx()
+    if propagate:
+        system.shared.propagate()                 # records now device-resident
+    with pytest.raises(StaleWrite):
+        store.install_version(t2, vid, row(rng))  # may not stack on it
+    store.abort_tx(t1)
+    rid2 = store.install_version(t2, vid, row(rng))
+    store.commit_tx(t2)
+    assert store.chain_rids(vid) == [rid2, rid0]
+    assert decode_header(system.shared.read_record(rid2)).pred == rid0
+
+
+def test_abort_patches_interior_version(system):
+    """No interior version is ever left to splice out: the abort rolls the head
+    back, and the later write's record points at the committed version."""
+    _write_after_abort(system, 9, 4, propagate=False)
+
+
+def test_abort_patches_after_propagation(system):
+    """The same when the aborted record already lives on the device."""
+    _write_after_abort(system, 3, 5, propagate=True)
+
+
 def test_no_write_over_an_uncommitted_head(system):
     """A write over another in-flight transaction's head is refused and changes
-    nothing; the writer may write once the holder aborts, or, if newer, once
-    the holder commits.  No record's bytes ever change."""
+    nothing, whether the head is on the host or the device; an older writer is
+    stale once the holder commits, a newer one then writes."""
     store = system.store
     rng = random.Random(4)
     t0 = store.begin_tx()
     chain = [store.install_version(t0, 9, row(rng))]
     store.commit_tx(t0)
     for propagate in (False, True):
-        holder, writer = store.begin_tx(), store.begin_tx()
+        holder = store.begin_tx()
         store.install_version(holder, 9, row(rng))
         if propagate:
             system.shared.propagate()             # the holder's record is device-resident
         head, staged = store.vid_map[9], list(system.shared._staged_vids)
-        for t in (writer, store.begin_tx()):      # a newer writer, and a newest
+        for t in (store.begin_tx(), store.begin_tx()):  # a newer writer, and a newest
             with pytest.raises(StaleWrite):
                 store.install_version(t, 9, row(rng))
             with pytest.raises(StaleWrite):
@@ -110,11 +143,6 @@ def test_no_write_over_an_uncommitted_head(system):
             assert store.vid_map[9] is head and 3 not in store.vid_map
             assert system.shared._staged_vids == staged
         store.abort_tx(holder)
-        assert store.chain_rids(9) == chain
-        rid = store.install_version(writer, 9, row(rng))
-        store.commit_tx(writer)
-        assert decode_header(system.shared.read_record(rid)).pred == chain[0]
-        chain.insert(0, rid)
         assert store.chain_rids(9) == chain
     # a holder that commits: the older writer is then stale, a newer one writes
     older, holder, newer = store.begin_tx(), store.begin_tx(), store.begin_tx()
