@@ -55,7 +55,7 @@ def _device_config(args) -> DeviceConfig:
     cfg = DeviceConfig()
     if getattr(args, "pe", None):
         cfg.pe_count = args.pe
-    if getattr(args, "scratchpad_bytes", None):
+    if getattr(args, "scratchpad_bytes", None) is not None:
         cfg.scratchpad_bytes = args.scratchpad_bytes
     cfg.validate()
     schema = orderline_schema()
@@ -316,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=7)
         p.add_argument("--sf", type=int, default=10, help="scale factor (3000 rows per unit)")
         p.add_argument("--pe", type=int, default=0, help="processing elements (default: device max)")
-        p.add_argument("--scratchpad-bytes", type=int, default=0)
+        p.add_argument("--scratchpad-bytes", type=int, default=None,
+                       help="bytes of each PE's scratchpad (default: 65536)")
         p.add_argument("--csv", help="write per-row results to this CSV file")
 
     p = sub.add_parser("htap", help="foreground-impact experiment")

@@ -15,12 +15,14 @@ sides of a differential check.
 
 from __future__ import annotations
 
+import math
 import random
 import string
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from decimal import Decimal as PyDecimal
+from itertools import repeat
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .engine import (
     NdtInvocation,
     run_invocation,
 )
-from .errors import MissingColumn, PoolExhausted, UnknownTx
+from .errors import InvalidConfig, MissingColumn, PoolExhausted, UnknownTx
 from .layout import (
     PAGE_SIZE,
     Decimal,
@@ -74,7 +76,71 @@ def pg_micros(year: int, month: int = 1, day: int = 1) -> int:
 # Delivery dates spread across 1995..2014, so both pre- and post-2000
 # timestamp encodings occur.
 DELIVERY_RANGE = (pg_micros(1995), pg_micros(2015))
+DELIVERY_SPAN = DELIVERY_RANGE[1] - DELIVERY_RANGE[0]
 LOAD_BATCH_ROWS = 1000          # rows per bulk-load transaction
+
+
+# The generator draws as ``random.Random.randint``, ``randrange`` and
+# ``choices`` do, and in the same order, so a seed's rows stay the same; but
+# it draws from a bound ``getrandbits``, with no Python frame per value.
+# ``randrange(a, a + width)`` is ``a + _randbelow(width)``, and CPython's
+# ``_randbelow`` draws ``getrandbits(width.bit_length())`` until the draw is
+# below ``width`` (``randint(1, 1)`` too draws one bit).
+
+def randbelow(getrandbits, width: int) -> int:
+    """``random.Random._randbelow(width)`` on the generator of ``getrandbits``."""
+    bits = width.bit_length()
+    r = getrandbits(bits)
+    while r >= width:
+        r = getrandbits(bits)
+    return r
+
+
+def random_rows(rng: random.Random, order_lines, warehouses: int,
+                null_delivery_rate: float = None) -> list:
+    """One random row per (order id, line number) of ``order_lines``.
+
+    With a ``null_delivery_rate`` each row first draws its delivery date,
+    NULL at that rate; without one every delivery date is NULL and no draw
+    is made for it.
+    """
+    getrandbits, random_, choices = rng.getrandbits, rng.random, rng.choices
+    letters = string.ascii_lowercase
+    warehouse_bits = warehouses.bit_length()
+    delivery_bits, delivery_lo = DELIVERY_SPAN.bit_length(), DELIVERY_RANGE[0]
+    delivered = None
+    rows = []
+    for order, line in order_lines:
+        if null_delivery_rate is not None:
+            if random_() < null_delivery_rate:
+                delivered = None
+            else:
+                r = getrandbits(delivery_bits)
+                while r >= DELIVERY_SPAN:
+                    r = getrandbits(delivery_bits)
+                delivered = delivery_lo + r
+        cents = getrandbits(20)                 # randint(1, 999_999)
+        while cents >= 999_999:
+            cents = getrandbits(20)
+        dist_len = getrandbits(5)               # randint(8, 24)
+        while dist_len >= 17:
+            dist_len = getrandbits(5)
+        district = getrandbits(4)               # randint(1, 10)
+        while district >= 10:
+            district = getrandbits(4)
+        warehouse = getrandbits(warehouse_bits)     # randint(1, warehouses)
+        while warehouse >= warehouses:
+            warehouse = getrandbits(warehouse_bits)
+        item = getrandbits(17)                  # randint(1, 100_000)
+        while item >= 100_000:
+            item = getrandbits(17)
+        quantity = getrandbits(4)               # randint(1, 10)
+        while quantity >= 10:
+            quantity = getrandbits(4)
+        rows.append((order, district + 1, warehouse + 1, line, item + 1, delivered,
+                     quantity + 1, PyDecimal(cents + 1).scaleb(-2),
+                     "".join(choices(letters, k=dist_len + 8))))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -139,6 +205,37 @@ class WorkloadConfig:
     abort_fraction: float = 0.02
     warehouses: int = 10
 
+    def validate(self):
+        """Raise ``InvalidConfig`` for a mix no driver can draw from: an empty
+        range of warehouses or lines, a negative or all-zero weight, or an
+        abort fraction outside [0, 1]."""
+        for name in ("warehouses", "min_lines", "max_lines"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+        for name in ("new_order_weight", "delivery_weight", "delete_weight",
+                     "amount_update_weight", "abort_fraction"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise InvalidConfig(f"{name} must be a number, got {value!r}")
+        if self.warehouses < 1:
+            raise InvalidConfig(f"warehouses must be >= 1, got {self.warehouses}")
+        if not 1 <= self.min_lines <= self.max_lines:
+            raise InvalidConfig(f"need 1 <= min_lines ({self.min_lines}) <= max_lines "
+                                f"({self.max_lines})")
+        weights = self.weights
+        if not all(0 <= w < math.inf for w in weights) or not any(weights):
+            raise InvalidConfig(f"transaction weights must be finite, >= 0 and not all 0, "
+                                f"got {weights}")
+        if not 0 <= self.abort_fraction <= 1:
+            raise InvalidConfig(f"abort_fraction must be in [0, 1], got {self.abort_fraction}")
+
+    @property
+    def weights(self) -> tuple:
+        """New-order, delivery, delete and amount-update weights, in that order."""
+        return (self.new_order_weight, self.delivery_weight, self.delete_weight,
+                self.amount_update_weight)
+
 
 @dataclass
 class OltpReport:
@@ -166,29 +263,13 @@ class HostSystem:
 
     # -- data loading and OLTP --------------------------------------------------
 
-    def new_vid(self) -> int:
-        vid = self._next_vid
-        self._next_vid += 1
-        return vid
-
-    def _random_row(self, rng: random.Random, order_id: int, line: int,
-                    warehouses: int, delivered_micros):
-        amount_cents = rng.randint(1, 999_999)
-        dist_len = rng.randint(8, 24)
-        return (
-            order_id,
-            rng.randint(1, 10),
-            rng.randint(1, warehouses),
-            line,
-            rng.randint(1, 100_000),
-            delivered_micros,
-            rng.randint(1, 10),
-            PyDecimal(amount_cents).scaleb(-2),
-            "".join(rng.choices(string.ascii_lowercase, k=dist_len)),
-        )
-
-    def _random_delivery(self, rng: random.Random) -> int:
-        return rng.randrange(*DELIVERY_RANGE)
+    def new_vids(self, count: int) -> list:
+        """The next ``count`` vids, never handed out before.  A list, not a
+        range: the shadow, the chains and the staged map delta then share
+        each vid's int object rather than each making its own."""
+        first = self._next_vid
+        self._next_vid += count
+        return list(range(first, first + count))
 
     def load_orderlines(self, n_rows: int, seed: int = 1,
                         null_delivery_rate: float = 0.08) -> dict:
@@ -197,21 +278,16 @@ class HostSystem:
         rng = random.Random(seed)
         shadow = {}
         store = self.store
-        remaining = n_rows
-        while remaining > 0:
+        for first in range(0, n_rows, LOAD_BATCH_ROWS):
+            count = min(LOAD_BATCH_ROWS, n_rows - first)
             t = store.begin_tx()
-            vids, rows = [], []
-            for _ in range(min(LOAD_BATCH_ROWS, remaining)):
-                order = self._next_order
-                self._next_order += 1
-                delivered = None if rng.random() < null_delivery_rate \
-                    else self._random_delivery(rng)
-                rows.append(self._random_row(rng, order, 1, 10, delivered))
-                vids.append(self.new_vid())
+            orders = range(self._next_order, self._next_order + count)
+            self._next_order += count
+            rows = random_rows(rng, zip(orders, repeat(1)), 10, null_delivery_rate)
+            vids = self.new_vids(count)
             store.install_versions(t, vids, rows)
             shadow.update(zip(vids, rows))
             store.commit_tx(t)
-            remaining -= LOAD_BATCH_ROWS
         return shadow
 
     # -- invocation lifecycle ------------------------------------------------------
@@ -367,16 +443,18 @@ class _IndexedSet:
             self.items[i] = last
             self.pos[last] = i
 
-    def pick(self, rng: random.Random):
+    def pick(self, getrandbits):
+        """``items[rng.randrange(len(items))]`` of the generator of ``getrandbits``."""
         if not self.items:
             return None
-        return self.items[rng.randrange(len(self.items))]
+        return self.items[randbelow(getrandbits, len(self.items))]
 
 
 class WorkloadDriver:
     """Resumable deterministic transaction stream against one system."""
 
     def __init__(self, system: HostSystem, cfg: WorkloadConfig, shadow: dict = None):
+        cfg.validate()
         self.system = system
         self.cfg = cfg
         self.rng = random.Random(cfg.seed)
@@ -388,38 +466,38 @@ class WorkloadDriver:
 
     def step(self):
         """Run one transaction; commits or aborts before returning."""
-        cfg, rng, store = self.cfg, self.rng, self.system.store
-        weights = (cfg.new_order_weight, cfg.delivery_weight,
-                   cfg.delete_weight, cfg.amount_update_weight)
+        cfg, rng, system = self.cfg, self.rng, self.system
+        store, getrandbits = system.store, rng.getrandbits
+        weights = cfg.weights
         pick = rng.random() * sum(weights)
         t = store.begin_tx()
         writes = []
         if pick < weights[0] or not self.shadow:
-            order = self.system._next_order
-            self.system._next_order += 1
-            lines = rng.randint(cfg.min_lines, cfg.max_lines)
-            vids = [self.system.new_vid() for _ in range(lines)]
-            rows = [self.system._random_row(rng, order, line, cfg.warehouses, None)
-                    for line in range(1, lines + 1)]
+            order = system._next_order
+            system._next_order += 1
+            lines = cfg.min_lines + randbelow(getrandbits, cfg.max_lines - cfg.min_lines + 1)
+            vids = system.new_vids(lines)
+            rows = random_rows(rng, zip(repeat(order), range(1, lines + 1)), cfg.warehouses)
             store.install_versions(t, vids, rows)
-            writes = [(vid, row, False) for vid, row in zip(vids, rows)]
+            writes = list(zip(vids, rows, repeat(False)))
         elif pick < weights[0] + weights[1]:
-            vid = self.undelivered.pick(rng)
+            vid = self.undelivered.pick(getrandbits)
             if vid is not None:
                 old = self.shadow[vid]
-                row = old[:5] + (self.system._random_delivery(rng),) + old[6:]
+                delivered = DELIVERY_RANGE[0] + randbelow(getrandbits, DELIVERY_SPAN)
+                row = old[:5] + (delivered,) + old[6:]
                 store.install_version(t, vid, row)
                 writes.append((vid, row, False))
         elif pick < weights[0] + weights[1] + weights[2]:
-            vid = self.live.pick(rng)
+            vid = self.live.pick(getrandbits)
             if vid is not None:
                 store.delete_version(t, vid)
                 writes.append((vid, None, True))
         else:
-            vid = self.live.pick(rng)
+            vid = self.live.pick(getrandbits)
             if vid is not None:
                 old = self.shadow[vid]
-                amount = PyDecimal(rng.randint(1, 999_999)).scaleb(-2)
+                amount = PyDecimal(1 + randbelow(getrandbits, 999_999)).scaleb(-2)
                 row = old[:7] + (amount,) + old[8:]
                 store.install_version(t, vid, row)
                 writes.append((vid, row, False))

@@ -266,6 +266,30 @@ def decimal_to_scaled(value, ftype: Decimal) -> int:
     return n
 
 
+def _scaled_column(values: list, kind: type, ftype: Decimal) -> list:
+    """``decimal_to_scaled`` of each of ``values``, all of type ``kind``.
+
+    A column of ints or of ``decimal.Decimal`` is converted and checked as a
+    column (finite, no fraction digit beyond the scale, below
+    ``10**precision``).  A column that fails, or of another type, is
+    converted value by value, which raises the first value's error.
+    """
+    scale, limit = ftype.scale, 10 ** ftype.precision
+    try:
+        if kind is int:
+            scaled = list(map((10 ** scale).__mul__, values))
+            if max(map(abs, scaled)) < limit:
+                return scaled
+        elif kind is PyDecimal and all(map(PyDecimal.is_finite, values)):
+            shifted = list(map(PyDecimal.scaleb, values, repeat(scale)))
+            scaled = list(map(int, shifted))
+            if scaled == shifted and max(map(abs, scaled)) < limit:
+                return scaled
+    except ArithmeticError:          # a scaleb out of the context's range
+        pass
+    return list(map(decimal_to_scaled, values, repeat(ftype)))
+
+
 def scaled_to_decimal(scaled: int, ftype: Decimal) -> PyDecimal:
     return PyDecimal(scaled).scaleb(-ftype.scale)
 
@@ -343,7 +367,7 @@ def encode_records(schema: Schema, headers: Sequence[RecordHeader], rows: Sequen
             return records
         headers, rows = list(map(headers.__getitem__, live)), list(map(rows.__getitem__, live))
     try:
-        signatures = [tuple(map(type, row)) for row in rows]
+        signatures = list(map(tuple, map(map, repeat(type), rows)))
     except TypeError:
         raise ArityMismatch(f"schema has {schema.n_attrs} attributes, a row has none") from None
 
@@ -368,7 +392,7 @@ def encode_records(schema: Schema, headers: Sequence[RecordHeader], rows: Sequen
             packer = schema.record_packers[signature] = (
                 struct.Struct(fmt).pack, mask.to_bytes(schema.null_bitmap_bytes, "little"),
                 [i for i, _offset in offsets],
-                [(i, schema.attributes[i].ftype) for i, _offset in offsets
+                [(i, signature[i], schema.attributes[i].ftype) for i, _offset in offsets
                  if schema.attributes[i].ftype.code == TC_DECIMAL],
                 [i for i in schema.varlen_plan if not mask >> i & 1])
         pack, bitmap, fixed, decimals, varlens = packer
@@ -378,8 +402,8 @@ def encode_records(schema: Schema, headers: Sequence[RecordHeader], rows: Sequen
             group = list(map(rows.__getitem__, at))
             group_headers = list(map(headers.__getitem__, at))
         columns = list(zip(*group))
-        for i, ftype in decimals:
-            columns[i] = list(map(decimal_to_scaled, columns[i], repeat(ftype)))
+        for i, kind, ftype in decimals:
+            columns[i] = _scaled_column(columns[i], kind, ftype)
         for i in varlens:
             columns[i] = _framed_varchars(columns[i], schema.attributes[i])
         vids, create_ts, preds = zip(*map(_HEADER_WORDS, group_headers))

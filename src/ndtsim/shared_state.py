@@ -20,6 +20,7 @@ which a record is reachable from neither side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -131,12 +132,9 @@ class HostSharedState:
                     break
             slot, lid = page.extend(records[k:end]), page.page_lid
             head = self._open_rid0 + slot     # a slot is below 2**16: packing adds it
-            for vid in vids[k:end]:
-                rids.append(RecordID(lid, slot))
-                staged_vids.append(vid)
-                staged_heads.append(head)
-                slot += 1
-                head += 1
+            rids.extend(map(RecordID, repeat(lid, end - k), range(slot, slot + end - k)))
+            staged_vids.extend(vids[k:end])
+            staged_heads.extend(range(head, head + end - k))
             self.size_bytes = size
             k = end
             if size >= capacity:

@@ -55,6 +55,8 @@ def test_export_writes_a_file(tmp_path):
     ["transform", "--sf", "1", "--scratchpad-bytes", "8192"],   # all of it the load window
     ["delta", "--rows", "300", "--scratchpad-bytes", "8200"],   # no partition holds a value
     ["htap", "--sf", "0", "--tx-count", "20", "--intervals", "4", "--scratchpad-bytes", "100"],
+    ["transform", "--sf", "0", "--scratchpad-bytes", "0"],      # not the default: no scratchpad
+    ["transform", "--sf", "0", "--scratchpad-bytes", "-5"],
 ])
 def test_malformed_arguments_exit_1_before_loading(argv, monkeypatch, capsys):
     def no_load(*_args, **_kwargs):

@@ -7,6 +7,8 @@ Records are decoded by the tests' reference decoder (``decode_header``,
 
 import random
 from decimal import Decimal as D
+from itertools import repeat
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from ndtsim.errors import (
     TypeMismatch,
     VarCharTooLong,
 )
+from ndtsim import layout
 from ndtsim.layout import (
     TC_DECIMAL,
     TC_INT32,
@@ -31,6 +34,7 @@ from ndtsim.layout import (
     Schema,
     TimestampPg,
     VarChar,
+    decimal_to_scaled,
     decode_header,
     decode_values,
     encode_records,
@@ -237,3 +241,80 @@ def test_only_typed_errors_escape():
 def test_headers_and_rows_must_pair():
     with pytest.raises(ArityMismatch):
         encode_records(PARITY_SCHEMA, [RecordHeader(1, 1)], [])
+
+
+# -- decimal columns: checked a column at a time, failing like value by value ------------
+
+def _per_value(values, _kind, ftype):
+    return list(map(decimal_to_scaled, values, repeat(ftype)))
+
+
+def _outcome(schema, headers, rows):
+    """The records, or the class and message of what was raised."""
+    try:
+        return encode_records(schema, headers, rows)
+    except Exception as exc:            # any class: the two sides must raise the same
+        return type(exc), str(exc)
+
+
+def decimal_values(ftype: Decimal, kinds) -> st.SearchStrategy:
+    """Values for ``ftype``: in range and at its limits, with a fraction digit
+    too many, not finite, of a wide exponent, or ints; ``kinds`` picks which."""
+    whole = 10 ** (ftype.precision - ftype.scale)           # the first int out of range
+    limit = 10 ** ftype.precision                           # the first scaled value out
+    ints = st.one_of(st.sampled_from([whole, -whole, whole - 1, 1 - whole, 0]),
+                     st.integers(-whole, whole))
+    decimals = st.one_of(
+        st.sampled_from([D(limit).scaleb(-ftype.scale), D(1 - limit).scaleb(-ftype.scale),
+                         D(limit - 1).scaleb(-ftype.scale), D(-limit).scaleb(-ftype.scale),
+                         D("NaN"), D("-NaN"), D("sNaN"), D("Infinity"), D("-Infinity"),
+                         D("1E+40"), D("-0E-50"), D("0.000"), D("5E-1")]),
+        st.builds(lambda n, digits: D(n).scaleb(-digits), st.integers(-limit, limit),
+                  st.integers(0, ftype.scale + 2)))
+    return {"int": ints, "decimal": decimals, "mixed": st.one_of(ints, decimals)}[kinds]
+
+
+@st.composite
+def decimal_batches(draw):
+    precision = draw(st.integers(1, 18))
+    ftype = Decimal(precision, draw(st.integers(0, precision)))
+    schema = Schema("d", [("i", Int32(), False), ("a", ftype, False),
+                          ("b", Decimal(18, 4), True), ("s", VarChar(4), False)])
+    kinds = draw(st.sampled_from(["decimal", "int", "mixed"]))
+    row = st.tuples(st.integers(0, 9), decimal_values(ftype, kinds),
+                    st.one_of(st.none(), decimal_values(Decimal(18, 4), kinds)),
+                    st.sampled_from(["", "ab", "abcd", "abcde"]))
+    rows = draw(st.lists(row, min_size=1, max_size=16))
+    return schema, [RecordHeader(vid, 1) for vid in range(len(rows))], rows
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(decimal_batches())
+def test_decimal_columns_encode_like_per_value_conversion(batch):
+    schema, headers, rows = batch
+    got = _outcome(schema, headers, rows)
+    with mock.patch.object(layout, "_scaled_column", _per_value):
+        assert got == _outcome(schema, headers, rows)
+
+
+@pytest.mark.parametrize("bad", [D("sNaN"), D("-sNaN"), D("sNaN123")])
+def test_a_signalling_nan_is_a_type_mismatch_in_any_column(bad):
+    schema = Schema("n", [("m", Decimal(6, 2), False)])
+    for at in (0, 5, 9):
+        rows = [(D("1.25"),)] * 10
+        rows[at] = (bad,)
+        with pytest.raises(TypeMismatch, match="is not a finite number"):
+            encode_records(schema, [RecordHeader(vid, 1) for vid in range(10)], rows)
+
+
+def test_a_valid_decimal_column_is_not_converted_value_by_value():
+    schema = Schema("v", [("m", Decimal(6, 2), False), ("n", Decimal(4, 0), False)])
+    rows = [(D(k).scaleb(-2), k % 10_000) for k in range(-500, 500)]
+    headers = [RecordHeader(vid, 1) for vid in range(len(rows))]
+    with mock.patch.object(layout, "decimal_to_scaled", side_effect=decimal_to_scaled) as spy:
+        encode_records(schema, headers, rows)
+        assert spy.call_count == 0
+        rows[700] = (D("0.125"), 0)
+        with pytest.raises(TypeMismatch, match="more than 2 fraction digits"):
+            encode_records(schema, headers, rows)
+        assert spy.call_count == 701       # the failing column, value by value up to its fault

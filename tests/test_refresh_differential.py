@@ -36,7 +36,7 @@ def _leave_writer_in_flight(system, driver, rng):
         old = driver.shadow[vid]
         store.install_version(t, vid, old[:6] + (old[6] + 1,) + old[7:])
     store.delete_version(t, rng.choice(live))
-    store.install_version(t, system.new_vid(), driver.shadow[live[0]])
+    store.install_version(t, system.new_vids(1)[0], driver.shadow[live[0]])
     return t
 
 

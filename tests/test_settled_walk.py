@@ -117,8 +117,8 @@ class Twins:
             (system.store.commit_tx if commit else system.store.abort_tx)(t)
 
     def _new_vid(self):
-        vid = self.settled.new_vid()
-        assert self.full.new_vid() == vid
+        [vid] = self.settled.new_vids(1)
+        assert self.full.new_vids(1) == [vid]
         return vid
 
     def _pick(self, pool, count):
