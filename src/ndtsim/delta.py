@@ -200,7 +200,6 @@ def compact(handle: MaterializationHandle) -> MaterializationHandle:
     handle.index = handle.index._replace(positions=rank[handle.index.positions])
     handle.current = current
     handle.bitmap_pages = bitmap_pages
-    handle.column_bytes = sum(f.nbytes for f in frags.values())
     handle.run_count += 1
     expose_segments(device, handle.segments)
     return handle

@@ -37,11 +37,10 @@ are named in arrays by their code, the index into ``REGIONS``.
 
 The map mirrors are the read-only arrays the walk reads: ``vid_map`` has
 one (vid, packed chain head) row per tuple, sorted by vid, and ``l2p`` is a
-``PageTable`` whose DDR rows are the delta mirror's pages.  Beside its rows
-sorted by lid, a ``PageTable`` holds the same map indexed by lid, built
-with the table (``PageTable.of``), so resolving a page is a bound check and
-two gathers.  Propagation and merges replace the mirrors, never write into
-them, so invocations share them.
+``PageTable``, the page map indexed by lid, whose DDR entries are the delta
+mirror's pages.  Resolving a page is a bound check and two gathers.
+Propagation and merges replace the mirrors by copy-on-write, never write
+into them, so invocations share them.
 """
 
 from __future__ import annotations
@@ -218,78 +217,68 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _replaced(keys: np.ndarray, columns, changed: np.ndarray, new_keys: np.ndarray,
-              new_columns) -> list:
-    """``columns`` (rows sorted by ``keys``) without the rows keyed in ``changed``,
-    plus ``new_columns`` at the places of their ``new_keys``: new read-only
-    arrays, or ``columns`` themselves when nothing changes.  ``keys``,
-    ``changed`` and ``new_keys`` are each sorted and unique."""
+VID_ENTRY = np.dtype([("vid", np.uint64), ("head", np.uint64)])   # one row of the vid map
+# a vid-map row as one opaque word, which numpy copies much faster than a structured row
+_VID_WORD = np.dtype((np.void, VID_ENTRY.itemsize))
+
+
+def _replaced(vid_map: np.ndarray, changed: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """``vid_map`` without the rows of the vids ``changed``, plus the rows
+    ``new`` at the places of their vids: a new read-only array, or
+    ``vid_map`` itself when nothing changes.  ``changed`` and ``new["vid"]``
+    are each sorted and unique."""
     if not len(changed):
-        return list(columns)
+        return vid_map
+    keys = vid_map["vid"]
     found = np.searchsorted(keys, changed)
     hit = found[found < len(keys)]
     kept = np.ones(len(keys), dtype=bool)
     kept[hit[keys[hit] == changed[:len(hit)]]] = False
-    at = np.searchsorted(keys[kept], new_keys)
-    return [_read_only(np.insert(_as_words(old)[kept], at, _as_words(new)).view(old.dtype))
-            for old, new in zip(columns, new_columns)]
-
-
-def _as_words(array: np.ndarray) -> np.ndarray:
-    """``array`` viewed as opaque words of its item size, which numpy copies
-    much faster than the rows of a structured array."""
-    return array.view(np.dtype((np.void, array.itemsize)))
-
-
-VID_ENTRY = np.dtype([("vid", np.uint64), ("head", np.uint64)])   # one row of the vid map
+    at = np.searchsorted(keys[kept], new["vid"])
+    rows = np.insert(vid_map.view(_VID_WORD)[kept], at, new.view(_VID_WORD))
+    return _read_only(rows.view(VID_ENTRY))
 
 
 class PageTable(NamedTuple):
-    """The page map as arrays: sorted page lids, region code, page index,
-    and the same map indexed by lid.
+    """The page map indexed by lid: ``regions[lid]`` and ``pages[lid]`` are
+    the region code and page index of page ``lid``, or ``UNRESOLVED`` and 0
+    where the lid is unmapped.
 
-    The host numbers its pages densely from 1, so the lid-indexed view is
-    as long as the largest lid plus one: ``lid_regions[lid]`` and
-    ``lid_pages[lid]`` are the region code and page of ``lid``, or
-    ``UNRESOLVED`` and 0 where the lid is unmapped.  Build a table with
-    ``PageTable.of``, which derives the view; all five arrays are
-    read-only.
+    The host numbers its pages densely from 1, so the arrays are as long as
+    the largest mapped lid plus one.  Both are read-only; ``placed`` builds
+    the next table.
     """
 
-    lids: np.ndarray            # uint64, strictly increasing
-    regions: np.ndarray         # uint8 region code (index into ``REGIONS``)
-    pages: np.ndarray           # int64 page index in its region
-    lid_regions: np.ndarray     # uint8 region code by lid, ``UNRESOLVED`` where unmapped
-    lid_pages: np.ndarray       # int64 page index by lid, 0 where unmapped
-
-    @staticmethod
-    def of(lids: np.ndarray, regions: np.ndarray, pages: np.ndarray) -> "PageTable":
-        """The table of the sorted rows (lids, regions, pages), with its view."""
-        size = int(lids[-1]) + 1 if len(lids) else 0
-        lid_regions = np.full(size, UNRESOLVED, dtype=np.uint8)
-        lid_regions[lids] = regions
-        lid_pages = np.zeros(size, dtype=np.int64)
-        lid_pages[lids] = pages
-        return PageTable(*map(_read_only, (lids, regions, pages, lid_regions, lid_pages)))
+    regions: np.ndarray         # uint8 region code (index into ``REGIONS``) or ``UNRESOLVED``
+    pages: np.ndarray           # int64 page index in its region, 0 where unmapped
 
     @staticmethod
     def empty() -> "PageTable":
-        return PageTable.of(*(np.empty(0, dtype) for dtype in (np.uint64, np.uint8, np.int64)))
+        return PageTable(_read_only(np.empty(0, np.uint8)), _read_only(np.empty(0, np.int64)))
+
+    def placed(self, lids: np.ndarray, code: int, pages) -> "PageTable":
+        """A new table that maps the int64 ``lids`` to ``pages`` of region
+        ``code`` and every other lid as this one does."""
+        grown = max(int(lids.max(initial=-1)) + 1 - len(self.regions), 0)
+        regions = np.concatenate((self.regions, np.full(grown, UNRESOLVED, dtype=np.uint8)))
+        indexes = np.concatenate((self.pages, np.zeros(grown, dtype=np.int64)))
+        regions[lids], indexes[lids] = code, pages
+        return PageTable(_read_only(regions), _read_only(indexes))
 
     def resolve(self, lids: np.ndarray):
         """(region codes, page indexes) of the uint64 ``lids``; ``UNRESOLVED``
         and 0 where unmapped.  A bound check, then one gather from each
-        column of the lid-indexed view."""
-        size = len(self.lid_regions)
+        array."""
+        size = len(self.regions)
         if len(lids) and lids.max() < size:
-            at = lids.view(np.int64)                # every lid is below the view's length
-            return self.lid_regions[at], self.lid_pages[at]
+            at = lids.view(np.int64)                # every lid is below the table's length
+            return self.regions[at], self.pages[at]
         inside = lids < size
         at = lids[inside].view(np.int64)
         codes = np.full(len(lids), UNRESOLVED, dtype=np.uint8)
-        codes[inside] = self.lid_regions[at]
+        codes[inside] = self.regions[at]
         pages = np.zeros(len(lids), dtype=np.int64)
-        pages[inside] = self.lid_pages[at]
+        pages[inside] = self.pages[at]
         return codes, pages
 
 
@@ -357,7 +346,7 @@ class Device:
         self._allocations: dict = {}          # owner -> set[(region, idx)]
         self._host_readable: set = set()      # (region, idx) exposed to the host
         self.vid_map = _read_only(np.empty(0, VID_ENTRY))   # device mirror, sorted by vid
-        self.l2p = PageTable.empty()                        # device mirror, sorted by page lid
+        self.l2p = PageTable.empty()                        # device mirror, indexed by page lid
         self._invocations = 0                 # invocations running now
 
     # -- page pool -----------------------------------------------------------
@@ -469,23 +458,17 @@ class Device:
             raise OutOfRange(f"{region}[{offsets[k]}:{ends[k]}] outside {len(buf)} bytes")
         return buf
 
-    def _check_records(self, pe, regions: np.ndarray, offsets: np.ndarray,
-                       lengths: np.ndarray):
-        """``_check_ranges`` for records in either region: a min of the offsets
-        and lengths and a max of the ends in each region.  On failure the
-        ``OutOfRange`` names the bad record that loading each PE's records in
-        turn (PE by PE, each region by region) would meet first."""
-        ends = offsets + lengths
-        fits = offsets.min(initial=0) >= 0 and lengths.min(initial=0) >= 0
-        for code, name in enumerate(REGIONS):
-            fits = fits and ends.max(initial=0, where=regions == code) <= len(self._regions[name])
-        if fits:
-            return
+    def _check_records(self, regions: np.ndarray, offsets: np.ndarray, lengths: np.ndarray):
+        """``_check_ranges`` for records in either region, in one pass: each
+        record is bounded by its own region's length.  On failure the
+        ``OutOfRange`` names the first bad record in batch order."""
         limits = np.array([len(self._regions[name]) for name in REGIONS])[regions]
-        bad = np.flatnonzero((offsets < 0) | (lengths < 0) | (ends > limits))
-        k = bad[np.lexsort((regions[bad], np.broadcast_to(pe, len(regions))[bad]))[0]]
-        raise OutOfRange(f"{REGIONS[regions[k]]}[{offsets[k]}:{ends[k]}] outside "
-                         f"{limits[k]} bytes")
+        ends = offsets + lengths
+        if (offsets.min(initial=0) < 0 or lengths.min(initial=0) < 0
+                or (limits - ends).min(initial=0) < 0):
+            k = np.flatnonzero((offsets < 0) | (lengths < 0) | (ends > limits))[0]
+            raise OutOfRange(f"{REGIONS[regions[k]]}[{offsets[k]}:{ends[k]}] outside "
+                             f"{limits[k]} bytes")
 
     def _charge_navigation(self, pe: int, op: str, nbytes: int, count: int, region=None):
         self.ledger.charge(pe, op, count, device_internal_bytes_read=nbytes * count,
@@ -542,12 +525,13 @@ class Device:
         ``buffers[regions[k]]``.  Nothing is copied: the caller reads the
         records in place, writes nothing and keeps no view of a buffer once
         done, as a later allocation may grow the region.  Ranges are
-        checked like ``read`` before anything is charged.  Each PE is
-        charged what one ``read`` of its records plus one record load per
-        record charges: the record bytes, and one NVM access per
+        checked like ``read`` before anything is charged, and the
+        ``OutOfRange`` names the first bad record in batch order.  Each PE
+        is charged what one ``read`` of its records plus one record load
+        per record charges: the record bytes, and one NVM access per
         NVM-resident record.
         """
-        self._check_records(pe, regions, offsets, lengths)
+        self._check_records(regions, offsets, lengths)
         n = len(lengths)
         pes = np.broadcast_to(pe, n)
         nbytes = np.bincount(pes, weights=lengths)
@@ -569,17 +553,14 @@ class Device:
         for (lid, image), idx in zip(snapshot.pages, pages):
             self._regions[REGION_DDR][idx * PAGE_SIZE:(idx + 1) * PAGE_SIZE] = image
             placements[lid] = (REGION_DDR, idx)
-        lids = np.fromiter(placements, dtype=np.uint64, count=len(pages))
-        placed = (lids, np.full(len(pages), REGIONS.index(REGION_DDR), dtype=np.uint8),
-                  np.array(pages, dtype=np.int64))
-        self.l2p = PageTable.of(*_replaced(self.l2p.lids, self.l2p[:3], lids, lids, placed))
+        lids = np.fromiter(placements, dtype=np.int64, count=len(pages))
+        self.l2p = self.l2p.placed(lids, REGIONS.index(REGION_DDR), pages)
         vids, heads = snapshot.vids, snapshot.heads
         live = heads != RID_NONE
         new = np.empty(np.count_nonzero(live), VID_ENTRY)
         new["vid"] = vids[live]
         new["head"] = heads[live]
-        [self.vid_map] = _replaced(self.vid_map["vid"], [self.vid_map], vids,
-                                   new["vid"], [new])
+        self.vid_map = _replaced(self.vid_map, vids, new)
         in_flight = 0 if snapshot.in_flight is None else len(snapshot.in_flight) + 1
         self.ledger.charge(REQUESTER_HOST, host_roundtrips=1, host_to_device_bytes=(
             (PAGE_SIZE + PROP_L2P_ENTRY_BYTES) * len(pages) + PROP_VID_ENTRY_BYTES * len(vids)
@@ -605,22 +586,18 @@ class Device:
         if self._invocations:
             raise InvocationInFlight("delta pages cannot be merged while an invocation runs")
         l2p = self.l2p
-        delta = np.flatnonzero(l2p.regions == REGIONS.index(REGION_DDR))
-        relocations = {}
-        ddr = self._regions[REGION_DDR]
-        for lid, idx in zip(l2p.lids[delta].tolist(), l2p.pages[delta].tolist()):
-            [nidx] = self.allocate_pages(REGION_NVM, 1, "cold")
+        delta = np.flatnonzero(l2p.regions == REGIONS.index(REGION_DDR))     # ascending lids
+        ddr_pages = l2p.pages[delta].tolist()
+        nvm_pages = self.allocate_pages(REGION_NVM, len(delta), "cold")
+        ddr, nvm = self._regions[REGION_DDR], self._regions[REGION_NVM]
+        for idx, nidx in zip(ddr_pages, nvm_pages):
             base, nbase = idx * PAGE_SIZE, nidx * PAGE_SIZE
-            self._regions[REGION_NVM][nbase:nbase + PAGE_SIZE] = ddr[base:base + PAGE_SIZE]
+            nvm[nbase:nbase + PAGE_SIZE] = ddr[base:base + PAGE_SIZE]
             self.ledger.charge(REQUESTER_COORD, device_internal_bytes_read=PAGE_SIZE,
                                device_internal_bytes_written=PAGE_SIZE, nvm_writes=1)
-            self.free_pages("shared-state", [(REGION_DDR, idx)])
-            relocations[lid] = (REGION_NVM, nidx)
-        regions = np.full_like(l2p.regions, REGIONS.index(REGION_NVM))   # no DDR row is left
-        pages = l2p.pages.copy()
-        pages[delta] = [idx for _region, idx in relocations.values()]
-        self.l2p = PageTable.of(l2p.lids, regions, pages)
-        return relocations
+        self.free_pages("shared-state", [(REGION_DDR, idx) for idx in ddr_pages])
+        self.l2p = l2p.placed(delta, REGIONS.index(REGION_NVM), nvm_pages)
+        return {lid: (REGION_NVM, nidx) for lid, nidx in zip(delta.tolist(), nvm_pages)}
 
     def freeze_views(self):
         """An invocation's frozen ``(vid_map, l2p)``: the read-only mirrors, not copies."""

@@ -10,7 +10,7 @@ refresh of an existing materialization -- runs one pipeline:
    are split over the processing elements (row i goes to PE i mod n).
    Each PE walks its share as one frontier: every step resolves the pages
    of all its unresolved tuples' current versions (two gathers from the
-   frozen page table's lid-indexed view), reads their slots and probes
+   frozen page table, indexed by lid), reads their slots and probes
    their headers, one region at a time, and moves the versions that are
    not visible to their predecessors, until every tuple has a visible
    version or nothing.  Each PE is charged
@@ -433,30 +433,23 @@ def transform_record(jobs, changed: ChangedRows, inv: NdtInvocation, device: Dev
     ``layout.extract_fields``, which checks each record's header, fixed
     fields and varlen fields before it reads them; timestamps are then
     converted to epoch seconds.  Returns the flushes, PE after PE, as
-    ``plan_flushes`` gives them.  A corrupt record raises the
-    ``CorruptRecord`` that extracting each PE's records in turn would raise
-    first.  Nothing viewing a region outlives the call, so a space grant
-    during the flush replay may grow a region.
+    ``plan_flushes`` gives them.  A bad batch raises the first fault in the
+    order those checks document, whichever PE holds the record.  Nothing
+    viewing a region outlives the call, so a space grant during the flush
+    replay may grow a region.
     """
     if not len(changed.vids):
         return []
     buffers = device.pe_read_records(changed.pes, changed.regions, changed.offsets,
                                      changed.lengths)
-    bounds = np.searchsorted(changed.pes, np.arange(len(jobs) + 1)).tolist()
-    attrs = tuple(map(itemgetter(0), inv.proj_plan))
-    try:
-        columns = extract_fields(inv.schema, buffers, changed.regions, changed.offsets,
-                                 changed.lengths, attrs)
-    except CorruptRecord:
-        for first, end in zip(bounds, bounds[1:]):
-            extract_fields(inv.schema, buffers, changed.regions[first:end],
-                           changed.offsets[first:end], changed.lengths[first:end], attrs)
-        raise
+    columns = extract_fields(inv.schema, buffers, changed.regions, changed.offsets,
+                             changed.lengths, tuple(map(itemgetter(0), inv.proj_plan)))
     for slot, (_attr_idx, _name, _ftype, code, _nullable) in enumerate(inv.proj_plan):
         if code == TC_TIMESTAMP:
             present, values = columns[slot].present, columns[slot].data
             columns[slot] = columns[slot]._replace(
                 data=np.where(present, pg_timestamp_to_unix_epoch(values), 0))
+    bounds = np.searchsorted(changed.pes, np.arange(len(jobs) + 1)).tolist()
     flushes = []
     for job, first, end in zip(jobs, bounds, bounds[1:]):
         flushes += plan_flushes(job, inv, columns, changed.vids, first, end)
@@ -781,7 +774,6 @@ class MaterializationHandle:
     index: IdentityIndex = field(default_factory=IdentityIndex.empty)
     current: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
     bitmap_pages: list = field(default_factory=list)
-    column_bytes: int = 0
     run_count: int = 0
     freed: bool = False
     decoded: dict = field(default_factory=dict)
@@ -789,6 +781,10 @@ class MaterializationHandle:
     @property
     def snapshot_ts(self) -> int:
         return self.snapshot.caller
+
+    @property
+    def column_bytes(self) -> int:
+        return sum(frag.nbytes for seg in self.segments for frag in seg.frags.values())
 
     @property
     def total_positions(self) -> int:
@@ -883,7 +879,6 @@ def append_run(handle: MaterializationHandle, inv: NdtInvocation, jobs, changed:
     handle.segments.extend(segments)
     handle.snapshot = inv.descriptor
     handle.run_count += 1
-    handle.column_bytes += sum(f.nbytes for s in segments for f in s.frags.values())
     n_frags = sum(len(seg.frags) for seg in segments)
     device.ledger.charge(REQUESTER_COORD, device_to_host_bytes=(
         HANDLE_META_FIXED_BYTES + HANDLE_META_FRAGMENT_BYTES * n_frags))

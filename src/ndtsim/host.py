@@ -207,8 +207,8 @@ class WorkloadConfig:
 
     def validate(self):
         """Raise ``InvalidConfig`` for a mix no driver can draw from: an empty
-        range of warehouses or lines, a negative or all-zero weight, or an
-        abort fraction outside [0, 1]."""
+        range of warehouses or lines, more warehouses than an ``Int32`` holds,
+        a negative or all-zero weight, or an abort fraction outside [0, 1]."""
         for name in ("warehouses", "min_lines", "max_lines"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -218,8 +218,8 @@ class WorkloadConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise InvalidConfig(f"{name} must be a number, got {value!r}")
-        if self.warehouses < 1:
-            raise InvalidConfig(f"warehouses must be >= 1, got {self.warehouses}")
+        if not 1 <= self.warehouses <= 2**31 - 1:
+            raise InvalidConfig(f"warehouses must be in [1, 2**31 - 1], got {self.warehouses}")
         if not 1 <= self.min_lines <= self.max_lines:
             raise InvalidConfig(f"need 1 <= min_lines ({self.min_lines}) <= max_lines "
                                 f"({self.max_lines})")
@@ -465,42 +465,46 @@ class WorkloadDriver:
         self.report = OltpReport()
 
     def step(self):
-        """Run one transaction; commits or aborts before returning."""
+        """Run one transaction; commits or aborts before returning, even if a write raises."""
         cfg, rng, system = self.cfg, self.rng, self.system
         store, getrandbits = system.store, rng.getrandbits
         weights = cfg.weights
         pick = rng.random() * sum(weights)
         t = store.begin_tx()
-        writes = []
-        if pick < weights[0] or not self.shadow:
-            order = system._next_order
-            system._next_order += 1
-            lines = cfg.min_lines + randbelow(getrandbits, cfg.max_lines - cfg.min_lines + 1)
-            vids = system.new_vids(lines)
-            rows = random_rows(rng, zip(repeat(order), range(1, lines + 1)), cfg.warehouses)
-            store.install_versions(t, vids, rows)
-            writes = list(zip(vids, rows, repeat(False)))
-        elif pick < weights[0] + weights[1]:
-            vid = self.undelivered.pick(getrandbits)
-            if vid is not None:
-                old = self.shadow[vid]
-                delivered = DELIVERY_RANGE[0] + randbelow(getrandbits, DELIVERY_SPAN)
-                row = old[:5] + (delivered,) + old[6:]
-                store.install_version(t, vid, row)
-                writes.append((vid, row, False))
-        elif pick < weights[0] + weights[1] + weights[2]:
-            vid = self.live.pick(getrandbits)
-            if vid is not None:
-                store.delete_version(t, vid)
-                writes.append((vid, None, True))
-        else:
-            vid = self.live.pick(getrandbits)
-            if vid is not None:
-                old = self.shadow[vid]
-                amount = PyDecimal(1 + randbelow(getrandbits, 999_999)).scaleb(-2)
-                row = old[:7] + (amount,) + old[8:]
-                store.install_version(t, vid, row)
-                writes.append((vid, row, False))
+        try:
+            writes = []
+            if pick < weights[0] or not self.shadow:
+                order = system._next_order
+                system._next_order += 1
+                lines = cfg.min_lines + randbelow(getrandbits, cfg.max_lines - cfg.min_lines + 1)
+                vids = system.new_vids(lines)
+                rows = random_rows(rng, zip(repeat(order), range(1, lines + 1)), cfg.warehouses)
+                store.install_versions(t, vids, rows)
+                writes = list(zip(vids, rows, repeat(False)))
+            elif pick < weights[0] + weights[1]:
+                vid = self.undelivered.pick(getrandbits)
+                if vid is not None:
+                    old = self.shadow[vid]
+                    delivered = DELIVERY_RANGE[0] + randbelow(getrandbits, DELIVERY_SPAN)
+                    row = old[:5] + (delivered,) + old[6:]
+                    store.install_version(t, vid, row)
+                    writes.append((vid, row, False))
+            elif pick < weights[0] + weights[1] + weights[2]:
+                vid = self.live.pick(getrandbits)
+                if vid is not None:
+                    store.delete_version(t, vid)
+                    writes.append((vid, None, True))
+            else:
+                vid = self.live.pick(getrandbits)
+                if vid is not None:
+                    old = self.shadow[vid]
+                    amount = PyDecimal(1 + randbelow(getrandbits, 999_999)).scaleb(-2)
+                    row = old[:7] + (amount,) + old[8:]
+                    store.install_version(t, vid, row)
+                    writes.append((vid, row, False))
+        except BaseException:           # a failed write leaves nothing in flight
+            store.abort_tx(t)
+            raise
 
         if writes and rng.random() < cfg.abort_fraction:
             store.abort_tx(t)

@@ -239,8 +239,6 @@ Value = Union[int, str, PyDecimal, None]
 
 _HDR = struct.Struct("<QQQB")
 _U16 = struct.Struct("<H")
-_I32 = struct.Struct("<i")
-_I64 = struct.Struct("<q")
 _SLOT = struct.Struct("<HH")
 
 
@@ -288,10 +286,6 @@ def _scaled_column(values: list, kind: type, ftype: Decimal) -> list:
     except ArithmeticError:          # a scaleb out of the context's range
         pass
     return list(map(decimal_to_scaled, values, repeat(ftype)))
-
-
-def scaled_to_decimal(scaled: int, ftype: Decimal) -> PyDecimal:
-    return PyDecimal(scaled).scaleb(-ftype.scale)
 
 
 def _null_mask(schema: Schema, signature: tuple) -> int:
@@ -685,33 +679,6 @@ def extract_fields(schema: Schema, buffers, regions: np.ndarray, offsets: np.nda
                 buffers[code], "u1", range_indexes(starts[slot][rows], sizes[slot][rows]))
         columns.append(Extracted(present[:, slot], payload, sizes[slot], ends))
     return columns
-
-
-def _decode_at(schema: Schema, buf, attr_index: int, slc) -> Value:
-    if slc is None:
-        return None
-    start, length = slc
-    ftype = schema.attributes[attr_index].ftype
-    code = ftype.code
-    if code == TC_INT32:
-        return _I32.unpack_from(buf, start)[0]
-    if code == TC_DECIMAL:
-        return scaled_to_decimal(_I64.unpack_from(buf, start)[0], ftype)
-    if code == TC_VARCHAR:
-        return bytes(buf[start:start + length]).decode("utf-8")
-    return _I64.unpack_from(buf, start)[0]
-
-
-def decode_field(schema: Schema, record_bytes, attr_index: int) -> Value:
-    """Extract one attribute; None when the null bitmap marks it NULL."""
-    slices, _ = record_field_slices(schema, record_bytes)
-    return _decode_at(schema, record_bytes, attr_index, slices[attr_index])
-
-
-def decode_values(schema: Schema, record_bytes) -> list:
-    """Decode every attribute of a record in one walk."""
-    slices, _ = record_field_slices(schema, record_bytes)
-    return [_decode_at(schema, record_bytes, i, s) for i, s in enumerate(slices)]
 
 
 def pg_timestamp_to_unix_epoch(ts: int) -> int:

@@ -45,10 +45,10 @@ from ndtsim.layout import (
     TimestampPg,
     VarChar,
     decimal_to_scaled,
-    decode_values,
     pg_timestamp_to_unix_epoch,
 )
 from conftest import Harness, page_of, random_orderline
+from reference import decode_values
 
 PINS = json.loads((Path(__file__).parent / "batch_path_pins.json").read_text())
 

@@ -125,7 +125,7 @@ def _free_pages(h: Harness) -> dict:
 def test_corrupt_pages_raise_typed_errors_and_free_their_pages(seed, rows, corrupt, pe_count,
                                                                pages):
     h = _loaded(seed, rows)
-    assert set(np.unique(h.device.l2p.regions).tolist()) == {0, 1}    # DDR and NVM pages
+    assert {0, 1} <= set(np.unique(h.device.l2p.regions).tolist())    # DDR and NVM pages
     patches = [patch for corruption in corrupt for patch in _patches(h, corruption)]
     for region, offset, data in patches:
         h.device.write(region, offset, data, REQUESTER_COORD)

@@ -36,10 +36,10 @@ from ndtsim.layout import (
     VarChar,
     decimal_to_scaled,
     decode_header,
-    decode_values,
     encode_records,
     extract_fields,
 )
+from reference import decode_values
 
 INT32 = (-2**31, 2**31 - 1)
 INT64 = (-2**63, 2**63 - 1)

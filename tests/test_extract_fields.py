@@ -27,11 +27,11 @@ from ndtsim.layout import (
     RecordHeader,
     Schema,
     decimal_to_scaled,
-    decode_values,
     encode_records,
     extract_fields,
 )
 from conftest import undersized
+from reference import decode_values
 from test_encode_records import field_types, values_of
 
 PAGES = 2                       # per region; every batch below fits in one

@@ -9,7 +9,7 @@ from ndtsim.columns import canonical_compare
 from ndtsim.delta import masked_view
 from ndtsim.device import REGION_DDR, REGION_NVM, DeviceConfig, op_total
 from ndtsim.engine import MODE_MATERIALIZE, run_invocation
-from ndtsim.errors import MissingColumn, UnknownTx
+from ndtsim.errors import AlreadyFinished, MissingColumn, UnknownTx
 from ndtsim.host import (
     HostSystem,
     Q6Params,
@@ -142,6 +142,28 @@ def test_failed_preparation_aborts_the_reader(system):
         system.transform_snapshot(projection=("nope",))
     assert not system.store.in_flight
     assert [system.device.free_page_count(region) for region in (REGION_DDR, REGION_NVM)] == free
+
+
+@pytest.mark.parametrize("kind", ["new_order", "delivery", "delete", "amount_update"])
+def test_a_failed_write_aborts_its_transaction(system, monkeypatch, kind):
+    """Each kind of transaction writes through ``install_versions``; when
+    that raises, the step aborts its transaction and re-raises."""
+    shadow = system.load_orderlines(50, seed=11)
+    weights = {f"{name}_weight": float(name == kind)
+               for name in ("new_order", "delivery", "delete", "amount_update")}
+    driver = WorkloadDriver(system, WorkloadConfig(seed=3, **weights), shadow)
+    began = []
+
+    def fail(t, vids, rows):
+        began.append(t)
+        raise RuntimeError("write failed")
+
+    monkeypatch.setattr(system.store, "install_versions", fail)
+    with pytest.raises(RuntimeError, match="write failed"):
+        driver.step()
+    assert len(began) == 1 and not system.store.in_flight
+    with pytest.raises(AlreadyFinished, match="already aborted"):
+        system.store.commit_tx(began[0])
 
 
 def test_q6_empty_and_all_null(system):

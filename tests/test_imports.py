@@ -11,9 +11,10 @@ No module of the package imports another ``ndtsim`` module's private
 (underscore-prefixed) names.
 
 The host oracle imports nothing of the device path (its strided gather
-included), and only ``engine.run_invocation`` marks an invocation in
-flight.  ``encode_record`` and ``install_version`` are one call into their
-batch forms, and only ``layout.encode_records`` packs a record header.
+included), the tests' per-record reference decoder nothing of the oracle,
+and only ``engine.run_invocation`` marks an invocation in flight.
+``encode_record`` and ``install_version`` are one call into their batch
+forms, and only ``layout.encode_records`` packs a record header.
 The device's batch accessors, page-table lookup and propagation merge,
 the engine's extraction and flush planning, and the read-back's varchar
 decoder and segment join hold no comprehension.
@@ -209,6 +210,43 @@ def test_scan_finds_a_device_path_import(tmp_path):
         "line 1: engine", "line 2: delta", "line 3: ndtsim.engine", "line 4: extract_fields",
         "line 5: Extracted", "line 5: range_indexes", "line 7: decode_varchar",
         "line 8: decode_varchar", "line 9: device", "line 10: gather_words"]
+
+
+# The tests' per-record reference decoder checks the device path beside the
+# oracle, so it shares no code with the oracle either.
+REFERENCE = ROOT / "tests" / "reference.py"
+
+
+def oracle_imports(path: Path) -> list:
+    """Imports in ``path`` of ``ndtsim.oracle`` or of a name from it."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found.extend(f"line {node.lineno}: {module}" for module in modules
+                     if "oracle" in module.split("."))
+    return found
+
+
+def test_reference_decoder_is_independent_of_the_oracle():
+    assert oracle_imports(REFERENCE) == []
+
+
+def test_scan_finds_an_oracle_import(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from ndtsim.oracle import visible_columns\n"
+                     "from ndtsim import layout, oracle\n"
+                     "import ndtsim.oracle as reference\n"
+                     "from .oracle import read_records\n"
+                     "from ndtsim.mvcc import oracle_visible_version\n"
+                     "from ndtsim.layout import record_field_slices\n")
+    assert oracle_imports(probe) == [
+        "line 1: ndtsim.oracle.visible_columns", "line 2: ndtsim.oracle",
+        "line 3: ndtsim.oracle", "line 4: oracle.read_records"]
 
 
 # An invocation is marked in flight in one place, the lifecycle every
@@ -420,7 +458,7 @@ def test_scan_finds_a_per_record_lookup_or_plan(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("class PageTable:\n"
                      "    def resolve(self, lids):\n"
-                     "        return [self.lid_regions[lid] for lid in lids]\n"
+                     "        return [self.regions[lid] for lid in lids]\n"
                      "def transform_record(batch):\n"
                      "    for job in batch.jobs:\n"
                      "        plan_flushes(job)\n"
@@ -511,8 +549,6 @@ def test_scan_finds_a_ledger_write_that_bypasses_charge(tmp_path):
 # variable or an attribute) or traces it; dunder methods are called by the
 # language.  These are the only names the tests alone may call.
 UNREFERENCED_ALLOWED = {
-    "layout.decode_field": "the per-record reference decoder the batch path is checked against",
-    "layout.decode_values": "the per-record reference decoder the batch path is checked against",
     "layout.NsmPage.slot_bytes": "a record read off a page; tests would re-implement the lookup",
     "device.Device.owner_pages": "an owner's pages; tests would read the private allocation map",
     "mvcc.MvccStore.chain_rids": "a vid's version chain; tests would re-implement the walk",

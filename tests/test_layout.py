@@ -34,9 +34,7 @@ from ndtsim.layout import (
     Schema,
     TimestampPg,
     VarChar,
-    decode_field,
     decode_header,
-    decode_values,
     encode_record,
     extract_fields,
     pack_rid,
@@ -46,6 +44,7 @@ from ndtsim.layout import (
     unpack_rid,
 )
 from conftest import random_orderline
+from reference import decode_field, decode_values
 from ndtsim.host import orderline_schema
 
 

@@ -8,9 +8,9 @@ last acknowledgement and hold that page's image, and no row may be in DDR
 after a merge.  Views frozen at earlier steps must not have changed and
 must not be writeable.
 
-The page table's lid-indexed view resolves every lid as a ``searchsorted``
-over its sorted rows would, and a walk over a head whose page is unmapped
-raises ``DanglingReference``.
+A page table built by placements resolves every lid as a ``searchsorted``
+over the placed (lid, region, page) rows would, and a walk over a head
+whose page is unmapped raises ``DanglingReference``.
 """
 
 import numpy as np
@@ -80,7 +80,7 @@ def test_mirrors_match_a_dict_model(steps):
 
         assert device.vid_map.dtype == VID_ENTRY
         assert device.vid_map.tolist() == sorted(vids.items())
-        assert device.l2p.lids.tolist() == sorted(pages)
+        assert np.flatnonzero(device.l2p.regions != UNRESOLVED).tolist() == sorted(pages)
         codes, indexes = device.l2p.resolve(np.array(sorted(pages), dtype=np.uint64))
         for lid, code, idx in zip(sorted(pages), codes.tolist(), indexes.tolist()):
             assert (REGIONS[code], idx) == pages[lid]
@@ -93,15 +93,15 @@ def test_mirrors_match_a_dict_model(steps):
                 assert np.array_equal(view, value)
 
 
-def _searchsorted_resolve(table: PageTable, lids: np.ndarray):
-    """(region codes, page indexes) of ``lids`` by a ``searchsorted`` over the
-    table's sorted rows; ``UNRESOLVED`` and 0 where unmapped."""
-    if not len(table.lids):
-        return np.full(len(lids), UNRESOLVED, dtype=np.uint8), np.zeros(len(lids), np.int64)
-    at = np.minimum(np.searchsorted(table.lids, lids), len(table.lids) - 1)
-    mapped = table.lids[at] == lids
-    return (np.where(mapped, table.regions[at], UNRESOLVED).astype(np.uint8),
-            np.where(mapped, table.pages[at], 0))
+def _searchsorted_resolve(lids, regions, pages, query: np.ndarray):
+    """(region codes, page indexes) of ``query`` by a ``searchsorted`` over
+    the rows (``lids`` sorted); ``UNRESOLVED`` and 0 where unmapped."""
+    if not len(lids):
+        return np.full(len(query), UNRESOLVED, dtype=np.uint8), np.zeros(len(query), np.int64)
+    at = np.minimum(np.searchsorted(lids, query), len(lids) - 1)
+    mapped = lids[at] == query
+    return (np.where(mapped, regions[at], UNRESOLVED).astype(np.uint8),
+            np.where(mapped, pages[at], 0))
 
 
 @settings(max_examples=150, deadline=None)
@@ -111,19 +111,23 @@ def _searchsorted_resolve(table: PageTable, lids: np.ndarray):
 @example(set(), [0, 1, 2**64 - 1], 0)
 def test_the_lid_view_resolves_as_a_searchsorted(lids, probes, seed):
     rng = np.random.default_rng(seed)
-    lids = np.array(sorted(lids), dtype=np.uint64)
-    table = PageTable.of(lids, rng.integers(0, len(REGIONS), len(lids)).astype(np.uint8),
-                         rng.integers(0, 1 << 20, len(lids)))
+    lids = np.array(sorted(lids), dtype=np.int64)
+    regions = rng.integers(0, len(REGIONS), len(lids)).astype(np.uint8)
+    pages = rng.integers(0, 1 << 20, len(lids))
+    table = PageTable.empty()
+    for code in range(len(REGIONS)):              # one placement per region
+        table = table.placed(lids[regions == code], code, pages[regions == code])
     # lid 0, the largest, past the largest, every gap below it, and the probes
     top = int(lids[-1]) if len(lids) else 0
     query = np.array([0, top, top + 1, *range(top), *probes], dtype=np.uint64)
     for part in (query, query[query <= top], query[:0]):
-        codes, pages = table.resolve(part)
-        want_codes, want_pages = _searchsorted_resolve(table, part)
-        assert codes.dtype == np.uint8 and pages.dtype == np.int64
+        codes, found = table.resolve(part)
+        want_codes, want_pages = _searchsorted_resolve(lids.astype(np.uint64), regions, pages,
+                                                       part)
+        assert codes.dtype == np.uint8 and found.dtype == np.int64
         assert codes.tolist() == want_codes.tolist()
-        assert pages.tolist() == want_pages.tolist()
-    assert len(table.lid_regions) == len(table.lid_pages) == (top + 1 if len(lids) else 0)
+        assert found.tolist() == want_pages.tolist()
+    assert len(table.regions) == len(table.pages) == (top + 1 if len(lids) else 0)
     for array in table:
         assert not array.flags.writeable
 
@@ -143,14 +147,14 @@ def test_a_walk_over_an_unmapped_head_raises(where):
     h.install_rows({vid: (vid,) for vid in range(1, 3000)})
     inv = h.prepare()
     l2p = inv.l2p_view
-    assert len(l2p.lids) >= 3
+    mapped = np.flatnonzero(l2p.regions != UNRESOLVED)
+    assert len(mapped) >= 3
     vids, heads = inv.vid_view["vid"], inv.vid_view["head"].copy()
     if where == "gap":
-        lid = int(l2p.lids[1])
-        keep = l2p.lids != lid
-        l2p = PageTable.of(l2p.lids[keep], l2p.regions[keep], l2p.pages[keep])
+        lid = int(mapped[1])
+        l2p = l2p.placed(np.array([lid]), UNRESOLVED, [0])
         heads[0] = pack_rid(RecordID(lid, 0))
     else:
-        heads[0] = pack_rid(RecordID(0 if where == "zero" else int(l2p.lids[-1]) + 1, 0))
+        heads[0] = pack_rid(RecordID(0 if where == "zero" else int(mapped[-1]) + 1, 0))
     with pytest.raises(DanglingReference, match=f"vid {vids[0]}:"):
         pe_visibility_check(h.device, 0, vids, heads, inv.descriptor, l2p)

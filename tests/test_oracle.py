@@ -23,7 +23,6 @@ from ndtsim.host import HostSystem, Q6Params, WorkloadConfig, WorkloadDriver, un
 from ndtsim.layout import (
     PAGE_SIZE,
     RECORD_HEADER_FIXED,
-    decode_values,
     pg_timestamp_to_unix_epoch,
     record_field_slices,
 )
@@ -31,6 +30,7 @@ from ndtsim.mvcc import oracle_visible_version
 from ndtsim.oracle import read_records, visible_columns
 from ndtsim.shared_state import REGION_HOST
 from conftest import Harness
+from reference import decode_values
 from test_batch_path import _reference, _tables
 from test_refresh_differential import _leave_writer_in_flight
 from test_visibility_walk import SCHEMA, _random_history

@@ -7,8 +7,9 @@ slice.  The reference below is the per-PE transform: each PE loads and
 extracts its own rows.  Over random schemas, PE counts, per-PE row counts
 (zeros included), records in both regions and the refresh re-deal, the two
 must give equal flush lists and charge every PE the same.  A corrupt
-record or an out-of-range load must raise the error the per-PE order
-meets first, also through a whole invocation.
+record raises the first fault in ``extract_fields``' documented check
+order, and an out-of-range load its first bad record in batch order,
+whichever PE holds it, also through a whole invocation.
 """
 
 from collections import Counter
@@ -198,11 +199,11 @@ def _corrupt(h, inv, payload_vid: int, length_vid: int):
 SMALL = Schema("t", [("a", Int32(), False), ("s", VarChar(16), False)])
 
 
-def test_a_corrupt_batch_raises_the_error_of_the_first_pe():
+def test_a_corrupt_batch_raises_the_first_fault_in_check_order():
     """PE 0's record has a varchar payload past its end, PE 1's a slot
-    length shorter than a record header.  The one-pass extraction meets PE
-    1's fault first (it checks every header before any field), the per-PE
-    order PE 0's."""
+    length shorter than a record header.  The one-pass extraction checks
+    every header before any field, so it raises PE 1's fault, though each
+    PE's rows on their own raise their own."""
     h = Harness(SMALL)
     h.install_rows({vid: (vid, "x" * vid) for vid in range(1, 9)})
     inv = h.prepare(pe_count=2, pages=4)
@@ -212,19 +213,19 @@ def test_a_corrupt_batch_raises_the_error_of_the_first_pe():
     assert changed.pes.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
     with pytest.raises(CorruptRecord) as pooled:
         transform_record(jobs, changed, inv, h.device)
-    with pytest.raises(CorruptRecord) as first_pe:
+    assert str(pooled.value) == "record shorter than its header"
+    with pytest.raises(CorruptRecord, match="varlen field 1 payload past record end"):
         per_pe_flushes(jobs[0], changed.take(changed.pes == 0), inv, h.device)
-    assert str(pooled.value) == str(first_pe.value) == "varlen field 1 payload past record end"
     with pytest.raises(CorruptRecord, match="shorter than its header"):
         per_pe_flushes(jobs[1], changed.take(changed.pes == 1), inv, h.device)
 
 
-def test_a_corrupt_full_materialization_raises_the_error_of_the_first_pe():
+def test_a_corrupt_full_materialization_raises_after_one_extraction():
     """A full materialization over four PEs whose corrupt records lie in
     PEs 1 and 3: PE 3's short record fails the header check, which the
     one-pass extraction makes before it reads PE 1's varchar.  The
-    invocation still raises PE 1's error, after one load and the PE-by-PE
-    re-extraction up to PE 1, and frees every page it took."""
+    invocation raises PE 3's fault after one load and one extraction, and
+    frees every page it took."""
     h = Harness(SMALL)
     h.install_rows({vid: (vid, "x" * (vid % 16)) for vid in range(1, 41)})
     inv = h.prepare(pe_count=4, pages=4)
@@ -232,8 +233,8 @@ def test_a_corrupt_full_materialization_raises_the_error_of_the_first_pe():
     free = h.device.free_page_count(REGION_NVM)
     with counted_calls(h.device) as calls, pytest.raises(CorruptRecord) as failure:
         run_invocation(inv, h.device, h.grantor)
-    assert str(failure.value) == "varlen field 1 payload past record end"
-    assert (calls["loads"], calls["extractions"]) == (1, 1 + 2)
+    assert str(failure.value) == "record shorter than its header"
+    assert (calls["loads"], calls["extractions"]) == (1, 1)
     assert h.device.owner_pages(inv.owner) == set()
     assert h.device.free_page_count(REGION_NVM) == free + 4
 
@@ -262,17 +263,18 @@ def test_an_invocation_loads_and_extracts_its_changed_rows_once():
 
 
 @pytest.mark.parametrize("records, first", [
-    # PE 0 fails in NVM, PE 1 in DDR: region by region over the batch would name PE 1's
+    # an NVM record before a DDR one: region by region would name the DDR one
     ([(0, REGION_DDR, 0), (0, REGION_NVM, PAGE_SIZE - 4), (1, REGION_DDR, PAGE_SIZE - 2),
       (1, REGION_NVM, 0)], (REGION_NVM, PAGE_SIZE - 4)),
-    # PE 0 fails in NVM, then in DDR: record by record would name its NVM one
+    # one PE's NVM record before its DDR one: PE by PE, DDR first, would name the DDR one
     ([(0, REGION_NVM, PAGE_SIZE - 6), (0, REGION_DDR, PAGE_SIZE - 4), (1, REGION_DDR, 0)],
-     (REGION_DDR, PAGE_SIZE - 4)),
+     (REGION_NVM, PAGE_SIZE - 6)),
 ])
-def test_an_out_of_range_batch_names_the_record_the_per_pe_loads_meet_first(records, first):
+def test_an_out_of_range_batch_names_its_first_bad_record(records, first):
     """Each record is (PE, region, offset) and 8 bytes long, in regions of
-    one page each.  Loaded PE by PE, each PE's DDR records are checked
-    before its NVM ones, so ``first`` fails first."""
+    one page each.  The load checks every record against its own region
+    in one pass and names the first bad one in batch order, ``first``,
+    before it charges anything."""
     device = Device(DeviceConfig())
     for region in (REGION_DDR, REGION_NVM):
         device.allocate_pages(region, 1, "x")

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 
 import numpy as np
 import pytest
@@ -17,9 +18,9 @@ from ndtsim.columns import (
 )
 from ndtsim.delta import read_segments
 from ndtsim.engine import MODE_MATERIALIZE
-from ndtsim.errors import CorruptDescriptor, NdtError
+from ndtsim.errors import BadMagic, CorruptDescriptor, NdtError, SchemaMismatch, UnsupportedVersion
 from ndtsim.host import HostSystem
-from ndtsim.layout import Int32, Schema, VarChar
+from ndtsim.layout import Int32, Int64, Schema, VarChar
 from ndtsim.result_file import _write_buffers, read_file, write_file, write_handle
 
 
@@ -99,6 +100,48 @@ def test_corrupt_files_raise_only_typed_errors(tmp_path):
         except NdtError:
             failures += 1
     assert failures > 0
+
+
+def _empty_set(*columns) -> ColumnSet:
+    """A result of no rows with the non-nullable ``(name, type)`` columns."""
+    specs = result_specs(Schema("t", [(name, ftype, False) for name, ftype in columns]),
+                         [name for name, _ftype in columns])
+    return ColumnSet(specs, np.zeros(0, dtype="<u8"),
+                     {name: np.zeros(0, dtype="<i8") for name, _ftype in columns},
+                     {name: None for name, _ftype in columns}, 0)
+
+
+def _read_patched(tmp_path, at: int, data: bytes):
+    """``read_file`` of a written file whose bytes from ``at`` are ``data``."""
+    path = tmp_path / "patched.ndtc"
+    write_file(path, _empty_set(("n", Int32())))
+    raw = bytearray(path.read_bytes())
+    raw[at:at + len(data)] = data
+    path.write_bytes(raw)
+    return read_file(path)
+
+
+INT_N = ("n", Int32())
+NAMED_ERRORS = {
+    "magic": (BadMagic, "magic b'XDTC'", lambda tmp: _read_patched(tmp, 0, b"XDTC")),
+    "version 2": (UnsupportedVersion, "format version 2",
+                  lambda tmp: _read_patched(tmp, 4, (2).to_bytes(4, "little"))),
+    "column count": (SchemaMismatch, "2 vs 3 columns", lambda tmp: canonical_compare(
+        _empty_set(INT_N), _empty_set(INT_N, ("m", Int32())))),
+    "column name": (SchemaMismatch, "column 'n' vs 'm'", lambda tmp: canonical_compare(
+        _empty_set(INT_N), _empty_set(("m", Int32())))),
+    "column type": (SchemaMismatch, "column 'n': ", lambda tmp: canonical_compare(
+        _empty_set(INT_N), _empty_set(("n", Int64())))),
+}
+
+
+@pytest.mark.parametrize("case", NAMED_ERRORS)
+def test_a_foreign_file_or_schema_raises_its_named_error(tmp_path, case):
+    """A file with another magic or format version, and results whose
+    columns differ in count, name or type, each raise their own error."""
+    error, message, call = NAMED_ERRORS[case]
+    with pytest.raises(error, match=re.escape(message)):
+        call(tmp_path)
 
 
 HANDLE_SHA256 = "352d4a8faab533cdefd118d84d08a2a2c12b292c2e3556e6acd2bb97307fba33"

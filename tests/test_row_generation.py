@@ -159,6 +159,7 @@ def test_randbelow_is_the_stdlib_draw(width):
 BAD_CONFIGS = {
     "no warehouse": {"warehouses": 0},
     "negative warehouses": {"warehouses": -3},
+    "warehouses past Int32": {"warehouses": 2**31},
     "no line": {"min_lines": 0, "max_lines": 0},
     "negative lines": {"min_lines": -1},
     "min above max": {"min_lines": 9, "max_lines": 8},

@@ -107,7 +107,7 @@ def test_device_state_equals_replay(system):
             system.shared.propagate()
         if rng.random() < 0.02:
             system.merge_to_cold()
-    from ndtsim.layout import decode_values
+    from reference import decode_values
     for rid, values in expected.items():
         assert decode_values(system.schema, system.shared.read_record(rid)) == list(values)
 

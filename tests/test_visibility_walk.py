@@ -15,7 +15,7 @@ import struct
 import numpy as np
 import pytest
 
-from ndtsim.device import MAX_SLOTS, REGION_NVM, REGIONS, REQUESTER_COORD, op_total
+from ndtsim.device import MAX_SLOTS, REGION_NVM, REGIONS, REQUESTER_COORD, UNRESOLVED, op_total
 from ndtsim.engine import IdentityIndex, pe_visibility_check, run_invocation, schedule, walk
 from ndtsim.errors import CorruptRecord, StaleWrite
 from ndtsim.layout import (
@@ -99,7 +99,7 @@ def test_walk_matches_oracle_with_exact_per_pe_charges(seed, snapshot):
     h, halfway = _random_history(seed)
     # halfway: an old caller, so the walk goes deep into the chains
     inv = h.prepare(pe_count=1, pages=1, caller=halfway if snapshot == "halfway" else None)
-    regions = {REGIONS[code] for code in inv.l2p_view.regions}
+    regions = {REGIONS[code] for code in inv.l2p_view.regions if code != UNRESOLVED}
     assert regions == set(REGIONS), "the history must leave pages in both regions"
     items = inv.vid_view.tolist()
     for pe_count in range(1, 9):
@@ -162,7 +162,7 @@ def _fails_and_frees(h, inv, error):
 def test_slot_past_the_page_slot_count_is_corrupt():
     h = _merged_rows(1000)                      # the first page is full
     inv = h.prepare(pe_count=2, pages=4)
-    lid = int(inv.l2p_view.lids[0])
+    lid = int(np.flatnonzero(inv.l2p_view.regions != UNRESOLVED)[0])      # the first mapped page
     region, idx = page_of(inv.l2p_view, lid)
     base = idx * PAGE_SIZE
     count = page_slot_count_at(h.device.peek(region, base, PAGE_SIZE), 0)
