@@ -28,13 +28,11 @@ from .engine import (
 from .errors import InvalidConfig, NdtError, ScratchpadTooSmall
 from .host import (
     HostSystem,
-    Q6Params,
     WorkloadConfig,
     WorkloadDriver,
     orderline_schema,
     q6_columnar,
     q6_default_params,
-    unix_seconds,
 )
 from .layout import PAGE_SIZE
 from .result_file import write_handle
@@ -82,15 +80,6 @@ def _write_csv(path, header, rows):
         writer.writerow(header)
         writer.writerows(rows)
     log.info("wrote %s (%d rows)", path, len(rows))
-
-
-def _q6_params(args) -> Q6Params:
-    if args.q6_year_lo or args.q6_year_hi:
-        lo = unix_seconds(args.q6_year_lo or 1999)
-        hi = unix_seconds(args.q6_year_hi or 2020)
-        return Q6Params(lo, hi, args.q6_qty_lo, args.q6_qty_hi)
-    base = q6_default_params()
-    return Q6Params(base.date_lo_unix, base.date_hi_unix, args.q6_qty_lo, args.q6_qty_hi)
 
 
 def _require_equal(got, expected, what: str):
@@ -197,7 +186,7 @@ def cmd_transform(args) -> int:
           f"(baseline link time {baseline_ns / 1e6:.3f} ms)")
 
     if args.q6:
-        params = _q6_params(args)
+        params = q6_default_params()
         if args.mode == MODE_MATERIALIZE:
             view = masked_view(result)
         expected = system.q6_rowstore(inv.descriptor, params)
@@ -233,7 +222,8 @@ def _parse_fractions(text: str) -> list:
 
 
 def cmd_delta(args) -> int:
-    """Incremental-refresh experiment over increasing modification fractions."""
+    """Incremental-refresh experiment over increasing modification fractions;
+    every refreshed materialization must equal the host oracle."""
     fractions = _parse_fractions(args.delta_fractions)
     rows = _table_rows(args)
     modified = [rows * fraction // 100 for fraction in fractions]
@@ -272,10 +262,9 @@ def cmd_delta(args) -> int:
         appended_bytes = handle.column_bytes - bytes_before
         total_ns = modeled_time(cost, system.device.cfg)["total_ns"]
 
-        if args.verify:
-            _require_equal(masked_view(handle),
-                           system.oracle_column_set(handle.snapshot, handle.projection),
-                           f"fraction {fraction}%")
+        _require_equal(masked_view(handle),
+                       system.oracle_column_set(handle.snapshot, handle.projection),
+                       f"fraction {fraction}%")
         out_rows.append((fraction, appended_rows, appended_bytes,
                          cost["device_internal_bytes_read"], cost["device_internal_bytes_written"],
                          round(total_ns)))
@@ -331,19 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=[MODE_STREAM, MODE_MATERIALIZE], default=MODE_MATERIALIZE)
     p.add_argument("--out", help="export the materialized result to this file")
     p.add_argument("--q6", action="store_true", help="verify the aggregate against the row store")
-    p.add_argument("--q6-year-lo", type=int, default=0)
-    p.add_argument("--q6-year-hi", type=int, default=0)
-    p.add_argument("--q6-qty-lo", type=int, default=1)
-    p.add_argument("--q6-qty-hi", type=int, default=100_000)
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("delta", help="incremental-refresh cost experiment")
     common(p)
     p.add_argument("--rows", type=int, default=0, help="override table row count")
-    p.add_argument("--delta-fractions", "--mod-fractions", dest="delta_fractions",
-                   default="10..100:10", help="e.g. 10,20,50 or 10..100:10")
-    p.add_argument("--no-verify", dest="verify", action="store_false")
-    p.set_defaults(func=cmd_delta, verify=True)
+    p.add_argument("--delta-fractions", default="10..100:10", help="e.g. 10,20,50 or 10..100:10")
+    p.set_defaults(func=cmd_delta)
 
     return parser
 

@@ -27,13 +27,15 @@ slot reads and header probes one NVM access per NVM-resident access).
 ``pe_read_slot`` and ``pe_probe_header`` take arrays of positions in one
 region and return arrays.  They decode page metadata (the slot count in the
 page header) without a charge, bound every slot by it and raise
-``CorruptRecord`` for a slot or slot entry that is invalid.  Their range
-and slot checks are min/max reductions over the batch; the offending entry
-is located only when one fails, so the error names the first of them.
+``CorruptRecord`` for a slot or slot entry that is invalid.
 ``pe_read_records`` loads records of either region in place, for one PE or
-for a batch pooled over several: it checks their ranges, charges each PE
-its own records and hands back the region buffers, copying nothing.  Regions
-are named in arrays by their code, the index into ``REGIONS``.
+for a batch pooled over several: it charges each PE its own records and
+hands back the region buffers, copying nothing.  All three check their
+ranges, each against its own region's length, by one batch range check
+before anything is charged.  Range and slot checks are reductions over the
+batch; the offending entry is located only when one fails, so the error
+names the first of them.  Regions are named in arrays by their code, the
+index into ``REGIONS``.
 
 The map mirrors are the read-only arrays the walk reads: ``vid_map`` has
 one (vid, packed chain head) row per tuple, sorted by vid, and ``l2p`` is a
@@ -341,7 +343,6 @@ class Device:
         self.ledger = TransferLedger()
         self._regions = {REGION_DDR: bytearray(), REGION_NVM: bytearray()}
         self._capacity = {REGION_DDR: cfg.ddr_capacity_pages, REGION_NVM: cfg.nvm_capacity_pages}
-        self._next_page = {REGION_DDR: 0, REGION_NVM: 0}
         self._free = {REGION_DDR: [], REGION_NVM: []}
         self._allocations: dict = {}          # owner -> set[(region, idx)]
         self._host_readable: set = set()      # (region, idx) exposed to the host
@@ -352,7 +353,8 @@ class Device:
     # -- page pool -----------------------------------------------------------
 
     def free_page_count(self, region: str) -> int:
-        return len(self._free[region]) + self._capacity[region] - self._next_page[region]
+        used = len(self._regions[region]) // PAGE_SIZE     # pages ever taken from the pool
+        return len(self._free[region]) + self._capacity[region] - used
 
     def allocate_pages(self, region: str, count: int, owner: str) -> list:
         """Take ``count`` pages from the region's pool for ``owner``."""
@@ -369,8 +371,7 @@ class Device:
             if free:
                 idx = free.pop()
             else:
-                idx = self._next_page[region]
-                self._next_page[region] += 1
+                idx = len(buf) // PAGE_SIZE
                 buf.extend(b"\x00" * PAGE_SIZE)
             pages.append(idx)
         self._allocations.setdefault(owner, set()).update((region, i) for i in pages)
@@ -444,30 +445,17 @@ class Device:
 
     # -- in-situ navigation accessors (modeled transfer sizes) -----------------
 
-    def _check_ranges(self, region: str, offsets: np.ndarray, lengths):
+    def _check_ranges(self, regions, offsets: np.ndarray, lengths):
         """``_check_range`` for each of ``offsets`` with its length (or one for
-        all): min/max reductions, and the offending entry is located only on
-        failure."""
-        buf = self._regions.get(region)
-        if buf is None:
-            raise OutOfRange(f"unknown region {region!r}")
-        ends = offsets + lengths
-        if (offsets.min(initial=0) < 0 or np.min(lengths, initial=0) < 0
-                or ends.max(initial=0) > len(buf)):
-            k = np.flatnonzero((offsets < 0) | (lengths < 0) | (ends > len(buf)))[0]
-            raise OutOfRange(f"{region}[{offsets[k]}:{ends[k]}] outside {len(buf)} bytes")
-        return buf
-
-    def _check_records(self, regions: np.ndarray, offsets: np.ndarray, lengths: np.ndarray):
-        """``_check_ranges`` for records in either region, in one pass: each
-        record is bounded by its own region's length.  On failure the
-        ``OutOfRange`` names the first bad record in batch order."""
+        all) in its region: ``regions`` is one region code for all, or one
+        per range.  Reductions over the batch; on failure the ``OutOfRange``
+        names the first bad range in batch order."""
         limits = np.array([len(self._regions[name]) for name in REGIONS])[regions]
         ends = offsets + lengths
-        if (offsets.min(initial=0) < 0 or lengths.min(initial=0) < 0
-                or (limits - ends).min(initial=0) < 0):
+        if offsets.min(initial=0) < 0 or np.min(lengths, initial=0) < 0 or (ends > limits).any():
+            codes, limits = (np.broadcast_to(a, len(offsets)) for a in (regions, limits))
             k = np.flatnonzero((offsets < 0) | (lengths < 0) | (ends > limits))[0]
-            raise OutOfRange(f"{REGIONS[regions[k]]}[{offsets[k]}:{ends[k]}] outside "
+            raise OutOfRange(f"{REGIONS[codes[k]]}[{offsets[k]}:{ends[k]}] outside "
                              f"{limits[k]} bytes")
 
     def _charge_navigation(self, pe: int, op: str, nbytes: int, count: int, region=None):
@@ -487,7 +475,8 @@ class Device:
         slot must lie below its page's slot count, and its record in the
         page's record area: past the page header and before the slot array.
         """
-        buf = self._check_ranges(region, page_bases, PAGE_SIZE)
+        self._check_ranges(REGIONS.index(region), page_bases, PAGE_SIZE)
+        buf = self._regions[region]
         self._charge_navigation(pe, "slot", SLOT_READ_BYTES, len(slots), region)
         counts = gather_words(buf, "<u2", page_bases + SLOT_COUNT_OFFSET).astype(np.int64)
         if slots.max(initial=0) >= MAX_SLOTS or (counts - slots).min(initial=1) <= 0:
@@ -508,7 +497,8 @@ class Device:
     def pe_probe_header(self, pe: int, region: str, record_offsets: np.ndarray):
         """Modeled 4B header probes; yield (create_ts, packed pred, flags) arrays,
         read with one gather of each record's fixed header."""
-        buf = self._check_ranges(region, record_offsets, RECORD_HEADER_FIXED)
+        self._check_ranges(REGIONS.index(region), record_offsets, RECORD_HEADER_FIXED)
+        buf = self._regions[region]
         self._charge_navigation(pe, "probe", HEADER_PROBE_BYTES, len(record_offsets), region)
         header = gather_words(buf, np.dtype((np.void, RECORD_HEADER_FIXED)), record_offsets).view(
             HEADER_WORDS)
@@ -531,7 +521,7 @@ class Device:
         per record charges: the record bytes, and one NVM access per
         NVM-resident record.
         """
-        self._check_records(regions, offsets, lengths)
+        self._check_ranges(regions, offsets, lengths)
         n = len(lengths)
         pes = np.broadcast_to(pe, n)
         nbytes = np.bincount(pes, weights=lengths)

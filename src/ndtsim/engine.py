@@ -170,7 +170,8 @@ def plan_scratchpad(schema: Schema, projection, scratchpad_bytes: int) -> dict:
 
 @dataclass
 class NdtInvocation:
-    """Everything the device needs to run one transformation."""
+    """Everything the device needs to run one transformation; a
+    materialization's result pages are NVM, a stream's buffers DDR."""
 
     owner: str
     descriptor: SnapshotDescriptor
@@ -178,12 +179,11 @@ class NdtInvocation:
     projection: tuple
     pe_count: int
     result_mode: str
-    result_region: str
-    result_pages: list            # page indexes pre-allocated for results
+    result_pages: list            # NVM page indexes pre-allocated for results
     stream_pages: list            # ring-buffer pages (stream mode)
     vid_view: np.ndarray          # frozen device vid map: (vid, head) rows sorted by vid
     l2p_view: PageTable           # frozen device page table
-    proj_plan: tuple = field(default=())
+    proj_plan: tuple = field(init=False)        # derived from schema and projection
 
     def __post_init__(self):
         if not self.projection:
@@ -345,9 +345,7 @@ def pe_visibility_check(device: Device, pe: int, vids: np.ndarray, heads: np.nda
             create_ts = np.empty(m, dtype=np.uint64)
             pred = np.empty(m, dtype=np.uint64)
             flags = np.empty(m, dtype=np.uint8)
-            for code, count in enumerate(counts):
-                if not count:
-                    continue
+            for code in range(len(REGIONS)):       # each region holds entries here
                 rows = np.flatnonzero(region == code)
                 off, length[rows] = device.pe_read_slot(pe, REGIONS[code], base[rows], slot[rows])
                 record[rows] = base[rows] + off
@@ -577,7 +575,7 @@ class FragmentWriter:
             return 0
         return -(-(nbytes - self.room) // PAGE_SIZE)
 
-    def append(self, device: Device, pe: int, data, page_queue):
+    def append(self, device: Device, requester, data, page_queue):
         mv = memoryview(data)
         pos = 0
         while pos < len(data):
@@ -586,7 +584,7 @@ class FragmentWriter:
                 self.room = PAGE_SIZE
             take = min(self.room, len(data) - pos)
             offset = self.pages[-1] * PAGE_SIZE + (PAGE_SIZE - self.room)
-            device.write(self.region, offset, mv[pos:pos + take], pe)
+            device.write(self.region, offset, mv[pos:pos + take], requester)
             pos += take
             self.room -= take
             self.total += take
@@ -625,19 +623,19 @@ class Segment:
 
 
 class MaterializeSink:
-    """Routes flushed partitions into per-(PE, column, kind) page chains;
-    ``more_pages(job, count)`` adds ``count`` pages to a job's queue."""
+    """Routes flushed partitions into per-(PE, column, kind) page chains of
+    NVM result pages; ``more_pages(job, count)`` adds ``count`` pages to a
+    job's queue."""
 
-    def __init__(self, device: Device, region: str, more_pages):
+    def __init__(self, device: Device, more_pages):
         self.device = device
-        self.region = region
         self.more_pages = more_pages
         self.writers = {}
 
     def emit(self, job: PeJob, key, data):
         writer = self.writers.get((job.pe, key))
         if writer is None:
-            writer = FragmentWriter(self.region)
+            writer = FragmentWriter(REGION_NVM)
             self.writers[(job.pe, key)] = writer
         while writer.pages_needed(len(data)) > len(job.page_queue):
             self.more_pages(job, writer.pages_needed(len(data)) - len(job.page_queue))
@@ -655,7 +653,6 @@ class MaterializeSink:
 class Batch:
     """One pulled stream buffer: framed column chunks plus payload size."""
 
-    index: int
     chunks: list                  # [(pe, name, kind, bytes), ...]
     payload_bytes: int
 
@@ -708,7 +705,7 @@ class StreamSink:
         for pe, key, length in self.pending:
             chunks.append((pe, key[0], key[1], raw[pos:pos + length]))
             pos += length
-        batch = Batch(len(self.batches), chunks, self.writer.total)
+        batch = Batch(chunks, self.writer.total)
         self.batches.append(batch)
         if self.consumer is not None:
             self.consumer(batch)
@@ -721,9 +718,10 @@ class StreamSink:
         self._deliver()
 
 
-def stream_segments(batches, pe_count: int) -> list:
-    """Reassemble per-PE segment buffers from pulled batches: each
-    (PE, column, kind) buffer is its chunks, in pull order, joined once."""
+def columns_from_batches(schema: Schema, projection, batches, pe_count: int):
+    """The column set of a stream's pulled batches: each (PE, column, kind)
+    buffer is its chunks, in pull order, joined once, and each PE with rows
+    is one segment."""
     chunks = [dict() for _ in range(pe_count)]
     for batch in batches:
         for pe, name, kind, payload in batch.chunks:
@@ -734,12 +732,7 @@ def stream_segments(batches, pe_count: int) -> list:
         vid_buf = buffers.get((VID_COLUMN, KIND_VALUES))
         if vid_buf:
             segments.append((len(vid_buf) // VID_DTYPE.itemsize, buffers))
-    return segments
-
-
-def columns_from_batches(schema: Schema, projection, batches, pe_count: int):
-    return assemble(result_specs(schema, projection),
-                    stream_segments(batches, pe_count))
+    return assemble(result_specs(schema, projection), segments)
 
 
 # -- materialization handles ------------------------------------------------------
@@ -766,7 +759,6 @@ class MaterializationHandle:
 
     owner: str
     device: Device
-    schema: Schema
     projection: tuple
     specs: tuple
     snapshot: SnapshotDescriptor
@@ -819,9 +811,7 @@ def write_bitmap_pages(device: Device, owner: str, pages: list, current: np.ndar
         more = device.allocate_pages(REGION_NVM, need - len(pages), owner)
         device.expose_to_host((REGION_NVM, idx) for idx in more)
         pages += more
-    for i in range(need):
-        piece = data[i * PAGE_SIZE:(i + 1) * PAGE_SIZE]
-        device.write(REGION_NVM, pages[i] * PAGE_SIZE, piece, REQUESTER_COORD)
+    FragmentWriter(REGION_NVM).append(device, REQUESTER_COORD, data, deque(pages))
     return pages
 
 
@@ -851,7 +841,7 @@ def append_run(handle: MaterializationHandle, inv: NdtInvocation, jobs, changed:
     device = handle.device
     segments = sink.segments(np.bincount(changed.pes, minlength=len(jobs)).tolist(),
                              run=handle.run_count)
-    leftovers = [(inv.result_region, idx) for job in jobs for idx in job.page_queue]
+    leftovers = [(REGION_NVM, idx) for job in jobs for idx in job.page_queue]
     if leftovers:
         device.free_pages(inv.owner, leftovers)
 
@@ -903,7 +893,7 @@ def run_invocation(inv: NdtInvocation, device: Device, grantor=None, consumer=No
             if handle is not None:
                 handle.require_refreshable(inv)
             sink = StreamSink(device, inv, consumer) if stream else MaterializeSink(
-                device, inv.result_region, partial(suspend_for_space, inv, device, grantor))
+                device, partial(suspend_for_space, inv, device, grantor))
             jobs = schedule(inv, device)
             refresh = handle is not None and handle.total_positions > 0   # else a first run
             held = handle.index if handle else IdentityIndex.empty()
@@ -917,8 +907,8 @@ def run_invocation(inv: NdtInvocation, device: Device, grantor=None, consumer=No
             else:
                 if handle is None:
                     handle = MaterializationHandle(
-                        owner=inv.owner, device=device, schema=inv.schema,
-                        projection=inv.projection, specs=inv.specs, snapshot=inv.descriptor)
+                        owner=inv.owner, device=device, projection=inv.projection,
+                        specs=inv.specs, snapshot=inv.descriptor)
                 append_run(handle, inv, jobs, changed, sink, removed)
         except BaseException:
             device.free_pages(inv.owner)

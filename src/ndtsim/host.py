@@ -322,14 +322,12 @@ class HostSystem:
             count = cfg.stream_buffer_count * (cfg.stream_buffer_bytes // PAGE_SIZE)
             stream_pages = self.device.allocate_pages(REGION_DDR, count, owner)
             result_pages = []
-            region = REGION_DDR
         else:
             scale = 0.25 if prior_handle is not None else 1.0
             est_bytes = int(len(vid_view) * estimated_row_bytes(self.schema, projection)
                             * 1.25 * scale)
             pages = max(pe_count, -(-est_bytes // PAGE_SIZE))
-            region = REGION_NVM
-            result_pages = self.device.allocate_pages(region, pages, owner)
+            result_pages = self.device.allocate_pages(REGION_NVM, pages, owner)
             stream_pages = []
 
         return NdtInvocation(
@@ -339,7 +337,6 @@ class HostSystem:
             projection=projection,
             pe_count=pe_count,
             result_mode=mode,
-            result_region=region,
             result_pages=result_pages,
             stream_pages=stream_pages,
             vid_view=vid_view,
@@ -347,15 +344,13 @@ class HostSystem:
         )
 
     def grant_space(self, inv: NdtInvocation, count: int) -> list:
-        """Serve a device space request; grants a policy-sized chunk."""
+        """Serve a device space request with a policy-sized chunk of NVM result pages."""
         self.admin_ops += 1
-        available = self.device.free_page_count(inv.result_region)
+        available = self.device.free_page_count(REGION_NVM)
         if available < count:
-            raise PoolExhausted(
-                f"{inv.result_region} pool has {available} pages, {count} needed"
-            )
+            raise PoolExhausted(f"{REGION_NVM} pool has {available} pages, {count} needed")
         chunk = max(count, len(inv.result_pages) // (2 * inv.pe_count), 4)
-        return self.device.allocate_pages(inv.result_region, min(chunk, available), inv.owner)
+        return self.device.allocate_pages(REGION_NVM, min(chunk, available), inv.owner)
 
     @contextmanager
     def reader(self):

@@ -1,10 +1,11 @@
 """Host shared-state: the delta buffer plus staged map changes.
 
 New version records accumulate in host-resident pages together with the
-VID-map and logical-to-physical map entries they imply.  The whole bundle
-is propagated to the device either when it reaches its configured capacity
-or alongside an invocation, which also ships the in-flight transaction
-list its snapshot needs.
+VID-map and logical-to-physical map entries they imply; the host pages are
+exactly the pages awaiting propagation.  The whole bundle is propagated to
+the device either when it reaches its configured capacity or alongside an
+invocation, which also ships the in-flight transaction list its snapshot
+needs.
 
 The VID-map delta is staged as two lists in staging order, vids and the
 packed RecordIDs of their new chain heads (``RID_NONE`` removes a vid's
@@ -28,7 +29,6 @@ import numpy as np
 from .errors import DanglingReference
 from .layout import (
     PAGE_SIZE,
-    RID_NONE,
     SLOT_ENTRY_SIZE,
     NsmPage,
     RecordID,
@@ -77,12 +77,10 @@ class HostSharedState:
     def __init__(self, device, capacity_bytes: int = DEFAULT_CAPACITY_BYTES):
         self.device = device
         self.capacity_bytes = capacity_bytes
-        self.host_pages: dict = {}        # page_lid -> NsmPage, still host-resident
+        self.host_pages: dict = {}        # page_lid -> NsmPage awaiting propagation, lid order
         self.l2p: dict = {}               # page_lid -> (region, page_index); HOST index -1
         self._next_page_lid = 1
         self._open_page: Optional[NsmPage] = None
-        self._open_rid0 = RID_NONE        # packed RecordID of the open page's slot 0
-        self._pending_pages: list = []    # lids awaiting propagation, in creation order
         self._staged_vids: list = []      # vids of staged map changes, in staging order
         self._staged_heads: list = []     # their packed new heads; RID_NONE removes
         self.size_bytes = 0
@@ -96,9 +94,7 @@ class HostSharedState:
         page = NsmPage(lid)
         self.host_pages[lid] = page
         self.l2p[lid] = (REGION_HOST, -1)
-        self._pending_pages.append(lid)
         self._open_page = page
-        self._open_rid0 = pack_rid(RecordID(lid, 0))
         return page
 
     def append_records(self, records, vids, rids: list):
@@ -131,7 +127,7 @@ class HostSharedState:
                 if size >= capacity:
                     break
             slot, lid = page.extend(records[k:end]), page.page_lid
-            head = self._open_rid0 + slot     # a slot is below 2**16: packing adds it
+            head = pack_rid(RecordID(lid, slot))    # consecutive slots pack to consecutive ints
             rids.extend(map(RecordID, repeat(lid, end - k), range(slot, slot + end - k)))
             staged_vids.extend(vids[k:end])
             staged_heads.extend(range(head, head + end - k))
@@ -148,7 +144,7 @@ class HostSharedState:
 
     @property
     def has_pending(self) -> bool:
-        return bool(self._pending_pages or self._staged_vids)
+        return bool(self.host_pages or self._staged_vids)
 
     # -- propagation ----------------------------------------------------------
 
@@ -161,7 +157,7 @@ class HostSharedState:
         """
         vids, heads = _last_staged(self._staged_vids, self._staged_heads)
         snapshot = SharedStateSnapshot(
-            pages=tuple((lid, self.host_pages[lid].to_bytes()) for lid in self._pending_pages),
+            pages=tuple((lid, page.to_bytes()) for lid, page in self.host_pages.items()),
             vids=vids,
             heads=heads,
             in_flight=None if in_flight is None else frozenset(in_flight),
@@ -170,7 +166,6 @@ class HostSharedState:
         for lid, loc in placements.items():
             self.l2p[lid] = loc
             del self.host_pages[lid]
-        self._pending_pages.clear()
         self._staged_vids.clear()
         self._staged_heads.clear()
         self.size_bytes = 0

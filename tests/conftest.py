@@ -66,12 +66,12 @@ class Harness:
         return NdtInvocation(
             owner=owner, descriptor=descriptor, schema=self.schema,
             projection=projection, pe_count=pe_count, result_mode=mode,
-            result_region=REGION_NVM, result_pages=result_pages,
-            stream_pages=stream_pages, vid_view=vid_view, l2p_view=l2p_view,
+            result_pages=result_pages, stream_pages=stream_pages, vid_view=vid_view,
+            l2p_view=l2p_view,
         )
 
     def grantor(self, inv, count):
-        return self.device.allocate_pages(inv.result_region, count, inv.owner)
+        return self.device.allocate_pages(REGION_NVM, count, inv.owner)
 
 
 @contextmanager

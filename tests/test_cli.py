@@ -97,6 +97,27 @@ def test_htap_mismatch_exits_3(failing, what, monkeypatch, capsys):
     assert what in capsys.readouterr().err and len(calls) == failing + 1
 
 
+def test_transform_csv_writes_the_ledger_by_category(tmp_path, capsys):
+    table = tmp_path / "ledger.csv"
+    assert cli.main(["transform", "--sf", "0", "--pe", "2", "--csv", str(table)]) == 0
+    assert "pe=2," in capsys.readouterr().out
+    header, *rows = [line.split(",") for line in table.read_text().splitlines()]
+    assert header == ["category", "bytes", "ops", "modeled_ns"]
+    assert [row[0] for row in rows] == [
+        "device_internal_read", "device_internal_write", "device_to_host", "host_to_device",
+        "nvm_access", "host_roundtrip", "pe_compute", "total"]
+
+
+def test_delta_csv_writes_one_row_per_fraction(tmp_path):
+    table = tmp_path / "delta.csv"
+    assert cli.main(["delta", "--rows", "200", "--delta-fractions", "10,20",
+                     "--csv", str(table)]) == 0
+    header, *rows = [line.split(",") for line in table.read_text().splitlines()]
+    assert header == ["fraction", "modified_rows", "appended_bytes", "internal_read",
+                      "internal_write", "modeled_ns"]
+    assert [row[:2] for row in rows] == [["10", "20"], ["20", "40"]]
+
+
 def test_one_interval_still_runs_the_transformation(tmp_path, capsys):
     table = tmp_path / "htap.csv"
     assert cli.main(["htap", "--sf", "0", "--tx-count", "10", "--intervals", "1",

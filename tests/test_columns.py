@@ -13,6 +13,7 @@ Corrupt segments raise only typed errors.
 import os
 import struct
 import tempfile
+from decimal import Decimal as PyDecimal
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from ndtsim.columns import (
     ColumnSet,
     ColumnSpec,
     assemble,
+    canonical_compare,
     column_buffers,
     decode_varchar,
     gather_buffers,
@@ -79,6 +81,44 @@ def test_ragged_buffer_lengths_raise_typed_errors(key):
                  lambda: gather_buffers(specs, [(3, buffers)])):
         with pytest.raises(CorruptDescriptor):
             call()
+
+
+# -- canonical comparison ----------------------------------------------------------
+
+_COMPARED = result_specs(Schema("t", [("i", Int32(), True), ("d", Decimal(10, 2), False),
+                                      ("s", VarChar(8), True)]), ("i", "d", "s"))
+
+
+def _compared(vids=(3, 1, 2), i=(10, 20, 30), i_valid=(True, True, False), d=(1234, 5678, 9),
+              s=("x", "yy", ""), s_valid=(True, False, True)) -> ColumnSet:
+    """Three rows out of vid order; vid 2's ``i`` and vid 1's ``s`` are NULL."""
+    return ColumnSet(_COMPARED, np.array(vids, dtype="<u8"),
+                     {"i": np.array(i, dtype="<i4"), "d": np.array(d, dtype="<i8"), "s": list(s)},
+                     {"i": np.array(i_valid), "d": None, "s": np.array(s_valid)}, len(vids))
+
+
+@pytest.mark.parametrize("other, expected", [
+    (_compared().take(np.array([0, 1])), ("row count 3 vs 2", None, None, None, None)),
+    (_compared(vids=(4, 1, 2)), ("row identity sets differ", 3, VID_COLUMN, 3, 4)),
+    (_compared(i_valid=(True, False, False)), ("validity differs", 1, "i", True, False)),
+    (_compared(i=(11, 20, 30)), ("value differs", 3, "i", 10, 11)),
+    (_compared(d=(1234, 5679, 9)),
+     ("value differs", 1, "d", PyDecimal("56.78"), PyDecimal("56.79"))),
+    (_compared(s=("z", "yy", "")), ("value differs", 3, "s", "x", "z")),
+], ids=["row_count", "identity_set", "validity", "int32_value", "decimal_value",
+        "varchar_value"])
+def test_canonical_compare_reports_the_first_divergence(other, expected):
+    result = canonical_compare(_compared(), other)
+    assert not result.equal
+    assert (result.reason, result.vid, result.attr, result.left, result.right) == expected
+    assert [type(value) for value in (result.left, result.right)] == [type(expected[3])] * 2
+
+
+@pytest.mark.parametrize("other", [_compared(i=(10, 20, 99)), _compared(s=("x", "zz", ""))],
+                         ids=["fixed_under_null", "varchar_under_null"])
+def test_canonical_compare_ignores_values_under_a_null(other):
+    assert canonical_compare(_compared(), other).equal
+    assert canonical_compare(_compared().sorted_by_vid(), other).equal
 
 
 # -- the per-row reference -----------------------------------------------------------

@@ -19,7 +19,7 @@ from ndtsim.device import (
     modeled_time,
 )
 from ndtsim.errors import AccessDenied, CorruptRecord, InvalidConfig, OutOfRange, OutOfSpace
-from ndtsim.layout import PAGE_SIZE
+from ndtsim.layout import PAGE_SIZE, RECORD_HEADER_FIXED
 
 
 def test_configure_defaults_and_bounds():
@@ -116,6 +116,16 @@ def test_out_of_range_read():
     dev.allocate_pages(REGION_DDR, 1, "x")
     with pytest.raises(OutOfRange):
         dev.read(REGION_DDR, PAGE_SIZE - 4, 8, 0)
+    # a batch accessor names its first range past the region's end and charges nothing
+    before = dev.ledger.snapshot()
+    outside = rf"\] outside {PAGE_SIZE} bytes$"
+    with pytest.raises(OutOfRange, match=rf"^DDR\[{PAGE_SIZE}:{2 * PAGE_SIZE}{outside}"):
+        dev.pe_read_slot(0, REGION_DDR, np.array([0, PAGE_SIZE, 2 * PAGE_SIZE]),
+                         np.zeros(3, dtype=np.int64))
+    last = PAGE_SIZE - RECORD_HEADER_FIXED
+    with pytest.raises(OutOfRange, match=rf"^DDR\[{last + 1}:{PAGE_SIZE + 1}{outside}"):
+        dev.pe_probe_header(0, REGION_DDR, np.array([last, last + 1, PAGE_SIZE]))
+    assert dev.ledger.snapshot() == before
 
 
 def test_ledger_conservation_over_raw_ops():

@@ -18,6 +18,7 @@ from ndtsim.errors import (
     ArityMismatch,
     NdtError,
     NullNotAllowed,
+    RecordTooLarge,
     TypeMismatch,
     VarCharTooLong,
 )
@@ -236,6 +237,17 @@ def test_only_typed_errors_escape():
     for bad in [(chr(0xD800), D(1)), ("x", D("sNaN")), ("x", 1.5), (b"x", D(1)), ("x", [1])]:
         with pytest.raises(NdtError):
             encode_records(schema, [RecordHeader(1, 1)], [bad])
+
+
+@pytest.mark.parametrize("max_len, size, error, message", [
+    (0xFFFF, 0x10000, VarCharTooLong, "a value of more than 0xFFFF bytes"),
+    (70000, 0x10000, RecordTooLarge, "a value of more than 0xFFFF bytes"),
+    (9000, 8500, RecordTooLarge, "record of 8528 bytes exceeds 8176"),
+], ids=["past_u16_in_varchar_65535", "past_u16_in_varchar_70000", "past_the_page"])
+def test_a_value_too_long_for_its_record_raises_its_named_error(max_len, size, error, message):
+    schema = Schema("v", [("s", VarChar(max_len), False)])
+    with pytest.raises(error, match=message):
+        encode_records(schema, [RecordHeader(1, 1)], [("x" * size,)])
 
 
 def test_headers_and_rows_must_pair():

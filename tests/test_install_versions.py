@@ -20,7 +20,7 @@ def state(system) -> dict:
         "tx_writes": {t: dict(writes) for t, writes in store._tx_writes.items()},
         "op_count": store.op_count,
         "staged": dict(zip(shared._staged_vids, shared._staged_heads)),
-        "pending": list(shared._pending_pages),
+        "pending": list(shared.host_pages),
         "size_bytes": shared.size_bytes,
         "propagation_count": shared.propagation_count,
         "l2p": dict(shared.l2p),
