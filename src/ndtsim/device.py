@@ -452,9 +452,9 @@ class Device:
         names the first bad range in batch order."""
         limits = np.array([len(self._regions[name]) for name in REGIONS])[regions]
         ends = offsets + lengths
-        if offsets.min(initial=0) < 0 or np.min(lengths, initial=0) < 0 or (ends > limits).any():
+        if offsets.min(initial=0) < 0 or (ends < offsets).any() or (ends > limits).any():
             codes, limits = (np.broadcast_to(a, len(offsets)) for a in (regions, limits))
-            k = np.flatnonzero((offsets < 0) | (lengths < 0) | (ends > limits))[0]
+            k = np.flatnonzero((offsets < 0) | (ends < offsets) | (ends > limits))[0]
             raise OutOfRange(f"{REGIONS[codes[k]]}[{offsets[k]}:{ends[k]}] outside "
                              f"{limits[k]} bytes")
 

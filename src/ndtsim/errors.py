@@ -109,6 +109,10 @@ class MissingColumn(NdtError):
     pass
 
 
+class DuplicateColumn(NdtError):
+    """A projection names one attribute twice."""
+
+
 class PoolExhausted(NdtError):
     pass
 

@@ -34,7 +34,7 @@ from .engine import (
     NdtInvocation,
     run_invocation,
 )
-from .errors import InvalidConfig, MissingColumn, PoolExhausted, UnknownTx
+from .errors import DuplicateColumn, InvalidConfig, MissingColumn, PoolExhausted, UnknownTx
 from .layout import (
     PAGE_SIZE,
     Decimal,
@@ -292,6 +292,19 @@ class HostSystem:
 
     # -- invocation lifecycle ------------------------------------------------------
 
+    def _projection_names(self, projection) -> tuple:
+        """The attribute names of ``projection``, or of every attribute when
+        it is empty.  Raises ``MissingColumn`` for a name not in the schema
+        and ``DuplicateColumn`` for one named twice."""
+        names = tuple(projection) if projection else tuple(
+            a.name for a in self.schema.attributes)
+        for k, name in enumerate(names):
+            if name not in self.schema.index_of:
+                raise MissingColumn(f"{name!r} not in table schema")
+            if name in names[:k]:
+                raise DuplicateColumn(f"{name!r} named twice in the projection")
+        return names
+
     def prepare_invocation(self, caller: int, projection=None, mode: str = MODE_MATERIALIZE,
                            pe_count: int = None, prior_handle=None) -> NdtInvocation:
         """Snapshot shared state with the call, size and reserve result space,
@@ -299,11 +312,7 @@ class HostSystem:
         if caller not in self.store.in_flight:
             raise UnknownTx(f"caller {caller} is not in-flight")
         store = self.store
-        projection = tuple(projection) if projection else tuple(
-            a.name for a in self.schema.attributes)
-        for name in projection:
-            if name not in self.schema.index_of:
-                raise MissingColumn(f"{name!r} not in table schema")
+        projection = self._projection_names(projection)
         cfg = self.device.cfg
         pe_count = pe_count or cfg.pe_count
         self.admin_ops += 1
@@ -394,8 +403,7 @@ class HostSystem:
         The visible versions come from the host's chains, and their pages
         are read once each and decoded a column at a time by ``oracle``.
         """
-        projection = tuple(projection) if projection else tuple(
-            a.name for a in self.schema.attributes)
+        projection = self._projection_names(projection)
         specs = result_specs(self.schema, projection)
         vids, values, present = visible_columns(self.shared, self.store.vid_map, self.schema,
                                                 snap, projection)

@@ -11,13 +11,20 @@ host's delta buffer or through ``Device.peek``.  The slot entries of all
 records are parsed together and bounded as the device bounds them: a slot
 below its page's slot count, a record inside the page's record area.
 
-Decoding works a column at a time, as PAX does.  Fixed-field offsets
-depend only on the null mask, so they are computed once per distinct mask
-and gathered; varlen positions follow from the u16 length prefixes, one
-varlen attribute after another.  NULL values decode to 0 (or ""), with
-their presence cleared.  Corrupt bytes raise ``CorruptRecord``, as do a
-tombstone flag and a NULL non-nullable attribute: the chains call every
-record read here live.
+Decoding works a column at a time, as PAX does.  Every word is read
+through one strided view of the page bytes per word kind (``_words``: a
+word of that kind at every byte), so a column of n words is one gather
+of n positions; null bitmaps are read as n void words of the bitmap's
+width.  Fixed-field offsets depend only on the null mask, so they are
+computed once per distinct mask: the bitmaps are sorted by their bytes
+(``np.lexsort``, for any bitmap width), each run of equal ones becomes a
+group with an integer number, and every record gathers its group's
+offsets.  Varlen positions follow from the u16 length prefixes, one
+varlen attribute after another, and varchars are decoded one value at a
+time.  NULL values decode to 0 (or ""), with their presence cleared; a
+non-nullable attribute is never NULL, so its words are kept as read.
+Corrupt bytes raise ``CorruptRecord``, as do a tombstone flag and a NULL
+non-nullable attribute: the chains call every record read here live.
 
 Independence rule: nothing here comes from the device path (``engine``,
 ``delta``, ``device``, or the batch field locator in ``layout``), so a bug
@@ -48,9 +55,14 @@ from .layout import (
 from .mvcc import SnapshotDescriptor, oracle_visible_version
 
 
-def _u16(buf: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Little-endian u16 values at byte ``positions`` of ``buf``, as int64."""
-    return buf[positions].astype(np.int64) | buf[positions + 1].astype(np.int64) << 8
+def _words(buf: np.ndarray, dtype, positions: np.ndarray) -> np.ndarray:
+    """The little-endian ``dtype`` words that start at byte ``positions`` of ``buf``.
+
+    ``buf`` is viewed as one word at every byte, and the words at
+    ``positions`` are copied out; each must end inside ``buf``.
+    """
+    size = np.dtype(dtype).itemsize
+    return np.ndarray((max(len(buf) - size + 1, 0),), dtype, buf, strides=(1,))[positions]
 
 
 def visible_records(vid_map: dict, snap: SnapshotDescriptor):
@@ -78,7 +90,7 @@ def read_records(shared, page_lids, slots):
     raw = b"".join([shared.page_image(lid) for lid in lids.tolist()])
     buf = np.frombuffer(raw, dtype=np.uint8)
     bases = page_of * PAGE_SIZE
-    counts = _u16(buf, bases + SLOT_COUNT_OFFSET)
+    counts = _words(buf, "<u2", bases + SLOT_COUNT_OFFSET).astype(np.int64)
     bad = (slots < 0) | (slots >= counts)
     if bad.any():
         k = bad.argmax()
@@ -88,8 +100,8 @@ def read_records(shared, page_lids, slots):
     if bad.any():
         k = bad.argmax()
         raise CorruptRecord(f"page {page_lids[k]}: {counts[k]} slots overrun the page")
-    entries = bases + PAGE_SIZE - SLOT_ENTRY_SIZE * (slots + 1)
-    offsets, lengths = _u16(buf, entries), _u16(buf, entries + 2)
+    entries = _words(buf, "<u4", bases + PAGE_SIZE - SLOT_ENTRY_SIZE * (slots + 1))
+    offsets, lengths = (entries & 0xFFFF).astype(np.int64), (entries >> 16).astype(np.int64)
     bad = (offsets < PAGE_HEADER_SIZE) | (offsets + lengths > area_end)
     if bad.any():
         k = bad.argmax()
@@ -121,27 +133,34 @@ def decode_columns(schema: Schema, names, raw: bytes, starts: np.ndarray,
     if (lengths < schema.header_size).any():
         raise CorruptRecord("record shorter than its header")
 
-    # null bitmaps, grouped by distinct mask
+    # null bitmaps, grouped by distinct mask: sorted by their bytes, one group per run
     width = schema.null_bitmap_bytes
-    bitmaps = buf[starts[:, None] + np.arange(RECORD_HEADER_FIXED, schema.header_size)]
-    masks, group = np.unique(bitmaps.view(np.dtype((np.void, width))).ravel(),
-                             return_inverse=True)
-    null = np.zeros((len(masks), schema.n_attrs), dtype=bool)
-    rel = np.zeros((len(masks), schema.n_attrs), dtype=np.int64)   # fixed-field offsets
-    fixed_end = np.zeros(len(masks), dtype=np.int64)
-    for g, mask in enumerate(masks):
-        null_mask = int.from_bytes(mask.tobytes(), "little")
-        null[g] = [null_mask >> i & 1 for i in range(schema.n_attrs)]
+    bitmaps = _words(buf, np.dtype((np.void, width)),
+                     starts + RECORD_HEADER_FIXED).view(np.uint8).reshape(n, width)
+    order = np.lexsort(bitmaps.T)
+    first = np.zeros(n, dtype=bool)
+    first[:1] = True
+    for byte in bitmaps.T:
+        ranked = byte[order]
+        first[1:] |= ranked[1:] != ranked[:-1]
+    heads = np.flatnonzero(first)
+    group = np.empty(n, dtype=np.int64)
+    group[order] = np.repeat(np.arange(len(heads)), np.diff(heads, append=n))
+    null = np.unpackbits(bitmaps[order[heads]], axis=1, count=schema.n_attrs,
+                         bitorder="little").astype(bool)
+    rel = np.zeros((len(heads), schema.n_attrs), dtype=np.int64)   # fixed-field offsets
+    fixed_end = np.zeros(len(heads), dtype=np.int64)
+    for g, nulls in enumerate(null.tolist()):
         pos = schema.header_size
         for i, field_width, alignment, _code in schema.fixed_plan:
-            if not null[g, i]:
+            if not nulls[i]:
                 rel[g, i] = pos = _aligned(pos, alignment)
                 pos += field_width
         fixed_end[g] = pos
     required = ~np.array([attr.nullable for attr in schema.attributes], dtype=bool)
     if (null[:, required]).any():
         raise CorruptRecord("a non-nullable attribute is NULL")
-    present = ~null[group]
+    present = (~null).take(group, axis=0)
     end = fixed_end[group]
     if (end > lengths).any():
         raise CorruptRecord("fixed fields run past record end")
@@ -152,7 +171,7 @@ def decode_columns(schema: Schema, names, raw: bytes, starts: np.ndarray,
         prefix = starts[on] + end[on]
         if (end[on] + 2 > lengths[on]).any():
             raise CorruptRecord(f"varlen field {i} length prefix past record end")
-        size = _u16(buf, prefix)
+        size = _words(buf, "<u2", prefix).astype(np.int64)
         end[on] += 2 + size
         if (end[on] > lengths[on]).any():
             raise CorruptRecord(f"varlen field {i} payload past record end")
@@ -173,11 +192,12 @@ def decode_columns(schema: Schema, names, raw: bytes, starts: np.ndarray,
             except UnicodeDecodeError as exc:
                 raise CorruptRecord(f"varlen field {i} is not UTF-8 ({exc})") from None
             continue
-        at = starts + rel[group, i]
-        word = buf[at[:, None] + np.arange(ftype.width)].view(f"<i{ftype.width}").ravel()
+        word = _words(buf, f"<i{ftype.width}", starts + rel[group, i])
         if ftype.code == TC_TIMESTAMP:
             word = word // MICROS_PER_SECOND + POSTGRES_EPOCH_OFFSET_SECONDS
-        values[name] = np.where(present[:, i], word, 0).astype(f"<i{ftype.width}")
+        if schema.attributes[i].nullable:
+            word = np.where(present[:, i], word, 0)
+        values[name] = word.astype(f"<i{ftype.width}", copy=False)
     return values, present_of
 
 

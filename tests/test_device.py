@@ -128,6 +128,18 @@ def test_out_of_range_read():
     assert dev.ledger.snapshot() == before
 
 
+def test_negative_length_is_out_of_range():
+    """A batch range that ends before it starts is refused like one past the
+    region's end, named in batch order, before anything is charged."""
+    dev = Device(DeviceConfig())
+    dev.allocate_pages(REGION_DDR, 1, "x")
+    before = dev.ledger.snapshot()
+    with pytest.raises(OutOfRange, match=rf"^DDR\[12:4\] outside {PAGE_SIZE} bytes$"):
+        dev.pe_read_records(0, np.zeros(3, dtype=np.int64), np.array([0, 12, PAGE_SIZE]),
+                            np.array([8, -8, 8]))
+    assert dev.ledger.snapshot() == before
+
+
 def test_ledger_conservation_over_raw_ops():
     """Bytes charged equal bytes moved through read/write calls."""
     dev = Device(DeviceConfig())

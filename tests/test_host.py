@@ -9,7 +9,7 @@ from ndtsim.columns import canonical_compare
 from ndtsim.delta import masked_view
 from ndtsim.device import REGION_DDR, REGION_NVM, DeviceConfig, op_total
 from ndtsim.engine import MODE_MATERIALIZE, run_invocation
-from ndtsim.errors import AlreadyFinished, MissingColumn, UnknownTx
+from ndtsim.errors import AlreadyFinished, DuplicateColumn, MissingColumn, UnknownTx
 from ndtsim.host import (
     HostSystem,
     Q6Params,
@@ -141,6 +141,31 @@ def test_failed_preparation_aborts_the_reader(system):
     with pytest.raises(MissingColumn):
         system.transform_snapshot(projection=("nope",))
     assert not system.store.in_flight
+    assert [system.device.free_page_count(region) for region in (REGION_DDR, REGION_NVM)] == free
+
+
+def test_a_projection_naming_an_attribute_twice_is_refused(system):
+    """Both entry points refuse it before anything changes: no propagation,
+    no ledger charge, no page taken, and no reader left in flight."""
+    system.load_orderlines(50, seed=11)
+    twice = ("ol_quantity", "ol_amount", "ol_quantity")
+    ledger = system.device.ledger.snapshot()
+    free = [system.device.free_page_count(region) for region in (REGION_DDR, REGION_NVM)]
+    with pytest.raises(DuplicateColumn, match="^'ol_quantity' named twice"):
+        system.transform_snapshot(projection=twice)
+    assert not system.store.in_flight
+    caller = system.store.begin_tx()
+    with pytest.raises(DuplicateColumn, match="^'ol_quantity' named twice"):
+        system.prepare_invocation(caller, projection=twice)
+    snap = system.store.snapshot_descriptor(caller)
+    with pytest.raises(DuplicateColumn, match="^'ol_quantity' named twice"):
+        system.oracle_column_set(snap, twice)
+    with pytest.raises(MissingColumn):
+        system.oracle_column_set(snap, ("nope",))
+    assert system.store.in_flight == {caller}
+    system.store.commit_tx(caller)
+    assert system.shared.has_pending
+    assert system.device.ledger.snapshot() == ledger
     assert [system.device.free_page_count(region) for region in (REGION_DDR, REGION_NVM)] == free
 
 

@@ -64,7 +64,7 @@ def _used_names(tree) -> set:
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             try:                                # a string annotation such as "Fragment"
                 expr = ast.parse(node.value, mode="eval")
-            except SyntaxError:
+            except (SyntaxError, UnicodeEncodeError):     # e.g. a lone surrogate
                 continue
             used.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
     return used
@@ -94,6 +94,12 @@ def test_no_unused_imports(path):
 def test_scan_finds_an_unused_import(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("import os\nimport sys  # noqa: F401\nfrom a import b as c\nprint(c)\n")
+    assert unused_imports(probe) == ["line 1: os"]
+
+
+def test_scan_reads_past_a_string_that_is_no_annotation(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text('import os\nimport re\nSEP = "\\udcff"\nHINT = "re.Pattern"\n')
     assert unused_imports(probe) == ["line 1: os"]
 
 

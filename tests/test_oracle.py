@@ -12,6 +12,7 @@ sum.  Corrupt page bytes under either oracle call may raise only typed
 """
 
 import random
+from decimal import Decimal as D
 
 import numpy as np
 import pytest
@@ -23,11 +24,17 @@ from ndtsim.host import HostSystem, Q6Params, WorkloadConfig, WorkloadDriver, un
 from ndtsim.layout import (
     PAGE_SIZE,
     RECORD_HEADER_FIXED,
+    Decimal,
+    Int32,
+    Int64,
+    Schema,
+    TimestampPg,
+    VarChar,
     pg_timestamp_to_unix_epoch,
     record_field_slices,
 )
 from ndtsim.mvcc import oracle_visible_version
-from ndtsim.oracle import read_records, visible_columns
+from ndtsim.oracle import decode_columns, read_records, visible_columns
 from ndtsim.shared_state import REGION_HOST
 from conftest import Harness
 from reference import decode_values
@@ -138,19 +145,16 @@ def test_oracle_matches_record_decoding_on_chain_histories(seed):
     assert regions == {REGION_HOST, "DDR", "NVM"}
 
 
-@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(table=_tables())
-def test_oracle_matches_record_decoding_on_random_schemas(table):
-    schema, rows = table
-    h = Harness(schema, capacity=1024)               # some pages propagated, some not
-    h.install_rows({vid: row for vid, row in enumerate(rows, start=1)})
-    snap = h.store.snapshot_descriptor(h.store.begin_tx())
+def _assert_decodes_as_reference(h, schema, snap):
+    """``visible_columns`` over every attribute equals the visible records
+    decoded one at a time by ``decode_values``; returns what it read."""
     records = _visible_records(h.shared, h.store.vid_map, snap)
     names = tuple(a.name for a in schema.attributes)
     expected = _reference(schema, names, records)
     vids, values, present = visible_columns(h.shared, h.store.vid_map, schema, snap, names)
+    order = np.argsort(vids, kind="stable")
+    assert vids.dtype == expected.vids.dtype and np.array_equal(vids[order], expected.vids)
     for name in names:
-        order = np.argsort(vids, kind="stable")
         got = values[name]
         got = [got[k] for k in order] if isinstance(got, list) else got[order]
         want = expected.data[name]
@@ -160,6 +164,92 @@ def test_oracle_matches_record_decoding_on_random_schemas(table):
             assert got.dtype == want.dtype and np.array_equal(got, want)
         if expected.validity[name] is not None:
             assert np.array_equal(present[name][order], expected.validity[name])
+    return records, values, present
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(table=_tables())
+def test_oracle_matches_record_decoding_on_random_schemas(table):
+    schema, rows = table
+    h = Harness(schema, capacity=1024)               # some pages propagated, some not
+    h.install_rows({vid: row for vid, row in enumerate(rows, start=1)})
+    _assert_decodes_as_reference(h, schema, h.store.snapshot_descriptor(h.store.begin_tx()))
+
+
+# 70 attributes of the five kinds in turn: a 9-byte null bitmap.  Two of the
+# nullable ones have their bits in its first byte, two in its last.
+WIDE_KINDS = (Int32(), Int64(), Decimal(9, 3), TimestampPg(), VarChar(24))
+WIDE_NULLABLE = (1, 3, 66, 69)
+
+
+@pytest.mark.parametrize("varied", [WIDE_NULLABLE, WIDE_NULLABLE[2:]])
+def test_oracle_groups_wide_null_bitmaps_by_mask(varied):
+    """Records of up to 16 null masks, interleaved in one batch, some (or
+    all) differing only past the 64th attribute, decode as they do one at
+    a time."""
+    schema = Schema("t", [(f"c{i}", WIDE_KINDS[i % 5], i in WIDE_NULLABLE) for i in range(70)])
+    rng = random.Random(8)
+    values = (lambda: rng.randrange(-2**31, 2**31), lambda: rng.randrange(-2**63, 2**63),
+              lambda: D(rng.randrange(-10**9 + 1, 10**9)).scaleb(-3),
+              lambda: rng.randrange(-2**63, 2**63), lambda: "é" * rng.randrange(12))
+    rows = {}
+    for vid in range(1, 65):
+        row = [values[i % 5]() for i in range(70)]
+        for bit, i in enumerate(varied):
+            if vid >> bit & 1:
+                row[i] = None
+        rows[vid] = tuple(row)
+    h = Harness(schema)
+    h.install_rows(rows)
+    records, _values, present = _assert_decodes_as_reference(
+        h, schema, h.store.snapshot_descriptor(h.store.begin_tx()))
+    masks = {record[RECORD_HEADER_FIXED:schema.header_size] for record in records.values()}
+    assert schema.null_bitmap_bytes == 9 and len(masks) == 2 ** len(varied)
+    assert len({mask[8:] for mask in masks}) == 4
+    assert len({mask[:8] for mask in masks}) == 2 ** len(varied) // 4
+    assert all(present[f"c{i}"].sum() == 32 for i in varied)
+
+
+def test_oracle_reads_a_snapshot_with_nothing_visible():
+    """A reader that began before the only writer committed sees no row:
+    empty arrays of the dtypes a full read would have."""
+    schema = Schema("t", [(f"c{i}", kind, True) for i, kind in enumerate(WIDE_KINDS)])
+    h = Harness(schema)
+    reader = h.store.begin_tx()
+    h.install_rows({1: (1, 2, D(3), 4, "five"), 2: (None,) * 5})
+    snap = h.store.snapshot_descriptor(reader)
+    assert h.store.vid_map and h.shared.host_pages
+    _records, values, present = _assert_decodes_as_reference(h, schema, snap)
+    assert [values[f"c{i}"].dtype.str for i in range(4)] == ["<i4", "<i8", "<i8", "<i8"]
+    assert values["c4"] == [] and all(p.dtype == bool and p.size == 0 for p in present.values())
+    system = HostSystem()
+    caller = system.store.begin_tx()
+    assert system.oracle_column_set(system.store.snapshot_descriptor(caller)).n_rows == 0
+    system.store.commit_tx(caller)
+
+
+def test_decode_reads_fixed_fields_ending_on_the_last_byte():
+    """Records of fixed fields only, joined with nothing after them: the last
+    field of each ends its record, and the last record ends the buffer."""
+    schema = Schema("t", [("a", Int32(), True), ("b", Int64(), True), ("c", Int32(), False)])
+    rows = {1: (1, 2, 3), 2: (None, -2, 4), 3: (5, None, -6), 4: (None, None, 2**31 - 1)}
+    h = Harness(schema)
+    rids = h.install_rows(rows)
+    records = {vid: h.shared.read_record(rid) for vid, rid in rids.items()}
+    raw = b"".join(records.values())
+    lengths = np.array([len(record) for record in records.values()], dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    for record in records.values():
+        (start, length), = record_field_slices(schema, record)[0][-1:]
+        assert start + length == len(record)
+    names = ("c", "a", "b")
+    values, present = decode_columns(schema, names, raw, starts, lengths)
+    expected = _reference(schema, names, records)
+    for name in names:
+        assert values[name].dtype == expected.data[name].dtype
+        assert np.array_equal(values[name], expected.data[name])
+        if expected.validity[name] is not None:
+            assert np.array_equal(present[name], expected.validity[name])
 
 
 def test_read_records_bounds_slots():
