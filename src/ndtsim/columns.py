@@ -88,8 +88,8 @@ class ColumnSet:
     def take(self, rows: np.ndarray) -> "ColumnSet":
         """The rows at positions ``rows``, in that order."""
         index = rows.tolist()
-        data = {name: [arr[i] for i in index] if isinstance(arr, list) else arr[rows]
-                for name, arr in self.data.items()}
+        data = {name: list(map(arr.__getitem__, index)) if isinstance(arr, list)
+                else arr[rows] for name, arr in self.data.items()}
         validity = {n: (v[rows] if v is not None else None) for n, v in self.validity.items()}
         return ColumnSet(self.specs, self.vids[rows], data, validity, len(index))
 
@@ -97,7 +97,12 @@ class ColumnSet:
         return self.take(np.flatnonzero(keep))
 
     def sorted_by_vid(self) -> "ColumnSet":
-        return self.take(np.argsort(self.vids, kind="stable"))
+        """The rows in ascending vid order, stably: the set itself when its
+        vids already strictly increase (as the oracle's, in map order, do)."""
+        vids = self.vids
+        if (vids[1:] > vids[:-1]).all():
+            return self
+        return self.take(np.argsort(vids, kind="stable"))
 
     def logical_value(self, name: str, row: int):
         """Decoded value at a row: None when invalid, Decimal for decimals."""

@@ -112,6 +112,7 @@ from .device import (
 from .errors import (
     CorruptRecord,
     DanglingReference,
+    DuplicateColumn,
     HostDenied,
     MissingColumn,
     PoolExhausted,
@@ -171,7 +172,11 @@ def plan_scratchpad(schema: Schema, projection, scratchpad_bytes: int) -> dict:
 @dataclass
 class NdtInvocation:
     """Everything the device needs to run one transformation; a
-    materialization's result pages are NVM, a stream's buffers DDR."""
+    materialization's result pages are NVM, a stream's buffers DDR.
+
+    A projection that is empty, or names an attribute the schema lacks, is
+    a ``MissingColumn``, and one that names an attribute twice a
+    ``DuplicateColumn``, when the invocation is built: before any walk."""
 
     owner: str
     descriptor: SnapshotDescriptor
@@ -187,11 +192,13 @@ class NdtInvocation:
 
     def __post_init__(self):
         if not self.projection:
-            raise ValueError("projection must not be empty")
+            raise MissingColumn("the projection names no attribute")
         plan = []
-        for name in self.projection:
+        for k, name in enumerate(self.projection):
             if name not in self.schema.index_of:
                 raise MissingColumn(f"{name!r} not in schema {self.schema.table_name!r}")
+            if name in self.projection[:k]:
+                raise DuplicateColumn(f"{name!r} named twice in the projection")
             idx = self.schema.index_of[name]
             attr = self.schema.attributes[idx]
             plan.append((idx, name, attr.ftype, attr.ftype.code, attr.nullable))

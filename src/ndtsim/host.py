@@ -46,7 +46,7 @@ from .layout import (
     MICROS_PER_SECOND,
 )
 from .mvcc import MvccStore, SnapshotDescriptor
-from .oracle import visible_columns
+from .oracle import read_columns, visible_records
 from .shared_state import DEFAULT_CAPACITY_BYTES, HostSharedState
 
 
@@ -248,7 +248,16 @@ class HostSystem:
     """One host DBMS instance attached to one emulated device.
 
     ``prepare_invocation`` reserves a materialization's result pages for the
-    projected row width plus 25% (a quarter of that for a refresh)."""
+    projected row width plus 25% (a quarter of that for a refresh).
+
+    The oracle side keeps one entry: the visible versions of the last
+    snapshot it read, as ``(vids, page lids, slots)``, keyed by that
+    ``SnapshotDescriptor`` and the store's ``map_version``.  A snapshot's
+    visible versions cannot change once it is taken (snapshot reads,
+    Berenson et al., SIGMOD 1995), and every change to the chains advances
+    the map version, so the entry is never stale; it holds no page bytes
+    and no decoded values, so a page changed between two calls is read
+    and checked again."""
 
     def __init__(self, device_cfg: DeviceConfig = None,
                  shared_capacity: int = DEFAULT_CAPACITY_BYTES):
@@ -257,6 +266,8 @@ class HostSystem:
         self.schema = orderline_schema()
         self.store = MvccStore(self.schema, self.shared)
         self.admin_ops = 0            # invocation preparation + space grants
+        self._visible_key = None      # (snapshot, map version) of _visible
+        self._visible = None          # its visible_records: (vids, page lids, slots)
         self._inv_seq = 0
         self._next_vid = 1
         self._next_order = 1
@@ -397,6 +408,17 @@ class HostSystem:
 
     # -- oracle side ---------------------------------------------------------------
 
+    def _visible_records(self, snap: SnapshotDescriptor):
+        """``oracle.visible_records`` of ``snap``: walked once per snapshot and
+        map version, the last one kept.  Its arrays are read-only."""
+        key = (snap, self.store.map_version)
+        if key != self._visible_key:
+            records = visible_records(self.store.vid_map, snap)
+            for array in records:
+                array.flags.writeable = False
+            self._visible_key, self._visible = key, records
+        return self._visible
+
     def oracle_column_set(self, snap: SnapshotDescriptor, projection=None) -> ColumnSet:
         """Expected transformation output, built without touching the device path.
 
@@ -405,16 +427,16 @@ class HostSystem:
         """
         projection = self._projection_names(projection)
         specs = result_specs(self.schema, projection)
-        vids, values, present = visible_columns(self.shared, self.store.vid_map, self.schema,
-                                                snap, projection)
+        vids, values, present = read_columns(self.shared, self.schema,
+                                             self._visible_records(snap), projection)
         validity = {s.name: present[s.name] if s.nullable else None for s in specs[1:]}
         return ColumnSet(specs, vids, values, validity, len(vids))
 
     def q6_rowstore(self, snap: SnapshotDescriptor, params: Q6Params) -> PyDecimal:
         """Row-engine baseline: the predicate over the visible versions, decoded
         by ``oracle`` from the row-store pages, summed exactly."""
-        _vids, values, present = visible_columns(
-            self.shared, self.store.vid_map, self.schema, snap,
+        _vids, values, present = read_columns(
+            self.shared, self.schema, self._visible_records(snap),
             ("ol_delivery_d", "ol_quantity", "ol_amount"))
         delivery, quantity = values["ol_delivery_d"], values["ol_quantity"]
         keep = present["ol_delivery_d"].copy()

@@ -69,6 +69,8 @@ class MvccStore:
 
     ``shared`` is the host shared-state accumulator; every installed
     version is appended there and its map deltas staged for propagation.
+    ``map_version`` advances whenever ``vid_map`` changes, so a reader can
+    tell whether the map changed since it last read it.
     """
 
     def __init__(self, schema: Schema, shared):
@@ -78,6 +80,7 @@ class MvccStore:
         self.in_flight: set = set()
         self._finished: dict = {}          # txid -> "committed" | "aborted"
         self.vid_map: dict = {}            # vid -> ChainNode (chain head)
+        self.map_version = 0               # advanced by every change to vid_map
         self._tx_writes: dict = {}         # txid -> {vid: rid of its last version}
         self.op_count = 0                  # host-work counter (OLTP operations)
 
@@ -117,6 +120,7 @@ class MvccStore:
             else:
                 vid_map[vid] = pred
             self.shared.stage_vid_delta(vid, None if pred is None else pred.rid)
+        self.map_version += 1
         self.in_flight.discard(t)
         self._finished[t] = "aborted"
         del self._tx_writes[t]
@@ -163,6 +167,7 @@ class MvccStore:
         finally:              # link what was placed, even if a propagation failed
             for header, rid, pred in zip(headers, rids, preds):
                 vid_map[header.vid] = ChainNode(rid, t, header.tombstone, pred)
+            self.map_version += 1
             self._tx_writes[t].update(zip(vids, rids))
             self.op_count += len(rids)
         return rids

@@ -26,6 +26,16 @@ non-nullable attribute is never NULL, so its words are kept as read.
 Corrupt bytes raise ``CorruptRecord``, as do a tombstone flag and a NULL
 non-nullable attribute: the chains call every record read here live.
 
+A snapshot's visible versions are the part that ``HostSystem`` keeps
+between calls: it holds the ``visible_records`` of the last snapshot it
+read, keyed by the snapshot and ``MvccStore.map_version``, and passes them
+to ``read_columns``, which reads the pages and decodes them afresh on every
+call.  Keeping them is sound because the versions a snapshot sees cannot
+change once it is taken (snapshot reads, Berenson et al., SIGMOD 1995):
+the chains only gain versions the snapshot does not see, and an abort
+removes only versions of a transaction the snapshot does not see either.
+The map version covers a descriptor not taken from the store.
+
 Independence rule: nothing here comes from the device path (``engine``,
 ``delta``, ``device``, or the batch field locator in ``layout``), so a bug
 there cannot sit on both sides of a differential test.
@@ -201,12 +211,20 @@ def decode_columns(schema: Schema, names, raw: bytes, starts: np.ndarray,
     return values, present_of
 
 
+def read_columns(shared, schema: Schema, records, names):
+    """The attributes ``names`` of ``records``, a ``visible_records`` result.
+
+    Returns ``(vids, values, present)`` as ``decode_columns`` does.
+    """
+    vids, page_lids, slots = records
+    raw, starts, lengths = read_records(shared, page_lids, slots)
+    values, present = decode_columns(schema, names, raw, starts, lengths)
+    return vids, values, present
+
+
 def visible_columns(shared, vid_map: dict, schema: Schema, snap: SnapshotDescriptor, names):
     """The attributes ``names`` of the tuples visible to ``snap``, in map order.
 
     Returns ``(vids, values, present)`` as ``decode_columns`` does.
     """
-    vids, page_lids, slots = visible_records(vid_map, snap)
-    raw, starts, lengths = read_records(shared, page_lids, slots)
-    values, present = decode_columns(schema, names, raw, starts, lengths)
-    return vids, values, present
+    return read_columns(shared, schema, visible_records(vid_map, snap), names)

@@ -52,7 +52,8 @@ class Harness:
         vid_view, l2p_view = self.device.freeze_views()
         self._seq += 1
         owner = f"t-inv-{self._seq}"
-        projection = tuple(projection or [a.name for a in self.schema.attributes])
+        projection = tuple(a.name for a in self.schema.attributes) if projection is None \
+            else tuple(projection)
         if mode == MODE_STREAM:
             cfg = self.device.cfg
             count = cfg.stream_buffer_count * (cfg.stream_buffer_bytes // PAGE_SIZE)

@@ -121,6 +121,40 @@ def test_canonical_compare_ignores_values_under_a_null(other):
     assert canonical_compare(_compared().sorted_by_vid(), other).equal
 
 
+def _argsorted(view: ColumnSet) -> ColumnSet:
+    """``view``'s rows by a stable argsort of its vids, always copied, a row
+    at a time: what ``sorted_by_vid`` returned for every set."""
+    index = np.argsort(view.vids, kind="stable").tolist()
+    data = {name: [col[k] for k in index] if isinstance(col, list) else col[index]
+            for name, col in view.data.items()}
+    validity = {name: None if v is None else v[index] for name, v in view.validity.items()}
+    return ColumnSet(view.specs, view.vids[index], data, validity, len(index))
+
+
+@pytest.mark.parametrize("rows, kept", [([0, 1, 2], False), ([1, 2, 0], True), ([], True),
+                                        ([2, 2, 1], False)],
+                         ids=["unsorted", "sorted", "empty", "repeated_vid"])
+def test_sorted_by_vid_keeps_a_sorted_set_as_it_is(rows, kept):
+    """A set whose vids strictly increase comes back as it is; any other is
+    sorted as before.  Either way the sorted rows, their dtypes and
+    validity (all a result digest reads) and every comparison are as
+    before."""
+    view = _compared().take(np.array(rows, dtype=np.int64))
+    got, want = view.sorted_by_vid(), _argsorted(view)
+    assert (got is view) == kept
+    assert got.vids.dtype == want.vids.dtype and np.array_equal(got.vids, want.vids)
+    assert got.n_rows == want.n_rows == len(rows)
+    for name in want.column_names():
+        a, b = got.data[name], want.data[name]
+        assert a == b if isinstance(b, list) else a.dtype == b.dtype and np.array_equal(a, b)
+        a, b = got.validity[name], want.validity[name]
+        assert (a is b is None) or np.array_equal(a, b)
+    assert canonical_compare(view, want).equal and canonical_compare(want, view).equal
+    if rows:
+        other = _compared(s=("z", "yy", "")).take(np.array(rows, dtype=np.int64))
+        assert canonical_compare(view, other) == canonical_compare(want, other)
+
+
 # -- the per-row reference -----------------------------------------------------------
 
 

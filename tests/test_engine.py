@@ -19,7 +19,15 @@ from ndtsim.engine import (
     run_invocation,
     schedule,
 )
-from ndtsim.errors import HostDenied, ScratchpadTooSmall, StaleWrite, TooManyPEsRequested
+from ndtsim.errors import (
+    DuplicateColumn,
+    HostDenied,
+    MissingColumn,
+    NdtError,
+    ScratchpadTooSmall,
+    StaleWrite,
+    TooManyPEsRequested,
+)
 from ndtsim.layout import (
     PAGE_SIZE,
     POSTGRES_EPOCH_OFFSET_SECONDS,
@@ -52,6 +60,21 @@ def test_schedule_distributes_vids_and_pages():
     assert [len(j.vids) for j in schedule(inv, h.device)] == [10]
     empty = Harness(Schema("t", [("a", Int32(), False)])).prepare(pe_count=4, pages=0)
     assert [len(j.vids) for j in schedule(empty, h.device)] == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("projection, error, message", [
+    (("b", "a", "b"), DuplicateColumn, "^'b' named twice in the projection$"),
+    ((), MissingColumn, "^the projection names no attribute$"),
+])
+def test_an_invocation_refuses_an_empty_or_repeated_projection(projection, error, message):
+    """Refused with a typed error when the invocation is built, before any
+    walk: no PE has read a record."""
+    h = Harness(Schema("t", [("a", Int32(), False), ("b", VarChar(4), True)]))
+    h.install_rows({vid: (vid, None) for vid in range(10)})
+    with pytest.raises(error, match=message) as raised:
+        h.prepare(projection, pe_count=2, pages=4)
+    assert isinstance(raised.value, NdtError)
+    assert h.device.ledger.records_processed == 0 and not h.device.ledger.pe_ops
 
 
 def test_schedule_rejects_excess_pes():

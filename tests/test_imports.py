@@ -23,6 +23,11 @@ The transfer ledger changes only through ``TransferLedger.charge``: no
 package code outside class ``TransferLedger`` stores to a counter or to
 ``pe_ops``, and none outside ``charge`` calls ``pe_op``.
 
+The host's vid map changes only where the map version advances: every
+store to, deletion from or changing dict call on a ``vid_map`` item is in
+a method of ``MvccStore`` that advances ``self.map_version``, the key of
+the oracle's kept walk.
+
 The package holds only what the system runs: every function, class and
 method it defines is named somewhere in the package or in the benchmark
 (``perfbench/*.py``, whose traced targets count), not only in the tests.
@@ -550,6 +555,97 @@ def test_scan_finds_a_ledger_write_that_bypasses_charge(tmp_path):
         "device.Device.read line 16: pe_ops", "device line 19: host_roundtrips"]
 
 
+# The host keeps the last snapshot's visible versions keyed by the snapshot
+# and ``MvccStore.map_version`` (``HostSystem._visible_records``), so a change
+# to the vid map that does not advance the version could leave it stale.  A
+# change is a store to or deletion of an item of a ``vid_map`` (a name or an
+# attribute), or a call of a dict method that changes it; the device's sorted
+# mirror is replaced whole (an attribute store), which is no change here.
+MAP_CLASS = "mvcc.MvccStore"
+MAP_CHANGING_CALLS = frozenset({"pop", "popitem", "clear", "update", "setdefault"})
+
+
+def _is_vid_map(node) -> bool:
+    return getattr(node, "id", getattr(node, "attr", None)) == "vid_map"
+
+
+def _advances_map_version(function) -> bool:
+    """Whether the body of ``function``, not counting the definitions nested
+    in it, adds to ``self.map_version``."""
+    nodes = list(function.body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            continue
+        if (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add)
+                and getattr(node.target, "attr", None) == "map_version"
+                and getattr(node.target.value, "id", None) == "self"):
+            return True
+        nodes.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def map_writes(path: Path) -> list:
+    """``(scope, line, versioned)`` of each change to a ``vid_map`` in
+    ``path``: ``versioned`` when it sits in a method of ``MAP_CLASS`` that
+    advances ``self.map_version``."""
+    found = []
+
+    def scan(node, scope, versioned):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+                scan(child, inner, scope == MAP_CLASS and _advances_map_version(child))
+                continue
+            if (isinstance(child, ast.Subscript) and isinstance(child.ctx, (ast.Store, ast.Del))
+                    and _is_vid_map(child.value)) or (
+                    isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in MAP_CHANGING_CALLS and _is_vid_map(child.func.value)):
+                found.append((scope, child.lineno, versioned))
+            scan(child, scope, versioned)
+
+    scan(ast.parse(path.read_text()), path.stem, False)
+    return found
+
+
+def test_every_vid_map_change_advances_the_map_version():
+    writes = [write for path in PACKAGE for write in map_writes(path)]
+    assert {scope for scope, _line, _versioned in writes} == {
+        "mvcc.MvccStore.abort_tx", "mvcc.MvccStore.install_versions"}
+    assert [write for write in writes if not write[2]] == []
+
+
+def test_scan_finds_a_vid_map_change_that_keeps_the_version(tmp_path):
+    probe = tmp_path / "mvcc.py"
+    probe.write_text("class MvccStore:\n"
+                     "    def abort_tx(self, t):\n"
+                     "        vid_map = self.vid_map\n"
+                     "        del vid_map[t]\n"
+                     "        self.map_version += 1\n"
+                     "    def install(self, vid, node):\n"
+                     "        self.vid_map[vid] = node\n"
+                     "        self.vid_map.pop(vid + 1, None)\n"
+                     "        return self.vid_map[vid].pred\n"
+                     "    def forget(self, vid):\n"
+                     "        def inner():\n"
+                     "            self.vid_map[vid] = None\n"
+                     "            self.map_version += 1\n"
+                     "        self.vid_map[vid] = None\n"
+                     "        self.map_version = other.map_version\n"
+                     "        inner()\n"
+                     "class Device:\n"
+                     "    def apply(self, new):\n"
+                     "        self.vid_map = new\n"
+                     "        self.vid_map.update({})\n"
+                     "        self.map_version += 1\n"
+                     "store.vid_map[3] = None\n")
+    assert map_writes(probe) == [
+        ("mvcc.MvccStore.abort_tx", 4, True), ("mvcc.MvccStore.install", 7, False),
+        ("mvcc.MvccStore.install", 8, False), ("mvcc.MvccStore.forget.inner", 12, False),
+        ("mvcc.MvccStore.forget", 14, False), ("mvcc.Device.apply", 20, False),
+        ("mvcc", 22, False)]
+
+
 # What the package defines, the system runs.  A definition counts as run when
 # a module of the package or of the benchmark reads its bare name (as a
 # variable or an attribute) or traces it; dunder methods are called by the
@@ -560,6 +656,8 @@ UNREFERENCED_ALLOWED = {
     "mvcc.MvccStore.chain_rids": "a vid's version chain; tests would re-implement the walk",
     "shared_state.HostSharedState.read_record": "a record wherever its page lives; tests would "
                                                 "re-implement the page lookup",
+    "oracle.visible_columns": "the oracle without the host's kept walk, which tests compare "
+                              "that walk with",
 }
 
 

@@ -7,8 +7,12 @@ record at a time: on the refresh workloads of ``test_refresh_differential``
 host buffer, the DDR delta mirror and NVM), on the chain histories of
 ``test_visibility_walk`` (tombstones, refused writes, old snapshots),
 and on random schemas.  ``q6_rowstore`` is pinned to a per-record Python
-sum.  Corrupt page bytes under either oracle call may raise only typed
-``NdtError`` subclasses.
+sum.  The host's kept walk (one chain walk per snapshot and map version)
+is pinned to ``visible_columns``, which walks on every call, across
+interleaved writes, aborts, merges and propagations; its walk count is
+pinned, and a page corrupted after the walk is still found.  Corrupt page
+bytes under either oracle call may raise only typed ``NdtError``
+subclasses.
 """
 
 import random
@@ -18,9 +22,17 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from ndtsim.columns import canonical_compare
-from ndtsim.errors import CorruptRecord, NdtError, SlotOutOfRange
-from ndtsim.host import HostSystem, Q6Params, WorkloadConfig, WorkloadDriver, unix_seconds
+from ndtsim import oracle
+from ndtsim.columns import ColumnSet, canonical_compare, result_specs
+from ndtsim.errors import CorruptRecord, NdtError, SlotOutOfRange, StaleWrite
+from ndtsim.host import (
+    HostSystem,
+    Q6Params,
+    WorkloadConfig,
+    WorkloadDriver,
+    q6_columnar,
+    unix_seconds,
+)
 from ndtsim.layout import (
     PAGE_SIZE,
     RECORD_HEADER_FIXED,
@@ -33,7 +45,7 @@ from ndtsim.layout import (
     pg_timestamp_to_unix_epoch,
     record_field_slices,
 )
-from ndtsim.mvcc import oracle_visible_version
+from ndtsim.mvcc import SnapshotDescriptor, oracle_visible_version
 from ndtsim.oracle import decode_columns, read_records, visible_columns
 from ndtsim.shared_state import REGION_HOST
 from conftest import Harness
@@ -266,6 +278,183 @@ def test_read_records_bounds_slots():
         h.shared.read_record(rids[0])
 
 
+# -- the host's kept walk ------------------------------------------------------------------
+
+Q6_NAMES = ("ol_delivery_d", "ol_quantity", "ol_amount")
+
+
+def _without_kept_walk(system, snap, names) -> ColumnSet:
+    """What ``oracle_column_set(snap, names)`` should return, read through
+    ``visible_columns``, which walks the chains on every call."""
+    vids, values, present = visible_columns(system.shared, system.store.vid_map, system.schema,
+                                            snap, names)
+    specs = result_specs(system.schema, names)
+    validity = {s.name: present[s.name] if s.nullable else None for s in specs[1:]}
+    return ColumnSet(specs, vids, values, validity, len(vids))
+
+
+def _check_kept_walk(system, snaps, rng):
+    """At each of ``snaps``, in turn, ``q6_rowstore`` and ``oracle_column_set``
+    in a random order (one of them sometimes twice) equal the oracle without
+    a kept walk, rows in the same order."""
+    all_names = tuple(a.name for a in system.schema.attributes)
+    for snap in snaps:
+        calls = ["q6", "set"]
+        calls.append(rng.choice(calls))
+        rng.shuffle(calls)
+        for call in calls:
+            if call == "q6":
+                params = rng.choice(Q6_PARAMS)
+                expected = q6_columnar(_without_kept_walk(system, snap, Q6_NAMES), params)
+                assert system.q6_rowstore(snap, params) == expected
+                continue
+            names = rng.choice([None, ("ol_dist_info", "ol_delivery_d", "ol_amount")])
+            got = system.oracle_column_set(snap, names)
+            expected = _without_kept_walk(system, snap, names or all_names)
+            assert np.array_equal(got.vids, expected.vids)
+            _assert_identical(got, expected)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kept_walk_matches_the_oracle_across_interleavings(seed):
+    """OLTP steps, a writer left in flight and aborted, a refused write,
+    merges and propagations, with checks at random points: at a reader's
+    old snapshot, at the current one, and at a descriptor not taken from
+    the store (caller 10**9, nothing in flight), whose visible versions
+    change with every write and abort."""
+    rng = random.Random(seed)
+    system = HostSystem(shared_capacity=64 * 1024)
+    shadow = system.load_orderlines(400, seed=seed)
+    system.merge_to_cold()
+    driver = WorkloadDriver(system, WorkloadConfig(seed=seed, delete_weight=0.2,
+                                                   abort_fraction=0.2), shadow)
+    store = system.store
+    made = SnapshotDescriptor(10**9, frozenset())
+    reader = store.begin_tx()
+    old = store.snapshot_descriptor(reader)
+    writer, done = None, set()
+
+    def check():            # ends at ``made``, where the next check begins
+        current = store.begin_tx()
+        snaps = [old, store.snapshot_descriptor(current)]
+        rng.shuffle(snaps)
+        _check_kept_walk(system, [made, *snaps, made], rng)
+        store.commit_tx(current)
+
+    for _ in range(30):
+        roll = rng.random()
+        if roll < 0.3:
+            driver.run(rng.randint(1, 10))
+            done.add("oltp")
+        elif roll < 0.45 and writer is None:
+            writer = _leave_writer_in_flight(system, driver, rng)
+            done.add("writer")
+        elif roll < 0.55 and writer is not None:
+            held = [vid for vid, head in store.vid_map.items()
+                    if head.create_ts == writer and vid in driver.shadow]
+            vid, other = rng.choice(held), store.begin_tx()
+            with pytest.raises(StaleWrite):
+                store.install_version(other, vid, driver.shadow[vid])
+            store.abort_tx(other)
+            done.add("refused")
+        elif roll < 0.65 and writer is not None:
+            store.abort_tx(writer)
+            writer = None
+            done.add("abort")
+        elif roll < 0.75:
+            system.merge_to_cold()
+            done.add("merge")
+        elif roll < 0.85:
+            system.shared.propagate()
+            done.add("propagate")
+        else:
+            store.commit_tx(reader)
+            reader = store.begin_tx()
+            old = store.snapshot_descriptor(reader)
+        if rng.random() < 0.5:
+            check()
+    if writer is not None:
+        store.abort_tx(writer)
+        done.add("abort")
+        check()
+    assert done == {"oltp", "writer", "refused", "abort", "merge", "propagate"}
+
+
+def _counting_walks(monkeypatch) -> list:
+    """Record each chain the oracle's visibility rule is applied to."""
+    walks = []
+
+    def counted(chain, snap):
+        walks.append(chain)
+        return oracle_visible_version(chain, snap)
+
+    monkeypatch.setattr(oracle, "oracle_visible_version", counted)
+    return walks
+
+
+def test_two_calls_at_one_snapshot_walk_each_chain_once(monkeypatch):
+    """A perfbench check's two oracle calls walk every chain once (twice
+    without the kept walk), and share only arrays no caller can change; a new
+    snapshot, or a write and its abort at the same snapshot, walk them
+    again."""
+    system = HostSystem()
+    shadow = system.load_orderlines(300, seed=3)
+    WorkloadDriver(system, WorkloadConfig(seed=3), shadow).run(20)
+    store = system.store
+    walks = _counting_walks(monkeypatch)
+    snap = store.snapshot_descriptor(store.begin_tx())
+    n = len(store.vid_map)
+    system.q6_rowstore(snap, Q6_PARAMS[0])
+    with pytest.raises(ValueError, match="read-only"):     # the kept vids stay as walked
+        system.oracle_column_set(snap).vids[:1] = 0
+    assert len(walks) == n
+    later = store.snapshot_descriptor(store.begin_tx())
+    system.oracle_column_set(later, ("ol_amount",))
+    system.q6_rowstore(later, Q6_PARAMS[1])
+    assert len(walks) == 2 * n
+    t = store.begin_tx()
+    vid = min(shadow)
+    store.install_version(t, vid, shadow[vid])
+    store.abort_tx(t)
+    system.q6_rowstore(later, Q6_PARAMS[1])
+    system.oracle_column_set(later)
+    assert len(walks) == 3 * n and len(store.vid_map) == n
+
+
+def _record_in_page(system, rid):
+    """A writable view of the device page that holds ``rid``, and the
+    record's offset in it."""
+    region, idx = system.shared.l2p[rid.page_lid]
+    page = system.device.peek(region, idx * PAGE_SIZE, PAGE_SIZE)
+    entry = PAGE_SIZE - 4 * (rid.slot + 1)
+    return page, int.from_bytes(page[entry:entry + 2], "little")
+
+
+def test_a_page_corrupted_between_two_calls_is_found(monkeypatch):
+    """The kept walk holds no page bytes: a record that turns into a
+    tombstone after the first call at a snapshot fails the next ones, and
+    reads as before once restored, all with one walk."""
+    system = HostSystem()
+    system.load_orderlines(60, seed=7)
+    system.merge_to_cold()
+    walks = _counting_walks(monkeypatch)
+    snap = system.store.snapshot_descriptor(system.store.begin_tx())
+    expected = system.oracle_column_set(snap)
+    rid = oracle_visible_version(system.store.vid_map[min(system.store.vid_map)], snap)
+    page, offset = _record_in_page(system, rid)
+    page[offset + RECORD_HEADER_FIXED - 1] |= 1
+    try:
+        for call in (lambda: system.q6_rowstore(snap, Q6_PARAMS[0]),
+                     lambda: system.oracle_column_set(snap)):
+            with pytest.raises(CorruptRecord, match="is a tombstone"):
+                call()
+    finally:
+        page[offset + RECORD_HEADER_FIXED - 1] &= 0xFE
+        del page
+    assert canonical_compare(system.oracle_column_set(snap), expected).equal
+    assert len(walks) == len(system.store.vid_map)
+
+
 # -- corrupt page bytes ------------------------------------------------------------------
 
 KINDS = ("slot_count", "slot_entry", "header", "null_bitmap", "varlen_prefix", "payload")
@@ -343,10 +532,7 @@ def test_live_version_with_dead_bits_is_corrupt(bit):
     reader = system.store.begin_tx()
     snap = system.store.snapshot_descriptor(reader)
     rid = oracle_visible_version(system.store.vid_map[min(system.store.vid_map)], snap)
-    region, idx = system.shared.l2p[rid.page_lid]
-    page = system.device.peek(region, idx * PAGE_SIZE, PAGE_SIZE)
-    entry = PAGE_SIZE - 4 * (rid.slot + 1)
-    offset = int.from_bytes(page[entry:entry + 2], "little")
+    page, offset = _record_in_page(system, rid)
     schema = system.schema
     if bit == "tombstone":
         page[offset + RECORD_HEADER_FIXED - 1] |= 1
