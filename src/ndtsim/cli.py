@@ -348,7 +348,7 @@ def main(argv=None) -> int:
     except InvalidConfig as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, NdtError) as exc:
+    except NdtError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

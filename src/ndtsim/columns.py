@@ -41,7 +41,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import CorruptDescriptor, SchemaMismatch
+from .errors import CorruptDescriptor, LengthMismatch, SchemaMismatch
 from .layout import TC_DECIMAL, TC_VARCHAR, Int64, Schema
 
 KIND_VALUES = "values"
@@ -307,12 +307,13 @@ def _split_segment(specs, buffers: dict, rows: int):
 
 def segment_masks(segments, keep) -> list:
     """Each segment's slice of the keep mask (None throughout when ``keep``
-    is None); a mask of another length than the positions is a ValueError."""
+    is None); a mask of another length than the positions is a
+    ``LengthMismatch``."""
     bounds = np.cumsum([0] + [rows for rows, _ in segments]).tolist()
     if keep is None:
         return [None] * len(segments)
     if len(keep) != bounds[-1]:
-        raise ValueError(f"keep mask has {len(keep)} entries for {bounds[-1]} positions")
+        raise LengthMismatch(f"keep mask has {len(keep)} entries for {bounds[-1]} positions")
     return [keep[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 

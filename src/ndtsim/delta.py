@@ -2,17 +2,24 @@
 
 A materialization remembers, per tuple, which record version produced its
 current row.  A refresh at a newer snapshot is the engine's one invocation
-pipeline (walk -> transform -> append) run against the existing handle:
-the walk reads every tuple's map entry, probes the identity index for
-it and resolves its head's page.  A tuple whose head is the version the
-handle holds is settled there: it is unchanged, because that version's
-creator committed before the old snapshot, nothing newer was linked (an
-aborted write rolls the head back to it) and no record is rewritten, so its
-slot is not read nor its header probed.  Only tuples whose head moved are
-walked in situ, so a refresh's NVM reads follow its delta.  Corruption in a
-settled tuple's slot or header is therefore found by the next full
-materialization or host read, not by a refresh.  Changed tuples are dealt
-round-robin over the PEs, transformed and appended as a new run.
+pipeline (walk -> transform -> append) run against the existing handle,
+over its *candidates* only (``engine.refresh_candidates``): the vids whose
+map entry a propagation changed after the handle's snapshot, which the
+device's change log names, and the vids the handle's last walk left behind
+a head it could not see (its creator was in flight, or not older than the
+caller).  Every other tuple is settled by construction and neither visited
+nor charged: its head is the one the last walk found visible, so it is
+visible still.  A refresh therefore costs what changed, not what the table
+holds.  For each candidate the walk reads its map entry, probes the
+identity index and resolves its head's page; a candidate whose head is the
+version the handle holds is settled there, because that version's creator
+committed before the old snapshot, nothing newer was linked (an aborted
+write rolls the head back to it) and no record is rewritten, so its slot is
+not read nor its header probed.  A refresh thus neither reads a settled
+tuple's slot or header nor checks a non-candidate's page mapping;
+corruption there is found by the next full materialization or host read.
+Changed tuples are dealt round-robin over the PEs, transformed and appended
+as a new run.
 Superseded rows are never rewritten -- a positional visibility bitmap
 masks them out -- so existing column bytes stay immutable until an
 explicit compaction rewrites the whole materialization.  Compaction keeps
@@ -163,7 +170,8 @@ def compact(handle: MaterializationHandle) -> MaterializationHandle:
     device-internally into fresh pages and the old pages are freed.  The
     new fragments and bitmap are written under a new owner before the
     handle changes, so a failure up to there frees that owner's pages and
-    leaves the handle as it was.
+    leaves the handle as it was.  The handle keeps its snapshot, its mark in
+    the change log and its unsettled vids.
     """
     device = handle.device
     segments = read_segments(handle, REQUESTER_COORD)
@@ -206,7 +214,11 @@ def compact(handle: MaterializationHandle) -> MaterializationHandle:
 
 
 def free_handle(handle: MaterializationHandle):
-    """Release every page the materialization owns; the handle goes stale."""
+    """Release every page the materialization owns and its mark in the
+    change log; the handle goes stale."""
     handle.device.free_pages(handle.owner)
+    handle.device.track_handle(handle.propagation, None)
+    handle.propagation = None
+    handle.unsettled = handle.unsettled[:0]
     handle.freed = True
     handle.decoded = {}

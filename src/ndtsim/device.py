@@ -43,10 +43,17 @@ one (vid, packed chain head) row per tuple, sorted by vid, and ``l2p`` is a
 mirror's pages.  Resolving a page is a bound check and two gathers.
 Propagation and merges replace the mirrors by copy-on-write, never write
 into them, so invocations share them.
+
+Propagations are numbered (``propagations``).  While a materialization
+handle is live, its mark (``track_handle``) is the number of the
+propagation its snapshot's views hold, and the change log keeps the vids
+that each later propagation changed, so that a refresh reads there which
+tuples may have moved (``changed_between``).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -90,6 +97,7 @@ VID_ENTRY_BYTES = 8
 L2P_ENTRY_BYTES = 4
 SLOT_READ_BYTES = 4
 HEADER_PROBE_BYTES = 4
+LOG_ENTRY_BYTES = 8              # one vid of the change log
 
 # Propagation message accounting (bytes per element).
 PROP_VID_ENTRY_BYTES = 16        # vid + record id
@@ -284,6 +292,16 @@ class PageTable(NamedTuple):
         return codes, pages
 
 
+def sorted_unique(parts) -> np.ndarray:
+    """The values of the uint64 arrays ``parts``, sorted and unique: one sort
+    and a mask of run starts, which at a few thousand values runs ~15x
+    faster than numpy 2.4's hashing ``np.unique``."""
+    values = np.sort(np.concatenate(parts))
+    first = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
+
+
 def _transfer_ns(nbytes: int, gib_s: float) -> float:
     return nbytes / (gib_s * GIB) * 1e9
 
@@ -349,6 +367,10 @@ class Device:
         self.vid_map = _read_only(np.empty(0, VID_ENTRY))   # device mirror, sorted by vid
         self.l2p = PageTable.empty()                        # device mirror, indexed by page lid
         self._invocations = 0                 # invocations running now
+        self.propagations = 0                 # number of the last propagation applied
+        self.change_log = deque()             # (number, vids it changed), oldest first
+        self._log_floor = 0                   # every propagation after it is in the log
+        self._handle_marks = {}               # propagation number -> live handles there
 
     # -- page pool -----------------------------------------------------------
 
@@ -437,6 +459,37 @@ class Device:
         self.ledger.charge(requester, "write", device_internal_bytes_written=len(data),
                            nvm_writes=1 if region == REGION_NVM else 0)
         buf[offset:offset + len(data)] = data
+
+    def read_pages(self, region: str, pages, nbytes: int, requester) -> bytes:
+        """The first ``nbytes`` of ``pages`` of ``region``, in page order: the
+        pages but the last whole, and the rest off the last, as a fragment
+        lies.  Moves and charges what one ``read`` per page would, with one
+        range check, one host-access check and one charge, and joins the
+        bytes from views of the region, with no copy per page."""
+        count = len(pages)
+        if not count:
+            return b""
+        buf = self._regions.get(region)
+        if buf is None:
+            raise OutOfRange(f"unknown region {region!r}")
+        tail = nbytes - (count - 1) * PAGE_SIZE         # bytes off the last page
+        if min(pages) < 0 or max(pages) >= len(buf) // PAGE_SIZE or not 0 < tail <= PAGE_SIZE:
+            raise OutOfRange(f"{region} pages {list(pages)} do not hold {nbytes} bytes "
+                             f"within {len(buf)}")
+        nvm = count if region == REGION_NVM else 0
+        if requester == REQUESTER_HOST:
+            readable = self._host_readable
+            for idx in pages:
+                if (region, idx) not in readable:
+                    raise AccessDenied(f"host access to {region} page {idx} not exposed")
+            self.ledger.charge(requester, device_to_host_bytes=nbytes, nvm_reads=nvm)
+        else:
+            self.ledger.charge(requester, "read", count, device_internal_bytes_read=nbytes,
+                               nvm_reads=nvm)
+        view = memoryview(buf)
+        spans = [view[idx * PAGE_SIZE:(idx + 1) * PAGE_SIZE] for idx in pages]
+        spans[-1] = spans[-1][:tail]
+        return b"".join(spans)
 
     def peek(self, region: str, offset: int, length: int) -> memoryview:
         """Uncharged view for host-oracle and test inspection only."""
@@ -537,7 +590,12 @@ class Device:
     # -- propagation & maintenance ---------------------------------------------
 
     def apply_propagation(self, snapshot) -> dict:
-        """Ingest a shared-state snapshot; returns page placements as ack."""
+        """Ingest a shared-state snapshot; returns page placements as ack.
+
+        Numbers the propagation (``propagations``) and, while a handle is
+        live, logs the vids it changed, removals included; the log keeps
+        only the propagations after the oldest live handle's mark.  This is
+        the only code that writes the change log."""
         pages = self.allocate_pages(REGION_DDR, len(snapshot.pages), "shared-state")
         placements = {}
         for (lid, image), idx in zip(snapshot.pages, pages):
@@ -551,11 +609,46 @@ class Device:
         new["vid"] = vids[live]
         new["head"] = heads[live]
         self.vid_map = _replaced(self.vid_map, vids, new)
+        self.propagations += 1
+        oldest = min(self._handle_marks, default=self.propagations)
+        while self.change_log and self.change_log[0][0] <= oldest:
+            self.change_log.popleft()
+        self._log_floor = max(self._log_floor, oldest)
+        if oldest < self.propagations:          # a live handle may read it
+            self.change_log.append((self.propagations, vids))
         in_flight = 0 if snapshot.in_flight is None else len(snapshot.in_flight) + 1
         self.ledger.charge(REQUESTER_HOST, host_roundtrips=1, host_to_device_bytes=(
             (PAGE_SIZE + PROP_L2P_ENTRY_BYTES) * len(pages) + PROP_VID_ENTRY_BYTES * len(vids)
             + PROP_FIXED_BYTES + PROP_TX_ENTRY_BYTES * in_flight))
         return placements
+
+    def track_handle(self, old, new):
+        """Move one live handle's mark from propagation ``old`` to ``new``:
+        ``old`` None adds a handle, ``new`` None drops one.  The next
+        propagation trims the change log to what follows the oldest mark."""
+        marks = self._handle_marks
+        if old is not None:
+            marks[old] -= 1
+            if not marks[old]:
+                del marks[old]
+        if new is not None:
+            marks[new] = marks.get(new, 0) + 1
+
+    def changed_between(self, after: int, upto: int):
+        """The vids that the propagations numbered in (``after``, ``upto``]
+        changed, removals included, sorted and unique.  None when the change
+        log no longer holds all of them, or when ``upto`` precedes
+        ``after``: no span of propagations leads from the one to the other.
+        The coordinator is charged one 8-byte ``log_entry`` read per logged
+        vid it reads."""
+        if after < self._log_floor or upto < after:
+            return None
+        logged = [vids for number, vids in self.change_log if after < number <= upto]
+        count = sum(map(len, logged))
+        if count:
+            self.ledger.charge(REQUESTER_COORD, "log_entry", count,
+                               device_internal_bytes_read=LOG_ENTRY_BYTES * count)
+        return sorted_unique([np.empty(0, np.uint64), *logged])
 
     @contextmanager
     def invocation_in_flight(self):

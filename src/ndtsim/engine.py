@@ -7,7 +7,11 @@ refresh of an existing materialization -- runs one pipeline:
 
 1. **Walk.**  The frozen tuple map is the device's vid map itself: one
    (vid, packed chain head) row per tuple, sorted by vid.  Its two columns
-   are split over the processing elements (row i goes to PE i mod n).
+   are split over the processing elements (row i goes to PE i mod n).  A
+   refresh keeps of each share only its candidates, the tuples that may
+   have changed since the handle's snapshot (``refresh_candidates``; see
+   ``delta``): the others are settled by construction, and neither visited
+   nor charged.
    Each PE walks its share as one frontier: every step resolves the pages
    of all its unresolved tuples' current versions (two gathers from the
    frozen page table, indexed by lid), reads their slots and probes
@@ -26,9 +30,11 @@ refresh of an existing materialization -- runs one pipeline:
    versions are then compared with the held rids.  A first materialization
    or a stream passes an empty index, so nothing is settled and every
    visible tuple counts as changed; a refresh also charges an 8-byte index
-   probe per tuple and collects the held tuples that are no longer visible.
-   As a refresh does not read a settled tuple's slot or header, corruption
-   there is found by the next full materialization or host read.  The
+   probe per walked tuple and collects the held tuples that are no longer
+   visible.  As a refresh does not read a settled tuple's slot or header,
+   nor resolve a non-candidate's page, corruption there is found by the
+   next full materialization or host read.  The walk also returns the
+   tuples whose head it could not see, which the handle keeps.  The
    walk's changed tuples form one ``ChangedRows`` table, PE after PE, each
    row tagged with the PE that transforms it.
 2. **Transform.**  On a first run a changed tuple stays on the PE that
@@ -108,6 +114,7 @@ from .device import (
     UNRESOLVED,
     Device,
     PageTable,
+    sorted_unique,
 )
 from .errors import (
     CorruptRecord,
@@ -115,6 +122,7 @@ from .errors import (
     DuplicateColumn,
     HostDenied,
     MissingColumn,
+    NotRefreshable,
     PoolExhausted,
     ScratchpadTooSmall,
     StaleHandle,
@@ -188,6 +196,7 @@ class NdtInvocation:
     stream_pages: list            # ring-buffer pages (stream mode)
     vid_view: np.ndarray          # frozen device vid map: (vid, head) rows sorted by vid
     l2p_view: PageTable           # frozen device page table
+    propagation: int              # number of the last propagation the frozen views hold
     proj_plan: tuple = field(init=False)        # derived from schema and projection
 
     def __post_init__(self):
@@ -259,8 +268,12 @@ class PeJob:
         self.page_queue = deque()
 
 
-def schedule(inv: NdtInvocation, device: Device) -> list:
-    """Build PE jobs: map entries i-mod-n, result pages round-robin."""
+def schedule(inv: NdtInvocation, device: Device, candidates: np.ndarray = None) -> list:
+    """Build PE jobs: map entries i-mod-n, result pages round-robin.
+
+    ``candidates``, sorted vids, limits the jobs to the entries of those
+    vids the frozen map holds; each stays on the PE of its row in the full
+    split, in vid order.  None takes every entry."""
     if inv.pe_count > device.cfg.pe_count:
         raise TooManyPEsRequested(f"{inv.pe_count} PEs requested, device has {device.cfg.pe_count}")
     if inv.pe_count < 1:
@@ -268,7 +281,16 @@ def schedule(inv: NdtInvocation, device: Device) -> list:
     caps = plan_scratchpad(inv.schema, inv.projection, device.cfg.scratchpad_bytes)
     n = inv.pe_count
     vids, heads = inv.vid_view["vid"], inv.vid_view["head"]
-    jobs = [PeJob(pe, vids[pe::n], heads[pe::n], caps) for pe in range(n)]
+    if candidates is None:
+        jobs = [PeJob(pe, vids[pe::n], heads[pe::n], caps) for pe in range(n)]
+    else:
+        rows = np.searchsorted(vids, candidates)
+        found = rows < len(vids)
+        found[found] = vids[rows[found]] == candidates[found]
+        rows = rows[found]
+        pes = rows % n
+        mine = [rows[pes == pe] for pe in range(n)]
+        jobs = [PeJob(pe, vids[at], heads[at], caps) for pe, at in enumerate(mine)]
     for j, idx in enumerate(inv.result_pages):
         jobs[j % n].page_queue.append(idx)
     return jobs
@@ -296,20 +318,25 @@ def pe_visibility_check(device: Device, pe: int, vids: np.ndarray, heads: np.nda
     ``DanglingReference``, but its slot and header are not read, and it
     resolves to the head (see the module docstring for why it is
     unchanged).  Its region code is the page's, its offset and length 0.
+    A refresh passes only its candidates, so it checks no other tuple's
+    page mapping.
 
     Charges the modeled transfers (8B map entry per tuple, then 4B address
     resolution per visited version, and 4B slot + 4B header probe per
     visited version that is not settled) and returns (packed rid, region
-    code, record offset, record length) arrays, one entry per tuple; the
-    rid is ``RID_NONE`` where nothing is visible.
+    code, record offset, record length, hidden) arrays, one entry per
+    tuple; the rid is ``RID_NONE`` where nothing is visible, and
+    ``hidden`` is True where the head itself is not visible (its creator
+    is in flight or not older than the caller).
     """
     n = len(vids)
     rids = np.full(n, _NOTHING)
     regions = np.zeros(n, dtype=np.uint8)
     offsets = np.zeros(n, dtype=np.int64)
     lengths = np.zeros(n, dtype=np.int64)
+    hidden = np.zeros(n, dtype=bool)
     if n == 0:
-        return rids, regions, offsets, lengths
+        return rids, regions, offsets, lengths, hidden
     device.pe_read_vid_entry(pe, n)
     caller = np.uint64(snap.caller)
     in_flight = np.sort(np.fromiter(snap.in_flight, dtype=np.uint64, count=len(snap.in_flight)))
@@ -366,13 +393,15 @@ def pe_visibility_check(device: Device, pe: int, vids: np.ndarray, heads: np.nda
         # not in flight: no entry of the sorted ``in_flight`` equals create_ts
         visible = (create_ts < caller) & (np.searchsorted(in_flight, create_ts) == np.searchsorted(
             in_flight, create_ts, side="right"))
+        if newer_ts is None:
+            hidden[live[~visible]] = True
         hit = np.flatnonzero(visible & (flags & 1 == 0))
         at = live[hit]
         rids[at], regions[at], offsets[at], lengths[at] = \
             packed[hit], region[hit], record[hit], length[hit]
         more = ~visible & (pred != _NOTHING)
         live, packed, newer_ts = live[more], pred[more], create_ts[more]
-    return rids, regions, offsets, lengths
+    return rids, regions, offsets, lengths, hidden
 
 
 # -- batch transform and flush plan ---------------------------------------------
@@ -509,32 +538,57 @@ INDEX_PROBE_BYTES = 8               # handle identity-index lookup per walked tu
 
 
 def walk(jobs, inv: NdtInvocation, device: Device, held: IdentityIndex, probe: bool):
-    """Step 1: visibility walk of every tuple, PE by PE in scheduled order.
+    """Step 1: visibility walk of the jobs' tuples, PE by PE in scheduled order.
 
-    ``held`` is the identity index of the target handle.  Its rids go into
-    ``pe_visibility_check``, which settles the tuples whose head is the
-    held rid without reading their slots or headers, so a refresh walks
-    only the tuples whose head moved.  Returns the visible versions that
-    differ from the held ones as one ``ChangedRows`` table, each row on the
-    PE that walked it, and the held tuples with nothing visible as removed,
-    one ``uint64`` array in walk order.  ``probe`` charges the index lookup
-    (8 bytes per tuple, settled or not).
+    The jobs hold every tuple of the frozen map, or a refresh's candidates
+    (``refresh_candidates``).  ``held`` is the identity index of the target
+    handle.  Its rids go into ``pe_visibility_check``, which settles the
+    tuples whose head is the held rid without reading their slots or
+    headers.  Returns the visible versions that differ from the held ones
+    as one ``ChangedRows`` table, each row on the PE that walked it; the
+    held tuples with nothing visible as removed, one ``uint64`` array in
+    walk order; and the sorted vids whose head is not visible, which the
+    handle keeps as unsettled.  ``probe`` charges the index lookup (8 bytes
+    per walked tuple, settled or not).
     """
-    found, keep, removed = [], [], []
+    found, keep, removed, hidden = [], [], [], []
     for job in jobs:
         old = held.rids_of(job.vids)
-        rids, regions, offsets, lengths = pe_visibility_check(
+        rids, regions, offsets, lengths, unseen = pe_visibility_check(
             device, job.pe, job.vids, job.heads, inv.descriptor, inv.l2p_view, old)
         visible = rids != _NOTHING
         removed.append(job.vids[~visible & (old != _NOTHING)])
         keep.append(visible & (rids != old))
+        hidden.append(job.vids[unseen])
         if probe and len(job.vids):
             device.ledger.charge(job.pe, "index_probe", len(job.vids),
                                  device_internal_bytes_read=INDEX_PROBE_BYTES * len(job.vids))
         found.append((job.vids, rids, regions, offsets, lengths,
                       np.full(len(job.vids), job.pe, dtype=np.int64)))
     changed = ChangedRows(*map(np.concatenate, zip(*found)))
-    return changed.take(np.concatenate(keep)), np.concatenate(removed)
+    return changed.take(np.concatenate(keep)), np.concatenate(removed), np.sort(
+        np.concatenate(hidden))
+
+
+def refresh_candidates(handle: "MaterializationHandle", inv: NdtInvocation,
+                       device: Device) -> np.ndarray:
+    """The sorted vids a refresh of ``handle`` to ``inv``'s snapshot walks.
+
+    They are the vids whose map entry a propagation changed after the
+    handle's snapshot and up to the invocation's (read off the device's
+    change log), and the vids the handle's last walk left behind a head it
+    could not see.  Every other tuple is settled by construction: its head
+    is the one the last walk found visible, so it is visible still, and it
+    is the held version unless it is a tombstone the handle holds nothing
+    for.  When the log no longer reaches back to the handle's snapshot, or
+    the invocation's views are older than the handle's (a reader that
+    began later but prepared earlier), every vid of the frozen map is a
+    candidate.
+    """
+    changed = device.changed_between(handle.propagation, inv.propagation)
+    if changed is None:
+        return inv.vid_view["vid"]
+    return sorted_unique((changed, handle.unsettled))
 
 
 def suspend_for_space(inv: NdtInvocation, device: Device, grantor, job: PeJob, count: int):
@@ -608,15 +662,9 @@ class Fragment:
 
 
 def read_fragment(device: Device, frag: Fragment, requester=REQUESTER_HOST) -> bytes:
-    """Pull one fragment's bytes off its pages, in order: one read per page,
-    joined unless there is only one."""
-    pieces = []
-    remaining = frag.nbytes
-    for idx in frag.pages:
-        take = min(PAGE_SIZE, remaining)
-        pieces.append(device.read(frag.region, idx * PAGE_SIZE, take, requester))
-        remaining -= take
-    return pieces[0] if len(pieces) == 1 else b"".join(pieces)
+    """Pull one fragment's bytes off its pages, in order, in one
+    ``Device.read_pages``."""
+    return device.read_pages(frag.region, frag.pages, frag.nbytes, requester)
 
 
 @dataclass
@@ -758,6 +806,12 @@ class MaterializationHandle:
     every current position belongs to exactly one held vid, so the sorted
     ``index.positions`` equal ``np.flatnonzero(current)``.
 
+    ``propagation`` is the number of the propagation the handle's snapshot
+    views held (its mark in the device's change log, None before its first
+    run and once freed), and ``unsettled`` the sorted vids its last walk
+    left behind a head it could not see; a refresh walks these and the
+    vids the log names (``refresh_candidates``).
+
     ``decoded`` is host memory, not device state: what ``delta.masked_view``
     keeps per segment, keyed by (run, PE), so that a later view or a
     compaction reuses the strings of a segment whose varchar bytes have not
@@ -775,6 +829,8 @@ class MaterializationHandle:
     bitmap_pages: list = field(default_factory=list)
     run_count: int = 0
     freed: bool = False
+    propagation: int = None
+    unsettled: np.ndarray = field(default_factory=lambda: np.empty(0, np.uint64))
     decoded: dict = field(default_factory=dict)
 
     @property
@@ -798,13 +854,23 @@ class MaterializationHandle:
             raise StaleHandle(f"handle {self.owner} was freed")
 
     def require_refreshable(self, inv: NdtInvocation):
-        """A refresh needs a live handle, a newer snapshot and the same projection."""
+        """A refresh needs a live handle, a newer snapshot that counts in
+        flight no transaction the handle's snapshot saw finished, and the
+        same projection; ``NotRefreshable`` names the last two.  Such a
+        snapshot (its reader began after the handle's but was prepared
+        before that transaction committed) would hide a version the handle
+        holds, which the refresh settles unread."""
         self.require_live()
-        if inv.descriptor.caller <= self.snapshot.caller:
-            raise ValueError(f"refresh snapshot {inv.descriptor.caller} not newer than handle "
-                             f"at {self.snapshot.caller}")
+        old, new = self.snapshot, inv.descriptor
+        if new.caller <= old.caller:
+            raise NotRefreshable(f"refresh snapshot {new.caller} not newer than handle "
+                                 f"at {old.caller}")
+        hidden = sorted(t for t in new.in_flight if t < old.caller and t not in old.in_flight)
+        if hidden:
+            raise NotRefreshable(f"refresh snapshot {new.caller} counts {hidden} in flight, which "
+                                 f"the handle's snapshot at {old.caller} saw finished")
         if tuple(inv.projection) != tuple(self.projection):
-            raise ValueError("refresh projection must match the materialization")
+            raise NotRefreshable("refresh projection must match the materialization")
 
 
 def write_bitmap_pages(device: Device, owner: str, pages: list, current: np.ndarray) -> list:
@@ -832,7 +898,7 @@ def expose_segments(device: Device, segments):
 
 
 def append_run(handle: MaterializationHandle, inv: NdtInvocation, jobs, changed: ChangedRows,
-               sink, removed):
+               sink, removed, unsettled):
     """Step 3: make the transformed rows the handle's newest run.
 
     Unused result pages are freed.  The changed rows take the next
@@ -842,8 +908,9 @@ def append_run(handle: MaterializationHandle, inv: NdtInvocation, jobs, changed:
     bitmap is persisted and the new fragments exposed while every new page
     is still the invocation's, so a failure up to there leaves the handle
     as it was and the invocation's pages to be freed.  Then the pages join
-    the handle's allocation, the handle takes the run, and its metadata is
-    charged as host-bound bytes.
+    the handle's allocation, the handle takes the run, the invocation's
+    propagation number as its mark and the walk's ``unsettled`` vids, and
+    its metadata is charged as host-bound bytes.
     """
     device = handle.device
     segments = sink.segments(np.bincount(changed.pes, minlength=len(jobs)).tolist(),
@@ -875,6 +942,9 @@ def append_run(handle: MaterializationHandle, inv: NdtInvocation, jobs, changed:
     handle.bitmap_pages = bitmap_pages
     handle.segments.extend(segments)
     handle.snapshot = inv.descriptor
+    device.track_handle(handle.propagation, inv.propagation)
+    handle.propagation = inv.propagation
+    handle.unsettled = unsettled
     handle.run_count += 1
     n_frags = sum(len(seg.frags) for seg in segments)
     device.ledger.charge(REQUESTER_COORD, device_to_host_bytes=(
@@ -901,10 +971,11 @@ def run_invocation(inv: NdtInvocation, device: Device, grantor=None, consumer=No
                 handle.require_refreshable(inv)
             sink = StreamSink(device, inv, consumer) if stream else MaterializeSink(
                 device, partial(suspend_for_space, inv, device, grantor))
-            jobs = schedule(inv, device)
             refresh = handle is not None and handle.total_positions > 0   # else a first run
+            jobs = schedule(inv, device,
+                            refresh_candidates(handle, inv, device) if refresh else None)
             held = handle.index if handle else IdentityIndex.empty()
-            changed, removed = walk(jobs, inv, device, held, probe=refresh)
+            changed, removed, unsettled = walk(jobs, inv, device, held, probe=refresh)
             if refresh:                 # deal the table round-robin again, stably
                 deal = np.arange(len(changed.vids)) % inv.pe_count
                 changed = changed._replace(pes=deal).take(np.argsort(deal, kind="stable"))
@@ -916,7 +987,7 @@ def run_invocation(inv: NdtInvocation, device: Device, grantor=None, consumer=No
                     handle = MaterializationHandle(
                         owner=inv.owner, device=device, projection=inv.projection,
                         specs=inv.specs, snapshot=inv.descriptor)
-                append_run(handle, inv, jobs, changed, sink, removed)
+                append_run(handle, inv, jobs, changed, sink, removed, unsettled)
         except BaseException:
             device.free_pages(inv.owner)
             raise

@@ -99,6 +99,10 @@ class StaleHandle(NdtError):
     """Materialization pages were freed; the handle is unusable."""
 
 
+class NotRefreshable(NdtError):
+    """A refresh's snapshot is not newer than its handle's, or its projection differs."""
+
+
 class InvocationInFlight(NdtError):
     """Maintenance that moves pages was attempted while an invocation runs."""
 
@@ -131,3 +135,7 @@ class CorruptDescriptor(NdtError):
 
 class SchemaMismatch(NdtError):
     pass
+
+
+class LengthMismatch(NdtError):
+    """A mask or bitmap has another length than the positions it describes."""

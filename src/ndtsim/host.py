@@ -361,6 +361,7 @@ class HostSystem:
             stream_pages=stream_pages,
             vid_view=vid_view,
             l2p_view=l2p_view,
+            propagation=self.device.propagations,
         )
 
     def grant_space(self, inv: NdtInvocation, count: int) -> list:

@@ -50,7 +50,7 @@ from .columns import (
     visibility_words,
 )
 from .delta import read_segments
-from .errors import BadMagic, CorruptDescriptor, UnsupportedVersion
+from .errors import BadMagic, CorruptDescriptor, LengthMismatch, UnsupportedVersion
 from .layout import (
     TC_DECIMAL,
     TC_INT32,
@@ -106,8 +106,9 @@ def write_file(path, column_set: ColumnSet, visibility: np.ndarray = None,
                snapshot_ts: int = 0) -> None:
     """Serialize a column set (all positions) plus its visibility bitmap.
 
-    With no bitmap given, every row is marked current.  Writing the same
-    content twice produces byte-identical files.
+    With no bitmap given, every row is marked current; one of another
+    length than the rows is a ``LengthMismatch``.  Writing the same content
+    twice produces byte-identical files.
     """
     rows = column_set.n_rows
     if visibility is None:
@@ -120,7 +121,7 @@ def _write_buffers(path, specs, rows: int, buffers: dict, visibility: np.ndarray
                    snapshot_ts: int) -> None:
     """Lay out encoded column buffers ({(name, kind): bytes}) as one file."""
     if len(visibility) != rows:
-        raise ValueError(f"visibility has {len(visibility)} bits for {rows} rows")
+        raise LengthMismatch(f"visibility has {len(visibility)} bits for {rows} rows")
 
     schema_block = bytearray()
     for spec in specs:

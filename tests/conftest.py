@@ -68,7 +68,7 @@ class Harness:
             owner=owner, descriptor=descriptor, schema=self.schema,
             projection=projection, pe_count=pe_count, result_mode=mode,
             result_pages=result_pages, stream_pages=stream_pages, vid_view=vid_view,
-            l2p_view=l2p_view,
+            l2p_view=l2p_view, propagation=self.device.propagations,
         )
 
     def grantor(self, inv, count):

@@ -35,7 +35,7 @@ from ndtsim.columns import (
     gather_buffers,
     result_specs,
 )
-from ndtsim.errors import CorruptDescriptor, NdtError
+from ndtsim.errors import CorruptDescriptor, LengthMismatch, NdtError
 from ndtsim.layout import Decimal, Int32, Int64, Schema, TimestampPg, VarChar
 from ndtsim.result_file import read_file, write_file
 
@@ -81,6 +81,16 @@ def test_ragged_buffer_lengths_raise_typed_errors(key):
                  lambda: gather_buffers(specs, [(3, buffers)])):
         with pytest.raises(CorruptDescriptor):
             call()
+
+
+def test_a_keep_mask_of_another_length_is_a_length_mismatch():
+    specs = result_specs(Schema("t", [("n", Int32(), False)]), ("n",))
+    buffers = column_buffers(ColumnSet(specs, np.arange(3, dtype="<u8"),
+                                       {"n": np.arange(3, dtype="<i4")}, {"n": None}, 3))
+    for keep in (np.ones(2, dtype=bool), np.ones(4, dtype=bool)):
+        for call in (assemble, gather_buffers):
+            with pytest.raises(LengthMismatch, match=f"{len(keep)} entries for 3 positions"):
+                call(specs, [(3, buffers)], keep)
 
 
 # -- canonical comparison ----------------------------------------------------------

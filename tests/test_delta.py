@@ -14,7 +14,7 @@ from ndtsim.delta import (
     read_segments,
 )
 from ndtsim.engine import MODE_MATERIALIZE
-from ndtsim.errors import StaleHandle
+from ndtsim.errors import NotRefreshable, StaleHandle
 from ndtsim.host import HostSystem
 from ndtsim.mvcc import TOMBSTONE
 
@@ -159,7 +159,7 @@ def test_refresh_requires_newer_snapshot():
     system.store.commit_tx(caller)
     delta_transform(handle, inv, grantor=system.grant_space)
     stale_inv = inv
-    with pytest.raises(ValueError):
+    with pytest.raises(NotRefreshable):
         delta_transform(handle, stale_inv, grantor=system.grant_space)
 
 

@@ -1,6 +1,7 @@
 """Emulator behavior: pools, charges, access control, cost model."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -306,3 +307,51 @@ def test_a_pooled_load_charges_what_each_pe_loading_its_own_records_charges():
     assert (counters["device_internal_bytes_read"], counters["nvm_reads"],
             counters["records_processed"]) == (120, 4, 6)
     assert all(type(value) is int for value in counters.values())
+
+
+def _per_page_read(dev, region, pages, nbytes, requester) -> bytes:
+    """One ``read`` per page: a whole page, up to what is left of ``nbytes``."""
+    pieces = []
+    for idx in pages:
+        take = min(PAGE_SIZE, nbytes)
+        pieces.append(dev.read(region, idx * PAGE_SIZE, take, requester))
+        nbytes -= take
+    return b"".join(pieces)
+
+
+@pytest.mark.parametrize("requester", [REQUESTER_HOST, REQUESTER_COORD, 3])
+@pytest.mark.parametrize("region", [REGION_DDR, REGION_NVM])
+def test_read_pages_moves_and_charges_what_one_read_per_page_does(requester, region):
+    rng = random.Random(5)
+    batched, paged = Device(DeviceConfig()), Device(DeviceConfig())
+    for dev in (batched, paged):
+        pages = dev.allocate_pages(region, 6, "x")
+        for idx in pages:
+            dev.write(region, idx * PAGE_SIZE, rng.randbytes(PAGE_SIZE), 0)
+        dev.expose_to_host((region, idx) for idx in pages)
+        rng.seed(5)
+    for nbytes in (1, PAGE_SIZE, 2 * PAGE_SIZE + 17, 3 * PAGE_SIZE):
+        chosen = [pages[4], pages[1], pages[5]][:-(-nbytes // PAGE_SIZE)]
+        got = batched.read_pages(region, chosen, nbytes, requester)
+        assert type(got) is bytes
+        assert got == _per_page_read(paged, region, chosen, nbytes, requester)
+        assert batched.ledger.snapshot() == paged.ledger.snapshot()
+
+
+def test_read_pages_checks_once_and_charges_nothing_when_refused():
+    """A page outside the region, or ``nbytes`` that do not end on the last
+    page, is out of range; a page the host may not read is denied."""
+    dev = Device(DeviceConfig())
+    pages = dev.allocate_pages(REGION_NVM, 3, "x")
+    dev.expose_to_host([(REGION_NVM, pages[0]), (REGION_NVM, pages[2])])
+    before = dev.ledger.snapshot()
+    assert dev.read_pages(REGION_NVM, [], 0, REQUESTER_HOST) == b""
+    with pytest.raises(AccessDenied, match=f"NVM page {pages[1]} not exposed"):
+        dev.read_pages(REGION_NVM, pages, 3 * PAGE_SIZE, REQUESTER_HOST)
+    for bad, nbytes in (([pages[0], 3], 2 * PAGE_SIZE), ([-1], 8), (pages, 2 * PAGE_SIZE),
+                        (pages, 3 * PAGE_SIZE + 1), (pages[:1], 0)):
+        with pytest.raises(OutOfRange, match=rf"^NVM pages {re.escape(str(bad))} do not hold "
+                                             rf"{nbytes} bytes within {3 * PAGE_SIZE}$"):
+            dev.read_pages(REGION_NVM, bad, nbytes, 0)
+    assert dev.ledger.snapshot() == before
+    assert len(dev.read_pages(REGION_NVM, pages, 3 * PAGE_SIZE, 0)) == 3 * PAGE_SIZE

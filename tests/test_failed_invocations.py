@@ -9,6 +9,7 @@ from ndtsim.errors import (
     DanglingReference,
     HostDenied,
     InvocationInFlight,
+    NotRefreshable,
     PoolExhausted,
     StaleHandle,
 )
@@ -37,17 +38,23 @@ def _refresh_freed(system, handle):
 
 
 def _refresh_other_projection(system, handle):
-    return _prepare(system, handle, ("ol_quantity",)), ValueError
+    return _prepare(system, handle, ("ol_quantity",)), NotRefreshable
 
 
 def _refresh_older_snapshot(system, handle):
     older = _prepare(system, handle)
     newer = _prepare(system, handle)
     delta_transform(handle, newer, grantor=system.grant_space)
-    return older, ValueError
+    return older, NotRefreshable
+
+
+def _write(system):
+    """A few committed transactions, so that a refresh has candidates."""
+    WorkloadDriver(system, WorkloadConfig(seed=5)).run(5)
 
 
 def _refresh_dangling(system, handle):
+    _write(system)
     inv = _prepare(system, handle)
     inv.l2p_view = PageTable.empty()
     return inv, DanglingReference
@@ -97,6 +104,7 @@ def _stale_refresh(system, handle):
 
 
 def _dangling_refresh(system, handle):
+    _write(system)
     _drop_l2p(system)
     system.delta_refresh(handle)
 

@@ -38,7 +38,7 @@ from test_columns import _assert_identical
 STEPS = ("walk", "run_jobs", "append_run")
 ERRORS = (CorruptRecord, PoolExhausted, HostDenied)
 DEVICE_CALLS = ("pe_read_vid_entry", "pe_read_l2p", "pe_read_slot", "pe_probe_header",
-                "pe_read_records", "read", "write", "allocate_pages")
+                "pe_read_records", "read", "read_pages", "write", "allocate_pages")
 
 
 class Injector:
@@ -118,7 +118,8 @@ def _state(system, handle) -> dict:
         state["handle"] = (handle.owner, device.owner_pages(handle.owner), len(handle.segments),
                            handle.snapshot, handle.run_count, handle.column_bytes,
                            list(handle.bitmap_pages), handle.current.tobytes(),
-                           [a.tobytes() for a in handle.index])
+                           [a.tobytes() for a in handle.index], handle.propagation,
+                           handle.unsettled.tobytes())
     return state
 
 
@@ -220,7 +221,7 @@ def test_a_failed_compaction_restores_pools_and_handle(seed, error, pe_count, sh
     with _injected(system, injector, small_reservation=False):
         with pytest.raises(error):
             injector.step_of("compact", compact)(handle)
-    assert injector.raised in ("read", "allocate_pages", "write")
+    assert injector.raised in ("read_pages", "allocate_pages", "write")
     _assert_restored(system, handle, before)
     compact(handle)
     assert canonical_compare(masked_view(handle),

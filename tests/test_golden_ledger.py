@@ -7,14 +7,25 @@ they are; a change that moves them changes the device model and must say
 so.  The values were recorded once and are never regenerated to make a
 change pass.
 
-``delta_refresh`` and ``compact`` were re-recorded once, for a change of
-the device model: a refresh no longer reads the slot or probes the header
-of a settled tuple, one whose map head is the version the handle holds.
-Each PE's ``slot`` and ``probe`` ops fell by its settled tuples, the
-internal bytes read by 8 per settled tuple and the NVM reads by 2 per
-settled cold tuple; every other counter and op stayed as it was.
-``test_refresh_skips_only_the_settled_reads`` pins that move against the
-full walk.
+``delta_refresh`` and ``compact`` were re-recorded twice, each time for a
+change of the device model.  First, a refresh no longer read the slot or
+probed the header of a settled tuple, one whose map head is the version
+the handle holds: each PE's ``slot`` and ``probe`` ops fell by its settled
+tuples, the internal bytes read by 8 per settled tuple and the NVM reads
+by 2 per settled cold tuple.  Then a refresh walked only its candidates,
+the vids the device's change log names since the handle's snapshot and
+those the handle's last walk could not see the head of.  Per PE, the
+``vid_entry``, ``l2p`` and ``index_probe`` ops fell by the tuples left out
+(298, 290, 301 and 295: PE 0 went 662 -> 364, 662 -> 364 and 331 -> 33),
+and on PE 2 ``slot`` and ``probe`` fell 361 -> 359 for two deleted tuples,
+visible tombstones the walk used to re-walk on every refresh.  The
+internal bytes read fell by 20 per tuple left out and 8 per tombstone
+(325,858 -> 302,162), the NVM reads by 2 per cold tombstone (4,370 ->
+4,366), and the coordinator's reads of the change log added a
+``log_entry`` op and 8 bytes for each of the 137 logged vids (302,162 ->
+303,258).  Every other counter and op stayed as it was.
+``test_refresh_skips_only_the_settled_reads`` pins the second move against
+a refresh that takes every map vid as a candidate.
 """
 
 import random
@@ -23,11 +34,11 @@ import pytest
 
 from ndtsim import engine
 from ndtsim.delta import compact, masked_view
-from ndtsim.device import DeviceConfig
+from ndtsim.device import REQUESTER_COORD, DeviceConfig
 from ndtsim.engine import MODE_MATERIALIZE, MODE_STREAM
 from ndtsim.host import HostSystem, WorkloadConfig, WorkloadDriver
 from ndtsim.mvcc import TOMBSTONE
-from test_settled_walk import assert_moved, counting_walk, full_walk
+from test_settled_walk import all_candidates, assert_left_out, recording_candidates
 
 PE_COUNT = 4
 
@@ -129,17 +140,21 @@ def test_ledger_matches_golden(name):
 
 @pytest.mark.parametrize("name", ["delta_refresh", "compact"])
 def test_refresh_skips_only_the_settled_reads(name, monkeypatch):
-    """Full walk minus settled walk: one slot read and one header probe per
-    settled tuple, i.e. 8 bytes, and 2 NVM reads per settled cold tuple;
-    every other counter and op of the scenario is the same."""
-    settled = {}
-    monkeypatch.setattr(engine, "pe_visibility_check", counting_walk(settled))
-    skipping = SCENARIOS[name]().device.ledger
-    monkeypatch.setattr(engine, "pe_visibility_check", full_walk)
+    """Full walk minus candidate walk: per tuple left out, one map entry,
+    one index probe and one page resolution (20 bytes), and for each of
+    them that is a visible tombstone one slot read and one header probe
+    more (8 bytes, 2 NVM reads when cold); less the candidate walk's 8-byte
+    read of each logged vid.  Every other counter and op of the scenario is
+    the same."""
+    left_out = {}
+    monkeypatch.setattr(engine, "refresh_candidates", recording_candidates(left_out))
+    candidate = SCENARIOS[name]().device.ledger
+    monkeypatch.setattr(engine, "refresh_candidates", all_candidates)
     full = SCENARIOS[name]().device.ledger
-    assert [settled[pe] for pe in range(PE_COUNT)] == [[298, 298], [290, 290], [299, 299],
-                                                       [295, 295]]
-    assert_moved(full, skipping, settled)
+    assert [(left_out[pe]["vid_entry"], left_out[pe]["slot"], left_out[pe]["nvm_reads"])
+            for pe in range(PE_COUNT)] == [(298, 0, 0), (290, 0, 0), (301, 2, 4), (295, 0, 0)]
+    assert left_out[REQUESTER_COORD] == {"log_entry": 137}
+    assert_left_out(full, candidate, left_out)
 
 
 GOLDEN = {'abort_heavy': {'counters': {'device_internal_bytes_read': 116577,
@@ -187,104 +202,104 @@ GOLDEN = {'abort_heavy': {'counters': {'device_internal_bytes_read': 116577,
                                 'vid_entry': 278,
                                 'write': 12},
                             'COORD': {'write': 1}}},
- 'compact': {'counters': {'device_internal_bytes_read': 424930,
+ 'compact': {'counters': {'device_internal_bytes_read': 402330,
                           'device_internal_bytes_written': 336698,
                           'device_to_host_bytes': 1600,
                           'host_to_device_bytes': 171788,
-                          'nvm_reads': 4466,
+                          'nvm_reads': 4462,
                           'nvm_writes': 137,
                           'host_roundtrips': 26,
                           'records_processed': 1450},
              'pe_ops': {0: {'flush': 25,
-                            'index_probe': 331,
-                            'l2p': 662,
+                            'index_probe': 33,
+                            'l2p': 364,
                             'probe': 364,
                             'read': 364,
                             'record_load': 364,
                             'slot': 364,
                             'space_request': 5,
-                            'vid_entry': 662,
+                            'vid_entry': 364,
                             'write': 25},
                         1: {'flush': 25,
-                            'index_probe': 330,
-                            'l2p': 660,
+                            'index_probe': 40,
+                            'l2p': 370,
                             'probe': 370,
                             'read': 363,
                             'record_load': 363,
                             'slot': 370,
                             'space_request': 5,
-                            'vid_entry': 660,
+                            'vid_entry': 370,
                             'write': 25},
                         2: {'flush': 25,
-                            'index_probe': 330,
-                            'l2p': 660,
-                            'probe': 361,
+                            'index_probe': 29,
+                            'l2p': 359,
+                            'probe': 359,
                             'read': 361,
                             'record_load': 361,
-                            'slot': 361,
+                            'slot': 359,
                             'space_request': 5,
-                            'vid_entry': 660,
+                            'vid_entry': 359,
                             'write': 25},
                         3: {'flush': 24,
-                            'index_probe': 330,
-                            'l2p': 660,
+                            'index_probe': 35,
+                            'l2p': 365,
                             'probe': 365,
                             'read': 362,
                             'record_load': 362,
                             'slot': 365,
                             'space_request': 5,
-                            'vid_entry': 660,
+                            'vid_entry': 365,
                             'write': 24},
-                        'COORD': {'read': 96, 'write': 20}}},
- 'delta_refresh': {'counters': {'device_internal_bytes_read': 325858,
+                        'COORD': {'log_entry': 137, 'read': 96, 'write': 20}}},
+ 'delta_refresh': {'counters': {'device_internal_bytes_read': 303258,
                                 'device_internal_bytes_written': 246880,
                                 'device_to_host_bytes': 1600,
                                 'host_to_device_bytes': 171788,
-                                'nvm_reads': 4370,
+                                'nvm_reads': 4366,
                                 'nvm_writes': 119,
                                 'host_roundtrips': 26,
                                 'records_processed': 1450},
                    'pe_ops': {0: {'flush': 25,
-                                  'index_probe': 331,
-                                  'l2p': 662,
+                                  'index_probe': 33,
+                                  'l2p': 364,
                                   'probe': 364,
                                   'read': 364,
                                   'record_load': 364,
                                   'slot': 364,
                                   'space_request': 5,
-                                  'vid_entry': 662,
+                                  'vid_entry': 364,
                                   'write': 25},
                               1: {'flush': 25,
-                                  'index_probe': 330,
-                                  'l2p': 660,
+                                  'index_probe': 40,
+                                  'l2p': 370,
                                   'probe': 370,
                                   'read': 363,
                                   'record_load': 363,
                                   'slot': 370,
                                   'space_request': 5,
-                                  'vid_entry': 660,
+                                  'vid_entry': 370,
                                   'write': 25},
                               2: {'flush': 25,
-                                  'index_probe': 330,
-                                  'l2p': 660,
-                                  'probe': 361,
+                                  'index_probe': 29,
+                                  'l2p': 359,
+                                  'probe': 359,
                                   'read': 361,
                                   'record_load': 361,
-                                  'slot': 361,
+                                  'slot': 359,
                                   'space_request': 5,
-                                  'vid_entry': 660,
+                                  'vid_entry': 359,
                                   'write': 25},
                               3: {'flush': 24,
-                                  'index_probe': 330,
-                                  'l2p': 660,
+                                  'index_probe': 35,
+                                  'l2p': 365,
                                   'probe': 365,
                                   'read': 362,
                                   'record_load': 362,
                                   'slot': 365,
                                   'space_request': 5,
-                                  'vid_entry': 660,
+                                  'vid_entry': 365,
                                   'write': 24},
-                              'COORD': {'write': 2}}},
+                              'COORD': {'log_entry': 137, 'write': 2}}},
  'materialize': {'counters': {'device_internal_bytes_read': 270658,
                               'device_internal_bytes_written': 221331,
                               'device_to_host_bytes': 90891,

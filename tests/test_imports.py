@@ -646,6 +646,76 @@ def test_scan_finds_a_vid_map_change_that_keeps_the_version(tmp_path):
         ("mvcc", 22, False)]
 
 
+# The change log names the tuples a refresh walks; a write anywhere but in
+# the propagation that the log records could make a refresh skip a change.
+# A write is a store to or deletion of a log field (an item of one too), or
+# a call of a method that changes it; ``Device.__init__`` binds the fields.
+LOG_FIELDS = frozenset({"change_log", "_log_floor", "propagations"})
+LOG_WRITERS = frozenset({"device.Device.apply_propagation", "device.Device.__init__"})
+LOG_CHANGING_CALLS = frozenset({"append", "appendleft", "extend", "extendleft", "insert", "pop",
+                                "popleft", "remove", "clear", "rotate"})
+
+
+def _log_field(node):
+    """The log field ``node`` (or the container it indexes) names, or None."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return node.attr if isinstance(node, ast.Attribute) and node.attr in LOG_FIELDS else None
+
+
+def log_writes(path: Path) -> list:
+    """The writes to the change log in ``path`` outside ``LOG_WRITERS``, by
+    scope and line."""
+    found = []
+
+    def scan(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scan(child, f"{scope}.{child.name}")
+                continue
+            name = None
+            if isinstance(getattr(child, "ctx", None), (ast.Store, ast.Del)):
+                name = _log_field(child)
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                  and child.func.attr in LOG_CHANGING_CALLS):
+                name = _log_field(child.func.value)
+            if name and scope not in LOG_WRITERS:
+                found.append(f"{scope} line {child.lineno}: {name}")
+            scan(child, scope)
+
+    scan(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_only_a_propagation_writes_the_change_log():
+    assert [write for path in PACKAGE for write in log_writes(path)] == []
+
+
+def test_scan_finds_every_change_log_write(tmp_path):
+    probe = tmp_path / "device.py"
+    probe.write_text("class Device:\n"
+                     "    def __init__(self):\n"
+                     "        self.change_log = []\n"
+                     "    def apply_propagation(self, vids):\n"
+                     "        self.propagations += 1\n"
+                     "        self.change_log.append(vids)\n"
+                     "    def track_handle(self, mark):\n"
+                     "        self.change_log.popleft()\n"
+                     "        self._log_floor = mark\n"
+                     "        self.change_log[0] = None\n"
+                     "        del self.change_log[0]\n"
+                     "        return len(self.change_log), self.change_log.count(mark)\n"
+                     "def trim(device):\n"
+                     "    device.propagations -= 1\n"
+                     "    device.change_log.clear()\n")
+    assert log_writes(probe) == [
+        "device.Device.track_handle line 8: change_log",
+        "device.Device.track_handle line 9: _log_floor",
+        "device.Device.track_handle line 10: change_log",
+        "device.Device.track_handle line 11: change_log",
+        "device.trim line 14: propagations", "device.trim line 15: change_log"]
+
+
 # What the package defines, the system runs.  A definition counts as run when
 # a module of the package or of the benchmark reads its bare name (as a
 # variable or an attribute) or traces it; dunder methods are called by the

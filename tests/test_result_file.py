@@ -18,7 +18,14 @@ from ndtsim.columns import (
 )
 from ndtsim.delta import read_segments
 from ndtsim.engine import MODE_MATERIALIZE
-from ndtsim.errors import BadMagic, CorruptDescriptor, NdtError, SchemaMismatch, UnsupportedVersion
+from ndtsim.errors import (
+    BadMagic,
+    CorruptDescriptor,
+    LengthMismatch,
+    NdtError,
+    SchemaMismatch,
+    UnsupportedVersion,
+)
 from ndtsim.host import HostSystem
 from ndtsim.layout import Int32, Int64, Schema, VarChar
 from ndtsim.result_file import _write_buffers, read_file, write_file, write_handle
@@ -80,6 +87,16 @@ def test_empty_file_with_column_bytes_is_rejected(tmp_path, key, data):
     _write_buffers(path, specs, 0, buffers, np.zeros(0, dtype=bool), 0)
     with pytest.raises(CorruptDescriptor):
         read_file(path)
+
+
+def test_a_visibility_of_another_length_is_a_length_mismatch(tmp_path):
+    specs = result_specs(Schema("t", [("n", Int32(), False)]), ("n",))
+    column_set = ColumnSet(specs, np.arange(3, dtype="<u8"), {"n": np.arange(3, dtype="<i4")},
+                           {"n": None}, 3)
+    path = tmp_path / "short.ndtc"
+    with pytest.raises(LengthMismatch, match="visibility has 2 bits for 3 rows"):
+        write_file(path, column_set, visibility=np.ones(2, dtype=bool))
+    assert not path.exists()
 
 
 def test_corrupt_files_raise_only_typed_errors(tmp_path):

@@ -1,11 +1,17 @@
-"""Differential test of the settled walk against the full walk.
+"""Differential tests of a refresh's shortcuts against the full walk.
 
-A refresh settles a tuple without walking its chain when the tuple's head
-in the frozen map is the version the handle holds: the page is resolved,
-but no slot is read and no header probed.  The full walk is
-``pe_visibility_check`` without held rids, the path a first
-materialization takes.  Twin systems built from the same seed run the same
-history; one refreshes with the settled walk, the other with the full walk.
+A refresh walks only its candidates (``engine.refresh_candidates``): the
+vids a propagation changed after the handle's snapshot and those its last
+walk left behind a head it could not see.  Of those, it settles a tuple
+without walking its chain when the tuple's head in the frozen map is the
+version the handle holds: the page is resolved, but no slot is read and no
+header probed.  Twin systems built from the same seed run the same
+history and refresh in two ways:
+
+* the settled walk against ``pe_visibility_check`` without held rids, the
+  path a first materialization takes, both over the candidates;
+* the candidate walk against a refresh with every map vid as a candidate,
+  both with the settled walk.
 
 Histories hold committed updates, deletes, inserts and re-inserts after a
 tombstone; aborted writes, whose heads roll back to the version they
@@ -14,13 +20,17 @@ which writes once the older aborts; writers in flight at one refresh and
 ended before the next, or in flight at both, whose tuples no other write
 touches; and merges of the delta pages to cold NVM between refreshes, so
 settled tuples sit in DDR and in NVM.  After every refresh both twins must have walked out the
-same changed rows and removed vids and hold the same handle, the view must
-equal the oracle's, and the full walk must have charged exactly one slot
-read and one header probe more per settled tuple (two NVM reads per
-settled cold tuple) and nothing else.
+same changed rows, removed vids and unsettled vids and hold the same
+handle, and the view must equal the oracle's.  Against the settled walk,
+the full walk must have charged exactly one slot read and one header probe
+more per settled tuple (two NVM reads per settled cold tuple) and nothing
+else.  Against the candidate walk, the full walk must have charged exactly
+what it charges the tuples that are no candidate, and the candidate walk
+its reads of the change log.
 """
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -30,7 +40,7 @@ from hypothesis import strategies as st
 from ndtsim import engine
 from ndtsim.columns import canonical_compare
 from ndtsim.delta import compact, masked_view
-from ndtsim.device import REGION_NVM, REGIONS, DeviceConfig
+from ndtsim.device import REGION_NVM, REGIONS, REQUESTER_COORD, DeviceConfig, op_total
 from ndtsim.errors import StaleWrite
 from ndtsim.host import HostSystem
 from ndtsim.layout import RID_NONE
@@ -40,6 +50,7 @@ OPS = ("update", "delete", "insert", "reinsert", "abort", "refused")
 NVM = REGIONS.index(REGION_NVM)
 CFG = DeviceConfig(ddr_capacity_pages=512, nvm_capacity_pages=2048)
 SETTLED_WALK = engine.pe_visibility_check
+CANDIDATES = engine.refresh_candidates
 
 
 def full_walk(device, pe, vids, heads, snap, l2p, held=None):
@@ -78,18 +89,78 @@ def assert_moved(full, skipping, settled: dict):
             {op: skip if op in ("slot", "probe") else 0 for op in ops}
 
 
-class Twins:
-    """Two systems from one seed that see the same history: ``settled``
-    refreshes as the engine does, ``full`` walks every chain."""
+def all_candidates(handle, inv, device):
+    """Every vid of the frozen map: a refresh's full walk."""
+    return inv.vid_view["vid"]
 
-    def __init__(self, seed: int, rows: int, pe_count: int):
+
+def recording_candidates(left_out: dict):
+    """``refresh_candidates`` that adds to ``left_out`` what the full walk
+    charges the map's tuples that are no candidate: per PE, one map entry,
+    one index probe and one page resolution each, and one slot read and one
+    header probe (two NVM reads when cold) each whose head is not the held
+    rid, i.e. a visible tombstone; and, for the coordinator, the log entries
+    the candidate walk reads."""
+    def call(handle, inv, device):
+        logged = op_total(device.ledger, "log_entry")
+        candidates = CANDIDATES(handle, inv, device)
+        coord = left_out.setdefault(REQUESTER_COORD, Counter())
+        coord["log_entry"] += op_total(device.ledger, "log_entry") - logged
+        vids, heads = inv.vid_view["vid"], inv.vid_view["head"]
+        rows = np.flatnonzero(~np.isin(vids, candidates))
+        walked = heads[rows] != handle.index.rids_of(vids[rows])
+        region, _ = inv.l2p_view.resolve(heads[rows] >> np.uint64(16))
+        for pe in range(inv.pe_count):
+            mine = rows % inv.pe_count == pe
+            ops = left_out.setdefault(pe, Counter())
+            ops.update(dict.fromkeys(("vid_entry", "index_probe", "l2p"), int(mine.sum())))
+            ops.update(dict.fromkeys(("slot", "probe"), int((mine & walked).sum())))
+            ops["nvm_reads"] += 2 * int((mine & walked & (region == NVM)).sum())
+        return candidates
+    return call
+
+
+def assert_left_out(full, candidate, left_out: dict):
+    """The full walk's ledger holds, per PE, the charges ``left_out`` counts
+    more: 8 + 8 + 4 bytes per tuple, 4 + 4 bytes and its NVM reads per
+    walked one; the candidate walk's holds the coordinator's ``log_entry``
+    reads more, 8 bytes each.  Every other counter and op is the same."""
+    pes = [pe for pe in left_out if pe != REQUESTER_COORD]
+    moved = {name: 0 for name in full.counters()}
+    moved.update(
+        device_internal_bytes_read=sum(20 * left_out[pe]["vid_entry"] + 8 * left_out[pe]["slot"]
+                                       for pe in pes)
+        - 8 * left_out[REQUESTER_COORD]["log_entry"],
+        nvm_reads=sum(left_out[pe]["nvm_reads"] for pe in pes))
+    assert {name: full.counters()[name] - value
+            for name, value in candidate.counters().items()} == moved
+    for pe in full.pe_ops.keys() | candidate.pe_ops.keys():
+        ops = full.pe_ops.get(pe, {})
+        mine = candidate.pe_ops.get(pe, {})
+        want = {op: n for op, n in left_out.get(pe, {}).items() if op != "nvm_reads"}
+        if pe == REQUESTER_COORD:
+            want = {"log_entry": -want.get("log_entry", 0)}
+        assert {op: ops.get(op, 0) - mine.get(op, 0) for op in ops.keys() | mine.keys()
+                if ops.get(op, 0) != mine.get(op, 0)} == {op: n for op, n in want.items() if n}
+
+
+class Twins:
+    """Two systems from one seed that see the same history.  With
+    ``candidates`` False, ``settled`` refreshes as the engine does and
+    ``full`` walks every chain of the candidates; with it True, ``settled``
+    refreshes as the engine does and ``full`` takes every map vid as a
+    candidate."""
+
+    def __init__(self, seed: int, rows: int, pe_count: int, candidates: bool = False):
         self.rng = random.Random(seed)
         self.settled, self.full = HostSystem(CFG), HostSystem(CFG)
         self.values = self.settled.load_orderlines(rows, seed=seed)
         assert self.full.load_orderlines(rows, seed=seed) == self.values
         self.live, self.deleted = sorted(self.values), []
         self.writers = []                       # [refreshes left to live, txids, commit?]
+        self.candidates = candidates
         self.moved = {}                         # pe -> [settled tuples, settled in NVM]
+        self.left_out = {}                      # pe -> Counter of charges (recording_candidates)
         self.walked = []                        # (removed, [changed rows per job]) per twin
         self.handles = [system.transform_snapshot(pe_count=pe_count)[1]
                         for system in self.systems]
@@ -186,18 +257,26 @@ class Twins:
 
     def _recording(self, walk):
         def call(jobs, inv, device, held, probe):
-            changed, removed = walk(jobs, inv, device, held, probe)
-            self.walked.append((removed, changed))
-            return changed, removed
+            walked = walk(jobs, inv, device, held, probe)
+            self.walked.append(walked)
+            return walked
         return call
+
+    def _patches(self):
+        """Per twin, the engine functions its refresh replaces."""
+        if self.candidates:
+            return ({"refresh_candidates": recording_candidates(self.left_out)},
+                    {"refresh_candidates": all_candidates})
+        return ({"pe_visibility_check": counting_walk(self.moved)},
+                {"pe_visibility_check": full_walk})
 
     def refresh(self, pe_count: int):
         self.walked = []
-        for system, handle, check in zip(self.systems, self.handles,
-                                         (counting_walk(self.moved), full_walk)):
+        for system, handle, patches in zip(self.systems, self.handles, self._patches()):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(engine, "walk", self._recording(engine.walk))
-                patch.setattr(engine, "pe_visibility_check", check)
+                for name, replacement in patches.items():
+                    patch.setattr(engine, name, replacement)
                 system.delta_refresh(handle, pe_count=pe_count)
         for writer in self.writers:
             writer[0] -= 1
@@ -207,13 +286,15 @@ class Twins:
         self.check()
 
     def check(self):
-        (removed, changed), (full_removed, full_changed) = self.walked
+        (changed, removed, hidden), (full_changed, full_removed, full_hidden) = self.walked
         assert np.array_equal(removed, full_removed)
+        assert np.array_equal(hidden, full_hidden)
         for column, full_column in zip(changed, full_changed):
             assert np.array_equal(column, full_column)
 
         settled, full = self.handles
         assert settled.snapshot == full.snapshot
+        assert np.array_equal(settled.unsettled, full.unsettled)
         assert settled.column_bytes == full.column_bytes
         assert np.array_equal(settled.current, full.current)
         for column, full_column in zip(settled.index, full.index):
@@ -224,13 +305,15 @@ class Twins:
         expected = self.settled.oracle_column_set(settled.snapshot, settled.projection)
         same = canonical_compare(view, expected.sorted_by_vid())
         assert same.equal, same.reason
-        assert_moved(self.full.device.ledger, self.settled.device.ledger, self.moved)
+        if self.candidates:
+            assert_left_out(self.full.device.ledger, self.settled.device.ledger, self.left_out)
+        else:
+            assert_moved(self.full.device.ledger, self.settled.device.ledger, self.moved)
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**16), data=st.data())
-def test_settled_walk_equals_full_walk(seed, data):
-    twins = Twins(seed, data.draw(st.integers(20, 120)), data.draw(st.integers(1, 4)))
+def _run_history(twins, data):
+    """Rounds of drawn transactions, merges and writers left in flight, each
+    ended by a refresh and some by a compaction."""
     for _ in range(data.draw(st.integers(1, 5))):
         for op in data.draw(st.lists(st.sampled_from(OPS), max_size=5)):
             twins.apply(op, data.draw(st.integers(1, 6)))
@@ -242,6 +325,20 @@ def test_settled_walk_equals_full_walk(seed, data):
         twins.refresh(data.draw(st.integers(1, 4)))
         if data.draw(st.integers(0, 3)) == 0:
             twins.compact()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), data=st.data())
+def test_settled_walk_equals_full_walk(seed, data):
+    _run_history(Twins(seed, data.draw(st.integers(20, 120)), data.draw(st.integers(1, 4))),
+                 data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), data=st.data())
+def test_candidate_walk_equals_full_walk(seed, data):
+    _run_history(Twins(seed, data.draw(st.integers(20, 120)), data.draw(st.integers(1, 4)),
+                       candidates=True), data)
 
 
 def test_a_fixed_history_settles_in_both_regions():
@@ -262,3 +359,27 @@ def test_a_fixed_history_settles_in_both_regions():
     settled = sum(count for count, _ in twins.moved.values())
     cold = sum(nvm for _, nvm in twins.moved.values())
     assert 0 < cold < settled, "settled tuples in NVM and in DDR"
+
+
+def test_a_fixed_history_leaves_out_settled_tuples_and_tombstones():
+    """A writer in flight at two refreshes commits before a third, which
+    walks its tuples though no map entry changed; deleted tuples left out
+    of a later refresh are visible tombstones in NVM."""
+    twins = Twins(seed=7, rows=200, pe_count=4, candidates=True)
+    for op in OPS:
+        twins.apply(op, 5)
+    twins.leave_in_flight(2, commit=True)
+    twins.refresh(3)
+    assert [len(handle.unsettled) for handle in twins.handles] == [5, 5]
+    twins.apply("delete", 5)
+    twins.apply("update", 5)
+    twins.merge_to_cold()
+    twins.refresh(4)                                # the writer commits after it
+    twins.compact()
+    twins.apply("update", 5)
+    twins.refresh(2)
+    assert [len(handle.unsettled) for handle in twins.handles] == [0, 0]
+    pes = [ops for pe, ops in twins.left_out.items() if pe != REQUESTER_COORD]
+    assert sum(ops["vid_entry"] for ops in pes) > 0
+    assert sum(ops["slot"] for ops in pes) == 5
+    assert sum(ops["nvm_reads"] for ops in pes) == 10

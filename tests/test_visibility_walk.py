@@ -106,7 +106,7 @@ def test_walk_matches_oracle_with_exact_per_pe_charges(seed, snapshot):
         inv.pe_count = pe_count
         jobs = schedule(inv, h.device)
         before = h.device.ledger.snapshot()
-        changed, removed = walk(jobs, inv, h.device, IdentityIndex.empty(), probe=False)
+        changed, removed, _hidden = walk(jobs, inv, h.device, IdentityIndex.empty(), probe=False)
         assert len(removed) == 0
         delta = h.device.ledger.delta_since(before)
 
