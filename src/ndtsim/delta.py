@@ -12,14 +12,10 @@ nor charged: its head is the one the last walk found visible, so it is
 visible still.  A refresh therefore costs what changed, not what the table
 holds.  For each candidate the walk reads its map entry, probes the
 identity index and resolves its head's page; a candidate whose head is the
-version the handle holds is settled there, because that version's creator
-committed before the old snapshot, nothing newer was linked (an aborted
-write rolls the head back to it) and no record is rewritten, so its slot is
-not read nor its header probed.  A refresh thus neither reads a settled
-tuple's slot or header nor checks a non-candidate's page mapping;
-corruption there is found by the next full materialization or host read.
-Changed tuples are dealt round-robin over the PEs, transformed and appended
-as a new run.
+version the handle holds is settled there, by the settle rule of
+``engine``'s step 1, without a slot read or a header probe.  Changed
+tuples are dealt round-robin over the PEs, transformed and appended as a
+new run.
 Superseded rows are never rewritten -- a positional visibility bitmap
 masks them out -- so existing column bytes stay immutable until an
 explicit compaction rewrites the whole materialization.  Compaction keeps

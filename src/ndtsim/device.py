@@ -21,16 +21,16 @@ Byte movement comes in two flavors:
   4B header probe) regardless of how much metadata the emulator decodes to
   serve them.
 
-The navigation accessors serve a batch: one call stands for ``count``
-accesses by one PE and charges each of them (bytes, one operation, and for
-slot reads and header probes one NVM access per NVM-resident access).
+Every batch accessor serves a batch made by one PE, or pooled over several
+PEs with one PE per entry, and charges each PE its own entries through one
+helper (``charge_by_pe``): bytes, one operation each, and for slot reads,
+header probes and record loads one NVM access per NVM-resident entry.
 ``pe_read_slot`` and ``pe_probe_header`` take arrays of positions in one
 region and return arrays.  They decode page metadata (the slot count in the
 page header) without a charge, bound every slot by it and raise
 ``CorruptRecord`` for a slot or slot entry that is invalid.
-``pe_read_records`` loads records of either region in place, for one PE or
-for a batch pooled over several: it charges each PE its own records and
-hands back the region buffers, copying nothing.  All three check their
+``pe_read_records`` loads records of either region in place and hands back
+the region buffers, copying nothing.  All three check their
 ranges, each against its own region's length, by one batch range check
 before anything is charged.  Range and slot checks are reductions over the
 batch; the offending entry is located only when one fails, so the error
@@ -428,30 +428,37 @@ class Device:
 
     # -- raw byte movement ----------------------------------------------------
 
-    def _check_range(self, region: str, offset: int, length: int):
+    def _region(self, region: str) -> bytearray:
         buf = self._regions.get(region)
         if buf is None:
             raise OutOfRange(f"unknown region {region!r}")
+        return buf
+
+    def _check_range(self, region: str, offset: int, length: int):
+        buf = self._region(region)
         if offset < 0 or length < 0 or offset + length > len(buf):
             raise OutOfRange(f"{region}[{offset}:{offset + length}] outside {len(buf)} bytes")
         return buf
 
-    def _check_host_access(self, region: str, offset: int, length: int):
-        first = offset // PAGE_SIZE
-        last = (offset + length - 1) // PAGE_SIZE if length else first
-        for idx in range(first, last + 1):
-            if (region, idx) not in self._host_readable:
-                raise AccessDenied(f"host access to {region} page {idx} not exposed")
+    def _charge_read(self, region: str, pages, nbytes: int, count: int, requester):
+        """Charge ``count`` reads of ``nbytes`` in all from ``pages`` of
+        ``region``: for ``REQUESTER_HOST`` over the host link, once every
+        page is found exposed to the host, else inside the device."""
+        nvm = count if region == REGION_NVM else 0
+        if requester == REQUESTER_HOST:
+            for idx in pages:
+                if (region, idx) not in self._host_readable:
+                    raise AccessDenied(f"host access to {region} page {idx} not exposed")
+            self.ledger.charge(requester, device_to_host_bytes=nbytes, nvm_reads=nvm)
+        else:
+            self.ledger.charge(requester, "read", count, device_internal_bytes_read=nbytes,
+                               nvm_reads=nvm)
 
     def read(self, region: str, offset: int, length: int, requester) -> bytes:
         """Read bytes; requester ``REQUESTER_HOST`` moves them over the host link."""
         buf = self._check_range(region, offset, length)
-        nvm = 1 if region == REGION_NVM else 0
-        if requester == REQUESTER_HOST:
-            self._check_host_access(region, offset, length)
-            self.ledger.charge(requester, device_to_host_bytes=length, nvm_reads=nvm)
-        else:
-            self.ledger.charge(requester, "read", device_internal_bytes_read=length, nvm_reads=nvm)
+        pages = range(offset // PAGE_SIZE, (offset + max(length, 1) - 1) // PAGE_SIZE + 1)
+        self._charge_read(region, pages, length, 1, requester)
         return bytes(memoryview(buf)[offset:offset + length])
 
     def write(self, region: str, offset: int, data, requester):
@@ -469,23 +476,12 @@ class Device:
         count = len(pages)
         if not count:
             return b""
-        buf = self._regions.get(region)
-        if buf is None:
-            raise OutOfRange(f"unknown region {region!r}")
+        buf = self._region(region)
         tail = nbytes - (count - 1) * PAGE_SIZE         # bytes off the last page
         if min(pages) < 0 or max(pages) >= len(buf) // PAGE_SIZE or not 0 < tail <= PAGE_SIZE:
             raise OutOfRange(f"{region} pages {list(pages)} do not hold {nbytes} bytes "
                              f"within {len(buf)}")
-        nvm = count if region == REGION_NVM else 0
-        if requester == REQUESTER_HOST:
-            readable = self._host_readable
-            for idx in pages:
-                if (region, idx) not in readable:
-                    raise AccessDenied(f"host access to {region} page {idx} not exposed")
-            self.ledger.charge(requester, device_to_host_bytes=nbytes, nvm_reads=nvm)
-        else:
-            self.ledger.charge(requester, "read", count, device_internal_bytes_read=nbytes,
-                               nvm_reads=nvm)
+        self._charge_read(region, pages, nbytes, count, requester)
         view = memoryview(buf)
         spans = [view[idx * PAGE_SIZE:(idx + 1) * PAGE_SIZE] for idx in pages]
         spans[-1] = spans[-1][:tail]
@@ -511,17 +507,30 @@ class Device:
             raise OutOfRange(f"{REGIONS[codes[k]]}[{offsets[k]}:{ends[k]}] outside "
                              f"{limits[k]} bytes")
 
-    def _charge_navigation(self, pe: int, op: str, nbytes: int, count: int, region=None):
-        self.ledger.charge(pe, op, count, device_internal_bytes_read=nbytes * count,
-                           nvm_reads=count if region == REGION_NVM else 0)
+    def charge_by_pe(self, pe, op, count: int, **per_access):
+        """Charge ``count`` accesses of ``op`` (one operation or a tuple of
+        them) made by the one PE ``pe``, or by ``pe[k]`` for access k of a
+        batch pooled over several PEs.  Each keyword names a ledger counter
+        and what one access adds to it: one value for all, or an array of
+        one per access.  Each PE with accesses is charged once: their count
+        of each op and the sum of each counter.  This is the only code that
+        splits a batch's charge by PE."""
+        pes = np.broadcast_to(pe, count)
+        counts = np.bincount(pes)
+        sums = {name: value * counts if np.ndim(value) == 0 else
+                np.bincount(pes, weights=value, minlength=len(counts))
+                for name, value in per_access.items()}
+        for one in np.flatnonzero(counts).tolist():
+            self.ledger.charge(one, op, int(counts[one]),
+                               **{name: int(total[one]) for name, total in sums.items()})
 
-    def pe_read_vid_entry(self, pe: int, count: int):
-        self._charge_navigation(pe, "vid_entry", VID_ENTRY_BYTES, count)
+    def pe_read_vid_entry(self, pe, count: int):
+        self.charge_by_pe(pe, "vid_entry", count, device_internal_bytes_read=VID_ENTRY_BYTES)
 
-    def pe_read_l2p(self, pe: int, count: int):
-        self._charge_navigation(pe, "l2p", L2P_ENTRY_BYTES, count)
+    def pe_read_l2p(self, pe, count: int):
+        self.charge_by_pe(pe, "l2p", count, device_internal_bytes_read=L2P_ENTRY_BYTES)
 
-    def pe_read_slot(self, pe: int, region: str, page_bases: np.ndarray, slots: np.ndarray):
+    def pe_read_slot(self, pe, region: str, page_bases: np.ndarray, slots: np.ndarray):
         """4B slot-entry reads; returns (record offsets, record lengths) in pages.
 
         ``page_bases`` are int64 byte offsets of pages in ``region``; each
@@ -530,7 +539,8 @@ class Device:
         """
         self._check_ranges(REGIONS.index(region), page_bases, PAGE_SIZE)
         buf = self._regions[region]
-        self._charge_navigation(pe, "slot", SLOT_READ_BYTES, len(slots), region)
+        self.charge_by_pe(pe, "slot", len(slots), device_internal_bytes_read=SLOT_READ_BYTES,
+                          nvm_reads=region == REGION_NVM)
         counts = gather_words(buf, "<u2", page_bases + SLOT_COUNT_OFFSET).astype(np.int64)
         if slots.max(initial=0) >= MAX_SLOTS or (counts - slots).min(initial=1) <= 0:
             k = np.flatnonzero((slots >= counts) | (slots >= MAX_SLOTS))[0]
@@ -547,12 +557,14 @@ class Device:
                                 f"the record area: [{offsets[k]}, {offsets[k] + lengths[k]})")
         return offsets, lengths
 
-    def pe_probe_header(self, pe: int, region: str, record_offsets: np.ndarray):
+    def pe_probe_header(self, pe, region: str, record_offsets: np.ndarray):
         """Modeled 4B header probes; yield (create_ts, packed pred, flags) arrays,
         read with one gather of each record's fixed header."""
         self._check_ranges(REGIONS.index(region), record_offsets, RECORD_HEADER_FIXED)
         buf = self._regions[region]
-        self._charge_navigation(pe, "probe", HEADER_PROBE_BYTES, len(record_offsets), region)
+        self.charge_by_pe(pe, "probe", len(record_offsets),
+                          device_internal_bytes_read=HEADER_PROBE_BYTES,
+                          nvm_reads=region == REGION_NVM)
         header = gather_words(buf, np.dtype((np.void, RECORD_HEADER_FIXED)), record_offsets).view(
             HEADER_WORDS)
         return header["create_ts"], header["pred"], header["flags"]
@@ -562,9 +574,7 @@ class Device:
         """Load records in one batch, read where they lie; returns the region
         buffers, indexed by region code.
 
-        ``pe`` is the one PE that loads them all, or an array holding the
-        loading PE of each record (a batch pooled over several PEs).  Record
-        k is bytes [offsets[k], offsets[k] + lengths[k]) of
+        Record k is bytes [offsets[k], offsets[k] + lengths[k]) of
         ``buffers[regions[k]]``.  Nothing is copied: the caller reads the
         records in place, writes nothing and keeps no view of a buffer once
         done, as a later allocation may grow the region.  Ranges are
@@ -575,16 +585,9 @@ class Device:
         NVM-resident record.
         """
         self._check_ranges(regions, offsets, lengths)
-        n = len(lengths)
-        pes = np.broadcast_to(pe, n)
-        nbytes = np.bincount(pes, weights=lengths)
-        loads = np.bincount(pes * len(REGIONS) + regions,
-                            minlength=len(nbytes) * len(REGIONS)).reshape(-1, len(REGIONS))
-        counts, nvm = loads.sum(axis=1), loads[:, REGIONS.index(REGION_NVM)]
-        for one in np.flatnonzero(counts).tolist():
-            self.ledger.charge(one, ("read", "record_load"), int(counts[one]),
-                               device_internal_bytes_read=int(nbytes[one]),
-                               nvm_reads=int(nvm[one]), records_processed=int(counts[one]))
+        self.charge_by_pe(pe, ("read", "record_load"), len(lengths),
+                          device_internal_bytes_read=lengths,
+                          nvm_reads=regions == REGIONS.index(REGION_NVM), records_processed=1)
         return tuple(map(self._regions.get, REGIONS))
 
     # -- propagation & maintenance ---------------------------------------------

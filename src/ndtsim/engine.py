@@ -6,37 +6,41 @@ space.  Every invocation -- a first materialization, a stream, or the
 refresh of an existing materialization -- runs one pipeline:
 
 1. **Walk.**  The frozen tuple map is the device's vid map itself: one
-   (vid, packed chain head) row per tuple, sorted by vid.  Its two columns
-   are split over the processing elements (row i goes to PE i mod n).  A
-   refresh keeps of each share only its candidates, the tuples that may
-   have changed since the handle's snapshot (``refresh_candidates``; see
-   ``delta``): the others are settled by construction, and neither visited
-   nor charged.
-   Each PE walks its share as one frontier: every step resolves the pages
-   of all its unresolved tuples' current versions (two gathers from the
-   frozen page table, indexed by lid), reads their slots and probes
-   their headers, one region at a time, and moves the versions that are
-   not visible to their predecessors, until every tuple has a visible
-   version or nothing.  Each PE is charged
-   exactly what walking its tuples one by one would charge.  The rids the
-   target handle's identity index holds (one ``searchsorted``) go into the
-   walk: a tuple whose head is the held rid is *settled* after its page is
-   resolved, without a slot read or a header probe, because it is
-   unchanged.  The held version was visible at the handle's snapshot, so
-   its creator had committed; it is still the head, so nothing newer exists
-   (lids are never reused, an abort rolls a head back to the version it
-   replaced, and no record is rewritten).  A writer in flight at either
-   snapshot is the head itself, so its tuple is walked.  The visible
-   versions are then compared with the held rids.  A first materialization
-   or a stream passes an empty index, so nothing is settled and every
-   visible tuple counts as changed; a refresh also charges an 8-byte index
-   probe per walked tuple and collects the held tuples that are no longer
-   visible.  As a refresh does not read a settled tuple's slot or header,
-   nor resolve a non-candidate's page, corruption there is found by the
-   next full materialization or host read.  The walk also returns the
-   tuples whose head it could not see, which the handle keeps.  The
-   walk's changed tuples form one ``ChangedRows`` table, PE after PE, each
-   row tagged with the PE that transforms it.
+   (vid, packed chain head) row per tuple, sorted by vid.  ``schedule``
+   deals its rows over the processing elements (row i to PE i mod n) into
+   one ``MapRows`` table, PE after PE, each PE's rows in vid order.  A
+   refresh keeps only its candidates, each on the PE of its row
+   (``refresh_candidates``; see ``delta``): the other tuples are settled by
+   construction, and neither visited nor charged.
+   The table is walked as one frontier with a PE per entry: every step
+   resolves the pages of all unresolved tuples' current versions (two
+   gathers from the frozen page table, indexed by lid), reads their slots
+   and probes their headers, one region at a time, and moves the versions
+   that are not visible to their predecessors, until every tuple has a
+   visible version or nothing.  Each access is charged to its entry's PE,
+   so each PE pays exactly what walking its tuples one by one would.  A
+   faulty walk raises the first fault of its earliest faulty step, in the
+   step's check order (pages, then each region's slots and headers, DDR
+   first), and within one check that of the first entry in table order.
+   *The settle rule*: the rids the target handle's identity index holds
+   (one ``searchsorted``) go into the walk, and a tuple whose head is the
+   held rid is settled after its page is resolved, without a slot read or
+   a header probe, because it is unchanged.  The held version was visible
+   at the handle's snapshot, so its creator had committed; it is still the
+   head, so nothing newer exists (lids are never reused, an abort rolls a
+   head back to the version it replaced, and no record is rewritten).  A
+   writer in flight at either snapshot is the head itself, so its tuple is
+   walked.  As a refresh reads no settled tuple's slot or header and
+   resolves no non-candidate's page, corruption there is found by the next
+   full materialization or host read.
+   The visible versions are then compared with the held rids.  A first
+   materialization or a stream passes an empty index, so nothing is
+   settled and every visible tuple counts as changed; a refresh also
+   charges each PE an 8-byte index probe per walked tuple and collects the
+   held tuples no longer visible.  The walk returns the changed tuples as
+   one ``ChangedRows`` table in walk order, each row tagged with the PE
+   that walked it, and the tuples whose head it could not see, which the
+   handle keeps.
 2. **Transform.**  On a first run a changed tuple stays on the PE that
    walked it; on a refresh the table, in PE-major walk order, is dealt
    round-robin again by one stable permutation.  The whole table is
@@ -177,14 +181,27 @@ def plan_scratchpad(schema: Schema, projection, scratchpad_bytes: int) -> dict:
     return partitions
 
 
+def checked_projection(schema: Schema, projection) -> tuple:
+    """``projection`` as a tuple of names: a ``MissingColumn`` if empty or
+    naming an attribute ``schema`` lacks, a ``DuplicateColumn`` if naming one twice."""
+    names = tuple(projection)
+    if not names:
+        raise MissingColumn("the projection names no attribute")
+    for k, name in enumerate(names):
+        if name not in schema.index_of:
+            raise MissingColumn(f"{name!r} not in schema {schema.table_name!r}")
+        if name in names[:k]:
+            raise DuplicateColumn(f"{name!r} named twice in the projection")
+    return names
+
+
 @dataclass
 class NdtInvocation:
     """Everything the device needs to run one transformation; a
     materialization's result pages are NVM, a stream's buffers DDR.
 
-    A projection that is empty, or names an attribute the schema lacks, is
-    a ``MissingColumn``, and one that names an attribute twice a
-    ``DuplicateColumn``, when the invocation is built: before any walk."""
+    A projection ``checked_projection`` refuses is refused when the
+    invocation is built: before any walk."""
 
     owner: str
     descriptor: SnapshotDescriptor
@@ -200,14 +217,8 @@ class NdtInvocation:
     proj_plan: tuple = field(init=False)        # derived from schema and projection
 
     def __post_init__(self):
-        if not self.projection:
-            raise MissingColumn("the projection names no attribute")
         plan = []
-        for k, name in enumerate(self.projection):
-            if name not in self.schema.index_of:
-                raise MissingColumn(f"{name!r} not in schema {self.schema.table_name!r}")
-            if name in self.projection[:k]:
-                raise DuplicateColumn(f"{name!r} named twice in the projection")
+        for name in checked_projection(self.schema, self.projection):
             idx = self.schema.index_of[name]
             attr = self.schema.attributes[idx]
             plan.append((idx, name, attr.ftype, attr.ftype.code, attr.nullable))
@@ -255,79 +266,77 @@ class IdentityIndex(NamedTuple):
         return np.where(self.vids[at] == vids, self.rids[at], _NOTHING)
 
 
-class PeJob:
-    """Mutable state of one PE's partitioned job."""
+class MapRows(NamedTuple):
+    """The frozen map's rows an invocation walks, PE after PE, each PE's in
+    vid order: identity, packed chain head and the PE that walks it."""
 
-    __slots__ = ("pe", "vids", "heads", "caps", "page_queue")
-
-    def __init__(self, pe: int, vids: np.ndarray, heads: np.ndarray, caps: dict):
-        self.pe = pe
-        self.vids = vids                            # uint64 tuples to walk
-        self.heads = heads                          # uint64 packed chain heads
-        self.caps = caps                            # (name, kind) -> partition bytes
-        self.page_queue = deque()
+    vids: np.ndarray            # uint64
+    heads: np.ndarray           # uint64 packed chain head
+    pes: np.ndarray             # int64 walking PE, ascending
 
 
-def schedule(inv: NdtInvocation, device: Device, candidates: np.ndarray = None) -> list:
-    """Build PE jobs: map entries i-mod-n, result pages round-robin.
+class PeJob(NamedTuple):
+    """One PE's device state in an invocation."""
 
-    ``candidates``, sorted vids, limits the jobs to the entries of those
-    vids the frozen map holds; each stays on the PE of its row in the full
-    split, in vid order.  None takes every entry."""
+    pe: int
+    caps: dict                  # (name, kind) -> scratchpad partition bytes
+    page_queue: deque           # result pages not yet written
+
+
+def schedule(inv: NdtInvocation, device: Device, candidates: np.ndarray = None):
+    """Deal the frozen map's rows and the result pages over the PEs: row i
+    and page i go to PE i mod n.
+
+    ``candidates``, sorted vids, keeps only the rows of those vids the
+    frozen map holds, each on the PE of its row; None keeps every row.
+    Returns the PE jobs and the kept rows as one ``MapRows`` table."""
     if inv.pe_count > device.cfg.pe_count:
         raise TooManyPEsRequested(f"{inv.pe_count} PEs requested, device has {device.cfg.pe_count}")
     if inv.pe_count < 1:
         raise TooManyPEsRequested("need at least one PE")
     caps = plan_scratchpad(inv.schema, inv.projection, device.cfg.scratchpad_bytes)
     n = inv.pe_count
-    vids, heads = inv.vid_view["vid"], inv.vid_view["head"]
+    vids = inv.vid_view["vid"]
     if candidates is None:
-        jobs = [PeJob(pe, vids[pe::n], heads[pe::n], caps) for pe in range(n)]
+        rows = np.arange(len(vids))
     else:
         rows = np.searchsorted(vids, candidates)
         found = rows < len(vids)
         found[found] = vids[rows[found]] == candidates[found]
         rows = rows[found]
-        pes = rows % n
-        mine = [rows[pes == pe] for pe in range(n)]
-        jobs = [PeJob(pe, vids[at], heads[at], caps) for pe, at in enumerate(mine)]
+    pes = rows % n
+    order = np.argsort(pes.astype(np.uint8), kind="stable")     # PE-major, rows ascending
+    rows, pes = rows[order], pes[order]
+    jobs = [PeJob(pe, caps, deque()) for pe in range(n)]
     for j, idx in enumerate(inv.result_pages):
         jobs[j % n].page_queue.append(idx)
-    return jobs
+    return jobs, MapRows(vids[rows], inv.vid_view["head"][rows], pes)
 
 
 _NOTHING = np.uint64(RID_NONE)
 
 
-def pe_visibility_check(device: Device, pe: int, vids: np.ndarray, heads: np.ndarray,
+def pe_visibility_check(device: Device, pe, vids: np.ndarray, heads: np.ndarray,
                         snap: SnapshotDescriptor, l2p: PageTable, held: np.ndarray = None):
-    """In-situ visibility for one PE: walk its chains new-to-old over page bytes.
+    """In-situ visibility of the tuples ``pe`` walks (one PE for all, or one
+    per tuple): the frontier walk of the module docstring's step 1.
 
-    A frontier walk: each step takes every tuple not yet resolved, resolves
-    the pages of their current versions, reads the slots and probes the
-    headers, one region at a time.  A version is visible when its creator
-    precedes the caller and is not in flight.  A visible tombstone or the
-    end of a chain resolves to nothing; any other version moves on to its
-    ``pred``.  Creation timestamps must strictly decrease along a chain, so
-    a cycle fails within one lap.
-
+    A version is visible when its creator precedes the caller and is not in
+    flight.  A visible tombstone or the end of a chain resolves to nothing;
+    any other version moves on to its ``pred``.  Creation timestamps must
+    strictly decrease along a chain, so a cycle fails within one lap.
     ``held`` is, per tuple, the rid a refreshed handle holds (``RID_NONE``
-    where it holds none; None, as for a first materialization, holds
-    nothing).  A tuple whose head is its held rid is settled in the first
-    step: its page is resolved, so an unmapped page still raises
-    ``DanglingReference``, but its slot and header are not read, and it
-    resolves to the head (see the module docstring for why it is
-    unchanged).  Its region code is the page's, its offset and length 0.
-    A refresh passes only its candidates, so it checks no other tuple's
-    page mapping.
+    where it holds none; None holds nothing): a tuple whose head is its held
+    rid is settled by the settle rule and resolves to the head, with its
+    page's region code and offset and length 0.
 
-    Charges the modeled transfers (8B map entry per tuple, then 4B address
-    resolution per visited version, and 4B slot + 4B header probe per
-    visited version that is not settled) and returns (packed rid, region
-    code, record offset, record length, hidden) arrays, one entry per
-    tuple; the rid is ``RID_NONE`` where nothing is visible, and
-    ``hidden`` is True where the head itself is not visible (its creator
-    is in flight or not older than the caller).
+    Charges each tuple's PE the modeled transfers (8B map entry per tuple,
+    then 4B address resolution per visited version, and 4B slot + 4B
+    header probe per visited version that is not settled) and returns
+    (packed rid, region code, record offset, record length, hidden) arrays,
+    one entry per tuple; the rid is ``RID_NONE`` where nothing is visible,
+    and ``hidden`` is True where the head itself is not visible (its
+    creator is in flight or not older than the caller).
     """
     n = len(vids)
     rids = np.full(n, _NOTHING)
@@ -342,9 +351,10 @@ def pe_visibility_check(device: Device, pe: int, vids: np.ndarray, heads: np.nda
     in_flight = np.sort(np.fromiter(snap.in_flight, dtype=np.uint64, count=len(snap.in_flight)))
     live = np.flatnonzero(heads != _NOTHING)            # tuple index of each frontier entry
     packed = heads[live]
+    pes = np.broadcast_to(pe, n)[live]                  # the PE of each frontier entry
     newer_ts = None                                     # create_ts each entry was reached from
     while len(live):
-        device.pe_read_l2p(pe, len(live))
+        device.pe_read_l2p(pes, len(live))
         region, page = l2p.resolve(packed >> np.uint64(16))
         if region.max() == UNRESOLVED:
             k = np.flatnonzero(region == UNRESOLVED)[0]
@@ -356,7 +366,8 @@ def pe_visibility_check(device: Device, pe: int, vids: np.ndarray, heads: np.nda
                 at = live[settled]
                 rids[at], regions[at] = packed[settled], region[settled]
                 walked = ~settled
-                live, packed, region, page = (a[walked] for a in (live, packed, region, page))
+                live, packed, region, page, pes = (
+                    a[walked] for a in (live, packed, region, page, pes))
                 if not len(live):
                     break
         m = len(live)
@@ -370,9 +381,9 @@ def pe_visibility_check(device: Device, pe: int, vids: np.ndarray, heads: np.nda
         # interleaved rounds; the scatter was faster in at most 7/20).
         if max(counts) == m:
             code = counts.index(m)
-            off, length = device.pe_read_slot(pe, REGIONS[code], base, slot)
+            off, length = device.pe_read_slot(pes, REGIONS[code], base, slot)
             record = base + off
-            create_ts, pred, flags = device.pe_probe_header(pe, REGIONS[code], record)
+            create_ts, pred, flags = device.pe_probe_header(pes, REGIONS[code], record)
         else:
             record = np.empty(m, dtype=np.int64)
             length = np.empty(m, dtype=np.int64)
@@ -381,10 +392,11 @@ def pe_visibility_check(device: Device, pe: int, vids: np.ndarray, heads: np.nda
             flags = np.empty(m, dtype=np.uint8)
             for code in range(len(REGIONS)):       # each region holds entries here
                 rows = np.flatnonzero(region == code)
-                off, length[rows] = device.pe_read_slot(pe, REGIONS[code], base[rows], slot[rows])
+                off, length[rows] = device.pe_read_slot(pes[rows], REGIONS[code], base[rows],
+                                                        slot[rows])
                 record[rows] = base[rows] + off
                 create_ts[rows], pred[rows], flags[rows] = device.pe_probe_header(
-                    pe, REGIONS[code], record[rows])
+                    pes[rows], REGIONS[code], record[rows])
         if newer_ts is not None:
             bad = np.flatnonzero(create_ts >= newer_ts)
             if len(bad):
@@ -400,7 +412,7 @@ def pe_visibility_check(device: Device, pe: int, vids: np.ndarray, heads: np.nda
         rids[at], regions[at], offsets[at], lengths[at] = \
             packed[hit], region[hit], record[hit], length[hit]
         more = ~visible & (pred != _NOTHING)
-        live, packed, newer_ts = live[more], pred[more], create_ts[more]
+        live, packed, newer_ts, pes = live[more], pred[more], create_ts[more], pes[more]
     return rids, regions, offsets, lengths, hidden
 
 
@@ -537,37 +549,29 @@ def plan_flushes(job: PeJob, inv: NdtInvocation, columns, vids: np.ndarray, firs
 INDEX_PROBE_BYTES = 8               # handle identity-index lookup per walked tuple
 
 
-def walk(jobs, inv: NdtInvocation, device: Device, held: IdentityIndex, probe: bool):
-    """Step 1: visibility walk of the jobs' tuples, PE by PE in scheduled order.
+def walk(rows: MapRows, inv: NdtInvocation, device: Device, held: IdentityIndex, probe: bool):
+    """Step 1: the visibility walk of ``rows`` as one frontier
+    (``pe_visibility_check``), each row charged to its PE.
 
-    The jobs hold every tuple of the frozen map, or a refresh's candidates
-    (``refresh_candidates``).  ``held`` is the identity index of the target
-    handle.  Its rids go into ``pe_visibility_check``, which settles the
-    tuples whose head is the held rid without reading their slots or
-    headers.  Returns the visible versions that differ from the held ones
-    as one ``ChangedRows`` table, each row on the PE that walked it; the
-    held tuples with nothing visible as removed, one ``uint64`` array in
-    walk order; and the sorted vids whose head is not visible, which the
-    handle keeps as unsettled.  ``probe`` charges the index lookup (8 bytes
-    per walked tuple, settled or not).
+    ``held`` is the identity index of the target handle, whose rids settle
+    the tuples the settle rule of the module docstring names.  Returns the
+    visible versions that differ from the held ones as one ``ChangedRows``
+    table, in walk order; the held tuples with nothing visible as removed,
+    one ``uint64`` array in walk order; and the sorted vids whose head is
+    not visible, which the handle keeps as unsettled.  ``probe`` charges
+    each PE the index lookup (8 bytes per walked tuple, settled or not).
     """
-    found, keep, removed, hidden = [], [], [], []
-    for job in jobs:
-        old = held.rids_of(job.vids)
-        rids, regions, offsets, lengths, unseen = pe_visibility_check(
-            device, job.pe, job.vids, job.heads, inv.descriptor, inv.l2p_view, old)
-        visible = rids != _NOTHING
-        removed.append(job.vids[~visible & (old != _NOTHING)])
-        keep.append(visible & (rids != old))
-        hidden.append(job.vids[unseen])
-        if probe and len(job.vids):
-            device.ledger.charge(job.pe, "index_probe", len(job.vids),
-                                 device_internal_bytes_read=INDEX_PROBE_BYTES * len(job.vids))
-        found.append((job.vids, rids, regions, offsets, lengths,
-                      np.full(len(job.vids), job.pe, dtype=np.int64)))
-    changed = ChangedRows(*map(np.concatenate, zip(*found)))
-    return changed.take(np.concatenate(keep)), np.concatenate(removed), np.sort(
-        np.concatenate(hidden))
+    vids = rows.vids
+    old = held.rids_of(vids)
+    rids, regions, offsets, lengths, unseen = pe_visibility_check(
+        device, rows.pes, vids, rows.heads, inv.descriptor, inv.l2p_view, old)
+    if probe:
+        device.charge_by_pe(rows.pes, "index_probe", len(vids),
+                            device_internal_bytes_read=INDEX_PROBE_BYTES)
+    visible = rids != _NOTHING
+    changed = ChangedRows(vids, rids, regions, offsets, lengths, rows.pes)
+    return (changed.take(np.flatnonzero(visible & (rids != old))),
+            vids[~visible & (old != _NOTHING)], np.sort(vids[unseen]))
 
 
 def refresh_candidates(handle: "MaterializationHandle", inv: NdtInvocation,
@@ -577,13 +581,13 @@ def refresh_candidates(handle: "MaterializationHandle", inv: NdtInvocation,
     They are the vids whose map entry a propagation changed after the
     handle's snapshot and up to the invocation's (read off the device's
     change log), and the vids the handle's last walk left behind a head it
-    could not see.  Every other tuple is settled by construction: its head
-    is the one the last walk found visible, so it is visible still, and it
-    is the held version unless it is a tombstone the handle holds nothing
-    for.  When the log no longer reaches back to the handle's snapshot, or
-    the invocation's views are older than the handle's (a reader that
-    began later but prepared earlier), every vid of the frozen map is a
-    candidate.
+    could not see.  Every other tuple is settled by construction, as the
+    module docstring's step 1 says: its head is the one the last walk found
+    visible, so it is visible still, and it is the held version unless it
+    is a tombstone the handle holds nothing for.  When the log
+    no longer reaches back to the handle's snapshot, or the invocation's
+    views are older than the handle's (a reader that began later but
+    prepared earlier), every vid of the frozen map is a candidate.
     """
     changed = device.changed_between(handle.propagation, inv.propagation)
     if changed is None:
@@ -972,10 +976,10 @@ def run_invocation(inv: NdtInvocation, device: Device, grantor=None, consumer=No
             sink = StreamSink(device, inv, consumer) if stream else MaterializeSink(
                 device, partial(suspend_for_space, inv, device, grantor))
             refresh = handle is not None and handle.total_positions > 0   # else a first run
-            jobs = schedule(inv, device,
-                            refresh_candidates(handle, inv, device) if refresh else None)
+            jobs, rows = schedule(inv, device,
+                                  refresh_candidates(handle, inv, device) if refresh else None)
             held = handle.index if handle else IdentityIndex.empty()
-            changed, removed, unsettled = walk(jobs, inv, device, held, probe=refresh)
+            changed, removed, unsettled = walk(rows, inv, device, held, probe=refresh)
             if refresh:                 # deal the table round-robin again, stably
                 deal = np.arange(len(changed.vids)) % inv.pe_count
                 changed = changed._replace(pes=deal).take(np.argsort(deal, kind="stable"))

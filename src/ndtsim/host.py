@@ -32,9 +32,10 @@ from .engine import (
     MODE_MATERIALIZE,
     MODE_STREAM,
     NdtInvocation,
+    checked_projection,
     run_invocation,
 )
-from .errors import DuplicateColumn, InvalidConfig, MissingColumn, PoolExhausted, UnknownTx
+from .errors import InvalidConfig, MissingColumn, PoolExhausted, UnknownTx
 from .layout import (
     PAGE_SIZE,
     Decimal,
@@ -304,17 +305,10 @@ class HostSystem:
     # -- invocation lifecycle ------------------------------------------------------
 
     def _projection_names(self, projection) -> tuple:
-        """The attribute names of ``projection``, or of every attribute when
-        it is empty.  Raises ``MissingColumn`` for a name not in the schema
-        and ``DuplicateColumn`` for one named twice."""
-        names = tuple(projection) if projection else tuple(
-            a.name for a in self.schema.attributes)
-        for k, name in enumerate(names):
-            if name not in self.schema.index_of:
-                raise MissingColumn(f"{name!r} not in table schema")
-            if name in names[:k]:
-                raise DuplicateColumn(f"{name!r} named twice in the projection")
-        return names
+        """``projection`` as ``checked_projection`` checks it, or every
+        attribute when it is empty or None."""
+        names = projection or [attr.name for attr in self.schema.attributes]
+        return checked_projection(self.schema, names)
 
     def prepare_invocation(self, caller: int, projection=None, mode: str = MODE_MATERIALIZE,
                            pe_count: int = None, prior_handle=None) -> NdtInvocation:

@@ -161,3 +161,21 @@ def test_a_small_refresh_is_modeled_at_a_small_share_of_a_full_one(capsys):
     assert cli.main(["delta", "--sf", "3", "--delta-fractions", "1,100"]) == 0
     modeled = dict(re.findall(r"(\d+)%: appended .* modeled ([\d.]+) ms", capsys.readouterr().out))
     assert float(modeled["1"]) < 0.1 * float(modeled["100"])
+
+
+# The modeled times these commands print at sf 3: the ledger of every
+# invocation, summed.  A change to the device model or to what an invocation
+# charges moves them.
+MODELED_MS = [
+    (["transform", "--sf", "3", "--pe", "8"], ["8.404"]),
+    (["transform", "--sf", "3", "--pe", "1"], ["8.363"]),
+    (["transform", "--sf", "3", "--mode", "stream"], ["8.275"]),
+    (["delta", "--sf", "3", "--delta-fractions", "1,5,10,50,100"],
+     ["0.284", "0.611", "1.021", "4.326", "8.522"]),
+]
+
+
+@pytest.mark.parametrize("argv, modeled", MODELED_MS, ids=[" ".join(a) for a, _ in MODELED_MS])
+def test_modeled_times_are_pinned(argv, modeled, capsys):
+    assert cli.main(argv) == 0
+    assert re.findall(r"modeled (?:total: )?([\d.]+) ms", capsys.readouterr().out) == modeled

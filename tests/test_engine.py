@@ -48,18 +48,19 @@ def test_schedule_distributes_vids_and_pages():
     h = Harness(Schema("t", [("a", Int32(), False)]))
     h.install_rows({vid: (vid,) for vid in range(10)})
     inv = h.prepare(pe_count=4, pages=10)
-    jobs = schedule(inv, h.device)
-    assert [len(j.vids) for j in jobs] == [3, 3, 2, 2]
+    jobs, rows = schedule(inv, h.device)
+    assert rows.pes.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 3, 3]
     assert [len(j.page_queue) for j in jobs] == [3, 3, 2, 2]
-    # entry i lands on PE i mod 4, in enumeration order, with its chain head
+    # entry i lands on PE i mod 4, PE after PE, in enumeration order, with its chain head
+    assert rows.vids.dtype == rows.heads.dtype == np.uint64
     flat = inv.vid_view.tolist()
-    for pe, job in enumerate(jobs):
-        assert job.vids.dtype == job.heads.dtype == np.uint64
-        assert list(zip(job.vids.tolist(), job.heads.tolist())) == flat[pe::4]
+    assert list(zip(rows.vids.tolist(), rows.heads.tolist())) == [
+        entry for pe in range(4) for entry in flat[pe::4]]
     inv.pe_count = 1
-    assert [len(j.vids) for j in schedule(inv, h.device)] == [10]
+    assert schedule(inv, h.device)[1].pes.tolist() == [0] * 10
     empty = Harness(Schema("t", [("a", Int32(), False)])).prepare(pe_count=4, pages=0)
-    assert [len(j.vids) for j in schedule(empty, h.device)] == [0, 0, 0, 0]
+    jobs, rows = schedule(empty, h.device)
+    assert len(jobs) == 4 and len(rows.vids) == 0
 
 
 @pytest.mark.parametrize("projection, error, message", [

@@ -402,14 +402,15 @@ def test_scan_finds_a_second_record_packer(tmp_path):
 
 
 # The device's batch accessors and its page-table lookup serve a PE's whole
-# batch, its propagation merge a snapshot's whole vid-map delta, and the
-# engine's extraction (with the layout's field extractor) and flush planning
-# a batch of PEs' changed rows, with array operations, so per-record Python
-# (a comprehension over the batch) must not creep back into them.
+# batch, its propagation merge a snapshot's whole vid-map delta, the
+# engine's walk an invocation's whole frontier, and its extraction (with the
+# layout's field extractor) and flush planning a batch of PEs' changed rows,
+# with array operations, so per-record Python (a comprehension over the
+# batch) must not creep back into them.
 BATCH_ACCESSORS = (("device", "Device.pe_read_slot"), ("device", "Device.pe_probe_header"),
                    ("device", "Device.pe_read_records"), ("device", "Device.apply_propagation"),
                    ("device", "PageTable.resolve"), ("engine", "transform_record"),
-                   ("engine", "plan_flushes"), ("layout", "extract_fields"))
+                   ("engine", "plan_flushes"), ("engine", "walk"), ("layout", "extract_fields"))
 COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 

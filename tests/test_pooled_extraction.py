@@ -111,8 +111,8 @@ def _walked_jobs(schema, rows, pe_count: int, cold: int):
     if len(rows) > cold:
         h.install_rows({vid: row for vid, row in enumerate(rows[cold:], start=cold + 1)})
     inv = h.prepare(pe_count=pe_count, pages=4)
-    jobs = schedule(inv, h.device)
-    changed, _removed, _hidden = walk(jobs, inv, h.device, IdentityIndex.empty(), probe=False)
+    jobs, rows = schedule(inv, h.device)
+    changed, _removed, _hidden = walk(rows, inv, h.device, IdentityIndex.empty(), probe=False)
     return h, inv, jobs, changed
 
 
@@ -208,8 +208,8 @@ def test_a_corrupt_batch_raises_the_first_fault_in_check_order():
     h.install_rows({vid: (vid, "x" * vid) for vid in range(1, 9)})
     inv = h.prepare(pe_count=2, pages=4)
     _corrupt(h, inv, payload_vid=5, length_vid=4)                 # vid 5: PE 0, vid 4: PE 1
-    jobs = schedule(inv, h.device)
-    changed, _removed, _hidden = walk(jobs, inv, h.device, IdentityIndex.empty(), probe=False)
+    jobs, rows = schedule(inv, h.device)
+    changed, _removed, _hidden = walk(rows, inv, h.device, IdentityIndex.empty(), probe=False)
     assert changed.pes.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
     with pytest.raises(CorruptRecord) as pooled:
         transform_record(jobs, changed, inv, h.device)

@@ -60,14 +60,17 @@ def full_walk(device, pe, vids, heads, snap, l2p, held=None):
 
 def counting_walk(settled: dict):
     """``pe_visibility_check`` that adds, per PE, the tuples whose head is the
-    held rid and those of them in NVM to ``settled`` (pe -> [tuples, in NVM])."""
+    held rid and those of them in NVM to ``settled`` (pe -> [tuples, in NVM]);
+    ``pe`` is one PE per tuple."""
     def call(device, pe, vids, heads, snap, l2p, held=None):
         if held is not None:
             hit = (heads == held) & (heads != RID_NONE)
             region, _ = l2p.resolve(heads[hit] >> np.uint64(16))
-            counts = settled.setdefault(pe, [0, 0])
-            counts[0] += int(hit.sum())
-            counts[1] += int((region == NVM).sum())
+            for one in np.unique(pe[hit]).tolist():
+                mine = pe[hit] == one
+                counts = settled.setdefault(one, [0, 0])
+                counts[0] += int(mine.sum())
+                counts[1] += int((mine & (region == NVM)).sum())
         return SETTLED_WALK(device, pe, vids, heads, snap, l2p, held)
     return call
 

@@ -104,9 +104,9 @@ def test_walk_matches_oracle_with_exact_per_pe_charges(seed, snapshot):
     items = inv.vid_view.tolist()
     for pe_count in range(1, 9):
         inv.pe_count = pe_count
-        jobs = schedule(inv, h.device)
+        jobs, rows = schedule(inv, h.device)
         before = h.device.ledger.snapshot()
-        changed, removed, _hidden = walk(jobs, inv, h.device, IdentityIndex.empty(), probe=False)
+        changed, removed, _hidden = walk(rows, inv, h.device, IdentityIndex.empty(), probe=False)
         assert len(removed) == 0
         delta = h.device.ledger.delta_since(before)
 
@@ -133,7 +133,7 @@ def test_walk_matches_oracle_with_exact_per_pe_charges(seed, snapshot):
                 at, size = int(mine.offsets[k]), int(mine.lengths[k])
                 assert bytes(h.device.peek(region, at, size)) == h.shared.read_record(expected)
             assert rows == {}
-            n = len(job.vids)
+            n = len(items[job.pe::pe_count])
             ops = delta["pe_ops"].get(job.pe, {})
             want = {"vid_entry": n, "l2p": visits, "slot": visits, "probe": visits}
             assert ops == {op: count for op, count in want.items() if count}
