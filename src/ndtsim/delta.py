@@ -41,7 +41,6 @@ current rows to the new segment, so the view after it decodes nothing.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import chain, compress
 from typing import NamedTuple
 
@@ -58,7 +57,6 @@ from .columns import (
 )
 from .device import REGION_NVM, REQUESTER_COORD, REQUESTER_HOST
 from .engine import (
-    FragmentWriter,
     MaterializationHandle,
     NdtInvocation,
     Segment,
@@ -66,8 +64,9 @@ from .engine import (
     read_fragment,
     run_invocation,
     write_bitmap_pages,
+    write_fragment,
 )
-from .layout import TC_VARCHAR
+from .layout import PAGE_SIZE, TC_VARCHAR
 
 
 def read_segments(handle: MaterializationHandle, requester=REQUESTER_HOST) -> list:
@@ -180,12 +179,9 @@ def compact(handle: MaterializationHandle) -> MaterializationHandle:
     frags = {}
     try:
         for key, data in buffers.items():
-            writer = FragmentWriter(REGION_NVM)
-            if data:
-                pages = device.allocate_pages(REGION_NVM, writer.pages_needed(len(data)),
-                                              new_owner)
-                writer.append(device, REQUESTER_COORD, data, deque(pages))
-            frags[key] = writer.fragment()
+            pages = device.allocate_pages(REGION_NVM, -(-len(data) // PAGE_SIZE),
+                                          new_owner) if data else []
+            frags[key] = write_fragment(device, REGION_NVM, pages, data, REQUESTER_COORD)
         bitmap_pages = write_bitmap_pages(device, new_owner, [], current)
     except BaseException:
         device.free_pages(new_owner)

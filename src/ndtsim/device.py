@@ -14,7 +14,10 @@ Byte movement comes in two flavors:
 
 * raw region reads/writes (``read``/``write``) charge exactly the bytes
   they move — the conservation invariant holds over these.  Writes are
-  device-internal: host bytes come by propagation and invocation commands;
+  device-internal: host bytes come by propagation and invocation commands.
+  ``read_pages`` reads a run of pages and charges it as one ``read`` per
+  page would; ``write_pages`` writes a run of pages and charges nothing,
+  for callers that charge a whole batch of writes at once;
 * fine-grained navigation accessors (``pe_read_vid_entry``, ``pe_read_l2p``,
   ``pe_read_slot``, ``pe_probe_header``) charge the fixed modeled transfer
   sizes of the movement model (8B map entry, 4B address resolution, 4B slot,
@@ -486,6 +489,26 @@ class Device:
         spans = [view[idx * PAGE_SIZE:(idx + 1) * PAGE_SIZE] for idx in pages]
         spans[-1] = spans[-1][:tail]
         return b"".join(spans)
+
+    def write_pages(self, region: str, pages, data):
+        """Write ``data`` onto ``pages`` of ``region``, in page order, as a
+        fragment lies: the pages but the last whole, and the rest onto the
+        start of the last.  One range check for the run, then one copy per
+        page.  It charges nothing: its caller charges the writes the run
+        stands for in one batch (``engine.flush_partition``,
+        ``engine.write_fragment``)."""
+        count, nbytes = len(pages), len(data)
+        buf = self._region(region)
+        tail = nbytes - (count - 1) * PAGE_SIZE         # bytes onto the last page
+        if not count or min(pages) < 0 or max(pages) >= len(buf) // PAGE_SIZE \
+                or not 0 < tail <= PAGE_SIZE:
+            raise OutOfRange(f"{region} pages {list(pages)} do not hold {nbytes} bytes "
+                             f"within {len(buf)}")
+        source = memoryview(data)
+        for k, idx in enumerate(pages):
+            at = idx * PAGE_SIZE
+            piece = source[k * PAGE_SIZE:(k + 1) * PAGE_SIZE]
+            buf[at:at + len(piece)] = piece
 
     def peek(self, region: str, offset: int, length: int) -> memoryview:
         """Uncharged view for host-oracle and test inspection only."""

@@ -52,12 +52,16 @@ refresh of an existing materialization -- runs one pipeline:
    payload is the bytes of its located ranges.  No byte past a record's
    own length is read.
    Each projected attribute becomes value/validity/offset columns, a NULL
-   a zeroed slot with a clear validity bit.  Each PE then plans, on its
-   own slice of the table and from its scratchpad partition capacities,
-   where each partition would flush: fixed-size elements at closed-form
-   rows, varchar payloads greedily (one that does not fit flushes the
-   partition first, one larger than the partition is then spilled on its
-   own).
+   a zeroed slot with a clear validity bit.  Every PE's flushes are then
+   planned at once (``plan_flushes``), each PE on its own slice of the
+   table and from its scratchpad partition capacities.  A PE's partition
+   buffers are made once (views of the columns, or its validity bits,
+   offsets and identity vector), and each flush is one row of integer
+   arrays (round, PE, position, partition, byte range) into them:
+   fixed-size elements flush at closed-form rows, every element
+   partition's in one expansion, and varchar payloads fill greedily (one
+   that does not fit flushes the partition first, one larger than the
+   partition is then spilled on its own).
 3. **Append** (materializing sinks only).  Unused result pages are freed
    and the rest join the handle, whose identity index is three arrays
    sorted by vid (vid, position, rid) beside one boolean per position.
@@ -69,14 +73,20 @@ in flight for the whole call, so no merge moves the pages its frozen views
 point at, and steps 1 and 2 run inside one failure guard: when either
 raises, every page the invocation owns goes back to the pool.
 
-The flushes reach the sinks in the order of a deterministic coordinator
-that drives the PEs round-robin one tuple at a time: every flush is tagged
+The flushes take effect in the order of a deterministic coordinator that
+drives the PEs round-robin one tuple at a time: every flush is tagged
 (round = the row of its job during which it happens, PE, position within
 that row), a job's final flushes come in the round after its last row,
-and the merged tags are replayed in order.  A flush that runs out of
-result pages calls the host for more (one round-trip) and then goes on.
-Page grants, fragment placement and stream-buffer rotation are therefore
-those of any legal parallel execution of the same jobs.
+and ``run_jobs`` puts all PEs' flushes in that order with one sort.  The
+sink then places the ordered table at once.  A materialization's
+fragments take their pages from each PE's queue in that order, and at a
+flush that runs out of result pages the PE calls the host for more (one
+round-trip) before any later flush takes a page.  A stream's flushes fill
+its buffers back to back, and each buffer is pulled before its pages are
+written again.  Either charges each PE, once per operation, what flushing
+one at a time, page piece by page piece, would (``flush_partition``).
+Page grants, fragment placement, stream-buffer rotation and the ledger
+are therefore those of any legal parallel execution of the same jobs.
 
 Every result carries an implicit leading identity column (``__vid``,
 u64) so results can be compared canonically and materializations can be
@@ -87,7 +97,6 @@ end.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
@@ -106,7 +115,6 @@ from .columns import (
     assemble,
     pack_bits,
     result_specs,
-    varchar_offsets,
     visibility_words,
 )
 from .device import (
@@ -280,7 +288,7 @@ class PeJob(NamedTuple):
 
     pe: int
     caps: dict                  # (name, kind) -> scratchpad partition bytes
-    page_queue: deque           # result pages not yet written
+    page_queue: list            # result pages not yet written
 
 
 def schedule(inv: NdtInvocation, device: Device, candidates: np.ndarray = None):
@@ -307,9 +315,7 @@ def schedule(inv: NdtInvocation, device: Device, candidates: np.ndarray = None):
     pes = rows % n
     order = np.argsort(pes.astype(np.uint8), kind="stable")     # PE-major, rows ascending
     rows, pes = rows[order], pes[order]
-    jobs = [PeJob(pe, caps, deque()) for pe in range(n)]
-    for j, idx in enumerate(inv.result_pages):
-        jobs[j % n].page_queue.append(idx)
+    jobs = [PeJob(pe, caps, list(inv.result_pages[pe::n])) for pe in range(n)]
     return jobs, MapRows(vids[rows], inv.vid_view["head"][rows], pes)
 
 
@@ -424,68 +430,175 @@ _FLUSH_VALUES, _SPILL_VALUE, _FLUSH_OFFSETS, _FLUSH_VALIDITY = range(4)
 _FLUSHES_PER_ATTR = 4
 
 
-def _element_flushes(data: np.ndarray, width: int, cap: int, count: int, row_of,
-                     position: int):
-    """Flushes of a partition filled with ``count`` elements of ``width`` bytes.
+class FlushPlan(NamedTuple):
+    """An invocation's planned partition flushes (``plan_flushes``).
 
-    A full partition (capacities are whole elements) is flushed just before
-    the next element enters, during row ``row_of(e)`` of element e.
-    Returns [(row, position, bytes)] and the bytes left for the final flush.
+    Partition ``k * n + pe`` of ``n`` PEs is key ``keys[k]`` of PE ``pe``,
+    the keys in final-flush order, and ``buffers`` holds its bytes, once.
+    A flush is one entry of the six int64 arrays: during row ``rounds`` of
+    its job and at ``positions`` within that row, PE ``pes`` spills bytes
+    [``starts``, ``ends``) of partition ``partitions``.  A partition's
+    flushes cover its buffer from the start, in coordinator order; a PE
+    without rows has none.
     """
-    per = cap // width
-    mid = [(row_of(e), position, data[(e - per) * width:e * width])
-           for e in range(per, count, per)]
-    return mid, data[(count - 1) // per * per * width:count * width]
+
+    keys: list                  # (name, kind) of each partition key
+    buffers: list               # uint8 bytes of each partition
+    rounds: np.ndarray
+    pes: np.ndarray
+    positions: np.ndarray
+    partitions: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+
+    def take(self, index) -> "FlushPlan":
+        return FlushPlan(self.keys, self.buffers, *(column[index] for column in self[2:]))
 
 
-def _payload_flushes(payload: np.ndarray, sizes: np.ndarray, cap: int):
-    """Flushes of a varchar value partition; ``sizes`` holds one payload per row.
+def _element_flushes(counts, widths, caps, scales, shifts):
+    """Mid-run flushes of element partitions, all at once: partition i
+    fills with ``counts[i]`` elements of ``widths[i]`` bytes, and when full
+    (capacities are whole elements) is flushed just before the next element
+    enters, during row ``scales[i] * e + shifts[i]`` of element e.
+
+    Returns each flush's partition, row, start and end, and the start of
+    what each partition leaves for its final flush.
+    """
+    per = caps // widths
+    mids = np.maximum(counts - 1, 0) // per
+    part = np.repeat(np.arange(len(counts)), mids)
+    e = (np.arange(len(part)) - np.repeat(np.cumsum(mids) - mids, mids) + 1) * per[part]
+    ends = e * widths[part]
+    return part, scales[part] * e + shifts[part], ends - per[part] * widths[part], ends, \
+        mids * per * widths
+
+
+def _payload_flushes(ends: np.ndarray, edges: list, cap: int, position: int, key: int,
+                     out: list) -> np.ndarray:
+    """Flushes of each PE's value partition of one varchar column, filled
+    with its rows' payloads: row r's is bytes [ends[r], ends[r + 1]) of the
+    column, and PE pe holds rows [edges[pe], edges[pe + 1]).
 
     Payloads enter whole; empty ones emit nothing.  One that does not fit
     flushes the partition first, and one larger than the partition is then
-    spilled on its own.  Returns [(row, position, bytes)] and the bytes left
-    for the final flush.
+    spilled on its own.  Appends each flush to ``out`` as (round, PE,
+    position, partition, start, end), bytes counted within the PE's
+    partition, and returns where each PE's final flush starts.  Each fill
+    starts where the last one stopped, so the loop runs once per flush, on
+    one ``searchsorted`` for the first row that does not fit.  Finding
+    every fill at once by pointer doubling took 1.06 ms against this loop's
+    0.09 ms (8 partitions of 3750 payloads), as it searches from every
+    payload, not from the dozen a partition flushes at.
     """
-    rows = np.flatnonzero(sizes)
-    ends = np.concatenate(([0], np.cumsum(sizes[rows])))
-    out = []
-    i = 0
-    while i < len(rows):
-        if ends[i + 1] - ends[i] > cap:
-            out.append((rows[i], _SPILL_VALUE, payload[ends[i]:ends[i + 1]]))
-            i += 1
-            continue
-        j = int(np.searchsorted(ends, ends[i] + cap, side="right")) - 1   # [i, j) fit
-        if j >= len(rows):
-            break
-        out.append((rows[j], _FLUSH_VALUES, payload[ends[i]:ends[j]]))
-        i = j
-    return out, payload[ends[i]:ends[-1]]
+    n = len(edges) - 1
+    tails = np.zeros(n, dtype=np.int64)
+    search = ends.searchsorted
+    for pe in range(n):
+        first, last = edges[pe], edges[pe + 1]
+        base = start = int(ends[first])
+        while True:
+            row = int(search(start + cap, "right")) - 1     # its payload ends past the fill
+            if row >= last:
+                break
+            at = int(ends[row])
+            if at == start:                                 # alone, it is larger than the fill
+                at = int(ends[row + 1])
+                out += (row - first, pe, position + _SPILL_VALUE, key * n + pe, start - base,
+                        at - base)
+            else:
+                out += (row - first, pe, position + _FLUSH_VALUES, key * n + pe, start - base,
+                        at - base)
+            start = at
+        tails[pe] = start - base
+    return tails
 
 
-def flush_partition(job: PeJob, device: Device, sink, key, data: bytes):
-    """Spill one planned partition flush to its destination."""
-    device.ledger.charge(job.pe, "flush")
-    sink.emit(job, key, data)
+def plan_flushes(jobs, inv: NdtInvocation, columns, vids: np.ndarray,
+                 bounds: np.ndarray) -> FlushPlan:
+    """Plan every PE's flushes from its partition capacities, at once: PE
+    ``pe`` holds rows [bounds[pe], bounds[pe + 1]) of the extracted
+    ``columns`` and of ``vids``.
+
+    Each PE's partition buffers are views of the columns, or made once
+    (validity bits, offsets, identity vector).  Fixed-size elements flush
+    at closed-form rows, every element partition's in one expansion;
+    varchar payloads fill greedily (``_payload_flushes``).  The final
+    flushes (values, validity, offsets per attribute, then the identity
+    column) come in the round after the PE's last row, one per partition
+    with bytes left, at the partition's key index; a PE without rows
+    flushes nothing.
+    """
+    n = len(jobs)
+    caps = jobs[0].caps
+    edges, rows = bounds.tolist(), np.diff(bounds)
+    cuts = bounds[1:-1]                         # where each PE's rows start, but the first's
+    keys, buffers = [], []
+    elements = []           # per element key: key index, width, cap, row scale and shift, position
+    tails = {}              # per other key: where each PE's final flush starts
+    filled = []             # varchar value flushes, six ints each as a ``FlushPlan`` row
+    for slot, (_attr_idx, name, ftype, code, nullable) in enumerate(inv.proj_plan):
+        column = columns[slot]
+        base = _FLUSHES_PER_ATTR * slot
+        if code == TC_VARCHAR:
+            tails[len(keys)] = _payload_flushes(column.ends, edges, caps[name, KIND_VALUES],
+                                                base, len(keys), filled)
+            buffers += np.split(column.data, column.ends[cuts])
+        else:
+            elements.append((len(keys), ftype.width, caps[name, KIND_VALUES], 1, 0,
+                             base + _FLUSH_VALUES))
+            buffers += np.split(column.data.view(np.uint8), cuts * ftype.width)
+        keys.append((name, KIND_VALUES))
+        if nullable:
+            elements.append((len(keys), VALIDITY_DTYPE.itemsize, caps[name, KIND_VALIDITY], 8, 0,
+                             base + _FLUSH_VALIDITY))
+            buffers += map(pack_bits, np.split(column.present, cuts))
+            keys.append((name, KIND_VALIDITY))
+        if code == TC_VARCHAR:
+            elements.append((len(keys), OFFSETS_DTYPE.itemsize, caps[name, KIND_OFFSETS], 1, -1,
+                             base + _FLUSH_OFFSETS))
+            for first, last in zip(edges, edges[1:]):
+                ends = column.ends[first:last + 1]
+                buffers.append((ends - ends[0]).astype(OFFSETS_DTYPE).view(np.uint8))
+            keys.append((name, KIND_OFFSETS))
+    tails[len(keys)] = np.zeros(n, dtype=np.int64)      # the identity column: whole at job end
+    buffers += np.split(vids.astype(VID_DTYPE).view(np.uint8), cuts * VID_DTYPE.itemsize)
+    keys.append((VID_COLUMN, KIND_VALUES))
+
+    length = np.fromiter(map(len, buffers), dtype=np.int64, count=len(buffers))
+    length[np.tile(rows == 0, len(keys))] = 0          # a PE without rows flushes nothing
+    tail = np.empty((len(keys), n), dtype=np.int64)
+    for k, starts in tails.items():
+        tail[k] = starts
+    spec = np.array(elements, dtype=np.int64)          # every attribute has an element key
+    key, width, cap, scale, shift, position = np.repeat(spec, n, axis=0).T
+    pes = np.tile(np.arange(n), len(spec))
+    counts = length.reshape(len(keys), n)[spec[:, 0]].ravel() // width
+    part, row, start, end, tail[key, pes] = _element_flushes(counts, width, cap, scale, shift)
+    mids = np.column_stack((row, pes[part], position[part], key[part] * n + pes[part], start, end))
+    tail = tail.ravel()
+    last = np.flatnonzero(length > tail)               # the partitions with bytes left
+    finals = np.column_stack((rows[last % n], last % n, last // n, last, tail[last], length[last]))
+    filled = np.array(filled, dtype=np.int64).reshape(-1, 6)
+    return FlushPlan(keys, buffers, *np.concatenate((mids, filled, finals)).T)
 
 
-def transform_record(jobs, changed: ChangedRows, inv: NdtInvocation, device: Device) -> list:
+def transform_record(jobs, changed: ChangedRows, inv: NdtInvocation, device: Device):
     """Step 2: transform the invocation's changed tuples at once, then plan
-    each PE's flushes on its slice of them.
+    every PE's flushes on its slice of them.
 
     The whole table is loaded in one device read
     (``Device.pe_read_records``), which checks the records' ranges and
     charges each PE its own, and read in place by one
     ``layout.extract_fields``, which checks each record's header, fixed
     fields and varlen fields before it reads them; timestamps are then
-    converted to epoch seconds.  Returns the flushes, PE after PE, as
-    ``plan_flushes`` gives them.  A bad batch raises the first fault in the
-    order those checks document, whichever PE holds the record.  Nothing
-    viewing a region outlives the call, so a space grant during the flush
-    replay may grow a region.
+    converted to epoch seconds.  Returns the ``plan_flushes`` plan, or None
+    when there is nothing to transform.  A bad batch raises the first fault
+    in the order those checks document, whichever PE holds the record.
+    The plan views no region, so a space grant while the flushes are placed
+    may grow one.
     """
     if not len(changed.vids):
-        return []
+        return None
     buffers = device.pe_read_records(changed.pes, changed.regions, changed.offsets,
                                      changed.lengths)
     columns = extract_fields(inv.schema, buffers, changed.regions, changed.offsets,
@@ -495,55 +608,8 @@ def transform_record(jobs, changed: ChangedRows, inv: NdtInvocation, device: Dev
             present, values = columns[slot].present, columns[slot].data
             columns[slot] = columns[slot]._replace(
                 data=np.where(present, pg_timestamp_to_unix_epoch(values), 0))
-    bounds = np.searchsorted(changed.pes, np.arange(len(jobs) + 1)).tolist()
-    flushes = []
-    for job, first, end in zip(jobs, bounds, bounds[1:]):
-        flushes += plan_flushes(job, inv, columns, changed.vids, first, end)
-    return flushes
-
-
-def plan_flushes(job: PeJob, inv: NdtInvocation, columns, vids: np.ndarray, first: int,
-                 end: int) -> list:
-    """The flushes of ``job``, whose rows are [first, end) of the extracted
-    ``columns`` and of ``vids``, planned from its partition capacities.
-
-    Returns (round, PE, position, key, bytes) tuples, where round is the
-    row during which the flush happens; the final flushes (values,
-    validity, offsets per attribute, then the identity column) come in the
-    round after the last row.
-    """
-    n = end - first
-    if n == 0:
-        return []
-    flushes, tails = [], []
-    for slot, (attr_idx, name, ftype, code, nullable) in enumerate(inv.proj_plan):
-        present, data, sizes = columns[slot].rows(first, end)
-        planned = {}                # kind -> (mid-run flushes, tail), in final-flush order
-        if code == TC_VARCHAR:
-            planned[KIND_VALUES] = _payload_flushes(data, sizes, job.caps[name, KIND_VALUES])
-        else:
-            planned[KIND_VALUES] = _element_flushes(
-                data, ftype.width, job.caps[name, KIND_VALUES], n, lambda e: e, _FLUSH_VALUES)
-        if nullable:
-            bits = pack_bits(present)
-            planned[KIND_VALIDITY] = _element_flushes(
-                bits, VALIDITY_DTYPE.itemsize, job.caps[name, KIND_VALIDITY], len(bits),
-                lambda e: 8 * e, _FLUSH_VALIDITY)
-        if code == TC_VARCHAR:
-            offsets = varchar_offsets(sizes).view(np.uint8)
-            planned[KIND_OFFSETS] = _element_flushes(
-                offsets, OFFSETS_DTYPE.itemsize, job.caps[name, KIND_OFFSETS], n + 1,
-                lambda e: e - 1, _FLUSH_OFFSETS)
-        for kind, (mid, tail) in planned.items():
-            for row, position, piece in mid:
-                flushes.append((row, job.pe, _FLUSHES_PER_ATTR * slot + position, (name, kind),
-                                piece.tobytes()))
-            tails.append(((name, kind), tail))
-    tails.append(((VID_COLUMN, KIND_VALUES), vids[first:end].astype(VID_DTYPE).view(np.uint8)))
-    for position, (key, data) in enumerate(tails):
-        if len(data):
-            flushes.append((n, job.pe, position, key, data.tobytes()))
-    return flushes
+    bounds = np.searchsorted(changed.pes, np.arange(len(jobs) + 1))
+    return plan_flushes(jobs, inv, columns, changed.vids, bounds)
 
 
 INDEX_PROBE_BYTES = 8               # handle identity-index lookup per walked tuple
@@ -609,53 +675,38 @@ def suspend_for_space(inv: NdtInvocation, device: Device, grantor, job: PeJob, c
 
 
 def run_jobs(jobs, changed: ChangedRows, inv: NdtInvocation, device: Device, sink):
-    """Transform the changed rows in one pass (``transform_record``), then
-    replay the flushes in coordinator order.
+    """Transform the changed rows in one pass (``transform_record``), merge
+    every PE's flushes into coordinator order with one sort (round, then
+    PE, then position within the row: PEs driven round-robin one tuple at a
+    time) and have the sink place them at once."""
+    plan = transform_record(jobs, changed, inv, device)
+    if plan is not None:
+        sink.place(jobs, plan.take(np.lexsort((plan.positions, plan.pes, plan.rounds))))
 
-    The order is that of PEs driven round-robin one tuple at a time
-    (round, then PE, then position within the row).
+
+def flush_partition(device: Device, region: str, pes: np.ndarray, starts: np.ndarray,
+                    ends: np.ndarray):
+    """Charge the PEs for spilling planned partition flushes: flush k, made
+    by PE ``pes[k]``, writes bytes [starts[k], ends[k]) of a result laid
+    over whole pages of ``region``.
+
+    Each flush costs its PE one ``flush`` and one write per page it
+    touches (a piece of at most a page, with its bytes and, in NVM, one
+    NVM write): what writing each flush page piece by page piece charges.
+    One ``charge_by_pe`` per operation, for every PE at once.
     """
-    flushes = transform_record(jobs, changed, inv, device)
-    flushes.sort(key=itemgetter(0, 1, 2))
-    for _round, pe, _position, key, data in flushes:
-        flush_partition(jobs[pe], device, sink, key, data)
+    first = starts // PAGE_SIZE
+    pieces = (ends - 1) // PAGE_SIZE - first + 1
+    flush = np.repeat(np.arange(len(pes)), pieces)
+    page = first[flush] + np.arange(len(flush)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    written = (np.minimum(ends[flush], (page + 1) * PAGE_SIZE)
+               - np.maximum(starts[flush], page * PAGE_SIZE))
+    device.charge_by_pe(pes, "flush", len(pes))
+    device.charge_by_pe(pes[flush], "write", len(flush), device_internal_bytes_written=written,
+                        nvm_writes=region == REGION_NVM)
 
 
 # -- result sinks ---------------------------------------------------------------
-
-
-class FragmentWriter:
-    """Append-only byte run across result pages; pages fill completely."""
-
-    __slots__ = ("region", "pages", "room", "total")
-
-    def __init__(self, region: str):
-        self.region = region
-        self.pages = []
-        self.room = 0
-        self.total = 0
-
-    def pages_needed(self, nbytes: int) -> int:
-        if nbytes <= self.room:
-            return 0
-        return -(-(nbytes - self.room) // PAGE_SIZE)
-
-    def append(self, device: Device, requester, data, page_queue):
-        mv = memoryview(data)
-        pos = 0
-        while pos < len(data):
-            if self.room == 0:
-                self.pages.append(page_queue.popleft())
-                self.room = PAGE_SIZE
-            take = min(self.room, len(data) - pos)
-            offset = self.pages[-1] * PAGE_SIZE + (PAGE_SIZE - self.room)
-            device.write(self.region, offset, mv[pos:pos + take], requester)
-            pos += take
-            self.room -= take
-            self.total += take
-
-    def fragment(self) -> "Fragment":
-        return Fragment(self.region, tuple(self.pages), self.total)
 
 
 @dataclass(frozen=True)
@@ -663,6 +714,19 @@ class Fragment:
     region: str
     pages: tuple
     nbytes: int
+
+
+def write_fragment(device: Device, region: str, pages, data, requester) -> Fragment:
+    """Write ``data`` as one fragment onto ``pages``, which it fills but the
+    last, in one ``Device.write_pages``, and charge ``requester`` what
+    writing it page by page does: one write per page, its bytes, and in
+    NVM one NVM write per page."""
+    if len(data):
+        device.write_pages(region, pages, data)
+        device.ledger.charge(requester, "write", len(pages),
+                             device_internal_bytes_written=len(data),
+                             nvm_writes=len(pages) if region == REGION_NVM else 0)
+    return Fragment(region, tuple(pages), len(data))
 
 
 def read_fragment(device: Device, frag: Fragment, requester=REQUESTER_HOST) -> bytes:
@@ -681,30 +745,97 @@ class Segment:
     frags: dict                   # (name, kind) -> Fragment
 
 
+def _running_by_pe(pes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """At each entry, the sum of ``values`` over its PE's entries so far."""
+    order = np.argsort(pes, kind="stable")
+    total = np.cumsum(values[order])
+    counts = np.bincount(pes)
+    before = np.concatenate(([0], total))[np.cumsum(counts) - counts]
+    running = np.empty_like(total)
+    running[order] = total - np.repeat(before, counts)
+    return running
+
+
 class MaterializeSink:
-    """Routes flushed partitions into per-(PE, column, kind) page chains of
-    NVM result pages; ``more_pages(job, count)`` adds ``count`` pages to a
-    job's queue."""
+    """Places an invocation's flushes on NVM result pages: one fragment per
+    (PE, column, kind), whose pages its PE takes from its queue in replay
+    order; ``more_pages(job, count)`` adds ``count`` pages to a job's
+    queue."""
 
     def __init__(self, device: Device, more_pages):
         self.device = device
         self.more_pages = more_pages
-        self.writers = {}
+        self.fragments = {}           # (pe, (name, kind)) -> Fragment, in first-flush order
 
-    def emit(self, job: PeJob, key, data):
-        writer = self.writers.get((job.pe, key))
-        if writer is None:
-            writer = FragmentWriter(REGION_NVM)
-            self.writers[(job.pe, key)] = writer
-        while writer.pages_needed(len(data)) > len(job.page_queue):
-            self.more_pages(job, writer.pages_needed(len(data)) - len(job.page_queue))
-        writer.append(self.device, job.pe, data, job.page_queue)
+    def place(self, jobs, plan: FlushPlan):
+        """Place ``plan``'s flushes, in coordinator order, at once.
+
+        A partition's flushes fill its fragment's pages completely, so a
+        flush of bytes [start, end) opens ceil(end / PAGE_SIZE) -
+        ceil(start / PAGE_SIZE) pages, which its PE takes next from its
+        queue.  Only at a flush where a PE's running demand passes its
+        queue does the PE ask the host for the pages it lacks, in replay
+        order, by a loop over those shortages alone.  When a request
+        raises, what the flushes before the short one wrote is placed and
+        charged, and the short one's ``flush``, as a one-at-a-time replay
+        leaves it.
+        """
+        pes = plan.pes
+        opened = -plan.starts // PAGE_SIZE - -plan.ends // PAGE_SIZE     # ceil(end) - ceil(start)
+        demand = _running_by_pe(pes, opened)
+        supply = np.zeros(len(jobs), dtype=np.int64)
+        for job in jobs:
+            supply[job.pe] = len(job.page_queue)
+        row = 0
+        try:
+            while True:
+                short = np.flatnonzero(demand[row:] > supply[pes[row:]])
+                if not len(short):
+                    break
+                row += int(short[0])
+                job = jobs[pes[row]]
+                self.more_pages(job, int(demand[row] - supply[job.pe]))
+                supply[job.pe] = len(job.page_queue)
+        except BaseException:
+            self._land(jobs, plan, opened, row)
+            self.device.ledger.charge(int(pes[row]), "flush")
+            raise
+        self._land(jobs, plan, opened, len(pes))
+
+    def _land(self, jobs, plan: FlushPlan, opened: np.ndarray, count: int):
+        """Charge and write the first ``count`` flushes of ``plan``: each PE
+        takes the pages they open off the front of its queue, and each
+        partition's written bytes go onto its pages in one
+        ``Device.write_pages``, in order of first flush."""
+        pes, parts, ends = plan.pes[:count], plan.partitions[:count], plan.ends[:count]
+        opened = opened[:count]
+        flush_partition(self.device, REGION_NVM, pes, plan.starts[:count], ends)
+        n = len(jobs)
+        order = np.argsort(pes, kind="stable")
+        owners = np.repeat(parts[order], opened[order])     # partition of each page, PE after PE
+        pages = np.empty(len(owners), dtype=np.int64)
+        at = 0
+        for job, taken in zip(jobs, np.bincount(pes, opened, minlength=n).astype(int).tolist()):
+            pages[at:at + taken] = job.page_queue[:taken]
+            del job.page_queue[:taken]
+            at += taken
+        pages = pages[np.argsort(owners, kind="stable")].tolist()      # partition after partition
+        runs = np.concatenate(([0], np.cumsum(np.bincount(owners, minlength=len(plan.buffers)))))
+        runs = runs.tolist()
+        extent = np.zeros(len(plan.buffers), dtype=np.int64)
+        np.maximum.at(extent, parts, ends)
+        extent = extent.tolist()
+        placed, first = np.unique(parts, return_index=True)
+        for part in placed[np.argsort(first)].tolist():
+            run = tuple(pages[runs[part]:runs[part + 1]])
+            self.device.write_pages(REGION_NVM, run, plan.buffers[part][:extent[part]])
+            self.fragments[part % n, plan.keys[part // n]] = Fragment(REGION_NVM, run,
+                                                                      extent[part])
 
     def segments(self, counts, run: int) -> list:
-        """One segment per PE with rows (``counts[pe]`` of them): the
-        fragments of its writers."""
-        return [Segment(run, pe, rows, {key: writer.fragment() for (owner, key), writer
-                                        in self.writers.items() if owner == pe})
+        """One segment per PE with rows (``counts[pe]`` of them): its fragments."""
+        return [Segment(run, pe, rows, {key: frag for (owner, key), frag
+                                        in self.fragments.items() if owner == pe})
                 for pe, rows in enumerate(counts) if rows]
 
 
@@ -736,45 +867,51 @@ class StreamSink:
             for i in range(cfg.stream_buffer_count)
         ]
         device.expose_to_host((REGION_DDR, idx) for idx in inv.stream_pages)
-        self.current = 0
-        self.writer = FragmentWriter(REGION_DDR)    # the current buffer's bytes so far
-        self.free = deque(self.buffers[0])          # and its pages not yet written
-        self.pending = []             # (pe, key, length) in write order
         self.batches = []
 
-    def emit(self, job: PeJob, key, data):
-        mv = memoryview(data)
-        pos = 0
-        while pos < len(data):
-            room = self.buffer_bytes - self.writer.total
-            if room == 0:
-                self._deliver()
-                room = self.buffer_bytes
-            take = min(room, len(data) - pos)
-            self.writer.append(self.device, job.pe, mv[pos:pos + take], self.free)
-            self.pending.append((job.pe, key, take))
-            pos += take
+    def place(self, jobs, plan: FlushPlan):
+        """Place ``plan``'s flushes, in coordinator order, at once: back to
+        back, they fill the buffers in turn, and each buffer is delivered
+        (``_deliver``) before its pages are written again.  A flush that
+        crosses a buffer's end is cut there, into one chunk per buffer."""
+        size = plan.ends - plan.starts
+        stop = np.cumsum(size)                  # where each flush ends in the stream
+        start = stop - size
+        flush_partition(self.device, REGION_DDR, plan.pes, start, stop)
+        whole = self.buffer_bytes
+        cuts = (stop - 1) // whole - start // whole + 1
+        flush = np.repeat(np.arange(len(size)), cuts)           # the flush of each piece
+        buffer = start[flush] // whole + np.arange(len(flush)) - np.repeat(np.cumsum(cuts) - cuts,
+                                                                            cuts)
+        first = np.maximum(start[flush], buffer * whole)        # each piece in the stream
+        last = np.minimum(stop[flush], (buffer + 1) * whole)
+        source = plan.starts[flush] + first - start[flush]      # and in its partition
+        parts = plan.partitions[flush]
+        chunks = (plan.pes[flush].tolist(), (parts // len(jobs)).tolist(), parts.tolist(),
+                  source.tolist(), (source + last - first).tolist(),
+                  (first - buffer * whole).tolist(), (last - buffer * whole).tolist())
+        views = list(map(memoryview, plan.buffers))
+        edges = np.searchsorted(buffer, np.arange(buffer[-1] + 2)).tolist()
+        for index in range(len(edges) - 1):
+            self._deliver(index, views, plan.keys, chunks, slice(edges[index], edges[index + 1]))
 
-    def _deliver(self):
-        if self.writer.total == 0:
-            return
-        raw = read_fragment(self.device, self.writer.fragment())
-        chunks = []
-        pos = 0
-        for pe, key, length in self.pending:
-            chunks.append((pe, key[0], key[1], raw[pos:pos + length]))
-            pos += length
-        batch = Batch(chunks, self.writer.total)
+    def _deliver(self, index: int, views, keys, chunks, pieces: slice):
+        """Write buffer ``index`` of the stream, its ``pieces`` of
+        ``chunks`` (PE, key, partition, partition range, buffer range),
+        onto its pages, pull it with one ``read_pages`` and hand the
+        consumer its ``Batch``: one chunk per piece, sliced out of the
+        pulled bytes."""
+        pes, key_of, parts, starts, ends, lo, hi = (column[pieces] for column in chunks)
+        nbytes = hi[-1]
+        pages = self.buffers[index % len(self.buffers)][:-(-nbytes // PAGE_SIZE)]
+        self.device.write_pages(REGION_DDR, pages, b"".join(
+            [views[part][a:b] for part, a, b in zip(parts, starts, ends)]))
+        raw = self.device.read_pages(REGION_DDR, pages, nbytes, REQUESTER_HOST)
+        batch = Batch([(pe, *keys[k], raw[a:b]) for pe, k, a, b in zip(pes, key_of, lo, hi)],
+                      nbytes)
         self.batches.append(batch)
         if self.consumer is not None:
             self.consumer(batch)
-        self.pending = []
-        self.current = (self.current + 1) % len(self.buffers)
-        self.writer = FragmentWriter(REGION_DDR)
-        self.free = deque(self.buffers[self.current])
-
-    def finish(self):
-        self._deliver()
 
 
 def columns_from_batches(schema: Schema, projection, batches, pe_count: int):
@@ -888,7 +1025,7 @@ def write_bitmap_pages(device: Device, owner: str, pages: list, current: np.ndar
         more = device.allocate_pages(REGION_NVM, need - len(pages), owner)
         device.expose_to_host((REGION_NVM, idx) for idx in more)
         pages += more
-    FragmentWriter(REGION_NVM).append(device, REQUESTER_COORD, data, deque(pages))
+    write_fragment(device, REGION_NVM, pages[:need], data, REQUESTER_COORD)
     return pages
 
 
@@ -984,9 +1121,7 @@ def run_invocation(inv: NdtInvocation, device: Device, grantor=None, consumer=No
                 deal = np.arange(len(changed.vids)) % inv.pe_count
                 changed = changed._replace(pes=deal).take(np.argsort(deal, kind="stable"))
             run_jobs(jobs, changed, inv, device, sink)
-            if stream:
-                sink.finish()
-            else:
+            if not stream:
                 if handle is None:
                     handle = MaterializationHandle(
                         owner=inv.owner, device=device, projection=inv.projection,

@@ -138,4 +138,5 @@ class SchemaMismatch(NdtError):
 
 
 class LengthMismatch(NdtError):
-    """A mask or bitmap has another length than the positions it describes."""
+    """A mask or bitmap has another length than the positions it describes,
+    or a batch of rows another length than its vids."""

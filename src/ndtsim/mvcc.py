@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .errors import AlreadyFinished, StaleWrite, UnknownTx
+from .errors import AlreadyFinished, LengthMismatch, StaleWrite, UnknownTx
 from .layout import RecordHeader, RecordID, Schema, encode_records
 
 
@@ -142,14 +142,17 @@ class MvccStore:
         same transaction bypasses its own earlier version, so creation
         timestamps stay strictly decreasing along the chain and a version
         never points at another of the same batch.  A head newer than ``t``
-        or created by another transaction in flight is a ``StaleWrite``.
-        Every header is computed and every record encoded before any state
+        or created by another transaction in flight is a ``StaleWrite``, and
+        ``vids`` and ``rows`` of other lengths a ``LengthMismatch``.  Every
+        header is computed and every record encoded before any state
         changes, so a bad value or a ``StaleWrite`` changes nothing.
         """
         self._require_active(t)
+        if len(vids) != len(rows):
+            raise LengthMismatch(f"{len(vids)} vids for {len(rows)} rows")
         vid_map, in_flight = self.vid_map, self.in_flight
         preds, headers, values_of = [], [], []
-        for vid, values in zip(vids, rows, strict=True):
+        for vid, values in zip(vids, rows):
             pred = vid_map.get(vid)
             if pred is not None:
                 if pred.create_ts == t:

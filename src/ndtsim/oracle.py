@@ -220,11 +220,3 @@ def read_columns(shared, schema: Schema, records, names):
     raw, starts, lengths = read_records(shared, page_lids, slots)
     values, present = decode_columns(schema, names, raw, starts, lengths)
     return vids, values, present
-
-
-def visible_columns(shared, vid_map: dict, schema: Schema, snap: SnapshotDescriptor, names):
-    """The attributes ``names`` of the tuples visible to ``snap``, in map order.
-
-    Returns ``(vids, values, present)`` as ``decode_columns`` does.
-    """
-    return read_columns(shared, schema, visible_records(vid_map, snap), names)

@@ -355,3 +355,33 @@ def test_read_pages_checks_once_and_charges_nothing_when_refused():
             dev.read_pages(REGION_NVM, bad, nbytes, 0)
     assert dev.ledger.snapshot() == before
     assert len(dev.read_pages(REGION_NVM, pages, 3 * PAGE_SIZE, 0)) == 3 * PAGE_SIZE
+
+
+@pytest.mark.parametrize("region", [REGION_DDR, REGION_NVM])
+def test_write_pages_moves_what_one_write_per_page_does_and_charges_nothing(region):
+    rng = random.Random(6)
+    batched, paged = Device(DeviceConfig()), Device(DeviceConfig())
+    for dev in (batched, paged):
+        pages = dev.allocate_pages(region, 6, "x")
+    for nbytes in (1, PAGE_SIZE, 2 * PAGE_SIZE + 17, 3 * PAGE_SIZE):
+        chosen = [pages[4], pages[1], pages[5]][:-(-nbytes // PAGE_SIZE)]
+        data = rng.randbytes(nbytes)
+        before = batched.ledger.snapshot()
+        batched.write_pages(region, chosen, np.frombuffer(data, dtype=np.uint8))
+        assert batched.ledger.snapshot() == before
+        for k, idx in enumerate(chosen):
+            paged.write(region, idx * PAGE_SIZE, data[k * PAGE_SIZE:(k + 1) * PAGE_SIZE], 0)
+        assert batched.peek(region, 0, 6 * PAGE_SIZE) == paged.peek(region, 0, 6 * PAGE_SIZE)
+
+
+def test_write_pages_checks_its_run_once_before_it_writes():
+    """A page outside the region, or bytes that do not end on the last
+    page, are out of range, and nothing is written."""
+    dev = Device(DeviceConfig())
+    pages = dev.allocate_pages(REGION_NVM, 3, "x")
+    for bad, nbytes in (([pages[0], 3], 2 * PAGE_SIZE), ([-1], 8), (pages, 2 * PAGE_SIZE),
+                        (pages, 3 * PAGE_SIZE + 1), (pages[:1], 0), ([], 8)):
+        with pytest.raises(OutOfRange, match=rf"^NVM pages {re.escape(str(bad))} do not hold "
+                                             rf"{nbytes} bytes within {3 * PAGE_SIZE}$"):
+            dev.write_pages(REGION_NVM, bad, b"\x01" * nbytes)
+    assert dev.peek(REGION_NVM, 0, 3 * PAGE_SIZE) == bytes(3 * PAGE_SIZE)

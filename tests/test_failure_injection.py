@@ -38,7 +38,7 @@ from test_columns import _assert_identical
 STEPS = ("walk", "run_jobs", "append_run")
 ERRORS = (CorruptRecord, PoolExhausted, HostDenied)
 DEVICE_CALLS = ("pe_read_vid_entry", "pe_read_l2p", "pe_read_slot", "pe_probe_header",
-                "pe_read_records", "read", "read_pages", "write", "allocate_pages")
+                "pe_read_records", "read", "read_pages", "write", "write_pages", "allocate_pages")
 
 
 class Injector:
@@ -221,7 +221,7 @@ def test_a_failed_compaction_restores_pools_and_handle(seed, error, pe_count, sh
     with _injected(system, injector, small_reservation=False):
         with pytest.raises(error):
             injector.step_of("compact", compact)(handle)
-    assert injector.raised in ("read_pages", "allocate_pages", "write")
+    assert injector.raised in ("read_pages", "allocate_pages", "write_pages")
     _assert_restored(system, handle, before)
     compact(handle)
     assert canonical_compare(masked_view(handle),

@@ -249,14 +249,14 @@ def test_reference_decoder_is_independent_of_the_oracle():
 
 def test_scan_finds_an_oracle_import(tmp_path):
     probe = tmp_path / "probe.py"
-    probe.write_text("from ndtsim.oracle import visible_columns\n"
+    probe.write_text("from ndtsim.oracle import read_columns\n"
                      "from ndtsim import layout, oracle\n"
                      "import ndtsim.oracle as reference\n"
                      "from .oracle import read_records\n"
                      "from ndtsim.mvcc import oracle_visible_version\n"
                      "from ndtsim.layout import record_field_slices\n")
     assert oracle_imports(probe) == [
-        "line 1: ndtsim.oracle.visible_columns", "line 2: ndtsim.oracle",
+        "line 1: ndtsim.oracle.read_columns", "line 2: ndtsim.oracle",
         "line 3: ndtsim.oracle", "line 4: oracle.read_records"]
 
 
@@ -403,14 +403,20 @@ def test_scan_finds_a_second_record_packer(tmp_path):
 
 # The device's batch accessors and its page-table lookup serve a PE's whole
 # batch, its propagation merge a snapshot's whole vid-map delta, the
-# engine's walk an invocation's whole frontier, and its extraction (with the
+# engine's walk an invocation's whole frontier, its extraction (with the
 # layout's field extractor) and flush planning a batch of PEs' changed rows,
-# with array operations, so per-record Python (a comprehension over the
-# batch) must not creep back into them.
+# and its flush merge, charge and placement an invocation's whole flush
+# table, with array operations, so per-record or per-flush Python (a
+# comprehension over the batch) must not creep back into them.  A stream
+# buffer's delivery (``StreamSink._deliver``) builds one chunk per piece,
+# as a ``Batch`` holds them.
 BATCH_ACCESSORS = (("device", "Device.pe_read_slot"), ("device", "Device.pe_probe_header"),
                    ("device", "Device.pe_read_records"), ("device", "Device.apply_propagation"),
                    ("device", "PageTable.resolve"), ("engine", "transform_record"),
-                   ("engine", "plan_flushes"), ("engine", "walk"), ("layout", "extract_fields"))
+                   ("engine", "plan_flushes"), ("engine", "walk"), ("layout", "extract_fields"),
+                   ("engine", "run_jobs"), ("engine", "flush_partition"),
+                   ("engine", "MaterializeSink.place"), ("engine", "MaterializeSink._land"),
+                   ("engine", "StreamSink.place"))
 COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
@@ -727,8 +733,6 @@ UNREFERENCED_ALLOWED = {
     "mvcc.MvccStore.chain_rids": "a vid's version chain; tests would re-implement the walk",
     "shared_state.HostSharedState.read_record": "a record wherever its page lives; tests would "
                                                 "re-implement the page lookup",
-    "oracle.visible_columns": "the oracle without the host's kept walk, which tests compare "
-                              "that walk with",
 }
 
 

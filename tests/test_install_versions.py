@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from ndtsim.errors import StaleWrite, TypeMismatch, VarCharTooLong
+from ndtsim.errors import LengthMismatch, StaleWrite, TypeMismatch, VarCharTooLong
 from ndtsim.host import HostSystem
 from ndtsim.mvcc import TOMBSTONE
 from conftest import random_orderline
@@ -154,5 +154,7 @@ def test_failed_batch_changes_nothing(bad, error):
 
 def test_rows_and_vids_must_pair(system):
     t = system.store.begin_tx()
-    with pytest.raises(ValueError):
+    before = state(system)
+    with pytest.raises(LengthMismatch, match="2 vids for 1 rows"):
         system.store.install_versions(t, [1, 2], [random_orderline(random.Random(8))])
+    assert state(system) == before

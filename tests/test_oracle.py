@@ -8,7 +8,7 @@ host buffer, the DDR delta mirror and NVM), on the chain histories of
 ``test_visibility_walk`` (tombstones, refused writes, old snapshots),
 and on random schemas.  ``q6_rowstore`` is pinned to a per-record Python
 sum.  The host's kept walk (one chain walk per snapshot and map version)
-is pinned to ``visible_columns``, which walks on every call, across
+is pinned to ``visible_columns`` below, which walks on every call, across
 interleaved writes, aborts, merges and propagations; its walk count is
 pinned, and a page corrupted after the walk is still found.  Corrupt page
 bytes under either oracle call may raise only typed ``NdtError``
@@ -46,7 +46,7 @@ from ndtsim.layout import (
     record_field_slices,
 )
 from ndtsim.mvcc import SnapshotDescriptor, oracle_visible_version
-from ndtsim.oracle import decode_columns, read_records, visible_columns
+from ndtsim.oracle import decode_columns, read_columns, read_records, visible_records
 from ndtsim.shared_state import REGION_HOST
 from conftest import Harness
 from reference import decode_values
@@ -59,6 +59,13 @@ Q6_PARAMS = (
     Q6Params(unix_seconds(2003), unix_seconds(2009, 7, 1), qty_lo=3, qty_hi=7),
     Q6Params(unix_seconds(1990), unix_seconds(1999, 12, 31), qty_lo=10, qty_hi=10),
 )
+
+
+def visible_columns(shared, vid_map: dict, schema, snap: SnapshotDescriptor, names):
+    """The oracle without the host's kept walk: the attributes ``names`` of
+    the tuples visible to ``snap``, in map order, walked on every call.
+    Returns ``(vids, values, present)`` as ``decode_columns`` does."""
+    return read_columns(shared, schema, visible_records(vid_map, snap), names)
 
 
 def _visible_records(shared, vid_map, snap) -> dict:

@@ -3,10 +3,12 @@
 ``engine.transform_record`` loads an invocation's whole changed-rows table
 in one ``pe_read_records`` call, extracts it with one
 ``layout.extract_fields`` call, and then plans each PE's flushes on its
-slice.  The reference below is the per-PE transform: each PE loads and
-extracts its own rows.  Over random schemas, PE counts, per-PE row counts
-(zeros included), records in both regions and the refresh re-deal, the two
-must give equal flush lists and charge every PE the same.  A corrupt
+slice.  The reference is the per-PE transform
+(``reference_flushes.pe_flushes``): each PE loads and extracts its own
+rows, and plans its flushes one partition at a time.  Over random schemas,
+PE counts, per-PE row counts (zeros included), records in both regions and
+the refresh re-deal, the two must give equal flushes and charge every PE
+the same.  A corrupt
 record raises the first fault in ``extract_fields``' documented check
 order, and an out-of-range load its first bad record in batch order,
 whichever PE holds it, also through a whole invocation.
@@ -20,17 +22,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ndtsim import engine
-from ndtsim.columns import (
-    KIND_OFFSETS,
-    KIND_VALIDITY,
-    KIND_VALUES,
-    OFFSETS_DTYPE,
-    VALIDITY_DTYPE,
-    VID_COLUMN,
-    VID_DTYPE,
-    pack_bits,
-    varchar_offsets,
-)
 from ndtsim.device import REGION_DDR, REGION_NVM, REGIONS, Device, DeviceConfig
 from ndtsim.engine import (
     MODE_STREAM,
@@ -43,60 +34,10 @@ from ndtsim.engine import (
 )
 from ndtsim.errors import CorruptRecord, OutOfRange
 from ndtsim.host import HostSystem
-from ndtsim.layout import (
-    PAGE_SIZE,
-    TC_TIMESTAMP,
-    TC_VARCHAR,
-    Int32,
-    Schema,
-    VarChar,
-    extract_fields,
-    pg_timestamp_to_unix_epoch,
-)
+from ndtsim.layout import PAGE_SIZE, Int32, Schema, VarChar
 from conftest import Harness, page_of
+from reference_flushes import as_tuples, pe_flushes
 from test_batch_path import _tables
-
-
-def per_pe_flushes(job, rows: ChangedRows, inv, device) -> list:
-    """One PE's flushes, its ``rows`` loaded and extracted on their own."""
-    n = len(rows.vids)
-    if n == 0:
-        return []
-    buffers = device.pe_read_records(job.pe, rows.regions, rows.offsets, rows.lengths)
-    columns = extract_fields(inv.schema, buffers, rows.regions, rows.offsets, rows.lengths,
-                             tuple(attr_idx for attr_idx, *_ in inv.proj_plan))
-    flushes, tails = [], []
-    for slot, (attr_idx, name, ftype, code, nullable) in enumerate(inv.proj_plan):
-        present, data, sizes = columns[slot].present, columns[slot].data, columns[slot].sizes
-        planned = {}
-        if code == TC_VARCHAR:
-            planned[KIND_VALUES] = engine._payload_flushes(data, sizes,
-                                                           job.caps[name, KIND_VALUES])
-        else:
-            width, dtype = ftype.width, f"<i{ftype.width}"
-            values = pg_timestamp_to_unix_epoch(data) if code == TC_TIMESTAMP else data
-            values = np.where(present, values, 0).astype(dtype, copy=False)
-            planned[KIND_VALUES] = engine._element_flushes(
-                values.view(np.uint8), width, job.caps[name, KIND_VALUES], n, lambda e: e,
-                engine._FLUSH_VALUES)
-        if nullable:
-            bits = pack_bits(present)
-            planned[KIND_VALIDITY] = engine._element_flushes(
-                bits, VALIDITY_DTYPE.itemsize, job.caps[name, KIND_VALIDITY], len(bits),
-                lambda e: 8 * e, engine._FLUSH_VALIDITY)
-        if code == TC_VARCHAR:
-            offsets = varchar_offsets(sizes).view(np.uint8)
-            planned[KIND_OFFSETS] = engine._element_flushes(
-                offsets, OFFSETS_DTYPE.itemsize, job.caps[name, KIND_OFFSETS], n + 1,
-                lambda e: e - 1, engine._FLUSH_OFFSETS)
-        for kind, (mid, tail) in planned.items():
-            flushes.extend((row, job.pe, engine._FLUSHES_PER_ATTR * slot + position,
-                            (name, kind), data.tobytes()) for row, position, data in mid)
-            tails.append(((name, kind), tail))
-    tails.append(((VID_COLUMN, KIND_VALUES), rows.vids.astype(VID_DTYPE).view(np.uint8)))
-    flushes.extend((n, job.pe, position, key, data.tobytes())
-                   for position, (key, data) in enumerate(tails) if len(data))
-    return flushes
 
 
 def _walked_jobs(schema, rows, pe_count: int, cold: int):
@@ -167,10 +108,10 @@ def test_pooled_extraction_matches_the_per_pe_transform(table, pe_count, cold_sh
     assert np.all(np.diff(changed.pes) >= 0)
     with counted_calls(h.device) as calls:
         pooled, pooled_charge = _charged(
-            h.device, lambda: transform_record(jobs, changed, inv, h.device))
-    reference, reference_charge = _charged(h.device, lambda: [
-        f for job in jobs
-        for f in per_pe_flushes(job, changed.take(changed.pes == job.pe), inv, h.device)])
+            h.device, lambda: as_tuples(transform_record(jobs, changed, inv, h.device), pe_count))
+    reference, reference_charge = _charged(h.device, lambda: sorted(
+        (f for job in jobs for f in pe_flushes(job, changed.take(changed.pes == job.pe), inv,
+                                               h.device)), key=lambda flush: flush[:3]))
 
     assert (calls["loads"], calls["extractions"]) == ((1, 1) if len(changed.vids) else (0, 0))
     assert pooled == reference
@@ -215,9 +156,9 @@ def test_a_corrupt_batch_raises_the_first_fault_in_check_order():
         transform_record(jobs, changed, inv, h.device)
     assert str(pooled.value) == "record shorter than its header"
     with pytest.raises(CorruptRecord, match="varlen field 1 payload past record end"):
-        per_pe_flushes(jobs[0], changed.take(changed.pes == 0), inv, h.device)
+        pe_flushes(jobs[0], changed.take(changed.pes == 0), inv, h.device)
     with pytest.raises(CorruptRecord, match="shorter than its header"):
-        per_pe_flushes(jobs[1], changed.take(changed.pes == 1), inv, h.device)
+        pe_flushes(jobs[1], changed.take(changed.pes == 1), inv, h.device)
 
 
 def test_a_corrupt_full_materialization_raises_after_one_extraction():
