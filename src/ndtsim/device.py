@@ -470,6 +470,18 @@ class Device:
                            nvm_writes=1 if region == REGION_NVM else 0)
         buf[offset:offset + len(data)] = data
 
+    def _check_pages(self, region: str, pages, nbytes: int) -> bytearray:
+        """``region``'s buffer, once ``pages`` are a run of its pages that
+        holds ``nbytes`` as a fragment lies: every page but the last whole,
+        and 1 to ``PAGE_SIZE`` bytes on the last."""
+        buf = self._region(region)
+        tail = nbytes - (len(pages) - 1) * PAGE_SIZE    # bytes on the last page
+        if not len(pages) or min(pages) < 0 or max(pages) >= len(buf) // PAGE_SIZE \
+                or not 0 < tail <= PAGE_SIZE:
+            raise OutOfRange(f"{region} pages {list(pages)} do not hold {nbytes} bytes "
+                             f"within {len(buf)}")
+        return buf
+
     def read_pages(self, region: str, pages, nbytes: int, requester) -> bytes:
         """The first ``nbytes`` of ``pages`` of ``region``, in page order: the
         pages but the last whole, and the rest off the last, as a fragment
@@ -479,15 +491,11 @@ class Device:
         count = len(pages)
         if not count:
             return b""
-        buf = self._region(region)
-        tail = nbytes - (count - 1) * PAGE_SIZE         # bytes off the last page
-        if min(pages) < 0 or max(pages) >= len(buf) // PAGE_SIZE or not 0 < tail <= PAGE_SIZE:
-            raise OutOfRange(f"{region} pages {list(pages)} do not hold {nbytes} bytes "
-                             f"within {len(buf)}")
+        buf = self._check_pages(region, pages, nbytes)
         self._charge_read(region, pages, nbytes, count, requester)
         view = memoryview(buf)
         spans = [view[idx * PAGE_SIZE:(idx + 1) * PAGE_SIZE] for idx in pages]
-        spans[-1] = spans[-1][:tail]
+        spans[-1] = spans[-1][:nbytes - (count - 1) * PAGE_SIZE]
         return b"".join(spans)
 
     def write_pages(self, region: str, pages, data):
@@ -497,13 +505,7 @@ class Device:
         page.  It charges nothing: its caller charges the writes the run
         stands for in one batch (``engine.flush_partition``,
         ``engine.write_fragment``)."""
-        count, nbytes = len(pages), len(data)
-        buf = self._region(region)
-        tail = nbytes - (count - 1) * PAGE_SIZE         # bytes onto the last page
-        if not count or min(pages) < 0 or max(pages) >= len(buf) // PAGE_SIZE \
-                or not 0 < tail <= PAGE_SIZE:
-            raise OutOfRange(f"{region} pages {list(pages)} do not hold {nbytes} bytes "
-                             f"within {len(buf)}")
+        buf = self._check_pages(region, pages, len(data))
         source = memoryview(data)
         for k, idx in enumerate(pages):
             at = idx * PAGE_SIZE

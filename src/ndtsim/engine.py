@@ -68,6 +68,12 @@ refresh of an existing materialization -- runs one pipeline:
    Positions held for removed and re-appended vids are cleared, the
    appended rows marked current, and the index merged with the new rows.
 
+Each invocation's per-PE state lives in one place.  ``schedule`` makes
+the scratchpad plan once, before the walk: every PE has the same
+partition capacities.  A materialization's page queues live in its
+``MaterializeSink``, which deals the invocation's result pages over the
+PEs, asks the host for more and hands ``append_run`` what is left.
+
 ``run_invocation`` is the one lifecycle of all three.  The invocation is
 in flight for the whole call, so no merge moves the pages its frozen views
 point at, and steps 1 and 2 run inside one failure guard: when either
@@ -98,8 +104,6 @@ end.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -214,27 +218,18 @@ class NdtInvocation:
     owner: str
     descriptor: SnapshotDescriptor
     schema: Schema
-    projection: tuple
+    projection: tuple             # stored as ``checked_projection`` returns it
     pe_count: int
     result_mode: str
-    result_pages: list            # NVM page indexes pre-allocated for results
-    stream_pages: list            # ring-buffer pages (stream mode)
+    pages: list                   # pre-allocated result pages: NVM, or a stream's DDR buffers
     vid_view: np.ndarray          # frozen device vid map: (vid, head) rows sorted by vid
     l2p_view: PageTable           # frozen device page table
     propagation: int              # number of the last propagation the frozen views hold
-    proj_plan: tuple = field(init=False)        # derived from schema and projection
+    specs: tuple = field(init=False)    # ``result_specs`` of the projection, __vid first
 
     def __post_init__(self):
-        plan = []
-        for name in checked_projection(self.schema, self.projection):
-            idx = self.schema.index_of[name]
-            attr = self.schema.attributes[idx]
-            plan.append((idx, name, attr.ftype, attr.ftype.code, attr.nullable))
-        self.proj_plan = tuple(plan)
-
-    @property
-    def specs(self):
-        return result_specs(self.schema, self.projection)
+        self.projection = checked_projection(self.schema, self.projection)
+        self.specs = result_specs(self.schema, self.projection)
 
 
 class ChangedRows(NamedTuple):
@@ -283,21 +278,16 @@ class MapRows(NamedTuple):
     pes: np.ndarray             # int64 walking PE, ascending
 
 
-class PeJob(NamedTuple):
-    """One PE's device state in an invocation."""
-
-    pe: int
-    caps: dict                  # (name, kind) -> scratchpad partition bytes
-    page_queue: list            # result pages not yet written
-
-
 def schedule(inv: NdtInvocation, device: Device, candidates: np.ndarray = None):
-    """Deal the frozen map's rows and the result pages over the PEs: row i
-    and page i go to PE i mod n.
+    """Deal the frozen map's rows over the PEs (row i goes to PE i mod n)
+    and make the invocation's one scratchpad plan, which every PE shares.
+    The result pages are dealt by the ``MaterializeSink``, which keeps
+    each PE's page queue.
 
     ``candidates``, sorted vids, keeps only the rows of those vids the
     frozen map holds, each on the PE of its row; None keeps every row.
-    Returns the PE jobs and the kept rows as one ``MapRows`` table."""
+    Returns the scratchpad plan ({(name, kind): partition bytes}) and the
+    kept rows as one ``MapRows`` table."""
     if inv.pe_count > device.cfg.pe_count:
         raise TooManyPEsRequested(f"{inv.pe_count} PEs requested, device has {device.cfg.pe_count}")
     if inv.pe_count < 1:
@@ -315,8 +305,7 @@ def schedule(inv: NdtInvocation, device: Device, candidates: np.ndarray = None):
     pes = rows % n
     order = np.argsort(pes.astype(np.uint8), kind="stable")     # PE-major, rows ascending
     rows, pes = rows[order], pes[order]
-    jobs = [PeJob(pe, caps, list(inv.result_pages[pe::n])) for pe in range(n)]
-    return jobs, MapRows(vids[rows], inv.vid_view["head"][rows], pes)
+    return caps, MapRows(vids[rows], inv.vid_view["head"][rows], pes)
 
 
 _NOTHING = np.uint64(RID_NONE)
@@ -513,11 +502,11 @@ def _payload_flushes(ends: np.ndarray, edges: list, cap: int, position: int, key
     return tails
 
 
-def plan_flushes(jobs, inv: NdtInvocation, columns, vids: np.ndarray,
+def plan_flushes(caps: dict, inv: NdtInvocation, columns, vids: np.ndarray,
                  bounds: np.ndarray) -> FlushPlan:
-    """Plan every PE's flushes from its partition capacities, at once: PE
-    ``pe`` holds rows [bounds[pe], bounds[pe + 1]) of the extracted
-    ``columns`` and of ``vids``.
+    """Plan every PE's flushes from the partition capacities ``caps``, at
+    once: PE ``pe`` holds rows [bounds[pe], bounds[pe + 1]) of the
+    extracted ``columns`` and of ``vids``.
 
     Each PE's partition buffers are views of the columns, or made once
     (validity bits, offsets, identity vector).  Fixed-size elements flush
@@ -528,18 +517,17 @@ def plan_flushes(jobs, inv: NdtInvocation, columns, vids: np.ndarray,
     with bytes left, at the partition's key index; a PE without rows
     flushes nothing.
     """
-    n = len(jobs)
-    caps = jobs[0].caps
+    n = inv.pe_count
     edges, rows = bounds.tolist(), np.diff(bounds)
     cuts = bounds[1:-1]                         # where each PE's rows start, but the first's
     keys, buffers = [], []
     elements = []           # per element key: key index, width, cap, row scale and shift, position
     tails = {}              # per other key: where each PE's final flush starts
     filled = []             # varchar value flushes, six ints each as a ``FlushPlan`` row
-    for slot, (_attr_idx, name, ftype, code, nullable) in enumerate(inv.proj_plan):
+    for slot, (name, ftype, nullable) in enumerate(inv.specs[1:]):
         column = columns[slot]
         base = _FLUSHES_PER_ATTR * slot
-        if code == TC_VARCHAR:
+        if ftype.code == TC_VARCHAR:
             tails[len(keys)] = _payload_flushes(column.ends, edges, caps[name, KIND_VALUES],
                                                 base, len(keys), filled)
             buffers += np.split(column.data, column.ends[cuts])
@@ -553,7 +541,7 @@ def plan_flushes(jobs, inv: NdtInvocation, columns, vids: np.ndarray,
                              base + _FLUSH_VALIDITY))
             buffers += map(pack_bits, np.split(column.present, cuts))
             keys.append((name, KIND_VALIDITY))
-        if code == TC_VARCHAR:
+        if ftype.code == TC_VARCHAR:
             elements.append((len(keys), OFFSETS_DTYPE.itemsize, caps[name, KIND_OFFSETS], 1, -1,
                              base + _FLUSH_OFFSETS))
             for first, last in zip(edges, edges[1:]):
@@ -582,9 +570,10 @@ def plan_flushes(jobs, inv: NdtInvocation, columns, vids: np.ndarray,
     return FlushPlan(keys, buffers, *np.concatenate((mids, filled, finals)).T)
 
 
-def transform_record(jobs, changed: ChangedRows, inv: NdtInvocation, device: Device):
+def transform_record(caps: dict, changed: ChangedRows, inv: NdtInvocation, device: Device):
     """Step 2: transform the invocation's changed tuples at once, then plan
-    every PE's flushes on its slice of them.
+    every PE's flushes on its slice of them, from the scratchpad plan
+    ``caps``.
 
     The whole table is loaded in one device read
     (``Device.pe_read_records``), which checks the records' ranges and
@@ -602,14 +591,14 @@ def transform_record(jobs, changed: ChangedRows, inv: NdtInvocation, device: Dev
     buffers = device.pe_read_records(changed.pes, changed.regions, changed.offsets,
                                      changed.lengths)
     columns = extract_fields(inv.schema, buffers, changed.regions, changed.offsets,
-                             changed.lengths, tuple(map(itemgetter(0), inv.proj_plan)))
-    for slot, (_attr_idx, _name, _ftype, code, _nullable) in enumerate(inv.proj_plan):
-        if code == TC_TIMESTAMP:
+                             changed.lengths, tuple(map(inv.schema.index_of.get, inv.projection)))
+    for slot, spec in enumerate(inv.specs[1:]):
+        if spec.ftype.code == TC_TIMESTAMP:
             present, values = columns[slot].present, columns[slot].data
             columns[slot] = columns[slot]._replace(
                 data=np.where(present, pg_timestamp_to_unix_epoch(values), 0))
-    bounds = np.searchsorted(changed.pes, np.arange(len(jobs) + 1))
-    return plan_flushes(jobs, inv, columns, changed.vids, bounds)
+    bounds = np.searchsorted(changed.pes, np.arange(inv.pe_count + 1))
+    return plan_flushes(caps, inv, columns, changed.vids, bounds)
 
 
 INDEX_PROBE_BYTES = 8               # handle identity-index lookup per walked tuple
@@ -661,27 +650,15 @@ def refresh_candidates(handle: "MaterializationHandle", inv: NdtInvocation,
     return sorted_unique((changed, handle.unsettled))
 
 
-def suspend_for_space(inv: NdtInvocation, device: Device, grantor, job: PeJob, count: int):
-    """Host round-trip for ``count`` more result pages of ``job``; a denial
-    raises ``HostDenied``."""
-    device.ledger.charge(job.pe, "space_request", host_roundtrips=1)
-    if grantor is None:
-        raise HostDenied(f"no space grantor for invocation {inv.owner}")
-    try:
-        pages = grantor(inv, count)
-    except PoolExhausted as exc:
-        raise HostDenied(str(exc)) from exc
-    job.page_queue.extend(pages)
-
-
-def run_jobs(jobs, changed: ChangedRows, inv: NdtInvocation, device: Device, sink):
-    """Transform the changed rows in one pass (``transform_record``), merge
-    every PE's flushes into coordinator order with one sort (round, then
-    PE, then position within the row: PEs driven round-robin one tuple at a
-    time) and have the sink place them at once."""
-    plan = transform_record(jobs, changed, inv, device)
+def run_jobs(caps: dict, changed: ChangedRows, inv: NdtInvocation, device: Device, sink):
+    """Transform the changed rows in one pass (``transform_record``, from
+    the scratchpad plan ``caps``), merge every PE's flushes into
+    coordinator order with one sort (round, then PE, then position within
+    the row: PEs driven round-robin one tuple at a time) and have the sink
+    place them at once."""
+    plan = transform_record(caps, changed, inv, device)
     if plan is not None:
-        sink.place(jobs, plan.take(np.lexsort((plan.positions, plan.pes, plan.rounds))))
+        sink.place(plan.take(np.lexsort((plan.positions, plan.pes, plan.rounds))))
 
 
 def flush_partition(device: Device, region: str, pes: np.ndarray, starts: np.ndarray,
@@ -759,15 +736,34 @@ def _running_by_pe(pes: np.ndarray, values: np.ndarray) -> np.ndarray:
 class MaterializeSink:
     """Places an invocation's flushes on NVM result pages: one fragment per
     (PE, column, kind), whose pages its PE takes from its queue in replay
-    order; ``more_pages(job, count)`` adds ``count`` pages to a job's
-    queue."""
+    order.
 
-    def __init__(self, device: Device, more_pages):
+    The sink holds the PEs' page queues: it deals the invocation's result
+    pages over them (page i to PE i mod n), and a PE whose queue runs short
+    asks the host for more through it (``grantor(inv, count)``).  What the
+    queues still hold when the flushes are placed, ``append_run`` frees."""
+
+    def __init__(self, device: Device, inv: NdtInvocation, grantor):
         self.device = device
-        self.more_pages = more_pages
+        self.inv = inv
+        self.grantor = grantor
+        n = inv.pe_count
+        self.queues = [list(inv.pages[pe::n]) for pe in range(n)]   # result pages not yet written
         self.fragments = {}           # (pe, (name, kind)) -> Fragment, in first-flush order
 
-    def place(self, jobs, plan: FlushPlan):
+    def request_space(self, pe: int, count: int):
+        """Host round-trip for ``count`` more result pages of PE ``pe``; a
+        denial raises ``HostDenied``."""
+        self.device.ledger.charge(pe, "space_request", host_roundtrips=1)
+        if self.grantor is None:
+            raise HostDenied(f"no space grantor for invocation {self.inv.owner}")
+        try:
+            pages = self.grantor(self.inv, count)
+        except PoolExhausted as exc:
+            raise HostDenied(str(exc)) from exc
+        self.queues[pe].extend(pages)
+
+    def place(self, plan: FlushPlan):
         """Place ``plan``'s flushes, in coordinator order, at once.
 
         A partition's flushes fill its fragment's pages completely, so a
@@ -783,9 +779,7 @@ class MaterializeSink:
         pes = plan.pes
         opened = -plan.starts // PAGE_SIZE - -plan.ends // PAGE_SIZE     # ceil(end) - ceil(start)
         demand = _running_by_pe(pes, opened)
-        supply = np.zeros(len(jobs), dtype=np.int64)
-        for job in jobs:
-            supply[job.pe] = len(job.page_queue)
+        supply = np.array(list(map(len, self.queues)), dtype=np.int64)
         row = 0
         try:
             while True:
@@ -793,16 +787,16 @@ class MaterializeSink:
                 if not len(short):
                     break
                 row += int(short[0])
-                job = jobs[pes[row]]
-                self.more_pages(job, int(demand[row] - supply[job.pe]))
-                supply[job.pe] = len(job.page_queue)
+                pe = int(pes[row])
+                self.request_space(pe, int(demand[row] - supply[pe]))
+                supply[pe] = len(self.queues[pe])
         except BaseException:
-            self._land(jobs, plan, opened, row)
+            self._land(plan, opened, row)
             self.device.ledger.charge(int(pes[row]), "flush")
             raise
-        self._land(jobs, plan, opened, len(pes))
+        self._land(plan, opened, len(pes))
 
-    def _land(self, jobs, plan: FlushPlan, opened: np.ndarray, count: int):
+    def _land(self, plan: FlushPlan, opened: np.ndarray, count: int):
         """Charge and write the first ``count`` flushes of ``plan``: each PE
         takes the pages they open off the front of its queue, and each
         partition's written bytes go onto its pages in one
@@ -810,14 +804,15 @@ class MaterializeSink:
         pes, parts, ends = plan.pes[:count], plan.partitions[:count], plan.ends[:count]
         opened = opened[:count]
         flush_partition(self.device, REGION_NVM, pes, plan.starts[:count], ends)
-        n = len(jobs)
+        n = len(self.queues)
         order = np.argsort(pes, kind="stable")
         owners = np.repeat(parts[order], opened[order])     # partition of each page, PE after PE
         pages = np.empty(len(owners), dtype=np.int64)
         at = 0
-        for job, taken in zip(jobs, np.bincount(pes, opened, minlength=n).astype(int).tolist()):
-            pages[at:at + taken] = job.page_queue[:taken]
-            del job.page_queue[:taken]
+        for queue, taken in zip(self.queues,
+                                np.bincount(pes, opened, minlength=n).astype(int).tolist()):
+            pages[at:at + taken] = queue[:taken]
+            del queue[:taken]
             at += taken
         pages = pages[np.argsort(owners, kind="stable")].tolist()      # partition after partition
         runs = np.concatenate(([0], np.cumsum(np.bincount(owners, minlength=len(plan.buffers)))))
@@ -861,15 +856,16 @@ class StreamSink:
         per_buffer = cfg.stream_buffer_bytes // PAGE_SIZE
         self.device = device
         self.consumer = consumer
+        self.pe_count = inv.pe_count
         self.buffer_bytes = per_buffer * PAGE_SIZE
         self.buffers = [
-            inv.stream_pages[i * per_buffer:(i + 1) * per_buffer]
+            inv.pages[i * per_buffer:(i + 1) * per_buffer]
             for i in range(cfg.stream_buffer_count)
         ]
-        device.expose_to_host((REGION_DDR, idx) for idx in inv.stream_pages)
+        device.expose_to_host((REGION_DDR, idx) for idx in inv.pages)
         self.batches = []
 
-    def place(self, jobs, plan: FlushPlan):
+    def place(self, plan: FlushPlan):
         """Place ``plan``'s flushes, in coordinator order, at once: back to
         back, they fill the buffers in turn, and each buffer is delivered
         (``_deliver``) before its pages are written again.  A flush that
@@ -887,7 +883,7 @@ class StreamSink:
         last = np.minimum(stop[flush], (buffer + 1) * whole)
         source = plan.starts[flush] + first - start[flush]      # and in its partition
         parts = plan.partitions[flush]
-        chunks = (plan.pes[flush].tolist(), (parts // len(jobs)).tolist(), parts.tolist(),
+        chunks = (plan.pes[flush].tolist(), (parts // self.pe_count).tolist(), parts.tolist(),
                   source.tolist(), (source + last - first).tolist(),
                   (first - buffer * whole).tolist(), (last - buffer * whole).tolist())
         views = list(map(memoryview, plan.buffers))
@@ -1010,7 +1006,7 @@ class MaterializationHandle:
         if hidden:
             raise NotRefreshable(f"refresh snapshot {new.caller} counts {hidden} in flight, which "
                                  f"the handle's snapshot at {old.caller} saw finished")
-        if tuple(inv.projection) != tuple(self.projection):
+        if inv.projection != self.projection:
             raise NotRefreshable("refresh projection must match the materialization")
 
 
@@ -1038,25 +1034,26 @@ def expose_segments(device: Device, segments):
                           for frag in seg.frags.values() for idx in frag.pages)
 
 
-def append_run(handle: MaterializationHandle, inv: NdtInvocation, jobs, changed: ChangedRows,
-               sink, removed, unsettled):
+def append_run(handle: MaterializationHandle, inv: NdtInvocation, changed: ChangedRows,
+               sink: MaterializeSink, removed, unsettled):
     """Step 3: make the transformed rows the handle's newest run.
 
-    Unused result pages are freed.  The changed rows take the next
-    positions in table order, PE after PE; the positions held for removed
-    and re-appended vids are masked out and the index is merged with the
-    new rows.  Each PE's rows form its segment of the run.  The
-    bitmap is persisted and the new fragments exposed while every new page
-    is still the invocation's, so a failure up to there leaves the handle
-    as it was and the invocation's pages to be freed.  Then the pages join
+    The result pages left in the page queues of ``sink``, which holds
+    them, are freed.  The changed rows take the next positions in table
+    order, PE after PE; the positions held for removed and re-appended
+    vids are masked out and the index is merged with the new rows.  Each
+    PE's rows form its segment of the run.  The bitmap is persisted and
+    the new fragments exposed while every new page is still the
+    invocation's, so a failure up to there leaves the handle as it was
+    and the invocation's pages to be freed.  Then the pages join
     the handle's allocation, the handle takes the run, the invocation's
     propagation number as its mark and the walk's ``unsettled`` vids, and
     its metadata is charged as host-bound bytes.
     """
     device = handle.device
-    segments = sink.segments(np.bincount(changed.pes, minlength=len(jobs)).tolist(),
+    segments = sink.segments(np.bincount(changed.pes, minlength=inv.pe_count).tolist(),
                              run=handle.run_count)
-    leftovers = [(REGION_NVM, idx) for job in jobs for idx in job.page_queue]
+    leftovers = [(REGION_NVM, idx) for queue in sink.queues for idx in queue]
     if leftovers:
         device.free_pages(inv.owner, leftovers)
 
@@ -1111,22 +1108,22 @@ def run_invocation(inv: NdtInvocation, device: Device, grantor=None, consumer=No
             if handle is not None:
                 handle.require_refreshable(inv)
             sink = StreamSink(device, inv, consumer) if stream else MaterializeSink(
-                device, partial(suspend_for_space, inv, device, grantor))
+                device, inv, grantor)
             refresh = handle is not None and handle.total_positions > 0   # else a first run
-            jobs, rows = schedule(inv, device,
+            caps, rows = schedule(inv, device,
                                   refresh_candidates(handle, inv, device) if refresh else None)
             held = handle.index if handle else IdentityIndex.empty()
             changed, removed, unsettled = walk(rows, inv, device, held, probe=refresh)
             if refresh:                 # deal the table round-robin again, stably
                 deal = np.arange(len(changed.vids)) % inv.pe_count
                 changed = changed._replace(pes=deal).take(np.argsort(deal, kind="stable"))
-            run_jobs(jobs, changed, inv, device, sink)
+            run_jobs(caps, changed, inv, device, sink)
             if not stream:
                 if handle is None:
                     handle = MaterializationHandle(
                         owner=inv.owner, device=device, projection=inv.projection,
                         specs=inv.specs, snapshot=inv.descriptor)
-                append_run(handle, inv, jobs, changed, sink, removed, unsettled)
+                append_run(handle, inv, changed, sink, removed, unsettled)
         except BaseException:
             device.free_pages(inv.owner)
             raise

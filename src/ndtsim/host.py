@@ -334,15 +334,13 @@ class HostSystem:
 
         if mode == MODE_STREAM:
             count = cfg.stream_buffer_count * (cfg.stream_buffer_bytes // PAGE_SIZE)
-            stream_pages = self.device.allocate_pages(REGION_DDR, count, owner)
-            result_pages = []
+            pages = self.device.allocate_pages(REGION_DDR, count, owner)
         else:
             scale = 0.25 if prior_handle is not None else 1.0
             est_bytes = int(len(vid_view) * estimated_row_bytes(self.schema, projection)
                             * 1.25 * scale)
-            pages = max(pe_count, -(-est_bytes // PAGE_SIZE))
-            result_pages = self.device.allocate_pages(REGION_NVM, pages, owner)
-            stream_pages = []
+            count = max(pe_count, -(-est_bytes // PAGE_SIZE))
+            pages = self.device.allocate_pages(REGION_NVM, count, owner)
 
         return NdtInvocation(
             owner=owner,
@@ -351,8 +349,7 @@ class HostSystem:
             projection=projection,
             pe_count=pe_count,
             result_mode=mode,
-            result_pages=result_pages,
-            stream_pages=stream_pages,
+            pages=pages,
             vid_view=vid_view,
             l2p_view=l2p_view,
             propagation=self.device.propagations,
@@ -364,7 +361,7 @@ class HostSystem:
         available = self.device.free_page_count(REGION_NVM)
         if available < count:
             raise PoolExhausted(f"{REGION_NVM} pool has {available} pages, {count} needed")
-        chunk = max(count, len(inv.result_pages) // (2 * inv.pe_count), 4)
+        chunk = max(count, len(inv.pages) // (2 * inv.pe_count), 4)
         return self.device.allocate_pages(REGION_NVM, min(chunk, available), inv.owner)
 
     @contextmanager

@@ -518,13 +518,6 @@ class Extracted(NamedTuple):
     sizes: np.ndarray           # varchar: int64 payload bytes per record; fixed: None
     ends: np.ndarray            # varchar: payload k ends at ends[k + 1]; fixed: None
 
-    def rows(self, first: int, end: int):
-        """(presence, data bytes, payload sizes or None) of records [first, end)."""
-        if self.sizes is None:
-            return self.present[first:end], self.data[first:end].view(np.uint8), None
-        return (self.present[first:end], self.data[self.ends[first]:self.ends[end]],
-                self.sizes[first:end])
-
 
 def _groups(columns) -> list:
     """The rows of a batch grouped by their values in ``columns``, integer arrays

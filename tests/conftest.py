@@ -52,22 +52,20 @@ class Harness:
         vid_view, l2p_view = self.device.freeze_views()
         self._seq += 1
         owner = f"t-inv-{self._seq}"
-        projection = tuple(a.name for a in self.schema.attributes) if projection is None \
-            else tuple(projection)
+        if projection is None:
+            projection = tuple(a.name for a in self.schema.attributes)
         if mode == MODE_STREAM:
             cfg = self.device.cfg
             count = cfg.stream_buffer_count * (cfg.stream_buffer_bytes // PAGE_SIZE)
-            stream_pages = self.device.allocate_pages(REGION_DDR, count, owner)
-            result_pages = []
+            pages = self.device.allocate_pages(REGION_DDR, count, owner)
         else:
-            stream_pages = []
-            result_pages = self.device.allocate_pages(REGION_NVM, pages, owner)
+            pages = self.device.allocate_pages(REGION_NVM, pages, owner)
         if own_caller:
             self.store.commit_tx(caller)
         return NdtInvocation(
             owner=owner, descriptor=descriptor, schema=self.schema,
             projection=projection, pe_count=pe_count, result_mode=mode,
-            result_pages=result_pages, stream_pages=stream_pages, vid_view=vid_view,
+            pages=pages, vid_view=vid_view,
             l2p_view=l2p_view, propagation=self.device.propagations,
         )
 

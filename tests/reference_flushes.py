@@ -73,39 +73,49 @@ def payload_flushes(payload: np.ndarray, sizes: np.ndarray, cap: int):
     return out, payload[ends[i]:ends[-1]]
 
 
-def plan_flushes(job, inv, columns, vids: np.ndarray, first: int, end: int) -> list:
-    """The flushes of ``job``, whose rows are [first, end) of the extracted
-    ``columns`` and of ``vids``, as (round, PE, position, key, bytes)
-    tuples; the final flushes (values, validity, offsets per attribute, then
-    the identity column) come in the round after the last row."""
+def extracted_rows(column, first: int, end: int):
+    """(presence, data bytes, payload sizes or None) of records [first, end)
+    of one ``layout.Extracted`` column."""
+    if column.sizes is None:
+        return column.present[first:end], column.data[first:end].view(np.uint8), None
+    return (column.present[first:end], column.data[column.ends[first]:column.ends[end]],
+            column.sizes[first:end])
+
+
+def plan_flushes(caps, pe, inv, columns, vids: np.ndarray, first: int, end: int) -> list:
+    """The flushes of PE ``pe``, whose rows are [first, end) of the
+    extracted ``columns`` and of ``vids``, from the scratchpad plan
+    ``caps``, as (round, PE, position, key, bytes) tuples; the final
+    flushes (values, validity, offsets per attribute, then the identity
+    column) come in the round after the last row."""
     n = end - first
     if n == 0:
         return []
     flushes, tails = [], []
-    for slot, (_attr_idx, name, ftype, code, nullable) in enumerate(inv.proj_plan):
-        present, data, sizes = columns[slot].rows(first, end)
+    for slot, (name, ftype, nullable) in enumerate(inv.specs[1:]):
+        present, data, sizes = extracted_rows(columns[slot], first, end)
         planned = {}
-        if code == TC_VARCHAR:
-            planned[KIND_VALUES] = payload_flushes(data, sizes, job.caps[name, KIND_VALUES])
+        if ftype.code == TC_VARCHAR:
+            planned[KIND_VALUES] = payload_flushes(data, sizes, caps[name, KIND_VALUES])
         else:
             planned[KIND_VALUES] = element_flushes(
-                data, ftype.width, job.caps[name, KIND_VALUES], n, lambda e: e, FLUSH_VALUES)
+                data, ftype.width, caps[name, KIND_VALUES], n, lambda e: e, FLUSH_VALUES)
         if nullable:
             bits = pack_bits(present)
             planned[KIND_VALIDITY] = element_flushes(
-                bits, VALIDITY_DTYPE.itemsize, job.caps[name, KIND_VALIDITY], len(bits),
+                bits, VALIDITY_DTYPE.itemsize, caps[name, KIND_VALIDITY], len(bits),
                 lambda e: 8 * e, FLUSH_VALIDITY)
-        if code == TC_VARCHAR:
+        if ftype.code == TC_VARCHAR:
             offsets = varchar_offsets(sizes).view(np.uint8)
             planned[KIND_OFFSETS] = element_flushes(
-                offsets, OFFSETS_DTYPE.itemsize, job.caps[name, KIND_OFFSETS], n + 1,
+                offsets, OFFSETS_DTYPE.itemsize, caps[name, KIND_OFFSETS], n + 1,
                 lambda e: e - 1, FLUSH_OFFSETS)
         for kind, (mid, tail) in planned.items():
-            flushes.extend((row, job.pe, FLUSHES_PER_ATTR * slot + position, (name, kind),
+            flushes.extend((row, pe, FLUSHES_PER_ATTR * slot + position, (name, kind),
                             piece.tobytes()) for row, position, piece in mid)
             tails.append(((name, kind), tail))
     tails.append(((VID_COLUMN, KIND_VALUES), vids[first:end].astype(VID_DTYPE).view(np.uint8)))
-    flushes.extend((n, job.pe, position, key, data.tobytes())
+    flushes.extend((n, pe, position, key, data.tobytes())
                    for position, (key, data) in enumerate(tails) if len(data))
     return flushes
 
@@ -115,32 +125,33 @@ def _extracted(rows, inv, device):
     ``pe_read_records`` charged to each row's PE, timestamps in epoch seconds."""
     buffers = device.pe_read_records(rows.pes, rows.regions, rows.offsets, rows.lengths)
     columns = extract_fields(inv.schema, buffers, rows.regions, rows.offsets, rows.lengths,
-                             tuple(attr_idx for attr_idx, *_ in inv.proj_plan))
-    for slot, (_attr_idx, _name, _ftype, code, _nullable) in enumerate(inv.proj_plan):
-        if code == TC_TIMESTAMP:
+                             tuple(inv.schema.index_of[name] for name in inv.projection))
+    for slot, spec in enumerate(inv.specs[1:]):
+        if spec.ftype.code == TC_TIMESTAMP:
             present, values = columns[slot].present, columns[slot].data
             columns[slot] = columns[slot]._replace(
                 data=np.where(present, pg_timestamp_to_unix_epoch(values), 0))
     return columns
 
 
-def pe_flushes(job, rows, inv, device) -> list:
-    """One PE's flushes, its changed ``rows`` loaded and extracted on their own."""
+def pe_flushes(caps, pe, rows, inv, device) -> list:
+    """PE ``pe``'s flushes, its changed ``rows`` loaded and extracted on
+    their own."""
     if not len(rows.vids):
         return []
-    columns = _extracted(rows._replace(pes=job.pe), inv, device)
-    return plan_flushes(job, inv, columns, rows.vids, 0, len(rows.vids))
+    columns = _extracted(rows._replace(pes=pe), inv, device)
+    return plan_flushes(caps, pe, inv, columns, rows.vids, 0, len(rows.vids))
 
 
-def transform_record(jobs, changed, inv, device) -> list:
+def transform_record(caps, changed, inv, device) -> list:
     """Every PE's flushes, PE after PE: the changed rows loaded and extracted
     in one pass, then each PE's planned on its slice of them."""
     if not len(changed.vids):
         return []
     columns = _extracted(changed, inv, device)
-    bounds = np.searchsorted(changed.pes, np.arange(len(jobs) + 1)).tolist()
-    return [flush for job, first, end in zip(jobs, bounds, bounds[1:])
-            for flush in plan_flushes(job, inv, columns, changed.vids, first, end)]
+    bounds = np.searchsorted(changed.pes, np.arange(inv.pe_count + 1)).tolist()
+    return [flush for pe, (first, end) in enumerate(zip(bounds, bounds[1:]))
+            for flush in plan_flushes(caps, pe, inv, columns, changed.vids, first, end)]
 
 
 def as_tuples(plan, pe_count: int) -> list:
@@ -155,14 +166,14 @@ def as_tuples(plan, pe_count: int) -> list:
                   key=lambda flush: flush[:3])
 
 
-def run_jobs(jobs, changed, inv, device, sink):
+def run_jobs(caps, changed, inv, device, sink):
     """Transform the changed rows, then replay the flushes one at a time in
     coordinator order (round, then PE, then position)."""
-    flushes = transform_record(jobs, changed, inv, device)
+    flushes = transform_record(caps, changed, inv, device)
     flushes.sort(key=lambda flush: flush[:3])
     for _round, pe, _position, key, data in flushes:
         device.ledger.charge(pe, "flush")
-        sink.emit(jobs[pe], key, data)
+        sink.emit(pe, key, data)
     if isinstance(sink, StreamSink):
         sink.finish()
 
@@ -199,23 +210,23 @@ class FragmentWriter:
         return Fragment(self.region, tuple(self.pages), self.total)
 
 
-class MaterializeSink:
-    """One ``FragmentWriter`` per (PE, column, kind) over NVM result pages;
-    ``more_pages(job, count)`` adds ``count`` pages to a job's queue."""
+class MaterializeSink(engine.MaterializeSink):
+    """One ``FragmentWriter`` per (PE, column, kind) over NVM result pages,
+    fed from the engine sink's page queues and host round-trip."""
 
-    def __init__(self, device, more_pages):
-        self.device = device
-        self.more_pages = more_pages
+    def __init__(self, device, inv, grantor):
+        super().__init__(device, inv, grantor)
         self.writers = {}
 
-    def emit(self, job, key, data):
-        writer = self.writers.get((job.pe, key))
+    def emit(self, pe, key, data):
+        writer = self.writers.get((pe, key))
         if writer is None:
             writer = FragmentWriter(REGION_NVM)
-            self.writers[(job.pe, key)] = writer
-        while writer.pages_needed(len(data)) > len(job.page_queue):
-            self.more_pages(job, writer.pages_needed(len(data)) - len(job.page_queue))
-        writer.append(self.device, job.pe, data, job.page_queue)
+            self.writers[(pe, key)] = writer
+        queue = self.queues[pe]
+        while writer.pages_needed(len(data)) > len(queue):
+            self.request_space(pe, writer.pages_needed(len(data)) - len(queue))
+        writer.append(self.device, pe, data, queue)
 
     def segments(self, counts, run: int) -> list:
         return [Segment(run, pe, rows, {key: writer.fragment() for (owner, key), writer
@@ -232,16 +243,16 @@ class StreamSink:
         self.device = device
         self.consumer = consumer
         self.buffer_bytes = per_buffer * PAGE_SIZE
-        self.buffers = [inv.stream_pages[i * per_buffer:(i + 1) * per_buffer]
+        self.buffers = [inv.pages[i * per_buffer:(i + 1) * per_buffer]
                         for i in range(cfg.stream_buffer_count)]
-        device.expose_to_host((REGION_DDR, idx) for idx in inv.stream_pages)
+        device.expose_to_host((REGION_DDR, idx) for idx in inv.pages)
         self.current = 0
         self.writer = FragmentWriter(REGION_DDR)
         self.free = list(self.buffers[0])
         self.pending = []
         self.batches = []
 
-    def emit(self, job, key, data):
+    def emit(self, pe, key, data):
         mv = memoryview(data)
         pos = 0
         while pos < len(data):
@@ -250,8 +261,8 @@ class StreamSink:
                 self._deliver()
                 room = self.buffer_bytes
             take = min(room, len(data) - pos)
-            self.writer.append(self.device, job.pe, mv[pos:pos + take], self.free)
-            self.pending.append((job.pe, key, take))
+            self.writer.append(self.device, pe, mv[pos:pos + take], self.free)
+            self.pending.append((pe, key, take))
             pos += take
 
     def _deliver(self):

@@ -385,3 +385,26 @@ def test_write_pages_checks_its_run_once_before_it_writes():
                                              rf"{nbytes} bytes within {3 * PAGE_SIZE}$"):
             dev.write_pages(REGION_NVM, bad, b"\x01" * nbytes)
     assert dev.peek(REGION_NVM, 0, 3 * PAGE_SIZE) == bytes(3 * PAGE_SIZE)
+
+
+@pytest.mark.parametrize("run, nbytes", [
+    ([-1], 8),                                  # a negative page
+    ([0, 3], 2 * PAGE_SIZE),                    # a page past the region
+    ([0, 1, 2], 2 * PAGE_SIZE),                 # bytes that end before the last page
+    ([0, 1], 2 * PAGE_SIZE + 1),                # bytes that run past the last page
+], ids=["negative", "past-region", "short", "long"])
+def test_read_and_write_pages_refuse_a_bad_run_alike(run, nbytes):
+    """Both check a page run with one range check: the same ``OutOfRange``,
+    message and all.  An empty run reads as nothing but cannot be written."""
+    dev = Device(DeviceConfig())
+    pages = dev.allocate_pages(REGION_NVM, 3, "x")
+    bad = [pages[k] if 0 <= k < len(pages) else k for k in run]
+    message = rf"^NVM pages {re.escape(str(bad))} do not hold {nbytes} bytes within " \
+              rf"{3 * PAGE_SIZE}$"
+    with pytest.raises(OutOfRange, match=message):
+        dev.read_pages(REGION_NVM, bad, nbytes, 0)
+    with pytest.raises(OutOfRange, match=message):
+        dev.write_pages(REGION_NVM, bad, b"\x01" * nbytes)
+    assert dev.read_pages(REGION_NVM, [], 0, 0) == b""
+    with pytest.raises(OutOfRange, match=r"^NVM pages \[\] do not hold 0 bytes"):
+        dev.write_pages(REGION_NVM, [], b"")

@@ -6,13 +6,22 @@ import struct
 import numpy as np
 import pytest
 
-from ndtsim.columns import KIND_OFFSETS, KIND_VALIDITY, KIND_VALUES, VID_COLUMN, canonical_compare
+from ndtsim.columns import (
+    KIND_OFFSETS,
+    KIND_VALIDITY,
+    KIND_VALUES,
+    VID_COLUMN,
+    ColumnSet,
+    canonical_compare,
+    result_specs,
+)
 from ndtsim.delta import masked_view, read_fragment
 from ndtsim.device import DeviceConfig, op_total
 from ndtsim.engine import (
     MODE_MATERIALIZE,
     MODE_STREAM,
     RECORD_LOAD_BYTES,
+    MaterializeSink,
     columns_from_batches,
     pe_visibility_check,
     plan_scratchpad,
@@ -39,6 +48,7 @@ from ndtsim.layout import (
     VarChar,
 )
 from ndtsim.mvcc import SnapshotDescriptor, TOMBSTONE
+from ndtsim.oracle import read_columns, visible_records
 from conftest import Harness
 
 
@@ -48,9 +58,11 @@ def test_schedule_distributes_vids_and_pages():
     h = Harness(Schema("t", [("a", Int32(), False)]))
     h.install_rows({vid: (vid,) for vid in range(10)})
     inv = h.prepare(pe_count=4, pages=10)
-    jobs, rows = schedule(inv, h.device)
+    caps, rows = schedule(inv, h.device)
+    assert caps == plan_scratchpad(inv.schema, inv.projection, h.device.cfg.scratchpad_bytes)
     assert rows.pes.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 3, 3]
-    assert [len(j.page_queue) for j in jobs] == [3, 3, 2, 2]
+    # the materializing sink keeps the page queues: page i goes to PE i mod 4
+    assert MaterializeSink(h.device, inv, None).queues == [inv.pages[pe::4] for pe in range(4)]
     # entry i lands on PE i mod 4, PE after PE, in enumeration order, with its chain head
     assert rows.vids.dtype == rows.heads.dtype == np.uint64
     flat = inv.vid_view.tolist()
@@ -59,8 +71,8 @@ def test_schedule_distributes_vids_and_pages():
     inv.pe_count = 1
     assert schedule(inv, h.device)[1].pes.tolist() == [0] * 10
     empty = Harness(Schema("t", [("a", Int32(), False)])).prepare(pe_count=4, pages=0)
-    jobs, rows = schedule(empty, h.device)
-    assert len(jobs) == 4 and len(rows.vids) == 0
+    _caps, rows = schedule(empty, h.device)
+    assert MaterializeSink(h.device, empty, None).queues == [[]] * 4 and len(rows.vids) == 0
 
 
 @pytest.mark.parametrize("projection, error, message", [
@@ -78,6 +90,26 @@ def test_an_invocation_refuses_an_empty_or_repeated_projection(projection, error
     assert h.device.ledger.records_processed == 0 and not h.device.ledger.pe_ops
 
 
+@pytest.mark.parametrize("make", [list, iter], ids=["list", "iterator"])
+def test_an_invocation_keeps_the_projection_it_checked(make):
+    """The invocation stores the projection as it checked it, so one given
+    as a one-shot iterator is transformed as one given as a list."""
+    schema = Schema("t", [("a", Int32(), False), ("b", Int64(), True), ("s", VarChar(4), True)])
+    h = Harness(schema)
+    h.install_rows({vid: (vid, -vid, None if vid % 3 == 0 else "x" * (vid % 5))
+                    for vid in range(1, 11)})
+    inv = h.prepare(make(("a", "s")), pe_count=2, pages=4)
+    assert inv.projection == ("a", "s")
+    assert [spec.name for spec in inv.specs] == [VID_COLUMN, "a", "s"]
+    handle = run_invocation(inv, h.device, h.grantor)
+    specs = result_specs(schema, ("a", "s"))
+    vids, values, present = read_columns(
+        h.shared, schema, visible_records(h.store.vid_map, inv.descriptor), ("a", "s"))
+    expected = ColumnSet(specs, vids, values, {"a": None, "s": present["s"]}, len(vids))
+    assert canonical_compare(masked_view(handle).sorted_by_vid(),
+                             expected.sorted_by_vid()).equal
+
+
 def test_schedule_rejects_excess_pes():
     h = Harness(Schema("t", [("a", Int32(), False)]), DeviceConfig(pe_count=2))
     h.install_rows({1: (1,)})
@@ -85,6 +117,22 @@ def test_schedule_rejects_excess_pes():
     inv.pe_count = 3
     with pytest.raises(TooManyPEsRequested):
         schedule(inv, h.device)
+
+
+@pytest.mark.parametrize("mode", [MODE_MATERIALIZE, MODE_STREAM])
+def test_an_invocation_checks_its_pe_count_before_its_scratchpad(mode):
+    """Both are refused before the walk, too many PEs first, then a
+    scratchpad too small for the projection: no PE is charged, and the
+    invocation keeps no page."""
+    h = Harness(Schema("t", [("a", Int32(), False)]),
+                DeviceConfig(pe_count=2, scratchpad_bytes=RECORD_LOAD_BYTES))
+    h.install_rows({1: (1,)})
+    for pe_count, error in ((3, TooManyPEsRequested), (0, TooManyPEsRequested),
+                            (2, ScratchpadTooSmall)):
+        inv = h.prepare(mode=mode, pe_count=pe_count, pages=2)
+        with pytest.raises(error):
+            run_invocation(inv, h.device, h.grantor)
+        assert not h.device.ledger.pe_ops and not h.device.owner_pages(inv.owner)
 
 
 def test_empty_table_completes_with_empty_output():

@@ -84,7 +84,7 @@ def test_prepare_empty_table_minimal_allocation(system):
     t = system.store.begin_tx()
     inv = system.prepare_invocation(t, pe_count=4)
     system.store.commit_tx(t)
-    assert len(inv.result_pages) == 4       # one page per processing element
+    assert len(inv.pages) == 4       # one page per processing element
     assert len(inv.vid_view) == 0
 
 

@@ -23,6 +23,9 @@ The transfer ledger changes only through ``TransferLedger.charge``: no
 package code outside class ``TransferLedger`` stores to a counter or to
 ``pe_ops``, and none outside ``charge`` calls ``pe_op``.
 
+A materialization's page queues change, and its space grantor is called,
+only in ``engine.MaterializeSink``.
+
 The host's vid map changes only where the map version advances: every
 store to, deletion from or changing dict call on a ``vid_map`` item is in
 a method of ``MvccStore`` that advances ``self.map_version``, the key of
@@ -721,6 +724,93 @@ def test_scan_finds_every_change_log_write(tmp_path):
         "device.Device.track_handle line 10: change_log",
         "device.Device.track_handle line 11: change_log",
         "device.trim line 14: propagations", "device.trim line 15: change_log"]
+
+
+# A materialization's page queues and its host round-trips for space live in
+# its ``MaterializeSink``: a queue changed anywhere else could give one page
+# to two fragments or leave a page unfreed, and a grant asked for anywhere
+# else would bypass the ``space_request`` charge.  A queue change is a store
+# to or deletion of a queue field (an item of one too), or a call of a
+# method that changes it; a grant is a call of the grantor, by either of
+# its names.
+QUEUE_OWNER = "engine.MaterializeSink"
+QUEUE_FIELDS = frozenset({"queues", "page_queue"})
+QUEUE_CHANGING_CALLS = frozenset({"append", "extend", "insert", "pop", "remove", "clear", "sort",
+                                  "reverse"})
+GRANTORS = frozenset({"grantor", "grant_space"})
+
+
+def _queue_field(node):
+    """The queue field ``node`` (or the container it indexes) names, or None."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return node.attr if isinstance(node, ast.Attribute) and node.attr in QUEUE_FIELDS else None
+
+
+def space_handling(path: Path) -> list:
+    """``(scope, line, what)`` of each page-queue change and grantor call in
+    ``path``: ``what`` is the queue field, or the grantor's name and ``()``."""
+    found = []
+
+    def scan(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scan(child, f"{scope}.{child.name}")
+                continue
+            what = None
+            if isinstance(getattr(child, "ctx", None), (ast.Store, ast.Del)):
+                what = _queue_field(child)
+            elif isinstance(child, ast.Call):
+                called = getattr(child.func, "id", getattr(child.func, "attr", None))
+                if called in GRANTORS:
+                    what = f"{called}()"
+                elif called in QUEUE_CHANGING_CALLS:
+                    what = _queue_field(child.func.value)
+            if what:
+                found.append((scope, child.lineno, what))
+            scan(child, scope)
+
+    scan(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def _outside_the_sink(sites) -> list:
+    return [site for site in sites
+            if site[0] != QUEUE_OWNER and not site[0].startswith(QUEUE_OWNER + ".")]
+
+
+def test_only_the_materializing_sink_asks_for_space_or_changes_a_page_queue():
+    sites = [site for path in PACKAGE for site in space_handling(path)]
+    assert _outside_the_sink(sites) == []
+    assert {scope for scope, _line, what in sites if what == "grantor()"} == {
+        "engine.MaterializeSink.request_space"}
+
+
+def test_scan_finds_every_grant_and_page_queue_change(tmp_path):
+    probe = tmp_path / "engine.py"
+    probe.write_text("class MaterializeSink:\n"
+                     "    def __init__(self, pages):\n"
+                     "        self.queues = [pages]\n"
+                     "    def request_space(self, pe, count):\n"
+                     "        self.queues[pe].extend(self.grantor(count))\n"
+                     "def append_run(sink, host):\n"
+                     "    sink.queues[0].pop(0)\n"
+                     "    del sink.queues[1][:2]\n"
+                     "    sink.queues[0] += host.grant_space(None, 2)\n"
+                     "    job.page_queue.append(grantor(None, 1))\n"
+                     "    return len(sink.queues[0]), sink.queues[0].count(3)\n"
+                     "class StreamSink:\n"
+                     "    def place(self, sink):\n"
+                     "        sink.queues = []\n")
+    sites = space_handling(probe)
+    assert sites[:3] == [("engine.MaterializeSink.__init__", 3, "queues"),
+                         ("engine.MaterializeSink.request_space", 5, "queues"),
+                         ("engine.MaterializeSink.request_space", 5, "grantor()")]
+    assert _outside_the_sink(sites) == [
+        ("engine.append_run", 7, "queues"), ("engine.append_run", 8, "queues"),
+        ("engine.append_run", 9, "queues"), ("engine.append_run", 9, "grant_space()"),
+        ("engine.append_run", 10, "page_queue"), ("engine.append_run", 10, "grantor()"),
+        ("engine.StreamSink.place", 14, "queues")]
 
 
 # What the package defines, the system runs.  A definition counts as run when

@@ -45,6 +45,7 @@ from ndtsim.layout import (
 )
 from conftest import random_orderline
 from reference import decode_field, decode_values
+from reference_flushes import extracted_rows
 from ndtsim.host import orderline_schema
 
 
@@ -211,7 +212,7 @@ def test_locate_fields_matches_record_field_slices(schema, make):
     for k, rec in enumerate(records):
         slices, _ = record_field_slices(schema, rec)
         for column, s in zip(columns, slices):
-            present, data, sizes = column.rows(k, k + 1)
+            present, data, sizes = extracted_rows(column, k, k + 1)
             assert bool(present[0]) == (s is not None)
             if s is None:
                 continue

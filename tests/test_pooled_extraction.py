@@ -40,10 +40,10 @@ from reference_flushes import as_tuples, pe_flushes
 from test_batch_path import _tables
 
 
-def _walked_jobs(schema, rows, pe_count: int, cold: int):
+def _walked(schema, rows, pe_count: int, cold: int):
     """A harness whose first ``cold`` rows were merged to NVM and the rest
-    left in the DDR delta mirror, the jobs of a full invocation and the
-    changed rows their walk found."""
+    left in the DDR delta mirror, a full invocation, its scratchpad plan and
+    the changed rows its walk found."""
     h = Harness(schema)
     if cold:
         h.install_rows({vid: row for vid, row in enumerate(rows[:cold], start=1)})
@@ -52,9 +52,9 @@ def _walked_jobs(schema, rows, pe_count: int, cold: int):
     if len(rows) > cold:
         h.install_rows({vid: row for vid, row in enumerate(rows[cold:], start=cold + 1)})
     inv = h.prepare(pe_count=pe_count, pages=4)
-    jobs, rows = schedule(inv, h.device)
+    caps, rows = schedule(inv, h.device)
     changed, _removed, _hidden = walk(rows, inv, h.device, IdentityIndex.empty(), probe=False)
-    return h, inv, jobs, changed
+    return h, inv, caps, changed
 
 
 def _deal(changed: ChangedRows, pe_count: int, how: str, cuts) -> ChangedRows:
@@ -103,15 +103,16 @@ def counted_calls(device):
 def test_pooled_extraction_matches_the_per_pe_transform(table, pe_count, cold_share, how,
                                                        cuts):
     schema, rows = table
-    h, inv, jobs, walked = _walked_jobs(schema, rows, pe_count, int(cold_share * len(rows)))
+    h, inv, caps, walked = _walked(schema, rows, pe_count, int(cold_share * len(rows)))
     changed = _deal(walked, pe_count, how, cuts[:pe_count - 1])
     assert np.all(np.diff(changed.pes) >= 0)
     with counted_calls(h.device) as calls:
         pooled, pooled_charge = _charged(
-            h.device, lambda: as_tuples(transform_record(jobs, changed, inv, h.device), pe_count))
+            h.device, lambda: as_tuples(transform_record(caps, changed, inv, h.device), pe_count))
     reference, reference_charge = _charged(h.device, lambda: sorted(
-        (f for job in jobs for f in pe_flushes(job, changed.take(changed.pes == job.pe), inv,
-                                               h.device)), key=lambda flush: flush[:3]))
+        (f for pe in range(pe_count) for f in pe_flushes(caps, pe, changed.take(changed.pes == pe),
+                                                         inv, h.device)),
+        key=lambda flush: flush[:3]))
 
     assert (calls["loads"], calls["extractions"]) == ((1, 1) if len(changed.vids) else (0, 0))
     assert pooled == reference
@@ -149,16 +150,16 @@ def test_a_corrupt_batch_raises_the_first_fault_in_check_order():
     h.install_rows({vid: (vid, "x" * vid) for vid in range(1, 9)})
     inv = h.prepare(pe_count=2, pages=4)
     _corrupt(h, inv, payload_vid=5, length_vid=4)                 # vid 5: PE 0, vid 4: PE 1
-    jobs, rows = schedule(inv, h.device)
+    caps, rows = schedule(inv, h.device)
     changed, _removed, _hidden = walk(rows, inv, h.device, IdentityIndex.empty(), probe=False)
     assert changed.pes.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
     with pytest.raises(CorruptRecord) as pooled:
-        transform_record(jobs, changed, inv, h.device)
+        transform_record(caps, changed, inv, h.device)
     assert str(pooled.value) == "record shorter than its header"
     with pytest.raises(CorruptRecord, match="varlen field 1 payload past record end"):
-        pe_flushes(jobs[0], changed.take(changed.pes == 0), inv, h.device)
+        pe_flushes(caps, 0, changed.take(changed.pes == 0), inv, h.device)
     with pytest.raises(CorruptRecord, match="shorter than its header"):
-        pe_flushes(jobs[1], changed.take(changed.pes == 1), inv, h.device)
+        pe_flushes(caps, 1, changed.take(changed.pes == 1), inv, h.device)
 
 
 def test_a_corrupt_full_materialization_raises_after_one_extraction():

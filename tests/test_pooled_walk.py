@@ -68,7 +68,7 @@ def test_the_pooled_walk_matches_a_walk_per_pe(seed, pe_count, halfway, candidat
     vids = inv.vid_view["vid"]
     candidates = None if candidate_share is None else np.sort(np.array(
         rng.sample(vids.tolist(), int(candidate_share * len(vids))), dtype=np.uint64))
-    _jobs, rows = schedule(inv, h.device, candidates)
+    _caps, rows = schedule(inv, h.device, candidates)
     held = _held(h.store, rows.vids, rng)
     walked = rows.heads != held
     regions, _ = inv.l2p_view.resolve(rows.heads[walked] >> np.uint64(16))
@@ -119,7 +119,7 @@ def test_unresolvable_pages_on_two_pes_name_the_earliest_step():
     nowhere = pack_rid(RecordID(len(inv.l2p_view.regions) + 3, 0))
     inv.vid_view = inv.vid_view.copy()
     inv.vid_view["head"][inv.vid_view["vid"] == 2] = nowhere
-    _jobs, rows = schedule(inv, h.device)
+    _caps, rows = schedule(inv, h.device)
     assert rows.vids.tolist() == [1, 3, 5, 7, 2, 4, 6, 8]
 
     mine = rows.pes == 0

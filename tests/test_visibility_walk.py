@@ -104,7 +104,7 @@ def test_walk_matches_oracle_with_exact_per_pe_charges(seed, snapshot):
     items = inv.vid_view.tolist()
     for pe_count in range(1, 9):
         inv.pe_count = pe_count
-        jobs, rows = schedule(inv, h.device)
+        _caps, rows = schedule(inv, h.device)
         before = h.device.ledger.snapshot()
         changed, removed, _hidden = walk(rows, inv, h.device, IdentityIndex.empty(), probe=False)
         assert len(removed) == 0
@@ -112,11 +112,11 @@ def test_walk_matches_oracle_with_exact_per_pe_charges(seed, snapshot):
 
         assert np.all(np.diff(changed.pes) >= 0)
         nvm_visits = 0
-        for job in jobs:
-            mine = changed.take(changed.pes == job.pe)
+        for pe in range(pe_count):
+            mine = changed.take(changed.pes == pe)
             rows = dict(zip(mine.vids.tolist(), range(len(mine.vids))))
             visits = 0
-            for vid, _head in items[job.pe::pe_count]:
+            for vid, _head in items[pe::pe_count]:
                 chain = h.store.vid_map[vid]
                 expected = oracle_visible_version(chain, inv.descriptor)
                 visits += _oracle_visits(chain, inv.descriptor)
@@ -133,8 +133,8 @@ def test_walk_matches_oracle_with_exact_per_pe_charges(seed, snapshot):
                 at, size = int(mine.offsets[k]), int(mine.lengths[k])
                 assert bytes(h.device.peek(region, at, size)) == h.shared.read_record(expected)
             assert rows == {}
-            n = len(items[job.pe::pe_count])
-            ops = delta["pe_ops"].get(job.pe, {})
+            n = len(items[pe::pe_count])
+            ops = delta["pe_ops"].get(pe, {})
             want = {"vid_entry": n, "l2p": visits, "slot": visits, "probe": visits}
             assert ops == {op: count for op, count in want.items() if count}
         assert delta["nvm_reads"] == 2 * nvm_visits
