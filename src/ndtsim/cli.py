@@ -35,7 +35,7 @@ from .host import (
     q6_default_params,
 )
 from .layout import PAGE_SIZE
-from .result_file import write_handle
+from .result_file import read_file, write_handle
 from .shared_state import REGION_HOST
 
 log = logging.getLogger("ndtsim")
@@ -200,7 +200,9 @@ def cmd_transform(args) -> int:
                    ledger_csv_rows(delta, system.device.cfg))
     if args.out:
         write_handle(args.out, result)
-        print(f"  exported {args.out}")
+        exported, current = read_file(args.out)
+        _require_equal(exported.mask(current), masked_view(result), f"export {args.out}")
+        print(f"  exported {args.out}; read back, it equals the view")
     return 0
 
 

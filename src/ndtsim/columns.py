@@ -15,20 +15,24 @@ them, and every encoder of that layout is here:
 * visibility -> LSB-first bits padded to whole u64 words
   (``visibility_words``)
 
-One reader, ``assemble``, serves device segments and NDTC files: it is
-``decode_segment`` of each segment, then ``join_segments``.  It checks
-every buffer's length before viewing it and every row of every segment,
-but decodes only what the consumer keeps: fixed-width columns are numpy
-views gathered by its keep mask, and each varchar column is checked as a
-whole (offsets from 0, never decreasing, ending at the payload's length,
-on character boundaries; the payload UTF-8) and decoded whole, with one
+One reader, ``read_joined``, serves device segments, streams and NDTC
+files.  It takes segments with each (column, kind) of all of them joined
+into one buffer (``JoinedSegments``) and works a column at a time: one
+length check per buffer kind over every segment, each fixed-width column
+one view and one take of the keep mask, each validity bitmap unpacked
+once, and each varchar column's offsets checked (from 0, never
+decreasing, ending at the payload's length) and rebased over the joined
+payload at once.  Its strings are decoded in one ``decode_varchar``, one
 UTF-8 decode of the payload with a NUL between values and one split at
-the NULs, before the kept values are picked (``decode_varchar``).
-``delta.masked_view`` calls the same two pieces and hands
-``decode_segment`` the strings it kept from byte-equal buffers.
-``gather_buffers`` moves kept values, offsets, payload bytes and validity
-bits between buffer sets without building a string, for compaction and
-export.
+the NULs, which also checks the payload and the character boundaries;
+strings a caller holds for leading positions are not decoded again.
+When a check over the joined buffers fails, each segment is checked alone
+(``_check_segment``) and the first faulty one raises, so the error is
+the one a segment-by-segment reader names.  ``assemble`` is that reader
+over a list of ``(rows, buffers)``, and ``gather_buffers`` moves kept
+values, offsets, payload bytes and validity bits between buffer sets
+without building a string, for compaction and export, under the same
+checks.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal as PyDecimal
 from itertools import chain, compress
-from operator import itemgetter
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -275,18 +278,155 @@ def _array(raw, dtype, count: int, what: str) -> np.ndarray:
     return np.frombuffer(raw, dtype=dtype)
 
 
-def _split_segment(specs, buffers: dict, rows: int):
-    """Check the buffer sizes of one segment (raw buffers for a run of rows)
-    and view its columns as arrays, decoding no value.
+def buffer_keys(specs) -> list:
+    """The (name, kind) of every buffer a column set of ``specs`` has, in
+    the order ``_encode`` writes them."""
+    keys = [(VID_COLUMN, KIND_VALUES)]
+    for spec in specs:
+        if spec.name == VID_COLUMN:
+            continue
+        keys.append((spec.name, KIND_VALUES))
+        if spec.ftype.code == TC_VARCHAR:
+            keys.append((spec.name, KIND_OFFSETS))
+        if spec.nullable:
+            keys.append((spec.name, KIND_VALIDITY))
+    return keys
+
+
+class JoinedSegments(NamedTuple):
+    """Consecutive segments' buffers with each (column, kind) of all of them
+    joined into one buffer, as ``read_joined`` and ``gather_buffers`` take
+    them.  A segment without a buffer holds none of its bytes."""
+
+    rows: np.ndarray              # int64, the rows of each segment
+    buffers: dict                 # (name, kind) -> bytes-like, every segment's buffer in order
+    sizes: dict                   # (name, kind) -> int64 array, each segment's bytes in it
+
+    @classmethod
+    def of(cls, segments) -> "JoinedSegments":
+        """``segments``, each ``(rows, buffers)``, joined; a lone segment's
+        buffers are not copied."""
+        rows = np.array([rows for rows, _ in segments], dtype=np.int64)
+        keys = dict.fromkeys(chain.from_iterable(buffers for _, buffers in segments))
+        parts = {key: [buffers.get(key, b"") for _, buffers in segments] for key in keys}
+        return cls(rows, {key: part[0] if len(part) == 1 else b"".join(part)
+                          for key, part in parts.items()},
+                   {key: np.array(list(map(len, part)), dtype=np.int64)
+                    for key, part in parts.items()})
+
+    def segment(self, s: int) -> dict:
+        """Segment ``s``'s own buffers, sliced out of the joined ones."""
+        out = {}
+        for key, raw in self.buffers.items():
+            sizes = self.sizes[key]
+            lo = int(sizes[:s].sum())
+            out[key] = bytes(raw[lo:lo + int(sizes[s])])
+        return out
+
+
+def _buffer_counts(specs, rows) -> list:
+    """The key, element type and entry count of each buffer whose length the
+    reader checks, in its order, for ``rows``: one segment's (an int) or
+    each segment's (an array).  A varchar column stores no offsets for no
+    rows, and its payload's length is checked by its offsets."""
+    counts = [((VID_COLUMN, KIND_VALUES), VID_DTYPE, rows)]
+    for spec in specs:
+        name = spec.name
+        if name == VID_COLUMN:
+            continue
+        if spec.ftype.code == TC_VARCHAR:
+            counts.append(((name, KIND_OFFSETS), OFFSETS_DTYPE, (rows + 1) * (rows != 0)))
+        else:
+            counts.append(((name, KIND_VALUES), np.dtype(f"<i{spec.ftype.width}"), rows))
+        if spec.nullable:
+            counts.append(((name, KIND_VALIDITY), VALIDITY_DTYPE, (rows + 7) // 8))
+    return counts
+
+
+def _check_segment(specs, rows: int, buffers: dict):
+    """Check one segment's buffers alone, in the reader's order: every
+    buffer's length, then each varchar column's offsets and UTF-8."""
+    for (name, kind), dtype, count in _buffer_counts(specs, rows):
+        _array(buffers.get((name, kind), b""), dtype, count, f"{name} {kind}")
+    for spec in specs:
+        if spec.ftype.code == TC_VARCHAR:
+            offsets = buffers.get((spec.name, KIND_OFFSETS), b"")
+            _check_varchar(bytes(buffers.get((spec.name, KIND_VALUES), b"")),
+                           np.frombuffer(offsets, dtype=OFFSETS_DTYPE) if rows
+                           else varchar_offsets([]), spec.name)
+
+
+def _name_fault(specs, segs: JoinedSegments):
+    """Raise the fault of the first faulty segment, each checked alone
+    (``_check_segment``), once a check over the joined buffers failed."""
+    for s, rows in enumerate(segs.rows.tolist()):
+        _check_segment(specs, rows, segs.segment(s))
+    raise CorruptDescriptor("the joined segments fail a check that no segment fails alone")
+
+
+def _sizes_fit(specs, segs: JoinedSegments) -> bool:
+    """Whether every segment's buffers have the lengths its rows need;
+    ``_check_segment`` names the first that does not."""
+    missing = np.zeros(len(segs.rows), dtype=np.int64)
+    for key, dtype, count in _buffer_counts(specs, segs.rows):
+        if not np.array_equal(segs.sizes.get(key, missing), count * dtype.itemsize):
+            return False
+    return True
+
+
+def _bounds(segs: JoinedSegments, name: str):
+    """Varchar column ``name``'s value bounds in its joined payload (rows+1,
+    int64), each segment's u4 offsets rebased by the payload bytes of the
+    segments before it; None when a segment's offsets do not start at 0,
+    end at its payload's length and never decrease."""
+    rows = segs.rows
+    sizes = segs.sizes.get((name, KIND_VALUES), np.zeros(len(rows), dtype=np.int64))
+    ends = np.frombuffer(segs.buffers.get((name, KIND_OFFSETS), b""),
+                         dtype=OFFSETS_DTYPE).astype(np.int64)
+    held = rows > 0
+    counts = np.where(held, rows + 1, 0)
+    last = np.cumsum(counts)[held] - 1             # each segment's closing offset
+    first = last - rows[held]
+    steps = np.diff(ends)
+    steps[last[:-1]] = 0                           # from one segment's end to the next's start
+    if sizes[~held].any() or ends[first].any() or (ends[last] != sizes[held]).any() \
+            or (steps < 0).any():
+        return None
+    ends += np.repeat((np.cumsum(sizes) - sizes)[held], rows[held] + 1)
+    opening = np.ones(len(ends), dtype=bool)
+    opening[last] = False
+    return np.append(ends[opening], sizes.sum())
+
+
+def _validity(segs: JoinedSegments, name: str, take) -> np.ndarray:
+    """Column ``name``'s validity at the positions ``take`` (a slice or a
+    mask): the bits of every segment's bitmap, unpacked at once, less the
+    padding that ends each one on a whole byte."""
+    key = (name, KIND_VALIDITY)
+    bits = np.unpackbits(np.frombuffer(segs.buffers.get(key, b""), dtype=VALIDITY_DTYPE),
+                         bitorder="little").view(bool)
+    rows = segs.rows
+    if len(rows) == 1:
+        return bits[:rows[0]][take]
+    ends = 8 * np.cumsum(segs.sizes.get(key, np.zeros(len(rows), dtype=np.int64)))
+    pad = np.diff(ends, prepend=0) - rows
+    real = np.ones(len(bits), dtype=bool)
+    real[np.repeat(ends - np.cumsum(pad), pad) + np.arange(int(pad.sum()))] = False
+    return bits[real][take]
+
+
+def _view(specs, segs: JoinedSegments, take):
+    """Check every segment's buffer lengths and varchar offsets, and view
+    the positions ``take`` (a slice or a mask) of each column,
+    decoding no value; a fault raises as ``_name_fault`` names it.
 
     Returns ``(vids, data, validity)``; ``data`` maps a fixed-width column
-    to its values array and a varchar column to ``(payload, offsets)``,
-    whose content ``decode_varchar`` or ``_check_varchar`` checks.
+    to its values and a varchar column to its joined payload and every
+    position's value bounds (``_bounds``), whose UTF-8 is left unchecked.
     """
-    def buffer(name, kind, dtype, count):
-        return _array(buffers.get((name, kind), b""), dtype, count, f"{name} {kind}")
-
-    vids = buffer(VID_COLUMN, KIND_VALUES, VID_DTYPE, rows)
+    if not _sizes_fit(specs, segs):
+        _name_fault(specs, segs)
+    vids = np.frombuffer(segs.buffers.get((VID_COLUMN, KIND_VALUES), b""), dtype=VID_DTYPE)
     data: dict = {}
     validity: dict = {}
     for spec in specs:
@@ -294,129 +434,111 @@ def _split_segment(specs, buffers: dict, rows: int):
         if name == VID_COLUMN:
             continue
         if spec.ftype.code == TC_VARCHAR:
-            offsets = buffer(name, KIND_OFFSETS, OFFSETS_DTYPE, rows + 1 if rows else 0)
-            data[name] = (bytes(buffers.get((name, KIND_VALUES), b"")),
-                          offsets if rows else varchar_offsets([]))    # none stored for no rows
+            bounds = _bounds(segs, name)
+            if bounds is None:
+                _name_fault(specs, segs)
+            data[name] = (segs.buffers.get((name, KIND_VALUES), b""), bounds)
         else:
-            data[name] = buffer(name, KIND_VALUES, f"<i{spec.ftype.width}", rows)
-        validity[name] = (unpack_bits(buffer(name, KIND_VALIDITY, VALIDITY_DTYPE,
-                                             (rows + 7) // 8), rows)
-                          if spec.nullable else None)
-    return vids, data, validity
+            data[name] = np.frombuffer(segs.buffers.get((name, KIND_VALUES), b""),
+                                       dtype=f"<i{spec.ftype.width}")[take]
+        validity[name] = _validity(segs, name, take) if spec.nullable else None
+    return vids[take], data, validity
 
 
-def segment_masks(segments, keep) -> list:
-    """Each segment's slice of the keep mask (None throughout when ``keep``
-    is None); a mask of another length than the positions is a
-    ``LengthMismatch``."""
-    bounds = np.cumsum([0] + [rows for rows, _ in segments]).tolist()
+def _checked_keep(segs: JoinedSegments, keep):
+    """``keep``, or a slice of every position when it is None; a mask of
+    another length than the positions is a ``LengthMismatch``."""
     if keep is None:
-        return [None] * len(segments)
-    if len(keep) != bounds[-1]:
-        raise LengthMismatch(f"keep mask has {len(keep)} entries for {bounds[-1]} positions")
-    return [keep[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        return slice(None)
+    total = int(segs.rows.sum())
+    if len(keep) != total:
+        raise LengthMismatch(f"keep mask has {len(keep)} entries for {total} positions")
+    return keep
 
 
-def _joined(arrays) -> np.ndarray:
-    """One array per segment, concatenated; a lone array is not copied."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+def _strings(specs, segs: JoinedSegments, name: str, payload, bounds, keep, done: int,
+             pieces) -> list:
+    """The strings of varchar column ``name`` at the positions ``keep``
+    marks (all when None): those ``pieces`` hold, the strings of the first
+    ``done`` positions in order, then the rest decoded in one
+    ``decode_varchar``, which checks their UTF-8."""
+    values = []
+    if done < len(bounds) - 1:
+        lo = int(bounds[done])
+        try:
+            values = decode_varchar(bytes(payload[lo:]), bounds[done:] - lo, name,
+                                    None if keep is None else keep[done:])
+        except CorruptDescriptor:
+            _name_fault(specs, segs)
+            raise
+        if not done:
+            return values
+    strings = []
+    for piece in pieces:
+        strings.extend(piece)
+    strings.extend(values)
+    return strings
 
 
-class DecodedSegment(NamedTuple):
-    """One segment as ``decode_segment`` leaves it for ``join_segments``:
-    the fixed-width, identity and validity columns viewed whole, the
-    strings of the kept rows, and the keep mask (None: every row)."""
+def read_joined(specs, segs: JoinedSegments, keep=None, known=None) -> ColumnSet:
+    """The positions ``keep`` marks (all when None) of joined segments, as a
+    column set.
 
-    vids: np.ndarray
-    data: dict                    # name -> values array, or [str] of the kept rows
-    validity: dict                # name -> bool array | None
-    keep: Optional[np.ndarray]
-
-
-def decode_segment(specs, rows: int, buffers: dict, keep=None, strings=None) -> DecodedSegment:
-    """Check one segment's buffers and decode the strings of the rows
-    ``keep`` marks (all when None).
-
-    Every buffer length and every position is checked, and strings are built
-    for kept rows only.  ``strings`` maps a varchar column to its kept
-    values when the caller holds them already, decoded from byte-equal
-    buffers under the same checks; such a column is not decoded again.
+    Every buffer's length and every varchar offset of every segment is
+    checked; a fault raises as the first faulty segment alone raises it.
+    Each fixed-width column is one view of its joined buffer and one take
+    of the kept positions, and each validity bitmap is unpacked once.
+    ``known`` is ``(count, {name: pieces})``: the strings of the kept rows
+    among the first ``count`` positions, in pieces whose strings follow
+    one another, decoded earlier from byte-equal buffers under the same
+    checks; the other rows' strings are decoded in one ``decode_varchar``
+    per column, which checks their UTF-8.
     """
-    strings = strings or {}
-    vids, data, validity = _split_segment(specs, buffers, rows)
+    vids, data, validity = _view(specs, segs, _checked_keep(segs, keep))
+    done, strings = known or (0, {})
     for spec in specs:
-        name = spec.name
         if spec.ftype.code == TC_VARCHAR:
-            data[name] = (strings[name] if name in strings
-                          else decode_varchar(*data[name], name, keep))
-    return DecodedSegment(vids, data, validity, keep)
-
-
-def join_segments(specs, parts) -> ColumnSet:
-    """The kept rows of decoded segments, concatenated in order (none reads
-    as one empty segment); either every segment has a mask or none has.
-    Without masks a lone segment's arrays are not copied; every string list
-    is a new one."""
-    parts = parts or [decode_segment(specs, 0, {})]
-    vids, data, validity, keeps = zip(*parts)
-    take = slice(None) if keeps[0] is None else _joined(keeps)
-    columns: dict = {}
-    valid: dict = {}
-    for spec in specs:
-        name = spec.name
-        if name == VID_COLUMN:
-            continue
-        column = tuple(map(itemgetter(name), data))
-        columns[name] = (list(chain.from_iterable(column)) if spec.ftype.code == TC_VARCHAR
-                         else _joined(column)[take])
-        valid[name] = (_joined(tuple(map(itemgetter(name), validity)))[take]
-                       if spec.nullable else None)
-    vids = _joined(vids)[take]
-    return ColumnSet(specs, vids, columns, valid, len(vids))
+            data[spec.name] = _strings(specs, segs, spec.name, *data[spec.name], keep, done,
+                                       strings.get(spec.name, ()))
+    return ColumnSet(specs, vids, data, validity, len(vids))
 
 
 def assemble(specs, segments, keep=None) -> ColumnSet:
-    """Concatenate decoded segments (list of (rows, buffers)) in order,
-    keeping the positions ``keep`` marks (all when None): ``decode_segment``
-    of each, then ``join_segments``.
+    """The segments (a list of ``(rows, buffers)``) in order, keeping the
+    positions ``keep`` marks (all when None): ``read_joined`` of them joined.
 
     Every position is checked; strings are built for kept positions only.
     """
-    masks = segment_masks(segments, keep)
-    return join_segments(specs, [decode_segment(specs, rows, buffers, mask)
-                                 for (rows, buffers), mask in zip(segments, masks)])
+    return read_joined(specs, JoinedSegments.of(segments), keep)
 
 
-def gather_buffers(specs, segments, keep=None) -> dict:
-    """``column_buffers(assemble(specs, segments, keep))``, moved byte for
-    byte out of the segment buffers: the kept values, offsets, payload bytes
-    and validity bits are gathered with numpy and no string is built.
+def gather_buffers(specs, segs: JoinedSegments, keep=None) -> dict:
+    """``column_buffers(read_joined(specs, segs, keep))``, moved byte for byte
+    out of the joined buffers: the kept values, offsets, payload bytes and
+    validity bits are gathered with numpy and no string is built.
 
-    Every position is checked as ``assemble`` checks it.
+    Every position is checked as ``read_joined`` checks it.
     """
-    segment_masks(segments, keep)                # checks the mask's length
-    parts = [_split_segment(specs, buffers, rows) for rows, buffers in segments or [(0, {})]]
-    take = slice(None) if keep is None else keep
-
-    def joined(arrays):
-        return _joined(arrays)[take]
+    vids, data, validity = _view(specs, segs, _checked_keep(segs, keep))
 
     def column(spec):
         name = spec.name
         if spec.ftype.code == TC_VARCHAR:
-            cols = [p[1][name] for p in parts]
-            lengths = np.concatenate([np.diff(_check_varchar(payload, offsets, name))
-                                      for payload, offsets in cols])
-            payload = b"".join(payload for payload, _ in cols)
+            payload, bounds = data[name]
+            payload = bytes(payload)
+            try:
+                _check_varchar(payload, bounds, name)
+            except CorruptDescriptor:
+                _name_fault(specs, segs)
+                raise
+            lengths = np.diff(bounds)
             if keep is not None:
                 payload = np.frombuffer(payload, dtype=np.uint8)[np.repeat(keep, lengths)]
                 lengths = lengths[keep]
-            values = payload, lengths
-        else:
-            values = joined([p[1][name] for p in parts])
-        return values, joined([p[2][name] for p in parts]) if spec.nullable else None
+            return (payload, lengths), validity[name]
+        return data[name], validity[name]
 
-    return _encode(specs, joined([p[0] for p in parts]), column)
+    return _encode(specs, vids, column)
 
 
 @dataclass(frozen=True)

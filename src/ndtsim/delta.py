@@ -23,20 +23,24 @@ the current rows in position order, so each held vid's new position is
 the rank of its old one among the current positions
 (``cumsum(current)[position] - 1``), and every new position is current.
 
-The read side pulls every fragment page of every run and checks every
-buffer's length.  ``masked_view`` views the fixed-width columns from those
-fresh bytes, but decodes a segment's strings once for the life of the
-segment: the handle keeps on the host, per segment, the varchar buffers a
-view decoded, the current mask it decoded them under and the strings of
-that mask (``DecodedStrings``).  A later view reuses them while the
-segment's varchar buffers are byte-equal to the kept ones and its mask has
-only lost positions, which holds until a compaction because a current bit
-is only ever cleared; it checks both every time.  Anything else is decoded
-and checked as ``columns.assemble`` does, for current positions only.
+The read side pulls every fragment page of every run in one
+``Device.read_runs`` (``read_back``), each (column, kind) of all segments
+into one buffer, checked and charged as one read per fragment, and
+checks every buffer's length and every varchar offset
+(``columns.read_joined``).  ``masked_view`` views the fixed-width columns
+from those fresh bytes, but decodes a segment's strings once for the life
+of the segment: the handle keeps on the host the rows of the segments a
+view decoded, their varchar buffers, the mask each position was decoded
+under and those strings (``DecodedStrings``).  A later view reuses them
+while those segments still lead the handle with byte-equal varchar buffers
+and their current positions have only been lost, which holds until a
+compaction because segments are only appended and a current bit is only
+ever cleared; it checks both every time.  The rows after them are decoded
+and checked as ``columns.read_joined`` does, for current positions only.
 ``compact`` decodes nothing, it gathers the current rows' bytes into its
 new fragments and checks every position, outdated ones included; when the
-kept strings of every old segment were reusable it carries those of the
-current rows to the new segment, so the view after it decodes nothing.
+kept strings covered every position it carries those of the current rows
+to the new segment, so the view after it decodes nothing.
 """
 
 from __future__ import annotations
@@ -50,10 +54,9 @@ from .columns import (
     KIND_OFFSETS,
     KIND_VALUES,
     ColumnSet,
-    decode_segment,
+    JoinedSegments,
     gather_buffers,
-    join_segments,
-    segment_masks,
+    read_joined,
 )
 from .device import REGION_NVM, REQUESTER_COORD, REQUESTER_HOST
 from .engine import (
@@ -61,7 +64,6 @@ from .engine import (
     NdtInvocation,
     Segment,
     expose_segments,
-    read_fragment,
     run_invocation,
     write_bitmap_pages,
     write_fragment,
@@ -69,78 +71,108 @@ from .engine import (
 from .layout import PAGE_SIZE, TC_VARCHAR
 
 
-def read_segments(handle: MaterializationHandle, requester=REQUESTER_HOST) -> list:
-    """Every segment's ``(rows, buffers)``, read off all its fragment pages."""
+def read_back(handle: MaterializationHandle, requester=REQUESTER_HOST) -> JoinedSegments:
+    """Every fragment of every segment, pulled in one ``Device.read_runs``:
+    each (column, kind) of all segments joined into one buffer.  The
+    fragments are checked segment after segment and charged as one
+    ``read_pages`` each."""
     handle.require_live()
-    return [(seg.rows, {key: read_fragment(handle.device, frag, requester)
-                        for key, frag in seg.frags.items()})
-            for seg in handle.segments]
+    segments = handle.segments
+    keys = list(chain.from_iterable(seg.frags for seg in segments))         # one per fragment
+    runs = list(chain.from_iterable(seg.frags.values() for seg in segments))
+    code = {key: k for k, key in enumerate(dict.fromkeys(keys))}
+    groups = np.fromiter(map(code.__getitem__, keys), np.int64, len(keys))
+    buffers = handle.device.read_runs(runs, requester, groups) if runs else []
+    sizes = np.zeros((len(code), len(segments)), dtype=np.int64)
+    sizes[groups, np.repeat(np.arange(len(segments)), [len(seg.frags) for seg in segments])] = \
+        [frag.nbytes for frag in runs]
+    return JoinedSegments(np.array([seg.rows for seg in segments], dtype=np.int64),
+                          dict(zip(code, buffers)), dict(zip(code, sizes)))
 
 
 class DecodedStrings(NamedTuple):
-    """What ``masked_view`` keeps of one segment on the host: the varchar
-    buffers it decoded, the segment's current mask then, and the strings of
-    that mask's positions, per varchar column."""
+    """What ``masked_view`` keeps of a handle on the host: the rows of the
+    segments it decoded, their varchar buffers, the mask each position's
+    strings were decoded under and, per varchar column, those strings in
+    position order, as one chunk per view that decoded some."""
 
-    buffers: dict                 # (name, kind) -> the varchar values and offsets bytes
-    keep: np.ndarray              # bool per position of the segment
-    strings: dict                 # name -> [str] of keep's positions
+    rows: np.ndarray              # int64, the rows of each segment decoded
+    buffers: dict                 # (name, kind) -> the varchar values and offsets, joined bytes
+    keep: np.ndarray              # bool per position of those segments
+    strings: dict                 # name -> tuple of chunks, each a tuple of str
 
     @classmethod
-    def of(cls, specs, buffers: dict, keep: np.ndarray, strings: dict) -> "DecodedStrings":
+    def of(cls, specs, segs: JoinedSegments, keep: np.ndarray, strings: dict,
+           chunks=None) -> "DecodedStrings":
+        """``segs``' varchar buffers and ``strings``, each column's strings of
+        ``keep``'s positions as one chunk, after the ``chunks`` kept of
+        the positions before them (none by default)."""
         names = [spec.name for spec in specs if spec.ftype.code == TC_VARCHAR]
-        return cls({(name, kind): buffers.get((name, kind), b"")
-                    for name in names for kind in (KIND_VALUES, KIND_OFFSETS)},
-                   keep.copy(), {name: strings[name] for name in names})
+        return cls(segs.rows, {(name, kind): bytes(segs.buffers.get((name, kind), b""))
+                               for name in names for kind in (KIND_VALUES, KIND_OFFSETS)},
+                   keep.copy(), {name: (*(chunks or {}).get(name, ()), tuple(strings[name]))
+                                 for name in names})
 
-    def under(self, buffers: dict, keep: np.ndarray):
-        """These strings narrowed to ``keep``, or None unless the segment's
-        varchar ``buffers`` are byte-equal to the decoded ones and ``keep``
-        has only lost positions."""
-        if len(keep) != len(self.keep) or (keep & ~self.keep).any():
+    def under(self, segs: JoinedSegments, keep: np.ndarray):
+        """``(positions, strings)``, the ``known`` of ``columns.read_joined``:
+        these strings narrowed to ``keep`` (per column, a piece per chunk:
+        the chunk, or an iterator over its kept strings), or None
+        unless the segments decoded lead ``segs`` with the same rows and
+        byte-equal varchar buffers, and ``keep`` has only lost positions
+        among theirs."""
+        count, decoded = len(self.rows), len(self.keep)
+        if not np.array_equal(segs.rows[:count], self.rows) or len(keep) < decoded \
+                or (keep[:decoded] & ~self.keep).any():
             return None
-        if any(buffers.get(key, b"") != raw for key, raw in self.buffers.items()):
-            return None
-        still = keep[self.keep]
-        if still.all():
-            return self
-        still = still.tolist()
-        return DecodedStrings(self.buffers, keep.copy(),
-                              {name: list(compress(values, still))
-                               for name, values in self.strings.items()})
+        for key, raw in self.buffers.items():
+            size = int(segs.sizes[key][:count].sum()) if key in segs.sizes else 0
+            if size != len(raw) or not segs.buffers.get(key, b"").startswith(raw):
+                return None
+        still = keep[:decoded][self.keep]
+        bounds = np.cumsum([0, *map(len, next(iter(self.strings.values()), ()))]).tolist()
+        pieces = {name: [] for name in self.strings}
+        for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            kept = still[lo:hi]
+            whole = kept.all()
+            kept = kept.tobytes()                           # one 0 or 1 per string
+            for name, chunks in self.strings.items():
+                pieces[name].append(chunks[k] if whole else compress(chunks[k], kept))
+        return decoded, pieces
 
-
-def _reused(handle: MaterializationHandle, segments) -> tuple:
-    """Per segment, its kept ``DecodedStrings`` under the current mask, or
-    None where they cannot be reused; and the mask slices."""
-    masks = segment_masks(segments, handle.current)
-    reused = []
-    for seg, (_rows, buffers), keep in zip(handle.segments, segments, masks):
-        kept = handle.decoded.get((seg.run, seg.pe))
-        reused.append(kept and kept.under(buffers, keep))
-    return reused, masks
+    def then(self, specs, segs: JoinedSegments, keep: np.ndarray, view: ColumnSet):
+        """What the handle keeps after ``view`` of ``segs`` under ``keep``,
+        which reused these strings: them, and the strings of the positions
+        after them as one more chunk; or, when there are none and positions
+        were lost, the view's strings as one chunk, so that later views of
+        an unchanged handle narrow nothing."""
+        decoded = len(self.keep)
+        if decoded == len(keep):          # nothing new: keep the narrowed strings, if narrower
+            return self if np.array_equal(keep, self.keep) else \
+                DecodedStrings.of(specs, segs, keep, view.data)
+        known = int(np.count_nonzero(keep[:decoded]))
+        return DecodedStrings.of(specs, segs, np.concatenate((self.keep, keep[decoded:])),
+                                 {name: view.data[name][known:] for name in self.strings},
+                                 self.strings)
 
 
 def masked_view(handle: MaterializationHandle) -> ColumnSet:
     """The rows a consumer reads: bitmap-current positions, in position order.
 
-    Every page is read, every buffer length checked and the fixed-width
-    columns viewed from the fresh bytes.  A segment's strings are decoded
-    once for the life of the segment: while its varchar buffers stay
-    byte-equal to the ones the handle kept and its current positions only
-    shrink, the kept strings are narrowed instead; otherwise the segment is
-    decoded and checked as ``assemble`` does, for current positions only.
+    Every page is read, every buffer length and varchar offset checked and
+    the fixed-width columns viewed from the fresh bytes.  The strings of a
+    segment are decoded once for the life of the segment: while the
+    segments the handle kept strings for lead the handle with byte-equal
+    varchar buffers and their current positions only shrink, the kept
+    strings are narrowed instead; the rows after them are decoded and
+    checked as ``columns.read_joined`` does, for current positions only.
     """
-    specs = handle.specs
-    segments = read_segments(handle)
-    reused, masks = _reused(handle, segments)
-    decoded, parts = {}, []
-    for seg, (rows, buffers), keep, kept in zip(handle.segments, segments, masks, reused):
-        part = decode_segment(specs, rows, buffers, keep, kept and kept.strings)
-        decoded[(seg.run, seg.pe)] = kept or DecodedStrings.of(specs, buffers, keep, part.data)
-        parts.append(part)
-    handle.decoded = decoded
-    return join_segments(specs, parts)
+    segs = read_back(handle)
+    kept = handle.decoded
+    known = kept and kept.under(segs, handle.current)
+    view = read_joined(handle.specs, segs, handle.current, known)
+    handle.decoded = (kept.then(handle.specs, segs, handle.current, view) if known else
+                      DecodedStrings.of(handle.specs, segs, handle.current, view.data))
+    return view
 
 
 def delta_transform(handle: MaterializationHandle, inv: NdtInvocation,
@@ -169,10 +201,11 @@ def compact(handle: MaterializationHandle) -> MaterializationHandle:
     the change log and its unsettled vids.
     """
     device = handle.device
-    segments = read_segments(handle, REQUESTER_COORD)
-    buffers = gather_buffers(handle.specs, segments, handle.current)
+    segs = read_back(handle, REQUESTER_COORD)
+    buffers = gather_buffers(handle.specs, segs, handle.current)
     n_rows = int(np.count_nonzero(handle.current))
-    reused, _ = _reused(handle, segments)
+    kept = handle.decoded and handle.decoded.under(segs, handle.current)
+    reusable = kept and kept[0] == len(handle.current)      # every position's strings
     new_owner = f"{handle.owner}+c"
     current = np.ones(n_rows, dtype=bool)
 
@@ -190,12 +223,11 @@ def compact(handle: MaterializationHandle) -> MaterializationHandle:
     device.free_pages(handle.owner)
     handle.owner = new_owner
     handle.segments = [Segment(handle.run_count, 0, n_rows, frags)] if n_rows else []
-    handle.decoded = {}
-    if n_rows and all(reused):          # carry the strings of the current rows over
-        strings = {name: list(chain.from_iterable(kept.strings[name] for kept in reused))
-                   for name in reused[0].strings}
-        handle.decoded[(handle.run_count, 0)] = DecodedStrings.of(
-            handle.specs, buffers, current, strings)
+    handle.decoded = None
+    if n_rows and reusable:               # carry the strings of the current rows over
+        handle.decoded = DecodedStrings.of(
+            handle.specs, JoinedSegments.of([(n_rows, buffers)]), current,
+            {name: chain.from_iterable(pieces) for name, pieces in kept[1].items()})
     rank = np.cumsum(handle.current, dtype=np.int64) - 1
     handle.index = handle.index._replace(positions=rank[handle.index.positions])
     handle.current = current
@@ -213,4 +245,4 @@ def free_handle(handle: MaterializationHandle):
     handle.propagation = None
     handle.unsettled = handle.unsettled[:0]
     handle.freed = True
-    handle.decoded = {}
+    handle.decoded = None

@@ -16,7 +16,9 @@ Byte movement comes in two flavors:
   they move — the conservation invariant holds over these.  Writes are
   device-internal: host bytes come by propagation and invocation commands.
   ``read_pages`` reads a run of pages and charges it as one ``read`` per
-  page would; ``write_pages`` writes a run of pages and charges nothing,
+  page would, and ``read_runs`` reads many runs into buffers of joined
+  runs and charges what one ``read_pages`` per run would;
+  ``write_pages`` writes a run of pages and charges nothing,
   for callers that charge a whole batch of writes at once;
 * fine-grained navigation accessors (``pe_read_vid_entry``, ``pe_read_l2p``,
   ``pe_read_slot``, ``pe_probe_header``) charge the fixed modeled transfer
@@ -60,6 +62,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain, compress, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -94,6 +97,12 @@ REGIONS = (REGION_DDR, REGION_NVM)      # region code -> region name
 UNRESOLVED = len(REGIONS)               # region code of a page the device cannot reach
 
 MAX_SLOTS = (PAGE_SIZE - PAGE_HEADER_SIZE) // SLOT_ENTRY_SIZE
+
+# Regions grow a zero page at a time: a bytearray over-allocates by an
+# eighth as it grows, while one extend by the whole growth first allocates
+# a zero buffer that large and reallocates the region to the exact size,
+# which measured slower.
+_ZERO_PAGE = bytes(PAGE_SIZE)
 
 # Modeled transfer sizes for in-situ navigation.
 VID_ENTRY_BYTES = 8
@@ -382,24 +391,26 @@ class Device:
         return len(self._free[region]) + self._capacity[region] - used
 
     def allocate_pages(self, region: str, count: int, owner: str) -> list:
-        """Take ``count`` pages from the region's pool for ``owner``."""
+        """Take ``count`` pages from the region's pool for ``owner``: freed
+        pages first, lowest index first, off the free list in one slice,
+        then new pages at the region's end."""
         if region not in self._regions:
             raise InvalidConfig(f"unknown region {region!r}")
         if count > self.free_page_count(region):
             raise OutOfSpace(
                 f"{region}: requested {count} pages, {self.free_page_count(region)} available"
             )
-        pages = []
         free = self._free[region]
+        reused = min(max(count, 0), len(free))
+        fresh = max(count, 0) - reused
+        pages = free[len(free) - reused:][::-1]         # the free list is sorted highest first
+        del free[len(free) - reused:]
         buf = self._regions[region]
-        for _ in range(count):
-            if free:
-                idx = free.pop()
-            else:
-                idx = len(buf) // PAGE_SIZE
-                buf.extend(b"\x00" * PAGE_SIZE)
-            pages.append(idx)
-        self._allocations.setdefault(owner, set()).update((region, i) for i in pages)
+        first = len(buf) // PAGE_SIZE
+        pages += range(first, first + fresh)
+        for _ in range(fresh):
+            buf.extend(_ZERO_PAGE)
+        self._allocations.setdefault(owner, set()).update(zip(repeat(region), pages))
         return pages
 
     def free_pages(self, owner: str, pages=None):
@@ -443,15 +454,18 @@ class Device:
             raise OutOfRange(f"{region}[{offset}:{offset + length}] outside {len(buf)} bytes")
         return buf
 
-    def _charge_read(self, region: str, pages, nbytes: int, count: int, requester):
-        """Charge ``count`` reads of ``nbytes`` in all from ``pages`` of
-        ``region``: for ``REQUESTER_HOST`` over the host link, once every
-        page is found exposed to the host, else inside the device."""
-        nvm = count if region == REGION_NVM else 0
+    def _check_exposed(self, region: str, pages, requester):
+        """For ``REQUESTER_HOST``, ``AccessDenied`` names the first of
+        ``pages`` of ``region`` not exposed to the host."""
+        if requester == REQUESTER_HOST and \
+                not self._host_readable.issuperset(zip(repeat(region), pages)):
+            idx = next(idx for idx in pages if (region, idx) not in self._host_readable)
+            raise AccessDenied(f"host access to {region} page {idx} not exposed")
+
+    def _charge_read(self, requester, nbytes: int, count: int, nvm: int):
+        """Charge ``count`` reads of ``nbytes`` in all, ``nvm`` of them from
+        NVM: for ``REQUESTER_HOST`` over the host link, else inside the device."""
         if requester == REQUESTER_HOST:
-            for idx in pages:
-                if (region, idx) not in self._host_readable:
-                    raise AccessDenied(f"host access to {region} page {idx} not exposed")
             self.ledger.charge(requester, device_to_host_bytes=nbytes, nvm_reads=nvm)
         else:
             self.ledger.charge(requester, "read", count, device_internal_bytes_read=nbytes,
@@ -460,8 +474,10 @@ class Device:
     def read(self, region: str, offset: int, length: int, requester) -> bytes:
         """Read bytes; requester ``REQUESTER_HOST`` moves them over the host link."""
         buf = self._check_range(region, offset, length)
-        pages = range(offset // PAGE_SIZE, (offset + max(length, 1) - 1) // PAGE_SIZE + 1)
-        self._charge_read(region, pages, length, 1, requester)
+        self._check_exposed(region, range(offset // PAGE_SIZE,
+                                          (offset + max(length, 1) - 1) // PAGE_SIZE + 1),
+                            requester)
+        self._charge_read(requester, length, 1, region == REGION_NVM)
         return bytes(memoryview(buf)[offset:offset + length])
 
     def write(self, region: str, offset: int, data, requester):
@@ -487,16 +503,78 @@ class Device:
         pages but the last whole, and the rest off the last, as a fragment
         lies.  Moves and charges what one ``read`` per page would, with one
         range check, one host-access check and one charge, and joins the
-        bytes from views of the region, with no copy per page."""
+        bytes from views of the region, with no copy per page.  A read of
+        many runs is ``read_runs``, whose array set-up costs more than
+        this for one run."""
         count = len(pages)
         if not count:
             return b""
         buf = self._check_pages(region, pages, nbytes)
-        self._charge_read(region, pages, nbytes, count, requester)
+        self._check_exposed(region, pages, requester)
+        self._charge_read(requester, nbytes, count, count if region == REGION_NVM else 0)
         view = memoryview(buf)
         spans = [view[idx * PAGE_SIZE:(idx + 1) * PAGE_SIZE] for idx in pages]
         spans[-1] = spans[-1][:nbytes - (count - 1) * PAGE_SIZE]
         return b"".join(spans)
+
+    def read_runs(self, runs, requester, groups=None) -> list:
+        """The bytes of many page runs, each ``(region, pages, nbytes)`` as
+        ``read_pages`` takes it (an ``engine.Fragment`` is one): one buffer
+        per group, its runs joined in order.  ``groups`` numbers each run's
+        group from 0 (by default, all are one group); a run of no pages
+        holds no bytes.
+
+        Each run is range-checked, and every page found exposed to a host
+        requester, before anything is charged; on a fault the runs are
+        checked again one at a time, each as ``read_pages`` checks it, so
+        the first faulty run raises.  Then the lot is charged once, what
+        one ``read_pages`` per run charges, and each group's bytes are
+        joined from views of the regions, one per page."""
+        runs = list(runs)
+        if not runs:
+            return []
+        groups = np.zeros(len(runs), dtype=np.int64) if groups is None else np.asarray(groups)
+        order = np.argsort(groups, kind="stable")
+        regions, pages, nbytes = zip(*map(runs.__getitem__, order.tolist()))  # group by group
+        counts = np.fromiter(map(len, pages), np.int64, len(runs))
+        total = int(counts.sum())
+        flat = np.fromiter(chain.from_iterable(pages), np.int64, total)
+        held = counts > 0
+        first = (np.cumsum(counts) - counts)[held]
+        nbytes = np.array(nbytes, dtype=np.int64)[held]
+        tail = nbytes - (counts[held] - 1) * PAGE_SIZE
+        limits = {name: len(buf) // PAGE_SIZE for name, buf in self._regions.items()}
+        limit = np.fromiter(map(limits.get, regions, repeat(-1)), np.int64, len(runs))[held]
+        exposed = requester != REQUESTER_HOST or self._host_readable.issuperset(
+            zip(chain.from_iterable(map(repeat, regions, counts.tolist())), flat.tolist()))
+        if total and ((np.minimum.reduceat(flat, first) < 0).any()
+                      or (np.maximum.reduceat(flat, first) >= limit).any()
+                      or (tail <= 0).any() or (tail > PAGE_SIZE).any()) or not exposed:
+            for region, run, size in runs:
+                if len(run):
+                    self._check_pages(region, run, size)
+                    self._check_exposed(region, run, requester)
+        per_group = np.bincount(groups[order], counts, minlength=int(groups.max()) + 1)
+        if not total:
+            return [b""] * len(per_group)
+        nvm = np.fromiter(map(REGION_NVM.__eq__, regions), bool, len(runs))
+        self._charge_read(requester, int(nbytes.sum()), total, int(counts[nvm].sum()))
+
+        starts = flat * PAGE_SIZE
+        stops = starts + PAGE_SIZE
+        last = np.cumsum(counts)[held] - 1
+        stops[last] = starts[last] + tail
+        views = {region: memoryview(self._regions[region])
+                 for region in set(compress(regions, held.tolist()))}
+        slices = map(slice, starts.tolist(), stops.tolist())
+        if len(views) == 1:
+            spans = list(map(next(iter(views.values())).__getitem__, slices))
+        else:
+            page_views = chain.from_iterable(map(repeat, map(views.get, regions),
+                                                 counts.tolist()))
+            spans = list(map(memoryview.__getitem__, page_views, slices))
+        bounds = np.concatenate(([0], np.cumsum(per_group))).astype(np.int64).tolist()
+        return [b"".join(spans[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
     def write_pages(self, region: str, pages, data):
         """Write ``data`` onto ``pages`` of ``region``, in page order, as a

@@ -104,6 +104,7 @@ end.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -116,8 +117,10 @@ from .columns import (
     VALIDITY_DTYPE,
     VID_COLUMN,
     VID_DTYPE,
-    assemble,
+    JoinedSegments,
+    buffer_keys,
     pack_bits,
+    read_joined,
     result_specs,
     visibility_words,
 )
@@ -133,6 +136,7 @@ from .device import (
     sorted_unique,
 )
 from .errors import (
+    CorruptDescriptor,
     CorruptRecord,
     DanglingReference,
     DuplicateColumn,
@@ -686,8 +690,10 @@ def flush_partition(device: Device, region: str, pes: np.ndarray, starts: np.nda
 # -- result sinks ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Fragment:
+class Fragment(NamedTuple):
+    """One (PE, column, kind) buffer of a run, on its pages as
+    ``Device.read_runs`` reads a run: every page but the last full."""
+
     region: str
     pages: tuple
     nbytes: int
@@ -704,12 +710,6 @@ def write_fragment(device: Device, region: str, pages, data, requester) -> Fragm
                              device_internal_bytes_written=len(data),
                              nvm_writes=len(pages) if region == REGION_NVM else 0)
     return Fragment(region, tuple(pages), len(data))
-
-
-def read_fragment(device: Device, frag: Fragment, requester=REQUESTER_HOST) -> bytes:
-    """Pull one fragment's bytes off its pages, in order, in one
-    ``Device.read_pages``."""
-    return device.read_pages(frag.region, frag.pages, frag.nbytes, requester)
 
 
 @dataclass
@@ -911,20 +911,25 @@ class StreamSink:
 
 
 def columns_from_batches(schema: Schema, projection, batches, pe_count: int):
-    """The column set of a stream's pulled batches: each (PE, column, kind)
-    buffer is its chunks, in pull order, joined once, and each PE with rows
-    is one segment."""
-    chunks = [dict() for _ in range(pe_count)]
+    """The column set of a stream's pulled batches: each PE is one segment,
+    each (column, kind) buffer its chunks in pull order, PE after PE, joined
+    once per key.  A chunk of no PE below ``pe_count`` or of no buffer of
+    the projection is a ``CorruptDescriptor``."""
+    specs = result_specs(schema, projection)
+    pieces = {key: [[] for _ in range(pe_count)] for key in buffer_keys(specs)}
     for batch in batches:
         for pe, name, kind, payload in batch.chunks:
-            chunks[pe].setdefault((name, kind), []).append(payload)
-    segments = []
-    for pe in range(pe_count):
-        buffers = {key: b"".join(pieces) for key, pieces in chunks[pe].items()}
-        vid_buf = buffers.get((VID_COLUMN, KIND_VALUES))
-        if vid_buf:
-            segments.append((len(vid_buf) // VID_DTYPE.itemsize, buffers))
-    return assemble(result_specs(schema, projection), segments)
+            per_pe = pieces.get((name, kind))
+            if per_pe is None or not 0 <= pe < pe_count:
+                raise CorruptDescriptor(f"chunk ({pe}, {name!r}, {kind!r}) is of no buffer of "
+                                        f"{pe_count} PEs over the projection")
+            per_pe[pe].append(payload)
+    sizes = {key: np.array([sum(map(len, chunks)) for chunks in per_pe], dtype=np.int64)
+             for key, per_pe in pieces.items()}
+    joined = JoinedSegments(sizes[VID_COLUMN, KIND_VALUES] // VID_DTYPE.itemsize,
+                            {key: b"".join(chain.from_iterable(per_pe))
+                             for key, per_pe in pieces.items()}, sizes)
+    return read_joined(specs, joined)
 
 
 # -- materialization handles ------------------------------------------------------
@@ -950,9 +955,10 @@ class MaterializationHandle:
     vids the log names (``refresh_candidates``).
 
     ``decoded`` is host memory, not device state: what ``delta.masked_view``
-    keeps per segment, keyed by (run, PE), so that a later view or a
-    compaction reuses the strings of a segment whose varchar bytes have not
-    changed (``delta.DecodedStrings``).
+    keeps of the segments it read (their rows, varchar bytes, the current
+    mask and its strings), so that a later view or a compaction reuses
+    the strings of the leading segments whose varchar bytes have not
+    changed (``delta.DecodedStrings``); None before a view.
     """
 
     owner: str
@@ -968,7 +974,7 @@ class MaterializationHandle:
     freed: bool = False
     propagation: int = None
     unsettled: np.ndarray = field(default_factory=lambda: np.empty(0, np.uint64))
-    decoded: dict = field(default_factory=dict)
+    decoded: object = None
 
     @property
     def snapshot_ts(self) -> int:

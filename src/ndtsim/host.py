@@ -178,6 +178,13 @@ def q6_columnar(view: ColumnSet, params: Q6Params) -> PyDecimal:
     return PyDecimal(total).scaleb(-scale)
 
 
+def _integer(value, what: str) -> int:
+    """``value``, once it is an integer and not a bool; else ``InvalidConfig``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidConfig(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def estimated_row_bytes(schema: Schema, projection) -> int:
     """Upper-bound columnar footprint of one row, identity column included."""
     total = 8
@@ -286,7 +293,11 @@ class HostSystem:
     def load_orderlines(self, n_rows: int, seed: int = 1,
                         null_delivery_rate: float = 0.08) -> dict:
         """Bulk-load committed rows, ``LOAD_BATCH_ROWS`` to a transaction, each
-        transaction's rows installed together; returns the shadow {vid: values}."""
+        transaction's rows installed together; returns the shadow {vid: values}.
+        A row count that is not an integer, or is negative, is an
+        ``InvalidConfig``."""
+        if _integer(n_rows, "row count") < 0:
+            raise InvalidConfig(f"row count must not be negative, got {n_rows}")
         rng = random.Random(seed)
         shadow = {}
         store = self.store
@@ -313,13 +324,18 @@ class HostSystem:
     def prepare_invocation(self, caller: int, projection=None, mode: str = MODE_MATERIALIZE,
                            pe_count: int = None, prior_handle=None) -> NdtInvocation:
         """Snapshot shared state with the call, size and reserve result space,
-        and assemble the device invocation."""
+        and assemble the device invocation.  An unknown ``mode``, or a
+        ``pe_count`` that is not an integer, is an ``InvalidConfig`` before
+        anything is propagated or reserved; None is the device's count, and
+        fewer than one PE is refused by the invocation."""
+        if mode not in (MODE_MATERIALIZE, MODE_STREAM):
+            raise InvalidConfig(f"unknown invocation mode {mode!r}")
+        cfg = self.device.cfg
+        pe_count = cfg.pe_count if pe_count is None else _integer(pe_count, "pe_count")
         if caller not in self.store.in_flight:
             raise UnknownTx(f"caller {caller} is not in-flight")
         store = self.store
         projection = self._projection_names(projection)
-        cfg = self.device.cfg
-        pe_count = pe_count or cfg.pe_count
         self.admin_ops += 1
 
         descriptor = store.snapshot_descriptor(caller)
@@ -388,8 +404,8 @@ class HostSystem:
         reader transaction of its own."""
         with self.reader() as caller:
             inv = self.prepare_invocation(caller, handle.projection, MODE_MATERIALIZE,
-                                          pe_count or handle.device.cfg.pe_count,
-                                          prior_handle=handle)
+                                          handle.device.cfg.pe_count if pe_count is None
+                                          else pe_count, prior_handle=handle)
             return inv, run_invocation(inv, self.device, self.grant_space, handle=handle)
 
     def merge_to_cold(self):

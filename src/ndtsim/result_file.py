@@ -26,8 +26,9 @@ in the schema block parameters.
 ``write_file`` encodes a column set; ``write_handle`` moves a
 materialization's fragment bytes into the file without decoding a value.
 ``read_file`` makes the file's own checks (header, schema, descriptor
-ranges, overlaps) and decodes the buffers with ``columns.assemble``, the
-reader of device segments, which checks each buffer's length and content.
+ranges, overlaps) and decodes the buffers with ``columns.assemble``, one
+segment through the reader of device segments, which checks each
+buffer's length and content.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .columns import (
     visibility_bits,
     visibility_words,
 )
-from .delta import read_segments
+from .delta import read_back
 from .errors import BadMagic, CorruptDescriptor, LengthMismatch, UnsupportedVersion
 from .layout import (
     TC_DECIMAL,
@@ -228,9 +229,9 @@ def write_handle(path, handle) -> None:
     """Export a materialization: all positions plus its visibility bitmap.
 
     The file holds what ``write_file`` would write for every position
-    ``assemble`` reads off the fragments, but its buffers are moved out of
-    the fragments without decoding a value.
+    ``columns.read_joined`` reads off the fragments, but its buffers are
+    moved out of the fragments without decoding a value.
     """
-    segments = read_segments(handle)
-    _write_buffers(path, handle.specs, sum(rows for rows, _ in segments),
-                   gather_buffers(handle.specs, segments), handle.current, handle.snapshot_ts)
+    segs = read_back(handle)
+    _write_buffers(path, handle.specs, int(segs.rows.sum()), gather_buffers(handle.specs, segs),
+                   handle.current, handle.snapshot_ts)

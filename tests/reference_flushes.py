@@ -30,9 +30,10 @@ from ndtsim.columns import (
     varchar_offsets,
 )
 from ndtsim.device import REGION_DDR, REGION_NVM
-from ndtsim.engine import Batch, Fragment, Segment, read_fragment
+from ndtsim.engine import Batch, Fragment, Segment
 from ndtsim.layout import PAGE_SIZE, TC_TIMESTAMP, TC_VARCHAR, extract_fields, \
     pg_timestamp_to_unix_epoch
+from reference_readback import read_fragment
 
 # Where a flush falls among one projected attribute's flushes within a row.
 FLUSH_VALUES, SPILL_VALUE, FLUSH_OFFSETS, FLUSH_VALIDITY = range(4)

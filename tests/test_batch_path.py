@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ndtsim.columns import ColumnSet, canonical_compare, result_specs
-from ndtsim.delta import masked_view, read_fragment
+from ndtsim.delta import masked_view
 from ndtsim.device import DeviceConfig, op_total
 from ndtsim.engine import (
     MODE_MATERIALIZE,
@@ -49,6 +49,7 @@ from ndtsim.layout import (
 )
 from conftest import Harness, page_of, random_orderline
 from reference import decode_values
+from reference_readback import read_fragment
 
 PINS = json.loads((Path(__file__).parent / "batch_path_pins.json").read_text())
 

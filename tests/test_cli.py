@@ -6,6 +6,7 @@ failure.  A configuration error must be raised before the table is loaded.
 
 import re
 
+import numpy as np
 import pytest
 
 from ndtsim import cli
@@ -29,6 +30,25 @@ def test_export_writes_a_file(tmp_path):
     out = tmp_path / "r.ndtc"
     assert cli.main(["transform", "--sf", "0", "--out", str(out)]) == 0
     assert out.read_bytes()[:4] == b"NDTC"
+
+
+def test_export_is_read_back_and_a_mismatch_exits_3(tmp_path, monkeypatch, capsys):
+    """``--out`` reads the file it wrote back through ``read_file``; an export
+    that differs from the view is a verification failure, on one line."""
+    out = tmp_path / "r.ndtc"
+    assert cli.main(["transform", "--sf", "1", "--out", str(out)]) == 0
+    assert f"exported {out}; read back, it equals the view" in capsys.readouterr().out
+    read = cli.read_file
+
+    def one_row_short(path):
+        exported, current = read(path)
+        return exported.take(np.arange(exported.n_rows - 1)), current[:-1]
+
+    monkeypatch.setattr(cli, "read_file", one_row_short)
+    assert cli.main(["transform", "--sf", "1", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"verification failure: export {out}: row count") and \
+        err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

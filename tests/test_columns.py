@@ -28,6 +28,7 @@ from ndtsim.columns import (
     VID_COLUMN,
     ColumnSet,
     ColumnSpec,
+    JoinedSegments,
     assemble,
     canonical_compare,
     column_buffers,
@@ -38,6 +39,11 @@ from ndtsim.columns import (
 from ndtsim.errors import CorruptDescriptor, LengthMismatch, NdtError
 from ndtsim.layout import Decimal, Int32, Int64, Schema, TimestampPg, VarChar
 from ndtsim.result_file import read_file, write_file
+
+
+def gather(specs, segments, keep=None) -> dict:
+    """``gather_buffers`` of segments given as ``assemble`` takes them."""
+    return gather_buffers(specs, JoinedSegments.of(segments), keep)
 
 
 def _varchar_segment(payload: bytes, offsets):
@@ -78,7 +84,7 @@ def test_ragged_buffer_lengths_raise_typed_errors(key):
                                        {"n": None, "s": None}, 3))
     buffers[key] = buffers[key][:-1]
     for call in (lambda: assemble(specs, [(3, buffers)]),
-                 lambda: gather_buffers(specs, [(3, buffers)])):
+                 lambda: gather(specs, [(3, buffers)])):
         with pytest.raises(CorruptDescriptor):
             call()
 
@@ -88,7 +94,7 @@ def test_a_keep_mask_of_another_length_is_a_length_mismatch():
     buffers = column_buffers(ColumnSet(specs, np.arange(3, dtype="<u8"),
                                        {"n": np.arange(3, dtype="<i4")}, {"n": None}, 3))
     for keep in (np.ones(2, dtype=bool), np.ones(4, dtype=bool)):
-        for call in (assemble, gather_buffers):
+        for call in (assemble, gather):
             with pytest.raises(LengthMismatch, match=f"{len(keep)} entries for 3 positions"):
                 call(specs, [(3, buffers)], keep)
 
@@ -274,8 +280,8 @@ def test_readback_matches_the_per_row_decoder(case):
     reference = _reference(specs, segments)
     _assert_identical(assemble(specs, segments), reference)
     _assert_identical(assemble(specs, segments, keep), reference.mask(keep))
-    for got, want in ((gather_buffers(specs, segments), column_buffers(reference)),
-                      (gather_buffers(specs, segments, keep),
+    for got, want in ((gather(specs, segments), column_buffers(reference)),
+                      (gather(specs, segments, keep),
                        column_buffers(reference.mask(keep)))):
         assert list(got.items()) == list(want.items())
     with tempfile.TemporaryDirectory() as tmp:
@@ -316,7 +322,7 @@ def test_corrupt_dropped_rows_still_raise(values, data, kind):
     keep = np.array(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)), dtype=bool)
     keep[row:row + 2] = False
     for call in (lambda: assemble(specs, [(rows, buffers)], keep),
-                 lambda: gather_buffers(specs, [(rows, buffers)], keep),
+                 lambda: gather(specs, [(rows, buffers)], keep),
                  lambda: assemble(specs, [(rows, buffers)])):
         with pytest.raises(CorruptDescriptor):
             call()
@@ -468,7 +474,7 @@ def test_corrupt_segments_raise_only_typed_errors(case):
     """``assemble``, and ``gather_buffers`` which checks as it does, return
     or raise an ``NdtError`` on any corruption; nothing else escapes."""
     specs, segments, keep = case
-    for read in (assemble, gather_buffers):
+    for read in (assemble, gather):
         try:
             read(specs, segments, keep)
         except NdtError:

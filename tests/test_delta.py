@@ -10,13 +10,12 @@ from ndtsim.delta import (
     delta_transform,
     free_handle,
     masked_view,
-    read_fragment,
-    read_segments,
 )
 from ndtsim.engine import MODE_MATERIALIZE
 from ndtsim.errors import NotRefreshable, StaleHandle
 from ndtsim.host import HostSystem
 from ndtsim.mvcc import TOMBSTONE
+from reference_readback import read_fragment, read_segments
 
 
 def _loaded_system(rows=400, seed=11):

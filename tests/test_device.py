@@ -408,3 +408,65 @@ def test_read_and_write_pages_refuse_a_bad_run_alike(run, nbytes):
     assert dev.read_pages(REGION_NVM, [], 0, 0) == b""
     with pytest.raises(OutOfRange, match=r"^NVM pages \[\] do not hold 0 bytes"):
         dev.write_pages(REGION_NVM, [], b"")
+
+
+def _allocate_page_by_page(free: list, pages_in_region: int, count: int) -> tuple:
+    """The page ids ``allocate_pages`` took one page at a time: the lowest
+    freed page first (the free list is sorted highest first), then a new
+    page at the region's end; and the region's page count after."""
+    taken = []
+    for _ in range(count):
+        if free:
+            taken.append(free.pop())
+        else:
+            taken.append(pages_in_region)
+            pages_in_region += 1
+    return taken, pages_in_region
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_allocate_pages_takes_the_ids_a_page_at_a_time_did(seed):
+    rng = random.Random(seed)
+    dev = Device(DeviceConfig())
+    owners = []
+    for step in range(40):
+        if owners and rng.random() < 0.4:
+            owner = owners.pop(rng.randrange(len(owners)))
+            held = sorted(idx for _, idx in dev.owner_pages(owner))
+            dev.free_pages(owner, None if rng.random() < 0.5 else
+                           [(REGION_NVM, idx) for idx in rng.sample(held, len(held) // 2)])
+            if dev.owner_pages(owner):
+                owners.append(owner)
+            continue
+        count = rng.choice([0, 1, 3, 17])
+        want, pages = _allocate_page_by_page(list(dev._free[REGION_NVM]),
+                                             len(dev._regions[REGION_NVM]) // PAGE_SIZE, count)
+        got = dev.allocate_pages(REGION_NVM, count, f"o{step}")
+        assert got == want and len(dev._regions[REGION_NVM]) == pages * PAGE_SIZE
+        assert dev.owner_pages(f"o{step}") == {(REGION_NVM, idx) for idx in want}
+        owners.append(f"o{step}")
+    assert bytes(dev.peek(REGION_NVM, 0, len(dev._regions[REGION_NVM]))) == \
+        bytes(len(dev._regions[REGION_NVM]))
+
+
+@pytest.mark.parametrize("requester", [REQUESTER_HOST, REQUESTER_COORD, 2])
+def test_read_runs_moves_and_charges_what_one_read_pages_per_run_does(requester):
+    rng = random.Random(3)
+    batched, paged = Device(DeviceConfig()), Device(DeviceConfig())
+    for dev in (batched, paged):
+        rng.seed(3)
+        runs = []
+        for region, nbytes in [(REGION_NVM, 1), (REGION_DDR, PAGE_SIZE), (REGION_NVM, 0),
+                               (REGION_NVM, 2 * PAGE_SIZE + 9), (REGION_DDR, 7)]:
+            pages = dev.allocate_pages(region, -(-nbytes // PAGE_SIZE), "x")
+            if pages:
+                dev.write_pages(region, pages, rng.randbytes(nbytes))
+            dev.expose_to_host((region, idx) for idx in pages)
+            runs.append((region, tuple(reversed(pages)), nbytes))
+    groups = [2, 0, 2, 0, 2]
+    got = batched.read_runs(runs, requester, groups)
+    pieces = [paged.read_pages(*run, requester) for run in runs]
+    assert got == [pieces[1] + pieces[3], b"", pieces[0] + pieces[2] + pieces[4]]
+    assert batched.ledger.snapshot() == paged.ledger.snapshot()
+    assert batched.read_runs([], requester) == [] and batched.read_runs(runs[2:3], 0) == [b""]
+    assert batched.ledger.snapshot() == paged.ledger.snapshot()

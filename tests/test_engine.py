@@ -15,7 +15,7 @@ from ndtsim.columns import (
     canonical_compare,
     result_specs,
 )
-from ndtsim.delta import masked_view, read_fragment
+from ndtsim.delta import masked_view
 from ndtsim.device import DeviceConfig, op_total
 from ndtsim.engine import (
     MODE_MATERIALIZE,
@@ -50,6 +50,7 @@ from ndtsim.layout import (
 from ndtsim.mvcc import SnapshotDescriptor, TOMBSTONE
 from ndtsim.oracle import read_columns, visible_records
 from conftest import Harness
+from reference_readback import read_fragment
 
 
 # -- scheduling ------------------------------------------------------------------

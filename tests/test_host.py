@@ -8,8 +8,15 @@ import pytest
 from ndtsim.columns import canonical_compare
 from ndtsim.delta import masked_view
 from ndtsim.device import REGION_DDR, REGION_NVM, DeviceConfig, op_total
-from ndtsim.engine import MODE_MATERIALIZE, run_invocation
-from ndtsim.errors import AlreadyFinished, DuplicateColumn, MissingColumn, UnknownTx
+from ndtsim.engine import MODE_MATERIALIZE, MODE_STREAM, run_invocation
+from ndtsim.errors import (
+    AlreadyFinished,
+    DuplicateColumn,
+    InvalidConfig,
+    MissingColumn,
+    TooManyPEsRequested,
+    UnknownTx,
+)
 from ndtsim.host import (
     HostSystem,
     Q6Params,
@@ -260,3 +267,63 @@ def test_snapshot_freshness_includes_delta_buffer_rows(system):
     assert system.shared.size_bytes > 0      # still host-side only
     _, handle = system.transform_snapshot()
     assert 12345 in set(int(v) for v in masked_view(handle).vids)
+
+
+# -- malformed invocation arguments ----------------------------------------------------
+
+
+def _untouched(system):
+    """What a refused call must leave as it was: the ledger, the pools,
+    the pending propagation, the reader transactions and the table."""
+    device = system.device
+    return (device.ledger.snapshot(), device.free_page_count(REGION_DDR),
+            device.free_page_count(REGION_NVM), system.shared.has_pending,
+            set(system.store.in_flight), len(system.store.vid_map))
+
+
+@pytest.mark.parametrize("kwargs", [dict(mode="bogus"), dict(pe_count=2.5),
+                                    dict(pe_count="2"), dict(pe_count=True),
+                                    dict(mode=MODE_STREAM, pe_count=2.5),
+                                    dict(mode=MODE_STREAM, pe_count=False)],
+                         ids=["mode", "float", "str", "bool", "stream_float", "stream_bool"])
+def test_a_malformed_invocation_is_refused_before_anything_moves(system, kwargs):
+    system.load_orderlines(60, seed=2)            # left pending: nothing propagated yet
+    before = _untouched(system)
+    with pytest.raises(InvalidConfig):
+        system.transform_snapshot(**kwargs)
+    assert _untouched(system) == before
+
+
+@pytest.mark.parametrize("pe_count", [2.5, "2", True])
+def test_a_refresh_with_a_malformed_pe_count_is_refused(system, pe_count):
+    shadow = system.load_orderlines(60, seed=2)
+    _, handle = system.transform_snapshot()
+    WorkloadDriver(system, WorkloadConfig(seed=3), shadow).run(5)
+    before = _untouched(system), handle.run_count
+    with pytest.raises(InvalidConfig):
+        system.delta_refresh(handle, pe_count=pe_count)
+    assert (_untouched(system), handle.run_count) == before
+
+
+@pytest.mark.parametrize("mode", [MODE_MATERIALIZE, MODE_STREAM])
+@pytest.mark.parametrize("pe_count", [0, -1])
+def test_fewer_than_one_pe_is_refused_by_the_invocation(system, mode, pe_count):
+    """0 is not the device's count: it reaches the invocation, which refuses
+    it and returns the pages reserved for it."""
+    system.load_orderlines(60, seed=2)
+    _, handle = system.transform_snapshot()
+    free = [system.device.free_page_count(region) for region in (REGION_DDR, REGION_NVM)]
+    with pytest.raises(TooManyPEsRequested, match="need at least one PE"):
+        system.transform_snapshot(mode=mode, pe_count=pe_count)
+    with pytest.raises(TooManyPEsRequested, match="need at least one PE"):
+        system.delta_refresh(handle, pe_count=pe_count)
+    assert [system.device.free_page_count(region)
+            for region in (REGION_DDR, REGION_NVM)] == free
+    assert system.store.in_flight == set()
+
+
+@pytest.mark.parametrize("rows", [2.5, "5", True, -5])
+def test_a_malformed_row_count_loads_nothing(system, rows):
+    with pytest.raises(InvalidConfig):
+        system.load_orderlines(rows)
+    assert not system.store.vid_map and not system.store.in_flight

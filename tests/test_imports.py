@@ -16,8 +16,8 @@ and only ``engine.run_invocation`` marks an invocation in flight.
 ``encode_record`` and ``install_version`` are one call into their batch
 forms, and only ``layout.encode_records`` packs a record header.
 The device's batch accessors, page-table lookup and propagation merge,
-the engine's extraction and flush planning, and the read-back's varchar
-decoder and segment join hold no comprehension.
+the engine's extraction and flush planning, and the read-back's column
+reader and varchar decoder hold no comprehension.
 
 The transfer ledger changes only through ``TransferLedger.charge``: no
 package code outside class ``TransferLedger`` stores to a counter or to
@@ -436,12 +436,15 @@ def test_batch_accessors_have_no_per_record_python(module, qualname):
     assert comprehensions(ROOT / "src" / "ndtsim" / f"{module}.py", qualname) == []
 
 
-# The read-back decodes a varchar column with one UTF-8 decode and one split
-# and joins segments a column at a time, so its decoder holds no per-value
-# Python either.  The one exception is ``columns._sliced_values``, which
-# slices value by value the column whose payload holds a NUL byte (the split
-# would take it for a separator) and names the fault of a corrupt column.
-READBACK_DECODERS = ("decode_varchar", "decode_segment", "join_segments")
+# The read-back checks, views and decodes each column of all segments at
+# once (a varchar column with one UTF-8 decode and one split), so its reader
+# holds no per-value Python either.  The exceptions are
+# ``columns._sliced_values``, which slices value by value the column whose
+# payload holds a NUL byte (the split would take it for a separator) and
+# names the fault of a corrupt column, and ``columns._check_segment``, which
+# names the fault of a segment once a check over all of them failed.
+READBACK_DECODERS = ("decode_varchar", "_view", "read_joined", "_buffer_counts", "_sizes_fit",
+                     "_bounds", "_validity", "_strings", "gather_buffers")
 
 
 @pytest.mark.parametrize("qualname", READBACK_DECODERS)

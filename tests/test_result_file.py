@@ -16,7 +16,6 @@ from ndtsim.columns import (
     column_buffers,
     result_specs,
 )
-from ndtsim.delta import read_segments
 from ndtsim.engine import MODE_MATERIALIZE
 from ndtsim.errors import (
     BadMagic,
@@ -29,6 +28,7 @@ from ndtsim.errors import (
 from ndtsim.host import HostSystem
 from ndtsim.layout import Int32, Int64, Schema, VarChar
 from ndtsim.result_file import _write_buffers, read_file, write_file, write_handle
+from reference_readback import read_segments
 
 
 def _refreshed_handle():

@@ -1,11 +1,14 @@
 """``masked_view`` decodes a segment's strings once and reuses them.
 
-A handle keeps, per segment, the varchar buffers its view decoded, the
-current mask they were decoded under, and the strings.  A later view or a
-compaction may reuse them only while the buffers it reads are byte-equal
-and the mask has only lost positions.  Every view here must equal a
-cache-free read, ``assemble(specs, read_segments(handle), current)``, row
-for row (or raise the same typed error) and charge the ledger as it does.
+A handle keeps the rows of the segments its view decoded, their varchar
+buffers, the current mask they were decoded under, and the strings.  A
+later view or a compaction may reuse them only while those segments lead
+the handle with byte-equal buffers and the mask has only lost positions
+among theirs; the rows after them are decoded in one call.  Every view
+here must equal a cache-free read, the per-segment reader of
+``reference_readback`` over one ``read_pages`` per fragment, row for row
+(or raise the same typed error with the same message) and charge the
+ledger as it does.
 """
 
 import numpy as np
@@ -14,23 +17,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ndtsim import columns
-from ndtsim.columns import assemble
-from ndtsim.delta import compact, masked_view, read_segments
+from ndtsim.delta import compact, masked_view
 from ndtsim.device import REQUESTER_COORD
 from ndtsim.errors import CorruptDescriptor, NdtError
 from ndtsim.host import HostSystem, WorkloadConfig, WorkloadDriver
 from ndtsim.layout import PAGE_SIZE
+from reference_readback import cache_free_view
 from test_columns import _assert_identical
 
 VARCHAR = "ol_dist_info"
 
 
 def _read(call):
-    """``call()``'s result and the type of the ``NdtError`` it raised (one is None)."""
+    """``call()``'s result, or the type and message of the ``NdtError`` it
+    raised (one is None)."""
     try:
         return call(), None
     except NdtError as exc:
-        return None, type(exc)
+        return None, (type(exc), str(exc))
 
 
 def _check_view(handle):
@@ -40,8 +44,7 @@ def _check_view(handle):
     got, got_error = _read(lambda: masked_view(handle))
     charged = ledger.delta_since(before)
     middle = ledger.snapshot()
-    want, want_error = _read(
-        lambda: assemble(handle.specs, read_segments(handle), handle.current))
+    want, want_error = _read(lambda: cache_free_view(handle))
     assert charged == ledger.delta_since(middle)
     assert got_error == want_error
     if want is not None:
@@ -141,7 +144,7 @@ def test_an_unchanged_segment_is_decoded_once(decodes):
     system.delta_refresh(handle)
     new = handle.segments[-1].run
     masked_view(handle)
-    assert len(decodes) == sum(seg.run == new for seg in handle.segments)
+    assert len(decodes) == 1                        # the new segments' rows, in one decode
     assert sum(decodes) == sum(seg.rows for seg in handle.segments if seg.run == new)
 
     del decodes[:]
