@@ -212,8 +212,7 @@ def compact(handle: MaterializationHandle) -> MaterializationHandle:
     frags = {}
     try:
         for key, data in buffers.items():
-            pages = device.allocate_pages(REGION_NVM, -(-len(data) // PAGE_SIZE),
-                                          new_owner) if data else []
+            pages = device.allocate_pages(REGION_NVM, -(-len(data) // PAGE_SIZE), new_owner)
             frags[key] = write_fragment(device, REGION_NVM, pages, data, REQUESTER_COORD)
         bitmap_pages = write_bitmap_pages(device, new_owner, [], current)
     except BaseException:

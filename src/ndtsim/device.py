@@ -15,11 +15,7 @@ Byte movement comes in two flavors:
 * raw region reads/writes (``read``/``write``) charge exactly the bytes
   they move — the conservation invariant holds over these.  Writes are
   device-internal: host bytes come by propagation and invocation commands.
-  ``read_pages`` reads a run of pages and charges it as one ``read`` per
-  page would, and ``read_runs`` reads many runs into buffers of joined
-  runs and charges what one ``read_pages`` per run would;
-  ``write_pages`` writes a run of pages and charges nothing,
-  for callers that charge a whole batch of writes at once;
+  ``read_pages``, ``read_runs`` and ``write_pages`` move runs of pages;
 * fine-grained navigation accessors (``pe_read_vid_entry``, ``pe_read_l2p``,
   ``pe_read_slot``, ``pe_probe_header``) charge the fixed modeled transfer
   sizes of the movement model (8B map entry, 4B address resolution, 4B slot,
@@ -42,6 +38,11 @@ batch; the offending entry is located only when one fails, so the error
 names the first of them.  Regions are named in arrays by their code, the
 index into ``REGIONS``.
 
+The page pool keeps one owner and one exposure bit per page, in two arrays
+per region: owner names are interned to codes from 1, never reused, and 0
+marks a free page.  Pages are taken lowest free first, and freeing a page
+clears its exposure, so that no owner inherits a page the host may read.
+
 The map mirrors are the read-only arrays the walk reads: ``vid_map`` has
 one (vid, packed chain head) row per tuple, sorted by vid, and ``l2p`` is a
 ``PageTable``, the page map indexed by lid, whose DDR entries are the delta
@@ -58,11 +59,11 @@ tuples may have moved (``changed_between``).
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress, repeat
+from itertools import chain, count, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -95,13 +96,12 @@ REGION_DDR = "DDR"
 REGION_NVM = "NVM"
 REGIONS = (REGION_DDR, REGION_NVM)      # region code -> region name
 UNRESOLVED = len(REGIONS)               # region code of a page the device cannot reach
+_REGION_CODES = {name: code for code, name in enumerate(REGIONS)}
 
 MAX_SLOTS = (PAGE_SIZE - PAGE_HEADER_SIZE) // SLOT_ENTRY_SIZE
 
-# Regions grow a zero page at a time: a bytearray over-allocates by an
-# eighth as it grows, while one extend by the whole growth first allocates
-# a zero buffer that large and reallocates the region to the exact size,
-# which measured slower.
+# Regions grow a zero page at a time, so that the bytearray over-allocates
+# as it grows: one extend by the whole growth measured slower.
 _ZERO_PAGE = bytes(PAGE_SIZE)
 
 # Modeled transfer sizes for in-situ navigation.
@@ -373,9 +373,9 @@ class Device:
         self.ledger = TransferLedger()
         self._regions = {REGION_DDR: bytearray(), REGION_NVM: bytearray()}
         self._capacity = {REGION_DDR: cfg.ddr_capacity_pages, REGION_NVM: cfg.nvm_capacity_pages}
-        self._free = {REGION_DDR: [], REGION_NVM: []}
-        self._allocations: dict = {}          # owner -> set[(region, idx)]
-        self._host_readable: set = set()      # (region, idx) exposed to the host
+        self._owners = {name: np.zeros(0, np.int32) for name in REGIONS}    # owner code per page
+        self._exposed = {name: np.zeros(0, bool) for name in REGIONS}    # host-readable per page
+        self._owner_codes = defaultdict(count(1).__next__)     # owner name -> code, never reused
         self.vid_map = _read_only(np.empty(0, VID_ENTRY))   # device mirror, sorted by vid
         self.l2p = PageTable.empty()                        # device mirror, indexed by page lid
         self._invocations = 0                 # invocations running now
@@ -386,59 +386,69 @@ class Device:
 
     # -- page pool -----------------------------------------------------------
 
+    def _pool_pages(self, region: str, pages) -> np.ndarray:
+        """``pages`` of ``region`` as an int64 array: ``InvalidConfig`` for an
+        unknown region, ``OutOfRange`` naming the first page outside it."""
+        if region not in REGIONS:
+            raise InvalidConfig(f"unknown region {region!r}")
+        at = np.asarray(pages, dtype=np.int64)
+        size = len(self._owners[region])
+        outside = at[(at < 0) | (at >= size)]
+        if len(outside):
+            raise OutOfRange(f"{region} page {outside[0]} outside its {size} pages")
+        return at
+
     def free_page_count(self, region: str) -> int:
-        used = len(self._regions[region]) // PAGE_SIZE     # pages ever taken from the pool
-        return len(self._free[region]) + self._capacity[region] - used
+        self._pool_pages(region, ())
+        return self._capacity[region] - int(np.count_nonzero(self._owners[region]))
 
     def allocate_pages(self, region: str, count: int, owner: str) -> list:
-        """Take ``count`` pages from the region's pool for ``owner``: freed
-        pages first, lowest index first, off the free list in one slice,
-        then new pages at the region's end."""
-        if region not in self._regions:
-            raise InvalidConfig(f"unknown region {region!r}")
-        if count > self.free_page_count(region):
-            raise OutOfSpace(
-                f"{region}: requested {count} pages, {self.free_page_count(region)} available"
-            )
-        free = self._free[region]
-        reused = min(max(count, 0), len(free))
-        fresh = max(count, 0) - reused
-        pages = free[len(free) - reused:][::-1]         # the free list is sorted highest first
-        del free[len(free) - reused:]
-        buf = self._regions[region]
-        first = len(buf) // PAGE_SIZE
-        pages += range(first, first + fresh)
-        for _ in range(fresh):
-            buf.extend(_ZERO_PAGE)
-        self._allocations.setdefault(owner, set()).update(zip(repeat(region), pages))
-        return pages
+        """Take ``count`` pages from the region's pool for ``owner``: free
+        pages first, lowest index first, then new pages at the region's end."""
+        available = self.free_page_count(region)
+        if count > available:
+            raise OutOfSpace(f"{region}: requested {count} pages, {available} available")
+        count = max(count, 0)
+        pages = np.flatnonzero(self._owners[region] == 0)[:count]
+        fresh = count - len(pages)
+        if fresh:
+            first = len(self._owners[region])           # the region's pages
+            pages = np.concatenate((pages, np.arange(first, first + fresh)))
+            for _ in range(fresh):
+                self._regions[region].extend(_ZERO_PAGE)
+            for state in (self._owners, self._exposed):
+                state[region] = np.append(state[region], np.zeros(fresh, state[region].dtype))
+        self._owners[region][pages] = self._owner_codes[owner]
+        return pages.tolist()
 
-    def free_pages(self, owner: str, pages=None):
-        """Return an owner's pages (all, or a subset) to their pools."""
-        held = self._allocations.get(owner)
-        if not held:
-            return
-        victims = set(held) if pages is None else {p for p in pages if p in held}
-        for region, idx in victims:
-            self._free[region].append(idx)
-            self._host_readable.discard((region, idx))
-            held.discard((region, idx))
-        for region in self._free:
-            self._free[region].sort(reverse=True)   # reuse lowest index first
-        if not held:
-            self._allocations.pop(owner, None)
+    def free_pages(self, owner: str, region: str = None, pages=None):
+        """Return an owner's pages to their pools: all of them, or those of
+        ``pages`` of ``region`` that it holds.  A freed page is no longer
+        exposed to the host."""
+        at = None if pages is None else self._pool_pages(region, pages)
+        code = self._owner_codes.get(owner, -1)
+        for name in REGIONS if at is None else (region,):
+            owners = self._owners[name]
+            mine = np.flatnonzero(owners == code) if at is None else at[owners[at] == code]
+            owners[mine] = 0
+            self._exposed[name][mine] = False
 
     def owner_pages(self, owner: str) -> set:
-        return set(self._allocations.get(owner, ()))
+        code = self._owner_codes.get(owner, -1)
+        return {(region, idx) for region in REGIONS
+                for idx in np.flatnonzero(self._owners[region] == code).tolist()}
 
     def adopt_pages(self, src_owner: str, dst_owner: str):
-        """Transfer every page of one owner to another (result adoption)."""
-        held = self._allocations.pop(src_owner, None)
-        if held:
-            self._allocations.setdefault(dst_owner, set()).update(held)
+        """Transfer every page of one owner to another (result adoption);
+        the pages stay as exposed as they were."""
+        code, dst = self._owner_codes.get(src_owner, -1), self._owner_codes[dst_owner]
+        for owners in self._owners.values():
+            owners[owners == code] = dst
 
-    def expose_to_host(self, pages):
-        self._host_readable.update(pages)
+    def expose_to_host(self, region: str, pages):
+        """Let the host read each of ``pages`` of ``region`` that is held, until freed."""
+        at = self._pool_pages(region, pages)
+        self._exposed[region][at] = self._owners[region][at] != 0
 
     # -- raw byte movement ----------------------------------------------------
 
@@ -456,11 +466,12 @@ class Device:
 
     def _check_exposed(self, region: str, pages, requester):
         """For ``REQUESTER_HOST``, ``AccessDenied`` names the first of
-        ``pages`` of ``region`` not exposed to the host."""
-        if requester == REQUESTER_HOST and \
-                not self._host_readable.issuperset(zip(repeat(region), pages)):
-            idx = next(idx for idx in pages if (region, idx) not in self._host_readable)
-            raise AccessDenied(f"host access to {region} page {idx} not exposed")
+        ``pages`` of ``region``, each in range, not exposed to the host."""
+        if requester == REQUESTER_HOST:
+            at = np.asarray(pages, dtype=np.int64)
+            shown = self._exposed[region][at]
+            if not shown.all():
+                raise AccessDenied(f"host access to {region} page {at[~shown][0]} not exposed")
 
     def _charge_read(self, requester, nbytes: int, count: int, nvm: int):
         """Charge ``count`` reads of ``nbytes`` in all, ``nvm`` of them from
@@ -474,9 +485,8 @@ class Device:
     def read(self, region: str, offset: int, length: int, requester) -> bytes:
         """Read bytes; requester ``REQUESTER_HOST`` moves them over the host link."""
         buf = self._check_range(region, offset, length)
-        self._check_exposed(region, range(offset // PAGE_SIZE,
-                                          (offset + max(length, 1) - 1) // PAGE_SIZE + 1),
-                            requester)
+        self._check_exposed(region, np.arange(offset // PAGE_SIZE,
+                                              -(-(offset + length) // PAGE_SIZE)), requester)
         self._charge_read(requester, length, 1, region == REGION_NVM)
         return bytes(memoryview(buf)[offset:offset + length])
 
@@ -543,13 +553,16 @@ class Device:
         first = (np.cumsum(counts) - counts)[held]
         nbytes = np.array(nbytes, dtype=np.int64)[held]
         tail = nbytes - (counts[held] - 1) * PAGE_SIZE
-        limits = {name: len(buf) // PAGE_SIZE for name, buf in self._regions.items()}
-        limit = np.fromiter(map(limits.get, regions, repeat(-1)), np.int64, len(runs))[held]
-        exposed = requester != REQUESTER_HOST or self._host_readable.issuperset(
-            zip(chain.from_iterable(map(repeat, regions, counts.tolist())), flat.tolist()))
-        if total and ((np.minimum.reduceat(flat, first) < 0).any()
-                      or (np.maximum.reduceat(flat, first) >= limit).any()
-                      or (tail <= 0).any() or (tail > PAGE_SIZE).any()) or not exposed:
+        code = np.fromiter(map(_REGION_CODES.get, regions, repeat(UNRESOLVED)), int, len(runs))
+        on = np.repeat(code, counts)            # each page's region code
+        limit = np.array([len(self._regions[name]) // PAGE_SIZE for name in REGIONS] + [-1])
+        fault = total and ((np.minimum.reduceat(flat, first) < 0).any()
+                           or (np.maximum.reduceat(flat, first) >= limit[code[held]]).any()
+                           or (tail <= 0).any() or (tail > PAGE_SIZE).any())
+        if not fault and requester == REQUESTER_HOST:
+            fault = not all(self._exposed[name][flat[on == k]].all()
+                            for k, name in enumerate(REGIONS))
+        if fault:
             for region, run, size in runs:
                 if len(run):
                     self._check_pages(region, run, size)
@@ -557,22 +570,19 @@ class Device:
         per_group = np.bincount(groups[order], counts, minlength=int(groups.max()) + 1)
         if not total:
             return [b""] * len(per_group)
-        nvm = np.fromiter(map(REGION_NVM.__eq__, regions), bool, len(runs))
+        nvm = code == _REGION_CODES[REGION_NVM]
         self._charge_read(requester, int(nbytes.sum()), total, int(counts[nvm].sum()))
 
         starts = flat * PAGE_SIZE
         stops = starts + PAGE_SIZE
         last = np.cumsum(counts)[held] - 1
         stops[last] = starts[last] + tail
-        views = {region: memoryview(self._regions[region])
-                 for region in set(compress(regions, held.tolist()))}
+        views = [memoryview(self._regions[name]) for name in REGIONS]
         slices = map(slice, starts.tolist(), stops.tolist())
-        if len(views) == 1:
-            spans = list(map(next(iter(views.values())).__getitem__, slices))
+        if (on == on[0]).all():
+            spans = list(map(views[on[0]].__getitem__, slices))
         else:
-            page_views = chain.from_iterable(map(repeat, map(views.get, regions),
-                                                 counts.tolist()))
-            spans = list(map(memoryview.__getitem__, page_views, slices))
+            spans = list(map(memoryview.__getitem__, map(views.__getitem__, on.tolist()), slices))
         bounds = np.concatenate(([0], np.cumsum(per_group))).astype(np.int64).tolist()
         return [b"".join(spans[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
@@ -776,15 +786,16 @@ class Device:
             raise InvocationInFlight("delta pages cannot be merged while an invocation runs")
         l2p = self.l2p
         delta = np.flatnonzero(l2p.regions == REGIONS.index(REGION_DDR))     # ascending lids
-        ddr_pages = l2p.pages[delta].tolist()
+        ddr_pages = l2p.pages[delta]
         nvm_pages = self.allocate_pages(REGION_NVM, len(delta), "cold")
-        ddr, nvm = self._regions[REGION_DDR], self._regions[REGION_NVM]
-        for idx, nidx in zip(ddr_pages, nvm_pages):
-            base, nbase = idx * PAGE_SIZE, nidx * PAGE_SIZE
-            nvm[nbase:nbase + PAGE_SIZE] = ddr[base:base + PAGE_SIZE]
-            self.ledger.charge(REQUESTER_COORD, device_internal_bytes_read=PAGE_SIZE,
-                               device_internal_bytes_written=PAGE_SIZE, nvm_writes=1)
-        self.free_pages("shared-state", [(REGION_DDR, idx) for idx in ddr_pages])
+        ddr, nvm = (np.frombuffer(self._regions[name], np.uint8).reshape(-1, PAGE_SIZE)
+                    for name in REGIONS)
+        nvm[nvm_pages] = ddr[ddr_pages]
+        del ddr, nvm                            # release the regions, so that they can grow
+        n = len(delta)
+        self.ledger.charge(REQUESTER_COORD, device_internal_bytes_read=n * PAGE_SIZE,
+                           device_internal_bytes_written=n * PAGE_SIZE, nvm_writes=n)
+        self.free_pages("shared-state", REGION_DDR, ddr_pages)
         self.l2p = l2p.placed(delta, REGIONS.index(REGION_NVM), nvm_pages)
         return {lid: (REGION_NVM, nidx) for lid, nidx in zip(delta.tolist(), nvm_pages)}
 

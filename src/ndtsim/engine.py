@@ -74,11 +74,6 @@ partition capacities.  A materialization's page queues live in its
 ``MaterializeSink``, which deals the invocation's result pages over the
 PEs, asks the host for more and hands ``append_run`` what is left.
 
-``run_invocation`` is the one lifecycle of all three.  The invocation is
-in flight for the whole call, so no merge moves the pages its frozen views
-point at, and steps 1 and 2 run inside one failure guard: when either
-raises, every page the invocation owns goes back to the pool.
-
 The flushes take effect in the order of a deterministic coordinator that
 drives the PEs round-robin one tuple at a time: every flush is tagged
 (round = the row of its job during which it happens, PE, position within
@@ -285,8 +280,6 @@ class MapRows(NamedTuple):
 def schedule(inv: NdtInvocation, device: Device, candidates: np.ndarray = None):
     """Deal the frozen map's rows over the PEs (row i goes to PE i mod n)
     and make the invocation's one scratchpad plan, which every PE shares.
-    The result pages are dealt by the ``MaterializeSink``, which keeps
-    each PE's page queue.
 
     ``candidates``, sorted vids, keeps only the rows of those vids the
     frozen map holds, each on the PE of its row; None keeps every row.
@@ -858,11 +851,9 @@ class StreamSink:
         self.consumer = consumer
         self.pe_count = inv.pe_count
         self.buffer_bytes = per_buffer * PAGE_SIZE
-        self.buffers = [
-            inv.pages[i * per_buffer:(i + 1) * per_buffer]
-            for i in range(cfg.stream_buffer_count)
-        ]
-        device.expose_to_host((REGION_DDR, idx) for idx in inv.pages)
+        self.buffers = [inv.pages[i * per_buffer:(i + 1) * per_buffer]
+                        for i in range(cfg.stream_buffer_count)]
+        device.expose_to_host(REGION_DDR, inv.pages)
         self.batches = []
 
     def place(self, plan: FlushPlan):
@@ -1022,11 +1013,10 @@ def write_bitmap_pages(device: Device, owner: str, pages: list, current: np.ndar
     ``owner``; returns the pages the bitmap now has."""
     data = visibility_words(current)
     need = -(-len(data) // PAGE_SIZE)
-    pages = list(pages)
     if len(pages) < need:
         more = device.allocate_pages(REGION_NVM, need - len(pages), owner)
-        device.expose_to_host((REGION_NVM, idx) for idx in more)
-        pages += more
+        device.expose_to_host(REGION_NVM, more)
+        pages = [*pages, *more]
     write_fragment(device, REGION_NVM, pages[:need], data, REQUESTER_COORD)
     return pages
 
@@ -1036,8 +1026,10 @@ HANDLE_META_FIXED_BYTES = 32
 
 
 def expose_segments(device: Device, segments):
-    device.expose_to_host((frag.region, idx) for seg in segments
-                          for frag in seg.frags.values() for idx in frag.pages)
+    frags = [frag for seg in segments for frag in seg.frags.values()]
+    for region in REGIONS:
+        device.expose_to_host(region, list(chain.from_iterable(
+            frag.pages for frag in frags if frag.region == region)))
 
 
 def append_run(handle: MaterializationHandle, inv: NdtInvocation, changed: ChangedRows,
@@ -1059,9 +1051,7 @@ def append_run(handle: MaterializationHandle, inv: NdtInvocation, changed: Chang
     device = handle.device
     segments = sink.segments(np.bincount(changed.pes, minlength=inv.pe_count).tolist(),
                              run=handle.run_count)
-    leftovers = [(REGION_NVM, idx) for queue in sink.queues for idx in queue]
-    if leftovers:
-        device.free_pages(inv.owner, leftovers)
+    device.free_pages(inv.owner, REGION_NVM, list(chain.from_iterable(sink.queues)))
 
     held = handle.index.vids
     moved = np.concatenate((removed, changed.vids))     # vids whose held row is replaced or gone

@@ -246,7 +246,7 @@ class StreamSink:
         self.buffer_bytes = per_buffer * PAGE_SIZE
         self.buffers = [inv.pages[i * per_buffer:(i + 1) * per_buffer]
                         for i in range(cfg.stream_buffer_count)]
-        device.expose_to_host((REGION_DDR, idx) for idx in inv.pages)
+        device.expose_to_host(REGION_DDR, inv.pages)
         self.current = 0
         self.writer = FragmentWriter(REGION_DDR)
         self.free = list(self.buffers[0])

@@ -66,7 +66,7 @@ def test_read_write_charges_by_requester():
     assert dev.ledger.device_internal_bytes_written == 8
     dev.read(REGION_DDR, idx * PAGE_SIZE, 8, 2)
     assert dev.ledger.device_internal_bytes_read == 8
-    dev.expose_to_host([(REGION_DDR, idx)])
+    dev.expose_to_host(REGION_DDR, [idx])
     dev.read(REGION_DDR, idx * PAGE_SIZE, PAGE_SIZE, "HOST")
     assert dev.ledger.device_to_host_bytes == PAGE_SIZE
 
@@ -74,7 +74,7 @@ def test_read_write_charges_by_requester():
 def test_host_read_one_mib():
     dev = Device(DeviceConfig())
     pages = dev.allocate_pages(REGION_DDR, 128, "r")
-    dev.expose_to_host((REGION_DDR, p) for p in pages)
+    dev.expose_to_host(REGION_DDR, pages)
     start = pages[0] * PAGE_SIZE
     dev.read(REGION_DDR, start, 1024 * 1024, "HOST")
     assert dev.ledger.device_to_host_bytes == 1024 * 1024
@@ -102,12 +102,65 @@ def test_allocate_beyond_pool_and_conservation():
     pages = dev.allocate_pages(REGION_DDR, 4, "a")
     with pytest.raises(OutOfSpace):
         dev.allocate_pages(REGION_DDR, 1, "b")
-    dev.free_pages("a", [(REGION_DDR, pages[0])])
+    dev.free_pages("a", REGION_DDR, [pages[0]])
     assert dev.free_page_count(REGION_DDR) == 1
     dev.free_pages("a")
     assert dev.free_page_count(REGION_DDR) == 4
     again = dev.allocate_pages(REGION_DDR, 4, "c")
     assert sorted(again) == sorted(pages)
+
+
+def _pool_state(dev) -> tuple:
+    return ({region: dev.free_page_count(region) for region in REGIONS},
+            dev.owner_pages("a"), dev.read_pages(REGION_NVM, [0], 8, REQUESTER_HOST))
+
+
+def test_the_pool_refuses_an_unknown_region_or_a_page_outside_one_before_it_changes():
+    dev = Device(DeviceConfig())
+    dev.allocate_pages(REGION_NVM, 3, "a")
+    dev.expose_to_host(REGION_NVM, [0])
+    before = _pool_state(dev)
+    for call in (lambda: dev.free_page_count("X"), lambda: dev.allocate_pages("X", 1, "a"),
+                 lambda: dev.expose_to_host("X", [1]), lambda: dev.free_pages("a", "X", [1]),
+                 lambda: dev.free_pages("a", None, [1])):
+        with pytest.raises(InvalidConfig, match="unknown region"):
+            call()
+    for bad in ([1, 3], [2, -1], [99]):
+        for call in (lambda: dev.expose_to_host(REGION_NVM, bad),
+                     lambda: dev.free_pages("a", REGION_NVM, bad)):
+            with pytest.raises(OutOfRange, match=rf"^NVM page {bad[-1]} outside its 3 pages$"):
+                call()
+    with pytest.raises(OutOfRange, match="^DDR page 0 outside its 0 pages$"):
+        dev.expose_to_host(REGION_DDR, [0])
+    assert _pool_state(dev) == before
+    # page 99 stays unexposed once it exists, whoever takes it
+    dev.allocate_pages(REGION_NVM, 100, "b")
+    with pytest.raises(AccessDenied, match="NVM page 99 not exposed"):
+        dev.read_pages(REGION_NVM, [99], 8, REQUESTER_HOST)
+
+
+def test_a_freed_page_loses_its_exposure_and_an_adopted_one_keeps_it():
+    dev = Device(DeviceConfig())
+    for region in REGIONS:
+        [idx] = dev.allocate_pages(region, 1, "first")
+        dev.expose_to_host(region, [idx])
+        dev.read_pages(region, [idx], 8, REQUESTER_HOST)
+        dev.free_pages("first", region, [idx])
+        dev.expose_to_host(region, [idx])               # free: not exposed
+        assert dev.allocate_pages(region, 1, "second") == [idx]
+        base = idx * PAGE_SIZE
+        for read in (lambda: dev.read(region, base, 8, REQUESTER_HOST),
+                     lambda: dev.read_pages(region, [idx], 8, REQUESTER_HOST),
+                     lambda: dev.read_runs([(region, [idx], 8)], REQUESTER_HOST)):
+            with pytest.raises(AccessDenied, match=f"{region} page {idx} not exposed"):
+                read()
+        dev.read_pages(region, [idx], 8, 0)             # PEs read it still
+        dev.expose_to_host(region, [idx])
+        dev.adopt_pages("second", "third")
+        assert dev.owner_pages("second") == set()
+        assert dev.owner_pages("third") == {(region, idx)}
+        assert dev.read_runs([(region, [idx], 8)], REQUESTER_HOST) == [bytes(8)]
+        dev.free_pages("third")
 
 
 def test_out_of_range_read():
@@ -145,7 +198,7 @@ def test_ledger_conservation_over_raw_ops():
     """Bytes charged equal bytes moved through read/write calls."""
     dev = Device(DeviceConfig())
     pages = dev.allocate_pages(REGION_DDR, 4, "t")
-    dev.expose_to_host((REGION_DDR, p) for p in pages)
+    dev.expose_to_host(REGION_DDR, pages)
     rng = random.Random(3)
     expect = {"ir": 0, "iw": 0, "dh": 0, "hd": 0}
     for _ in range(200):
@@ -205,7 +258,7 @@ def test_csv_rows_shape():
 
     # the ops column of the internal rows counts PE reads and PE writes
     [idx] = dev.allocate_pages(REGION_DDR, 1, "x")
-    dev.expose_to_host([(REGION_DDR, idx)])
+    dev.expose_to_host(REGION_DDR, [idx])
     before = dev.ledger.snapshot()
     for pe in (0, 1, 1):
         dev.read(REGION_DDR, idx * PAGE_SIZE, 16, pe)
@@ -328,7 +381,7 @@ def test_read_pages_moves_and_charges_what_one_read_per_page_does(requester, reg
         pages = dev.allocate_pages(region, 6, "x")
         for idx in pages:
             dev.write(region, idx * PAGE_SIZE, rng.randbytes(PAGE_SIZE), 0)
-        dev.expose_to_host((region, idx) for idx in pages)
+        dev.expose_to_host(region, pages)
         rng.seed(5)
     for nbytes in (1, PAGE_SIZE, 2 * PAGE_SIZE + 17, 3 * PAGE_SIZE):
         chosen = [pages[4], pages[1], pages[5]][:-(-nbytes // PAGE_SIZE)]
@@ -343,7 +396,7 @@ def test_read_pages_checks_once_and_charges_nothing_when_refused():
     page, is out of range; a page the host may not read is denied."""
     dev = Device(DeviceConfig())
     pages = dev.allocate_pages(REGION_NVM, 3, "x")
-    dev.expose_to_host([(REGION_NVM, pages[0]), (REGION_NVM, pages[2])])
+    dev.expose_to_host(REGION_NVM, [pages[0], pages[2]])
     before = dev.ledger.snapshot()
     assert dev.read_pages(REGION_NVM, [], 0, REQUESTER_HOST) == b""
     with pytest.raises(AccessDenied, match=f"NVM page {pages[1]} not exposed"):
@@ -424,29 +477,69 @@ def _allocate_page_by_page(free: list, pages_in_region: int, count: int) -> tupl
     return taken, pages_in_region
 
 
+def _region_pages(dev, region) -> int:
+    return len(dev._regions[region]) // PAGE_SIZE
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_allocate_pages_takes_the_ids_a_page_at_a_time_did(seed):
+    """Random allocations, frees, adoptions and exposures in both regions:
+    each allocation takes the ids the page-at-a-time pool took, its free
+    list read off the owned pages, and the host may read exactly the pages
+    a model of exposures allows, which freeing a page takes away."""
     rng = random.Random(seed)
     dev = Device(DeviceConfig())
-    owners = []
-    for step in range(40):
-        if owners and rng.random() < 0.4:
+    owners, exposed = [], set()             # live owners; the model's host-readable pages
+    for step in range(60):
+        region = rng.choice(REGIONS)
+        action = rng.random()
+        if owners and action < 0.3:
             owner = owners.pop(rng.randrange(len(owners)))
-            held = sorted(idx for _, idx in dev.owner_pages(owner))
-            dev.free_pages(owner, None if rng.random() < 0.5 else
-                           [(REGION_NVM, idx) for idx in rng.sample(held, len(held) // 2)])
+            held = sorted(idx for name, idx in dev.owner_pages(owner) if name == region)
+            if rng.random() < 0.5:
+                freed = dev.owner_pages(owner)
+                dev.free_pages(owner)
+            else:
+                freed = {(region, idx) for idx in rng.sample(held, len(held) // 2)}
+                dev.free_pages(owner, region, [idx for _, idx in sorted(freed)])
+            exposed -= freed
             if dev.owner_pages(owner):
                 owners.append(owner)
-            continue
-        count = rng.choice([0, 1, 3, 17])
-        want, pages = _allocate_page_by_page(list(dev._free[REGION_NVM]),
-                                             len(dev._regions[REGION_NVM]) // PAGE_SIZE, count)
-        got = dev.allocate_pages(REGION_NVM, count, f"o{step}")
-        assert got == want and len(dev._regions[REGION_NVM]) == pages * PAGE_SIZE
-        assert dev.owner_pages(f"o{step}") == {(REGION_NVM, idx) for idx in want}
-        owners.append(f"o{step}")
-    assert bytes(dev.peek(REGION_NVM, 0, len(dev._regions[REGION_NVM]))) == \
-        bytes(len(dev._regions[REGION_NVM]))
+        elif owners and action < 0.4:
+            src = owners.pop(rng.randrange(len(owners)))
+            dst = rng.choice(owners) if owners and rng.random() < 0.5 else f"a{step}"
+            moved = dev.owner_pages(src)
+            dev.adopt_pages(src, dst)
+            assert dev.owner_pages(src) == set() and moved <= dev.owner_pages(dst)
+            if dst not in owners:
+                owners.append(dst)
+        elif owners and action < 0.55:
+            mine = sorted(idx for name, idx in dev.owner_pages(rng.choice(owners))
+                          if name == region)
+            shown = rng.sample(mine, len(mine) // 2)
+            dev.expose_to_host(region, shown)
+            exposed |= {(region, idx) for idx in shown}
+        else:
+            count = rng.choice([0, 1, 3, 17])
+            size = _region_pages(dev, region)
+            owned = {idx for owner in owners for name, idx in dev.owner_pages(owner)
+                     if name == region}
+            free = sorted(set(range(size)) - owned, reverse=True)
+            want, pages = _allocate_page_by_page(free, size, count)
+            got = dev.allocate_pages(region, count, f"o{step}")
+            assert got == want and _region_pages(dev, region) == pages
+            assert dev.owner_pages(f"o{step}") == {(region, idx) for idx in want}
+            owners.append(f"o{step}")
+        for name in REGIONS:
+            for idx in range(_region_pages(dev, name)):
+                if (name, idx) in exposed:
+                    dev.read_pages(name, [idx], 1, REQUESTER_HOST)
+                else:
+                    with pytest.raises(AccessDenied):
+                        dev.read_pages(name, [idx], 1, REQUESTER_HOST)
+    for region in REGIONS:
+        size = _region_pages(dev, region)
+        assert bytes(dev.peek(region, 0, size * PAGE_SIZE)) == bytes(size * PAGE_SIZE)
 
 
 @pytest.mark.parametrize("requester", [REQUESTER_HOST, REQUESTER_COORD, 2])
@@ -461,7 +554,7 @@ def test_read_runs_moves_and_charges_what_one_read_pages_per_run_does(requester)
             pages = dev.allocate_pages(region, -(-nbytes // PAGE_SIZE), "x")
             if pages:
                 dev.write_pages(region, pages, rng.randbytes(nbytes))
-            dev.expose_to_host((region, idx) for idx in pages)
+            dev.expose_to_host(region, pages)
             runs.append((region, tuple(reversed(pages)), nbytes))
     groups = [2, 0, 2, 0, 2]
     got = batched.read_runs(runs, requester, groups)

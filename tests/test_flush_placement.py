@@ -74,7 +74,8 @@ def _invocation(schema, rows: list, config: dict, reference: bool) -> dict:
         "regions": {region: bytes(h.device._regions[region]) for region in (REGION_DDR,
                                                                             REGION_NVM)},
         "free": [h.device.free_page_count(region) for region in (REGION_DDR, REGION_NVM)],
-        "owners": {owner: sorted(pages) for owner, pages in h.device._allocations.items()},
+        "owners": {owner: sorted(h.device.owner_pages(owner))
+                   for owner in (inv.owner, "shared-state", "cold")},
     }
 
 

@@ -26,6 +26,11 @@ package code outside class ``TransferLedger`` stores to a counter or to
 A materialization's page queues change, and its space grantor is called,
 only in ``engine.MaterializeSink``.
 
+The page pool is called with a region and an array of pages: no package
+code builds a (region, page) tuple outside ``Device.owner_pages`` and the
+page maps' entries, or passes a comprehension to ``expose_to_host`` or
+``free_pages``.
+
 The host's vid map changes only where the map version advances: every
 store to, deletion from or changing dict call on a ``vid_map`` item is in
 a method of ``MvccStore`` that advances ``self.map_version``, the key of
@@ -814,6 +819,102 @@ def test_scan_finds_every_grant_and_page_queue_change(tmp_path):
         ("engine.append_run", 9, "queues"), ("engine.append_run", 9, "grant_space()"),
         ("engine.append_run", 10, "page_queue"), ("engine.append_run", 10, "grantor()"),
         ("engine.StreamSink.place", 14, "queues")]
+
+
+# The page pool keeps one owner code and one exposure bit per page, in arrays
+# per region, and its calls take a region and an array of pages, so no
+# package code pairs a region with a page in a tuple, page by page, and no
+# call of ``expose_to_host`` or ``free_pages`` is passed a comprehension.  A
+# pair is a tuple of two whose first item names a region (``region``, a
+# ``REGION_*`` constant or a ``.region`` attribute) and whose second does
+# not.  The exceptions: ``Device.owner_pages``, the pool read the tests use,
+# and a page map's entry (a dict item or a dict comprehension's value), the
+# location of one logical page, as the host's page map holds it.
+PAGE_PAIR_BUILDER = "device.Device.owner_pages"
+PAGE_LIST_TAKERS = frozenset({"expose_to_host", "free_pages"})
+
+
+def _names_a_region(node) -> bool:
+    return (isinstance(node, ast.Name) and (node.id == "region" or node.id.startswith("REGION_"))
+            or isinstance(node, ast.Attribute) and node.attr == "region")
+
+
+def page_pairs(path: Path) -> list:
+    """The (region, page) tuples built in ``path`` outside
+    ``PAGE_PAIR_BUILDER`` and page maps, and the comprehensions passed to a
+    page-list taker, by scope and line."""
+    tree = ast.parse(path.read_text())
+    entries = {id(node.value) for node in ast.walk(tree)
+               if isinstance(node, ast.DictComp) or isinstance(node, ast.Assign)
+               and all(isinstance(target, ast.Subscript) for target in node.targets)}
+    found = []
+
+    def scan(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scan(child, f"{scope}.{child.name}")
+                continue
+            if (isinstance(child, ast.Tuple) and isinstance(child.ctx, ast.Load)
+                    and len(child.elts) == 2 and _names_a_region(child.elts[0])
+                    and not _names_a_region(child.elts[1]) and id(child) not in entries
+                    and scope != PAGE_PAIR_BUILDER):
+                found.append(f"{scope} line {child.lineno}: pair")
+            if (isinstance(child, ast.Call)
+                    and getattr(child.func, "attr", None) in PAGE_LIST_TAKERS
+                    and any(isinstance(arg, COMPREHENSIONS) for arg in child.args)):
+                found.append(f"{scope} line {child.lineno}: {child.func.attr}(comprehension)")
+            scan(child, scope)
+
+    scan(tree, path.stem)
+    return found
+
+
+def test_the_page_pool_takes_pages_by_region_with_no_pair_per_page():
+    assert [pair for path in PACKAGE for pair in page_pairs(path)] == []
+
+
+def test_scan_finds_every_page_pair_and_comprehension_the_pool_was_given(tmp_path):
+    """The probe holds the calls the engine made when the pool kept a set of
+    (region, page) pairs; only the device's own ``owner_pages`` and the
+    entries of page maps are exempt."""
+    probe = tmp_path / "engine.py"
+    probe.write_text(
+        "REGIONS = (REGION_DDR, REGION_NVM)\n"
+        "class StreamSink:\n"
+        "    def __init__(self, device, inv):\n"
+        "        device.expose_to_host((REGION_DDR, idx) for idx in inv.pages)\n"
+        "def write_bitmap_pages(device, more):\n"
+        "    device.expose_to_host((REGION_NVM, idx) for idx in more)\n"
+        "def expose_segments(device, segments):\n"
+        "    device.expose_to_host((frag.region, idx) for seg in segments\n"
+        "                          for frag in seg.frags.values() for idx in frag.pages)\n"
+        "def append_run(device, inv, sink):\n"
+        "    leftovers = [(REGION_NVM, idx) for queue in sink.queues for idx in queue]\n"
+        "    device.free_pages(inv.owner, leftovers)\n"
+        "    device.free_pages(inv.owner, REGION_NVM, [p for q in sink.queues for p in q])\n"
+        "    device.expose_to_host(region, pages)\n"
+        "    region, idx = (region, 0)\n"
+        "    located[lid] = (REGION_NVM, idx)\n"
+        "    return {lid: (REGION_NVM, idx) for lid, idx in moved}\n"
+        "class Device:\n"
+        "    def owner_pages(self, owner):\n"
+        "        return {(region, idx) for region in REGIONS for idx in owner}\n")
+    found = [
+        "engine.StreamSink.__init__ line 4: expose_to_host(comprehension)",
+        "engine.StreamSink.__init__ line 4: pair",
+        "engine.write_bitmap_pages line 6: expose_to_host(comprehension)",
+        "engine.write_bitmap_pages line 6: pair",
+        "engine.expose_segments line 8: expose_to_host(comprehension)",
+        "engine.expose_segments line 8: pair",
+        "engine.append_run line 11: pair",
+        "engine.append_run line 13: free_pages(comprehension)",
+        "engine.append_run line 15: pair",
+        "engine.Device.owner_pages line 20: pair",
+    ]
+    assert page_pairs(probe) == found
+    device = tmp_path / "device.py"
+    device.write_text(probe.read_text())
+    assert page_pairs(device) == [site.replace("engine.", "device.") for site in found[:-1]]
 
 
 # What the package defines, the system runs.  A definition counts as run when

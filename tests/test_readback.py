@@ -253,12 +253,12 @@ def test_views_exports_and_compactions_charge_what_per_fragment_reads_did(seed, 
     _assert_identical(*step("view", lambda s, d, h: masked_view(h)))
 
 
-def _unexpose(device, frag):
-    device._host_readable.discard((frag.region, frag.pages[-1]))
+def _unexpose(handle, frag):
+    handle.device.free_pages(handle.owner, frag.region, [frag.pages[-1]])   # freed, hidden
 
 
-def _out_of_range(device, frag):
-    return frag._replace(pages=frag.pages[:-1] + (len(device._regions[frag.region]) //
+def _out_of_range(handle, frag):
+    return frag._replace(pages=frag.pages[:-1] + (len(handle.device._regions[frag.region]) //
                                                   PAGE_SIZE,))
 
 
@@ -283,7 +283,7 @@ def test_a_faulty_fragment_is_named_first_and_nothing_is_charged(first, second):
         if fault is None:
             continue
         seg = handle.segments[seg_at]
-        replaced = FAULTS[fault][0](device, seg.frags[key])
+        replaced = FAULTS[fault][0](handle, seg.frags[key])
         if replaced is not None:
             seg.frags[key] = replaced
     before = device.ledger.snapshot()
@@ -293,9 +293,11 @@ def test_a_faulty_fragment_is_named_first_and_nothing_is_charged(first, second):
     with pytest.raises(FAULTS[first][1]) as want:
         read_segments(handle)
     assert str(raised.value) == str(want.value)
-    for region in (REGION_DDR, REGION_NVM):
+    for region, capacity in ((REGION_DDR, device.cfg.ddr_capacity_pages),
+                             (REGION_NVM, device.cfg.nvm_capacity_pages)):
         grown = len(device._regions[region])
-        device.allocate_pages(region, len(device._free[region]) + 3, "grows")
+        freed = device.free_page_count(region) - (capacity - grown // PAGE_SIZE)   # in the region
+        device.allocate_pages(region, freed + 3, "grows")
         assert len(device._regions[region]) == grown + 3 * PAGE_SIZE
     assert raised.traceback                  # held until here
 
@@ -310,7 +312,7 @@ def test_a_read_of_fragments_in_both_regions_joins_each_group_in_order():
         payload = bytes([k + 1]) * nbytes
         if pages:
             device.write_pages(region, pages, payload)
-        device.expose_to_host((region, idx) for idx in pages)
+        device.expose_to_host(region, pages)
         runs.append(Fragment(region, tuple(pages), nbytes))
         data[k] = payload
     before = device.ledger.snapshot()
