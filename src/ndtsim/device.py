@@ -386,33 +386,40 @@ class Device:
 
     # -- page pool -----------------------------------------------------------
 
+    def _region_owners(self, region: str) -> np.ndarray:
+        """The owner code of each page of ``region``; ``InvalidConfig`` for an
+        unknown region."""
+        if region not in REGIONS:
+            raise InvalidConfig(f"unknown region {region!r}")
+        return self._owners[region]
+
     def _pool_pages(self, region: str, pages) -> np.ndarray:
         """``pages`` of ``region`` as an int64 array: ``InvalidConfig`` for an
         unknown region, ``OutOfRange`` naming the first page outside it."""
-        if region not in REGIONS:
-            raise InvalidConfig(f"unknown region {region!r}")
         at = np.asarray(pages, dtype=np.int64)
-        size = len(self._owners[region])
+        size = len(self._region_owners(region))
         outside = at[(at < 0) | (at >= size)]
         if len(outside):
             raise OutOfRange(f"{region} page {outside[0]} outside its {size} pages")
         return at
 
     def free_page_count(self, region: str) -> int:
-        self._pool_pages(region, ())
-        return self._capacity[region] - int(np.count_nonzero(self._owners[region]))
+        owners = self._region_owners(region)
+        return self._capacity[region] - int(np.count_nonzero(owners))
 
     def allocate_pages(self, region: str, count: int, owner: str) -> list:
         """Take ``count`` pages from the region's pool for ``owner``: free
         pages first, lowest index first, then new pages at the region's end."""
-        available = self.free_page_count(region)
+        owners = self._region_owners(region)
+        free = np.flatnonzero(owners == 0)
+        available = self._capacity[region] - len(owners) + len(free)
         if count > available:
             raise OutOfSpace(f"{region}: requested {count} pages, {available} available")
         count = max(count, 0)
-        pages = np.flatnonzero(self._owners[region] == 0)[:count]
+        pages = free[:count]
         fresh = count - len(pages)
         if fresh:
-            first = len(self._owners[region])           # the region's pages
+            first = len(owners)                         # the region's pages
             pages = np.concatenate((pages, np.arange(first, first + fresh)))
             for _ in range(fresh):
                 self._regions[region].extend(_ZERO_PAGE)

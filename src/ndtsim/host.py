@@ -87,6 +87,18 @@ LOAD_BATCH_ROWS = 1000          # rows per bulk-load transaction
 # ``randrange(a, a + width)`` is ``a + _randbelow(width)``, and CPython's
 # ``_randbelow`` draws ``getrandbits(width.bit_length())`` until the draw is
 # below ``width`` (``randint(1, 1)`` too draws one bit).
+#
+# ``choices(letters, k=n)`` picks ``letters[floor(random() * 26.0)]`` n
+# times, and ``random()`` is ``((a >> 5) * 67108864.0 + (b >> 6)) / 2**53``
+# of the generator's next two 32-bit words ``a, b``.  ``getrandbits(64 * n)``
+# takes the same 2n words and holds them least significant first.  So each
+# row draws its string's words in that one call, where ``choices`` drew
+# them, and ``dist_strings`` decodes the letters of all the rows at once with
+# ``random()``'s float arithmetic: the integer floor ``(m * 26) >> 53`` of
+# the 53-bit ``m`` picks another letter next to some multiples of 2**53 / 26.
+
+DIST_LETTERS = np.frombuffer(string.ascii_lowercase.encode("ascii"), np.uint8)
+
 
 def randbelow(getrandbits, width: int) -> int:
     """``random.Random._randbelow(width)`` on the generator of ``getrandbits``."""
@@ -97,6 +109,24 @@ def randbelow(getrandbits, width: int) -> int:
     return r
 
 
+def dist_strings(words: bytes, lengths: list) -> list:
+    """The strings ``choices(ascii_lowercase, k=n)`` makes for each ``n`` of
+    ``lengths`` in turn, from ``words``, the bytes of each string's
+    ``getrandbits(64 * n).to_bytes(8 * n, "little")`` in the same order: the
+    letters of all of them decoded at once, then sliced."""
+    words = np.frombuffer(words, "<u4")
+    x = (words[0::2] >> 5) * 67108864.0             # random() of each word pair ...
+    x += words[1::2] >> 6
+    x *= 1.0 / 9007199254740992.0
+    x *= len(DIST_LETTERS)                          # ... times 26, >= 0: truncation floors
+    text = DIST_LETTERS[x.astype(np.intp)].tobytes().decode("ascii")
+    strings, at = [], 0
+    for n in lengths:
+        strings.append(text[at:at + n])
+        at += n
+    return strings
+
+
 def random_rows(rng: random.Random, order_lines, warehouses: int,
                 null_delivery_rate: float = None) -> list:
     """One random row per (order id, line number) of ``order_lines``.
@@ -105,12 +135,11 @@ def random_rows(rng: random.Random, order_lines, warehouses: int,
     NULL at that rate; without one every delivery date is NULL and no draw
     is made for it.
     """
-    getrandbits, random_, choices = rng.getrandbits, rng.random, rng.choices
-    letters = string.ascii_lowercase
+    getrandbits, random_ = rng.getrandbits, rng.random
     warehouse_bits = warehouses.bit_length()
     delivery_bits, delivery_lo = DELIVERY_SPAN.bit_length(), DELIVERY_RANGE[0]
     delivered = None
-    rows = []
+    fields, words = [], bytearray()
     for order, line in order_lines:
         if null_delivery_rate is not None:
             if random_() < null_delivery_rate:
@@ -138,10 +167,12 @@ def random_rows(rng: random.Random, order_lines, warehouses: int,
         quantity = getrandbits(4)               # randint(1, 10)
         while quantity >= 10:
             quantity = getrandbits(4)
-        rows.append((order, district + 1, warehouse + 1, line, item + 1, delivered,
-                     quantity + 1, PyDecimal(cents + 1).scaleb(-2),
-                     "".join(choices(letters, k=dist_len + 8))))
-    return rows
+        n = dist_len + 8                        # choices(ascii_lowercase, k=n)
+        words += getrandbits(n << 6).to_bytes(n << 3, "little")
+        fields += (order, district + 1, warehouse + 1, line, item + 1, delivered,
+                   quantity + 1, PyDecimal(cents + 1).scaleb(-2), n)
+    fields[8::9] = dist_strings(words, fields[8::9])    # each length becomes its string
+    return list(zip(*[iter(fields)] * 9))
 
 
 @dataclass(frozen=True)
@@ -295,9 +326,16 @@ class HostSystem:
         """Bulk-load committed rows, ``LOAD_BATCH_ROWS`` to a transaction, each
         transaction's rows installed together; returns the shadow {vid: values}.
         A row count that is not an integer, or is negative, is an
-        ``InvalidConfig``."""
+        ``InvalidConfig``, and so is a ``null_delivery_rate`` that is not a
+        number in [0, 1] (NaN and bools included); None makes every delivery
+        NULL without a draw."""
         if _integer(n_rows, "row count") < 0:
             raise InvalidConfig(f"row count must not be negative, got {n_rows}")
+        rate = null_delivery_rate
+        if rate is not None and (isinstance(rate, bool) or not isinstance(rate, (int, float))
+                                 or not 0 <= rate <= 1):
+            raise InvalidConfig(f"null_delivery_rate must be a number in [0, 1] or None, "
+                                f"got {rate!r}")
         rng = random.Random(seed)
         shadow = {}
         store = self.store

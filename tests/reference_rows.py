@@ -2,9 +2,12 @@
 
 ``random_row``, ``random_delivery``, ``load_orderlines`` and
 ``ReferenceDriver.step`` draw with ``random.Random.randint``, ``randrange``
-and ``choices``, one call per value.  ``ndtsim.host`` inlines those draws
-(``getrandbits`` and CPython's rejection loop) and must make exactly the
-same ones, in the same order, so every row, vid and record byte a seed
+and ``choices``, one call per value, and ``ol_dist_info`` one ``random()``
+per letter.  ``ndtsim.host`` inlines those draws (``getrandbits`` and
+CPython's rejection loop), draws each string's words with one
+``getrandbits(64 * n)`` where ``choices`` drew them, and decodes the letters
+as ``floor(random() * 26.0)`` of each word pair.  It must take exactly the
+same words, in the same order, so every row, vid and record byte a seed
 produces stays as it was.  ``test_row_generation`` holds it to this
 reference.
 """

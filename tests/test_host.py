@@ -327,3 +327,26 @@ def test_a_malformed_row_count_loads_nothing(system, rows):
     with pytest.raises(InvalidConfig):
         system.load_orderlines(rows)
     assert not system.store.vid_map and not system.store.in_flight
+
+
+@pytest.mark.parametrize("rate", [float("nan"), -1, -0.01, 1.01, 2, float("inf"), "0.5", True,
+                                  False, [0.5]])
+def test_a_malformed_null_delivery_rate_loads_nothing(system, rate):
+    """Refused before any draw: ``nan`` and -1 were silently "never NULL", 2
+    "always NULL", and a string raised a bare ``TypeError`` mid-load."""
+    system.load_orderlines(30, seed=2)
+    before = _untouched(system), system._next_order, system._next_vid
+    with pytest.raises(InvalidConfig, match="null_delivery_rate"):
+        system.load_orderlines(40, seed=3, null_delivery_rate=rate)
+    assert (_untouched(system), system._next_order, system._next_vid) == before
+
+
+@pytest.mark.parametrize("rate", [None, 0, 0.0, 0.5, 1, 1.0])
+def test_a_null_delivery_rate_in_range_or_none_loads(system, rate):
+    shadow = system.load_orderlines(40, seed=3, null_delivery_rate=rate)
+    nulls = sum(row[5] is None for row in shadow.values())
+    assert len(shadow) == 40
+    if rate is None or rate == 1:
+        assert nulls == 40
+    else:
+        assert nulls == 0 if rate == 0 else 0 < nulls < 40

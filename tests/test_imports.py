@@ -36,6 +36,9 @@ store to, deletion from or changing dict call on a ``vid_map`` item is in
 a method of ``MvccStore`` that advances ``self.map_version``, the key of
 the oracle's kept walk.
 
+No package code draws with ``Random.choices``: the row generator decodes
+its letters from the generator's words in one numpy pass.
+
 The package holds only what the system runs: every function, class and
 method it defines is named somewhere in the package or in the benchmark
 (``perfbench/*.py``, whose traced targets count), not only in the tests.
@@ -915,6 +918,49 @@ def test_scan_finds_every_page_pair_and_comprehension_the_pool_was_given(tmp_pat
     device = tmp_path / "device.py"
     device.write_text(probe.read_text())
     assert page_pairs(device) == [site.replace("engine.", "device.") for site in found[:-1]]
+
+
+# ``ol_dist_info``'s letters are decoded from the generator's words in one
+# numpy pass per batch of rows (``host.dist_strings``), so no package code
+# draws with ``Random.choices``, one Python ``random()`` per letter: no
+# ``.choices`` attribute is read, called or bound to a name, and no name
+# ``choices`` is called.  ``argparse``'s ``choices=`` keyword is neither.
+def choices_draws(path: Path) -> list:
+    """Each ``.choices`` attribute and each call of a name ``choices`` in
+    ``path``, by line."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and node.attr == "choices":
+            found.append((node.lineno, ".choices"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "choices"):
+            found.append((node.lineno, "choices()"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_the_row_generator_draws_no_letter_at_a_time():
+    assert [f"{path.name} {site}" for path in PACKAGE for site in choices_draws(path)] == []
+
+
+def test_scan_finds_every_choices_draw(tmp_path):
+    """The probe holds the string draw of the generator that called
+    ``choices`` per row, and the CLI's ``choices=`` option, which is no draw."""
+    probe = tmp_path / "host.py"
+    probe.write_text(
+        "def random_rows(rng, order_lines, warehouses, null_delivery_rate=None):\n"
+        "    getrandbits, random_, choices = rng.getrandbits, rng.random, rng.choices\n"
+        "    letters = string.ascii_lowercase\n"
+        "    rows = []\n"
+        "    for order, line in order_lines:\n"
+        "        dist_len = getrandbits(5)\n"
+        "        rows.append((order, line, \"\".join(choices(letters, k=dist_len + 8))))\n"
+        "    return rows\n"
+        "def one(rng):\n"
+        "    return rng.choices('ab', k=3)\n"
+        "def options(p):\n"
+        "    p.add_argument('--mode', choices=['stream', 'materialize'])\n")
+    assert choices_draws(probe) == ["line 2: .choices", "line 7: choices()",
+                                    "line 10: .choices"]
 
 
 # What the package defines, the system runs.  A definition counts as run when

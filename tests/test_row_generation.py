@@ -2,22 +2,30 @@
 
 ``ndtsim.host`` draws the order-line rows from a bound ``getrandbits`` with
 CPython's rejection loop inlined, not from ``randint``, ``randrange`` and
-``choices`` one call per value.  A seed's rows are fingerprinted (result
-digests, setup ledgers), so the generator must make the very draws of
-``reference_rows``, in the same order: the same rows, vids and shadows, and
-the same end state (every chain, every page byte, the device mirrors, the
-ledger and the generator's own state) over seeds, sizes and mixes.
+``choices`` one call per value, and decodes each row's ``ol_dist_info``
+letters from the words one ``getrandbits(64 * n)`` takes, where ``choices``
+took them, with ``random()``'s float arithmetic.  A seed's rows are
+fingerprinted (result digests, setup ledgers), so the generator must make
+the very draws of ``reference_rows``, in the same order: the same rows, vids
+and shadows, and the same end state (every chain, every page byte, the
+device mirrors, the ledger and the generator's own state) over seeds, sizes
+and mixes.
 """
 
+import math
 import operator
 import random
+import string
+from itertools import repeat
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import reference_rows
 from ndtsim.errors import InvalidConfig
-from ndtsim.host import HostSystem, WorkloadConfig, WorkloadDriver, randbelow
+from ndtsim.host import (HostSystem, WorkloadConfig, WorkloadDriver, dist_strings, randbelow,
+                         random_rows)
 
 
 def end_state(system: HostSystem, shadow: dict) -> dict:
@@ -151,6 +159,58 @@ def test_randbelow_is_the_stdlib_draw(width):
     assert [randbelow(rng.getrandbits, width) for _ in range(300)] == \
         [twin.randrange(width) for _ in range(300)]
     assert rng.getstate() == twin.getstate()
+
+
+def _boundary_mantissas() -> list:
+    """The 53-bit ``m`` of ``random() == m / 2**53`` within 40 of each letter
+    boundary ``k * 2**53 / 26``, where float and integer floors part."""
+    return [m for k in range(1, 26) for m in range((k << 53) // 26 - 40, (k << 53) // 26 + 41)]
+
+
+@pytest.mark.parametrize("low_bits", [0, 1], ids=["low bits clear", "low bits set"])
+def test_the_letter_decode_is_random_s_float_at_every_boundary(low_bits):
+    """``dist_strings`` picks ``floor(random() * 26.0)`` of the two words
+    ``random()`` takes: ``a`` keeps its top 27 bits, ``b`` its top 26.  The
+    bits each shift drops must not count, and the integer floor
+    ``(m * 26) >> 53`` is not the same letter next to a boundary."""
+    mantissas = _boundary_mantissas()
+    a = [(m >> 26) << 5 | 31 * low_bits for m in mantissas]
+    b = [(m & (2**26 - 1)) << 6 | 63 * low_bits for m in mantissas]
+    chunk = np.array([a, b], "<u4").T.tobytes()
+    expected = [math.floor(((x >> 5) * 67108864.0 + (y >> 6)) * (1.0 / 9007199254740992.0)
+                           * 26.0) for x, y in zip(a, b)]
+    assert dist_strings(chunk, [len(mantissas)]) == \
+        ["".join(map(string.ascii_lowercase.__getitem__, expected))]
+    assert [(m * 26) >> 53 for m in mantissas] != expected
+    assert expected[mantissas.index(1732153702834806)] == 5      # the product rounds up
+    assert (1732153702834806 * 26) >> 53 == 4
+
+
+def test_the_letter_decode_is_choices_on_the_same_words():
+    """Chunks of 8 to 24 letters, each ``getrandbits(64 * n)`` as a row draws
+    it, against ``choices`` on a twin generator, one string at a time."""
+    sizes = list(map(random.Random(2).randint, repeat(8, 300), repeat(24)))
+    rng, twin = random.Random(3), random.Random(3)
+    words = b"".join(rng.getrandbits(64 * n).to_bytes(8 * n, "little") for n in sizes)
+    assert dist_strings(words, sizes) == ["".join(twin.choices(string.ascii_lowercase, k=n))
+                                          for n in sizes]
+    assert rng.getstate() == twin.getstate() and dist_strings(b"", []) == []
+
+
+@pytest.mark.parametrize("rows", [0, 1])
+@pytest.mark.parametrize("null_delivery_rate", [None, 0.5])
+def test_random_rows_of_one_row_and_of_none_are_the_reference_draws(rows, null_delivery_rate):
+    for seed in range(20):
+        rng, twin = random.Random(seed), random.Random(seed)
+        made = random_rows(rng, zip(range(7, 7 + rows), repeat(1)), 3, null_delivery_rate)
+        expected = []
+        for order in range(7, 7 + rows):
+            delivered = None
+            if null_delivery_rate is not None and twin.random() >= null_delivery_rate:
+                delivered = reference_rows.random_delivery(twin)
+            expected.append(reference_rows.random_row(twin, order, 1, 3, delivered))
+        assert made == expected
+        assert rng.getstate() == twin.getstate()
 
 
 # A config no driver can draw from is refused up front: the inlined
