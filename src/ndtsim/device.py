@@ -100,9 +100,11 @@ _REGION_CODES = {name: code for code, name in enumerate(REGIONS)}
 
 MAX_SLOTS = (PAGE_SIZE - PAGE_HEADER_SIZE) // SLOT_ENTRY_SIZE
 
-# Regions grow a zero page at a time, so that the bytearray over-allocates
-# as it grows: one extend by the whole growth measured slower.
-_ZERO_PAGE = bytes(PAGE_SIZE)
+# A region grows by one extend of all of a call's fresh zero pages.  On the
+# benchmark's growth pattern (a 348-page load, then 1-116 pages at a time)
+# that took 3.6 ms against 7.5 ms for one extend per page; a region's first
+# growths of 8 and 68 pages took 0.65 against 0.51 ms (2-core VM, 40
+# interleaved rounds each).
 
 # Modeled transfer sizes for in-situ navigation.
 VID_ENTRY_BYTES = 8
@@ -421,8 +423,7 @@ class Device:
         if fresh:
             first = len(owners)                         # the region's pages
             pages = np.concatenate((pages, np.arange(first, first + fresh)))
-            for _ in range(fresh):
-                self._regions[region].extend(_ZERO_PAGE)
+            self._regions[region].extend(bytes(fresh * PAGE_SIZE))
             for state in (self._owners, self._exposed):
                 state[region] = np.append(state[region], np.zeros(fresh, state[region].dtype))
         self._owners[region][pages] = self._owner_codes[owner]

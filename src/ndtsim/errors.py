@@ -59,6 +59,10 @@ class StaleWrite(NdtError):
     """Write-write conflict: the head is newer than the writer, or another tx in flight wrote it."""
 
 
+class InvalidVid(NdtError):
+    """A vid that is not an int in [0, 2**64); bools are refused too."""
+
+
 # --- shared state / device --------------------------------------------------
 
 class InvalidConfig(NdtError):

@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from decimal import Decimal as PyDecimal
-from itertools import repeat
+from itertools import count, repeat
 
 import numpy as np
 
@@ -500,10 +500,10 @@ class _IndexedSet:
         self.items = list(items)
         self.pos = {v: i for i, v in enumerate(self.items)}
 
-    def add(self, v):
-        if v not in self.pos:
-            self.pos[v] = len(self.items)
-            self.items.append(v)
+    def add_new(self, vids):
+        """Append ``vids``, none of which the set holds, in order."""
+        self.pos.update(zip(vids, count(len(self.items))))
+        self.items.extend(vids)
 
     def discard(self, v):
         i = self.pos.pop(v, None)
@@ -543,7 +543,8 @@ class WorkloadDriver:
         pick = rng.random() * sum(weights)
         t = store.begin_tx()
         try:
-            writes = []
+            writes = []                 # (vid, row, deleted) of a delivery, delete or update
+            vids = rows = ()            # a new order's fresh vids and their rows
             if pick < weights[0] or not self.shadow:
                 order = system._next_order
                 system._next_order += 1
@@ -551,7 +552,6 @@ class WorkloadDriver:
                 vids = system.new_vids(lines)
                 rows = random_rows(rng, zip(repeat(order), range(1, lines + 1)), cfg.warehouses)
                 store.install_versions(t, vids, rows)
-                writes = list(zip(vids, rows, repeat(False)))
             elif pick < weights[0] + weights[1]:
                 vid = self.undelivered.pick(getrandbits)
                 if vid is not None:
@@ -577,10 +577,16 @@ class WorkloadDriver:
             store.abort_tx(t)
             raise
 
-        if writes and rng.random() < cfg.abort_fraction:
+        if (writes or vids) and rng.random() < cfg.abort_fraction:
             store.abort_tx(t)
             return
         store.commit_tx(t)
+        if vids:
+            self.report.versions_created += len(vids)
+            self.report.new_vids += len(vids)
+            self.live.add_new(vids)
+            self.undelivered.add_new(vids)      # random_rows draws a new order no delivery
+            self.shadow.update(zip(vids, rows))
         for vid, row, deleted in writes:
             self.report.versions_created += 1
             if deleted:
@@ -588,12 +594,7 @@ class WorkloadDriver:
                 self.live.discard(vid)
                 self.undelivered.discard(vid)
                 continue
-            if vid not in self.shadow:
-                self.report.new_vids += 1
-                self.live.add(vid)
-                if row[5] is None:
-                    self.undelivered.add(vid)
-            elif self.shadow[vid][5] is None and row[5] is not None:
+            if self.shadow[vid][5] is None and row[5] is not None:
                 self.undelivered.discard(vid)
             self.shadow[vid] = row
 

@@ -16,8 +16,10 @@ Record wire format (little-endian throughout):
     variable-length fields, schema order, NULL fields omitted,
         each a u16 byte length followed by the raw payload
 
-Tombstone records are header-only.  ``encode_records`` serializes a batch
-of records, and ``encode_record`` is its one-record case.
+Tombstone records are header-only.  ``encode_versions`` serializes a batch
+of records from their header words as columns (the packed pred rid, as
+``pack_rid`` packs it); ``encode_records`` is its form over
+``RecordHeader``s, and ``encode_record`` their one-record case.
 
 ``record_field_slices`` locates the fields of one record.  Its batch form,
 ``extract_fields``, extracts projected fields from many records read where
@@ -230,10 +232,6 @@ class RecordHeader:
     pred: Optional[RecordID] = None
     tombstone: bool = False
 
-    @property
-    def flags(self) -> int:
-        return 1 if self.tombstone else 0
-
 
 Value = Union[int, str, PyDecimal, None]
 
@@ -327,39 +325,54 @@ def _framed_varchars(values, attr: Attribute) -> list:
     return framed
 
 
-_TOMBSTONE = attrgetter("tombstone")
-_HEADER_WORDS = attrgetter("vid", "create_ts", "pred")
+_HEADER_FIELDS = attrgetter("vid", "create_ts", "pred", "tombstone")
 
 
 def encode_records(schema: Schema, headers: Sequence[RecordHeader], rows: Sequence) -> list:
     """Serialize one version record per header; returns their bytes, in order.
 
-    ``rows[k]`` holds record k's values, None for a tombstone, which is
-    its header alone.  The live rows are grouped by signature, the types
-    of their values, so every row of a group has the same null mask.  A
-    signature is checked once (arity, NULLs, types) and gets one
-    ``struct.Struct`` that packs the header and the fixed fields with their
-    alignment padding.  Each group is then checked a column at a time
-    (decimal digits, varchar lengths; int ranges by the packing itself),
-    packed, and its varlen fields appended.
+    ``rows[k]`` holds record k's values, None for a tombstone.  The headers
+    go to ``encode_versions`` as columns.
     """
     if len(headers) != len(rows):
         raise ArityMismatch(f"{len(headers)} record headers for {len(rows)} rows")
-    records = [None] * len(headers)
-    live = range(len(headers))
-    if any(map(_TOMBSTONE, headers)):
+    if not headers:
+        return []
+    vids, create_ts, preds, tombstones = zip(*map(_HEADER_FIELDS, headers))
+    return encode_versions(schema, vids, create_ts, list(map(pack_rid, preds)), tombstones, rows)
+
+
+def encode_versions(schema: Schema, vids: Sequence[int], create_ts: Sequence[int],
+                    preds: Sequence[int], tombstones: Sequence[bool], rows: Sequence) -> list:
+    """Serialize version record k from the header columns ``vids[k]``,
+    ``create_ts[k]``, ``preds[k]`` (a packed rid, ``RID_NONE`` for none) and
+    ``tombstones[k]``, and the values ``rows[k]``; returns their bytes, in order.
+
+    The columns have one entry per row.  A tombstone's row is None (or
+    empty), and its record is its header alone.  The live rows are grouped
+    by signature, the types of their values, so every row of a group has
+    the same null mask.  A signature is checked once (arity, NULLs, types)
+    and gets one ``struct.Struct`` that packs the header and the fixed
+    fields with their alignment padding.  Each group is then checked a
+    column at a time (decimal digits, varchar lengths; int ranges by the
+    packing itself), packed, and its varlen fields appended.
+    """
+    records = [None] * len(rows)
+    live = range(len(rows))
+    if any(tombstones):
         live = []
-        for k, (header, values) in enumerate(zip(headers, rows)):
-            if not header.tombstone:
+        for k, (tombstone, values) in enumerate(zip(tombstones, rows)):
+            if not tombstone:
                 live.append(k)
             elif values:
                 raise TypeMismatch("tombstone records carry no field payload")
             else:
-                records[k] = _HDR.pack(header.vid, header.create_ts, pack_rid(header.pred),
-                                       header.flags) + bytes(schema.null_bitmap_bytes)
+                records[k] = _HDR.pack(vids[k], create_ts[k], preds[k], 1) + bytes(
+                    schema.null_bitmap_bytes)
         if not live:
             return records
-        headers, rows = list(map(headers.__getitem__, live)), list(map(rows.__getitem__, live))
+        vids, create_ts, preds, rows = (list(map(column.__getitem__, live))
+                                        for column in (vids, create_ts, preds, rows))
     try:
         signatures = list(map(tuple, map(map, repeat(type), rows)))
     except TypeError:
@@ -391,19 +404,17 @@ def encode_records(schema: Schema, headers: Sequence[RecordHeader], rows: Sequen
                 [i for i in schema.varlen_plan if not mask >> i & 1])
         pack, bitmap, fixed, decimals, varlens = packer
         if at is None:                                  # one group: every live row
-            at, group, group_headers = range(len(rows)), rows, headers
+            at, group, words = range(len(rows)), rows, (vids, create_ts, preds)
         else:
             group = list(map(rows.__getitem__, at))
-            group_headers = list(map(headers.__getitem__, at))
+            words = [list(map(column.__getitem__, at)) for column in (vids, create_ts, preds)]
         columns = list(zip(*group))
         for i, kind, ftype in decimals:
             columns[i] = _scaled_column(columns[i], kind, ftype)
         for i in varlens:
             columns[i] = _framed_varchars(columns[i], schema.attributes[i])
-        vids, create_ts, preds = zip(*map(_HEADER_WORDS, group_headers))
         try:
-            packed = list(map(pack, vids, create_ts, map(pack_rid, preds), repeat(bitmap),
-                              *[columns[i] for i in fixed]))
+            packed = list(map(pack, *words, repeat(bitmap), *[columns[i] for i in fixed]))
         except struct.error as exc:
             raise TypeMismatch(f"a value out of its field's range ({exc})") from None
         for i in varlens:

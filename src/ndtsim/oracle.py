@@ -44,7 +44,8 @@ there cannot sit on both sides of a differential test.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from functools import partial
+from itertools import repeat
 from operator import is_not
 
 import numpy as np
@@ -80,9 +81,8 @@ def visible_records(vid_map: dict, snap: SnapshotDescriptor):
     rids = list(map(oracle_visible_version, vid_map.values(), repeat(snap)))
     keep = np.fromiter(map(is_not, rids, repeat(None)), dtype=bool, count=len(rids))
     vids = np.fromiter(vid_map, dtype="<u8", count=len(rids))[keep]
-    found = np.fromiter(chain.from_iterable(filter(None, rids)), dtype=np.int64,
-                        count=2 * len(vids)).reshape(len(vids), 2)
-    return vids, found[:, 0], found[:, 1]
+    found = np.fromiter(filter(partial(is_not, None), rids), dtype=np.int64, count=len(vids))
+    return vids, found >> 16, found & 0xFFFF           # packed rids: page_lid << 16 | slot
 
 
 def read_records(shared, page_lids, slots):

@@ -7,10 +7,12 @@ the device either when it reaches its configured capacity or alongside an
 invocation, which also ships the in-flight transaction list its snapshot
 needs.
 
-The VID-map delta is staged as two lists in staging order, vids and the
-packed RecordIDs of their new chain heads (``RID_NONE`` removes a vid's
-entry), and ships as two arrays: a propagation sorts them by vid and keeps
-the last staging of each vid, so every vid appears once.
+Record ids are packed rids (``page_lid << 16 | slot``, as
+``layout.pack_rid`` packs them) throughout.  The VID-map delta is staged
+as two lists in staging order, vids and the packed rids of their new chain
+heads (``RID_NONE`` removes a vid's entry), and ships as two arrays: a
+propagation sorts them by vid and keeps the last staging of each vid, so
+every vid appears once.
 
 Hand-off is two-phase: the device acknowledges a propagation by returning
 the physical placements it assigned, and only then does the host clear its
@@ -21,7 +23,6 @@ which a record is reachable from neither side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -32,7 +33,6 @@ from .layout import (
     SLOT_ENTRY_SIZE,
     NsmPage,
     RecordID,
-    pack_rid,
     page_slot_entry_at,
 )
 
@@ -101,7 +101,9 @@ class HostSharedState:
         """Place version records in the delta buffer in order, page by page,
         and stage the map delta of each (record k is ``vids[k]``'s new head).
 
-        Each record's RecordID is appended to ``rids`` as it is placed, so a
+        The packed rids of the records a page takes are appended to ``rids``
+        as one ``range`` (consecutive slots pack to consecutive ints), the
+        heads staged for their vids, before a propagation can run, so a
         caller can link every placed record even if a propagation fails.
         Propagates (with no in-flight list) right after the record whose append
         reaches the configured capacity; the records after it start a new
@@ -126,21 +128,23 @@ class HostSharedState:
                 end += 1
                 if size >= capacity:
                     break
-            slot, lid = page.extend(records[k:end]), page.page_lid
-            head = pack_rid(RecordID(lid, slot))    # consecutive slots pack to consecutive ints
-            rids.extend(map(RecordID, repeat(lid, end - k), range(slot, slot + end - k)))
+            slot = page.extend(records[k:end])
+            head = page.page_lid << 16 | slot
+            heads = range(head, head + end - k)
+            rids.extend(heads)
             staged_vids.extend(vids[k:end])
-            staged_heads.extend(range(head, head + end - k))
+            staged_heads.extend(heads)
             self.size_bytes = size
             k = end
             if size >= capacity:
                 self.propagate()
                 room = -1                       # the next record starts a new page
 
-    def stage_vid_delta(self, vid: int, rid: Optional[RecordID]):
-        """Stage a map correction (abort rollback); None removes the entry."""
+    def stage_vid_delta(self, vid: int, rid: int):
+        """Stage a map correction (abort rollback) to packed ``rid``;
+        ``RID_NONE`` removes the entry."""
         self._staged_vids.append(vid)
-        self._staged_heads.append(pack_rid(rid))
+        self._staged_heads.append(rid)
 
     @property
     def has_pending(self) -> bool:

@@ -9,7 +9,7 @@ from ndtsim import host
 from ndtsim.device import Device, DeviceConfig, REGION_DDR, REGION_NVM, REGIONS
 from ndtsim.engine import MODE_MATERIALIZE, MODE_STREAM, NdtInvocation
 from ndtsim.host import HostSystem, orderline_schema
-from ndtsim.layout import PAGE_SIZE, TC_DECIMAL, TC_VARCHAR
+from ndtsim.layout import PAGE_SIZE, TC_DECIMAL, TC_VARCHAR, unpack_rid
 from ndtsim.mvcc import MvccStore
 from ndtsim.shared_state import HostSharedState
 
@@ -36,8 +36,10 @@ class Harness:
         self._seq = 0
 
     def install_rows(self, rows: dict):
+        """Install ``rows`` ({vid: values}) in one committed transaction;
+        returns {vid: RecordID} of the versions, as readers take them."""
         t = self.store.begin_tx()
-        rids = {vid: self.store.install_version(t, vid, values)
+        rids = {vid: unpack_rid(self.store.install_version(t, vid, values))
                 for vid, values in rows.items()}
         self.store.commit_tx(t)
         return rids

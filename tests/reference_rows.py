@@ -10,6 +10,11 @@ as ``floor(random() * 26.0)`` of each word pair.  It must take exactly the
 same words, in the same order, so every row, vid and record byte a seed
 produces stays as it was.  ``test_row_generation`` holds it to this
 reference.
+
+``ReferenceDriver.step`` also keeps the driver's bookkeeping one vid at a
+time: each committed write updates the shadow and adds a fresh vid to the
+live and undelivered sets on its own, where ``WorkloadDriver.step`` adds a
+new order's vids to each in one bulk insert.
 """
 
 import random
@@ -74,8 +79,16 @@ def _pick(items: list, rng: random.Random):
     return items[rng.randrange(len(items))] if items else None
 
 
+def _add(indexed, vid):
+    """Add ``vid`` to the driver's ``_IndexedSet`` ``indexed``, one vid at a time."""
+    if vid not in indexed.pos:
+        indexed.pos[vid] = len(indexed.items)
+        indexed.items.append(vid)
+
+
 class ReferenceDriver(WorkloadDriver):
-    """``WorkloadDriver`` whose ``step`` makes one draw call per value."""
+    """``WorkloadDriver`` whose ``step`` makes one draw call per value and
+    updates its shadow and sets one write at a time."""
 
     def step(self):
         cfg, rng, store = self.cfg, self.rng, self.system.store
@@ -127,9 +140,9 @@ class ReferenceDriver(WorkloadDriver):
                 continue
             if vid not in self.shadow:
                 self.report.new_vids += 1
-                self.live.add(vid)
+                _add(self.live, vid)
                 if row[5] is None:
-                    self.undelivered.add(vid)
+                    _add(self.undelivered, vid)
             elif self.shadow[vid][5] is None and row[5] is not None:
                 self.undelivered.discard(vid)
             self.shadow[vid] = row

@@ -563,3 +563,35 @@ def test_read_runs_moves_and_charges_what_one_read_pages_per_run_does(requester)
     assert batched.ledger.snapshot() == paged.ledger.snapshot()
     assert batched.read_runs([], requester) == [] and batched.read_runs(runs[2:3], 0) == [b""]
     assert batched.ledger.snapshot() == paged.ledger.snapshot()
+
+
+@pytest.mark.parametrize("region", REGIONS)
+def test_one_k_page_growth_equals_k_one_page_growths(region):
+    """Taking k pages in one call leaves what k one-page calls leave: the
+    same page ids (a free page first, then fresh ones at the region's end),
+    the same bytes with every fresh page zeroed, the same owner and exposure
+    arrays, and the same ``OutOfSpace`` once the pool runs out."""
+    grown, stepped = (Device(DeviceConfig(ddr_capacity_pages=9, nvm_capacity_pages=9))
+                      for _ in range(2))
+    for dev in (grown, stepped):
+        first = dev.allocate_pages(region, 3, "a")
+        dev.write(region, 0, b"\xff" * (3 * PAGE_SIZE), REQUESTER_COORD)
+        dev.expose_to_host(region, first)
+        dev.free_pages("a", region, [first[1]])
+    taken = grown.allocate_pages(region, 5, "b")
+    assert taken == [idx for _ in range(5) for idx in stepped.allocate_pages(region, 1, "b")]
+    assert taken == [1, 3, 4, 5, 6]
+    assert grown._regions[region] == stepped._regions[region]
+    assert len(grown._regions[region]) == 7 * PAGE_SIZE
+    assert not any(grown._regions[region][3 * PAGE_SIZE:])
+    for state in ("_owners", "_exposed"):
+        mine, theirs = getattr(grown, state)[region], getattr(stepped, state)[region]
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+    assert grown._exposed[region].tolist() == [True, False, True] + [False] * 4
+    with pytest.raises(OutOfSpace, match="requested 3 pages, 2 available"):
+        grown.allocate_pages(region, 3, "c")
+    assert len(grown._regions[region]) == 7 * PAGE_SIZE and len(grown._owners[region]) == 7
+    assert grown.allocate_pages(region, 2, "c") == stepped.allocate_pages(region, 2, "c") == [7, 8]
+    assert grown._regions[region] == stepped._regions[region]
+    with pytest.raises(OutOfSpace):
+        stepped.allocate_pages(region, 1, "d")

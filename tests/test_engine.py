@@ -46,6 +46,7 @@ from ndtsim.layout import (
     Schema,
     TimestampPg,
     VarChar,
+    unpack_rid,
 )
 from ndtsim.mvcc import SnapshotDescriptor, TOMBSTONE
 from ndtsim.oracle import read_columns, visible_records
@@ -212,7 +213,7 @@ def test_visibility_skips_in_flight_head():
     inv = h.prepare(pe_count=1, pages=1)
     [hit] = _visible(h.device, [9], inv.vid_view, inv.descriptor, inv.l2p_view)
     assert hit is not None
-    expected = h.store.vid_map[9].pred.rid
+    expected = unpack_rid(h.store.vid_map[9].pred.rid)
     assert hit == (expected.page_lid << 16) | expected.slot
     h.store.commit_tx(t2)
 
@@ -254,6 +255,7 @@ def test_visibility_matches_oracle_on_random_chains():
             assert hit is None
         else:
             assert hit is not None
+            expected = unpack_rid(expected)
             assert hit == (expected.page_lid << 16) | expected.slot
 
 

@@ -14,7 +14,8 @@ The host oracle imports nothing of the device path (its strided gather
 included), the tests' per-record reference decoder nothing of the oracle,
 and only ``engine.run_invocation`` marks an invocation in flight.
 ``encode_record`` and ``install_version`` are one call into their batch
-forms, and only ``layout.encode_records`` packs a record header.
+forms, and only ``layout.encode_versions``, the encoder that
+``encode_records`` wraps, packs a record header.
 The device's batch accessors, page-table lookup and propagation merge,
 the engine's extraction and flush planning, and the read-back's column
 reader and varchar decoder hold no comprehension.
@@ -387,7 +388,7 @@ def header_packers(path: Path) -> list:
 
 def test_only_the_batch_encoder_packs_a_record_header():
     packers = [scope for path in PACKAGE for scope in header_packers(path)]
-    assert packers and set(packers) == {"layout.encode_records"}
+    assert packers and set(packers) == {"layout.encode_versions"}
 
 
 def test_scan_finds_a_second_record_packer(tmp_path):
@@ -1048,3 +1049,43 @@ def test_scan_finds_every_unreferenced_definition(tmp_path):
         "probe.Page.unused", "probe.dead"]
     assert unreferenced([probe], [probe], set()) == [
         "probe.Page.unused", "probe.traced", "probe.benched", "probe.dead"]
+
+
+# The MVCC write path carries record ids as packed ints: no module of it
+# builds a RecordID or RecordHeader per version.
+WRITE_PATH = ("mvcc.py", "shared_state.py")
+RID_OBJECTS = {"RecordID", "RecordHeader"}
+
+
+def rid_objects(path: Path) -> list:
+    """Each call of ``RecordID`` or ``RecordHeader`` in ``path``, and each
+    ``map`` over one, by line."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name in RID_OBJECTS:
+            found.append(f"line {node.lineno}: {name}()")
+        elif name == "map" and node.args and getattr(node.args[0], "id", None) in RID_OBJECTS:
+            found.append(f"line {node.lineno}: map({node.args[0].id}, ...)")
+    return found
+
+
+def test_the_write_path_makes_no_rid_object_per_version():
+    src = ROOT / "src" / "ndtsim"
+    assert [f"{name} {site}" for name in WRITE_PATH for site in rid_objects(src / name)] == []
+
+
+def test_scan_finds_every_rid_object(tmp_path):
+    """The probe holds the parent's ``append_records`` and ``install_versions`` lines."""
+    probe = tmp_path / "mvcc.py"
+    probe.write_text(
+        "def append_records(self, records, vids, rids):\n"
+        "    head = pack_rid(RecordID(lid, slot))\n"
+        "    rids.extend(map(RecordID, repeat(lid, end - k), range(slot, slot + end - k)))\n"
+        "def install_versions(self, t, vids, rows):\n"
+        "    headers.append(RecordHeader(vid, t, None if pred is None else pred.rid, tombstone))\n"
+        "    return layout.RecordID(1, 2), unpack_rid(head)\n")
+    assert rid_objects(probe) == ["line 2: RecordID()", "line 3: map(RecordID, ...)",
+                                  "line 5: RecordHeader()", "line 6: RecordID()"]

@@ -2,11 +2,12 @@
 at a time: the same RecordIDs, chains, counters, staged deltas, propagations,
 ledger and page bytes.  A batch that fails changes nothing."""
 
+import gc
 import random
 
 import pytest
 
-from ndtsim.errors import LengthMismatch, StaleWrite, TypeMismatch, VarCharTooLong
+from ndtsim.errors import InvalidVid, LengthMismatch, StaleWrite, TypeMismatch, VarCharTooLong
 from ndtsim.host import HostSystem
 from ndtsim.mvcc import TOMBSTONE
 from conftest import random_orderline
@@ -158,3 +159,32 @@ def test_rows_and_vids_must_pair(system):
     with pytest.raises(LengthMismatch, match="2 vids for 1 rows"):
         system.store.install_versions(t, [1, 2], [random_orderline(random.Random(8))])
     assert state(system) == before
+
+
+@pytest.mark.parametrize("vid", [True, False, 1.5, -1, 2**64, "x", None])
+def test_a_malformed_vid_is_refused_before_any_state_changes(vid):
+    """A vid that is not an int in [0, 2**64) is an ``InvalidVid`` naming it,
+    alone or after good rows; ``True`` no longer writes vid 1."""
+    system, _ = replay(2000, _transactions(random.Random(9), 2, 30, 50), batched=True)
+    t = system.store.begin_tx()
+    before, map_version = state(system), system.store.map_version
+    rows = [random_orderline(random.Random(10)) for _ in range(3)]
+    for vids, values in (([vid], rows[:1]), ([1, 2, vid], rows)):
+        with pytest.raises(InvalidVid, match=f"vid {vid!r} "):
+            system.store.install_versions(t, vids, values)
+        assert state(system) == before and system.store.map_version == map_version
+    assert system.store.install_versions(t, [2**64 - 1, 0], rows[:2])
+
+
+def test_a_loaded_row_leaves_at_most_one_object_for_the_collector():
+    """A loaded version is one chain node: its rid is a packed int, and no
+    header or RecordID object outlives the load (two per row before)."""
+    system = HostSystem()
+    gc.collect()
+    gc.collect()
+    before = len(gc.get_objects())
+    shadow = system.load_orderlines(3000)
+    gc.collect()
+    gc.collect()
+    assert len(shadow) == 3000
+    assert len(gc.get_objects()) - before <= 3000 + 200

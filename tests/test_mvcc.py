@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ndtsim.errors import AlreadyFinished, StaleWrite, UnknownTx
-from ndtsim.layout import decode_header
+from ndtsim.layout import decode_header, unpack_rid
 from ndtsim.mvcc import SnapshotDescriptor, TOMBSTONE, oracle_visible_version
 from conftest import random_orderline
 
@@ -50,8 +50,8 @@ def test_install_new_vid_then_update(system):
     assert head.pred.rid == rid1
     assert head.create_ts > head.pred.create_ts
     # the encoded record's predecessor pointer agrees with the chain
-    hdr = decode_header(system.shared.read_record(rid2))
-    assert hdr.pred == rid1
+    hdr = decode_header(system.shared.read_record(unpack_rid(rid2)))
+    assert hdr.pred == unpack_rid(rid1)
 
 
 def test_stale_write_conflict(system):
@@ -106,7 +106,7 @@ def _write_after_abort(system, vid, seed, propagate):
     rid2 = store.install_version(t2, vid, row(rng))
     store.commit_tx(t2)
     assert store.chain_rids(vid) == [rid2, rid0]
-    assert decode_header(system.shared.read_record(rid2)).pred == rid0
+    assert decode_header(system.shared.read_record(unpack_rid(rid2))).pred == unpack_rid(rid0)
 
 
 def test_abort_patches_interior_version(system):

@@ -44,6 +44,7 @@ from ndtsim.layout import (
     VarChar,
     pg_timestamp_to_unix_epoch,
     record_field_slices,
+    unpack_rid,
 )
 from ndtsim.mvcc import SnapshotDescriptor, oracle_visible_version
 from ndtsim.oracle import decode_columns, read_columns, read_records, visible_records
@@ -74,7 +75,7 @@ def _visible_records(shared, vid_map, snap) -> dict:
     for vid, head in vid_map.items():
         rid = oracle_visible_version(head, snap)
         if rid is not None:
-            records[vid] = shared.read_record(rid)
+            records[vid] = shared.read_record(unpack_rid(rid))
     return records
 
 
@@ -447,7 +448,7 @@ def test_a_page_corrupted_between_two_calls_is_found(monkeypatch):
     walks = _counting_walks(monkeypatch)
     snap = system.store.snapshot_descriptor(system.store.begin_tx())
     expected = system.oracle_column_set(snap)
-    rid = oracle_visible_version(system.store.vid_map[min(system.store.vid_map)], snap)
+    rid = unpack_rid(oracle_visible_version(system.store.vid_map[min(system.store.vid_map)], snap))
     page, offset = _record_in_page(system, rid)
     page[offset + RECORD_HEADER_FIXED - 1] |= 1
     try:
@@ -499,7 +500,7 @@ def test_corrupt_pages_raise_only_typed_errors():
     reader = system.store.begin_tx()
     snap = system.store.snapshot_descriptor(reader)
     visible = [oracle_visible_version(head, snap) for head in system.store.vid_map.values()]
-    visible = [rid for rid in visible if rid is not None]
+    visible = [unpack_rid(rid) for rid in visible if rid is not None]
     assert {system.shared.l2p[rid.page_lid][0] for rid in visible} == {REGION_HOST, "NVM"}
     typed = dict.fromkeys(KINDS, 0)
     for case in range(600):
@@ -538,7 +539,7 @@ def test_live_version_with_dead_bits_is_corrupt(bit):
     system.merge_to_cold()
     reader = system.store.begin_tx()
     snap = system.store.snapshot_descriptor(reader)
-    rid = oracle_visible_version(system.store.vid_map[min(system.store.vid_map)], snap)
+    rid = unpack_rid(oracle_visible_version(system.store.vid_map[min(system.store.vid_map)], snap))
     page, offset = _record_in_page(system, rid)
     schema = system.schema
     if bit == "tombstone":

@@ -25,7 +25,15 @@ from hypothesis import strategies as st
 from ndtsim.device import REQUESTER_COORD, TransferLedger
 from ndtsim.engine import pe_visibility_check, run_invocation, schedule
 from ndtsim.errors import DanglingReference
-from ndtsim.layout import PAGE_SIZE, PRED_OFFSET, RID_NONE, RecordID, pack_rid, page_slot_entry_at
+from ndtsim.layout import (
+    PAGE_SIZE,
+    PRED_OFFSET,
+    RID_NONE,
+    RecordID,
+    pack_rid,
+    page_slot_entry_at,
+    unpack_rid,
+)
 from conftest import Harness, page_of
 from test_visibility_walk import SCHEMA, _random_history
 
@@ -53,7 +61,7 @@ def _held(store, vids, rng: random.Random) -> np.ndarray:
     rid no version has."""
     held = []
     for vid in vids.tolist():
-        chain = [pack_rid(rid) for rid in store.chain_rids(vid)]
+        chain = store.chain_rids(vid)
         held.append(rng.choice([RID_NONE, chain[0], chain[-1], pack_rid(RecordID(1, 999))]))
     return np.array(held, dtype=np.uint64)
 
@@ -95,7 +103,7 @@ def test_the_pooled_walk_matches_a_walk_per_pe(seed, pe_count, halfway, candidat
 def _unresolvable_pred(h, inv, vid: int):
     """Point the pred of ``vid``'s head record at a page the frozen table
     does not map."""
-    head = h.store.chain_rids(vid)[0]
+    head = unpack_rid(h.store.chain_rids(vid)[0])
     region, idx = page_of(inv.l2p_view, head.page_lid)
     base = idx * PAGE_SIZE
     offset, _length = page_slot_entry_at(h.device.peek(region, base, PAGE_SIZE), 0, head.slot)

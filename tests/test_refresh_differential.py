@@ -20,7 +20,6 @@ from ndtsim.delta import compact, delta_transform, masked_view
 from ndtsim.device import REGIONS
 from ndtsim.engine import MODE_MATERIALIZE
 from ndtsim.host import HostSystem, WorkloadConfig, WorkloadDriver
-from ndtsim.layout import pack_rid
 from ndtsim.mvcc import oracle_visible_version
 
 ROWS = 600
@@ -56,7 +55,7 @@ def _check_against_oracle(system, handle):
     assert np.array_equal(index.vids, np.sort(expected.vids))
     assert np.array_equal(np.sort(index.positions), np.flatnonzero(handle.current))
     for vid, rid in zip(index.vids.tolist(), index.rids.tolist()):
-        assert rid == pack_rid(oracle_visible_version(system.store.vid_map[vid], snap))
+        assert rid == oracle_visible_version(system.store.vid_map[vid], snap)
     return set(expected.vids.tolist())
 
 

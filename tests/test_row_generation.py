@@ -126,6 +126,26 @@ def test_steps_from_an_empty_table_make_the_reference_draws():
     _run_both(cfg, rows=0, steps=150)
 
 
+@pytest.mark.parametrize("name", ["default", "aborts", "new orders only", "even mix"])
+def test_bulk_bookkeeping_equals_the_per_vid_reference_over_2000_steps(name):
+    """A committed new order adds its vids to the shadow, ``live`` and
+    ``undelivered`` in bulk; the reference adds them one vid at a time.
+    Both orders of the sets' items, and every draw, stay the same."""
+    system, twin, shadow = _loaded(300, 5, 0.3, capacity=64 * 1024)
+    driver = WorkloadDriver(system, MIXES[name], dict(shadow))
+    reference = reference_rows.ReferenceDriver(twin, MIXES[name], dict(shadow))
+    for _ in range(2000):
+        driver.step()
+        reference.step()
+    assert driver.shadow == reference.shadow
+    assert repr(driver.shadow) == repr(reference.shadow)        # insertion order too
+    assert driver.live.items == reference.live.items
+    assert driver.undelivered.items == reference.undelivered.items
+    assert driver.report == reference.report
+    assert driver.rng.getstate() == reference.rng.getstate()
+    assert driver.report.new_vids > 1000
+
+
 def test_every_delivery_runs_out_of_undelivered_rows():
     cfg = WorkloadConfig(seed=25, new_order_weight=0.0, delivery_weight=1.0,
                          delete_weight=0.0, amount_update_weight=0.0, abort_fraction=0.0)

@@ -24,7 +24,6 @@ from ndtsim.layout import (
     RecordHeader,
     RecordID,
     encode_record,
-    pack_rid,
     page_slot_count_at,
     unpack_rid,
 )
@@ -37,7 +36,7 @@ def test_buffer_size_counts_record_bytes(system):
     t = system.store.begin_tx()
     rid = system.store.install_version(t, 1, random_orderline(random.Random(0)))
     system.store.commit_tx(t)
-    record = system.shared.read_record(rid)
+    record = system.shared.read_record(unpack_rid(rid))
     assert system.shared.size_bytes == len(record)
 
 
@@ -59,7 +58,7 @@ def test_staged_vid_delta_matches_shadow(system):
     for _ in range(100):
         vid = rng.randrange(20)
         rid = system.store.install_version(t, vid, random_orderline(rng))
-        shadow[vid] = rid
+        shadow[vid] = unpack_rid(rid)
     system.store.commit_tx(t)
     snap = system.shared.propagate()
     assert shipped(snap) == shadow
@@ -78,12 +77,12 @@ def test_propagate_empty_buffer_is_valid(system):
 def test_second_snapshot_contains_only_new_changes(system):
     rng = random.Random(3)
     t = system.store.begin_tx()
-    first = {vid: system.store.install_version(t, vid, random_orderline(rng))
+    first = {vid: unpack_rid(system.store.install_version(t, vid, random_orderline(rng)))
              for vid in range(10)}
     system.store.commit_tx(t)
     system.shared.propagate()
     t2 = system.store.begin_tx()
-    second = {vid: system.store.install_version(t2, vid, random_orderline(rng))
+    second = {vid: unpack_rid(system.store.install_version(t2, vid, random_orderline(rng)))
               for vid in range(5, 15)}
     snap = system.shared.propagate({t2})
     assert shipped(snap) == second and snap.in_flight == frozenset({t2})
@@ -100,7 +99,7 @@ def test_device_state_equals_replay(system):
         t = system.store.begin_tx()
         vid = rng.randrange(40)
         values = random_orderline(rng)
-        rid = system.store.install_version(t, vid, values)
+        rid = unpack_rid(system.store.install_version(t, vid, values))
         system.store.commit_tx(t)
         expected[rid] = values
         if rng.random() < 0.05:
@@ -127,9 +126,9 @@ def test_delta_exclusivity_chains_resolve_once(system):
         while node is not None:
             assert node.rid not in seen
             seen.add(node.rid)
-            region, _ = system.shared.l2p[node.rid.page_lid]
+            region, _ = system.shared.l2p[unpack_rid(node.rid).page_lid]
             assert region in (REGION_HOST, REGION_DDR, "NVM")
-            system.shared.read_record(node.rid)   # must not raise
+            system.shared.read_record(unpack_rid(node.rid))   # must not raise
             node = node.pred
 
 
@@ -146,7 +145,8 @@ def test_propagation_charges_host_to_device(system):
 def test_merge_relocates_pages_and_preserves_reads(system):
     rng = random.Random(6)
     t = system.store.begin_tx()
-    rids = [system.store.install_version(t, vid, random_orderline(rng)) for vid in range(50)]
+    rids = [unpack_rid(system.store.install_version(t, vid, random_orderline(rng)))
+            for vid in range(50)]
     system.store.commit_tx(t)
     system.shared.propagate()
     before = {rid: system.shared.read_record(rid) for rid in rids}
@@ -181,9 +181,9 @@ STEPS = st.lists(st.tuples(st.just("install"), st.integers(0, 1), WRITES)
 
 
 def head_of(store, vid: int) -> int:
-    """The packed RecordID of ``vid``'s chain head; ``RID_NONE`` for none."""
+    """The packed rid of ``vid``'s chain head; ``RID_NONE`` for none."""
     node = store.vid_map.get(vid)
-    return pack_rid(None if node is None else node.rid)
+    return RID_NONE if node is None else node.rid
 
 
 @settings(max_examples=100, deadline=None)
@@ -225,7 +225,7 @@ def test_staged_delta_matches_a_dict_model(steps):
                     TOMBSTONE if delete else random_orderline(rng, vid) for vid, delete in step[2]])
             except StaleWrite:      # the other writer holds one of the vids
                 continue
-            staged.update(zip(vids, map(pack_rid, rids)))
+            staged.update(zip(vids, rids))
             written[who].update(vids)
         elif kind == "propagate":
             in_flight = set(store.in_flight) if who == "invocation" else None
@@ -271,7 +271,7 @@ def _placed(system, n=30):
             system.shared.propagate()
         t = system.store.begin_tx()
         values = random_orderline(rng, vid, null_delivery=vid % 5 == 0)
-        rid = system.store.install_version(t, vid, values)
+        rid = unpack_rid(system.store.install_version(t, vid, values))
         system.store.commit_tx(t)
         records[rid] = encode_record(system.schema, RecordHeader(vid, t), values)
     return records

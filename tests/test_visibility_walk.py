@@ -27,6 +27,7 @@ from ndtsim.layout import (
     page_slot_count_at,
     page_slot_entry_at,
     pack_rid,
+    unpack_rid,
 )
 from ndtsim.mvcc import TOMBSTONE, oracle_visible_version
 from conftest import Harness, page_of
@@ -122,11 +123,12 @@ def test_walk_matches_oracle_with_exact_per_pe_charges(seed, snapshot):
                 visits += _oracle_visits(chain, inv.descriptor)
                 node = chain
                 for _ in range(_oracle_visits(chain, inv.descriptor)):
-                    nvm_visits += h.shared.l2p[node.rid.page_lid][0] == REGION_NVM
+                    nvm_visits += h.shared.l2p[unpack_rid(node.rid).page_lid][0] == REGION_NVM
                     node = node.pred
                 if expected is None:
                     assert vid not in rows
                     continue
+                expected = unpack_rid(expected)
                 k = rows.pop(vid)
                 assert int(mine.rids[k]) == pack_rid(expected)
                 region = REGIONS[mine.regions[k]]
@@ -200,7 +202,7 @@ def _chain(h, versions: int):
     for i in range(versions):
         h.install_rows({7: (i,)})
     h.shared.propagate()
-    return h.store.chain_rids(7)
+    return list(map(unpack_rid, h.store.chain_rids(7)))
 
 
 @pytest.mark.parametrize("versions, cycle", [(1, "self-loop"), (2, "2-cycle")])
